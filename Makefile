@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fix check chaos crash bench bench-smoke bench-parallel
+.PHONY: build test lint lint-fix check chaos crash bench bench-smoke bench-parallel benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ lint-fix:
 # packages (parallel scan, plan cache, MVCC) under the race detector, run
 # the crash-injection recovery sweeps, then smoke every benchmark so
 # bench-only code paths cannot rot unnoticed.
-check: lint bench-smoke crash
+check: lint bench-smoke benchmark-smoke crash
 	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./client/...
 
 # crash kills the storage stack at every mutating filesystem operation and
@@ -42,6 +42,13 @@ crash:
 # to prove the benchmark harnesses still build, run, and cross-check.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# benchmark-smoke runs the repository benchmark (BENCHMARK.json, bench/) on
+# tiny datasets: all four workloads, untraced and traced, with the emitted
+# metric names held against BENCHMARK.json. bench/ is a module of its own,
+# so `go test ./...` at the root does not reach it.
+benchmark-smoke:
+	$(GO) test -C bench ./...
 
 # chaos runs the ingestion robustness suite with elevated fault-injection
 # rates and the race detector: fault-injected logs, retry/backoff, circuit

@@ -7,8 +7,9 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -269,13 +270,7 @@ func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
 			return nil, fmt.Errorf("report: recency query failed: %w", err)
 		}
 		rep.Timing.RecencyQuery = time.Since(t1)
-		pairs = make([]SourceRecency, 0, len(rres.Rows))
-		for _, row := range rres.Rows {
-			if len(row) < 2 || row[0].IsNull() || row[1].IsNull() {
-				continue
-			}
-			pairs = append(pairs, SourceRecency{Sid: row[0].String(), Recency: row[1].Time()})
-		}
+		pairs = Pairs(rres.Rows)
 	}
 
 	t2 := time.Now()
@@ -294,18 +289,31 @@ func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
 // sharded executor can gather per-shard pair sets and assemble the same
 // report the single-engine path produces.
 func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if !pairs[i].Recency.Equal(pairs[j].Recency) {
-			return pairs[i].Recency.Before(pairs[j].Recency)
+	// Sort on integer nanoseconds taken once per pair, not on time.Time
+	// compared once per comparison.
+	type keyed struct {
+		ns int64
+		sr SourceRecency
+	}
+	ks := make([]keyed, len(pairs))
+	for i, sr := range pairs {
+		ks[i] = keyed{sr.Recency.UnixNano(), sr}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.ns, b.ns); c != 0 {
+			return c
 		}
-		return pairs[i].Sid < pairs[j].Sid
+		return strings.Compare(a.sr.Sid, b.sr.Sid)
 	})
+	for i := range ks {
+		pairs[i] = ks[i].sr
+	}
 	if cfg.SkipStats {
 		rep.Normal = pairs
 	} else {
-		xs := make([]float64, len(pairs))
-		for i, sr := range pairs {
-			xs[i] = float64(sr.Recency.UnixNano()) / float64(time.Second)
+		xs := make([]float64, len(ks))
+		for i := range ks {
+			xs[i] = float64(ks[i].ns) / float64(time.Second)
 		}
 		var normalIdx, excIdx []int
 		threshold := cfg.ZThreshold
@@ -317,18 +325,39 @@ func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
 			}
 			normalIdx, excIdx = stats.Outliers(xs, threshold)
 		}
-		for _, i := range normalIdx {
-			rep.Normal = append(rep.Normal, pairs[i])
-		}
-		for _, i := range excIdx {
-			rep.Exceptional = append(rep.Exceptional, pairs[i])
-		}
+		rep.Normal = pick(pairs, normalIdx)
+		rep.Exceptional = pick(pairs, excIdx)
 	}
 	if len(rep.Normal) > 0 {
 		rep.Least = rep.Normal[0]
 		rep.Most = rep.Normal[len(rep.Normal)-1]
 		rep.Bound = rep.Most.Recency.Sub(rep.Least.Recency)
 	}
+}
+
+// pick gathers pairs[idx...] into one exactly-sized slice (nil when empty).
+func pick(pairs []SourceRecency, idx []int) []SourceRecency {
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]SourceRecency, len(idx))
+	for k, i := range idx {
+		out[k] = pairs[i]
+	}
+	return out
+}
+
+// Pairs reads the (sid, recency) rows a recency query returned; rows with a
+// NULL in either column carry no recency and are skipped.
+func Pairs(rows [][]types.Value) []SourceRecency {
+	pairs := make([]SourceRecency, 0, len(rows))
+	for _, row := range rows {
+		if len(row) < 2 || row[0].IsNull() || row[1].IsNull() {
+			continue
+		}
+		pairs = append(pairs, SourceRecency{Sid: row[0].String(), Recency: row[1].Time()})
+	}
+	return pairs
 }
 
 // Materialize creates the session temp tables (sys_temp_e, sys_temp_a) for a
@@ -339,10 +368,13 @@ func Materialize(sess *engine.Session, rep *Report) error {
 		{Name: "sid", Kind: types.KindString},
 		{Name: "recency", Kind: types.KindTime},
 	}
+	// Both tables' rows are carved from one arena.
+	arena := make([]types.Value, 2*(len(rep.Exceptional)+len(rep.Normal)))
 	toRows := func(srs []SourceRecency) [][]types.Value {
 		rows := make([][]types.Value, len(srs))
 		for i, sr := range srs {
-			rows[i] = []types.Value{types.NewString(sr.Sid), types.NewTime(sr.Recency)}
+			rows[i], arena = arena[:2:2], arena[2:]
+			rows[i][0], rows[i][1] = types.NewString(sr.Sid), types.NewTime(sr.Recency)
 		}
 		return rows
 	}

@@ -594,6 +594,7 @@ func (db *DB) execUpdate(s *sqlparser.UpdateStmt, tx *txn.Txn) (int, error) {
 			return 0, err
 		}
 	}
+	tbl.NoteDead(len(matched))
 	return len(matched), nil
 }
 
@@ -611,6 +612,7 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, tx *txn.Txn) (int, error) {
 			return 0, err
 		}
 	}
+	tbl.NoteDead(len(matched))
 	return len(matched), nil
 }
 

@@ -176,6 +176,64 @@ func TestPrimaryKeyEnforced(t *testing.T) {
 	}
 }
 
+// The primary-key check sees only the writer's snapshot, so two overlapping
+// transactions can commit one key twice. A DISTINCT block anchored on the
+// table must still answer a set: the semi-join plan keeps its Distinct even
+// with the key projected.
+func TestAnchoredDistinctSurvivesDuplicateKeys(t *testing.T) {
+	db := paperDB(t)
+	b1, b2 := db.BeginBatch(), db.BeginBatch()
+	for _, b := range []*Batch{b1, b2} {
+		if _, err := b.Exec(`INSERT INTO Heartbeat VALUES ('m9', TIMESTAMP '2006-03-16 00:00:00')`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []*Batch{b1, b2} {
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := queryStrings(t, db, `SELECT sid FROM Heartbeat WHERE sid = 'm9'`); len(got) != 2 {
+		t.Skipf("the engine now refuses the second commit (%v); this guard is moot", got)
+	}
+	db.MustExec(`INSERT INTO Activity VALUES ('m9', 'idle', TIMESTAMP '2006-03-16 00:00:00')`)
+	for _, sql := range []string{
+		`SELECT DISTINCT H.sid, H.recency FROM Heartbeat H, Activity A WHERE H.sid = A.mach_id AND A.value = 'idle'`,
+		`SELECT DISTINCT H.sid, H.recency FROM Heartbeat H, Activity A WHERE A.value = 'idle'`,
+		`SELECT DISTINCT H.sid, H.recency FROM Heartbeat H, Activity A WHERE H.sid = A.mach_id
+		 UNION SELECT DISTINCT H.sid, H.recency FROM Heartbeat H, Routing R WHERE H.sid = R.mach_id`,
+	} {
+		got := queryStrings(t, db, sql)
+		seen := 0
+		for _, g := range got {
+			if strings.HasPrefix(g, "m9") {
+				seen++
+			}
+		}
+		if seen != 1 {
+			t.Errorf("%s\nreports m9 %d times: %v", sql, seen, got)
+		}
+	}
+}
+
+// An UPDATE leaves a dead version behind; the planner's row estimate must
+// count the table's rows, not its versions.
+func TestLiveRowsSurviveUpdates(t *testing.T) {
+	db := paperDB(t)
+	hb, _ := db.Catalog().Get("Heartbeat")
+	live := hb.LiveRows()
+	for i := 0; i < 25; i++ {
+		db.MustExec(`UPDATE Heartbeat SET recency = TIMESTAMP '2006-03-16 00:00:00'`)
+	}
+	if hb.NumVersions() != live*26 || hb.LiveRows() != live {
+		t.Errorf("versions = %d, live = %d; want %d and %d", hb.NumVersions(), hb.LiveRows(), live*26, live)
+	}
+	db.MustExec(`DELETE FROM Heartbeat WHERE sid = 'm1'`)
+	if hb.LiveRows() != live-1 {
+		t.Errorf("live after delete = %d, want %d", hb.LiveRows(), live-1)
+	}
+}
+
 func TestInsertColumnSubsetAndCoercion(t *testing.T) {
 	db := paperDB(t)
 	// String literal into TIMESTAMP column coerces.

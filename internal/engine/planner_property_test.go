@@ -7,9 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"trac/internal/exec"
+	"trac/internal/refeval"
 	"trac/internal/sqlparser"
-	"trac/internal/types"
 )
 
 // TestPlannerEquivalenceProperty cross-checks the whole planner/executor
@@ -132,89 +131,12 @@ func randomSelect(t *testing.T, rng *rand.Rand) (string, *sqlparser.SelectStmt) 
 
 func pick(rng *rand.Rand, ss []string) string { return ss[rng.Intn(len(ss))] }
 
-// referenceEval evaluates a SELECT by brute force: cross product of visible
-// rows, compiled WHERE, projection, DISTINCT. Returns a canonical sorted
-// multiset string.
+// referenceEval evaluates a SELECT with the naive reference evaluator and
+// returns its canonical sorted multiset string.
 func referenceEval(t *testing.T, db *DB, sel *sqlparser.SelectStmt) (string, error) {
 	t.Helper()
-	snap := db.Snapshot()
-	var bindings []exec.Binding
-	for _, ref := range sel.From {
-		tbl, err := db.Catalog().Get(ref.Name)
-		if err != nil {
-			return "", err
-		}
-		bindings = append(bindings, exec.Binding{Name: ref.Binding(), Table: tbl})
-	}
-	layout := exec.NewLayout(bindings)
-	var pred exec.Evaluator
-	if sel.Where != nil {
-		var err error
-		pred, err = exec.Compile(sel.Where, layout)
-		if err != nil {
-			return "", err
-		}
-	}
-	var itemEvals []exec.Evaluator
-	for _, it := range sel.Items {
-		if it.Star {
-			return "", fmt.Errorf("reference: star unsupported")
-		}
-		ev, err := exec.Compile(it.Expr, layout)
-		if err != nil {
-			return "", err
-		}
-		itemEvals = append(itemEvals, ev)
-	}
-
-	// Cross product of visible rows. Iterate the LAYOUT's bindings: they
-	// carry the computed offsets (the local slice does not).
-	tuples := [][]types.Value{make([]types.Value, layout.Width())}
-	for _, b := range layout.Bindings {
-		var next [][]types.Value
-		for _, base := range tuples {
-			for _, r := range b.Table.Rows() {
-				if !snap.Visible(r) {
-					continue
-				}
-				tup := make([]types.Value, layout.Width())
-				copy(tup, base)
-				copy(tup[b.Offset:b.Offset+len(r.Values)], r.Values)
-				next = append(next, tup)
-			}
-		}
-		tuples = next
-	}
-
-	var out []string
-	seen := map[string]bool{}
-	for _, tup := range tuples {
-		ok, err := exec.EvalPredicate(pred, tup)
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			continue
-		}
-		vals := make([]string, len(itemEvals))
-		for i, ev := range itemEvals {
-			v, err := ev(tup)
-			if err != nil {
-				return "", err
-			}
-			vals[i] = v.String()
-		}
-		key := strings.Join(vals, "|")
-		if sel.Distinct {
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		out = append(out, key)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ";"), nil
+	rows, err := refeval.Eval(db.Catalog(), db.Snapshot(), sel)
+	return strings.Join(rows, ";"), err
 }
 
 // planAndRun executes the SQL through the full planner and canonicalizes

@@ -45,13 +45,18 @@ func (s *Session) CreateTempTable(prefix string, cols []storage.Column, rows [][
 	if err := s.db.catalog.Create(tbl); err != nil {
 		return "", err
 	}
+	// One allocation for the row versions, one append for the table.
+	versions := make([]storage.Row, len(rows))
+	refs := make([]*storage.Row, len(rows))
+	for i, r := range rows {
+		versions[i].Values = r
+		refs[i] = &versions[i]
+	}
 	tx := s.db.mgr.Begin()
-	for _, r := range rows {
-		if err := tx.InsertRow(tbl, storage.NewRow(r, 0)); err != nil {
-			tx.Abort()
-			_ = s.db.catalog.Drop(name)
-			return "", err
-		}
+	if err := tx.InsertRows(tbl, refs); err != nil {
+		tx.Abort()
+		_ = s.db.catalog.Drop(name)
+		return "", err
 	}
 	if err := tx.Commit(); err != nil {
 		return "", err

@@ -96,8 +96,8 @@ type BatchOperator interface {
 // BatchSize rows per batch. It is the shim that lets arbitrary row
 // operators feed batch pipelines (and batch Exchange producers).
 func ToBatch(op Operator) BatchOperator {
-	if rfb, ok := op.(*RowFromBatch); ok {
-		return rfb.Src // unwrap a round trip
+	if src, ok := AsBatch(op); ok {
+		return src // unwrap a round trip; a ParallelScan speaks batches itself
 	}
 	return &rowSource{child: op}
 }
@@ -200,7 +200,7 @@ func AsBatch(op Operator) (BatchOperator, bool) {
 func Vectorized(op Operator) bool {
 	switch n := op.(type) {
 	case *RowFromBatch:
-		return true
+		return batchVectorized(n.Src)
 	case *ParallelScan:
 		return true // gathers through the batched Exchange
 	case *Exchange:
@@ -229,15 +229,6 @@ func Vectorized(op Operator) bool {
 		return Vectorized(n.Build) || Vectorized(n.Probe)
 	case *NestedLoopJoin:
 		return Vectorized(n.Outer) || Vectorized(n.Inner)
-	case *Gate:
-		if Vectorized(n.Child) {
-			return true
-		}
-		for _, p := range n.Probes {
-			if Vectorized(p) {
-				return true
-			}
-		}
 	case *Union:
 		for _, c := range n.Children {
 			if Vectorized(c) {
@@ -246,4 +237,24 @@ func Vectorized(op Operator) bool {
 		}
 	}
 	return false
+}
+
+// batchVectorized is Vectorized below a RowFromBatch bridge. A batch
+// operator is vectorized work, except the two that only carry rows in
+// batches: the row→batch shim, and a SemiJoin, which is as vectorized as
+// the inputs it was given.
+func batchVectorized(op BatchOperator) bool {
+	switch n := op.(type) {
+	case *rowSource:
+		return Vectorized(n.child)
+	case *SemiJoin:
+		v := batchVectorized(n.Anchor)
+		for _, arm := range n.Arms {
+			for _, p := range arm.Probes {
+				v = v || batchVectorized(p.Src)
+			}
+		}
+		return v
+	}
+	return true
 }

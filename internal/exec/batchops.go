@@ -224,12 +224,9 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 	}
 	w := len(p.Exprs)
 	out := GetBatch()
-	var arena []types.Value
+	arena := make([]types.Value, in.Len()*w)
 	for i := 0; i < in.Len(); i++ {
 		row := in.Row(i)
-		if len(arena) < w {
-			arena = make([]types.Value, BatchSize*w)
-		}
 		proj := arena[:w:w]
 		arena = arena[w:]
 		for ci, e := range p.Exprs {

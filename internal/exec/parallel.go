@@ -522,9 +522,6 @@ func ParallelDegree(op Operator) int {
 		consider(n.Build, n.Probe)
 	case *NestedLoopJoin:
 		consider(n.Outer, n.Inner)
-	case *Gate:
-		consider(n.Child)
-		consider(n.Probes...)
 	case *Union:
 		consider(n.Children...)
 	}
@@ -550,6 +547,16 @@ func BatchParallelDegree(op BatchOperator) int {
 		return ParallelDegree(n)
 	case *rowSource:
 		return ParallelDegree(n.child)
+	case *SemiJoin:
+		d := BatchParallelDegree(n.Anchor)
+		for _, arm := range n.Arms {
+			for _, p := range arm.Probes {
+				if pd := BatchParallelDegree(p.Src); pd > d {
+					d = pd
+				}
+			}
+		}
+		return d
 	}
 	return 1
 }

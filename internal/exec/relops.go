@@ -260,61 +260,6 @@ func (d *Distinct) Close() error {
 	return d.Child.Close()
 }
 
-// Gate emits its child's rows only if every probe produces at least one
-// row. The planner uses it for the existence reduction of disconnected
-// join-graph components under DISTINCT: a component contributing no output
-// columns and no join predicate only matters for whether it is empty
-// (a recency-query arm per the paper's Theorem 4 has exactly this shape —
-// Heartbeat × R_j with only single-relation filters on R_j).
-type Gate struct {
-	Child  Operator
-	Probes []Operator
-
-	empty bool
-}
-
-// Open runs the probes; if any probe is empty the gate output is empty.
-func (g *Gate) Open() error {
-	g.empty = false
-	for _, p := range g.Probes {
-		if err := p.Open(); err != nil {
-			return err
-		}
-		_, ok, err := p.Next()
-		cerr := p.Close()
-		if err != nil {
-			return err
-		}
-		if cerr != nil {
-			return cerr
-		}
-		if !ok {
-			g.empty = true
-			break
-		}
-	}
-	if g.empty {
-		return nil
-	}
-	return g.Child.Open()
-}
-
-// Next forwards the child unless a probe was empty.
-func (g *Gate) Next() ([]types.Value, bool, error) {
-	if g.empty {
-		return nil, false, nil
-	}
-	return g.Child.Next()
-}
-
-// Close closes the child (probes are closed in Open).
-func (g *Gate) Close() error {
-	if g.empty {
-		return nil
-	}
-	return g.Child.Close()
-}
-
 // Union concatenates children with set semantics (duplicates across and
 // within children are suppressed). Children must have equal arity.
 type Union struct {

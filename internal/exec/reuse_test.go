@@ -15,47 +15,6 @@ func intRows(vals ...int64) [][]types.Value {
 	return out
 }
 
-func TestGatePassesWhenProbesNonEmpty(t *testing.T) {
-	g := &Gate{
-		Child:  &ValuesOp{RowsData: intRows(1, 2, 3)},
-		Probes: []Operator{&ValuesOp{RowsData: intRows(9)}, &ValuesOp{RowsData: intRows(8, 7)}},
-	}
-	rows, err := Drain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Errorf("rows = %d", len(rows))
-	}
-}
-
-func TestGateBlocksOnEmptyProbe(t *testing.T) {
-	g := &Gate{
-		Child:  &ValuesOp{RowsData: intRows(1, 2, 3)},
-		Probes: []Operator{&ValuesOp{RowsData: intRows(9)}, &ValuesOp{}},
-	}
-	rows, err := Drain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Errorf("gate should block: %v", rows)
-	}
-	// Re-openable.
-	rows, err = Drain(g)
-	if err != nil || len(rows) != 0 {
-		t.Errorf("second drain: %v, %v", rows, err)
-	}
-}
-
-func TestGateNoProbes(t *testing.T) {
-	g := &Gate{Child: &ValuesOp{RowsData: intRows(5)}}
-	rows, err := Drain(g)
-	if err != nil || len(rows) != 1 {
-		t.Errorf("rows = %v, %v", rows, err)
-	}
-}
-
 func TestSeqScanReuseSameResults(t *testing.T) {
 	tbl, m := testActivity(t)
 	layout := layoutFor(tbl, "a")

@@ -1,0 +1,254 @@
+package exec
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"trac/internal/types"
+)
+
+// col reads column i of a row.
+func col(i int) Evaluator {
+	return func(row []types.Value) (types.Value, error) { return row[i], nil }
+}
+
+func strRows(vals ...string) [][]types.Value {
+	out := make([][]types.Value, len(vals))
+	for i, v := range vals {
+		out[i] = []types.Value{types.NewString(v)}
+		if v == "" {
+			out[i][0] = types.Null
+		}
+	}
+	return out
+}
+
+func drainSemi(t *testing.T, j *SemiJoin) []string {
+	t.Helper()
+	rows, err := Drain(&RowFromBatch{Src: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r[0].String()
+	}
+	return out
+}
+
+func TestSemiJoinKeyedEmitsEachAnchorRowOnce(t *testing.T) {
+	probe := &SemiProbe{
+		Src:        ToBatch(&ValuesOp{RowsData: strRows("b", "", "b", "c", "b", "zz")}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+	}
+	j := &SemiJoin{
+		// Two anchor rows share key b; the NULL-keyed one can never match.
+		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "", "c", "b")}),
+		Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
+	}
+	for run := 0; run < 2; run++ { // re-openable
+		if got := fmt.Sprint(drainSemi(t, j)); got != "[b c b]" {
+			t.Errorf("run %d: rows = %s, want [b c b] (anchor order, once each)", run, got)
+		}
+		// a and the NULL row stay unmarked, so the probe is read to its end.
+		if !probe.Exhausted || probe.Probed != 6 {
+			t.Errorf("run %d: probed %d rows, exhausted=%v; want all 6", run, probe.Probed, probe.Exhausted)
+		}
+	}
+}
+
+// A SemiJoin only carries rows in batches: a plan is vectorized through it
+// when one of its inputs is, not because the bridge above it speaks batches.
+func TestSemiJoinIsAsVectorizedAsItsInputs(t *testing.T) {
+	rowScan := func() BatchOperator { return ToBatch(&ValuesOp{RowsData: strRows("a")}) }
+	batchScan := &BatchFilter{Child: rowScan()}
+	for _, tc := range []struct {
+		anchor, probe BatchOperator
+		want          bool
+	}{
+		{rowScan(), rowScan(), false},
+		{batchScan, rowScan(), true},
+		{rowScan(), batchScan, true},
+	} {
+		j := &SemiJoin{Anchor: tc.anchor, Arms: []SemiArm{{Probes: []*SemiProbe{{Src: tc.probe}}}}}
+		if got := Vectorized(&Limit{Child: &RowFromBatch{Src: j}, N: 1}); got != tc.want {
+			t.Errorf("Vectorized over anchor %T, probe %T = %v, want %v", tc.anchor, tc.probe, got, tc.want)
+		}
+	}
+}
+
+func TestSemiJoinStopsOnceEveryKeyedRowIsMarked(t *testing.T) {
+	probe := &SemiProbe{
+		Src:        ToBatch(&ValuesOp{RowsData: strRows("b", "a", "x", "y", "z")}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+	}
+	j := &SemiJoin{
+		// The NULL-keyed anchor row must not hold the early stop hostage.
+		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "", "b")}),
+		Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
+	}
+	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
+		t.Errorf("rows = %s", got)
+	}
+	if probe.Exhausted || probe.Probed != 2 {
+		t.Errorf("probed %d rows, exhausted=%v; want a stop after 2", probe.Probed, probe.Exhausted)
+	}
+}
+
+func TestSemiJoinExistenceProbes(t *testing.T) {
+	anchor := func() BatchOperator { return ToBatch(&ValuesOp{RowsData: strRows("a", "b")}) }
+	full := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("p", "q", "r")})}
+	empty := &SemiProbe{Src: ToBatch(&ValuesOp{})}
+	costly := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("p")})}
+
+	j := &SemiJoin{Anchor: anchor(), Arms: []SemiArm{{Probes: []*SemiProbe{full}}}}
+	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
+		t.Errorf("non-empty probe: rows = %s", got)
+	}
+	if full.Probed != 1 || full.Exhausted {
+		t.Errorf("existence probe read %d rows (exhausted=%v), want 1", full.Probed, full.Exhausted)
+	}
+
+	// An empty probe empties the arm, and the probes after it never open.
+	j = &SemiJoin{Anchor: anchor(), Arms: []SemiArm{{Probes: []*SemiProbe{empty, costly}}}}
+	if got := drainSemi(t, j); len(got) != 0 {
+		t.Errorf("empty probe: rows = %v", got)
+	}
+	if !empty.Exhausted || costly.Probed != 0 {
+		t.Errorf("empty.Exhausted=%v costly.Probed=%d", empty.Exhausted, costly.Probed)
+	}
+
+	// No probes at all: every anchor row qualifies.
+	j = &SemiJoin{Anchor: anchor(), Arms: []SemiArm{{}}}
+	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
+		t.Errorf("no probes: rows = %s", got)
+	}
+}
+
+func TestSemiJoinResidualIsCheckedBeforeMarking(t *testing.T) {
+	// Merged tuple: [anchor.k, anchor.n, probe.k, probe.n]; the residual asks
+	// anchor.n < probe.n. The first probe row with key a fails it and must
+	// not mark the anchor row; the third one passes.
+	mk := func(k string, n int64) []types.Value {
+		return []types.Value{types.NewString(k), types.NewInt(n)}
+	}
+	residual := func(row []types.Value) (types.Value, error) {
+		return types.NewBool(row[1].Int() < row[3].Int()), nil
+	}
+	keyed := &SemiProbe{
+		Src:        ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 1), mk("b", 9), mk("a", 7)}}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+		Residual: residual, AnchorOffset: 0, ProbeOffset: 2, Width: 4,
+	}
+	j := &SemiJoin{
+		Anchor: ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 5), mk("b", 9)}}),
+		Arms:   []SemiArm{{Probes: []*SemiProbe{keyed}}},
+	}
+	if got := fmt.Sprint(drainSemi(t, j)); got != "[a]" {
+		t.Errorf("keyed residual: rows = %s, want [a]", got)
+	}
+
+	// Without keys the residual alone decides, row by row.
+	loop := &SemiProbe{
+		Src:      ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("x", 6), mk("y", 10)}}),
+		Residual: residual, AnchorOffset: 0, ProbeOffset: 2, Width: 4,
+	}
+	j = &SemiJoin{
+		Anchor: ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 5), mk("b", 9), mk("c", 10)}}),
+		Arms:   []SemiArm{{Probes: []*SemiProbe{loop}}},
+	}
+	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
+		t.Errorf("unkeyed residual: rows = %s, want [a b]", got)
+	}
+}
+
+func TestSemiJoinArmsShareOneMarkVector(t *testing.T) {
+	first := &SemiProbe{
+		Src:        ToBatch(&ValuesOp{RowsData: strRows("a", "b")}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+	}
+	second := &SemiProbe{
+		Src:        ToBatch(&ValuesOp{RowsData: strRows("c", "b", "a", "c", "q")}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+	}
+	never := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("z")})}
+	notD := func(row []types.Value) (types.Value, error) { return types.NewBool(row[0].Str() != "d"), nil }
+	j := &SemiJoin{
+		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c", "d")}),
+		Arms: []SemiArm{
+			{Probes: []*SemiProbe{first}},
+			{Filter: notD, Probes: []*SemiProbe{second}}, // only c is still open
+			{Filter: notD, Probes: []*SemiProbe{never}},  // nothing is: never opened
+		},
+	}
+	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b c]" {
+		t.Errorf("rows = %s, want [a b c]", got)
+	}
+	if second.Probed != 1 || second.Exhausted {
+		t.Errorf("second arm probed %d rows (exhausted=%v); it only had c left to find", second.Probed, second.Exhausted)
+	}
+	if never.Probed != 0 {
+		t.Errorf("third arm had no candidate left but probed %d rows", never.Probed)
+	}
+}
+
+func TestSemiJoinClosesProbeOnError(t *testing.T) {
+	src := &closeCounter{child: ToBatch(&errOp{})} // fails after three rows
+	j := &SemiJoin{
+		Anchor: ToBatch(&ValuesOp{RowsData: intRows(1, 99)}),
+		Arms: []SemiArm{{Probes: []*SemiProbe{{
+			Src: src, AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+		}}}},
+	}
+	if _, err := Drain(&RowFromBatch{Src: j}); err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if src.opens != 1 || src.closes != 1 {
+		t.Errorf("probe opened %d times, closed %d times", src.opens, src.closes)
+	}
+}
+
+type closeCounter struct {
+	child         BatchOperator
+	opens, closes int
+}
+
+func (c *closeCounter) Open() error                { c.opens++; return c.child.Open() }
+func (c *closeCounter) NextBatch() (*Batch, error) { return c.child.NextBatch() }
+func (c *closeCounter) Close() error               { c.closes++; return c.child.Close() }
+
+// TestSemiJoinEarlyStopReapsParallelProbe covers an anchor from a parallel
+// probe long before the probe is exhausted, and requires that closing it
+// there leaves no worker behind. Run under -race in `make check`.
+func TestSemiJoinEarlyStopReapsParallelProbe(t *testing.T) {
+	tbl, m := bigActivity(t, 40_000) // mach_id cycles m0..m9
+	before := runtime.NumGoroutine()
+	for run := 0; run < 20; run++ {
+		probe := &SemiProbe{
+			Src:        &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 64, Alias: true},
+			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+		}
+		j := &SemiJoin{
+			Anchor: ToBatch(&ValuesOp{RowsData: strRows("m0", "m3", "m9")}),
+			Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
+		}
+		if got := fmt.Sprint(drainSemi(t, j)); got != "[m0 m3 m9]" {
+			t.Fatalf("rows = %s", got)
+		}
+		if probe.Exhausted || probe.Probed > 4*BatchSize {
+			t.Fatalf("probed %d of 40000 rows (exhausted=%v); expected a stop within the first batches",
+				probe.Probed, probe.Exhausted)
+		}
+	}
+	// Exchange.Close returns once every producer has left; only its closer
+	// goroutines may still be on their way out.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after 20 early stops", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}

@@ -58,23 +58,21 @@ func subsetOf(set, of map[int]bool) bool {
 	return true
 }
 
-// accessPath picks the physical scan for binding i: an index scan when an
-// indexed column has a usable equality/IN key set or range, otherwise a
-// sequential scan. All single-table conjuncts for i are consumed here (the
-// index narrows the candidate set; the full predicate still runs as the
-// scan filter, which also keeps semantics exact when the index bounds are
-// conservative, e.g. LIKE prefixes).
-func (p *Planner) accessPath(layout *exec.Layout, i int, conjuncts []*conjunct, snap txn.Snapshot) (exec.Operator, float64, string, error) {
+// accessPath picks the physical scan for binding i under its own conjuncts
+// (mine: the ones reading no other binding): an index scan when an indexed
+// column has a usable equality/IN key set or range, otherwise a sequential
+// scan. All of mine are consumed here (the index narrows the candidate set;
+// the full predicate still runs as the scan filter, which also keeps
+// semantics exact when the index bounds are conservative, e.g. LIKE
+// prefixes). serial rules out a parallel heap scan, for consumers that stop
+// after the first rows.
+func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, snap txn.Snapshot, serial bool) (exec.Operator, float64, string, error) {
 	b := layout.Bindings[i]
 	tbl := b.Table
-	totalRows := float64(tbl.NumVersions())
-
-	var mine []*conjunct
-	for _, c := range conjuncts {
-		if onlyBinding(c.bindings, i) && !c.used {
-			mine = append(mine, c)
-		}
-	}
+	// Estimates count live rows: a small table updated in place all day
+	// (Heartbeat) carries many dead versions per row. A heap scan still
+	// visits every version, so the parallel threshold looks at those.
+	totalRows := float64(tbl.LiveRows())
 
 	// Gather per-column index candidates.
 	type candidate struct {
@@ -90,7 +88,7 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, conjuncts []*conjunct, 
 		if ndv < 1 {
 			ndv = 1
 		}
-		perKey := float64(idx.Len()) / ndv
+		perKey := totalRows / ndv
 		colName := tbl.Schema.Columns[col].Name
 		colKind := tbl.Schema.Columns[col].Kind
 
@@ -155,7 +153,10 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, conjuncts []*conjunct, 
 	// more than one CPU is available. Unless vectorization is disabled, heap
 	// scans run batch-at-a-time with the predicate compiled into a fused
 	// kernel (type-specialized comparison loops over whole batches).
-	workers := p.parallelWorkers(totalRows)
+	workers := 1
+	if !serial {
+		workers = p.parallelWorkers(float64(tbl.NumVersions()))
+	}
 	if !p.DisableVectorized {
 		var pred sqlparser.Expr
 		if len(exprs) > 0 {

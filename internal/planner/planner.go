@@ -89,12 +89,34 @@ type Plan struct {
 	// Vectorized reports whether any part of the plan executes
 	// batch-at-a-time.
 	Vectorized bool
+
+	// semis ties each semi-join note to its probe, so that Describe can say
+	// after a run how much of the probe side was read.
+	semis []semiNote
+}
+
+type semiNote struct {
+	note  int // index into Notes
+	probe *exec.SemiProbe
 }
 
 // Describe renders the planning notes, including the plan's parallel degree
-// and whether it runs vectorized.
+// and whether it runs vectorized. Called after the plan has run, semi-join
+// notes also carry how many probe rows the execution read.
 func (p *Plan) Describe() string {
-	out := strings.Join(p.Notes, "\n")
+	notes := p.Notes
+	if len(p.semis) > 0 {
+		notes = append([]string(nil), p.Notes...)
+		for _, sn := range p.semis {
+			switch {
+			case sn.probe.Exhausted:
+				notes[sn.note] += fmt.Sprintf(", read all %d rows", sn.probe.Probed)
+			case sn.probe.Probed > 0:
+				notes[sn.note] += fmt.Sprintf(", stopped after %d rows", sn.probe.Probed)
+			}
+		}
+	}
+	out := strings.Join(notes, "\n")
 	if p.Parallel > 1 {
 		out += fmt.Sprintf("\nparallel degree: %d", p.Parallel)
 	}
@@ -122,38 +144,70 @@ func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Pla
 }
 
 func (p *Planner) planUnion(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
-	blocks := make([]*sqlparser.SelectStmt, 0, 1+len(sel.Union))
+	stmts := make([]*sqlparser.SelectStmt, 0, 1+len(sel.Union))
 	head := *sel
 	head.Union = nil
 	head.OrderBy = nil
 	head.Limit = nil
-	blocks = append(blocks, &head)
-	blocks = append(blocks, sel.Union...)
+	stmts = append(stmts, &head)
+	stmts = append(stmts, sel.Union...)
 
-	var children []exec.Operator
-	var first *Plan
-	var notes []string
-	for i, b := range blocks {
-		bp, err := p.planBlock(b, snap)
+	blocks := make([]*block, len(stmts))
+	for i, st := range stmts {
+		if len(st.From) == 0 {
+			continue // constant block: planned on its own below
+		}
+		b, err := p.bindBlock(st)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			first = bp
-		} else if len(bp.Columns) != len(first.Columns) {
-			return nil, fmt.Errorf("planner: UNION blocks have different arity (%d vs %d)",
-				len(first.Columns), len(bp.Columns))
-		}
-		children = append(children, bp.Root)
-		notes = append(notes, fmt.Sprintf("union block %d:", i))
-		notes = append(notes, bp.Notes...)
+		blocks[i] = b
 	}
-	var root exec.Operator = &exec.Union{Children: children}
-	root, err := p.applyOutputOrderLimit(root, sel, first.Columns)
+
+	plan := &Plan{}
+	if u, ok := unionAnchors(blocks); ok {
+		// Every block draws its output from the same relation: one anchor
+		// scan, one arm per block, each anchor row emitted once; the
+		// DISTINCT of the tail is the UNION's set semantics.
+		plan.Columns = blocks[0].columns
+		plan.Notes = append(plan.Notes, fmt.Sprintf("anchored union: %d arms, 1 anchor scan", len(blocks)))
+		if err := p.planAnchored(blocks, u, snap, plan); err != nil {
+			return nil, err
+		}
+	} else {
+		var children []exec.Operator
+		for i, st := range stmts {
+			var bp *Plan
+			var err error
+			if blocks[i] == nil {
+				bp, err = p.planConstant(st)
+			} else {
+				bp, err = p.planBound(blocks[i], snap)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				plan.Columns = bp.Columns
+			} else if len(bp.Columns) != len(plan.Columns) {
+				return nil, fmt.Errorf("planner: UNION blocks have different arity (%d vs %d)",
+					len(plan.Columns), len(bp.Columns))
+			}
+			children = append(children, bp.Root)
+			plan.Notes = append(plan.Notes, fmt.Sprintf("union block %d:", i))
+			for _, sn := range bp.semis {
+				plan.semis = append(plan.semis, semiNote{note: sn.note + len(plan.Notes), probe: sn.probe})
+			}
+			plan.Notes = append(plan.Notes, bp.Notes...)
+		}
+		plan.Root = &exec.Union{Children: children}
+	}
+	var err error
+	plan.Root, err = p.applyOutputOrderLimit(plan.Root, sel, plan.Columns)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: root, Columns: first.Columns, Notes: notes}, nil
+	return plan, nil
 }
 
 // applyOutputOrderLimit handles ORDER BY/LIMIT over a plan whose tuples are
@@ -202,13 +256,20 @@ type conjunct struct {
 	used     bool
 }
 
-func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
-	// SELECT with no FROM: evaluate items against an empty tuple.
-	if len(sel.From) == 0 {
-		return p.planConstant(sel)
-	}
+// block is one SELECT block after name binding: the joined layout, the WHERE
+// clause split into conjuncts attributed to their bindings, and the
+// star-expanded select list.
+type block struct {
+	sel       *sqlparser.SelectStmt
+	layout    *exec.Layout
+	conjuncts []*conjunct
+	items     []sqlparser.Expr
+	columns   []string
+	grouped   bool // aggregates, GROUP BY or HAVING
+}
 
-	// Bind FROM.
+// bindBlock resolves a block's FROM list, WHERE conjuncts and select items.
+func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 	bindings := make([]exec.Binding, 0, len(sel.From))
 	seen := make(map[string]bool)
 	for _, ref := range sel.From {
@@ -223,103 +284,79 @@ func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 		seen[name] = true
 		bindings = append(bindings, exec.Binding{Name: ref.Binding(), Table: tbl})
 	}
-	layout := exec.NewLayout(bindings)
-
-	var notes []string
+	b := &block{sel: sel, layout: exec.NewLayout(bindings)}
 
 	// Split WHERE into conjuncts and attribute each to its bindings.
-	var conjuncts []*conjunct
 	for _, e := range splitAnd(sel.Where) {
-		refs, err := p.bindingsOf(e, layout)
+		refs, err := p.bindingsOf(e, b.layout)
 		if err != nil {
 			return nil, err
 		}
-		conjuncts = append(conjuncts, &conjunct{expr: e, bindings: refs})
+		b.conjuncts = append(b.conjuncts, &conjunct{expr: e, bindings: refs})
 	}
 
 	// Select list: aggregates vs plain projection.
-	items, columns, err := p.expandItems(sel, layout)
+	var err error
+	b.items, b.columns, err = p.expandItems(sel, b.layout)
 	if err != nil {
 		return nil, err
 	}
-	hasAgg := false
-	for _, it := range items {
+	b.grouped = len(sel.GroupBy) > 0 || sel.Having != nil
+	for _, it := range b.items {
 		if _, ok := it.(*sqlparser.FuncCall); ok {
-			hasAgg = true
+			b.grouped = true
 		}
 	}
+	return b, nil
+}
 
-	// Join-graph components: bindings connected by multi-binding conjuncts.
-	comps := components(len(layout.Bindings), conjuncts)
-
-	// Existence reduction: under DISTINCT (set semantics), a component
-	// that contributes no output/order columns only matters for whether it
-	// is empty, so it is planned as a LIMIT-1 existence probe instead of a
-	// cross product. This is the shape of the generated recency arms
-	// (Heartbeat crossed with the user query's other relations).
-	var root exec.Operator
-	if sel.Distinct && !hasAgg && componentCount(comps) > 1 {
-		needed, ok, err := p.outputComponent(sel, items, layout, comps)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			var mainIdx, probeComps []int
-			seenComp := make(map[int]bool)
-			for i := range layout.Bindings {
-				if comps[i] == needed {
-					mainIdx = append(mainIdx, i)
-				} else if !seenComp[comps[i]] {
-					seenComp[comps[i]] = true
-					probeComps = append(probeComps, comps[i])
-				}
-			}
-			main, err := p.joinTree(layout, mainIdx, conjuncts, snap, &notes)
-			if err != nil {
-				return nil, err
-			}
-			var probes []exec.Operator
-			for _, pc := range probeComps {
-				var idx []int
-				for i := range layout.Bindings {
-					if comps[i] == pc {
-						idx = append(idx, i)
-					}
-				}
-				sub, err := p.joinTree(layout, idx, conjuncts, snap, &notes)
-				if err != nil {
-					return nil, err
-				}
-				probes = append(probes, &exec.Limit{Child: sub, N: 1})
-				notes = append(notes, fmt.Sprintf("existence probe over component %v", bindingNames(layout, idx)))
-			}
-			root = &exec.Gate{Child: main, Probes: probes}
-		}
+func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
+	// SELECT with no FROM: evaluate items against an empty tuple.
+	if len(sel.From) == 0 {
+		return p.planConstant(sel)
 	}
-	if root == nil {
-		all := make([]int, len(layout.Bindings))
-		for i := range all {
-			all[i] = i
-		}
-		root, err = p.joinTree(layout, all, conjuncts, snap, &notes)
-		if err != nil {
-			return nil, err
-		}
+	b, err := p.bindBlock(sel)
+	if err != nil {
+		return nil, err
+	}
+	return p.planBound(b, snap)
+}
+
+// planBound plans a bound block: a semi-join when the block is
+// DISTINCT-anchored (see anchorOf), otherwise the join tree over every
+// binding; then the aggregation or projection tail.
+func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
+	sel, layout := b.sel, b.layout
+	plan := &Plan{Columns: b.columns}
+	if a := anchorOf(b); a >= 0 {
+		return plan, p.planAnchored([]*block{b}, &anchoredUnion{anchors: []int{a}}, snap, plan)
+	}
+
+	all := make([]int, len(layout.Bindings))
+	for i := range all {
+		all[i] = i
+	}
+	// LIMIT without ORDER BY over one table stops after the first surviving
+	// rows: a parallel scan would spin up workers to throw their output away.
+	serial := len(all) == 1 && sel.Limit != nil && len(sel.OrderBy) == 0 && !b.grouped
+	root, err := p.joinTree(layout, all, b.conjuncts, snap, &plan.Notes, serial)
+	if err != nil {
+		return nil, err
 	}
 	// Defensive: any conjunct not yet applied.
 	joinedAll := make(map[int]bool, len(layout.Bindings))
 	for i := range layout.Bindings {
 		joinedAll[i] = true
 	}
-	root, err = p.applyResidualFilter(root, conjuncts, layout, joinedAll)
+	root, err = p.applyResidualFilter(root, b.conjuncts, layout, joinedAll)
 	if err != nil {
 		return nil, err
 	}
 
-	if hasAgg || len(sel.GroupBy) > 0 || sel.Having != nil {
+	if b.grouped {
 		// Aggregation never retains its input rows.
 		markScanReuse(root)
-		root, err = p.finishGrouped(sel, root, layout, items, &notes)
+		root, err = p.finishGrouped(sel, root, layout, b.items, &plan.Notes)
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +366,19 @@ func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 		if sel.Limit != nil {
 			root = &exec.Limit{Child: root, N: *sel.Limit}
 		}
-		return &Plan{Root: root, Columns: columns, Notes: notes}, nil
+		plan.Root = root
+		return plan, nil
 	}
+	plan.Root, err = p.finishPlain(b, root, layout)
+	return plan, err
+}
 
-	// ORDER BY runs on source tuples (before projection); aliases and
-	// 1-based positions resolve to their select-list expressions.
+// finishPlain builds the non-aggregate tail over root, whose tuples have the
+// given layout: ORDER BY on source tuples (before projection; aliases and
+// 1-based positions resolve to their select-list expressions), projection,
+// DISTINCT, LIMIT.
+func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout) (exec.Operator, error) {
+	sel, items := b.sel, b.items
 	if len(sel.OrderBy) > 0 {
 		var keys []exec.SortKey
 		for _, o := range sel.OrderBy {
@@ -363,6 +408,7 @@ func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 
 	evals := make([]exec.Evaluator, len(items))
 	for i, it := range items {
+		var err error
 		evals[i], err = exec.Compile(it, layout)
 		if err != nil {
 			return nil, err
@@ -384,20 +430,27 @@ func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 	if sel.Limit != nil {
 		root = &exec.Limit{Child: root, N: *sel.Limit}
 	}
-	return &Plan{Root: root, Columns: columns, Notes: notes}, nil
+	return root, nil
 }
 
 // joinTree plans the scans and joins for a subset of bindings: access path
-// per member, greedy equijoin-first join ordering, residual filters as soon
-// as their bindings are joined.
-func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, snap txn.Snapshot, notes *[]string) (exec.Operator, error) {
+// per member (never a parallel scan when serial is set), greedy
+// equijoin-first join ordering, residual filters as soon as their bindings
+// are joined.
+func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, snap txn.Snapshot, notes *[]string, serial bool) (exec.Operator, error) {
 	type node struct {
 		op  exec.Operator
 		est float64
 	}
 	nodes := make(map[int]*node, len(members))
 	for _, i := range members {
-		op, est, note, err := p.accessPath(layout, i, conjuncts, snap)
+		var mine []*conjunct
+		for _, c := range conjuncts {
+			if onlyBinding(c.bindings, i) && !c.used {
+				mine = append(mine, c)
+			}
+		}
+		op, est, note, err := p.accessPath(layout, i, mine, snap, serial)
 		if err != nil {
 			return nil, err
 		}
@@ -517,101 +570,7 @@ func markScanReuse(op exec.Operator) {
 		// are concurrent — a recycled buffer would be a data race.
 	case *exec.Filter:
 		markScanReuse(n.Child)
-	case *exec.Gate:
-		markScanReuse(n.Child)
 	}
-}
-
-// components assigns each binding a component id: bindings referenced by a
-// common conjunct share a component (union-find).
-func components(n int, conjuncts []*conjunct) []int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, c := range conjuncts {
-		first := -1
-		for b := range c.bindings {
-			if first < 0 {
-				first = b
-			} else {
-				union(first, b)
-			}
-		}
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = find(i)
-	}
-	return out
-}
-
-func componentCount(comps []int) int {
-	seen := make(map[int]bool)
-	for _, c := range comps {
-		seen[c] = true
-	}
-	return len(seen)
-}
-
-// outputComponent returns the single component that the select items and
-// ORDER BY reference, or ok=false when they span components (or reference
-// none).
-func (p *Planner) outputComponent(sel *sqlparser.SelectStmt, items []sqlparser.Expr, layout *exec.Layout, comps []int) (int, bool, error) {
-	comp := -1
-	ok := true
-	consider := func(e sqlparser.Expr) error {
-		refs, err := p.bindingsOf(e, layout)
-		if err != nil {
-			return err
-		}
-		for b := range refs {
-			if comp < 0 {
-				comp = comps[b]
-			} else if comps[b] != comp {
-				ok = false
-			}
-		}
-		return nil
-	}
-	for _, it := range items {
-		if err := consider(it); err != nil {
-			return 0, false, err
-		}
-	}
-	for _, o := range sel.OrderBy {
-		// Positional/alias forms resolve within items; direct column refs
-		// must stay in the same component.
-		if _, isLit := o.Expr.(*sqlparser.Literal); isLit {
-			continue
-		}
-		if err := consider(o.Expr); err != nil {
-			// An alias reference fails bindingsOf; it resolves to an item,
-			// which was already considered.
-			continue
-		}
-	}
-	if comp < 0 {
-		return 0, false, nil
-	}
-	return comp, ok, nil
-}
-
-func bindingNames(layout *exec.Layout, idx []int) []string {
-	out := make([]string, len(idx))
-	for i, b := range idx {
-		out[i] = layout.Bindings[b].Name
-	}
-	return out
 }
 
 func (p *Planner) planConstant(sel *sqlparser.SelectStmt) (*Plan, error) {

@@ -146,7 +146,7 @@ func TestExistenceReductionForDisconnectedDistinct(t *testing.T) {
 	pl := plan(t, p, mgr, `
 		SELECT DISTINCT H.sid, H.recency FROM Heartbeat H, Activity A
 		WHERE H.sid IN ('m1', 'm2') AND A.value = 'idle'`)
-	if !strings.Contains(pl.Describe(), "existence probe") {
+	if !strings.Contains(pl.Describe(), "(existence)") {
 		t.Errorf("expected existence reduction:\n%s", pl.Describe())
 	}
 	rows, err := exec.Drain(pl.Root)
@@ -180,7 +180,7 @@ func TestNoReductionWithoutDistinct(t *testing.T) {
 	pl := plan(t, p, mgr, `
 		SELECT H.sid FROM Heartbeat H, Activity A
 		WHERE H.sid = 'm1' AND A.value = 'idle'`)
-	if strings.Contains(pl.Describe(), "existence probe") {
+	if strings.Contains(pl.Describe(), "(existence)") {
 		t.Errorf("reduction must not fire without DISTINCT:\n%s", pl.Describe())
 	}
 }
@@ -200,7 +200,7 @@ func TestNoReductionWhenItemsSpanComponents(t *testing.T) {
 	pl := plan(t, p, mgr, `
 		SELECT DISTINCT H.sid, A.value FROM Heartbeat H, Activity A
 		WHERE H.sid = 'm1'`)
-	if strings.Contains(pl.Describe(), "existence probe") {
+	if strings.Contains(pl.Describe(), "(existence)") {
 		t.Errorf("reduction must not fire when items span components:\n%s", pl.Describe())
 	}
 	rows, _ := exec.Drain(pl.Root)

@@ -83,6 +83,9 @@ func (r *Router) Explain(sql string) (string, error) {
 		} else {
 			sb.WriteString(planner.ShardNote(len(bp.shards), len(r.shards), bp.pruned))
 		}
+		if bp.firstAnswer {
+			sb.WriteString(", gather: first non-empty answer (partitioned relation is existence-only)")
+		}
 		sb.WriteString("\n")
 		first := bp.shards[0]
 		plan, err := r.shards[first].Planner().PlanSelect(bp.stmt, cut.Snaps[first])
@@ -96,10 +99,12 @@ func (r *Router) Explain(sql string) (string, error) {
 
 // executeScatter plans every (block, shard) statement under the cut's
 // snapshots, drains all of them concurrently (the scatter), then merges
-// per-shard partials in deterministic shard order (the gather).
+// per-shard partials in deterministic shard order (the gather). A
+// firstAnswer block is asked shard by shard instead and needs no gather.
 func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error) {
 	var ops []exec.Operator
 	starts := make([]int, len(sp.blocks)+1)
+	blockRows := make([][][]types.Value, len(sp.blocks))
 	maxParallel, vectorized := 1, false
 	for bi, bp := range sp.blocks {
 		starts[bi] = len(ops)
@@ -112,7 +117,18 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 				maxParallel = plan.Parallel
 			}
 			vectorized = vectorized || plan.Vectorized
-			ops = append(ops, plan.Root)
+			if !bp.firstAnswer {
+				ops = append(ops, plan.Root)
+				continue
+			}
+			// Shards answer alike or not at all: stop at the first that has
+			// rows instead of deriving the same answer on every shard.
+			if blockRows[bi], err = exec.Drain(plan.Root); err != nil {
+				return nil, err
+			}
+			if len(blockRows[bi]) > 0 {
+				break
+			}
 		}
 	}
 	starts[len(sp.blocks)] = len(ops)
@@ -124,13 +140,13 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 		maxParallel = len(ops)
 	}
 
-	blockRows := make([][][]types.Value, len(sp.blocks))
 	for bi, bp := range sp.blocks {
-		rows, err := bp.gather(perOp[starts[bi]:starts[bi+1]])
-		if err != nil {
+		if bp.firstAnswer {
+			continue
+		}
+		if blockRows[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
 			return nil, err
 		}
-		blockRows[bi] = rows
 	}
 
 	var rows [][]types.Value
@@ -161,6 +177,11 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 func (bp *blockPlan) gather(perShard [][][]types.Value) ([][]types.Value, error) {
 	if bp.agg != nil {
 		return bp.agg.gather(perShard)
+	}
+	if len(perShard) == 1 && bp.stmt.Distinct && len(bp.sortKeys) == 0 {
+		// One DISTINCT answer (a replicated block, a pruned shard set) is
+		// already the block's row set.
+		return perShard[0], nil
 	}
 	n := 0
 	for _, rows := range perShard {

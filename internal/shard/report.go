@@ -78,13 +78,7 @@ func (r *Router) RecencyReport(sess *engine.Session, userSQL string, cfg report.
 			return nil, fmt.Errorf("report: recency query failed: %w", err)
 		}
 		rep.Timing.RecencyQuery = time.Since(t1)
-		pairs = make([]report.SourceRecency, 0, len(rres.Rows))
-		for _, row := range rres.Rows {
-			if len(row) < 2 || row[0].IsNull() || row[1].IsNull() {
-				continue
-			}
-			pairs = append(pairs, report.SourceRecency{Sid: row[0].String(), Recency: row[1].Time()})
-		}
+		pairs = report.Pairs(rres.Rows)
 	}
 
 	t2 := time.Now()

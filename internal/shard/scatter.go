@@ -38,6 +38,12 @@ type blockPlan struct {
 	sortKeys []posKey
 	distinct bool
 	limit    *int64
+
+	// firstAnswer: a DISTINCT-anchored block (planner.AnchorShape) without
+	// ORDER BY or LIMIT whose anchor is replicated and whose partitioned
+	// relation is not tied to it. Every shard that holds a row of the
+	// partitioned relation then answers alike, and the others not at all.
+	firstAnswer bool
 }
 
 // posKey sorts gathered tuples by an absolute position.
@@ -225,6 +231,9 @@ func (r *Router) decomposePlain(b *sqlparser.SelectStmt, bp *blockPlan, items []
 		// Without ORDER BY a per-shard LIMIT is a valid prefix of each
 		// shard's arbitrary order; the gather truncates the concatenation.
 		bp.stmt = shardSel
+		if b.Distinct && b.Limit == nil {
+			return r.anchorGather(b, bp)
+		}
 		return nil
 	}
 
@@ -287,6 +296,27 @@ func (r *Router) decomposePlain(b *sqlparser.SelectStmt, bp *blockPlan, items []
 		shardSel.OrderBy = b.OrderBy
 	}
 	bp.stmt = shardSel
+	return nil
+}
+
+// anchorGather decides whether a DISTINCT-anchored block can take its first
+// non-empty per-shard answer. The anchor must be replicated: its rows are
+// then the same on every shard of a cut.
+func (r *Router) anchorGather(b *sqlparser.SelectStmt, bp *blockPlan) error {
+	shape, err := r.shards[0].Planner().AnchorShape(b)
+	if err != nil || shape == nil {
+		return err
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if _, partitioned := r.part[strings.ToLower(b.From[shape.Anchor].Name)]; partitioned {
+		return nil
+	}
+	for i, ref := range b.From {
+		if _, partitioned := r.part[strings.ToLower(ref.Name)]; partitioned && !shape.Tied[i] {
+			bp.firstAnswer = true
+		}
+	}
 	return nil
 }
 

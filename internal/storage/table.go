@@ -88,6 +88,10 @@ type Table struct {
 	sealed    int
 	sealEvery int
 
+	// dead counts versions superseded by a committed-or-pending UPDATE or
+	// DELETE (see NoteDead); LiveRows subtracts it from the version count.
+	dead atomic.Int64
+
 	// spill is non-nil while the table's checkpointed sealed prefix still
 	// lives only in its segment file. Read accessors hydrate it on first
 	// touch; Append deliberately does not (recovery replaying an append-only
@@ -284,15 +288,22 @@ func NewTable(name string, schema *Schema) *Table {
 
 // Append publishes a new row version. The caller (transaction layer) is
 // responsible for having set Xmin. Values must match the schema arity.
-func (t *Table) Append(row *Row) error {
-	if len(row.Values) != len(t.Schema.Columns) {
-		return fmt.Errorf("storage: table %s expects %d values, got %d",
-			t.Name, len(t.Schema.Columns), len(row.Values))
+func (t *Table) Append(row *Row) error { return t.AppendRows([]*Row{row}) }
+
+// AppendRows publishes a run of row versions under one lock acquisition.
+func (t *Table) AppendRows(rows []*Row) error {
+	for _, row := range rows {
+		if len(row.Values) != len(t.Schema.Columns) {
+			return fmt.Errorf("storage: table %s expects %d values, got %d",
+				t.Name, len(t.Schema.Columns), len(row.Values))
+		}
 	}
 	t.mu.Lock()
-	t.rows = append(t.rows, row)
+	t.rows = append(t.rows, rows...)
 	for col, idx := range t.indexes {
-		idx.Insert(row.Values[col], row)
+		for _, row := range rows {
+			idx.Insert(row.Values[col], row)
+		}
 	}
 	t.maybeSealLocked()
 	t.mu.Unlock()
@@ -314,6 +325,22 @@ func (t *Table) NumVersions() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.rows)
+}
+
+// NoteDead records that n versions of this table were superseded or deleted.
+// The engine calls it once per UPDATE/DELETE statement; the count is an
+// estimate (an aborted writer is not subtracted back), which is all the
+// planner's cardinalities need.
+func (t *Table) NoteDead(n int) { t.dead.Add(int64(n)) }
+
+// LiveRows approximates the number of live rows: versions minus the ones
+// NoteDead has been told about. Planner estimates use it so that a small,
+// frequently updated table (Heartbeat) is not costed by its dead versions.
+func (t *Table) LiveRows() int {
+	if n := t.NumVersions() - int(t.dead.Load()); n > 0 {
+		return n
+	}
+	return 0
 }
 
 // CreateIndex builds a B+tree over the named column, backfilling existing

@@ -106,15 +106,22 @@ func (t *Txn) Snapshot() Snapshot { return t.snap }
 
 // InsertRow publishes row (already carrying values) into tbl.
 func (t *Txn) InsertRow(tbl *storage.Table, row *storage.Row) error {
+	return t.InsertRows(tbl, []*storage.Row{row})
+}
+
+// InsertRows publishes a run of rows into tbl in one step.
+func (t *Txn) InsertRows(tbl *storage.Table, rows []*storage.Row) error {
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
 		return ErrFinished
 	}
-	row.Xmin = t.id
-	t.inserted = append(t.inserted, row)
+	for _, row := range rows {
+		row.Xmin = t.id
+	}
+	t.inserted = append(t.inserted, rows...)
 	t.mu.Unlock()
-	return tbl.Append(row)
+	return tbl.AppendRows(rows)
 }
 
 // Delete marks a row version as deleted by this transaction. It fails with
