@@ -56,7 +56,7 @@ func main() {
 	seed := flag.Int64("seed", 2006, "simulation seed")
 	jobRate := flag.Float64("jobs", 1.0, "expected job submissions per tick")
 	logdir := flag.String("logdir", "", "write machine logs to files in this directory (default: in memory)")
-	wal := flag.String("wal", "", "attach a write-ahead log at this path (replays existing content)")
+	dir := flag.String("dir", "", "keep the database in this durable directory (recovers what it holds)")
 	pollEvery := flag.Int("poll", 5, "sniffers poll every N ticks")
 	reportEvery := flag.Int("report", 40, "print a monitoring report every N ticks")
 	faultRate := flag.Float64("faults", 0, "inject transient log faults at this rate per read (0 disables)")
@@ -66,19 +66,20 @@ func main() {
 	flag.Parse()
 
 	db := trac.Open()
-	if *wal != "" {
-		if err := db.AttachWAL(*wal); err != nil {
+	if *dir != "" {
+		var err error
+		if db, err = trac.OpenDir(*dir); err != nil {
 			fatal(err)
 		}
-		defer db.DetachWAL()
+		defer func() {
+			if err := db.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "gridsim: close:", err)
+			}
+		}()
 	}
-	// A replayed WAL may already contain the schema; the source-column and
-	// domain metadata is API-level and must be re-applied either way.
-	if !hasTable(db, "Heartbeat") {
-		if err := sniffer.InstallSchema(db.Engine()); err != nil {
-			fatal(err)
-		}
-	} else if err := sniffer.InstallMetadata(db.Engine()); err != nil {
+	// Idempotent: a recovered directory already holds the tables, and the
+	// API-level source-column and domain metadata is re-applied either way.
+	if err := sniffer.InstallSchema(db.Engine()); err != nil {
 		fatal(err)
 	}
 
@@ -221,13 +222,4 @@ func printReport(db *trac.DB, tick int) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gridsim:", err)
 	os.Exit(1)
-}
-
-func hasTable(db *trac.DB, name string) bool {
-	for _, t := range db.Catalog() {
-		if t == name {
-			return true
-		}
-	}
-	return false
 }

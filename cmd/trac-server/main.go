@@ -7,17 +7,25 @@
 //	trac-server -demo                       # serve the paper's §5.1 fixture
 //	trac-server -f init.sql -addr :7483     # run DDL/DML script, then serve
 //	trac-server -demo -shards 4             # sharded scatter-gather serving
+//	trac-server -dir ./db                   # serve a durable directory
 //
 // Flags tune the admission layer: -workers (pool size, default GOMAXPROCS),
 // -queue (admission queue depth, default 8×workers), -quota (per-session
 // in-flight cap), -admit-timeout (queueing deadline before a request is
 // shed). -token enables shared-secret auth. SIGINT/SIGTERM drain in-flight
-// sessions and close the database (flushing any WAL) before exit.
+// sessions, then checkpoint (with -dir) and close the database before exit.
+//
+// With -dir the database is recovered from the directory (trac.OpenDir) and
+// every committed statement is logged there. -demo and -f initialize an
+// empty directory only, and what they set up — including the source-column
+// and domain declarations SQL cannot express — is checkpointed before the
+// first connection is accepted.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -36,6 +44,7 @@ func main() {
 	demo := flag.Bool("demo", false, "preload the paper's example schema and data")
 	script := flag.String("f", "", "execute SQL statements from this file before serving")
 	shards := flag.Int("shards", 1, "open the database as N hash-partitioned engine shards")
+	dir := flag.String("dir", "", "serve the durable database directory at this path (not with -shards > 1)")
 	token := flag.String("token", "", "shared-secret auth token (empty disables auth)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 8×workers)")
@@ -44,13 +53,25 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	flag.Parse()
 
-	db := trac.Open(trac.WithShards(*shards))
-	if *demo {
-		loadDemo(db)
+	db, err := open(*dir, *shards)
+	if err != nil {
+		log.Fatalf("trac-server: %v", err)
 	}
-	if *script != "" {
-		if err := runScript(db, *script); err != nil {
-			log.Fatalf("trac-server: %v", err)
+	if *dir != "" && len(db.Catalog()) > 0 {
+		log.Printf("trac-server: %s already holds %d tables; -demo and -f skipped", *dir, len(db.Catalog()))
+	} else {
+		if *demo {
+			loadDemo(db)
+		}
+		if *script != "" {
+			if err := runScript(db, *script); err != nil {
+				log.Fatalf("trac-server: %v", err)
+			}
+		}
+		if *dir != "" {
+			if err := db.CheckpointDir(); err != nil {
+				log.Fatalf("trac-server: %v", err)
+			}
 		}
 	}
 
@@ -95,9 +116,31 @@ func main() {
 	st := srv.Stats()
 	log.Printf("trac-server: drained: %d accepted, %d executed, %d shed",
 		st.Accepted, st.Sched.Executed, st.Sched.Shed())
-	if err := db.Close(); err != nil {
+	if err := closeDB(db, *dir != ""); err != nil {
 		log.Printf("trac-server: close: %v", err)
 	}
+}
+
+// open opens the in-memory database, or recovers the durable directory.
+func open(dir string, shards int) (*trac.DB, error) {
+	switch {
+	case dir == "":
+		return trac.Open(trac.WithShards(shards)), nil
+	case shards > 1:
+		return nil, fmt.Errorf("-dir with -shards %d: %w", shards, trac.ErrShardedDir)
+	}
+	return trac.OpenDir(dir)
+}
+
+// closeDB runs after the drain: nothing is in flight, so a durable database
+// is checkpointed (the next start loads a dump instead of replaying this
+// run's log) and then closed either way.
+func closeDB(db *trac.DB, durable bool) error {
+	var ckptErr error
+	if durable {
+		ckptErr = db.CheckpointDir()
+	}
+	return errors.Join(ckptErr, db.Close())
 }
 
 // runScript executes the statements in path ("--" lines are comments),

@@ -2,6 +2,7 @@
 // recency reporting built in, in the spirit of the paper's psql session:
 //
 //	trac-shell -demo          # preload the paper's §5.1 fixture
+//	trac-shell -dir ./db      # keep the database in a durable directory
 //
 // Meta commands:
 //
@@ -11,7 +12,9 @@
 //	\explain <select>         show the physical plan
 //	\source <table> <column>  mark a table's data source column
 //	\domain <table> <column> v1,v2,...   declare a finite string domain
-//	\save <file> / \load <file>          dump / restore the database
+//	\checkpoint               write a checkpoint epoch (-dir databases): what
+//	                          \source and \domain declared becomes durable
+//	                          and the write-ahead log starts over
 //	\cache                    show plan-cache entries, hits and misses
 //	\shards                   per-shard table layout (-shards N databases):
 //	                          partition assignment, sealed/tail rows, zone
@@ -46,10 +49,18 @@ func main() {
 	demo := flag.Bool("demo", false, "preload the paper's example schema and data")
 	script := flag.String("f", "", "execute statements from this file before reading stdin")
 	shards := flag.Int("shards", 1, "open the database as N hash-partitioned engine shards")
+	dir := flag.String("dir", "", "keep the database in this durable directory (recovers what it holds)")
 	flag.Parse()
 
-	db := trac.Open(trac.WithShards(*shards))
-	if *demo {
+	db, err := open(*dir, *shards)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trac-shell:", err)
+		os.Exit(1)
+	}
+	switch {
+	case *demo && len(db.Catalog()) > 0:
+		fmt.Println("-demo skipped:", *dir, "already holds tables")
+	case *demo:
 		loadDemo(db)
 		fmt.Println("demo fixture loaded: Activity, Routing, Heartbeat (sources m1..m11)")
 	}
@@ -69,7 +80,7 @@ func main() {
 			if line == "" || strings.HasPrefix(line, "--") {
 				continue
 			}
-			db, sess = dispatch(db, sess, line)
+			dispatch(db, sess, line)
 		}
 		f.Close()
 	}
@@ -102,14 +113,25 @@ func main() {
 				shutdown(db, sess)
 				return
 			}
-			db, sess = dispatch(db, sess, line)
+			dispatch(db, sess, line)
 			fmt.Print("trac=# ")
 		}
 	}
 }
 
-// shutdown drops the session's temp tables and closes the database so an
-// attached WAL is flushed rather than abandoned.
+// open opens the in-memory database, or the durable directory.
+func open(dir string, shards int) (*trac.DB, error) {
+	switch {
+	case dir == "":
+		return trac.Open(trac.WithShards(shards)), nil
+	case shards > 1:
+		return nil, fmt.Errorf("-dir with -shards %d: %w", shards, trac.ErrShardedDir)
+	}
+	return trac.OpenDir(dir)
+}
+
+// shutdown drops the session's temp tables and closes the database so a
+// durable directory's WAL is flushed rather than abandoned.
 func shutdown(db *trac.DB, sess *trac.Session) {
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "trac-shell: session close:", err)
@@ -119,9 +141,8 @@ func shutdown(db *trac.DB, sess *trac.Session) {
 	}
 }
 
-// dispatch executes one shell line; \load swaps in a new database, so the
-// possibly-replaced handles are returned.
-func dispatch(db *trac.DB, sess *trac.Session, line string) (*trac.DB, *trac.Session) {
+// dispatch executes one shell line.
+func dispatch(db *trac.DB, sess *trac.Session, line string) {
 	switch {
 	case line == "" || line == `\q`:
 	case line == `\d`:
@@ -173,11 +194,11 @@ func dispatch(db *trac.DB, sess *trac.Session, line string) (*trac.DB, *trac.Ses
 		if err := db.SetColumnDomain(parts[0], parts[1], trac.StringDomain(vals...)); err != nil {
 			fmt.Println("error:", err)
 		}
-	case strings.HasPrefix(line, `\save `):
-		if err := db.SaveFile(strings.TrimSpace(strings.TrimPrefix(line, `\save `))); err != nil {
+	case line == `\checkpoint`:
+		if err := db.CheckpointDir(); err != nil {
 			fmt.Println("error:", err)
 		} else {
-			fmt.Println("saved")
+			fmt.Println("checkpoint written: epoch", db.Engine().Epoch())
 		}
 	case line == `\sources` || strings.HasPrefix(line, `\sources `):
 		showSources(db, strings.TrimSpace(strings.TrimPrefix(line, `\sources`)))
@@ -189,22 +210,11 @@ func dispatch(db *trac.DB, sess *trac.Session, line string) (*trac.DB, *trac.Ses
 		hits, misses := db.Engine().PlanCache().Stats()
 		fmt.Printf("plan cache: %d entries, %d hits, %d misses (catalog version %d)\n",
 			db.Engine().PlanCache().Len(), hits, misses, db.Engine().CatalogVersion())
-	case strings.HasPrefix(line, `\load `):
-		loaded, err := trac.OpenFile(strings.TrimSpace(strings.TrimPrefix(line, `\load `)))
-		if err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		sess.Close()
-		db = loaded
-		sess = db.NewSession()
-		fmt.Println("loaded; tables:", strings.Join(db.Catalog(), ", "))
 	case strings.HasPrefix(line, `\`):
-		fmt.Println("unknown meta command; try \\recency, \\gen, \\explain, \\save, \\load, \\cache, \\shards, \\sources, \\seal, \\d, \\q")
+		fmt.Println("unknown meta command; try \\recency, \\gen, \\explain, \\checkpoint, \\cache, \\shards, \\sources, \\seal, \\d, \\q")
 	default:
 		runSQL(db, line)
 	}
-	return db, sess
 }
 
 func runSQL(db *trac.DB, sql string) {

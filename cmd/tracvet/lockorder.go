@@ -227,7 +227,7 @@ func loSummarize(p *Pass, d *ProgDecl) *loFuncInfo {
 	// `defer mu.Unlock()` releases at function exit, not at its own line, so
 	// treating it as an in-place release would shrink the held region to
 	// nothing, and letting it satisfy an *earlier* explicit Lock/Unlock pair
-	// would stretch that pair's region past its real end (the AttachWAL
+	// would stretch that pair's region past its real end (the engine.attachWAL
 	// shape: lock/unlock, work, lock/defer-unlock).
 	deferCalls := make(map[*ast.CallExpr]bool)
 	walkShallow(fd.Body, func(n ast.Node) bool {

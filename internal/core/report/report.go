@@ -138,12 +138,9 @@ type Prepared struct {
 	UserStmt  *sqlparser.SelectStmt
 	Generated *recgen.Generated
 	Config    Config
-	genTime   time.Duration
+	userSQL   string        // UserStmt's text as first prepared
+	genTime   time.Duration // the paper's generation-cost component
 }
-
-// GenTime reports how long preparation took (the paper's generation-cost
-// component), for callers assembling report timings themselves.
-func (p *Prepared) GenTime() time.Duration { return p.genTime }
 
 // Prepare parses the user query and generates its recency query.
 func Prepare(db *engine.DB, userSQL string, cfg Config) (*Prepared, error) {
@@ -152,7 +149,7 @@ func Prepare(db *engine.DB, userSQL string, cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{UserStmt: sel, Config: cfg}
+	p := &Prepared{UserStmt: sel, Config: cfg, userSQL: userSQL}
 	switch cfg.Method {
 	case Naive:
 		p.Generated = &recgen.Generated{
@@ -187,8 +184,13 @@ func cacheKey(userSQL string, cfg Config) string {
 // cache when one exists under the current catalog version, otherwise
 // prepares fresh and caches the result. The second return reports a hit.
 // Prepared is immutable after construction, so sharing one across calls (and
-// goroutines) is safe.
+// goroutines) is safe. With cfg.DisableCache it is Prepare: the cache is
+// neither read nor written.
 func PrepareCached(db *engine.DB, userSQL string, cfg Config) (*Prepared, bool, error) {
+	if cfg.DisableCache {
+		p, err := Prepare(db, userSQL, cfg)
+		return p, false, err
+	}
 	key := cacheKey(userSQL, cfg)
 	version := db.CatalogVersion()
 	if v, ok := db.PlanCache().Get(key, version); ok {
@@ -202,23 +204,43 @@ func PrepareCached(db *engine.DB, userSQL string, cfg Config) (*Prepared, bool, 
 	return p, false, nil
 }
 
-// Run prepares and executes a recency-reported query in one call (the
-// equivalent of the paper's `SELECT * FROM recencyReport($$...$$)`).
-// Unless cfg.DisableCache is set, preparation goes through the engine's
-// plan cache, so steady-state repeats skip parsing, classification and
-// recency-query generation entirely.
-func Run(sess *engine.Session, userSQL string, cfg Config) (*Report, error) {
-	var (
-		p   *Prepared
-		hit bool
-		err error
-	)
-	start := time.Now()
-	if cfg.DisableCache {
-		p, err = Prepare(sess.DB(), userSQL, cfg)
-	} else {
-		p, hit, err = PrepareCached(sess.DB(), userSQL, cfg)
+// readPoint runs one parsed SELECT at a pinned, consistent point of the
+// database: an engine snapshot, or a cut across every shard of a router. The
+// paper's first guiding requirement — the user query and its recency query
+// see the same state — is that both go through the SAME readPoint. sql is
+// sel's text (a router keys its scatter-plan cache by it).
+type readPoint = func(sel *sqlparser.SelectStmt, sql string) (*engine.Result, error)
+
+// snapshotOf pins read points on one engine: each is a fresh MVCC snapshot.
+func snapshotOf(db *engine.DB) func() (readPoint, error) {
+	return func() (readPoint, error) {
+		snap := db.Snapshot()
+		return func(sel *sqlparser.SelectStmt, _ string) (*engine.Result, error) {
+			return db.QueryStmtAt(sel, snap)
+		}, nil
 	}
+}
+
+// Run prepares and executes a recency-reported query on one engine (the
+// equivalent of the paper's `SELECT * FROM recencyReport($$...$$)`): RunAt
+// with the read point pinned by an engine snapshot.
+func Run(sess *engine.Session, userSQL string, cfg Config) (*Report, error) {
+	return RunAt(sess, userSQL, cfg, snapshotOf(sess.DB()))
+}
+
+// RunAt is the one recency-report path: prepare, pin one read point, run the
+// user query and the recency query at it, summarize, materialize. Which
+// consistent read point a report runs at is decided here and nowhere else —
+// pin is the only thing a single engine and a shard router do differently.
+//
+// Preparation runs against sess's engine (shard 0 of a router, whose catalog
+// the DDL broadcast keeps identical everywhere) and, unless cfg.DisableCache
+// is set, goes through that engine's plan cache keyed by catalog version: a
+// steady-state repeat skips parsing and generation, and a plan made before a
+// catalog bump is never run after it. Temp tables materialize on sess.
+func RunAt(sess *engine.Session, userSQL string, cfg Config, pin func() (readPoint, error)) (*Report, error) {
+	start := time.Now()
+	p, hit, err := PrepareCached(sess.DB(), userSQL, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +249,7 @@ func Run(sess *engine.Session, userSQL string, cfg Config) (*Report, error) {
 		// On a hit the report's generation cost is just the lookup.
 		genTime = time.Since(start)
 	}
-	rep, err := p.Execute(sess)
+	rep, err := p.execute(sess, pin)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +258,17 @@ func Run(sess *engine.Session, userSQL string, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Execute runs the prepared user and recency queries under one snapshot and
-// assembles the report.
+// Execute runs the prepared pair as generated, under one engine snapshot,
+// with no catalog-version check: the raw "hardcoded recency query" primitive
+// the paper's Figure 1/2 series measures. Callers that outlive a catalog
+// change go through Run, which re-prepares.
 func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
-	db := sess.DB()
+	return p.execute(sess, snapshotOf(sess.DB()))
+}
+
+// execute runs the user and recency queries at one read point and assembles
+// the report.
+func (p *Prepared) execute(sess *engine.Session, pin func() (readPoint, error)) (*Report, error) {
 	cfg := p.Config
 	rep := &Report{
 		Method:  cfg.Method,
@@ -251,11 +280,14 @@ func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
 		rep.RecencySQL = p.Generated.SQL
 	}
 
-	// One snapshot for both queries: the paper's first guiding requirement.
-	snap := db.Snapshot()
+	// One read point for both queries: the paper's first guiding requirement.
+	query, err := pin()
+	if err != nil {
+		return nil, err
+	}
 
 	t0 := time.Now()
-	res, err := db.QueryStmtAt(p.UserStmt, snap)
+	res, err := query(p.UserStmt, p.userSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +297,7 @@ func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
 	var pairs []SourceRecency
 	if p.Generated.Stmt != nil {
 		t1 := time.Now()
-		rres, err := db.QueryStmtAt(p.Generated.Stmt, snap)
+		rres, err := query(p.Generated.Stmt, p.Generated.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("report: recency query failed: %w", err)
 		}
@@ -285,9 +317,8 @@ func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
 }
 
 // Summarize classifies the (sid, recency) pairs into normal and exceptional
-// sources and fills the report's least/most/bound summary. Exported so a
-// sharded executor can gather per-shard pair sets and assemble the same
-// report the single-engine path produces.
+// sources and fills the report's least/most/bound summary. Exported (like
+// Materialize) for the benchmark's staged replay of the report path.
 func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
 	// Sort on integer nanoseconds taken once per pair, not on time.Time
 	// compared once per comparison.
@@ -361,8 +392,7 @@ func Pairs(rows [][]types.Value) []SourceRecency {
 }
 
 // Materialize creates the session temp tables (sys_temp_e, sys_temp_a) for a
-// summarized report. Exported for the sharded report path, which materializes
-// on its designated session shard.
+// summarized report.
 func Materialize(sess *engine.Session, rep *Report) error {
 	cols := []storage.Column{
 		{Name: "sid", Kind: types.KindString},

@@ -26,6 +26,10 @@ type DB struct {
 	planner   *planner.Planner
 	planCache *PlanCache
 	tempSeq   atomic.Uint64
+	// temps holds the names of the live session temp tables, which a
+	// checkpoint leaves out: they end with their session, not with the
+	// process.
+	temps sync.Map
 
 	walMu sync.Mutex
 	wal   *WAL

@@ -10,6 +10,14 @@ import (
 func paperDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
+	loadPaperFixture(t, db)
+	return db
+}
+
+// loadPaperFixture fills db — in-memory or directory-backed — with the
+// paper's example tables.
+func loadPaperFixture(t *testing.T, db *DB) {
+	t.Helper()
 	fixtures := []string{
 		`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`,
 		`CREATE TABLE Routing (mach_id TEXT, neighbor TEXT, event_time TIMESTAMP)`,
@@ -33,7 +41,6 @@ func paperDB(t *testing.T) *DB {
 			t.Fatalf("fixture %q: %v", sql, err)
 		}
 	}
-	return db
 }
 
 func queryStrings(t *testing.T, db *DB, sql string) []string {

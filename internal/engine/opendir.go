@@ -36,9 +36,8 @@ import (
 // parent-dir fsync) and only then rewrites MANIFEST, which is the single
 // atomic commit point: a crash anywhere before it recovers the old epoch
 // untouched; a crash anywhere after it recovers the new one. The old
-// epoch's files are deleted only after the manifest is durable, so unlike
-// the legacy truncate-in-place Checkpoint there is no window where the new
-// dump coexists with the old log.
+// epoch's files are deleted only after the manifest is durable, so there is
+// no window where the new dump coexists with the old log.
 //
 // OpenDir is the inverse: read MANIFEST, load the epoch's dump (schemas +
 // tails eagerly, spilled segments lazily via ReadAt — recovery cost is
@@ -135,13 +134,13 @@ func OpenDir(dir string, opts ...OpenOption) (*DB, error) {
 		}
 	}
 	cleanupStaleEpochs(fsys, dir, epoch)
-	if err := db.AttachWAL(filepath.Join(dir, walFileName(epoch))); err != nil {
+	if err := db.attachWAL(filepath.Join(dir, walFileName(epoch))); err != nil {
 		return nil, err
 	}
 	// Make the WAL's directory entry durable: fsyncing file contents later
 	// is worthless if the name itself evaporates with the page cache.
 	if err := fsys.SyncDir(dir); err != nil {
-		_ = db.DetachWAL() // the sync failure is the error that matters
+		_ = db.detachWAL() // the sync failure is the error that matters
 		return nil, err
 	}
 	if cfg.syncWAL {
@@ -153,7 +152,7 @@ func OpenDir(dir string, opts ...OpenOption) (*DB, error) {
 }
 
 // Close detaches the WAL (flush + fsync + close), reporting any error.
-func (db *DB) Close() error { return db.DetachWAL() }
+func (db *DB) Close() error { return db.detachWAL() }
 
 // Epoch returns the current checkpoint epoch (0 when not opened via
 // OpenDir).
@@ -199,6 +198,9 @@ func (db *DB) CheckpointDir() error {
 	sort.Strings(names)
 	ckpts := make([]tableCkpt, 0, len(names))
 	for _, name := range names {
+		if _, temp := db.temps.Load(name); temp {
+			continue
+		}
 		tbl, err := db.catalog.Get(name)
 		if err != nil {
 			return err

@@ -6,259 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
-	"trac/internal/crashfs"
-	"trac/internal/sqlparser"
-	"trac/internal/storage"
 	"trac/internal/types"
 )
 
-// The dump format is a versioned custom binary encoding:
-//
-//	magic "TRACDB01"
-//	uvarint tableCount
-//	per table:
-//	  string name
-//	  uvarint columnCount
-//	  per column: string name, byte kind, byte pkFlag, domain
-//	  varint sourceColumn (-1 when none)
-//	  uvarint checkCount, per check: string (SQL text)
-//	  uvarint indexedColumnCount, per index: uvarint column position
-//	  uvarint rowCount, per row: one value per column
-//
-// Only versions visible at the save snapshot are written: a dump compacts
-// away MVCC history, which is also the natural vacuum for this engine.
-
-const dumpMagic = "TRACDB01"
-
-// Save writes a snapshot-consistent dump of every table to w.
-func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(dumpMagic); err != nil {
-		return err
-	}
-	snap := db.Snapshot()
-	names := db.catalog.Names()
-	writeUvarint(bw, uint64(len(names)))
-	for _, name := range names {
-		tbl, err := db.catalog.Get(name)
-		if err != nil {
-			return err
-		}
-		if err := saveTable(bw, tbl, snap); err != nil {
-			return fmt.Errorf("engine: saving table %s: %w", name, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveFile writes a dump to a file atomically and durably: temp file in the
-// same directory, fsync, rename over path, parent-directory fsync. A crash
-// at any point leaves either the complete old dump or the complete new one
-// — never a torn file, and never a rename that evaporates with the page
-// cache.
-func (db *DB) SaveFile(path string) error {
-	return crashfs.WriteDurable(db.fsRef(), path, func(f crashfs.File) error {
-		return db.Save(f)
-	})
-}
-
-// Load reads a dump into a fresh database.
-func Load(r io.Reader) (*DB, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(dumpMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != dumpMagic {
-		return nil, fmt.Errorf("engine: not a TRAC dump (magic %q)", magic)
-	}
-	db := New()
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		if err := loadTable(br, db); err != nil {
-			return nil, err
-		}
-	}
-	// The tables, indexes, and schema metadata restored above all bypass
-	// Exec, so settle the catalog version once here: recency plans cached
-	// against the empty pre-load catalog must not survive the load.
-	db.catalog.BumpVersion()
-	return db, nil
-}
-
-// LoadFile reads a dump from a file.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-func saveTable(w *bufio.Writer, tbl *storage.Table, snap interface{ Visible(*storage.Row) bool }) error {
-	writeString(w, tbl.Name)
-	schema := tbl.Schema
-	writeUvarint(w, uint64(schema.NumColumns()))
-	for _, col := range schema.Columns {
-		writeString(w, col.Name)
-		w.WriteByte(byte(col.Kind))
-		if col.PrimaryKey {
-			w.WriteByte(1)
-		} else {
-			w.WriteByte(0)
-		}
-		writeDomain(w, col.Domain)
-	}
-	writeVarint(w, int64(schema.SourceColumn))
-	checks := TableChecks(tbl)
-	writeUvarint(w, uint64(len(checks)))
-	for _, c := range checks {
-		writeString(w, c.SQL())
-	}
-	idxCols := tbl.IndexedColumns()
-	writeUvarint(w, uint64(len(idxCols)))
-	for _, c := range idxCols {
-		writeUvarint(w, uint64(c))
-	}
-	// Count visible rows first (two passes keep the format simple).
-	rows := tbl.Rows()
-	count := 0
-	for _, r := range rows {
-		if snap.Visible(r) {
-			count++
-		}
-	}
-	writeUvarint(w, uint64(count))
-	for _, r := range rows {
-		if !snap.Visible(r) {
-			continue
-		}
-		for _, v := range r.Values {
-			if err := writeValue(w, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func loadTable(r *bufio.Reader, db *DB) error {
-	name, err := readString(r)
-	if err != nil {
-		return err
-	}
-	nCols, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	cols := make([]storage.Column, nCols)
-	for i := range cols {
-		cname, err := readString(r)
-		if err != nil {
-			return err
-		}
-		kindB, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		pkB, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		dom, err := readDomain(r)
-		if err != nil {
-			return err
-		}
-		cols[i] = storage.Column{Name: cname, Kind: types.Kind(kindB), PrimaryKey: pkB == 1, Domain: dom}
-	}
-	schema, err := storage.NewSchema(cols)
-	if err != nil {
-		return err
-	}
-	srcCol, err := readVarint(r)
-	if err != nil {
-		return err
-	}
-	if srcCol >= 0 {
-		schema.SourceColumn = int(srcCol)
-	}
-	nChecks, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nChecks; i++ {
-		src, err := readString(r)
-		if err != nil {
-			return err
-		}
-		e, err := sqlparser.ParseExpr(src)
-		if err != nil {
-			return fmt.Errorf("engine: bad CHECK in dump: %w", err)
-		}
-		schema.Checks = append(schema.Checks, e)
-	}
-	tbl := storage.NewTable(name, schema)
-	if err := db.catalog.Create(tbl); err != nil {
-		return err
-	}
-
-	nIdx, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	idxCols := make([]int, nIdx)
-	for i := range idxCols {
-		c, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		idxCols[i] = int(c)
-	}
-
-	nRows, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	tx := db.mgr.Begin()
-	for i := uint64(0); i < nRows; i++ {
-		vals := make([]types.Value, nCols)
-		for j := range vals {
-			v, err := readValue(r)
-			if err != nil {
-				tx.Abort()
-				return err
-			}
-			vals[j] = v
-		}
-		if err := tx.InsertRow(tbl, storage.NewRow(vals, 0)); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	// Indexes are rebuilt after loading (backfill is cheaper than
-	// per-insert maintenance).
-	for _, c := range idxCols {
-		if c < 0 || c >= int(nCols) {
-			return fmt.Errorf("engine: dump index column %d out of range", c)
-		}
-		if err := tbl.CreateIndex(schema.Columns[c].Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// primitive encoders
+// Primitive value, string and domain encoders of the TRACDB02 checkpoint
+// dump (opendir.go). Writers target a bufio.Writer, whose sticky error the
+// caller collects at Flush.
 
 func writeUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte

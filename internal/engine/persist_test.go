@@ -2,73 +2,108 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := paperDB(t)
-	// Add a check, a domain, and some MVCC churn (update + delete) so the
-	// dump must compact history.
+// openTestDir opens a fresh durable directory.
+func openTestDir(t *testing.T) (*DB, string) {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, dir
+}
+
+// checkpointAndReopen is the durability round trip: CheckpointDir, Close,
+// OpenDir.
+func checkpointAndReopen(t *testing.T, db *DB) *DB {
+	t.Helper()
+	if err := db.CheckpointDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDir(db.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	return db2
+}
+
+func TestCheckpointRoundTrip(t *testing.T) {
+	db, _ := openTestDir(t)
+	loadPaperFixture(t, db)
+	// Add a check, a source column, and some MVCC churn (update + delete) so
+	// the checkpoint must compact history.
 	if err := db.AddCheck("Routing", `neighbor <> mach_id`); err != nil {
+		t.Fatal(err)
+	}
+	act, _ := db.Catalog().Get("Activity")
+	if err := act.Schema.SetSourceColumn("mach_id"); err != nil {
 		t.Fatal(err)
 	}
 	db.MustExec(`UPDATE Heartbeat SET recency = '2006-03-16 00:00:00' WHERE sid = 'm1'`)
 	db.MustExec(`INSERT INTO Activity VALUES ('m9', 'idle', '2006-03-13 00:00:00')`)
 	db.MustExec(`DELETE FROM Activity WHERE mach_id = 'm9'`)
 
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same visible data.
-	for _, q := range []string{
+	queries := []string{
 		`SELECT COUNT(*) FROM Activity`,
 		`SELECT COUNT(*) FROM Routing`,
 		`SELECT COUNT(*) FROM Heartbeat`,
 		`SELECT recency FROM Heartbeat WHERE sid = 'm1'`,
 		`SELECT mach_id FROM Activity WHERE value = 'idle' ORDER BY mach_id`,
-	} {
-		a, err := db.Query(q)
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := db2.Query(q)
+		want[i] = res.Format()
+	}
+
+	db2 := checkpointAndReopen(t, db)
+
+	// Same visible data.
+	for i, q := range queries {
+		res, err := db2.Query(q)
 		if err != nil {
-			t.Fatalf("loaded DB query %q: %v", q, err)
+			t.Fatalf("reopened DB query %q: %v", q, err)
 		}
-		if a.Format() != b.Format() {
-			t.Errorf("query %q differs:\noriginal:\n%s\nloaded:\n%s", q, a.Format(), b.Format())
+		if got := res.Format(); got != want[i] {
+			t.Errorf("query %q differs:\noriginal:\n%s\nreopened:\n%s", q, want[i], got)
 		}
 	}
 
-	// MVCC history was compacted: loaded Activity heap has exactly the
+	// MVCC history was compacted: the reopened Activity heap has exactly the
 	// visible versions (3), not the insert+delete churn.
 	act2, _ := db2.Catalog().Get("Activity")
 	if act2.NumVersions() != 3 {
-		t.Errorf("loaded heap has %d versions, want 3 (compacted)", act2.NumVersions())
+		t.Errorf("reopened heap has %d versions, want 3 (compacted)", act2.NumVersions())
 	}
 
 	// Metadata survived: source column, checks, indexes, PK.
-	if act2.Schema.SourceColumn != -1 {
-		// paperDB does not set a source column on Activity in the engine
-		// fixture; adjust if it ever does.
-		t.Logf("source column = %d", act2.Schema.SourceColumn)
+	if act2.Schema.SourceColumn != 0 {
+		t.Errorf("source column = %d, want 0", act2.Schema.SourceColumn)
 	}
 	rout2, _ := db2.Catalog().Get("Routing")
 	if len(rout2.Schema.Checks) != 1 {
 		t.Errorf("checks lost: %d", len(rout2.Schema.Checks))
 	}
 	if _, err := db2.Exec(`INSERT INTO Routing VALUES ('mX', 'mX', '2006-03-16 00:00:00')`); err == nil {
-		t.Error("check not enforced after load")
+		t.Error("check not enforced after reopen")
 	}
 	if act2.Index(0) == nil {
 		t.Error("Activity index lost")
@@ -78,91 +113,117 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("primary key flag lost")
 	}
 	if _, err := db2.Exec(`INSERT INTO Heartbeat VALUES ('m1', '2006-03-17 00:00:00')`); err == nil {
-		t.Error("PK not enforced after load")
+		t.Error("PK not enforced after reopen")
 	}
 
-	// The loaded DB keeps working: inserts, updates, queries.
+	// The reopened DB keeps working: inserts, updates, queries.
 	db2.MustExec(`INSERT INTO Activity VALUES ('m7', 'busy', '2006-03-14 00:00:00')`)
 	res, _ := db2.Query(`SELECT COUNT(*) FROM Activity`)
 	if res.Rows[0][0].Int() != 4 {
-		t.Errorf("post-load insert: %v", res.Rows[0][0])
+		t.Errorf("post-reopen insert: %v", res.Rows[0][0])
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	db := paperDB(t)
-	path := filepath.Join(t.TempDir(), "trac.dump")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := LoadFile(path)
+// TestCheckpointLeavesOutSessionTempTables: a temp table lives until its
+// session closes, not beyond the process — a checkpoint taken while a
+// session holds one must not make it permanent (its name would collide with
+// the next process's first temp table).
+func TestCheckpointLeavesOutSessionTempTables(t *testing.T) {
+	db, _ := openTestDir(t)
+	loadPaperFixture(t, db)
+	sess := db.NewSession()
+	cols := []storage.Column{{Name: "sid", Kind: types.KindString}}
+	name, err := sess.CreateTempTable("sys_temp_a", cols, [][]types.Value{{types.NewString("m1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := db2.Query(`SELECT COUNT(*) FROM Heartbeat`)
-	if res.Rows[0][0].Int() != 3 {
-		t.Errorf("rows = %v", res.Rows[0][0])
+	db2 := checkpointAndReopen(t, db)
+	if _, err := db2.Catalog().Get(name); err == nil {
+		t.Fatalf("temp table %s survived the checkpoint", name)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file should fail")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("NOTADUMP")); err == nil {
-		t.Error("bad magic should fail")
-	}
-	if _, err := Load(strings.NewReader("TRACDB01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")); err == nil {
-		t.Error("corrupt table count should fail")
-	}
-	if _, err := Load(strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
+	if _, err := db2.NewSession().CreateTempTable("sys_temp_a", cols, nil); err != nil {
+		t.Fatalf("first temp table after reopen: %v", err)
 	}
 }
 
-func TestSaveIsSnapshotConsistent(t *testing.T) {
-	// Concurrent writers during Save must not tear the dump: every table is
-	// written under one snapshot taken at the start.
-	db := paperDB(t)
+// TestCheckpointIsSnapshotConsistent: a writer committing two-table batches
+// beside the checkpoints must never tear one. Every batch inserts an
+// Activity row and moves Heartbeat m2 to the same timestamp, so in any
+// consistent state the newest 'mw' row and m2's recency agree. Each
+// checkpointed directory is copied while the writer is still appending to
+// its log — a crash image — and recovered on the side.
+func TestCheckpointIsSnapshotConsistent(t *testing.T) {
+	db, dir := openTestDir(t)
+	loadPaperFixture(t, db)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		i := 0
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
+			ts := fmt.Sprintf("'2006-03-17 %02d:%02d:%02d'", i/3600%24, i/60%60, i%60)
 			b := db.BeginBatch()
-			b.Exec(`INSERT INTO Activity VALUES ('mw', 'busy', '2006-03-17 00:00:00')`)
-			b.Exec(`UPDATE Heartbeat SET recency = '2006-03-17 00:00:00' WHERE sid = 'm2'`)
+			b.Exec(`INSERT INTO Activity VALUES ('mw', 'busy', ` + ts + `)`)
+			b.Exec(`UPDATE Heartbeat SET recency = ` + ts + ` WHERE sid = 'm2'`)
 			b.Commit()
-			i++
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		var buf bytes.Buffer
-		if err := db.Save(&buf); err != nil {
+		if err := db.CheckpointDir(); err != nil {
 			t.Fatal(err)
 		}
-		db2, err := Load(&buf)
+		image := t.TempDir()
+		copyDir(t, dir, image)
+		db2, err := OpenDir(image)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Heartbeat must still have exactly 3 rows (updates never add).
-		res, _ := db2.Query(`SELECT COUNT(*) FROM Heartbeat`)
-		if res.Rows[0][0].Int() != 3 {
-			t.Fatalf("torn dump: %v heartbeat rows", res.Rows[0][0])
+		// Updates never add rows.
+		if got := countRows(t, db2, "Heartbeat"); got != 3 {
+			t.Fatalf("torn checkpoint: %d heartbeat rows", got)
 		}
+		newest := queryStrings(t, db2, `SELECT MAX(event_time) FROM Activity WHERE mach_id = 'mw'`)
+		recency := queryStrings(t, db2, `SELECT recency FROM Heartbeat WHERE sid = 'm2'`)
+		if newest[0] != "NULL" && newest[0] != recency[0] {
+			t.Fatalf("torn batch: newest mw row at %s, m2 recency %s", newest[0], recency[0])
+		}
+		db2.Close()
 	}
 	close(stop)
 	<-done
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-func TestPersistAllValueKindsAndDomains(t *testing.T) {
-	db := New()
+// copyDir copies the files under src to dst as they are right now.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckpointAllValueKindsAndDomains(t *testing.T) {
+	db, _ := openTestDir(t)
 	db.MustExec(`CREATE TABLE K (b BOOLEAN, i BIGINT, f DOUBLE, s TEXT, ts TIMESTAMP)`)
 	db.MustExec(`INSERT INTO K VALUES (TRUE, -42, 2.5, 'it''s', '2006-03-15 14:20:05')`)
 	db.MustExec(`INSERT INTO K VALUES (FALSE, 9223372036854775807, -0.125, '', '1970-01-01 00:00:00')`)
@@ -177,16 +238,10 @@ func TestPersistAllValueKindsAndDomains(t *testing.T) {
 	}
 	tbl.Schema.Columns[1].Domain = rng
 
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := db.Query(`SELECT b, i, f, s, ts FROM K ORDER BY i`)
-	b, err := db2.Query(`SELECT b, i, f, s, ts FROM K ORDER BY i`)
+	const q = `SELECT b, i, f, s, ts FROM K ORDER BY i`
+	a, _ := db.Query(q)
+	db2 := checkpointAndReopen(t, db)
+	b, err := db2.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +260,55 @@ func TestPersistAllValueKindsAndDomains(t *testing.T) {
 	}
 }
 
-func TestSaveFileErrorPaths(t *testing.T) {
-	db := New()
-	if err := db.SaveFile("/no/such/dir/x.dump"); err == nil {
+// TestOpenDirRejectsForeignDump: a dump whose checksum holds but whose magic
+// or table count does not is refused, not half-loaded.
+func TestOpenDirRejectsForeignDump(t *testing.T) {
+	db, dir := openTestDir(t)
+	db.MustExec(`CREATE TABLE T (a BIGINT)`)
+	if err := db.CheckpointDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dumpPath := filepath.Join(dir, "dump.2")
+	good, err := os.ReadFile(dumpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := good[:len(good)-4]
+	epochAndCount := len(dumpMagicV2) + 1 // one-byte uvarint epoch, then the table count
+	for name, mutate := range map[string]func([]byte){
+		"bad magic":           func(b []byte) { copy(b, "NOTADUMP") },
+		"corrupt table count": func(b []byte) { b[epochAndCount] = 0x7f },
+	} {
+		mut := bytes.Clone(body)
+		mutate(mut)
+		mut = binary.LittleEndian.AppendUint32(mut, crc32.Checksum(mut, castagnoli))
+		if err := os.WriteFile(dumpPath, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if db, err := OpenDir(dir); err == nil {
+			db.Close()
+			t.Errorf("%s: dump accepted", name)
+		}
+	}
+}
+
+func TestOpenDirErrorPaths(t *testing.T) {
+	// A directory cannot be created beneath a regular file.
+	file := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenDir(filepath.Join(file, "db")); err == nil {
+		db.Close()
 		t.Error("unwritable path should fail")
+	}
+	// A database that was never opened from a directory has nowhere to
+	// checkpoint to.
+	if err := New().CheckpointDir(); err == nil {
+		t.Error("CheckpointDir without OpenDir should fail")
 	}
 }
 

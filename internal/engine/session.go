@@ -45,6 +45,7 @@ func (s *Session) CreateTempTable(prefix string, cols []storage.Column, rows [][
 	if err := s.db.catalog.Create(tbl); err != nil {
 		return "", err
 	}
+	s.db.temps.Store(name, struct{}{})
 	// One allocation for the row versions, one append for the table.
 	versions := make([]storage.Row, len(rows))
 	refs := make([]*storage.Row, len(rows))
@@ -55,6 +56,7 @@ func (s *Session) CreateTempTable(prefix string, cols []storage.Column, rows [][
 	tx := s.db.mgr.Begin()
 	if err := tx.InsertRows(tbl, refs); err != nil {
 		tx.Abort()
+		s.db.temps.Delete(name)
 		_ = s.db.catalog.Drop(name)
 		return "", err
 	}
@@ -116,6 +118,7 @@ func (s *Session) Close() error {
 	s.mu.Unlock()
 	var firstErr error
 	for _, name := range temps {
+		s.db.temps.Delete(name)
 		if err := s.db.catalog.Drop(name); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -91,11 +91,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // database from disk.
 var ErrWALPoisoned = errors.New("engine: WAL poisoned by earlier I/O failure")
 
-// AttachWAL replays any complete transactions already in the file at path
+// attachWAL replays any complete transactions already in the file at path
 // (creating it if absent), truncates its torn tail, and then routes every
-// subsequent committed SQL mutation through it. Attach before writing;
-// attaching twice is an error.
-func (db *DB) AttachWAL(path string) error {
+// subsequent committed SQL mutation through it. OpenDir attaches the epoch's
+// log before the database is handed out; attaching twice is an error.
+func (db *DB) attachWAL(path string) error {
 	db.walMu.Lock()
 	attached := db.wal != nil
 	db.walMu.Unlock()
@@ -125,9 +125,9 @@ func (db *DB) AttachWAL(path string) error {
 	return nil
 }
 
-// DetachWAL stops logging, flushes, fsyncs, and closes the file, reporting
-// any error. Detaching when nothing is attached is a no-op.
-func (db *DB) DetachWAL() error {
+// detachWAL stops logging, flushes, fsyncs, and closes the file, reporting
+// any error (Close). Detaching when nothing is attached is a no-op.
+func (db *DB) detachWAL() error {
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
 	if db.wal == nil {
@@ -373,49 +373,6 @@ func (w *WAL) Close() error {
 	}
 	w.f = nil
 	return first
-}
-
-// Checkpoint writes a full dump to dumpPath (atomically and durably: temp
-// file + fsync + rename + parent-directory fsync) and then truncates the
-// WAL: the pair (dump, empty log) is equivalent to the pre-checkpoint (old
-// dump, long log), but recovery becomes O(data) instead of O(history).
-//
-// The ordering is the crash-safety invariant: the log shrinks only after
-// the dump that subsumes it is durable. One narrow window remains in this
-// path-based API — a crash after the dump rename but before the truncate is
-// durable replays the old log into the new dump, duplicating rows. The
-// directory layout (CheckpointDir/OpenDir) closes it by switching to a
-// fresh epoch-numbered WAL file instead of truncating in place.
-func (db *DB) Checkpoint(dumpPath string) error {
-	db.walMu.Lock()
-	w := db.wal
-	db.walMu.Unlock()
-	if w == nil {
-		return errors.New("engine: no WAL attached")
-	}
-	// ckptMu excludes in-flight commit+log pairs: a transaction that
-	// engine-committed before the dump snapshot but WAL-appended after the
-	// truncate would otherwise replay twice.
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.poisonErr(); err != nil {
-		return err
-	}
-	if err := db.SaveFile(dumpPath); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(walHeaderSize); err != nil {
-		w.poison(err)
-		return err
-	}
-	w.w.Reset(w.f) // O_APPEND: subsequent writes land after the header
-	if err := w.f.Sync(); err != nil {
-		w.poison(err)
-		return err
-	}
-	return nil
 }
 
 // applyReplayed executes one recovered transaction.

@@ -14,7 +14,7 @@ import (
 func walDB(t *testing.T, path string) *DB {
 	t.Helper()
 	db := New()
-	if err := db.AttachWAL(path); err != nil {
+	if err := db.attachWAL(path); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -30,13 +30,13 @@ func TestWALReplayRebuildsDatabase(t *testing.T) {
 	db.MustExec(`INSERT INTO Activity VALUES ('m1', 'idle'), ('m2', 'busy')`)
 	db.MustExec(`UPDATE Activity SET value = 'busy' WHERE mach_id = 'm1'`)
 	db.MustExec(`DELETE FROM Activity WHERE mach_id = 'm2'`)
-	if err := db.DetachWAL(); err != nil {
+	if err := db.detachWAL(); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Crash" and recover into a fresh database.
 	db2 := walDB(t, path)
-	defer db2.DetachWAL()
+	defer db2.detachWAL()
 	res, err := db2.Query(`SELECT mach_id, value FROM Activity`)
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +55,9 @@ func TestWALReplayRebuildsDatabase(t *testing.T) {
 	}
 	// Recovery keeps appending: new writes survive another cycle.
 	db2.MustExec(`INSERT INTO Activity VALUES ('m3', 'idle')`)
-	db2.DetachWAL()
+	db2.detachWAL()
 	db3 := walDB(t, path)
-	defer db3.DetachWAL()
+	defer db3.detachWAL()
 	res, _ = db3.Query(`SELECT COUNT(*) FROM Activity`)
 	if res.Rows[0][0].Int() != 2 {
 		t.Errorf("second recovery = %v", res.Rows[0][0])
@@ -74,7 +74,7 @@ func TestWALBatchesAreAtomicUnderTornTail(t *testing.T) {
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	db.DetachWAL()
+	db.detachWAL()
 
 	// Simulate a torn write: append garbage (a record length with missing
 	// body) to the log.
@@ -86,7 +86,7 @@ func TestWALBatchesAreAtomicUnderTornTail(t *testing.T) {
 	f.Close()
 
 	db2 := walDB(t, path)
-	defer db2.DetachWAL()
+	defer db2.detachWAL()
 	res, err := db2.Query(`SELECT COUNT(*) FROM T`)
 	if err != nil {
 		t.Fatal(err)
@@ -103,80 +103,74 @@ func TestWALUncommittedBatchNotLogged(t *testing.T) {
 	b := db.BeginBatch()
 	b.Exec(`INSERT INTO T VALUES (1)`)
 	b.Abort()
-	db.DetachWAL()
+	db.detachWAL()
 
 	db2 := walDB(t, path)
-	defer db2.DetachWAL()
+	defer db2.detachWAL()
 	res, _ := db2.Query(`SELECT COUNT(*) FROM T`)
 	if res.Rows[0][0].Int() != 0 {
 		t.Errorf("aborted batch leaked into WAL: %v", res.Rows[0][0])
 	}
 }
 
-func TestCheckpointTruncatesLog(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "trac.wal")
-	dumpPath := filepath.Join(dir, "trac.dump")
-	db := walDB(t, walPath)
+func TestCheckpointDirStartsFreshLog(t *testing.T) {
+	db, dir := openTestDir(t)
 	db.MustExec(`CREATE TABLE T (a BIGINT)`)
 	for i := 0; i < 10; i++ {
 		db.MustExec(`INSERT INTO T VALUES (1)`)
 	}
-	if err := db.Checkpoint(dumpPath); err != nil {
+	if err := db.CheckpointDir(); err != nil {
 		t.Fatal(err)
 	}
+	// The dump subsumes the old log; the new epoch's log holds nothing yet.
+	walPath := filepath.Join(dir, walFileName(db.Epoch()))
 	fi, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Size() != walHeaderSize {
-		t.Errorf("WAL not truncated: %d bytes, want bare header (%d)", fi.Size(), walHeaderSize)
+		t.Errorf("fresh WAL is %d bytes, want bare header (%d)", fi.Size(), walHeaderSize)
 	}
-	// Post-checkpoint writes land in the (fresh) log.
+	// Post-checkpoint writes land in the fresh log.
 	db.MustExec(`INSERT INTO T VALUES (2)`)
-	db.DetachWAL()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Recovery = load dump, then replay log.
-	db2, err := LoadFile(dumpPath)
+	db2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.AttachWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	defer db2.DetachWAL()
-	res, _ := db2.Query(`SELECT COUNT(*) FROM T`)
-	if res.Rows[0][0].Int() != 11 {
-		t.Errorf("checkpoint+log recovery = %v rows, want 11", res.Rows[0][0])
+	defer db2.Close()
+	if got := countRows(t, db2, "T"); got != 11 {
+		t.Errorf("checkpoint+log recovery = %d rows, want 11", got)
 	}
 }
 
 func TestWALErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.wal")
 	db := walDB(t, path)
-	if err := db.AttachWAL(path); err == nil {
+	if err := db.attachWAL(path); err == nil {
 		t.Error("double attach should fail")
 	}
-	db.DetachWAL()
-	if err := db.DetachWAL(); err != nil {
+	db.detachWAL()
+	if err := db.detachWAL(); err != nil {
 		t.Errorf("double detach should be a no-op: %v", err)
-	}
-	if err := db.Checkpoint(filepath.Join(t.TempDir(), "d")); err == nil {
-		t.Error("checkpoint without WAL should fail")
 	}
 	// Replay of a WAL whose statements fail (e.g. table already exists)
 	// surfaces an error.
 	db3 := New()
 	db3.MustExec(`CREATE TABLE X (a BIGINT)`)
 	dbW := New()
-	if err := dbW.AttachWAL(path); err != nil {
+	if err := dbW.attachWAL(path); err != nil {
 		t.Fatal(err)
 	}
 	dbW.MustExec(`CREATE TABLE X (a BIGINT)`)
-	dbW.DetachWAL()
-	if err := db3.AttachWAL(path); err == nil {
+	dbW.detachWAL()
+	if err := db3.attachWAL(path); err == nil {
 		t.Error("replaying conflicting DDL should fail")
-		db3.DetachWAL()
+		db3.detachWAL()
 	}
 }
 
@@ -207,11 +201,11 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := db.DetachWAL(); err != nil {
+	if err := db.detachWAL(); err != nil {
 		t.Fatal(err)
 	}
 	db2 := walDB(t, path)
-	defer db2.DetachWAL()
+	defer db2.detachWAL()
 	res, _ := db2.Query(`SELECT COUNT(*) FROM T`)
 	if res.Rows[0][0].Int() != writers*per {
 		t.Errorf("group-commit recovery = %v rows, want %d", res.Rows[0][0], writers*per)
@@ -220,14 +214,10 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 
 func TestWALFsyncFailurePoisons(t *testing.T) {
 	m := crashfs.NewMem()
-	db := New()
-	db.fsys = m
-	if err := db.AttachWAL("p.wal"); err != nil {
+	db, err := OpenDir("p", WithFS(m), WithSyncWAL())
+	if err != nil {
 		t.Fatal(err)
 	}
-	db.walMu.Lock()
-	db.wal.Sync = true
-	db.walMu.Unlock()
 	db.MustExec(`CREATE TABLE T (a BIGINT)`)
 	// Arm the next mutating op to fail: it will be the record write or the
 	// fsync of the next commit; either must poison the WAL.
@@ -238,16 +228,16 @@ func TestWALFsyncFailurePoisons(t *testing.T) {
 	m.Recover()
 	// The fs is healthy again, but the WAL must stay poisoned: its durable
 	// contents are unknowable after a failed fsync.
-	_, err := db.Exec(`INSERT INTO T VALUES (2)`)
+	_, err = db.Exec(`INSERT INTO T VALUES (2)`)
 	if !errors.Is(err, ErrWALPoisoned) && !errors.Is(err, ErrWALAppend) {
 		t.Fatalf("post-poison commit error = %v, want poisoned", err)
 	}
-	if err := db.Checkpoint("d.dump"); !errors.Is(err, ErrWALPoisoned) {
+	if err := db.CheckpointDir(); !errors.Is(err, ErrWALPoisoned) {
 		t.Fatalf("post-poison checkpoint error = %v, want ErrWALPoisoned", err)
 	}
 	// Close reports rather than swallows.
-	if err := db.DetachWAL(); err == nil {
-		t.Error("detaching a poisoned WAL should report the failure")
+	if err := db.Close(); err == nil {
+		t.Error("closing a poisoned WAL should report the failure")
 	}
 }
 
@@ -257,8 +247,8 @@ func TestWALRejectsForeignFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New()
-	if err := db.AttachWAL(path); err == nil {
-		db.DetachWAL()
+	if err := db.attachWAL(path); err == nil {
+		db.detachWAL()
 		t.Fatal("attaching a non-WAL file should fail")
 	}
 }
@@ -271,9 +261,9 @@ func TestWALSyncMode(t *testing.T) {
 	db.walMu.Unlock()
 	db.MustExec(`CREATE TABLE T (a BIGINT)`)
 	db.MustExec(`INSERT INTO T VALUES (1)`)
-	db.DetachWAL()
+	db.detachWAL()
 	db2 := walDB(t, path)
-	defer db2.DetachWAL()
+	defer db2.detachWAL()
 	res, _ := db2.Query(`SELECT COUNT(*) FROM T`)
 	if res.Rows[0][0].Int() != 1 {
 		t.Errorf("sync mode rows = %v", res.Rows[0][0])

@@ -56,7 +56,8 @@ type Stats struct {
 	Conns       int    // live connections
 	Accepted    uint64 // connections accepted since start
 	AuthFailed  uint64
-	TempsLeaked int // residual sys_temp_* tables (0 when cleanup is healthy)
+	ShedQuota   uint64 // requests refused by a session's in-flight quota
+	TempsLeaked int    // residual sys_temp_* tables (0 when cleanup is healthy)
 }
 
 // Server serves the TRAC wire protocol over a listener, mapping each
@@ -74,6 +75,7 @@ type Server struct {
 	connWG     sync.WaitGroup
 	accepted   atomic.Uint64
 	authFailed atomic.Uint64
+	shedQuota  atomic.Uint64
 }
 
 // New builds a Server (not yet listening).
@@ -213,6 +215,7 @@ func (s *Server) Stats() Stats {
 		Conns:      n,
 		Accepted:   s.accepted.Load(),
 		AuthFailed: s.authFailed.Load(),
+		ShedQuota:  s.shedQuota.Load(),
 	}
 }
 
@@ -244,17 +247,8 @@ type conn struct {
 	inflight atomic.Int64 // admitted-but-unanswered requests (quota)
 
 	stmtMu sync.Mutex
-	stmts  map[uint64]*preparedStmt
+	stmts  map[uint64]*trac.PreparedReport
 	nextID uint64
-}
-
-// preparedStmt is a server-side prepared recency report. Execution goes
-// back through the engine's version-keyed plan cache each time (a hit skips
-// parsing and generation; a catalog change misses and regenerates), so a
-// prepared statement can never serve a plan staler than the catalog.
-type preparedStmt struct {
-	sql string
-	cfg report.Config
 }
 
 func (c *conn) serve() {
@@ -363,6 +357,7 @@ func (c *conn) dispatch(ft FrameType, payload []byte, p *pending) {
 	// Per-session quota: pipelined requests beyond the quota shed
 	// immediately, without touching the shared admission queue.
 	if c.inflight.Load() >= int64(c.srv.cfg.SessionQuota) {
+		c.srv.shedQuota.Add(1)
 		p.ch <- response{ft: FrameBusy, payload: EncodeBusy(BusyQuota)}
 		return
 	}
@@ -473,7 +468,7 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 		// Execution re-enters the version-keyed plan cache: a hit is the
 		// prepared fast path (no parse, no generation), a catalog bump
 		// since Prepare misses and regenerates — never a stale plan.
-		rep, err := c.sess.RecencyReport(st.sql, configOption(st.cfg))
+		rep, err := st.Execute(c.sess)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -488,32 +483,23 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 // engine's plan cache (warming it for the execute path), and registers the
 // statement in the session.
 func (c *conn) prepare(rq ReportRequest) response {
-	cfg := reportConfig(rq.Opts)
-	var (
-		p   *report.Prepared
-		err error
-	)
-	if cfg.DisableCache {
-		p, err = report.Prepare(c.srv.cfg.DB.Engine(), rq.SQL, cfg)
-	} else {
-		p, _, err = report.PrepareCached(c.srv.cfg.DB.Engine(), rq.SQL, cfg)
-	}
+	pr, err := c.srv.cfg.DB.PrepareReport(rq.SQL, configOption(reportConfig(rq.Opts)))
 	if err != nil {
 		return errResponse(err)
 	}
 	c.stmtMu.Lock()
 	if c.stmts == nil {
-		c.stmts = make(map[uint64]*preparedStmt)
+		c.stmts = make(map[uint64]*trac.PreparedReport)
 	}
 	c.nextID++
 	id := c.nextID
-	c.stmts[id] = &preparedStmt{sql: rq.SQL, cfg: cfg}
+	c.stmts[id] = pr
 	c.stmtMu.Unlock()
 	return response{ft: FramePrepared, payload: EncodePrepared(Prepared{
 		ID:         id,
-		RecencySQL: p.Generated.SQL,
-		Minimal:    p.Generated.Minimal,
-		Empty:      p.Generated.Empty,
+		RecencySQL: pr.RecencySQL(),
+		Minimal:    pr.Minimal(),
+		Empty:      pr.RecencySQL() == "",
 	})}
 }
 

@@ -412,16 +412,26 @@ func TestPrepareExecuteDDLRace(t *testing.T) {
 // TestSessionQuotaSheds drives pipelined frames past the per-session quota
 // on a raw connection (the driver serializes, so this needs hand-rolled
 // frames) and expects Busy(quota) for the excess while admitted requests
-// still answer in order.
+// still answer in order. The lone worker is held on a gate the test
+// releases, so the admitted requests stay in flight and the quota is reached
+// by construction rather than by racing the worker.
 func TestSessionQuotaSheds(t *testing.T) {
 	db := trac.Open()
 	db.MustExec(`CREATE TABLE T (a BIGINT)`)
 	db.MustExec(`INSERT INTO T VALUES (1)`)
-	// One worker with a deep queue: pipelined requests pile up in flight.
-	_, addr := startServer(t, db, server.Config{
-		SessionQuota: 2,
+	const quota = 2
+	srv, addr := startServer(t, db, server.Config{
+		SessionQuota: quota,
 		Sched:        server.SchedConfig{Workers: 1, QueueDepth: 64, AdmissionTimeout: time.Minute},
 	})
+	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	defer open() // a failing assertion must not leave the worker wedged for Shutdown
+	if err := srv.Scheduler().Submit(&server.Task{Run: func() { <-gate }, Shed: func(uint8) {}}); err != nil {
+		t.Fatal(err)
+	}
+
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -433,36 +443,40 @@ func TestSessionQuotaSheds(t *testing.T) {
 	if ft, _, err := server.ReadFrame(nc); err != nil || ft != server.FrameWelcome {
 		t.Fatalf("handshake: %v %v", ft, err)
 	}
-	const burst = 30
+	// quota requests are admitted and queue behind the gate; everything the
+	// session reads after them finds the quota full. The burst stays within
+	// the session's response window (quota+8) so the reader never stalls.
+	const burst = quota + 6
 	for i := 0; i < burst; i++ {
 		if err := server.WriteFrame(nc, server.FrameQuery, server.EncodeSQL(`SELECT a FROM T`)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	results, busy := 0, 0
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().ShedQuota < burst-quota {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of the %d requests past the quota were shed", srv.Stats().ShedQuota, burst-quota)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	open()
 	for i := 0; i < burst; i++ {
 		ft, payload, err := server.ReadFrame(nc)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		switch ft {
-		case server.FrameResult:
-			results++
-		case server.FrameBusy:
-			code, err := server.DecodeBusy(payload)
-			if err != nil {
-				t.Fatal(err)
+		if i < quota {
+			if ft != server.FrameResult {
+				t.Fatalf("response %d: %v, want the admitted request's result", i, ft)
 			}
-			if code != server.BusyQuota {
-				t.Fatalf("response %d: busy code %d, want BusyQuota", i, code)
-			}
-			busy++
-		default:
-			t.Fatalf("response %d: unexpected frame %v", i, ft)
+			continue
 		}
-	}
-	if results == 0 || busy == 0 {
-		t.Fatalf("burst of %d: %d results, %d busy — quota never engaged", burst, results, busy)
+		if ft != server.FrameBusy {
+			t.Fatalf("response %d: %v, want Busy", i, ft)
+		}
+		if code, err := server.DecodeBusy(payload); err != nil || code != server.BusyQuota {
+			t.Fatalf("response %d: busy code %d (%v), want BusyQuota", i, code, err)
+		}
 	}
 }
 

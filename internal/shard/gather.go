@@ -20,8 +20,19 @@ func (r *Router) Query(sql string) (*engine.Result, error) {
 	return r.QueryAt(sql, cut)
 }
 
-// QueryAt runs a SELECT under a caller-provided cut (a recency report passes
-// one cut to both of its queries).
+// pin captures one cut and returns the read point that runs statements under
+// it: what a recency report passes both of its queries through.
+func (r *Router) pin() (func(*sqlparser.SelectStmt, string) (*engine.Result, error), error) {
+	cut, err := r.Cut()
+	if err != nil {
+		return nil, err
+	}
+	return func(sel *sqlparser.SelectStmt, sql string) (*engine.Result, error) {
+		return r.QueryStmtAt(sel, sql, cut)
+	}, nil
+}
+
+// QueryAt runs a SELECT under a caller-provided cut.
 func (r *Router) QueryAt(sql string, cut Cut) (*engine.Result, error) {
 	sel, err := r.shards[0].ParseSelect(sql)
 	if err != nil {

@@ -18,6 +18,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -78,6 +79,15 @@ func (r *Router) N() int { return len(r.shards) }
 // bypass the router's routing and cut discipline; it is intended for reads,
 // tests and per-shard tuning (planner knobs, seal thresholds).
 func (r *Router) Shard(i int) *engine.DB { return r.shards[i] }
+
+// Close closes every shard, reporting all failures.
+func (r *Router) Close() error {
+	errs := make([]error, len(r.shards))
+	for i, db := range r.shards {
+		errs[i] = db.Close()
+	}
+	return errors.Join(errs...)
+}
 
 // Cache returns the router's scatter-plan cache.
 func (r *Router) Cache() *engine.PlanCache { return r.cache }

@@ -433,12 +433,14 @@ func TestHeartbeatProtocolTradeoff(t *testing.T) {
 // TestPipelineConcurrencyStress runs loaders, reporters and checkpoints
 // simultaneously; under -race this exercises every cross-component lock.
 func TestPipelineConcurrencyStress(t *testing.T) {
-	db := newDB(t)
-	walPath := t.TempDir() + "/stress.wal"
-	if err := db.AttachWAL(walPath); err != nil {
+	db, err := engine.OpenDir(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.DetachWAL()
+	defer db.Close()
+	if err := InstallSchema(db); err != nil {
+		t.Fatal(err)
+	}
 	sim, err := gridsim.New(gridsim.Config{Machines: 10, Schedulers: 2, Seed: 31, JobRate: 2, HeartbeatEvery: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -494,14 +496,13 @@ func TestPipelineConcurrencyStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		dump := t.TempDir() + "/stress.dump"
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			if err := db.Checkpoint(dump); err != nil {
+			if err := db.CheckpointDir(); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,6 +1,7 @@
 package trac_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -79,11 +80,78 @@ func TestShardedPublicAPI(t *testing.T) {
 		t.Errorf("prepared report covers %d sources, want 1", got)
 	}
 
-	// Persistence stays explicitly unsupported when sharded.
-	if err := db.SaveFile(t.TempDir() + "/dump"); err == nil {
-		t.Error("SaveFile should fail on a sharded database")
+	// Durability goes through the backend too: a sharded database says what
+	// it cannot do yet instead of answering for shard 0, and Close reaches
+	// every shard.
+	if err := db.CheckpointDir(); !errors.Is(err, trac.ErrShardedDir) {
+		t.Errorf("CheckpointDir on a sharded database = %v, want ErrShardedDir", err)
 	}
-	if err := db.AttachWAL(t.TempDir() + "/wal"); err == nil {
-		t.Error("AttachWAL should fail on a sharded database")
+	if err := db.Close(); err != nil {
+		t.Errorf("Close on a sharded database: %v", err)
+	}
+}
+
+// TestPreparedReportSurvivesCatalogChange: a report prepared while the
+// probe is provably Empty must not keep saying so once the domain is widened
+// — Execute re-prepares on a catalog-version change, on every backend.
+func TestPreparedReportSurvivesCatalogChange(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := trac.Open(trac.WithShards(shards))
+			db.MustExec(`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`)
+			db.MustExec(`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`)
+			if shards > 1 {
+				if err := db.PartitionTable("Activity", "mach_id"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.SetSourceColumn("Activity", "mach_id"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.SetColumnDomain("Activity", "value", trac.StringDomain("idle", "busy")); err != nil {
+				t.Fatal(err)
+			}
+			for i, value := range []string{"idle", "busy"} {
+				sid := fmt.Sprintf("m%d", i+1)
+				db.MustExec(fmt.Sprintf(`INSERT INTO Activity VALUES ('%s', '%s', '2006-03-15 14:00:00')`, sid, value))
+				if err := db.Heartbeat(sid, "2006-03-15 14:20:05"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sess := db.NewSession()
+			defer sess.Close()
+
+			const probe = `SELECT mach_id FROM Activity WHERE value = 'down'`
+			pr, err := db.PrepareReport(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := pr.Execute(sess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !before.Empty {
+				t.Fatalf("'down' is outside the domain: report should be provably Empty, got %d sources",
+					len(before.Normal)+len(before.Exceptional))
+			}
+
+			// 'down' becomes a legal value: any machine could report it next.
+			if err := db.SetColumnDomain("Activity", "value", trac.StringDomain("idle", "busy", "down")); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := sess.RecencyReport(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := pr.Execute(sess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(fresh.Normal) + len(fresh.Exceptional)
+			if got := len(after.Normal) + len(after.Exceptional); want != 2 || got != want || after.Empty {
+				t.Errorf("after widening the domain: prepared Execute reports %d sources (Empty=%v), a fresh report %d, want 2",
+					got, after.Empty, want)
+			}
+		})
 	}
 }

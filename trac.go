@@ -26,6 +26,7 @@
 package trac
 
 import (
+	"errors"
 	"fmt"
 
 	"trac/internal/core/recgen"
@@ -38,9 +39,51 @@ import (
 
 // DB is an embedded TRAC database.
 type DB struct {
-	eng    *engine.DB
+	be     backend
+	eng    *engine.DB    // the engine, or shard 0: prepares reports, owns sessions
 	router *shard.Router // non-nil when opened with WithShards(n > 1)
 }
+
+// backend is the one door every statement, report and lifecycle call goes
+// through: a single engine or a shard router today, and the seam a durable
+// sharded or remote one plugs into later. DB branches on sharding only where
+// it builds one.
+type backend interface {
+	Exec(sql string) (int, error)
+	Query(sql string) (*engine.Result, error)
+	Explain(sql string) (string, error)
+	// RecencyReport runs the single report path (report.RunAt) at this
+	// backend's kind of read point: a snapshot, or a cut across the shards.
+	RecencyReport(sess *engine.Session, sql string, cfg report.Config) (*report.Report, error)
+	// Atomic applies fn to every engine as one event no read point splits.
+	Atomic(fn func(*engine.DB) error) error
+	N() int
+	// SettleVersions re-levels catalog versions after one engine alone
+	// changed its catalog (a session persisting a temp table on shard 0).
+	SettleVersions()
+	CheckpointDir() error
+	Close() error
+}
+
+// engineBackend adapts one engine: it is its own only shard.
+type engineBackend struct{ *engine.DB }
+
+func (b engineBackend) Explain(sql string) (string, error) { return b.ExplainAt(sql, b.Snapshot()) }
+func (engineBackend) RecencyReport(sess *engine.Session, sql string, cfg report.Config) (*report.Report, error) {
+	return report.Run(sess, sql, cfg)
+}
+func (b engineBackend) Atomic(fn func(*engine.DB) error) error { return fn(b.DB) }
+func (engineBackend) N() int                                   { return 1 }
+func (engineBackend) SettleVersions()                          {}
+
+// ErrShardedDir reports that a durable directory was asked of a sharded
+// database: per-shard epochs under one manifest do not exist yet.
+var ErrShardedDir = errors.New("trac: sharded durable directories are not supported yet")
+
+// routerBackend is the router plus the one thing it cannot do yet.
+type routerBackend struct{ *shard.Router }
+
+func (routerBackend) CheckpointDir() error { return ErrShardedDir }
 
 // Result is a materialized query result.
 type Result = engine.Result
@@ -78,20 +121,20 @@ func Open(opts ...Opt) *DB {
 			// Unreachable: shard.New only rejects n < 1.
 			panic(err)
 		}
-		return &DB{eng: r.Shard(0), router: r}
+		return WrapRouter(r)
 	}
-	return &DB{eng: engine.New()}
+	return WrapEngine(engine.New())
 }
 
 // WrapEngine adopts an existing engine as a public DB handle. It is the
 // bridge for callers that build fixtures against the internal API (e.g.
 // workload.Build) and then want to serve them through the public one.
-func WrapEngine(eng *engine.DB) *DB { return &DB{eng: eng} }
+func WrapEngine(eng *engine.DB) *DB { return &DB{be: engineBackend{eng}, eng: eng} }
 
 // WrapRouter is WrapEngine for a sharded fixture (e.g.
 // workload.BuildSharded): the router becomes a public DB handle.
 func WrapRouter(r *shard.Router) *DB {
-	return &DB{eng: r.Shard(0), router: r}
+	return &DB{be: routerBackend{r}, eng: r.Shard(0), router: r}
 }
 
 // Engine exposes the underlying engine for advanced integration (bulk
@@ -103,12 +146,7 @@ func (db *DB) Engine() *engine.DB { return db.eng }
 func (db *DB) Router() *shard.Router { return db.router }
 
 // Shards returns the shard count (1 when unsharded).
-func (db *DB) Shards() int {
-	if db.router == nil {
-		return 1
-	}
-	return db.router.N()
-}
+func (db *DB) Shards() int { return db.be.N() }
 
 // PartitionTable declares a table hash-partitioned on a column across the
 // shards. It must run after the table's DDL and before any rows are loaded.
@@ -122,12 +160,7 @@ func (db *DB) PartitionTable(table, column string) error {
 // Exec executes any SQL statement (DDL or DML), returning the number of
 // affected rows. On a sharded database, DML routes by partition key or
 // replicates, and DDL broadcasts to every shard atomically.
-func (db *DB) Exec(sql string) (int, error) {
-	if db.router != nil {
-		return db.router.Exec(sql)
-	}
-	return db.eng.Exec(sql)
-}
+func (db *DB) Exec(sql string) (int, error) { return db.be.Exec(sql) }
 
 // MustExec executes a statement and panics on error (fixtures, tests).
 func (db *DB) MustExec(sql string) int {
@@ -140,18 +173,16 @@ func (db *DB) MustExec(sql string) int {
 
 // Query runs a SELECT and materializes its result; sharded databases
 // scatter it across the pruned shard set under a consistent cut.
-func (db *DB) Query(sql string) (*Result, error) {
-	if db.router != nil {
-		return db.router.Query(sql)
-	}
-	return db.eng.Query(sql)
-}
+func (db *DB) Query(sql string) (*Result, error) { return db.be.Query(sql) }
 
 // SetSourceColumn marks a table's data source column (§3.3 of the paper):
 // the column identifying which distributed source wrote each tuple. Every
-// monitored table needs one for recency reporting to cover it.
+// monitored table needs one for recency reporting to cover it. Like every
+// metadata mutation it is applied uniformly to every shard under the
+// router's exclusive cut lock, so catalogs (and their versions) stay
+// identical across shards.
 func (db *DB) SetSourceColumn(table, column string) error {
-	return db.eachEngine(func(eng *engine.DB) error {
+	return db.be.Atomic(func(eng *engine.DB) error {
 		tbl, err := eng.Catalog().Get(table)
 		if err != nil {
 			return err
@@ -165,22 +196,12 @@ func (db *DB) SetSourceColumn(table, column string) error {
 	})
 }
 
-// eachEngine applies a metadata mutation to the single engine, or uniformly
-// to every shard under the router's exclusive cut lock so catalogs (and
-// their versions) stay identical across shards.
-func (db *DB) eachEngine(fn func(eng *engine.DB) error) error {
-	if db.router != nil {
-		return db.router.Atomic(fn)
-	}
-	return fn(db.eng)
-}
-
 // SetColumnDomain declares the domain of legal values for a column. Domains
 // power two things: satisfiability checking (which upgrades recency reports
 // from "upper bound" to "guaranteed minimal", Theorems 3/4) and brute-force
 // evaluation in tests.
 func (db *DB) SetColumnDomain(table, column string, domain Domain) error {
-	return db.eachEngine(func(eng *engine.DB) error {
+	return db.be.Atomic(func(eng *engine.DB) error {
 		tbl, err := eng.Catalog().Get(table)
 		if err != nil {
 			return err
@@ -203,7 +224,7 @@ func (db *DB) SetColumnDomain(table, column string, domain Domain) error {
 // the user query, so potential tuples that could never legally exist stop
 // making sources relevant.
 func (db *DB) AddCheck(table, exprSQL string) error {
-	return db.eachEngine(func(eng *engine.DB) error {
+	return db.be.Atomic(func(eng *engine.DB) error {
 		return eng.AddCheck(table, exprSQL)
 	})
 }
@@ -248,9 +269,7 @@ func (s *Session) Persist(tempName, permanentName string) error {
 	if err := s.sess.Persist(tempName, permanentName); err != nil {
 		return err
 	}
-	if s.db.router != nil {
-		s.db.router.SettleVersions()
-	}
+	s.db.be.SettleVersions()
 	return nil
 }
 
@@ -317,51 +336,50 @@ func (s *Session) RecencyReport(sql string, opts ...Option) (*Report, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if s.db.router != nil {
-		return s.db.router.RecencyReport(s.sess, sql, cfg)
-	}
-	return report.Run(s.sess, sql, cfg)
+	return s.db.be.RecencyReport(s.sess, sql, cfg)
 }
 
 // PreparedReport is a user query with its recency query generated once,
 // executable many times (the paper's "hardcoded recency query" variant;
 // also the right shape for dashboards that repeat a monitoring query).
 type PreparedReport struct {
-	p   *report.Prepared
 	db  *DB
 	sql string
+	cfg report.Config
+	gen *recgen.Generated // as generated at PrepareReport time
 }
 
 // PrepareReport parses the query and generates its recency query without
-// running either. On a sharded database, preparation runs against shard 0's
-// catalog, which the DDL broadcast keeps identical everywhere.
+// running either, leaving the pair in the plan cache for Execute. On a
+// sharded database, preparation runs against shard 0's catalog, which the
+// DDL broadcast keeps identical everywhere.
 func (db *DB) PrepareReport(sql string, opts ...Option) (*PreparedReport, error) {
 	var cfg report.Config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p, err := report.Prepare(db.eng, sql, cfg)
+	p, _, err := report.PrepareCached(db.eng, sql, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedReport{p: p, db: db, sql: sql}, nil
+	return &PreparedReport{db: db, sql: sql, cfg: cfg, gen: p.Generated}, nil
 }
 
-// Execute runs the prepared pair under a fresh snapshot in the session —
-// a fresh consistent cut across all shards when the database is sharded.
+// Execute runs the prepared pair at a fresh read point in the session — a
+// snapshot, or a consistent cut across all shards. It takes the same path as
+// Session.RecencyReport: the pair comes back from the plan cache while the
+// catalog is unchanged, and is regenerated after a catalog change (a widened
+// domain, a new CHECK, DDL), so a plan made stale never runs.
 func (pr *PreparedReport) Execute(s *Session) (*Report, error) {
-	if pr.db.router != nil {
-		return pr.db.router.RecencyReport(s.sess, pr.sql, pr.p.Config)
-	}
-	return pr.p.Execute(s.sess)
+	return pr.db.be.RecencyReport(s.sess, pr.sql, pr.cfg)
 }
 
-// RecencySQL returns the generated recency query text ("" when provably no
-// source is relevant).
-func (pr *PreparedReport) RecencySQL() string { return pr.p.Generated.SQL }
+// RecencySQL returns the recency query text generated at PrepareReport time
+// ("" when provably no source is relevant).
+func (pr *PreparedReport) RecencySQL() string { return pr.gen.SQL }
 
 // Minimal reports whether the relevant-source set is guaranteed minimal.
-func (pr *PreparedReport) Minimal() bool { return pr.p.Generated.Minimal }
+func (pr *PreparedReport) Minimal() bool { return pr.gen.Minimal }
 
 // GenerateRecencyQuery derives the recency query for a user query without
 // executing anything: it returns the SQL text, whether the computed source
@@ -372,17 +390,12 @@ func (db *DB) GenerateRecencyQuery(userSQL string, opts ...Option) (recencySQL s
 	if err != nil {
 		return "", false, nil, err
 	}
-	return pr.p.Generated.SQL, pr.p.Generated.Minimal, pr.p.Generated.Reasons, nil
+	return pr.gen.SQL, pr.gen.Minimal, pr.gen.Reasons, nil
 }
 
 // Explain returns the physical plan notes for a SELECT; sharded databases
 // prefix each block with its `shards: k of N, pruned p` scatter note.
-func (db *DB) Explain(sql string) (string, error) {
-	if db.router != nil {
-		return db.router.Explain(sql)
-	}
-	return db.eng.ExplainAt(sql, db.eng.Snapshot())
-}
+func (db *DB) Explain(sql string) (string, error) { return db.be.Explain(sql) }
 
 // Heartbeat upserts a source's recency timestamp directly (the fast path a
 // loader uses; equivalent to UPDATE-or-INSERT on the Heartbeat table). The
@@ -394,10 +407,10 @@ func (db *DB) Heartbeat(sid, timestamp string) error {
 	}
 	sidSQL := types.NewString(sid).SQL()
 	tsSQL := types.NewTime(ts).SQL()
-	// Heartbeat is replicated on a sharded database; eachEngine upserts on
-	// every shard as one atomic broadcast, so a cut never sees a source's
-	// recency advanced on some shards only.
-	return db.eachEngine(func(eng *engine.DB) error {
+	// Heartbeat is replicated on a sharded database; Atomic upserts on every
+	// shard as one broadcast, so a cut never sees a source's recency advanced
+	// on some shards only.
+	return db.be.Atomic(func(eng *engine.DB) error {
 		b := eng.BeginBatch()
 		defer b.Abort()
 		n, err := b.Exec(`UPDATE Heartbeat SET recency = ` + tsSQL + ` WHERE sid = ` + sidSQL)
@@ -411,26 +424,6 @@ func (db *DB) Heartbeat(sid, timestamp string) error {
 		}
 		return b.Commit()
 	})
-}
-
-// SaveFile writes a snapshot-consistent dump of the database (schemas,
-// source-column and domain metadata, CHECK constraints, indexes, and all
-// visible rows) to a file. Concurrent writers do not tear the dump.
-// Unsharded databases only: a sharded dump format does not exist yet.
-func (db *DB) SaveFile(path string) error {
-	if db.router != nil {
-		return fmt.Errorf("trac: SaveFile is not supported on a sharded database")
-	}
-	return db.eng.SaveFile(path)
-}
-
-// OpenFile loads a database previously written by SaveFile.
-func OpenFile(path string) (*DB, error) {
-	eng, err := engine.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{eng: eng}, nil
 }
 
 // OpenOption configures OpenDir.
@@ -453,34 +446,17 @@ func OpenDir(dir string, opts ...OpenOption) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng}, nil
+	return WrapEngine(eng), nil
 }
 
 // CheckpointDir atomically writes a new checkpoint epoch (segment files,
-// dump, fresh WAL) for a database opened with OpenDir.
-func (db *DB) CheckpointDir() error { return db.eng.CheckpointDir() }
+// dump, fresh WAL) for a database opened with OpenDir. A sharded database
+// returns ErrShardedDir.
+func (db *DB) CheckpointDir() error { return db.be.CheckpointDir() }
 
-// Close flushes and closes the write-ahead log, if one is attached.
-func (db *DB) Close() error { return db.eng.Close() }
-
-// AttachWAL enables a logical write-ahead log at path: complete
-// transactions already in the file are replayed first, and every SQL
-// mutation committed afterwards (Exec statements and loader batches) is
-// appended atomically. Pair with Checkpoint for bounded recovery time.
-// Unsharded databases only.
-func (db *DB) AttachWAL(path string) error {
-	if db.router != nil {
-		return fmt.Errorf("trac: AttachWAL is not supported on a sharded database")
-	}
-	return db.eng.AttachWAL(path)
-}
-
-// Checkpoint writes a full dump to dumpPath and truncates the attached WAL.
-// Recovery is then OpenFile(dumpPath) followed by AttachWAL(walPath).
-func (db *DB) Checkpoint(dumpPath string) error { return db.eng.Checkpoint(dumpPath) }
-
-// DetachWAL stops logging and closes the log file.
-func (db *DB) DetachWAL() error { return db.eng.DetachWAL() }
+// Close flushes and closes the write-ahead log of the engine, or of every
+// shard, if one is attached.
+func (db *DB) Close() error { return db.be.Close() }
 
 // Catalog lists the table names currently registered.
 func (db *DB) Catalog() []string { return db.eng.Catalog().Names() }

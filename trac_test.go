@@ -10,6 +10,12 @@ import (
 func exampleDB(t *testing.T) *DB {
 	t.Helper()
 	db := Open()
+	loadExample(t, db)
+	return db
+}
+
+func loadExample(t *testing.T, db *DB) {
+	t.Helper()
 	db.MustExec(`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`)
 	db.MustExec(`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`)
 	db.MustExec(`CREATE INDEX idx_act ON Activity (mach_id)`)
@@ -32,7 +38,6 @@ func exampleDB(t *testing.T) *DB {
 			t.Fatal(err)
 		}
 	}
-	return db
 }
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -279,17 +284,25 @@ func TestMADDetectorOption(t *testing.T) {
 	}
 }
 
-func TestSaveOpenFile(t *testing.T) {
-	db := exampleDB(t)
-	path := t.TempDir() + "/db.dump"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := OpenFile(path)
+func TestCheckpointReopenDir(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Recency reporting works immediately on the loaded database,
+	loadExample(t, db)
+	if err := db.CheckpointDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	// Recency reporting works immediately on the reopened database,
 	// including source-column metadata and domains.
 	sess := db2.NewSession()
 	defer sess.Close()
@@ -298,7 +311,7 @@ func TestSaveOpenFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Minimal {
-		t.Errorf("domain metadata lost across save/load: %v", rep.Reasons)
+		t.Errorf("domain metadata lost across checkpoint/reopen: %v", rep.Reasons)
 	}
 	if n := len(rep.Normal) + len(rep.Exceptional); n != 1 {
 		t.Errorf("relevant = %d", n)
