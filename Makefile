@@ -23,13 +23,15 @@ lint-fix:
 	$(GO) run ./cmd/tracvet -fix ./...
 
 # check is the CI gate: lint everything, run the concurrency-sensitive
-# packages (parallel scan, plan cache, MVCC) under the race detector, run
+# packages (parallel scan, plan cache, MVCC; the planner's property tests
+# drive parallel scans whose batches view segment memory across goroutines,
+# and storage owns that memory) under the race detector, run
 # the crash-injection recovery sweeps, then smoke every benchmark so
 # bench-only code paths cannot rot unnoticed. The serving layer's tests run
 # twenty times over: its admission tests must hold by construction, not by
 # winning a race against the worker pool.
 check: lint bench-smoke benchmark-smoke crash
-	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./client/...
+	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./client/...
 	$(GO) test -count 20 ./internal/server
 
 # crash kills the storage stack at every mutating filesystem operation and

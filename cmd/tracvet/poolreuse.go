@@ -10,7 +10,7 @@ import (
 // "NextBatch transfers ownership of the returned batch to the caller;
 // whoever consumes a batch without forwarding it calls PutBatch." A batch
 // touched after PutBatch is a data race waiting to happen — the pool may
-// already have handed the same header to a concurrent pipeline, so Rows/Sel
+// already have handed the same header to a concurrent pipeline, so Cols/Sel
 // are being rewritten under the reader. The analyzer runs reaching-
 // definitions-style dataflow over the AST-level CFG (cfg.go), tracking each
 // local acquired from GetBatch/NextBatch through every path:
@@ -20,8 +20,13 @@ import (
 //     owns);
 //   - a GetBatch-acquired batch that is neither recycled nor forwarded on
 //     every path (early returns and error paths leak pool capacity);
-//   - a batch *header* alias (x := b.Rows / b.Sel) used after the batch is
-//     recycled — the header slices are exactly what the pool reuses.
+//   - a batch *header* alias (x := b.Cols / b.Sel) or a *vector* taken from
+//     it (v := b.Cols[i]) used after the batch is recycled. What goes back
+//     to the pool depends on the batch: one that views a sealed segment's
+//     vectors returns only its header and Sel, one that was transposed or
+//     gathered returns the vectors it owns too. Which kind a batch is, is a
+//     run-time fact, so a vector is held to the stricter rule: it dies with
+//     the batch it came from.
 //
 // One level of callee summaries keeps the check useful across helpers: a
 // call f(b) where f's body provably calls PutBatch on that parameter counts
@@ -229,7 +234,7 @@ func prIdentVar(p *Pass, e ast.Expr) *types.Var {
 // prCheckUnit runs the dataflow over one function body.
 func prCheckUnit(p *Pass, u funcUnit, summaries map[*types.Func]*prBatchSummary) {
 	// Pass 0: find the tracked variables (locals acquired from the pool)
-	// and header aliases (x := b.Rows / b.Sel).
+	// and header or vector aliases (x := b.Cols / b.Sel / b.Cols[i]).
 	tracked := make(map[*types.Var]prAcquireKind)
 	acquirePos := make(map[*types.Var]token.Pos)
 	walkShallow(u.Body, func(n ast.Node) bool {
@@ -319,8 +324,24 @@ func prCheckUnit(p *Pass, u funcUnit, summaries map[*types.Func]*prBatchSummary)
 	}
 }
 
+// prHeaderField matches b.Cols, b.Sel and a vector b.Cols[i], returning the
+// batch expression.
+func prHeaderField(e ast.Expr) (ast.Expr, bool) {
+	e = ast.Unparen(e)
+	if idx, ok := e.(*ast.IndexExpr); ok {
+		if sel, ok := ast.Unparen(idx.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Cols" {
+			return sel.X, true
+		}
+		return nil, false
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Cols" || sel.Sel.Name == "Sel") {
+		return sel.X, true
+	}
+	return nil, false
+}
+
 // prCollectHeaderAliases maps variables assigned from a tracked batch's
-// Rows/Sel field to that batch.
+// Cols/Sel field, or from one of its vectors, to that batch.
 func prCollectHeaderAliases(p *Pass, body *ast.BlockStmt, tracked map[*types.Var]prAcquireKind) map[*types.Var]*types.Var {
 	out := make(map[*types.Var]*types.Var)
 	walkShallow(body, func(n ast.Node) bool {
@@ -328,11 +349,11 @@ func prCollectHeaderAliases(p *Pass, body *ast.BlockStmt, tracked map[*types.Var
 		if !ok || len(asg.Rhs) != 1 || len(asg.Lhs) != 1 {
 			return true
 		}
-		sel, ok := ast.Unparen(asg.Rhs[0]).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Rows" && sel.Sel.Name != "Sel") {
+		x, ok := prHeaderField(asg.Rhs[0])
+		if !ok {
 			return true
 		}
-		base := prIdentVar(p, sel.X)
+		base := prIdentVar(p, x)
 		if base == nil {
 			return true
 		}
@@ -543,8 +564,7 @@ func (t *prTransfer) walkExpr(node ast.Node, out map[*types.Var]uint8, rep *prRe
 			}
 			for _, r := range n.Rhs {
 				if acquire == prAcqNone {
-					if sel, ok := ast.Unparen(r).(*ast.SelectorExpr); ok &&
-						(sel.Sel.Name == "Rows" || sel.Sel.Name == "Sel") {
+					if _, ok := prHeaderField(r); ok {
 						// Header alias; the base use below is tracked via aliases.
 					} else if v := prIdentVar(t.p, r); v != nil {
 						if _, tracked := t.tracked[v]; tracked {
@@ -571,7 +591,7 @@ func (t *prTransfer) walkExpr(node ast.Node, out map[*types.Var]uint8, rep *prRe
 				if base, ok := t.aliases[v]; ok && rep != nil {
 					if out[base]&prPut != 0 {
 						rep.reportf(t.p, n.Pos(),
-							"%s aliases the Rows/Sel header of batch %s, which has been recycled: the pool is rewriting it", v.Name(), base.Name())
+							"%s aliases the Cols/Sel header or a vector of batch %s, which has been recycled: the pool is rewriting it", v.Name(), base.Name())
 					}
 				}
 			}

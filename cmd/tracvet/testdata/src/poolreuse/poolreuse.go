@@ -3,13 +3,15 @@
 // shape, so the fixture needs no import of the real executor).
 package poolreuse
 
+type Vec struct{ I64 []int64 }
+
 type Batch struct {
-	Rows [][]int
+	Cols []*Vec
 	Sel  []int
 }
 
 func GetBatch() *Batch  { return &Batch{} }
-func PutBatch(b *Batch) { b.Rows = b.Rows[:0] }
+func PutBatch(b *Batch) { b.Cols = b.Cols[:0] }
 
 type source struct{ n int }
 
@@ -23,7 +25,7 @@ func (s *source) NextBatch() (*Batch, error) {
 }
 
 // read borrows its argument (no put, no store): calls to it are plain uses.
-func read(b *Batch) int { return len(b.Rows) }
+func read(b *Batch) int { return len(b.Cols) }
 
 // recycle puts its argument: calls to it count as puts at the call site.
 func recycle(b *Batch) { PutBatch(b) }
@@ -71,13 +73,33 @@ func leakOnEarlyReturn(fail bool) error { // comment keeps the acquire on the ne
 	return nil
 }
 
-// headerAlias keeps a Rows alias alive past the recycle; the pool is
-// rewriting those slices under the reader.
-func headerAlias() [][]int {
+// headerAlias keeps a Sel alias alive past the recycle; the pool is
+// rewriting that slice under the reader.
+func headerAlias() []int {
 	b := GetBatch()
-	rows := b.Rows
+	sel := b.Sel
 	PutBatch(b)
-	return rows // want "aliases the Rows/Sel header"
+	return sel // want "aliases the Cols/Sel header"
+}
+
+// vectorAlias keeps one column vector past the recycle. A batch that was
+// transposed or gathered owns its vectors and returns them to the pool with
+// the header, so a vector dies with its batch whether or not this one only
+// viewed a segment.
+func vectorAlias() int64 {
+	b := GetBatch()
+	v := b.Cols[0]
+	PutBatch(b)
+	return v.I64[0] // want "or a vector of batch b"
+}
+
+// vectorUsedBeforePut reads the vector while the batch is still owned.
+func vectorUsedBeforePut() int64 {
+	b := GetBatch()
+	v := b.Cols[0]
+	x := v.I64[0]
+	PutBatch(b)
+	return x
 }
 
 var errFailed = errorString("failed")

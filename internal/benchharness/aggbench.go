@@ -13,7 +13,6 @@ import (
 	"trac/internal/exec"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
-	"trac/internal/types"
 )
 
 // AggBenchResult is one measured pair, serialized into BENCH_agg.json.
@@ -63,37 +62,31 @@ type aggCall struct {
 	col string
 }
 
-// buildAggSpecs compiles calls into the parallel spec/argCols/argKinds form
-// the aggregation operators share. Every non-star argument is a bare column,
-// so each spec gets both the evaluator (row path) and the resolved tuple
-// offset + kind (batch kernels, stat pushdown).
-func buildAggSpecs(layout *exec.Layout, calls []aggCall) ([]exec.AggSpec, []int, []types.Kind, error) {
+// buildAggSpecs compiles calls into the parallel spec/argCols form the
+// aggregation operators share. Every non-star argument is a bare column, so
+// each spec gets both the evaluator (row path) and the resolved tuple offset
+// (batch kernels, stat pushdown).
+func buildAggSpecs(layout *exec.Layout, calls []aggCall) ([]exec.AggSpec, []int, error) {
 	specs := make([]exec.AggSpec, len(calls))
 	argCols := make([]int, len(calls))
-	argKinds := make([]types.Kind, len(calls))
 	for i, c := range calls {
 		specs[i] = exec.AggSpec{Func: c.fn, Star: c.col == ""}
-		argCols[i], argKinds[i] = -1, types.KindNull
+		argCols[i] = -1
 		if c.col == "" {
 			continue
 		}
 		ev, err := compileExpr(c.col, layout)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		specs[i].Arg = ev
 		off, err := layout.Resolve("", c.col)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		argCols[i] = off
-		col, err := layout.ColumnAt(off)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		argKinds[i] = col.Kind
 	}
-	return specs, argCols, argKinds, nil
+	return specs, argCols, nil
 }
 
 // StatCoveredScenario: global COUNT(*)/SUM/MIN/MAX/AVG over the fully
@@ -102,7 +95,7 @@ func buildAggSpecs(layout *exec.Layout, calls []aggCall) ([]exec.AggSpec, []int,
 // the recency report layer issues per table (how many rows, how stale).
 func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 	layout := exec.NewLayout([]exec.Binding{{Name: "t", Table: d.Table}})
-	specs, argCols, argKinds, err := buildAggSpecs(layout, []aggCall{
+	specs, argCols, err := buildAggSpecs(layout, []aggCall{
 		{sqlparser.FuncCount, ""},
 		{sqlparser.FuncSum, "id"},
 		{sqlparser.FuncMin, "id"},
@@ -126,7 +119,7 @@ func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 	sc.Vec = func() (int, error) {
 		scan := &exec.StatAggScan{
 			Table: d.Table, Snap: snap,
-			Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+			Specs: specs, ArgCols: argCols,
 		}
 		n, err := countRows(scan)
 		*sc.StatSegments, *sc.Scanned = scan.StatSegments, scan.ScannedSegments
@@ -166,7 +159,7 @@ func (d *StorageDataset) GroupByHalfScenario() (*aggScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, argCols, argKinds, err := buildAggSpecs(layout, []aggCall{
+	specs, argCols, err := buildAggSpecs(layout, []aggCall{
 		{sqlparser.FuncCount, ""},
 		{sqlparser.FuncSum, "id"},
 		{sqlparser.FuncMin, "event_time"},
@@ -190,7 +183,7 @@ func (d *StorageDataset) GroupByHalfScenario() (*aggScenario, error) {
 		return countRows(&exec.BatchGroupAggregate{
 			Src:  &exec.BatchScan{Table: d.Table, Snap: snap, Kernel: k, SegFilter: segf},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
-			Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+			Specs: specs, ArgCols: argCols,
 		})
 	}
 	return sc, nil
@@ -222,7 +215,7 @@ func (d *StorageDataset) ParallelMergeScenario(workers int) (*aggScenario, error
 	if err != nil {
 		return nil, err
 	}
-	specs, argCols, argKinds, err := buildAggSpecs(layout, []aggCall{
+	specs, argCols, err := buildAggSpecs(layout, []aggCall{
 		{sqlparser.FuncCount, ""},
 		{sqlparser.FuncSum, "id"},
 		{sqlparser.FuncMin, "event_time"},
@@ -240,14 +233,14 @@ func (d *StorageDataset) ParallelMergeScenario(workers int) (*aggScenario, error
 		return countRows(&exec.BatchGroupAggregate{
 			Src:  &exec.BatchScan{Table: d.Table, Snap: snap},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
-			Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+			Specs: specs, ArgCols: argCols,
 		})
 	}
 	sc.Vec = func() (int, error) {
 		return countRows(&exec.ParallelGroupAggregate{
-			Scan: &exec.ParallelScan{Table: d.Table, Snap: snap, Workers: workers, Alias: true},
+			Scan: &exec.ParallelScan{Table: d.Table, Snap: snap, Workers: workers},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
-			Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+			Specs: specs, ArgCols: argCols,
 		})
 	}
 	return sc, nil

@@ -188,8 +188,8 @@ func (d *ExecDataset) FilterScenario() (*ExecScenario, error) {
 // JoinProbeScenario: hash-join Routing (build, one row per source) against
 // Activity (probe) on machine id. Both sides share the identical serial
 // build; the measured difference is the probe loop — per-row key hashing
-// and padded-tuple merges vs batched narrow probing (alias-mode probe scan,
-// reused scratch key buffer, arena-backed merges).
+// and padded-tuple merges vs the columnar probe (keys read off the key
+// vector, nothing gathered: the scenario only counts matches).
 func (d *ExecDataset) JoinProbeScenario() (*ExecScenario, error) {
 	layout := exec.NewLayout([]exec.Binding{
 		{Name: "r", Table: d.Routing},
@@ -205,11 +205,7 @@ func (d *ExecDataset) JoinProbeScenario() (*ExecScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Narrow layout for the vectorized probe: the batch probe scans Activity
-	// in zero-copy alias mode and the join slots the columns in at merge
-	// time, so its key evaluator addresses the narrow row directly.
-	narrow := exec.NewLayout([]exec.Binding{{Name: "a", Table: d.Activity}})
-	narrowKey, err := compileExpr("a.mach_id", narrow)
+	probeCol, err := layout.Resolve("a", "mach_id")
 	if err != nil {
 		return nil, err
 	}
@@ -222,17 +218,17 @@ func (d *ExecDataset) JoinProbeScenario() (*ExecScenario, error) {
 		InputRows: d.Rows,
 		Row: func() (int, error) {
 			return countRows(&exec.HashJoin{
-				Build: build(),
-				Probe: &exec.SeqScan{Table: d.Activity, Snap: snap, Offset: actOff, Width: width, Reuse: true},
+				Build:     build(),
+				Probe:     &exec.SeqScan{Table: d.Activity, Snap: snap, Offset: actOff, Width: width, Reuse: true},
 				BuildKeys: []exec.Evaluator{buildKey}, ProbeKeys: []exec.Evaluator{probeKey},
 			})
 		},
 		Vec: func() (int, error) {
 			return countBatches(&exec.BatchHashJoin{
-				Build: build(),
-				Probe: &exec.BatchScan{Table: d.Activity, Snap: snap},
-				BuildKeys: []exec.Evaluator{buildKey}, ProbeKeys: []exec.Evaluator{narrowKey},
-				ProbeOffset: actOff,
+				Build:     build(),
+				Probe:     &exec.BatchScan{Table: d.Activity, Snap: snap, Offset: actOff, Width: width, Need: []int{probeCol}},
+				BuildKeys: []exec.Evaluator{buildKey}, ProbeKeys: []exec.Evaluator{probeKey},
+				ProbeCols: []int{probeCol}, Need: []int{},
 			})
 		},
 	}, nil
@@ -244,10 +240,8 @@ func (d *ExecDataset) JoinProbeScenario() (*ExecScenario, error) {
 // moving ~BatchSize-row batches per send.
 func (d *ExecDataset) ExchangeScenario(workers int) (*ExecScenario, error) {
 	snap := d.Mgr.ReadSnapshot()
-	// Alias mode on both sides: the scenario measures the exchange
-	// hand-off, so worker-side row materialization is kept off both paths.
 	mkScan := func() *exec.ParallelScan {
-		return &exec.ParallelScan{Table: d.Activity, Snap: snap, Workers: workers, Alias: true}
+		return &exec.ParallelScan{Table: d.Activity, Snap: snap, Workers: workers}
 	}
 	return &ExecScenario{
 		Name:      "exchange",
@@ -290,8 +284,8 @@ func rowExchangeCount(partials []exec.BatchOperator) (int, error) {
 				if b == nil {
 					return
 				}
-				for i := 0; i < b.Len(); i++ {
-					ch <- rowMsg{row: b.Row(i)}
+				for _, row := range b.AppendRows(nil) {
+					ch <- rowMsg{row: row}
 				}
 				exec.PutBatch(b)
 			}

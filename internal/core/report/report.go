@@ -7,7 +7,6 @@
 package report
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -320,32 +319,56 @@ func (p *Prepared) execute(sess *engine.Session, pin func() (readPoint, error)) 
 // sources and fills the report's least/most/bound summary. Exported (like
 // Materialize) for the benchmark's staged replay of the report path.
 func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
-	// Sort on integer nanoseconds taken once per pair, not on time.Time
-	// compared once per comparison.
-	type keyed struct {
-		ns int64
-		sr SourceRecency
-	}
-	ks := make([]keyed, len(pairs))
+	// Sort small keys — integer nanoseconds taken once per pair, the first
+	// bytes of the sid that breaks ties, the pair's position — not the
+	// 40-byte pairs themselves, then move each pair once. A byte-wise radix
+	// sort puts them in (recency, sid prefix) order: thousands of keys that
+	// differ in a handful of bytes. Sources polled together share a
+	// timestamp, so ties are the rule; only sids that agree in their first
+	// eight bytes are left to a comparison sort.
+	ks := make([]key, len(pairs))
 	for i, sr := range pairs {
-		ks[i] = keyed{sr.Recency.UnixNano(), sr}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := cmp.Compare(a.ns, b.ns); c != 0 {
-			return c
+		var pre uint64
+		for b := 0; b < 8 && b < len(sr.Sid); b++ {
+			pre |= uint64(sr.Sid[b]) << (56 - 8*b)
 		}
-		return strings.Compare(a.sr.Sid, b.sr.Sid)
-	})
-	for i := range ks {
-		pairs[i] = ks[i].sr
+		ks[i] = key{uint64(sr.Recency.UnixNano()) ^ 1<<63, pre, int32(i)}
+	}
+	ks = radixSort(ks, make([]key, len(ks)))
+	for lo := 0; lo < len(ks); {
+		hi := lo + 1
+		for hi < len(ks) && ks[hi].ns == ks[lo].ns && ks[hi].pre == ks[lo].pre {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(ks[lo:hi], func(a, b key) int { return strings.Compare(pairs[a.i].Sid, pairs[b.i].Sid) })
+		}
+		lo = hi
+	}
+	var xs []float64
+	if !cfg.SkipStats {
+		xs = make([]float64, len(ks))
+		for j, k := range ks {
+			xs[j] = float64(int64(k.ns^1<<63)) / float64(time.Second)
+		}
+	}
+	// pairs[j] takes the pair that stood at ks[j].i: follow each cycle of
+	// that permutation once, in place.
+	for j := range ks {
+		if int(ks[j].i) == j {
+			continue
+		}
+		moved, k := pairs[j], j
+		for int(ks[k].i) != j {
+			from := int(ks[k].i)
+			pairs[k], ks[k].i = pairs[from], int32(k)
+			k = from
+		}
+		pairs[k], ks[k].i = moved, int32(k)
 	}
 	if cfg.SkipStats {
 		rep.Normal = pairs
 	} else {
-		xs := make([]float64, len(ks))
-		for i := range ks {
-			xs[i] = float64(ks[i].ns) / float64(time.Second)
-		}
 		var normalIdx, excIdx []int
 		threshold := cfg.ZThreshold
 		if cfg.Detector == DetectorMAD {
@@ -356,14 +379,67 @@ func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
 			}
 			normalIdx, excIdx = stats.Outliers(xs, threshold)
 		}
-		rep.Normal = pick(pairs, normalIdx)
+		// The few exceptional pairs are copied out; the normal ones, whose
+		// positions ascend, close ranks within pairs itself.
 		rep.Exceptional = pick(pairs, excIdx)
+		normal := pairs[:0]
+		for _, i := range normalIdx {
+			normal = append(normal, pairs[i])
+		}
+		if len(normal) > 0 {
+			rep.Normal = normal
+		}
 	}
 	if len(rep.Normal) > 0 {
 		rep.Least = rep.Normal[0]
 		rep.Most = rep.Normal[len(rep.Normal)-1]
 		rep.Bound = rep.Most.Recency.Sub(rep.Least.Recency)
 	}
+}
+
+// key is one pair under sort: its recency in nanoseconds with the sign bit
+// flipped (so that unsigned order is time order), the first eight bytes of
+// its sid, big-endian, and its position.
+type key struct {
+	ns, pre uint64
+	i       int32
+}
+
+// radixSort sorts ks by (ns, pre), stably, least significant byte first,
+// skipping the bytes every key shares; it returns whichever of ks and tmp
+// (same length) holds the result.
+func radixSort(ks, tmp []key) []key {
+	for pass := 0; pass < 16; pass++ {
+		byNS, shift := pass >= 8, uint(8*(pass%8))
+		var count [256]int
+		if byNS {
+			for i := range ks {
+				count[byte(ks[i].ns>>shift)]++
+			}
+		} else {
+			for i := range ks {
+				count[byte(ks[i].pre>>shift)]++
+			}
+		}
+		if slices.Contains(count[:], len(ks)) {
+			continue // every key has the same byte here (or there are none)
+		}
+		at := 0
+		for b, n := range count {
+			count[b], at = at, at+n
+		}
+		for i := range ks {
+			w := ks[i].pre
+			if byNS {
+				w = ks[i].ns
+			}
+			b := byte(w >> shift)
+			tmp[count[b]] = ks[i]
+			count[b]++
+		}
+		ks, tmp = tmp, ks
+	}
+	return ks
 }
 
 // pick gathers pairs[idx...] into one exactly-sized slice (nil when empty).

@@ -1,6 +1,9 @@
 package report
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -288,5 +291,49 @@ func TestFormatBound(t *testing.T) {
 func TestMethodString(t *testing.T) {
 	if Focused.String() != "focused" || Naive.String() != "naive" {
 		t.Error("method names wrong")
+	}
+}
+
+// TestSummarizeOrdersPairsByRecencyThenSid holds Summarize's keyed sort and
+// in-place permutation to a plain sort of the pairs, over inputs with many
+// ties and in every starting order a few seeds produce, with and without the
+// outlier split.
+func TestSummarizeOrdersPairsByRecencyThenSid(t *testing.T) {
+	base := time.Date(2006, 3, 15, 14, 0, 0, 0, time.UTC)
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(200)
+		pairs := make([]SourceRecency, n)
+		for i := range pairs {
+			pairs[i] = SourceRecency{Sid: fmt.Sprintf("m%d", rng.Intn(50)), Recency: base.Add(time.Duration(rng.Intn(7)) * time.Second)}
+		}
+		if n > 10 { // far outliers for the z-score rule, one before the epoch
+			pairs[rng.Intn(n)].Recency = base.Add(-48 * time.Hour)
+			pairs[rng.Intn(n)].Recency = time.Date(1965, 1, 1, 0, 0, 0, 0, time.UTC)
+		}
+		want := slices.Clone(pairs)
+		slices.SortFunc(want, func(a, b SourceRecency) int {
+			if c := a.Recency.Compare(b.Recency); c != 0 {
+				return c
+			}
+			return strings.Compare(a.Sid, b.Sid)
+		})
+		for _, skip := range []bool{true, false} {
+			rep := &Report{}
+			Summarize(rep, slices.Clone(pairs), Config{SkipStats: skip})
+			got := append(slices.Clone(rep.Exceptional), rep.Normal...)
+			slices.SortStableFunc(got, func(a, b SourceRecency) int { return a.Recency.Compare(b.Recency) })
+			if len(got) != len(want) {
+				t.Fatalf("seed %d skip=%v: %d pairs out, %d in", seed, skip, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d skip=%v: pair %d = %v, want %v", seed, skip, i, got[i], want[i])
+				}
+			}
+			if !slices.IsSortedFunc(rep.Normal, func(a, b SourceRecency) int { return a.Recency.Compare(b.Recency) }) {
+				t.Fatalf("seed %d skip=%v: Normal is not in recency order", seed, skip)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ type Batch struct {
 	tx    *txn.Txn
 	done  bool
 	n     int
-	stmts []string // executed statement texts, for the WAL
+	stmts []sqlparser.Statement // executed statements, for the WAL
 }
 
 // BeginBatch starts a batch transaction.
@@ -67,7 +67,7 @@ func (b *Batch) ExecStmt(stmt sqlparser.Statement) (int, error) {
 		return 0, err
 	}
 	b.n += n
-	b.stmts = append(b.stmts, stmt.SQL())
+	b.stmts = append(b.stmts, stmt)
 	return n, nil
 }
 
@@ -89,7 +89,7 @@ func (b *Batch) Commit() error {
 	if err := b.tx.Commit(); err != nil {
 		return err
 	}
-	if err := b.db.logCommitted(b.stmts); err != nil {
+	if err := b.db.logCommitted(b.stmts...); err != nil {
 		return fmt.Errorf("%w: %v", ErrWALAppend, err)
 	}
 	return nil

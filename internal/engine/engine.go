@@ -232,6 +232,14 @@ func (db *DB) Exec(sql string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return db.ExecStmt(stmt)
+}
+
+// ExecStmt executes an already-parsed statement exactly as Exec would its
+// text. A caller that hands one statement to several databases (the shard
+// router's broadcasts) parses it once; statements are immutable once parsed,
+// so sharing one across databases and goroutines is safe.
+func (db *DB) ExecStmt(stmt sqlparser.Statement) (int, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		res, err := db.QueryStmtAt(s, db.Snapshot())
@@ -254,7 +262,7 @@ func (db *DB) Exec(sql string) (int, error) {
 			return 0, err
 		}
 		db.catalog.BumpVersion()
-		return 0, db.logCommitted([]string{s.SQL()})
+		return 0, db.logCommitted(s)
 	case *sqlparser.CreateIndexStmt:
 		db.ckptMu.RLock()
 		defer db.ckptMu.RUnlock()
@@ -266,7 +274,7 @@ func (db *DB) Exec(sql string) (int, error) {
 			return 0, err
 		}
 		db.catalog.BumpVersion()
-		return 0, db.logCommitted([]string{s.SQL()})
+		return 0, db.logCommitted(s)
 	case *sqlparser.DropTableStmt:
 		db.ckptMu.RLock()
 		defer db.ckptMu.RUnlock()
@@ -274,7 +282,7 @@ func (db *DB) Exec(sql string) (int, error) {
 			return 0, err
 		}
 		db.catalog.BumpVersion()
-		return 0, db.logCommitted([]string{s.SQL()})
+		return 0, db.logCommitted(s)
 	case *sqlparser.AnalyzeStmt:
 		// Statistics are derived state: not WAL-logged.
 		return 0, db.execAnalyze(s)
@@ -407,7 +415,7 @@ func (db *DB) loggedAutocommit(stmt sqlparser.Statement, fn func(tx *txn.Txn) (i
 	if err != nil {
 		return n, err
 	}
-	if err := db.logCommitted([]string{stmt.SQL()}); err != nil {
+	if err := db.logCommitted(stmt); err != nil {
 		return n, fmt.Errorf("%w: %v", ErrWALAppend, err)
 	}
 	return n, nil
@@ -500,7 +508,9 @@ func (db *DB) checkPrimaryKey(tbl *storage.Table, values []types.Value, tx *txn.
 		if idx == nil {
 			continue
 		}
-		for _, r := range idx.Lookup(values[ci]) {
+		chain := idx.LookupAt(values[ci], tx.Snapshot().Seq)
+		tbl.NoteVisited(len(chain))
+		for _, r := range chain {
 			if tx.Snapshot().Visible(r) {
 				return fmt.Errorf("engine: duplicate primary key %s in table %s",
 					values[ci], tbl.Name)
@@ -526,11 +536,12 @@ func (db *DB) matchRows(tbl *storage.Table, where sqlparser.Expr, snap txn.Snaps
 	if col, keys, ok := planner.EqualityProbe(tbl, where); ok {
 		idx := tbl.Index(col)
 		for _, k := range keys {
-			candidates = append(candidates, idx.Lookup(k)...)
+			candidates = append(candidates, idx.LookupAt(k, snap.Seq)...)
 		}
 	} else {
 		candidates = tbl.Rows()
 	}
+	tbl.NoteVisited(len(candidates))
 	var out []*storage.Row
 	for _, r := range candidates {
 		if !snap.Visible(r) {

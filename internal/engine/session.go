@@ -42,6 +42,9 @@ func (s *Session) CreateTempTable(prefix string, cols []storage.Column, rows [][
 		return "", err
 	}
 	tbl := storage.NewTable(name, schema)
+	// Read once and dropped with the session: column vectors, zone maps and
+	// a distinct-source set would cost more to build than they can save.
+	tbl.SetSealThreshold(-1)
 	if err := s.db.catalog.Create(tbl); err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,5 +99,33 @@ func TestSessionCloseIsIdempotent(t *testing.T) {
 	}
 	if err := sess.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestTempTablesNeverAutoSeal: a report's sys_temp_* table is read once and
+// dropped with its session, so even one larger than a segment stays a plain
+// row tail — no column vectors, zone maps or source set are built for it.
+func TestTempTablesNeverAutoSeal(t *testing.T) {
+	db := New()
+	sess := db.NewSession()
+	defer sess.Close()
+	rows := make([][]types.Value, storage.DefaultSegmentSize+500)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewString(fmt.Sprintf("m%d", i))}
+	}
+	name, err := sess.CreateTempTable("sys_temp_a", []storage.Column{{Name: "sid", Kind: types.KindString}}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Catalog().Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumSegments() != 0 {
+		t.Errorf("temp table of %d rows sealed %d segments", len(rows), tbl.NumSegments())
+	}
+	res, err := db.Query(`SELECT COUNT(*) FROM ` + name + ` WHERE sid <> 'm7'`)
+	if err != nil || res.Rows[0][0].Int() != int64(len(rows)-1) {
+		t.Errorf("COUNT(*) = %v, %v; want %d", res, err, len(rows)-1)
 	}
 }

@@ -273,14 +273,20 @@ func (w *WAL) poisonErr() error {
 
 // logCommitted appends one committed transaction's statements. Called with
 // the statements that actually executed, after the engine commit succeeded.
-func (db *DB) logCommitted(stmts []string) error {
+// The canonical text is rendered here, only when a log is attached: a
+// memory-only database never pays for strings nobody reads.
+func (db *DB) logCommitted(stmts ...sqlparser.Statement) error {
 	db.walMu.Lock()
 	w := db.wal
 	db.walMu.Unlock()
 	if w == nil || len(stmts) == 0 {
 		return nil
 	}
-	return w.append(stmts)
+	texts := make([]string, len(stmts))
+	for i, s := range stmts {
+		texts[i] = s.SQL()
+	}
+	return w.append(texts)
 }
 
 // append writes one transaction (statements + commit record), flushes it to

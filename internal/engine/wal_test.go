@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"trac/internal/crashfs"
+	"trac/internal/sqlparser"
+	"trac/internal/txn"
 )
 
 func walDB(t *testing.T, path string) *DB {
@@ -268,4 +272,120 @@ func TestWALSyncMode(t *testing.T) {
 	if res.Rows[0][0].Int() != 1 {
 		t.Errorf("sync mode rows = %v", res.Rows[0][0])
 	}
+}
+
+// TestExecStmtLogsWhatExecLogs feeds one durable engine statement texts and
+// another the same statements parsed once by the caller (the shard router's
+// broadcasts): the two logs must be byte-identical and replay to the same
+// state, whether a statement ran alone or inside a batch.
+func TestExecStmtLogsWhatExecLogs(t *testing.T) {
+	script := []string{
+		`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`,
+		`CREATE TABLE Activity (mach_id TEXT, value TEXT, load DOUBLE)`,
+		`CREATE INDEX by_mach ON Activity (mach_id)`,
+		`INSERT INTO Heartbeat VALUES ('m1', '2006-03-15 14:20:05'), ('m2', '2006-03-15 14:20:06')`,
+		`insert into Activity (value, mach_id) values ('it''s idle', 'm1')`,
+		`INSERT INTO Activity VALUES ('m2', 'busy', 0.5), ('m3', NULL, -1e3)`,
+		`UPDATE Heartbeat SET recency = TIMESTAMP '2006-03-16 00:00:00' WHERE sid = 'm1'`,
+		`UPDATE Activity SET load = load * 2 + 1 WHERE mach_id IN ('m2', 'm3') AND NOT (value IS NULL)`,
+		`DELETE FROM Activity WHERE mach_id = 'm3'`,
+		`DROP TABLE Heartbeat`,
+	}
+	batch := []string{
+		`INSERT INTO Activity VALUES ('m4', 'idle', 1)`,
+		`UPDATE Activity SET value = 'busy' WHERE mach_id = 'm4'`,
+	}
+	dir := t.TempDir()
+	run := func(name string, parsed bool) string {
+		path := filepath.Join(dir, name)
+		db := walDB(t, path)
+		exec := func(sql string, one func(string) (int, error), stmt func(sqlparser.Statement) (int, error)) {
+			t.Helper()
+			var err error
+			if parsed {
+				var st sqlparser.Statement
+				if st, err = sqlparser.Parse(sql); err == nil {
+					_, err = stmt(st)
+				}
+			} else {
+				_, err = one(sql)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		for _, sql := range script[:len(script)-1] {
+			exec(sql, db.Exec, db.ExecStmt)
+		}
+		b := db.BeginBatch()
+		for _, sql := range batch {
+			exec(sql, b.Exec, b.ExecStmt)
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		exec(script[len(script)-1], db.Exec, db.ExecStmt)
+		if err := db.detachWAL(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	text, stmt := run("text.wal", false), run("stmt.wal", true)
+	a, err := os.ReadFile(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("logs differ: Exec wrote %d bytes, ExecStmt %d", len(a), len(b))
+	}
+	dump := func(path string) string {
+		db := walDB(t, path)
+		defer db.detachWAL()
+		if _, err := db.Catalog().Get("Heartbeat"); err == nil {
+			t.Error("replay kept the dropped table")
+		}
+		res, err := db.Query(`SELECT mach_id, value, load FROM Activity ORDER BY mach_id`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	if got, want := dump(stmt), dump(text); got != want || !strings.Contains(want, "it's idle") {
+		t.Fatalf("replayed states differ:\nExec     %s\nExecStmt %s", want, got)
+	}
+}
+
+// TestMemoryOnlyCommitRendersNoSQL pins that a database with no log attached
+// never renders a committed statement back to text.
+func TestMemoryOnlyCommitRendersNoSQL(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`)
+	db.MustExec(`INSERT INTO Heartbeat VALUES ('m1', '2006-03-15 14:20:05')`)
+	stmt, err := sqlparser.Parse(`UPDATE Heartbeat SET recency = '2006-03-16 00:00:00' WHERE sid = 'm1'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingStmt{Statement: stmt}
+	if _, err := db.loggedAutocommit(counted, func(tx *txn.Txn) (int, error) {
+		return db.execUpdate(stmt.(*sqlparser.UpdateStmt), tx)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if counted.rendered != 0 {
+		t.Errorf("memory-only commit rendered its statement %d times", counted.rendered)
+	}
+}
+
+type countingStmt struct {
+	sqlparser.Statement
+	rendered int
+}
+
+func (c *countingStmt) SQL() string {
+	c.rendered++
+	return c.Statement.SQL()
 }

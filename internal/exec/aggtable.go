@@ -2,8 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"trac/internal/sqlparser"
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
@@ -187,28 +190,30 @@ func (st *aggState) value(si int, fn sqlparser.FuncName) (types.Value, error) {
 
 // aggTable is a hash aggregation table shared by the row, batch, parallel-
 // partial and stat-pushdown aggregation operators. Group states are kept in
-// first-seen order; the scratch key buffer is reused across rows (the
-// BatchHashJoin idiom: AppendKey into a byte slice, map lookup via
-// string(buf), allocation only when a new group opens).
+// first-seen order; the scratch key buffer is reused across rows (AppendKey
+// into a byte slice, map lookup via string(buf), allocation only when a new
+// group opens).
 type aggTable struct {
-	keys     []Evaluator
-	keyCols  []int // >= 0: direct tuple offset fast path; -1 (or nil slice) = evaluator
-	specs    []AggSpec
-	argCols  []int        // per spec: tuple offset of a bare-column argument, -1 = Arg
-	argKinds []types.Kind // declared kind of argCols[i] (drives kernel dispatch)
+	keys    []Evaluator
+	keyCols []int // >= 0: read the key off that batch column; -1 (or nil slice) = evaluator
+	specs   []AggSpec
+	argCols []int // per spec: batch column of a bare-column argument, -1 = Arg
 
 	groups map[string]*aggState
 	order  []*aggState
+	// byText fronts groups for a lone TEXT key read off a pure string
+	// vector: the payload itself finds the state, with no key boxed or
+	// encoded (the join's keyIndex does the same).
+	byText map[string]*aggState
 
 	keyScratch []types.Value
 	keyBuf     []byte
 	states     []*aggState // per-batch scratch, aligned with the selection
 }
 
-func newAggTable(keys []Evaluator, keyCols []int, specs []AggSpec, argCols []int, argKinds []types.Kind) *aggTable {
+func newAggTable(keys []Evaluator, keyCols []int, specs []AggSpec, argCols []int) *aggTable {
 	return &aggTable{
-		keys: keys, keyCols: keyCols, specs: specs,
-		argCols: argCols, argKinds: argKinds,
+		keys: keys, keyCols: keyCols, specs: specs, argCols: argCols,
 		groups:     make(map[string]*aggState),
 		keyScratch: make([]types.Value, len(keys)),
 	}
@@ -282,133 +287,156 @@ func (t *aggTable) observeRow(row []types.Value) error {
 }
 
 // observeBatch accumulates one batch: group states are resolved once per
-// selected row, then each spec runs its type-specialized accumulation kernel
-// over the whole batch.
+// selected position (keys read off the key vectors), then each spec runs its
+// accumulation kernel over the argument vector. With no grouping keys every
+// position feeds the one global state and nothing is resolved per tuple.
 func (t *aggTable) observeBatch(b *Batch) error {
-	states := t.states[:0]
-	for i := 0; i < b.Len(); i++ {
-		row := b.Row(i)
-		for ki := range t.keys {
-			if t.keyCols != nil && t.keyCols[ki] >= 0 {
-				t.keyScratch[ki] = row[t.keyCols[ki]]
-				continue
-			}
-			v, err := t.keys[ki](row)
-			if err != nil {
+	if len(t.keys) == 0 {
+		st := t.globalState()
+		for si := range t.specs {
+			if err := t.accumulate(si, b, nil, st); err != nil {
 				return err
 			}
-			t.keyScratch[ki] = v
+		}
+		return nil
+	}
+	states := slices.Grow(t.states[:0], b.Len())
+	var text *storage.ColVec
+	if len(t.keys) == 1 && t.keyCols != nil && t.keyCols[0] >= 0 {
+		if cv := b.Cols[t.keyCols[0]]; cv.Pure && cv.Kind == types.KindString {
+			text = cv
+		}
+	}
+	for _, pos := range b.Sel {
+		if text != nil && !text.Nulls[pos] {
+			if st, ok := t.byText[text.Str[pos]]; ok {
+				states = append(states, st)
+				continue
+			}
+		}
+		if _, err := b.keyValues(t.keyScratch, t.keyCols, t.keys, pos); err != nil {
+			return err
 		}
 		st, err := t.state()
 		if err != nil {
 			return err
 		}
+		if text != nil && !text.Nulls[pos] {
+			if t.byText == nil {
+				t.byText = make(map[string]*aggState)
+			}
+			t.byText[text.Str[pos]] = st
+		}
 		states = append(states, st)
 	}
 	t.states = states
 	for si := range t.specs {
-		if err := t.accumulate(si, b, states); err != nil {
+		if err := t.accumulate(si, b, states, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// accumulate runs spec si over the batch. The func × declared-kind dispatch
-// happens once per batch; the inner loops touch only the argument column,
-// skip NULLs exactly like the row path, and fall back to the generic value
-// path on any kind surprise (impure columns), so semantics stay identical.
-func (t *aggTable) accumulate(si int, b *Batch, states []*aggState) error {
+// accumulate runs spec si over the batch: the i-th selected position feeds
+// states[i], or one when the aggregation has no keys. The func × vector-kind
+// dispatch happens once per batch; the typed loops touch only the argument
+// vector and skip NULLs exactly like the row path, and a generic vector (or
+// an argument that is not a bare column) takes the per-value path, so
+// semantics stay identical.
+func (t *aggTable) accumulate(si int, b *Batch, states []*aggState, one *aggState) error {
 	spec := &t.specs[si]
+	at := func(i int) *aggState {
+		if one != nil {
+			return one
+		}
+		return states[i]
+	}
 	if spec.Star {
+		if one != nil {
+			one.counts[si] += int64(b.Len())
+			return nil
+		}
 		for _, st := range states {
 			st.counts[si]++
 		}
 		return nil
 	}
 	col := t.argCol(si)
-	if col < 0 {
-		for i, st := range states {
-			v, err := spec.Arg(b.Row(i))
-			if err != nil {
-				return err
+	var cv *storage.ColVec
+	if col >= 0 {
+		cv = b.Cols[col]
+	}
+	if cv == nil || !cv.Pure {
+		for i, pos := range b.Sel {
+			var v types.Value
+			if cv != nil {
+				v = cv.Vals[pos]
+			} else {
+				var err error
+				if v, err = spec.Arg(b.RowAt(pos)); err != nil {
+					return err
+				}
 			}
 			if v.IsNull() {
-				continue
+				continue // aggregates skip NULLs
 			}
-			if err := st.observe(si, spec, v); err != nil {
+			if err := at(i).observe(si, spec, v); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	kind := t.argKinds[si]
-	switch spec.Func {
-	case sqlparser.FuncCount:
-		for i, st := range states {
-			if !b.Rows[b.Sel[i]][col].IsNull() {
-				st.counts[si]++
+	sum := spec.Func == sqlparser.FuncSum || spec.Func == sqlparser.FuncAvg
+	switch {
+	case spec.Func == sqlparser.FuncCount:
+		for i, pos := range b.Sel {
+			if !cv.Nulls[pos] {
+				at(i).counts[si]++
 			}
 		}
-	case sqlparser.FuncSum, sqlparser.FuncAvg:
-		switch kind {
-		case types.KindInt: // I64 kernel: exact int sums with overflow check
-			for i, st := range states {
-				v := b.Rows[b.Sel[i]][col]
-				if v.IsNull() {
-					continue
-				}
-				st.counts[si]++
-				if v.Kind() == types.KindInt && st.intOnly[si] {
-					if s, ok := addInt64(st.isums[si], v.Int()); ok {
-						st.isums[si] = s
-						continue
-					}
-				}
-				if err := st.addSum(si, v, spec.Func); err != nil {
-					return err
-				}
-			}
-		case types.KindFloat: // F64 kernel
-			for i, st := range states {
-				v := b.Rows[b.Sel[i]][col]
-				if v.IsNull() {
-					continue
-				}
-				st.counts[si]++
-				if v.Kind() == types.KindFloat {
-					st.demoteToFloat(si)
-					st.fsums[si] += v.Float()
-					continue
-				}
-				if err := st.addSum(si, v, spec.Func); err != nil {
-					return err
-				}
-			}
-		default:
-			for i, st := range states {
-				v := b.Rows[b.Sel[i]][col]
-				if v.IsNull() {
-					continue
-				}
-				st.counts[si]++
-				if err := st.addSum(si, v, spec.Func); err != nil {
-					return err
-				}
-			}
-		}
-	case sqlparser.FuncMin:
-		t.minmaxKernel(si, b, states, kind, false)
-	case sqlparser.FuncMax:
-		t.minmaxKernel(si, b, states, kind, true)
-	default:
-		// Unknown aggregate: surface the same error finalization would.
-		for i, st := range states {
-			v := b.Rows[b.Sel[i]][col]
-			if v.IsNull() {
+	case sum && cv.Kind == types.KindInt: // exact int sums with overflow check
+		for i, pos := range b.Sel {
+			if cv.Nulls[pos] {
 				continue
 			}
-			if err := st.observe(si, spec, v); err != nil {
+			st := at(i)
+			st.counts[si]++
+			if st.intOnly[si] {
+				if s, ok := addInt64(st.isums[si], cv.I64[pos]); ok {
+					st.isums[si] = s
+					continue
+				}
+			}
+			st.demoteToFloat(si)
+			st.fsums[si] += float64(cv.I64[pos])
+		}
+	case sum && cv.Kind == types.KindFloat:
+		for i, pos := range b.Sel {
+			if cv.Nulls[pos] {
+				continue
+			}
+			st := at(i)
+			st.counts[si]++
+			st.demoteToFloat(si)
+			st.fsums[si] += cv.F64[pos]
+		}
+	case spec.Func == sqlparser.FuncMin || spec.Func == sqlparser.FuncMax:
+		for i, pos := range b.Sel {
+			if !cv.Nulls[pos] {
+				st := at(i)
+				st.counts[si]++
+				st.minmax(si, pureValue(cv, pos), spec.Func == sqlparser.FuncMax)
+			}
+		}
+	default:
+		// SUM/AVG over a non-numeric column, or an unknown aggregate: the
+		// per-value path raises the row path's error.
+		for i, pos := range b.Sel {
+			if cv.Nulls[pos] {
+				continue
+			}
+			if err := at(i).observe(si, spec, pureValue(cv, pos)); err != nil {
 				return err
 			}
 		}
@@ -416,62 +444,43 @@ func (t *aggTable) accumulate(si int, b *Batch, states []*aggState) error {
 	return nil
 }
 
-// minmaxKernel runs MIN/MAX over one column with typed comparisons for the
-// I64 (INT/TIMESTAMP), F64 and Str pairings; a current extreme or input of
-// any other runtime kind drops to the generic types.Less path.
-func (t *aggTable) minmaxKernel(si int, b *Batch, states []*aggState, kind types.Kind, isMax bool) {
-	cur := func(st *aggState) types.Value {
-		if isMax {
-			return st.maxs[si]
-		}
-		return st.mins[si]
+// minmax folds one non-NULL value into the running extreme of slot si,
+// comparing payloads directly when the value and the extreme are of one
+// kind; anything else drops to the generic types.Less path.
+func (st *aggState) minmax(si int, v types.Value, isMax bool) {
+	cur := &st.mins[si]
+	if isMax {
+		cur = &st.maxs[si]
 	}
-	set := func(st *aggState, v types.Value) {
-		if isMax {
-			st.maxs[si] = v
-		} else {
-			st.mins[si] = v
-		}
-	}
-	generic := func(st *aggState, v types.Value) {
+	c := *cur
+	if c.IsNull() || v.Kind() != c.Kind() {
 		if isMax {
 			st.addMax(si, v)
 		} else {
 			st.addMin(si, v)
 		}
+		return
 	}
-	colIdx := t.argCol(si)
-	for i, st := range states {
-		v := b.Rows[b.Sel[i]][colIdx]
-		if v.IsNull() {
-			continue
+	var d int
+	switch v.Kind() {
+	case types.KindInt:
+		d = cmpI64(v.Int(), c.Int())
+	case types.KindTime:
+		d = cmpI64(v.TimeNanos(), c.TimeNanos())
+	case types.KindFloat:
+		d = cmpF64(v.Float(), c.Float())
+	case types.KindString:
+		d = strings.Compare(v.Str(), c.Str())
+	default:
+		if isMax {
+			st.addMax(si, v)
+		} else {
+			st.addMin(si, v)
 		}
-		st.counts[si]++
-		c := cur(st)
-		if c.IsNull() || v.Kind() != kind || c.Kind() != kind {
-			generic(st, v)
-			continue
-		}
-		switch kind {
-		case types.KindInt:
-			if (v.Int() < c.Int()) != isMax && v.Int() != c.Int() {
-				set(st, v)
-			}
-		case types.KindTime:
-			if (v.TimeNanos() < c.TimeNanos()) != isMax && v.TimeNanos() != c.TimeNanos() {
-				set(st, v)
-			}
-		case types.KindFloat:
-			if d := cmpF64(v.Float(), c.Float()); d != 0 && (d < 0) != isMax {
-				set(st, v)
-			}
-		case types.KindString:
-			if (v.Str() < c.Str()) != isMax && v.Str() != c.Str() {
-				set(st, v)
-			}
-		default:
-			generic(st, v)
-		}
+		return
+	}
+	if d != 0 && (d < 0) != isMax {
+		*cur = v
 	}
 }
 

@@ -159,7 +159,7 @@ func TestEmptyInputGlobalAggregate(t *testing.T) {
 
 	rows, err = Drain(&BatchGroupAggregate{
 		Src: ToBatch(&ValuesOp{}), Specs: specs,
-		ArgCols: []int{-1, 0, 0, 0, 0, 0}, ArgKinds: make([]types.Kind, 6),
+		ArgCols: []int{-1, 0, 0, 0, 0, 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestEmptyInputGlobalAggregate(t *testing.T) {
 	m := txn.NewManager()
 	rows, err = Drain(&StatAggScan{
 		Table: tbl, Snap: m.ReadSnapshot(), Specs: specs,
-		ArgCols: []int{-1, 0, 0, 0, 0, 0}, ArgKinds: make([]types.Kind, 6),
+		ArgCols: []int{-1, 0, 0, 0, 0, 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +237,8 @@ func aggFixture(t *testing.T) (*storage.Table, *txn.Manager) {
 }
 
 // fixtureSpecs is the standard aggregate battery over aggFixture, with the
-// parallel column/kind slices for the batch and stat paths.
-func fixtureSpecs() (specs []AggSpec, argCols []int, argKinds []types.Kind) {
+// parallel column slice for the batch and stat paths.
+func fixtureSpecs() (specs []AggSpec, argCols []int) {
 	specs = []AggSpec{
 		{Func: sqlparser.FuncCount, Star: true},
 		{Func: sqlparser.FuncCount, Arg: colAt(1)},
@@ -251,19 +251,16 @@ func fixtureSpecs() (specs []AggSpec, argCols []int, argKinds []types.Kind) {
 		{Func: sqlparser.FuncMax, Arg: colAt(1)},
 	}
 	argCols = []int{-1, 1, 2, 0, 0, 0, 0, 1, 1}
-	argKinds = []types.Kind{types.KindNull, types.KindString, types.KindFloat,
-		types.KindInt, types.KindInt, types.KindInt, types.KindInt,
-		types.KindString, types.KindString}
-	return specs, argCols, argKinds
+	return specs, argCols
 }
 
 // statAggFor builds a StatAggScan over the fixture for predSQL ("" = none).
 func statAggFor(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL string, workers int) *StatAggScan {
 	t.Helper()
-	specs, argCols, argKinds := fixtureSpecs()
+	specs, argCols := fixtureSpecs()
 	op := &StatAggScan{
 		Table: tbl, Snap: snap, Specs: specs,
-		ArgCols: argCols, ArgKinds: argKinds,
+		ArgCols: argCols,
 		Workers: workers, MorselSize: 64,
 	}
 	if predSQL != "" {
@@ -288,7 +285,7 @@ func statAggFor(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL str
 // rowAggFor is the tuple-at-a-time baseline for the same aggregate.
 func rowAggFor(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL string) []types.Value {
 	t.Helper()
-	specs, _, _ := fixtureSpecs()
+	specs, _ := fixtureSpecs()
 	var child Operator = &SeqScan{Table: tbl, Snap: snap}
 	if predSQL != "" {
 		layout := layoutFor(tbl, "a")
@@ -413,7 +410,7 @@ func TestGroupAggregateModesAgree(t *testing.T) {
 	snap := m.ReadSnapshot()
 	layout := layoutFor(tbl, "a")
 	keys := []Evaluator{compileOn(t, layout, "name")}
-	specs, argCols, argKinds := fixtureSpecs()
+	specs, argCols := fixtureSpecs()
 
 	sorted := func(rows [][]types.Value) []string {
 		out := make([]string, len(rows))
@@ -437,15 +434,15 @@ func TestGroupAggregateModesAgree(t *testing.T) {
 	batch, err := Drain(&BatchGroupAggregate{
 		Src:  &BatchScan{Table: tbl, Snap: snap},
 		Keys: keys, KeyCols: []int{1},
-		Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+		Specs: specs, ArgCols: argCols,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	par, err := Drain(&ParallelGroupAggregate{
-		Scan: &ParallelScan{Table: tbl, Snap: snap, Workers: 4, MorselSize: 64, Alias: true},
+		Scan: &ParallelScan{Table: tbl, Snap: snap, Workers: 4, MorselSize: 64},
 		Keys: keys, KeyCols: []int{1},
-		Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+		Specs: specs, ArgCols: argCols,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +500,6 @@ func TestGroupAggregateAllNullGroup(t *testing.T) {
 	got, err = Drain(&BatchGroupAggregate{
 		Src: ToBatch(&ValuesOp{RowsData: rows}), Keys: keys,
 		Specs: specs, ArgCols: []int{-1, 1, 1, 1, 1},
-		ArgKinds: []types.Kind{types.KindNull, types.KindInt, types.KindInt, types.KindInt, types.KindInt},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -518,13 +514,13 @@ func TestGroupAggregateAllNullGroup(t *testing.T) {
 func TestAggPartialMergePreservesExactness(t *testing.T) {
 	specs := []AggSpec{{Func: sqlparser.FuncSum, Arg: colAt(0)}}
 	mk := func(v int64) *aggTable {
-		tab := newAggTable(nil, nil, specs, nil, nil)
+		tab := newAggTable(nil, nil, specs, nil)
 		if err := tab.observeRow([]types.Value{types.NewInt(v)}); err != nil {
 			t.Fatal(err)
 		}
 		return tab
 	}
-	merged := newAggTable(nil, nil, specs, nil, nil)
+	merged := newAggTable(nil, nil, specs, nil)
 	if err := merged.mergeTable(mk(math.MaxInt64 - 5)); err != nil {
 		t.Fatal(err)
 	}

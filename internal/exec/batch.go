@@ -1,84 +1,286 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
-// BatchSize is the target row count per batch. It is large enough to
+// BatchSize is the target row count of a batch built row by row (the
+// row→batch shim, tail windows of the serial scan). It is large enough to
 // amortize per-batch overhead (interface calls, channel sends, kernel
-// dispatch) over ~1k rows, and small enough that a batch of row headers
-// stays cache-resident.
+// dispatch) over ~1k rows. A batch that views a sealed segment holds the
+// whole segment, whatever its length.
 const BatchSize = 1024
 
-// Batch is a window of rows plus a selection vector. Operators communicate
-// batch-at-a-time by handing over *Batch values; the receiving operator
-// narrows Sel in place (filters) or emits a fresh batch (projections,
-// joins).
+// Batch is a window of tuples in columnar form: one typed vector per tuple
+// offset of the plan's layout, plus a selection vector. Operators
+// communicate batch-at-a-time by handing over *Batch values; a filter
+// narrows Sel in place, a projection rearranges Cols in place, a join emits
+// a fresh batch.
 //
-// Rows[Sel[i]] for i in [0, Len()) are the live rows, in order. Rows not
-// referenced by Sel are dead (filtered out earlier in the pipeline) but
-// still owned by the batch until it is recycled.
+// Cols[c] is nil for a column nothing above the producer reads (the
+// planner's required-column pass decides). The live tuples are the vector
+// positions Sel names, in order; positions Sel does not name are dead but
+// still occupy their slot.
 //
-// Batch rows may alias storage heap memory (see BatchScan): operators must
-// never mutate a row slice in place. This is safe because heap row versions
-// are immutable once published (MVCC append-only) and every planner
-// pipeline terminates in an operator that mints fresh output tuples.
+// Vectors are either viewed or owned. A scan of a sealed segment points
+// Cols at the segment's own vectors (immutable, shared with every other
+// reader — never written through a batch); a tail window, a join's output,
+// a computed projection and the row→batch shim fill vectors the batch owns
+// (NewVec), which go back to the pool with it. Either way a consumer must
+// not touch a vector it took from Cols after PutBatch.
+//
+// []types.Value tuples exist only where a row-protocol consumer needs them:
+// AppendRows mints them (RowFromBatch, Drain), and RowAt boxes one position
+// into scratch for a compiled Evaluator.
 type Batch struct {
-	Rows [][]types.Value
+	Cols []*storage.ColVec
 	Sel  []int
+
+	n       int               // vector length: Sel names positions below n
+	own     []*storage.ColVec // vectors this batch owns; own[:used] are in use
+	used    int
+	scratch []types.Value // RowAt's tuple
 }
 
-// Len returns the number of selected rows.
+// Len returns the number of selected tuples.
 func (b *Batch) Len() int { return len(b.Sel) }
 
-// Row returns the i-th selected row.
-func (b *Batch) Row(i int) []types.Value { return b.Rows[b.Sel[i]] }
-
-// Col returns column col of the i-th selected row.
-func (b *Batch) Col(i, col int) types.Value { return b.Rows[b.Sel[i]][col] }
-
-// Append adds a row to the batch and selects it.
-func (b *Batch) Append(row []types.Value) {
-	b.Sel = append(b.Sel, len(b.Rows))
-	b.Rows = append(b.Rows, row)
+// Shape empties the batch and gives it width columns (all absent) over
+// vectors of n positions.
+func (b *Batch) Shape(width, n int) {
+	b.release()
+	b.Cols = slices.Grow(b.Cols[:0], width)[:width]
+	b.n = n
 }
 
-// Full reports whether the batch reached its target size.
-func (b *Batch) Full() bool { return len(b.Rows) >= BatchSize }
+// SelectAll selects positions 0..n-1.
+func (b *Batch) SelectAll() {
+	b.Sel = slices.Grow(b.Sel[:0], b.n)[:b.n]
+	for i := range b.Sel {
+		b.Sel[i] = i
+	}
+}
 
-// reset clears the batch for reuse, dropping row references so a pooled
-// batch does not retain heap snapshots.
-func (b *Batch) reset() {
-	clear(b.Rows)
-	b.Rows = b.Rows[:0]
-	b.Sel = b.Sel[:0]
+// NewVec returns an empty vector of the declared kind that the batch owns.
+func (b *Batch) NewVec(kind types.Kind) *storage.ColVec {
+	if b.used == len(b.own) {
+		b.own = append(b.own, new(storage.ColVec))
+	}
+	c := b.own[b.used]
+	b.used++
+	c.Kind, c.Pure = kind, kind != types.KindNull
+	return c
+}
+
+// release drops every reference the batch holds — viewed vectors, the
+// strings and boxed values of owned ones — so a pooled batch pins neither a
+// heap snapshot nor a result.
+func (b *Batch) release() {
+	// A projection may have shortened Cols; the slots beyond still point.
+	clear(b.Cols[:cap(b.Cols)])
+	b.Cols, b.Sel, b.n = b.Cols[:0], b.Sel[:0], 0
+	for _, c := range b.own[:b.used] {
+		clear(c.Str)
+		clear(c.Vals)
+		c.Nulls, c.I64, c.F64, c.Str, c.Vals = c.Nulls[:0], c.I64[:0], c.F64[:0], c.Str[:0], c.Vals[:0]
+	}
+	b.used = 0
+	clear(b.scratch)
+}
+
+// RowAt boxes vector position pos into the batch's scratch tuple, absent
+// columns NULL. The tuple is overwritten by the next call.
+func (b *Batch) RowAt(pos int) []types.Value {
+	if cap(b.scratch) < len(b.Cols) {
+		b.scratch = make([]types.Value, len(b.Cols))
+	}
+	row := b.scratch[:len(b.Cols)]
+	for c, cv := range b.Cols {
+		if cv != nil {
+			row[c] = cv.Value(pos)
+		}
+	}
+	return row
+}
+
+// AppendRows mints one tuple per selected position (absent columns NULL)
+// and appends them to dst. The tuples are carved from one allocation that
+// belongs to the caller; they stay valid after the batch is recycled.
+func (b *Batch) AppendRows(dst [][]types.Value) [][]types.Value {
+	w, n := len(b.Cols), len(b.Sel)
+	if n == 0 {
+		return dst
+	}
+	arena := make([]types.Value, n*w)
+	for c, cv := range b.Cols {
+		if cv != nil {
+			boxColumn(arena[c:], w, cv, b.Sel)
+		}
+	}
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, arena[i*w:(i+1)*w:(i+1)*w])
+	}
+	return dst
+}
+
+// boxColumn writes the boxed value of each selected position to
+// dst[0], dst[stride], dst[2*stride]… NULLs are left as the zero Value.
+func boxColumn(dst []types.Value, stride int, cv *storage.ColVec, sel []int) {
+	if !cv.Pure {
+		for i, p := range sel {
+			dst[i*stride] = cv.Vals[p]
+		}
+		return
+	}
+	for i, p := range sel {
+		if !cv.Nulls[p] {
+			dst[i*stride] = pureValue(cv, p)
+		}
+	}
+}
+
+// pureValue boxes a non-NULL slot of a pure vector.
+func pureValue(cv *storage.ColVec, p int) types.Value {
+	switch cv.Kind {
+	case types.KindInt:
+		return types.NewInt(cv.I64[p])
+	case types.KindTime:
+		return types.NewTimeNanos(cv.I64[p])
+	case types.KindBool:
+		return types.NewBool(cv.I64[p] != 0)
+	case types.KindFloat:
+		return types.NewFloat(cv.F64[p])
+	default:
+		return types.NewString(cv.Str[p])
+	}
+}
+
+// vecResize gives an empty owned vector n slots, every one NULL, to be
+// filled by vecSet.
+func vecResize(c *storage.ColVec, n int) {
+	if !c.Pure {
+		c.Vals = slices.Grow(c.Vals, n)[:n]
+		return
+	}
+	c.Nulls = slices.Grow(c.Nulls, n)[:n]
+	for i := range c.Nulls {
+		c.Nulls[i] = true
+	}
+	switch c.Kind {
+	case types.KindFloat:
+		c.F64 = slices.Grow(c.F64, n)[:n]
+	case types.KindString:
+		c.Str = slices.Grow(c.Str, n)[:n]
+	default:
+		c.I64 = slices.Grow(c.I64, n)[:n]
+	}
+}
+
+// vecSet stores one boxed value in slot k of a vector sized by vecResize. A
+// non-NULL value of another kind than the vector's demotes it to the generic
+// form, as sealing does for a segment column (storage.ColVec).
+func vecSet(c *storage.ColVec, k int, v types.Value) {
+	if v.IsNull() {
+		return
+	}
+	if c.Pure && v.Kind() != c.Kind {
+		n := len(c.Nulls)
+		demote(c)
+		c.Vals = c.Vals[:n]
+	}
+	if !c.Pure {
+		c.Vals[k] = v
+		return
+	}
+	c.Nulls[k] = false
+	switch c.Kind {
+	case types.KindInt:
+		c.I64[k] = v.Int()
+	case types.KindTime:
+		c.I64[k] = v.TimeNanos()
+	case types.KindBool:
+		c.I64[k] = 0
+		if v.Bool() {
+			c.I64[k] = 1
+		}
+	case types.KindFloat:
+		c.F64[k] = v.Float()
+	default:
+		c.Str[k] = v.Str()
+	}
+}
+
+// demote turns a pure owned vector into the generic form.
+func demote(c *storage.ColVec) {
+	vals := c.Vals[:0]
+	for i := range c.Nulls {
+		vals = append(vals, c.Value(i))
+	}
+	clear(c.Str)
+	c.Pure, c.Vals = false, vals
+	c.Nulls, c.I64, c.F64, c.Str = c.Nulls[:0], c.I64[:0], c.F64[:0], c.Str[:0]
+}
+
+// vecGather appends src's values at the given positions to the owned
+// vector dst, typed slice to typed slice when both are pure of one kind.
+func vecGather(dst, src *storage.ColVec, pos []int) {
+	if dst.Pure && (!src.Pure || src.Kind != dst.Kind) {
+		demote(dst)
+	}
+	if !dst.Pure {
+		dst.Vals = slices.Grow(dst.Vals, len(pos))
+		for _, p := range pos {
+			dst.Vals = append(dst.Vals, src.Value(p))
+		}
+		return
+	}
+	dst.Nulls = slices.Grow(dst.Nulls, len(pos))
+	for _, p := range pos {
+		dst.Nulls = append(dst.Nulls, src.Nulls[p])
+	}
+	switch dst.Kind {
+	case types.KindFloat:
+		dst.F64 = slices.Grow(dst.F64, len(pos))
+		for _, p := range pos {
+			dst.F64 = append(dst.F64, src.F64[p])
+		}
+	case types.KindString:
+		dst.Str = slices.Grow(dst.Str, len(pos))
+		for _, p := range pos {
+			dst.Str = append(dst.Str, src.Str[p])
+		}
+	default:
+		dst.I64 = slices.Grow(dst.I64, len(pos))
+		for _, p := range pos {
+			dst.I64 = append(dst.I64, src.I64[p])
+		}
+	}
 }
 
 // batchPool recycles batches across operators and pipelines. Ownership
 // discipline: NextBatch transfers ownership of the returned batch to the
 // caller; whoever consumes a batch without forwarding it calls PutBatch.
 var batchPool = sync.Pool{
-	New: func() any {
-		return &Batch{
-			Rows: make([][]types.Value, 0, BatchSize),
-			Sel:  make([]int, 0, BatchSize),
-		}
-	},
+	New: func() any { return &Batch{Sel: make([]int, 0, BatchSize)} },
 }
 
 // GetBatch returns an empty batch from the pool.
 func GetBatch() *Batch { return batchPool.Get().(*Batch) }
 
-// PutBatch recycles a batch. The caller must not touch it afterwards; row
-// slices previously handed out by Row remain valid (only the Rows/Sel
-// headers are reused, never the row slices themselves).
+// PutBatch recycles a batch: its header, its selection vector and the
+// vectors it owns. Viewed segment vectors are merely forgotten. The caller
+// must not touch the batch, its Sel or anything taken from its Cols
+// afterwards; tuples minted by AppendRows remain valid.
 func PutBatch(b *Batch) {
 	if b == nil {
 		return
 	}
-	b.reset()
+	b.release()
 	batchPool.Put(b)
 }
 
@@ -92,9 +294,9 @@ type BatchOperator interface {
 	Close() error
 }
 
-// ToBatch adapts a row operator into a batch operator by accumulating up to
-// BatchSize rows per batch. It is the shim that lets arbitrary row
-// operators feed batch pipelines (and batch Exchange producers).
+// ToBatch adapts a row operator into a batch operator. It is the shim that
+// lets arbitrary row operators (index scans, row joins) feed batch
+// pipelines.
 func ToBatch(op Operator) BatchOperator {
 	if src, ok := AsBatch(op); ok {
 		return src // unwrap a round trip; a ParallelScan speaks batches itself
@@ -102,7 +304,9 @@ func ToBatch(op Operator) BatchOperator {
 	return &rowSource{child: op}
 }
 
-// rowSource is the row→batch adapter.
+// rowSource is the row→batch adapter: up to BatchSize child tuples per
+// batch, transposed into generic vectors (a row operator states no column
+// kinds, and its tuples are already boxed).
 type rowSource struct {
 	child Operator
 }
@@ -111,7 +315,7 @@ func (r *rowSource) Open() error { return r.child.Open() }
 
 func (r *rowSource) NextBatch() (*Batch, error) {
 	b := GetBatch()
-	for !b.Full() {
+	for b.n < BatchSize {
 		row, ok, err := r.child.Next()
 		if err != nil {
 			PutBatch(b)
@@ -120,63 +324,72 @@ func (r *rowSource) NextBatch() (*Batch, error) {
 		if !ok {
 			break
 		}
-		b.Append(row)
+		if b.n == 0 {
+			b.Shape(len(row), 0)
+			for c := range b.Cols {
+				b.Cols[c] = b.NewVec(types.KindNull)
+			}
+		}
+		for c, v := range row {
+			b.Cols[c].Vals = append(b.Cols[c].Vals, v)
+		}
+		b.n++
 	}
-	if b.Len() == 0 {
+	if b.n == 0 {
 		PutBatch(b)
 		return nil, nil
 	}
+	b.SelectAll()
 	return b, nil
 }
 
 func (r *rowSource) Close() error { return r.child.Close() }
 
 // RowFromBatch adapts a batch operator into a row operator: the batch→row
-// shim that lets batch pipelines feed row consumers (sorts, aggregates,
-// result drains). Drained batches are recycled; the row slices handed out
-// stay valid because recycling reuses only the batch headers.
+// shim that lets batch pipelines feed row consumers (sorts, row joins,
+// result drains). This is where tuples are minted, one allocation per
+// batch; the batch itself is recycled at once.
 type RowFromBatch struct {
 	Src BatchOperator
 
-	cur *Batch
-	pos int
+	// Boxed counts the tuples minted by the last execution.
+	Boxed int
+
+	rows [][]types.Value
+	pos  int
 }
 
 // Open opens the batch source.
 func (r *RowFromBatch) Open() error {
-	r.cur, r.pos = nil, 0
+	r.rows, r.pos, r.Boxed = r.rows[:0], 0, 0
 	return r.Src.Open()
 }
 
-// Next emits the next selected row across batches.
+// Next emits the next selected tuple across batches.
 func (r *RowFromBatch) Next() ([]types.Value, bool, error) {
-	for {
-		if r.cur != nil && r.pos < r.cur.Len() {
-			row := r.cur.Row(r.pos)
-			r.pos++
-			return row, true, nil
-		}
-		if r.cur != nil {
-			PutBatch(r.cur)
-			r.cur = nil
-		}
+	for r.pos >= len(r.rows) {
 		b, err := r.Src.NextBatch()
-		if err != nil {
+		if err != nil || b == nil {
 			return nil, false, err
 		}
-		if b == nil {
-			return nil, false, nil
-		}
-		r.cur, r.pos = b, 0
+		r.rows, r.pos = b.AppendRows(r.rows[:0]), 0
+		r.Boxed += len(r.rows)
+		PutBatch(b)
 	}
+	row := r.rows[r.pos]
+	r.pos++
+	return row, true, nil
 }
 
-// Close releases the current batch and closes the source.
+// Bound is the source's bound plus the minted tuples not yet emitted.
+func (r *RowFromBatch) Bound() (int, bool) {
+	n, ok := boundOf(r.Src)
+	return n + len(r.rows) - r.pos, ok
+}
+
+// Close closes the source.
 func (r *RowFromBatch) Close() error {
-	if r.cur != nil {
-		PutBatch(r.cur)
-		r.cur = nil
-	}
+	r.rows = nil
 	return r.Src.Close()
 }
 
@@ -192,69 +405,4 @@ func AsBatch(op Operator) (BatchOperator, bool) {
 		return n, true
 	}
 	return nil, false
-}
-
-// Vectorized reports whether any part of an operator tree runs
-// batch-at-a-time. The planner records it in explain output and the engine
-// surfaces it on results.
-func Vectorized(op Operator) bool {
-	switch n := op.(type) {
-	case *RowFromBatch:
-		return batchVectorized(n.Src)
-	case *ParallelScan:
-		return true // gathers through the batched Exchange
-	case *Exchange:
-		return true
-	case *BatchGroupAggregate:
-		return true
-	case *ParallelGroupAggregate:
-		return true
-	case *StatAggScan:
-		return true
-	case *Filter:
-		return Vectorized(n.Child)
-	case *Project:
-		return Vectorized(n.Child)
-	case *Sort:
-		return Vectorized(n.Child)
-	case *Limit:
-		return Vectorized(n.Child)
-	case *Distinct:
-		return Vectorized(n.Child)
-	case *Aggregate:
-		return Vectorized(n.Child)
-	case *GroupAggregate:
-		return Vectorized(n.Child)
-	case *HashJoin:
-		return Vectorized(n.Build) || Vectorized(n.Probe)
-	case *NestedLoopJoin:
-		return Vectorized(n.Outer) || Vectorized(n.Inner)
-	case *Union:
-		for _, c := range n.Children {
-			if Vectorized(c) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// batchVectorized is Vectorized below a RowFromBatch bridge. A batch
-// operator is vectorized work, except the two that only carry rows in
-// batches: the row→batch shim, and a SemiJoin, which is as vectorized as
-// the inputs it was given.
-func batchVectorized(op BatchOperator) bool {
-	switch n := op.(type) {
-	case *rowSource:
-		return Vectorized(n.child)
-	case *SemiJoin:
-		v := batchVectorized(n.Anchor)
-		for _, arm := range n.Arms {
-			for _, p := range arm.Probes {
-				v = v || batchVectorized(p.Src)
-			}
-		}
-		return v
-	}
-	return true
 }

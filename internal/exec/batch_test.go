@@ -4,42 +4,93 @@ import (
 	"testing"
 
 	"trac/internal/sqlparser"
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
-func TestBatchAppendAndSelection(t *testing.T) {
+// intBatch builds a batch with one owned BIGINT column holding 0..n-1.
+func intBatch(n int) *Batch {
 	b := GetBatch()
-	defer PutBatch(b)
-	for i := 0; i < 10; i++ {
-		b.Append([]types.Value{types.NewInt(int64(i))})
+	b.Shape(1, n)
+	c := b.NewVec(types.KindInt)
+	vecResize(c, n)
+	for i := 0; i < n; i++ {
+		vecSet(c, i, types.NewInt(int64(i)))
 	}
+	b.Cols[0] = c
+	b.SelectAll()
+	return b
+}
+
+func TestBatchSelectionAndBoxing(t *testing.T) {
+	b := intBatch(10)
+	defer PutBatch(b)
 	if b.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", b.Len())
 	}
-	// Narrow the selection to even rows; Row/Col follow Sel, not Rows.
+	// Narrow the selection to even positions; Value/AppendRows follow Sel.
 	sel := b.Sel[:0]
-	for _, ri := range b.Sel {
-		if b.Rows[ri][0].Int()%2 == 0 {
-			sel = append(sel, ri)
+	for _, pos := range b.Sel {
+		if b.Cols[0].I64[pos]%2 == 0 {
+			sel = append(sel, pos)
 		}
 	}
 	b.Sel = sel
 	if b.Len() != 5 {
 		t.Fatalf("after narrowing Len = %d, want 5", b.Len())
 	}
-	if got := b.Col(2, 0).Int(); got != 4 {
-		t.Errorf("Col(2,0) = %d, want 4", got)
+	if got := b.Cols[0].Value(b.Sel[2]).Int(); got != 4 {
+		t.Errorf("third selected value = %d, want 4", got)
+	}
+	rows := b.AppendRows(nil)
+	if len(rows) != 5 || rows[4][0].Int() != 8 {
+		t.Errorf("AppendRows = %v, want the five even values", rows)
 	}
 }
 
-func TestBatchPoolResetDropsRows(t *testing.T) {
+// TestBatchPoolResetDropsVectors pins what a recycled batch forgets: its
+// columns (viewed or owned), its selection, and the contents of the vectors
+// it owns — a pooled batch must not pin a result or a heap snapshot.
+func TestBatchPoolResetDropsVectors(t *testing.T) {
 	b := GetBatch()
-	b.Append([]types.Value{types.NewInt(1)})
+	b.Shape(2, 1)
+	c := b.NewVec(types.KindString)
+	vecResize(c, 1)
+	vecSet(c, 0, types.NewString("x"))
+	b.Cols[1] = c
+	b.SelectAll()
+	// A projection shortens Cols; the slot beyond must still be dropped.
+	b.Cols = b.Cols[:1]
 	PutBatch(b)
-	b2 := GetBatch()
-	defer PutBatch(b2)
-	if b2.Len() != 0 || len(b2.Rows) != 0 {
-		t.Fatalf("pooled batch not reset: len=%d rows=%d", b2.Len(), len(b2.Rows))
+	if len(c.Str) != 0 || c.Str[:1][0] != "" {
+		t.Errorf("owned vector keeps its strings after PutBatch: %q", c.Str[:1])
+	}
+	if b.Len() != 0 || len(b.Cols) != 0 || b.Cols[:2][1] != nil {
+		t.Errorf("pooled batch not reset: len=%d cols=%v", b.Len(), b.Cols[:2])
+	}
+}
+
+// TestVecSetDemotesOnKindMismatch: a value of another kind than declared
+// (possible only through the direct storage API) turns the vector generic,
+// keeping every earlier value, NULLs included.
+func TestVecSetDemotesOnKindMismatch(t *testing.T) {
+	b := GetBatch()
+	defer PutBatch(b)
+	b.Shape(1, 0)
+	c := b.NewVec(types.KindInt)
+	vals := []types.Value{types.NewInt(1), types.Null, types.NewString("two"), types.NewInt(3)}
+	vecResize(c, len(vals))
+	for i, v := range vals {
+		vecSet(c, i, v)
+	}
+	if c.Pure {
+		t.Fatal("vector still pure after a TEXT value in a BIGINT column")
+	}
+	want := []string{"1", "NULL", "two", "3"}
+	for i, w := range want {
+		if got := c.Value(i).String(); got != w {
+			t.Errorf("value %d = %s, want %s", i, got, w)
+		}
 	}
 }
 
@@ -214,41 +265,67 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 	}
 }
 
-// TestBatchHashJoinNarrowProbe checks narrow-probe mode: the probe scan
-// runs in zero-copy alias mode, its key evaluator addresses the narrow row,
-// and the join slots probe columns in at ProbeOffset during the merge.
-func TestBatchHashJoinNarrowProbe(t *testing.T) {
+// TestBatchHashJoinGathersOnlyNeed checks the pruned join output: with
+// nothing needed the batches carry a selection and no column (the COUNT(*)
+// shape), and with one column from each side exactly those two are boxed.
+func TestBatchHashJoinGathersOnlyNeed(t *testing.T) {
 	build, probe, bk, pk := joinFixture(t, 300)
-	tbl, m := bigActivity(t, 300)
+	tbl, _ := bigActivity(t, 300)
 	arity := tbl.Schema.NumColumns()
-	narrow := NewLayout([]Binding{{Name: "b", Table: tbl}})
-	nk, err := Compile(&sqlparser.ColumnRef{Table: "b", Column: "mach_id"}, narrow)
+	want, err := Drain(&HashJoin{Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrowJoin := &RowFromBatch{Src: &BatchHashJoin{
-		Build: build(), Probe: &BatchScan{Table: tbl, Snap: m.ReadSnapshot()},
-		BuildKeys: bk, ProbeKeys: []Evaluator{nk}, ProbeOffset: arity,
-	}}
-	rowJoin := &HashJoin{Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk}
 
-	narrowRows, err := Drain(narrowJoin)
-	if err != nil {
+	count := &BatchHashJoin{
+		Build: build(), Probe: ToBatch(probe()), BuildKeys: bk, ProbeKeys: pk,
+		ProbeCols: []int{arity}, Need: []int{},
+	}
+	if err := count.Open(); err != nil {
 		t.Fatal(err)
 	}
-	rowRows, err := Drain(rowJoin)
+	n := 0
+	for {
+		b, err := count.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		for c, cv := range b.Cols {
+			if cv != nil {
+				t.Fatalf("count-only batch carries column %d", c)
+			}
+		}
+		n += b.Len()
+		PutBatch(b)
+	}
+	count.Close()
+	if n != len(want) || count.Probed != 300 {
+		t.Fatalf("count-only join: %d tuples from %d probes, want %d from 300", n, count.Probed, len(want))
+	}
+
+	// a.value (build side) and b.mach_id (probe side).
+	need := []int{1, arity}
+	got, err := Drain(&RowFromBatch{Src: &BatchHashJoin{
+		Build: build(), Probe: ToBatch(probe()), BuildKeys: bk, ProbeKeys: pk,
+		ProbeCols: []int{arity}, Need: need,
+	}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(narrowRows) != len(rowRows) {
-		t.Fatalf("narrow-probe join %d rows, row join %d", len(narrowRows), len(rowRows))
 	}
 	seen := make(map[string]int)
-	for _, r := range narrowRows {
-		seen[RowKey(r)]++
+	for _, r := range want {
+		seen[RowKey([]types.Value{r[1], r[arity]})]++
 	}
-	for _, r := range rowRows {
-		seen[RowKey(r)]--
+	for _, r := range got {
+		for c, v := range r {
+			if c != 1 && c != arity && !v.IsNull() {
+				t.Fatalf("column %d gathered without being needed: %v", c, r)
+			}
+		}
+		seen[RowKey([]types.Value{r[1], r[arity]})]--
 	}
 	for k, v := range seen {
 		if v != 0 {
@@ -314,5 +391,114 @@ func TestBatchParallelDegree(t *testing.T) {
 	join := &RowFromBatch{Src: &BatchHashJoin{Build: &SeqScan{Table: tbl, Snap: snap}, Probe: ps}}
 	if got := ParallelDegree(join); got != 6 {
 		t.Errorf("ParallelDegree through batch join probe = %d, want 6", got)
+	}
+}
+
+// TestDrainSizesResultFromKnownBound: an operator that has materialized its
+// output (an aggregate's groups, a semi-join's qualifying anchor rows) tells
+// Drain how many tuples to expect through the pass-through operators above
+// it, so the result is allocated once instead of grown from nil.
+func TestDrainSizesResultFromKnownBound(t *testing.T) {
+	tbl, m := bigActivity(t, 3000)
+	snap := m.ReadSnapshot()
+	groups, err := Drain(&Project{
+		Child: &BatchGroupAggregate{
+			Src:  &BatchScan{Table: tbl, Snap: snap},
+			Keys: []Evaluator{col(0)}, KeyCols: []int{0},
+			Specs: []AggSpec{{Func: "COUNT", Star: true}},
+		},
+		Exprs: []Evaluator{col(0), col(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 10 || cap(groups) != 10 {
+		t.Errorf("aggregate: len %d cap %d, want 10/10", len(groups), cap(groups))
+	}
+	semi := &SemiJoin{
+		Anchor: &BatchScan{Table: tbl, Snap: snap},
+		Arms: []SemiArm{{Probes: []*SemiProbe{{
+			Src:        ToBatch(&ValuesOp{RowsData: strRows("m3", "m4")}),
+			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+			AnchorCols: []int{0}, ProbeCols: []int{0},
+		}}}},
+	}
+	rows, err := Drain(&Distinct{Child: &RowFromBatch{Src: &BatchProject{
+		Child: semi, Exprs: []Evaluator{col(0), col(1)}, Cols: []int{0, 1},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 600 anchor rows qualify; DISTINCT keeps 2 of them in a result sized for
+	// the bound it was told.
+	if len(rows) != 2 || cap(rows) != 600 {
+		t.Errorf("semi-join under DISTINCT: len %d cap %d, want 2/600", len(rows), cap(rows))
+	}
+}
+
+// TestBatchDistinctMatchesRowDistinct holds the columnar DISTINCT to the row
+// operator over every projection of a table with NULLs in every column,
+// sealed (typed vectors) and not, and over boxed tuples whose one column
+// mixes kinds: NULL equals NULL, 3 equals 3.0 but not '3', and the first
+// occurrence of each tuple is the one kept, in input order.
+func TestBatchDistinctMatchesRowDistinct(t *testing.T) {
+	render := func(rows [][]types.Value) string {
+		out := ""
+		for _, r := range rows {
+			out += RowKey(r) + "\n"
+		}
+		return out
+	}
+	tbl, m := nullActivity(t)
+	// Repeat every row so that each projection has duplicates.
+	tx := m.Begin()
+	for _, r := range tbl.Rows() {
+		if err := tx.InsertRow(tbl, storage.NewRow(r.Values, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.ReadSnapshot()
+	for _, sealed := range []bool{false, true} {
+		if sealed {
+			tbl.Seal()
+		}
+		for _, cols := range [][]int{{1}, {2, 1}, {3}, {4, 3}, {5, 1}, {1, 2, 3, 4, 5}, {0}} {
+			exprs := make([]Evaluator, len(cols))
+			for i, c := range cols {
+				exprs[i] = col(c)
+			}
+			want, err := Drain(&Distinct{Child: &Project{Child: &SeqScan{Table: tbl, Snap: snap}, Exprs: exprs}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Drain(&RowFromBatch{Src: &BatchDistinct{Child: &BatchProject{
+				Child: &BatchScan{Table: tbl, Snap: snap}, Exprs: exprs, Cols: cols,
+			}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if render(got) != render(want) {
+				t.Errorf("sealed=%v columns %v:\ncolumnar:\n%srow:\n%s", sealed, cols, render(got), render(want))
+			}
+		}
+	}
+
+	mixed := [][]types.Value{
+		{types.NewInt(3)}, {types.NewFloat(3)}, {types.NewString("3")}, {types.Null},
+		{types.NewFloat(2.5)}, {types.Null}, {types.NewInt(3)}, {types.NewString("3")},
+	}
+	want, err := Drain(&Distinct{Child: &ValuesOp{RowsData: mixed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Drain(&RowFromBatch{Src: &BatchDistinct{Child: ToBatch(&ValuesOp{RowsData: mixed})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(got) != render(want) || len(got) != 4 {
+		t.Errorf("mixed kinds:\ncolumnar:\n%srow:\n%s", render(got), render(want))
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"trac/internal/types"
 )
 
-// BatchGroupAggregate is hash aggregation consuming batches directly: group
-// keys are resolved per selected row (through the KeyCols fast path when a
-// key is a bare column), then each AggSpec runs a type-specialized
-// accumulation kernel over the whole batch — the aggregation boundary no
-// longer demotes the vectorized pipeline to rows. Output is row-at-a-time
+// BatchGroupAggregate is hash aggregation consuming columnar batches
+// directly: group keys are resolved per selected position (read off the key
+// vector when a key is a bare column), then each AggSpec runs a
+// type-specialized accumulation kernel over its argument vector — no tuple
+// is boxed on the way in. Output is row-at-a-time
 // ([keys..., aggregates...] in first-seen group order), matching
 // GroupAggregate exactly, NULLs and all.
 type BatchGroupAggregate struct {
@@ -20,11 +20,10 @@ type BatchGroupAggregate struct {
 	// (-1 = evaluate Keys[i]); nil disables the fast path entirely.
 	KeyCols []int
 	Specs   []AggSpec
-	// ArgCols/ArgKinds mirror KeyCols for the aggregate arguments: a tuple
-	// offset plus its declared kind selects the typed kernel; -1 (or nil
-	// slices) falls back to Specs[i].Arg.
-	ArgCols  []int
-	ArgKinds []types.Kind
+	// ArgCols mirrors KeyCols for the aggregate arguments: the tuple offset
+	// whose vector the typed kernel reads; -1 (or a nil slice) falls back to
+	// Specs[i].Arg.
+	ArgCols []int
 
 	out [][]types.Value
 	pos int
@@ -32,27 +31,10 @@ type BatchGroupAggregate struct {
 
 // Open drains the source batch-at-a-time and computes all groups.
 func (g *BatchGroupAggregate) Open() error {
-	if err := g.Src.Open(); err != nil {
+	tab := newAggTable(g.Keys, g.KeyCols, g.Specs, g.ArgCols)
+	if err := tab.observeAll(g.Src); err != nil {
 		return err
 	}
-	defer g.Src.Close()
-
-	tab := newAggTable(g.Keys, g.KeyCols, g.Specs, g.ArgCols, g.ArgKinds)
-	for {
-		b, err := g.Src.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		err = tab.observeBatch(b)
-		PutBatch(b)
-		if err != nil {
-			return err
-		}
-	}
-
 	out, err := tab.emit(len(g.Keys))
 	if err != nil {
 		return err
@@ -61,6 +43,29 @@ func (g *BatchGroupAggregate) Open() error {
 	g.pos = 0
 	return nil
 }
+
+// observeAll opens a batch source, accumulates everything it produces and
+// closes it again.
+func (t *aggTable) observeAll(src BatchOperator) error {
+	if err := src.Open(); err != nil {
+		return err
+	}
+	defer src.Close()
+	for {
+		b, err := src.NextBatch()
+		if err != nil || b == nil {
+			return err
+		}
+		err = t.observeBatch(b)
+		PutBatch(b)
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// Bound is the number of groups left to emit.
+func (g *BatchGroupAggregate) Bound() (int, bool) { return len(g.out) - g.pos, true }
 
 // Next emits the next group row.
 func (g *BatchGroupAggregate) Next() ([]types.Value, bool, error) {
@@ -91,12 +96,11 @@ func (g *BatchGroupAggregate) Close() error {
 // order-sensitive — merging partials can differ from serial accumulation in
 // the low bits, exactly as any parallel aggregation does.)
 type ParallelGroupAggregate struct {
-	Scan     *ParallelScan
-	Keys     []Evaluator
-	KeyCols  []int
-	Specs    []AggSpec
-	ArgCols  []int
-	ArgKinds []types.Kind
+	Scan    *ParallelScan
+	Keys    []Evaluator
+	KeyCols []int
+	Specs   []AggSpec
+	ArgCols []int
 
 	out [][]types.Value
 	pos int
@@ -112,29 +116,8 @@ func (g *ParallelGroupAggregate) Open() error {
 		wg.Add(1)
 		go func(i int, op BatchOperator) {
 			defer wg.Done()
-			tab := newAggTable(g.Keys, g.KeyCols, g.Specs, g.ArgCols, g.ArgKinds)
-			tabs[i] = tab
-			if err := op.Open(); err != nil {
-				errs[i] = err
-				return
-			}
-			defer op.Close()
-			for {
-				b, err := op.NextBatch()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if b == nil {
-					return
-				}
-				err = tab.observeBatch(b)
-				PutBatch(b)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
+			tabs[i] = newAggTable(g.Keys, g.KeyCols, g.Specs, g.ArgCols)
+			errs[i] = tabs[i].observeAll(op)
 		}(i, part)
 	}
 	wg.Wait()
@@ -144,7 +127,7 @@ func (g *ParallelGroupAggregate) Open() error {
 		}
 	}
 
-	merged := newAggTable(g.Keys, g.KeyCols, g.Specs, g.ArgCols, g.ArgKinds)
+	merged := newAggTable(g.Keys, g.KeyCols, g.Specs, g.ArgCols)
 	for _, tab := range tabs {
 		if err := merged.mergeTable(tab); err != nil {
 			return err
@@ -158,6 +141,9 @@ func (g *ParallelGroupAggregate) Open() error {
 	g.pos = 0
 	return nil
 }
+
+// Bound is the number of groups left to emit.
+func (g *ParallelGroupAggregate) Bound() (int, bool) { return len(g.out) - g.pos, true }
 
 // Next emits the next group row.
 func (g *ParallelGroupAggregate) Next() ([]types.Value, bool, error) {

@@ -1,172 +1,190 @@
 package exec
 
 import (
+	"hash/maphash"
+	"slices"
+
 	"trac/internal/storage"
 	"trac/internal/txn"
 	"trac/internal/types"
 )
 
-// BatchScan is the batch-at-a-time heap scan over dual-format storage. The
-// heap snapshot arrives as units: sealed column segments first, then
-// batch-sized windows of the unsealed row tail.
+// unitScan turns the units of a heap snapshot (storage.Morsel: a sealed
+// segment, or a run of unsealed tail rows) into columnar batches. It is the
+// one scan body behind BatchScan, the ParallelScan workers and StatAggScan's
+// leftover work.
 //
-// Sealed segments take the columnar path: the optional SegFilter first
-// consults per-segment zone maps (a pruned segment costs one check and zero
-// value touches), then narrows a selection vector of visible positions with
-// fused loops over the segment's typed column vectors. Rows are
-// materialized late — only surviving positions are ever aliased or copied
-// into a batch — and the non-fused Rest of the predicate runs on those
-// survivors. Tail windows take the row path: visibility filter, then the
-// full Kernel, exactly as before segments existed.
-//
-// When the scan's output layout is exactly the table's own columns
-// (Offset 0, Width = arity) the batch rows alias heap storage directly —
-// zero per-row copying; see the Batch immutability contract. Wider layouts
-// (join padding) copy into fresh padded tuples, like SeqScan.
+// A sealed segment becomes a batch that VIEWS the segment's vectors — zero
+// copy: the optional SegFilter first consults the zone maps (a pruned
+// segment costs one check and zero value touches), then Sel is the visible
+// positions narrowed by the predicate kernel's typed loops. A tail run is
+// transposed once, visible rows only, into vectors the batch owns, and the
+// same kernel runs over them. Either way the batch carries just the columns
+// in need.
+type unitScan struct {
+	table  *storage.Table
+	snap   txn.Snapshot
+	kernel Kernel
+	segf   *SegmentFilter
+	offset int   // where the table's columns start in the output tuple
+	width  int   // output tuple width
+	need   []int // table columns to carry
+
+	pruned, scanned int // zone-map outcomes so far
+}
+
+// newUnitScan resolves a scan operator's fields: width 0 means the table's
+// arity, and need — tuple offsets, nil for every column — is cut down to the
+// table's own range.
+func newUnitScan(table *storage.Table, snap txn.Snapshot, kernel Kernel, segf *SegmentFilter, offset, width int, need []int) *unitScan {
+	n := table.Schema.NumColumns()
+	if width == 0 {
+		width = n
+	}
+	u := &unitScan{table: table, snap: snap, kernel: kernel, segf: segf, offset: offset, width: width}
+	if need == nil {
+		for ci := 0; ci < n; ci++ {
+			u.need = append(u.need, ci)
+		}
+	}
+	for _, off := range need {
+		if ci := off - offset; ci >= 0 && ci < n {
+			u.need = append(u.need, ci)
+		}
+	}
+	return u
+}
+
+// batch scans one unit; it returns nil when no row of the unit survives.
+func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
+	var live *storage.LiveSet
+	if m.Seg != nil {
+		live = m.Seg.Live(u.snap.Seq)
+		if live != nil && len(live.Pos) == 0 {
+			return nil, nil // every version deleted before the snapshot
+		}
+		if u.segf != nil && u.segf.Prune(m.Seg) {
+			u.pruned++
+			return nil, nil
+		}
+	}
+	b := GetBatch()
+	b.Shape(u.width, len(m.Rows))
+	checked := len(m.Rows)
+	if live != nil {
+		// Versions outside the cached live set are gone for good.
+		checked = len(live.Pos)
+		for _, p := range live.Pos {
+			if u.snap.Visible(m.Rows[p]) {
+				b.Sel = append(b.Sel, int(p))
+			}
+		}
+	} else {
+		for i, r := range m.Rows {
+			if u.snap.Visible(r) {
+				b.Sel = append(b.Sel, i)
+			}
+		}
+	}
+	u.table.NoteVisited(checked)
+	if m.Seg != nil {
+		// A quarter of what was checked turned out invisible: offer the
+		// outcome as the segment's new live set, so later scans stop paying
+		// for it.
+		if checked-b.Len() > checked/4 {
+			m.Seg.NoteLive(u.snap.Seq, live, b.Sel)
+		}
+		u.scanned++
+		for _, ci := range u.need {
+			b.Cols[u.offset+ci] = &m.Seg.Cols[ci]
+		}
+	} else {
+		u.transpose(b, m.Rows)
+	}
+	if u.kernel != nil && b.Len() > 0 {
+		if err := u.kernel(b); err != nil {
+			PutBatch(b)
+			return nil, err
+		}
+	}
+	if b.Len() == 0 {
+		PutBatch(b)
+		return nil, nil
+	}
+	return b, nil
+}
+
+// transpose turns the visible rows of a tail run (b.Sel indexes rows) into
+// vectors the batch owns, one pass over the rows filling every needed column
+// (a row's values share a cache line; its columns do not share a row).
+func (u *unitScan) transpose(b *Batch, rows []*storage.Row) {
+	n := len(b.Sel)
+	for _, ci := range u.need {
+		c := b.NewVec(u.table.Schema.Columns[ci].Kind)
+		vecResize(c, n)
+		b.Cols[u.offset+ci] = c
+	}
+	for k, ri := range b.Sel {
+		vals := rows[ri].Values
+		for _, ci := range u.need {
+			vecSet(b.Cols[u.offset+ci], k, vals[ci])
+		}
+	}
+	b.n = n
+	b.SelectAll()
+}
+
+// BatchScan is the serial batch-at-a-time heap scan over dual-format
+// storage: sealed column segments first, then batch-sized windows of the
+// unsealed row tail, each turned into one columnar batch (see unitScan).
 type BatchScan struct {
 	Table  *storage.Table
 	Snap   txn.Snapshot
-	Kernel Kernel // full predicate for tail windows; may be nil
-	// SegFilter is the predicate's columnar form for sealed segments; when
-	// nil, segments are materialized (visible rows only) and run through
-	// Kernel like a tail window.
+	Kernel Kernel // the pushed-down predicate; may be nil
+	// SegFilter is the predicate's zone-map side, consulted before a sealed
+	// segment is read; nil scans every segment.
 	SegFilter *SegmentFilter
 	Offset    int // where this table's columns start in the output tuple
 	Width     int // total output tuple width (0 means table arity)
+	// Need lists the tuple offsets the plan reads; nil carries every column.
+	Need []int
 
 	// PrunedSegments/ScannedSegments count zone-map outcomes for this
 	// execution (reset by Open); EXPLAIN and benches read them.
 	PrunedSegments  int
 	ScannedSegments int
 
-	win    *storage.Windows
-	alias  bool
-	curSeg *storage.Segment
-	sel    []int
-	selPos int
-	selbuf []int
-	arena  []types.Value
+	win  *storage.Windows
+	scan *unitScan
 }
 
 // Open snapshots the heap as scan units and resets per-execution state.
 func (s *BatchScan) Open() error {
 	s.win = s.Table.Windows(BatchSize)
-	n := s.Table.Schema.NumColumns()
-	if s.Width == 0 {
-		s.Width = n
-	}
-	s.alias = s.Offset == 0 && s.Width == n
-	s.curSeg, s.sel, s.selPos = nil, nil, 0
+	s.scan = newUnitScan(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
 	s.PrunedSegments, s.ScannedSegments = 0, 0
 	return nil
-}
-
-// appendRow adds one heap row to the batch: aliased when the layout allows,
-// otherwise copied into a padded tuple carved from the scan's arena (never
-// pooled, so rows stay valid after the batch is recycled; the zero
-// types.Value provides the NULL padding).
-func (s *BatchScan) appendRow(b *Batch, r *storage.Row, n int) {
-	if s.alias {
-		b.Append(r.Values)
-		return
-	}
-	if len(s.arena) < s.Width {
-		s.arena = make([]types.Value, BatchSize*s.Width)
-	}
-	row := s.arena[:s.Width:s.Width]
-	s.arena = s.arena[s.Width:]
-	copy(row[s.Offset:s.Offset+n], r.Values)
-	b.Append(row)
 }
 
 // NextBatch emits the next non-empty batch of visible, predicate-passing
 // rows.
 func (s *BatchScan) NextBatch() (*Batch, error) {
-	n := s.Table.Schema.NumColumns()
 	for {
-		if s.curSeg != nil && s.selPos < len(s.sel) {
-			// Late materialization: emit the next chunk of survivors.
-			b := GetBatch()
-			rows := s.curSeg.Rows
-			for s.selPos < len(s.sel) && !b.Full() {
-				s.appendRow(b, rows[s.sel[s.selPos]], n)
-				s.selPos++
-			}
-			k := s.Kernel
-			if s.SegFilter != nil {
-				k = s.SegFilter.Rest
-			}
-			if k != nil {
-				if err := k(b); err != nil {
-					PutBatch(b)
-					return nil, err
-				}
-			}
-			if b.Len() == 0 {
-				PutBatch(b)
-				continue
-			}
-			return b, nil
-		}
-		s.curSeg = nil
 		u, ok := s.win.Next()
 		if !ok {
 			return nil, nil
 		}
-		if u.Seg != nil {
-			seg := u.Seg
-			if s.SegFilter != nil && s.SegFilter.Prune(seg) {
-				s.PrunedSegments++
-				continue
-			}
-			s.ScannedSegments++
-			if cap(s.selbuf) < seg.Len() {
-				s.selbuf = make([]int, 0, seg.Len())
-			}
-			sel := s.selbuf[:0]
-			for i, r := range seg.Rows {
-				if s.Snap.Visible(r) {
-					sel = append(sel, i)
-				}
-			}
-			if s.SegFilter != nil {
-				var err error
-				sel, err = s.SegFilter.Narrow(seg, sel)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if len(sel) == 0 {
-				continue
-			}
-			s.curSeg, s.sel, s.selPos = seg, sel, 0
-			continue
+		b, err := s.scan.batch(u)
+		s.PrunedSegments, s.ScannedSegments = s.scan.pruned, s.scan.scanned
+		if b != nil || err != nil {
+			return b, err
 		}
-		b := GetBatch()
-		for _, r := range u.Rows {
-			if !s.Snap.Visible(r) {
-				continue
-			}
-			s.appendRow(b, r, n)
-		}
-		if s.Kernel != nil {
-			if err := s.Kernel(b); err != nil {
-				PutBatch(b)
-				return nil, err
-			}
-		}
-		if b.Len() == 0 {
-			PutBatch(b)
-			continue
-		}
-		return b, nil
 	}
 }
 
 // Close releases the heap snapshot.
 func (s *BatchScan) Close() error {
-	s.win = nil
-	s.curSeg, s.sel = nil, nil
+	s.win, s.scan = nil, nil
 	return nil
 }
 
@@ -205,79 +223,248 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 // Close closes the child.
 func (f *BatchFilter) Close() error { return f.Child.Close() }
 
-// BatchProject evaluates output expressions over every selected row of each
-// incoming batch, emitting fresh projected batches.
+// Bound passes the child's bound through.
+func (f *BatchFilter) Bound() (int, bool) { return boundOf(f.Child) }
+
+// BatchProject rearranges each incoming batch into the output shape, in
+// place. An output column that is a bare input column (Cols) is the input's
+// vector, shared; any other expression is evaluated over boxed scratch
+// tuples into a generic vector the batch owns. Sel is untouched.
 type BatchProject struct {
 	Child BatchOperator
 	Exprs []Evaluator
+	// Cols holds, per output column, the input tuple offset when the
+	// expression is a bare column reference (-1 = evaluate Exprs[i]); nil
+	// evaluates every expression.
+	Cols []int
+
+	out      []*storage.ColVec
+	computed []int
 }
 
 // Open opens the child.
 func (p *BatchProject) Open() error { return p.Child.Open() }
 
-// NextBatch projects the next batch. Output rows are carved out of one
-// arena allocation per batch (never pooled, so they outlive recycling).
+// NextBatch projects the next batch.
 func (p *BatchProject) NextBatch() (*Batch, error) {
-	in, err := p.Child.NextBatch()
-	if err != nil || in == nil {
+	b, err := p.Child.NextBatch()
+	if err != nil || b == nil {
 		return nil, err
 	}
-	w := len(p.Exprs)
-	out := GetBatch()
-	arena := make([]types.Value, in.Len()*w)
-	for i := 0; i < in.Len(); i++ {
-		row := in.Row(i)
-		proj := arena[:w:w]
-		arena = arena[w:]
-		for ci, e := range p.Exprs {
-			proj[ci], err = e(row)
-			if err != nil {
-				PutBatch(in)
-				PutBatch(out)
-				return nil, err
+	p.out, p.computed = p.out[:0], p.computed[:0]
+	for i := range p.Exprs {
+		if p.Cols != nil && p.Cols[i] >= 0 {
+			p.out = append(p.out, b.Cols[p.Cols[i]])
+			continue
+		}
+		// Sel names positions below b.n; the vector is filled at those.
+		c := b.NewVec(types.KindNull)
+		c.Vals = slices.Grow(c.Vals, b.n)[:b.n]
+		p.out = append(p.out, c)
+		p.computed = append(p.computed, i)
+	}
+	if len(p.computed) > 0 {
+		for _, pos := range b.Sel {
+			row := b.RowAt(pos)
+			for _, i := range p.computed {
+				if p.out[i].Vals[pos], err = p.Exprs[i](row); err != nil {
+					PutBatch(b)
+					return nil, err
+				}
 			}
 		}
-		out.Append(proj)
 	}
-	PutBatch(in)
-	return out, nil
+	clear(b.scratch)
+	b.Cols = append(b.Cols[:0], p.out...)
+	clear(p.out)
+	return b, nil
 }
 
 // Close closes the child.
 func (p *BatchProject) Close() error { return p.Child.Close() }
 
-// BatchHashJoin is the batched hash-join probe: the build side is
-// materialized exactly like HashJoin (including the parallel partial-build
-// path), and the probe side streams batches, hashing a whole window of keys
-// per operator call. Output batches hold merged tuples.
-//
-// The probe side may produce rows narrower than the build side's padded
-// width ("narrow probe" mode: an alias-mode scan of just the probe table).
-// In that mode ProbeKeys must be compiled against the probe rows' own
-// narrow layout, and ProbeOffset says where the probe columns land in the
-// merged tuple. Narrow probing skips the per-row padding copy the probe
-// scan would otherwise do — the merge places the columns directly.
+// Bound passes the child's bound through: projection keeps every tuple.
+func (p *BatchProject) Bound() (int, bool) { return boundOf(p.Child) }
+
+// BatchDistinct suppresses duplicate tuples of a batch pipeline before any
+// of them is boxed: it collects its input into one batch and narrows Sel to
+// the first occurrence of each tuple. Tuples are hashed off the vectors and
+// compared column by column along their hash's chain — nothing is encoded
+// or allocated per tuple, where the row Distinct builds a key string for
+// each. NULLs are equal to each other here, as in every DISTINCT, and a
+// generic vector is hashed and compared through AppendKey, which keeps its
+// cross-kind equalities.
+type BatchDistinct struct {
+	Child BatchOperator
+
+	held // the deduplicated input
+}
+
+// Open collects the child (opening and closing it) and removes duplicates.
+func (d *BatchDistinct) Open() error {
+	all, err := collect(d.Child)
+	if err != nil || all == nil {
+		return err
+	}
+	dedup(all)
+	d.out = all
+	return nil
+}
+
+// held is the output half of an operator that computes one batch in Open —
+// its inputs opened, drained and closed there — and hands it over once.
+type held struct {
+	out *Batch
+}
+
+// NextBatch hands the batch over.
+func (h *held) NextBatch() (*Batch, error) {
+	b := h.out
+	h.out = nil
+	return b, nil
+}
+
+// Bound is the number of tuples not yet handed over.
+func (h *held) Bound() (int, bool) {
+	if h.out == nil {
+		return 0, true
+	}
+	return h.out.Len(), true
+}
+
+// Close drops a result nobody took.
+func (h *held) Close() error {
+	PutBatch(h.out)
+	h.out = nil
+	return nil
+}
+
+// dedup narrows a batch's selection to the first occurrence of each tuple.
+func dedup(b *Batch) {
+	seed := maphash.MakeSeed()
+	head := make(map[uint64]int32, b.Len()) // tuple hash → latest position kept
+	next := make([]int32, b.n)              // the one kept before it, -1 at the end
+	sel := b.Sel[:0]
+	for _, pos := range b.Sel {
+		var sum uint64
+		for _, cv := range b.Cols {
+			switch {
+			case cv == nil:
+			case !cv.Pure || cv.Kind == types.KindFloat:
+				sum = mixHash(sum, hashValue(seed, cv.Value(pos)))
+			case cv.Nulls[pos]:
+				sum = mixHash(sum, hashInt('n', 0))
+			case cv.Kind == types.KindString:
+				sum = mixHash(sum, maphash.String(seed, cv.Str[pos]))
+			default:
+				sum = mixHash(sum, hashInt(byte(cv.Kind), uint64(cv.I64[pos])))
+			}
+		}
+		first, ok := head[sum]
+		if !ok {
+			first = -1
+		}
+		dup := false
+		for q := first; q >= 0 && !dup; q = next[q] {
+			dup = true
+			for _, cv := range b.Cols {
+				if cv == nil {
+					continue
+				}
+				var same bool
+				switch p, q := pos, int(q); {
+				case !cv.Pure || cv.Kind == types.KindFloat:
+					same = sameValue(cv.Value(p), cv.Value(q))
+				case cv.Nulls[p] || cv.Nulls[q]:
+					same = cv.Nulls[p] && cv.Nulls[q]
+				case cv.Kind == types.KindString:
+					same = cv.Str[p] == cv.Str[q]
+				default:
+					same = cv.I64[p] == cv.I64[q]
+				}
+				if !same {
+					dup = false
+					break
+				}
+			}
+		}
+		if !dup {
+			next[pos], head[sum] = first, int32(pos)
+			sel = append(sel, pos)
+		}
+	}
+	b.Sel = sel
+}
+
+// BatchHashJoin is the columnar hash join. The build side — the smaller
+// input — is collected into one batch and its positions filed in a keyIndex
+// under the build keys; the probe side streams batches past it. Neither side
+// is boxed: keys are read off the key vectors (BuildCols, ProbeCols), and
+// for every match only the columns in Need are gathered into the output
+// batch, a probe column from its vector at the probe position, a build
+// column from its vector at the build position. With nothing in Need
+// (COUNT(*) over a join) the output carries a selection vector and no column
+// at all. A build side that is a row operator (an index scan) comes in
+// through the row→batch shim.
 type BatchHashJoin struct {
 	Build                Operator
 	Probe                BatchOperator
 	BuildKeys, ProbeKeys []Evaluator
-	Residual             Evaluator // may be nil
-	ProbeOffset          int       // merged-tuple offset of narrow probe rows
+	// BuildCols/ProbeCols hold, per key, the tuple offset on that side when
+	// the key is a bare column (-1 = evaluate the key over the boxed tuple);
+	// nil evaluates every key.
+	BuildCols, ProbeCols []int
+	// Need lists the tuple offsets the plan reads above the join; nil
+	// carries every column of both sides.
+	Need []int
 
-	table map[string][][]types.Value
+	// Probed counts the probe tuples examined by the last execution.
+	Probed int
+
+	build *Batch // the collected build side; nil when it is empty
+	idx   *keyIndex
 	buf   []byte
+	pos   []int // per output tuple: probe position (when gathered from)
+	hit   []int // per output tuple: build position (when gathered from)
+	every []int // Need == nil: every tuple offset
 }
 
-// Open materializes the build side.
+// Open collects and indexes the build side. The probe side is opened first
+// so its scan workers overlap the build; when the build fails, it is closed
+// again.
 func (j *BatchHashJoin) Open() error {
 	if err := j.Probe.Open(); err != nil {
 		return err
 	}
-	table, err := buildHashTable(j.Build, j.BuildKeys)
+	if err := j.index(); err != nil {
+		j.Close()
+		return err
+	}
+	j.Probed = 0
+	return nil
+}
+
+// index collects the build side and files its positions under their keys.
+func (j *BatchHashJoin) index() error {
+	build, err := collect(ToBatch(j.Build))
 	if err != nil {
 		return err
 	}
-	j.table = table
+	j.build = build
+	if build == nil {
+		return nil
+	}
+	j.idx = newKeyIndex(len(j.BuildKeys), build.n)
+	vals := make([]types.Value, len(j.BuildKeys))
+	for _, pos := range build.Sel {
+		null, err := build.keyValues(vals, j.BuildCols, j.BuildKeys, pos)
+		if err != nil {
+			return err
+		}
+		if !null { // NULL keys never join
+			j.idx.add(int32(pos), vals, &j.buf)
+		}
+	}
 	return nil
 }
 
@@ -288,59 +475,77 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		out := GetBatch()
-		var arena []types.Value
-		for i := 0; i < in.Len(); i++ {
-			probe := in.Row(i)
-			key, null, err := evalKeys(j.ProbeKeys, probe, j.buf[:0])
-			j.buf = key[:0]
-			if err != nil {
-				PutBatch(in)
-				PutBatch(out)
-				return nil, err
-			}
-			if null {
-				continue // NULL keys never join
-			}
-			for _, build := range j.table[string(key)] {
-				// Merged tuples come from a per-batch arena (never pooled,
-				// so they outlive the batch's recycling).
-				w := len(build)
-				if len(arena) < w {
-					arena = make([]types.Value, BatchSize*w)
-				}
-				merged := arena[:w:w]
-				if len(probe) < w {
-					// Narrow probe: build is full width, probe columns slot
-					// into their region directly.
-					copy(merged, build)
-					copy(merged[j.ProbeOffset:], probe)
-				} else {
-					mergeInto(merged, build, probe)
-				}
-				ok, err := EvalPredicate(j.Residual, merged)
-				if err != nil {
-					PutBatch(in)
-					PutBatch(out)
-					return nil, err
-				}
-				if ok {
-					arena = arena[w:]
-					out.Append(merged)
-				}
-			}
-		}
+		out, err := j.probe(in)
 		PutBatch(in)
-		if out.Len() == 0 {
-			PutBatch(out)
-			continue
+		if out != nil || err != nil {
+			return out, err
 		}
-		return out, nil
 	}
+}
+
+// probe joins one batch; nil when nothing matched.
+func (j *BatchHashJoin) probe(in *Batch) (*Batch, error) {
+	j.Probed += in.Len()
+	if j.build == nil {
+		return nil, nil
+	}
+	// Which sides the output gathers from decides what a match must record:
+	// nothing at all for a count-only output.
+	need := j.Need
+	if need == nil {
+		need = j.every[:0]
+		for c := range in.Cols {
+			need = append(need, c)
+		}
+		j.every = need
+	}
+	fromProbe, fromBuild := false, false
+	for _, c := range need {
+		fromProbe = fromProbe || in.Cols[c] != nil
+		fromBuild = fromBuild || j.build.Cols[c] != nil
+	}
+	j.pos, j.hit = j.pos[:0], j.hit[:0]
+	if fromProbe {
+		j.pos = slices.Grow(j.pos, in.Len())
+	}
+	if fromBuild {
+		j.hit = slices.Grow(j.hit, in.Len())
+	}
+	matches := 0
+	_, err := j.idx.probe(in, j.ProbeCols, j.ProbeKeys, &j.buf, func(pos int, head int32) (bool, error) {
+		for id := head; id >= 0; id = j.idx.next[id] {
+			matches++
+			if fromProbe {
+				j.pos = append(j.pos, pos)
+			}
+			if fromBuild {
+				j.hit = append(j.hit, int(id))
+			}
+		}
+		return true, nil
+	})
+	if err != nil || matches == 0 {
+		return nil, err
+	}
+	out := GetBatch()
+	out.Shape(len(in.Cols), matches)
+	out.SelectAll()
+	for _, c := range need {
+		src, at := in.Cols[c], j.pos
+		if src == nil {
+			src, at = j.build.Cols[c], j.hit
+		}
+		if src != nil {
+			out.Cols[c] = out.NewVec(src.Kind)
+			vecGather(out.Cols[c], src, at)
+		}
+	}
+	return out, nil
 }
 
 // Close releases both sides.
 func (j *BatchHashJoin) Close() error {
-	j.table = nil
+	PutBatch(j.build)
+	j.build, j.idx = nil, nil
 	return j.Probe.Close()
 }

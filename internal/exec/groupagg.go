@@ -25,7 +25,7 @@ func (g *GroupAggregate) Open() error {
 	}
 	defer g.Child.Close()
 
-	tab := newAggTable(g.Keys, nil, g.Specs, nil, nil)
+	tab := newAggTable(g.Keys, nil, g.Specs, nil)
 	for {
 		row, ok, err := g.Child.Next()
 		if err != nil {
@@ -47,6 +47,9 @@ func (g *GroupAggregate) Open() error {
 	g.pos = 0
 	return nil
 }
+
+// Bound is the number of groups left to emit.
+func (g *GroupAggregate) Bound() (int, bool) { return len(g.out) - g.pos, true }
 
 // Next emits the next group row.
 func (g *GroupAggregate) Next() ([]types.Value, bool, error) {

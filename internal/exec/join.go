@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"trac/internal/types"
 )
 
@@ -15,134 +13,201 @@ type HashJoin struct {
 	BuildKeys, ProbeKeys []Evaluator // compiled key expressions, same arity
 	Residual             Evaluator   // extra predicate after merge, may be nil
 
-	table   map[string][][]types.Value
-	current [][]types.Value // pending matches for the current probe row
-	probed  []types.Value
-	curIdx  int
-	buf     []byte
+	table  *hashTable
+	cur    int32 // next build tuple in the current probe tuple's chain, -1 = none
+	probed []types.Value
+	vals   []types.Value
+	buf    []byte
 }
 
-// Open materializes the build side into the hash table (see
-// buildHashTable for the parallel partial-build path).
+// Open materializes the build side into the hash table. The probe side is
+// opened first so a parallel probe scan overlaps the build; when the build
+// fails, it is closed again.
 func (j *HashJoin) Open() error {
 	if err := j.Probe.Open(); err != nil {
 		return err
 	}
 	table, err := buildHashTable(j.Build, j.BuildKeys)
 	if err != nil {
+		j.Probe.Close()
 		return err
 	}
 	j.table = table
-	j.current = nil
-	j.curIdx = 0
+	j.cur = -1
 	return nil
 }
 
-// buildHashTable materializes a join build side into a hash table. When the
-// build side is a multi-worker ParallelScan (possibly under a batch
-// bridge), each worker builds a partial hash table over the morsels it
-// claims — including key evaluation, the expensive part — and the partials
-// are merged once here; otherwise the build side is drained
-// single-threaded.
-func buildHashTable(build Operator, keys []Evaluator) (map[string][][]types.Value, error) {
-	if ps, ok := build.(*ParallelScan); ok && ps.Degree() > 1 {
-		return parallelBuild(ps.BatchPartials(), keys)
+// keyIndex maps equality keys to chains of int32 ids — build tuples for the
+// hash joins, anchor candidates for a SemiJoin probe. A key's chain starts
+// at its map entry and follows next. A lone TEXT key, the common case, is
+// filed under its payload itself, so a probe reads it straight off a string
+// vector; every other key (composite, or a value of another kind) under its
+// AppendKey encoding, which keeps the cross-kind equalities of types.Compare
+// (3 = 3.0). NULL keys are never filed and never match.
+type keyIndex struct {
+	single bool
+	str    map[string]int32
+	enc    map[string]int32
+	next   []int32
+	vals   []types.Value // probe's boxed key
+}
+
+// newKeyIndex makes an index for nKeys-column keys over ids 0..n-1.
+func newKeyIndex(nKeys, n int) *keyIndex {
+	return &keyIndex{single: nKeys == 1, next: make([]int32, n)}
+}
+
+// text reports whether a (non-NULL) key is filed under its TEXT payload.
+func (x *keyIndex) text(vals []types.Value) bool {
+	return x.single && vals[0].Kind() == types.KindString
+}
+
+// find returns the head of the key's chain, or -1. A key that is not filed
+// as text is left encoded in buf.
+func (x *keyIndex) find(vals []types.Value, buf *[]byte) int32 {
+	var h int32
+	var ok bool
+	if x.text(vals) {
+		h, ok = x.str[vals[0].Str()]
+	} else {
+		*buf = AppendKey((*buf)[:0], vals...)
+		h, ok = x.enc[string(*buf)]
 	}
-	if src, ok := AsBatch(build); ok {
-		if ps, ok := src.(*ParallelScan); ok && ps.Degree() > 1 {
-			return parallelBuild(ps.BatchPartials(), keys)
+	if !ok {
+		return -1
+	}
+	return h
+}
+
+// add files id under the key, behind the chain's head so the map is written
+// once per distinct key.
+func (x *keyIndex) add(id int32, vals []types.Value, buf *[]byte) {
+	switch h := x.find(vals, buf); {
+	case h >= 0:
+		x.next[id], x.next[h] = x.next[h], id
+	case x.text(vals):
+		if x.str == nil {
+			x.str = make(map[string]int32, len(x.next))
+		}
+		x.next[id], x.str[vals[0].Str()] = -1, id
+	default:
+		if x.enc == nil {
+			x.enc = make(map[string]int32, len(x.next))
+		}
+		x.next[id], x.enc[string(*buf)] = -1, id
+	}
+}
+
+// probe looks up the key of every selected position of b — read off the
+// vectors at cols where a key is a bare column, computed by evals over the
+// boxed tuple otherwise — and calls hit with the chain head of each position
+// whose key is filed. hit returns false to stop early. probe reports how
+// many positions it examined.
+func (x *keyIndex) probe(b *Batch, cols []int, evals []Evaluator, buf *[]byte, hit func(pos int, head int32) (bool, error)) (int, error) {
+	if x.single && cols != nil && cols[0] >= 0 {
+		if cv := b.Cols[cols[0]]; cv.Pure && cv.Kind == types.KindString {
+			for i, pos := range b.Sel {
+				if cv.Nulls[pos] {
+					continue
+				}
+				if h, ok := x.str[cv.Str[pos]]; ok {
+					if more, err := hit(pos, h); err != nil || !more {
+						return i + 1, err
+					}
+				}
+			}
+			return len(b.Sel), nil
 		}
 	}
+	if x.vals == nil {
+		x.vals = make([]types.Value, len(evals))
+	}
+	vals := x.vals
+	for i, pos := range b.Sel {
+		null, err := b.keyValues(vals, cols, evals, pos)
+		if err != nil {
+			return i + 1, err
+		}
+		if null {
+			continue
+		}
+		if h := x.find(vals, buf); h >= 0 {
+			if more, err := hit(pos, h); err != nil || !more {
+				return i + 1, err
+			}
+		}
+	}
+	return len(b.Sel), nil
+}
+
+// keyValues boxes the key of position pos into vals: column k comes from the
+// vector at cols[k] when that is a bare column, from evals[k] over the boxed
+// tuple otherwise. null reports a NULL key value.
+func (b *Batch) keyValues(vals []types.Value, cols []int, evals []Evaluator, pos int) (null bool, err error) {
+	var row []types.Value
+	for k := range vals {
+		if cols != nil && cols[k] >= 0 {
+			vals[k] = b.Cols[cols[k]].Value(pos)
+		} else {
+			if row == nil {
+				row = b.RowAt(pos)
+			}
+			if vals[k], err = evals[k](row); err != nil {
+				return false, err
+			}
+		}
+		null = null || vals[k].IsNull()
+	}
+	return null, nil
+}
+
+// hashTable is a materialized join build side: the tuples and the index of
+// their keys.
+type hashTable struct {
+	rows [][]types.Value
+	idx  *keyIndex
+}
+
+// buildHashTable materializes a join build side as boxed tuples and files
+// them under their keys.
+func buildHashTable(build Operator, keys []Evaluator) (*hashTable, error) {
 	rows, err := Drain(build)
 	if err != nil {
 		return nil, err
 	}
-	table := make(map[string][][]types.Value, len(rows))
+	t := &hashTable{rows: rows, idx: newKeyIndex(len(keys), len(rows))}
+	vals := make([]types.Value, len(keys))
 	var buf []byte
-	for _, row := range rows {
-		key, null, err := evalKeys(keys, row, buf[:0])
-		buf = key
+	for id, row := range rows {
+		null, err := evalKeys(vals, keys, row)
 		if err != nil {
 			return nil, err
 		}
-		if null {
-			continue // NULL keys never join
+		if !null { // NULL keys never join
+			t.idx.add(int32(id), vals, &buf)
 		}
-		table[string(key)] = append(table[string(key)], row)
 	}
-	return table, nil
+	return t, nil
 }
 
-// parallelBuild fans the build-side morsel partials across goroutines,
-// each hashing into its own partial map, then merges the partials.
-func parallelBuild(partials []BatchOperator, keys []Evaluator) (map[string][][]types.Value, error) {
-	maps := make([]map[string][][]types.Value, len(partials))
-	errs := make([]error, len(partials))
-	var wg sync.WaitGroup
-	for i, part := range partials {
-		wg.Add(1)
-		go func(i int, op BatchOperator) {
-			defer wg.Done()
-			m := make(map[string][][]types.Value)
-			var buf []byte
-			if err := op.Open(); err != nil {
-				errs[i] = err
-				return
-			}
-			defer op.Close()
-			for {
-				b, err := op.NextBatch()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if b == nil {
-					break
-				}
-				for ri := 0; ri < b.Len(); ri++ {
-					row := b.Row(ri)
-					key, null, err := evalKeys(keys, row, buf[:0])
-					buf = key
-					if err != nil {
-						errs[i] = err
-						PutBatch(b)
-						return
-					}
-					if null {
-						continue // NULL keys never join
-					}
-					m[string(key)] = append(m[string(key)], row)
-				}
-				PutBatch(b)
-			}
-			maps[i] = m
-		}(i, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+// evalKeys computes a boxed tuple's key into vals; null reports a NULL key
+// value.
+func evalKeys(vals []types.Value, keys []Evaluator, row []types.Value) (null bool, err error) {
+	for k, key := range keys {
+		if vals[k], err = key(row); err != nil {
+			return false, err
 		}
+		null = null || vals[k].IsNull()
 	}
-	total := 0
-	for _, m := range maps {
-		total += len(m)
-	}
-	table := make(map[string][][]types.Value, total)
-	for _, m := range maps {
-		for key, rows := range m {
-			table[key] = append(table[key], rows...)
-		}
-	}
-	return table, nil
+	return null, nil
 }
 
 // Next emits the next joined tuple.
 func (j *HashJoin) Next() ([]types.Value, bool, error) {
 	for {
-		for j.curIdx < len(j.current) {
-			build := j.current[j.curIdx]
-			j.curIdx++
+		for j.cur >= 0 {
+			build := j.table.rows[j.cur]
+			j.cur = j.table.idx.next[j.cur]
 			merged := mergeTuples(build, j.probed)
 			ok, err := EvalPredicate(j.Residual, merged)
 			if err != nil {
@@ -156,42 +221,26 @@ func (j *HashJoin) Next() ([]types.Value, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key, null, err := evalKeys(j.ProbeKeys, probe, j.buf[:0])
-		j.buf = key
+		if cap(j.vals) < len(j.ProbeKeys) {
+			j.vals = make([]types.Value, len(j.ProbeKeys))
+		}
+		vals := j.vals[:len(j.ProbeKeys)]
+		null, err := evalKeys(vals, j.ProbeKeys, probe)
 		if err != nil {
 			return nil, false, err
 		}
 		if null {
-			continue
+			continue // NULL keys never join
 		}
 		j.probed = probe
-		j.current = j.table[string(key)]
-		j.curIdx = 0
+		j.cur = j.table.idx.find(vals, &j.buf)
 	}
 }
 
 // Close releases both sides.
 func (j *HashJoin) Close() error {
 	j.table = nil
-	j.current = nil
 	return j.Probe.Close()
-}
-
-// evalKeys appends the encoded key values to buf, returning the extended
-// buffer. null is true when any key value is NULL (the row never joins).
-// Callers keep the returned slice as their scratch buffer for the next row.
-func evalKeys(keys []Evaluator, row []types.Value, buf []byte) ([]byte, bool, error) {
-	for _, k := range keys {
-		v, err := k(row)
-		if err != nil {
-			return buf, false, err
-		}
-		if v.IsNull() {
-			return buf, true, nil
-		}
-		buf = AppendKey(buf, v)
-	}
-	return buf, false, nil
 }
 
 // mergeTuples overlays the non-NULL regions of two same-width padded tuples.
@@ -199,18 +248,13 @@ func evalKeys(keys []Evaluator, row []types.Value, buf []byte) ([]byte, bool, er
 // range), so a plain position-wise overlay is correct.
 func mergeTuples(a, b []types.Value) []types.Value {
 	out := make([]types.Value, len(a))
-	mergeInto(out, a, b)
-	return out
-}
-
-// mergeInto is mergeTuples into caller-provided storage (batch arenas).
-func mergeInto(dst, a, b []types.Value) {
-	copy(dst, a)
+	copy(out, a)
 	for i, v := range b {
 		if !v.IsNull() {
-			dst[i] = v
+			out[i] = v
 		}
 	}
+	return out
 }
 
 // NestedLoopJoin materializes the inner side and runs the (smaller) loop for
@@ -233,6 +277,7 @@ func (j *NestedLoopJoin) Open() error {
 	}
 	rows, err := Drain(j.Inner)
 	if err != nil {
+		j.Outer.Close()
 		return err
 	}
 	j.inner = rows

@@ -1,60 +1,50 @@
 package exec
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"trac/internal/sqlparser"
 	"trac/internal/types"
 )
 
 // Kernel filters a batch in place: it compacts the selection vector down to
-// the rows whose predicate evaluates to TRUE. SQL three-valued semantics
+// the tuples whose predicate evaluates to TRUE. SQL three-valued semantics
 // are preserved exactly — FALSE and UNKNOWN (NULL operands) both drop the
-// row, matching Filter's IsTrue gate.
+// tuple, matching Filter's IsTrue gate.
 type Kernel func(b *Batch) error
 
 // CompileKernel translates a predicate into a batch kernel against the
 // layout. The top-level AND chain is split and each conjunct is fused into
-// a specialized loop where possible (column-vs-literal and column-vs-column
-// comparisons on INT/FLOAT/TIMESTAMP/TEXT, IN over literal lists, BETWEEN,
-// LIKE, IS NULL); anything else falls back to the compiled Evaluator,
-// still applied batch-at-a-time. It returns the kernel plus the number of
-// fused conjuncts out of the total, for explain notes.
+// a typed loop over the batch's column vectors where possible
+// (column-vs-literal and column-vs-column comparisons, IN over literal
+// lists, BETWEEN, LIKE, IS NULL — see fuseConjunct); anything else falls
+// back to the compiled Evaluator over boxed scratch tuples, still applied
+// batch-at-a-time. It returns the kernel plus the number of fused conjuncts
+// out of the total, for explain notes.
 //
 // A nil expression compiles to a nil kernel (keep everything).
 //
 // One deliberate divergence from the row Evaluator: a fused AND chain stops
-// evaluating a row as soon as one conjunct is FALSE or UNKNOWN, so a later
-// conjunct that would raise a type error on that row never runs. The row
+// evaluating a tuple as soon as one conjunct is FALSE or UNKNOWN, so a later
+// conjunct that would raise a type error on that tuple never runs. The row
 // path only short-circuits on FALSE. Both orders are legal under SQL's
 // unordered AND; on error-free inputs the outputs are identical.
 func CompileKernel(e sqlparser.Expr, layout *Layout) (k Kernel, fused, total int, err error) {
-	if e == nil {
-		return nil, 0, 0, nil
+	conjs, fused, err := compileConjuncts(e, layout, 0, 0)
+	if err != nil || len(conjs) == 0 {
+		return nil, 0, 0, err
 	}
-	conjuncts := splitAndExpr(e)
-	kernels := make([]Kernel, 0, len(conjuncts))
-	for _, cj := range conjuncts {
-		if fk := fuseConjunct(cj, layout); fk != nil {
-			kernels = append(kernels, fk)
-			fused++
-			continue
-		}
-		ev, cerr := Compile(cj, layout)
-		if cerr != nil {
-			return nil, 0, 0, cerr
-		}
-		kernels = append(kernels, KernelFromEvaluator(ev))
+	return chainKernels(conjs), fused, len(conjs), nil
+}
+
+// chainKernels runs the conjuncts in order, stopping once nothing is left.
+func chainKernels(conjs []vecConjunct) Kernel {
+	if len(conjs) == 1 {
+		return conjs[0].narrow
 	}
-	if len(kernels) == 1 {
-		return kernels[0], fused, len(conjuncts), nil
-	}
-	ks := kernels
 	return func(b *Batch) error {
-		for _, k := range ks {
-			if err := k(b); err != nil {
+		for _, c := range conjs {
+			if err := c.narrow(b); err != nil {
 				return err
 			}
 			if b.Len() == 0 {
@@ -62,25 +52,26 @@ func CompileKernel(e sqlparser.Expr, layout *Layout) (k Kernel, fused, total int
 			}
 		}
 		return nil
-	}, fused, len(conjuncts), nil
+	}
 }
 
 // KernelFromEvaluator wraps a compiled Evaluator as a batch kernel: the
-// general fallback for predicate shapes with no fused loop.
+// general fallback for predicate shapes with no fused loop. Each selected
+// position is boxed into the batch's scratch tuple.
 func KernelFromEvaluator(ev Evaluator) Kernel {
 	if ev == nil {
 		return nil
 	}
 	return func(b *Batch) error {
 		out := b.Sel[:0]
-		for _, ri := range b.Sel {
-			keep, err := EvalPredicate(ev, b.Rows[ri])
+		for _, pos := range b.Sel {
+			keep, err := EvalPredicate(ev, b.RowAt(pos))
 			if err != nil {
 				b.Sel = out
 				return err
 			}
 			if keep {
-				out = append(out, ri)
+				out = append(out, pos)
 			}
 		}
 		b.Sel = out
@@ -94,40 +85,6 @@ func splitAndExpr(e sqlparser.Expr) []sqlparser.Expr {
 		return append(splitAndExpr(l.Left), splitAndExpr(l.Right)...)
 	}
 	return []sqlparser.Expr{e}
-}
-
-// fuseConjunct returns a specialized kernel for one conjunct, or nil when
-// the shape has no fused form.
-func fuseConjunct(e sqlparser.Expr, layout *Layout) Kernel {
-	c := &compiler{layout: layout}
-	switch n := e.(type) {
-	case *sqlparser.Comparison:
-		left, right := n.Left, n.Right
-		c.coerceTimePair(&left, &right)
-		if lc, lok := left.(*sqlparser.ColumnRef); lok {
-			if rc, rok := right.(*sqlparser.ColumnRef); rok {
-				return fuseCmpColCol(layout, lc, rc, n.Op)
-			}
-			if lit, ok := right.(*sqlparser.Literal); ok {
-				return fuseCmpColLit(layout, lc, lit.Val, n.Op)
-			}
-		}
-		if rc, rok := right.(*sqlparser.ColumnRef); rok {
-			if lit, ok := left.(*sqlparser.Literal); ok {
-				return fuseCmpColLit(layout, rc, lit.Val, n.Op.Flip())
-			}
-		}
-		return nil
-	case *sqlparser.In:
-		return fuseIn(c, n)
-	case *sqlparser.Between:
-		return fuseBetween(c, n)
-	case *sqlparser.Like:
-		return fuseLike(layout, n)
-	case *sqlparser.IsNull:
-		return fuseIsNull(layout, n)
-	}
-	return nil
 }
 
 // colOffset resolves a column reference, returning its tuple offset and
@@ -174,7 +131,7 @@ func cmpF64(a, b float64) int {
 	}
 }
 
-// cmpSlow is the exact-semantics fallback for one row: types.Compare with
+// cmpSlow is the exact-semantics fallback for one value: types.Compare with
 // error propagation, identical to the compiled comparison evaluator.
 func cmpSlow(a, b types.Value, op sqlparser.CmpOp) (bool, error) {
 	cmp, err := types.Compare(a, b)
@@ -184,333 +141,11 @@ func cmpSlow(a, b types.Value, op sqlparser.CmpOp) (bool, error) {
 	return cmpSatisfies(cmp, op), nil
 }
 
-// fuseCmpColLit builds a `col <op> literal` kernel with a type-specialized
-// inner loop. Rows whose value is NULL are dropped (comparison → UNKNOWN);
-// rows whose runtime kind differs from the declared column kind take the
-// generic compare path so semantics match the Evaluator exactly.
-func fuseCmpColLit(layout *Layout, cr *sqlparser.ColumnRef, lit types.Value, op sqlparser.CmpOp) Kernel {
-	off, colKind, ok := colOffset(layout, cr)
-	if !ok {
-		return nil
-	}
-	if lit.IsNull() {
-		// col <op> NULL is UNKNOWN for every row: drop the whole batch.
-		return func(b *Batch) error {
-			b.Sel = b.Sel[:0]
-			return nil
-		}
-	}
-	switch {
-	case colKind == types.KindString && lit.Kind() == types.KindString &&
-		(op == sqlparser.CmpEq || op == sqlparser.CmpNe):
-		// (In)equality short-circuits on length, unlike the ordered compare.
-		ls := lit.Str()
-		want := op == sqlparser.CmpEq
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.Kind() == types.KindString {
-					if (v.Str() == ls) == want {
-						out = append(out, ri)
-					}
-					continue
-				}
-				if v.IsNull() {
-					continue
-				}
-				keep, err := cmpSlow(v, lit, op)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				if keep {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	case colKind == types.KindString && lit.Kind() == types.KindString:
-		ls := lit.Str()
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.Kind() == types.KindString {
-					if cmpSatisfies(strings.Compare(v.Str(), ls), op) {
-						out = append(out, ri)
-					}
-					continue
-				}
-				if v.IsNull() {
-					continue
-				}
-				keep, err := cmpSlow(v, lit, op)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				if keep {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	case colKind == types.KindInt && lit.Kind() == types.KindInt:
-		li := lit.Int()
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.Kind() == types.KindInt {
-					if cmpSatisfies(cmpI64(v.Int(), li), op) {
-						out = append(out, ri)
-					}
-					continue
-				}
-				if v.IsNull() {
-					continue
-				}
-				keep, err := cmpSlow(v, lit, op)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				if keep {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	case colKind == types.KindTime && lit.Kind() == types.KindTime:
-		ln := lit.TimeNanos()
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.Kind() == types.KindTime {
-					if cmpSatisfies(cmpI64(v.TimeNanos(), ln), op) {
-						out = append(out, ri)
-					}
-					continue
-				}
-				if v.IsNull() {
-					continue
-				}
-				keep, err := cmpSlow(v, lit, op)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				if keep {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	case colKind == types.KindFloat && lit.Kind() == types.KindFloat:
-		lf := lit.Float()
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.Kind() == types.KindFloat {
-					if cmpSatisfies(cmpF64(v.Float(), lf), op) {
-						out = append(out, ri)
-					}
-					continue
-				}
-				if v.IsNull() {
-					continue
-				}
-				keep, err := cmpSlow(v, lit, op)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				if keep {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	case numericKind(colKind) && numericKind(lit.Kind()):
-		// Mixed INT/FLOAT: promote through AsFloat like types.Compare.
-		lf, _ := lit.AsFloat()
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.IsNull() {
-					continue
-				}
-				if f, fok := v.AsFloat(); fok {
-					if cmpSatisfies(cmpF64(f, lf), op) {
-						out = append(out, ri)
-					}
-					continue
-				}
-				keep, err := cmpSlow(v, lit, op)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				if keep {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	}
-	return nil
-}
-
 func numericKind(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
 
-// fuseCmpColCol builds a `col <op> col` kernel: one loop with inline fast
-// paths for same-kind TEXT/INT/TIMESTAMP/FLOAT pairs and the generic
-// compare as the per-row fallback.
-func fuseCmpColCol(layout *Layout, lc, rc *sqlparser.ColumnRef, op sqlparser.CmpOp) Kernel {
-	lo, _, lok := colOffset(layout, lc)
-	ro, _, rok := colOffset(layout, rc)
-	if !lok || !rok {
-		return nil
-	}
-	return func(b *Batch) error {
-		out := b.Sel[:0]
-		for _, ri := range b.Sel {
-			row := b.Rows[ri]
-			lv, rv := row[lo], row[ro]
-			if lv.IsNull() || rv.IsNull() {
-				continue
-			}
-			var keep bool
-			lk, rk := lv.Kind(), rv.Kind()
-			switch {
-			case lk == types.KindString && rk == types.KindString:
-				keep = cmpSatisfies(strings.Compare(lv.Str(), rv.Str()), op)
-			case lk == types.KindInt && rk == types.KindInt:
-				keep = cmpSatisfies(cmpI64(lv.Int(), rv.Int()), op)
-			case lk == types.KindTime && rk == types.KindTime:
-				keep = cmpSatisfies(cmpI64(lv.TimeNanos(), rv.TimeNanos()), op)
-			case lk == types.KindFloat && rk == types.KindFloat:
-				keep = cmpSatisfies(cmpF64(lv.Float(), rv.Float()), op)
-			default:
-				cmp, err := types.Compare(lv, rv)
-				if err != nil {
-					b.Sel = out
-					return err
-				}
-				keep = cmpSatisfies(cmp, op)
-			}
-			if keep {
-				out = append(out, ri)
-			}
-		}
-		b.Sel = out
-		return nil
-	}
-}
-
-// fuseIn builds a kernel for `col [NOT] IN (literals...)`. Semantics match
-// the Evaluator: a NULL probe value is UNKNOWN (dropped); a match wins over
-// a NULL list member; no match with a NULL member is UNKNOWN (dropped);
-// compare errors against individual members are ignored (treated as
-// non-matches), as in the row path.
-func fuseIn(c *compiler, n *sqlparser.In) Kernel {
-	expr := n.Expr
-	items := make([]sqlparser.Expr, len(n.List))
-	copy(items, n.List)
-	for i := range items {
-		c.coerceTimePair(&expr, &items[i])
-	}
-	cr, ok := expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	off, colKind, ok := colOffset(c.layout, cr)
-	if !ok {
-		return nil
-	}
-	vals := make([]types.Value, 0, len(items))
-	hasNullItem := false
-	allStrings := colKind == types.KindString
-	for _, it := range items {
-		lit, ok := it.(*sqlparser.Literal)
-		if !ok {
-			return nil
-		}
-		if lit.Val.IsNull() {
-			hasNullItem = true
-			continue
-		}
-		if lit.Val.Kind() != types.KindString {
-			allStrings = false
-		}
-		vals = append(vals, lit.Val)
-	}
-	negated := n.Negated
-
-	if allStrings {
-		// The workload's hot shape: TEXT column against a string list.
-		set := make(map[string]struct{}, len(vals))
-		for _, v := range vals {
-			set[v.Str()] = struct{}{}
-		}
-		return func(b *Batch) error {
-			out := b.Sel[:0]
-			for _, ri := range b.Sel {
-				v := b.Rows[ri][off]
-				if v.IsNull() {
-					continue
-				}
-				matched := false
-				if v.Kind() == types.KindString {
-					_, matched = set[v.Str()]
-				}
-				// Non-string values cannot equal any string member
-				// (types.Compare errors are ignored in IN), so matched
-				// stays false for them.
-				if inKeeps(matched, hasNullItem, negated) {
-					out = append(out, ri)
-				}
-			}
-			b.Sel = out
-			return nil
-		}
-	}
-	return func(b *Batch) error {
-		out := b.Sel[:0]
-		for _, ri := range b.Sel {
-			v := b.Rows[ri][off]
-			if v.IsNull() {
-				continue
-			}
-			matched := false
-			for _, iv := range vals {
-				if cmp, err := types.Compare(v, iv); err == nil && cmp == 0 {
-					matched = true
-					break
-				}
-			}
-			if inKeeps(matched, hasNullItem, negated) {
-				out = append(out, ri)
-			}
-		}
-		b.Sel = out
-		return nil
-	}
-}
-
-// inKeeps decides whether an IN result keeps the row: matched → TRUE unless
-// negated; unmatched with a NULL member → UNKNOWN (drop); otherwise FALSE
-// unless negated.
+// inKeeps decides whether an IN result keeps the tuple: matched → TRUE
+// unless negated; unmatched with a NULL member → UNKNOWN (drop); otherwise
+// FALSE unless negated.
 func inKeeps(matched, hasNullItem, negated bool) bool {
 	if matched {
 		return !negated
@@ -519,131 +154,4 @@ func inKeeps(matched, hasNullItem, negated bool) bool {
 		return false
 	}
 	return negated
-}
-
-// fuseBetween builds a kernel for `col [NOT] BETWEEN lit AND lit`.
-func fuseBetween(c *compiler, n *sqlparser.Between) Kernel {
-	expr, lo, hi := n.Expr, n.Lo, n.Hi
-	c.coerceTimePair(&expr, &lo)
-	c.coerceTimePair(&expr, &hi)
-	cr, ok := expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	off, _, ok := colOffset(c.layout, cr)
-	if !ok {
-		return nil
-	}
-	loLit, ok := lo.(*sqlparser.Literal)
-	if !ok {
-		return nil
-	}
-	hiLit, ok := hi.(*sqlparser.Literal)
-	if !ok {
-		return nil
-	}
-	lov, hiv := loLit.Val, hiLit.Val
-	if lov.IsNull() || hiv.IsNull() {
-		// A NULL bound makes every row UNKNOWN.
-		return func(b *Batch) error {
-			b.Sel = b.Sel[:0]
-			return nil
-		}
-	}
-	negated := n.Negated
-	return func(b *Batch) error {
-		out := b.Sel[:0]
-		for _, ri := range b.Sel {
-			v := b.Rows[ri][off]
-			if v.IsNull() {
-				continue
-			}
-			cl, err := types.Compare(v, lov)
-			if err != nil {
-				b.Sel = out
-				return err
-			}
-			ch, err := types.Compare(v, hiv)
-			if err != nil {
-				b.Sel = out
-				return err
-			}
-			in := cl >= 0 && ch <= 0
-			if negated {
-				in = !in
-			}
-			if in {
-				out = append(out, ri)
-			}
-		}
-		b.Sel = out
-		return nil
-	}
-}
-
-// fuseLike builds a kernel for `col [NOT] LIKE 'pattern'`.
-func fuseLike(layout *Layout, n *sqlparser.Like) Kernel {
-	cr, ok := n.Expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	pat, ok := n.Pattern.(*sqlparser.Literal)
-	if !ok || pat.Val.Kind() != types.KindString {
-		return nil
-	}
-	off, _, ok := colOffset(layout, cr)
-	if !ok {
-		return nil
-	}
-	pattern := pat.Val.Str()
-	negated := n.Negated
-	return func(b *Batch) error {
-		out := b.Sel[:0]
-		for _, ri := range b.Sel {
-			v := b.Rows[ri][off]
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() != types.KindString {
-				b.Sel = out
-				return fmt.Errorf("exec: LIKE requires TEXT operands")
-			}
-			m := MatchLike(v.Str(), pattern)
-			if negated {
-				m = !m
-			}
-			if m {
-				out = append(out, ri)
-			}
-		}
-		b.Sel = out
-		return nil
-	}
-}
-
-// fuseIsNull builds a kernel for `col IS [NOT] NULL`.
-func fuseIsNull(layout *Layout, n *sqlparser.IsNull) Kernel {
-	cr, ok := n.Expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	off, _, ok := colOffset(layout, cr)
-	if !ok {
-		return nil
-	}
-	negated := n.Negated
-	return func(b *Batch) error {
-		out := b.Sel[:0]
-		for _, ri := range b.Sel {
-			isNull := b.Rows[ri][off].IsNull()
-			if negated {
-				isNull = !isNull
-			}
-			if isNull {
-				out = append(out, ri)
-			}
-		}
-		b.Sel = out
-		return nil
-	}
 }

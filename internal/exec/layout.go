@@ -46,9 +46,8 @@ func (l *Layout) Width() int { return l.width }
 // ambiguity, mirroring SQL name resolution.
 func (l *Layout) Resolve(qualifier, column string) (int, error) {
 	if qualifier != "" {
-		q := strings.ToLower(qualifier)
 		for _, b := range l.Bindings {
-			if strings.ToLower(b.Name) == q {
+			if strings.EqualFold(b.Name, qualifier) {
 				ci := b.Table.Schema.ColumnIndex(column)
 				if ci < 0 {
 					return 0, fmt.Errorf("exec: table %q has no column %q", qualifier, column)

@@ -19,13 +19,37 @@ type Operator interface {
 	Close() error
 }
 
-// Drain runs an operator to completion and collects its output.
+// Drain runs an operator to completion and collects its output. A root that
+// speaks batches is pulled batch-at-a-time and its tuples minted here; an
+// operator that knows how many tuples it holds (bounded) sizes the result.
 func Drain(op Operator) ([][]types.Value, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	var out [][]types.Value
+	if bd, ok := op.(bounded); ok {
+		if n, known := bd.Bound(); known {
+			out = make([][]types.Value, 0, n)
+		}
+	}
+	if src, ok := AsBatch(op); ok {
+		for {
+			b, err := src.NextBatch()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				break
+			}
+			out = b.AppendRows(out)
+			PutBatch(b)
+		}
+		if r, ok := op.(*RowFromBatch); ok {
+			r.Boxed += len(out)
+		}
+		return out, nil
+	}
 	for {
 		row, ok, err := op.Next()
 		if err != nil {
@@ -36,6 +60,136 @@ func Drain(op Operator) ([][]types.Value, error) {
 		}
 		out = append(out, row)
 	}
+}
+
+// bounded is implemented by operators that, once open, can state an upper
+// bound on the tuples they have yet to emit: a materialized aggregate, sort
+// or semi-join, and the pass-through operators above one.
+type bounded interface {
+	Bound() (n int, known bool)
+}
+
+// boundOf asks an operator (row or batch) for its bound.
+func boundOf(op any) (int, bool) {
+	if bd, ok := op.(bounded); ok {
+		return bd.Bound()
+	}
+	return 0, false
+}
+
+// eachInput calls fn with every operator, row or batch, directly beneath a
+// plan node.
+func eachInput(node any, fn func(any)) {
+	switch n := node.(type) {
+	case *RowFromBatch:
+		fn(n.Src)
+	case *rowSource:
+		fn(n.child)
+	case *Filter:
+		fn(n.Child)
+	case *Project:
+		fn(n.Child)
+	case *Sort:
+		fn(n.Child)
+	case *Limit:
+		fn(n.Child)
+	case *Distinct:
+		fn(n.Child)
+	case *Aggregate:
+		fn(n.Child)
+	case *GroupAggregate:
+		fn(n.Child)
+	case *BatchGroupAggregate:
+		fn(n.Src)
+	case *ParallelGroupAggregate:
+		fn(n.Scan)
+	case *HashJoin:
+		fn(n.Build)
+		fn(n.Probe)
+	case *NestedLoopJoin:
+		fn(n.Outer)
+		fn(n.Inner)
+	case *Union:
+		for _, c := range n.Children {
+			fn(c)
+		}
+	case *Exchange:
+		for _, c := range n.Children {
+			fn(c)
+		}
+	case *BatchFilter:
+		fn(n.Child)
+	case *BatchProject:
+		fn(n.Child)
+	case *BatchDistinct:
+		fn(n.Child)
+	case *BatchHashJoin:
+		fn(n.Build)
+		fn(n.Probe)
+	case *SemiJoin:
+		fn(n.Anchor)
+		for _, arm := range n.Arms {
+			for _, p := range arm.Probes {
+				fn(p.Src)
+			}
+		}
+	}
+}
+
+// Vectorized reports whether any part of an operator tree runs
+// batch-at-a-time over column vectors. The bridges (RowFromBatch, the
+// row→batch shim) and a SemiJoin only carry what their inputs produce. The
+// planner records the answer in explain output and the engine surfaces it on
+// results.
+func Vectorized(op Operator) bool { return vectorized(op) }
+
+func vectorized(node any) bool {
+	switch node.(type) {
+	case *BatchScan, *ParallelScan, *Exchange, *BatchFilter, *BatchProject, *BatchDistinct,
+		*BatchHashJoin, *BatchGroupAggregate, *ParallelGroupAggregate, *StatAggScan:
+		return true
+	}
+	found := false
+	eachInput(node, func(in any) { found = found || vectorized(in) })
+	return found
+}
+
+// ParallelDegree reports the maximum parallel worker count anywhere in an
+// operator tree (1 for a fully single-threaded plan). The planner records it
+// in explain output and the engine surfaces it on results.
+func ParallelDegree(op Operator) int { return parallelDegree(op) }
+
+func parallelDegree(node any) int {
+	d := 1
+	switch n := node.(type) {
+	case *ParallelScan:
+		d = n.Degree()
+	case *StatAggScan:
+		d = n.Degree()
+	case *Exchange:
+		d = max(d, len(n.Children))
+	}
+	eachInput(node, func(in any) { d = max(d, parallelDegree(in)) })
+	return d
+}
+
+// RowsBoxed counts the tuples the last execution minted at the plan's
+// batch→row bridges, hash-join build sides excluded (a build side is
+// materialized by design; what the count watches is the probe stream).
+func RowsBoxed(op Operator) int { return rowsBoxed(op) }
+
+func rowsBoxed(node any) int {
+	n := 0
+	switch j := node.(type) {
+	case *RowFromBatch:
+		n = j.Boxed
+	case *HashJoin:
+		return rowsBoxed(j.Probe)
+	case *BatchHashJoin:
+		return rowsBoxed(j.Probe)
+	}
+	eachInput(node, func(in any) { n += rowsBoxed(in) })
+	return n
 }
 
 // AppendKey appends a canonical, collision-free encoding of the values to

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"trac/internal/sqlparser"
@@ -355,5 +356,34 @@ func TestProjectAndFilter(t *testing.T) {
 	}
 	if rows[0][0].Str() != "m1" || rows[0][1].Float() != 1.0 {
 		t.Errorf("row0 = %v", rows[0])
+	}
+}
+
+// TestRowSetAgreesWithTheCanonicalEncoding: a DISTINCT's set of tuples must
+// treat two tuples as one exactly when AppendKey encodes them alike — 3 and
+// 3.0, 0 and -0, NaN and NaN, NULL and NULL are one value; 3 and '3', a
+// timestamp and the integer of its nanoseconds, are two.
+func TestRowSetAgreesWithTheCanonicalEncoding(t *testing.T) {
+	zoo := []types.Value{
+		types.Null, types.NewBool(true), types.NewBool(false),
+		types.NewInt(3), types.NewFloat(3), types.NewString("3"), types.NewTimeNanos(3),
+		types.NewInt(0), types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.NaN()), types.NewFloat(-math.NaN()), types.NewFloat(2.5), types.NewFloat(1e300),
+		types.NewInt(math.MaxInt64), types.NewFloat(9.007199254740992e15), types.NewInt(9007199254740992),
+		types.NewString(""), types.NewString("a"),
+	}
+	var rows [][]types.Value
+	for _, a := range zoo {
+		for _, b := range zoo {
+			rows = append(rows, []types.Value{a, b}, []types.Value{b, a})
+		}
+	}
+	set, keys := newRowSet(0), map[string]bool{}
+	for i, r := range rows {
+		fresh := !keys[RowKey(r)]
+		keys[RowKey(r)] = true
+		if got := set.add(r); got != fresh {
+			t.Fatalf("tuple %d %v: rowSet says new=%v, its encoding %q says new=%v", i, r, got, RowKey(r), fresh)
+		}
 	}
 }

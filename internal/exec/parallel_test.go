@@ -163,16 +163,16 @@ func (o *errOp) Next() ([]types.Value, bool, error) {
 func (o *errOp) Close() error { return nil }
 
 func TestExchangePropagatesChildError(t *testing.T) {
-	ex := &Exchange{Children: []Operator{
-		&ValuesOp{RowsData: intRows(1, 2, 3)},
-		&errOp{},
+	ex := &Exchange{Children: []BatchOperator{
+		ToBatch(&ValuesOp{RowsData: intRows(1, 2, 3)}),
+		ToBatch(&errOp{}),
 	}}
 	_, err := Drain(ex)
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The exchange must be re-openable after a failed run.
-	ex2 := &Exchange{Children: []Operator{&ValuesOp{RowsData: intRows(4, 5)}}}
+	ex2 := &Exchange{Children: []BatchOperator{ToBatch(&ValuesOp{RowsData: intRows(4, 5)})}}
 	rows, err := Drain(ex2)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("clean exchange: %v, %v", rows, err)

@@ -108,14 +108,15 @@ func (s *IndexScan) Open() error {
 	s.pos = 0
 	if s.Keys != nil {
 		for _, k := range s.Keys {
-			s.matches = append(s.matches, s.Index.Lookup(k)...)
+			s.matches = append(s.matches, s.Index.LookupAt(k, s.Snap.Seq)...)
 		}
-		return nil
+	} else {
+		s.Index.Scan(s.Lo, s.Hi, func(_ types.Value, rows []*storage.Row) bool {
+			s.matches = append(s.matches, rows...)
+			return true
+		})
 	}
-	s.Index.Scan(s.Lo, s.Hi, func(_ types.Value, rows []*storage.Row) bool {
-		s.matches = append(s.matches, rows...)
-		return true
-	})
+	s.Table.NoteVisited(len(s.matches))
 	return nil
 }
 
@@ -171,6 +172,9 @@ func (v *ValuesOp) Next() ([]types.Value, bool, error) {
 	v.pos++
 	return r, true, nil
 }
+
+// Bound is the number of fixed rows left.
+func (v *ValuesOp) Bound() (int, bool) { return len(v.RowsData) - v.pos, true }
 
 // Close is a no-op.
 func (v *ValuesOp) Close() error { return nil }

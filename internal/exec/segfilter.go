@@ -9,85 +9,90 @@ import (
 	"trac/internal/types"
 )
 
-// SegmentFilter is the columnar form of a pushed-down scan predicate, used
-// by segment-aware scans on sealed storage.Segment units. Each fusable
-// conjunct carries two compiled parts:
+// vecConjunct is one compiled conjunct of a scan or filter predicate: the
+// loop that narrows a batch's selection vector, and — when the conjunct
+// reads one column of the scanned table in a shape zone maps can decide —
+// the two segment-level proofs:
 //
-//   - a zone-map prune check deciding from the segment's per-column min/max,
-//     null-count, and distinct-source summaries that NO row in the segment
-//     can satisfy the conjunct — the whole segment is skipped without
-//     touching a single value;
-//   - a columnar narrow loop over the segment's typed vectors that shrinks a
-//     selection vector of segment-relative positions, so rows are
-//     materialized late: only survivors are ever copied (or aliased) into a
-//     batch.
+//   - prune: from the segment's per-column min/max, null-count and
+//     distinct-source summaries, NO row can satisfy the conjunct, so the
+//     whole segment is skipped without touching a single value;
+//   - covers: the dual — EVERY row satisfies it.
 //
-// Conjuncts with no fusable columnar form are compiled into Rest, a row
-// kernel the scan applies after materialization — together the two halves
-// evaluate exactly the predicate CompileKernel would.
-//
-// Pruning and seg-before-Rest evaluation reorder the AND chain, which is
-// legal for the same reason CompileKernel's early-out is (see its doc
-// comment): both orders agree wherever no conjunct raises an error, and a
-// conjunct is only seg-fused for kind pairings whose row kernel cannot
-// raise one on values a zone map admits. On error-free inputs the outputs
-// are identical to the row path.
-type SegmentFilter struct {
-	conjs []segConjunct
-	// Rest evaluates the non-fused conjuncts against materialized batch
-	// rows; nil when every conjunct fused.
-	Rest Kernel
-	// Fused counts seg-fused conjuncts out of Total, for explain notes.
-	Fused, Total int
-}
-
-// segConjunct is one seg-fused conjunct: an optional zone-map prune check, a
-// selection-narrowing loop over the column vectors, and an optional coverage
-// check — the dual of prune — deciding from the zone map that EVERY row in
-// the segment satisfies the conjunct (nil when the shape has no such proof).
-type segConjunct struct {
+// The narrowing loop is the same code whether the batch views a sealed
+// segment's vectors, holds a transposed tail window, or is a join's output:
+// pure vectors take the typed loop, generic ones (a column holding a value
+// of another kind than declared, possible only through the direct storage
+// API; anything a row operator produced) exact per-value semantics.
+type vecConjunct struct {
+	narrow Kernel
 	prune  func(*storage.Segment) bool
-	narrow func(*storage.Segment, []int) ([]int, error)
 	covers func(*storage.Segment) bool
 }
 
-// CompileSegmentFilter translates a pushed-down scan predicate into a
-// SegmentFilter against the given layout. base is the tuple offset where
-// the scanned table's columns start (the scan's Offset) and tblCols its
-// arity: only conjuncts over those columns can fuse to column vectors.
-// A nil expression yields a nil filter.
-func CompileSegmentFilter(e sqlparser.Expr, layout *Layout, base, tblCols int) (*SegmentFilter, error) {
-	if e == nil {
-		return nil, nil
+// selLoop narrows a selection vector over one column vector, in place.
+type selLoop func(cv *storage.ColVec, sel []int) ([]int, error)
+
+// colKernel applies a selLoop to the batch column at tuple offset off.
+func colKernel(off int, loop selLoop) Kernel {
+	return func(b *Batch) error {
+		sel, err := loop(b.Cols[off], b.Sel)
+		b.Sel = sel
+		return err
 	}
-	conjuncts := splitAndExpr(e)
-	f := &SegmentFilter{Total: len(conjuncts)}
-	var rest []sqlparser.Expr
-	for _, cj := range conjuncts {
-		if sc, ok := fuseSegConjunct(cj, layout, base, tblCols); ok {
-			f.conjs = append(f.conjs, sc)
-			f.Fused++
-			continue
-		}
-		rest = append(rest, cj)
-	}
-	if len(rest) > 0 {
-		k, _, _, err := CompileKernel(andAll(rest), layout)
-		if err != nil {
-			return nil, err
-		}
-		f.Rest = k
-	}
-	return f, nil
 }
 
-// andAll rebuilds an AND chain from conjuncts.
-func andAll(conjs []sqlparser.Expr) sqlparser.Expr {
-	e := conjs[0]
-	for _, cj := range conjs[1:] {
-		e = &sqlparser.Logical{Op: sqlparser.LogicAnd, Left: e, Right: cj}
+// SegmentFilter holds the zone-map side of a pushed-down scan predicate:
+// what a segment-aware scan can decide about a sealed storage.Segment
+// before reading it. The rows of a segment that is neither pruned nor
+// answered from statistics are filtered by the predicate's Kernel like any
+// other batch.
+//
+// Pruning reorders the AND chain, which is legal for the same reason
+// CompileKernel's early-out is (see its doc comment): both orders agree
+// wherever no conjunct raises an error, and a conjunct only has a zone-map
+// proof for kind pairings whose loop cannot raise one on values a zone map
+// admits. On error-free inputs the outputs are identical to the row path.
+type SegmentFilter struct {
+	conjs []vecConjunct
+	// Fused counts conjuncts with a typed vector loop out of Total, for
+	// explain notes.
+	Fused, Total int
+}
+
+// CompileSegmentFilter compiles the zone-map proofs of a pushed-down scan
+// predicate. base is the tuple offset where the scanned table's columns
+// start (the scan's Offset) and tblCols its arity: only conjuncts over
+// those columns have zone maps to consult. A nil expression yields a nil
+// filter.
+func CompileSegmentFilter(e sqlparser.Expr, layout *Layout, base, tblCols int) (*SegmentFilter, error) {
+	conjs, fused, err := compileConjuncts(e, layout, base, tblCols)
+	if err != nil || len(conjs) == 0 {
+		return nil, err
 	}
-	return e
+	return &SegmentFilter{conjs: conjs, Fused: fused, Total: len(conjs)}, nil
+}
+
+// compileConjuncts splits a predicate's top-level AND chain and compiles
+// each conjunct: fused to a typed vector loop where the shape allows,
+// otherwise the compiled Evaluator over boxed scratch tuples.
+func compileConjuncts(e sqlparser.Expr, layout *Layout, base, tblCols int) (conjs []vecConjunct, fused int, err error) {
+	if e == nil {
+		return nil, 0, nil
+	}
+	for _, cj := range splitAndExpr(e) {
+		if vc, ok := fuseConjunct(cj, layout, base, tblCols); ok {
+			conjs = append(conjs, vc)
+			fused++
+			continue
+		}
+		ev, err := Compile(cj, layout)
+		if err != nil {
+			return nil, 0, err
+		}
+		conjs = append(conjs, vecConjunct{narrow: KernelFromEvaluator(ev)})
+	}
+	return conjs, fused, nil
 }
 
 // Prune reports that no row of the segment can satisfy the predicate: some
@@ -102,16 +107,13 @@ func (f *SegmentFilter) Prune(seg *storage.Segment) bool {
 }
 
 // Covers is the dual of Prune: it proves from the zone maps alone that every
-// row version in the segment satisfies the whole predicate (each fused
-// conjunct is TRUE on every row, and nothing was left to the Rest kernel).
-// Aggregation pushdown uses it to answer a segment from its zone-map stats
-// without materializing a row; coverage requires NullCount == 0 on the
-// tested column, so no row can be UNKNOWN, and each proof only fires after
-// the same successful bound comparisons that make pruning error-exact.
+// row version in the segment satisfies the whole predicate (every conjunct
+// has a proof and it holds). Aggregation pushdown uses it to answer a
+// segment from its zone-map stats without reading a row; coverage requires
+// NullCount == 0 on the tested column, so no row can be UNKNOWN, and each
+// proof only fires after the same successful bound comparisons that make
+// pruning error-exact.
 func (f *SegmentFilter) Covers(seg *storage.Segment) bool {
-	if f.Rest != nil {
-		return false
-	}
 	for _, c := range f.conjs {
 		if c.covers == nil || !c.covers(seg) {
 			return false
@@ -120,74 +122,67 @@ func (f *SegmentFilter) Covers(seg *storage.Segment) bool {
 	return true
 }
 
-// Narrow runs the fused conjuncts' columnar loops over the selection vector
-// (segment-relative positions), returning the survivors. The caller still
-// owes the Rest kernel on materialized rows.
-func (f *SegmentFilter) Narrow(seg *storage.Segment, sel []int) ([]int, error) {
-	for _, c := range f.conjs {
-		if len(sel) == 0 {
-			return sel, nil
-		}
-		var err error
-		sel, err = c.narrow(seg, sel)
-		if err != nil {
-			return sel, err
-		}
-	}
-	return sel, nil
-}
-
-// segColIndex resolves a column reference to a segment-relative column
-// position: the layout offset shifted by the scan's base, valid only within
-// the scanned table's arity.
-func segColIndex(layout *Layout, cr *sqlparser.ColumnRef, base, tblCols int) (int, types.Kind, bool) {
-	off, kind, ok := colOffset(layout, cr)
-	if !ok {
-		return 0, types.KindNull, false
-	}
+// zoned attaches a conjunct's zone-map proofs when its column, at tuple
+// offset off, belongs to the scanned table; the proofs take the column's
+// position in the table.
+func zoned(vc vecConjunct, off, base, tblCols int, prune, covers func(seg *storage.Segment, col int) bool) vecConjunct {
 	col := off - base
 	if col < 0 || col >= tblCols {
-		return 0, types.KindNull, false
+		return vc
 	}
-	return col, kind, true
+	if prune != nil {
+		vc.prune = func(seg *storage.Segment) bool { return prune(seg, col) }
+	}
+	if covers != nil {
+		vc.covers = func(seg *storage.Segment) bool { return covers(seg, col) }
+	}
+	return vc
 }
 
-// fuseSegConjunct returns the seg-fused form of one conjunct, mirroring
-// fuseConjunct's shape dispatch, or ok=false when the shape (or its kind
-// pairing) has no columnar form and must go through Rest.
-func fuseSegConjunct(e sqlparser.Expr, layout *Layout, base, tblCols int) (segConjunct, bool) {
+// fuseConjunct returns the fused form of one conjunct, or ok=false when the
+// shape (or its kind pairing) has no typed loop and must go through the
+// compiled Evaluator, which keeps its (possibly error-raising) semantics
+// byte-for-byte.
+func fuseConjunct(e sqlparser.Expr, layout *Layout, base, tblCols int) (vecConjunct, bool) {
 	c := &compiler{layout: layout}
 	switch n := e.(type) {
 	case *sqlparser.Comparison:
 		left, right := n.Left, n.Right
 		c.coerceTimePair(&left, &right)
 		if lc, lok := left.(*sqlparser.ColumnRef); lok {
+			if rc, rok := right.(*sqlparser.ColumnRef); rok {
+				return fuseCmpColCol(layout, lc, rc, n.Op)
+			}
 			if lit, ok := right.(*sqlparser.Literal); ok {
-				return segCmpColLit(layout, base, tblCols, lc, lit.Val, n.Op)
+				return fuseCmpColLit(layout, base, tblCols, lc, lit.Val, n.Op)
 			}
 		}
 		if rc, rok := right.(*sqlparser.ColumnRef); rok {
 			if lit, ok := left.(*sqlparser.Literal); ok {
-				return segCmpColLit(layout, base, tblCols, rc, lit.Val, n.Op.Flip())
+				return fuseCmpColLit(layout, base, tblCols, rc, lit.Val, n.Op.Flip())
 			}
 		}
 	case *sqlparser.In:
-		return segIn(c, n, base, tblCols)
+		return fuseIn(c, n, base, tblCols)
 	case *sqlparser.Between:
-		return segBetween(c, n, base, tblCols)
+		return fuseBetween(c, n, base, tblCols)
 	case *sqlparser.Like:
-		return segLike(layout, n, base, tblCols)
+		return fuseLike(layout, n, base, tblCols)
 	case *sqlparser.IsNull:
-		return segIsNull(layout, n, base, tblCols)
+		return fuseIsNull(layout, n, base, tblCols)
 	}
-	return segConjunct{}, false
+	return vecConjunct{}, false
 }
 
-// dropAllSeg is the narrow loop for conjuncts that are UNKNOWN on every row
-// (NULL literal operands).
-func dropAllSeg(_ *storage.Segment, sel []int) ([]int, error) { return sel[:0], nil }
-
-func pruneAlways(*storage.Segment) bool { return true }
+// dropAll is the conjunct that is UNKNOWN on every row (NULL literal
+// operands): nothing survives and every segment prunes.
+func dropAll(off, base, tblCols int) vecConjunct {
+	vc := vecConjunct{narrow: func(b *Batch) error {
+		b.Sel = b.Sel[:0]
+		return nil
+	}}
+	return zoned(vc, off, base, tblCols, func(*storage.Segment, int) bool { return true }, nil)
+}
 
 // allNull reports a zone map proving the column is NULL in every row of the
 // segment — any comparison, IN, BETWEEN, or LIKE over it is UNKNOWN
@@ -260,10 +255,9 @@ func coverCmpZone(z *storage.ZoneMap, segLen int, lit types.Value, op sqlparser.
 	return false
 }
 
-// segCmpValue is the per-value decision for `col <op> lit`, mirroring
-// fuseCmpColLit's row loops exactly (fast path on matching runtime kind,
-// NULL → drop, generic compare with error propagation otherwise). It backs
-// the impure-column fallback.
+// segCmpValue is the per-value decision for `col <op> lit` on a generic
+// vector: fast path on matching runtime kind, NULL → drop, generic compare
+// with error propagation otherwise.
 func segCmpValue(v types.Value, colKind types.Kind, lit types.Value, op sqlparser.CmpOp) (bool, error) {
 	if v.IsNull() {
 		return false, nil
@@ -299,17 +293,17 @@ func segCmpValue(v types.Value, colKind types.Kind, lit types.Value, op sqlparse
 	return cmpSlow(v, lit, op)
 }
 
-// segCmpColLit seg-fuses `col <op> literal` for the same kind pairings
-// fuseCmpColLit specializes; other pairings fall through to Rest, which
-// keeps their (possibly error-raising) row semantics byte-for-byte.
-func segCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, lit types.Value, op sqlparser.CmpOp) (segConjunct, bool) {
-	col, colKind, ok := segColIndex(layout, cr, base, tblCols)
+// fuseCmpColLit fuses `col <op> literal` for same-kind TEXT/INT/TIMESTAMP/
+// FLOAT pairings and mixed INT/FLOAT; other pairings keep the Evaluator's
+// (possibly error-raising) semantics.
+func fuseCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, lit types.Value, op sqlparser.CmpOp) (vecConjunct, bool) {
+	off, colKind, ok := colOffset(layout, cr)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	if lit.IsNull() {
-		// col <op> NULL is UNKNOWN for every row: the whole segment prunes.
-		return segConjunct{prune: pruneAlways, narrow: dropAllSeg}, true
+		// col <op> NULL is UNKNOWN for every row.
+		return dropAll(off, base, tblCols), true
 	}
 	strEqNe := colKind == types.KindString && lit.Kind() == types.KindString &&
 		(op == sqlparser.CmpEq || op == sqlparser.CmpNe)
@@ -321,11 +315,10 @@ func segCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, li
 	case colKind == types.KindFloat && lit.Kind() == types.KindFloat:
 	case numericKind(colKind) && numericKind(lit.Kind()):
 	default:
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	lf, _ := lit.AsFloat() // set for the numeric pairings
-	narrow := func(seg *storage.Segment, sel []int) ([]int, error) {
-		cv := &seg.Cols[col]
+	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
 		out := sel[:0]
 		if cv.Pure {
 			switch {
@@ -389,23 +382,77 @@ func segCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, li
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment) bool {
+	prune := func(seg *storage.Segment, col int) bool {
 		return pruneCmpZone(&seg.Zones[col], lit, op)
 	}
-	covers := func(seg *storage.Segment) bool {
+	covers := func(seg *storage.Segment, col int) bool {
 		return coverCmpZone(&seg.Zones[col], seg.Len(), lit, op)
 	}
-	return segConjunct{prune: prune, narrow: narrow, covers: covers}, true
+	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
 }
 
-// segIn seg-fuses `col [NOT] IN (literals...)` with fuseIn's exact
-// semantics (member compare errors ignored; NULL handling via inKeeps).
+// fuseCmpColCol fuses `col <op> col`: typed loops for two pure vectors of
+// one kind, the generic compare per value otherwise. No zone-map proof
+// relates two columns.
+func fuseCmpColCol(layout *Layout, lc, rc *sqlparser.ColumnRef, op sqlparser.CmpOp) (vecConjunct, bool) {
+	lo, _, lok := colOffset(layout, lc)
+	ro, _, rok := colOffset(layout, rc)
+	if !lok || !rok {
+		return vecConjunct{}, false
+	}
+	return vecConjunct{narrow: func(b *Batch) error {
+		l, r := b.Cols[lo], b.Cols[ro]
+		out := b.Sel[:0]
+		if l.Pure && r.Pure && l.Kind == r.Kind && l.Kind != types.KindBool {
+			for _, i := range b.Sel {
+				if l.Nulls[i] || r.Nulls[i] {
+					continue
+				}
+				var cmp int
+				switch l.Kind {
+				case types.KindString:
+					cmp = strings.Compare(l.Str[i], r.Str[i])
+				case types.KindFloat:
+					cmp = cmpF64(l.F64[i], r.F64[i])
+				default:
+					cmp = cmpI64(l.I64[i], r.I64[i])
+				}
+				if cmpSatisfies(cmp, op) {
+					out = append(out, i)
+				}
+			}
+			b.Sel = out
+			return nil
+		}
+		for _, i := range b.Sel {
+			lv, rv := l.Value(i), r.Value(i)
+			if lv.IsNull() || rv.IsNull() {
+				continue
+			}
+			keep, err := cmpSlow(lv, rv, op)
+			if err != nil {
+				b.Sel = out
+				return err
+			}
+			if keep {
+				out = append(out, i)
+			}
+		}
+		b.Sel = out
+		return nil
+	}}, true
+}
+
+// fuseIn fuses `col [NOT] IN (literals...)`. Semantics match the Evaluator:
+// a NULL probe value is UNKNOWN (dropped); a match wins over a NULL list
+// member; no match with a NULL member is UNKNOWN (dropped); compare errors
+// against individual members are ignored (treated as non-matches).
 // Pruning: an all-NULL column is UNKNOWN everywhere; for the non-negated
 // form a segment prunes when the tracked distinct-source set is disjoint
 // from the probe list (the TRAC recency short-circuit: a segment whose
 // sources a query never asks about contributes nothing), or when every
 // member falls outside the column's [min,max].
-func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) {
+func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool) {
 	expr := n.Expr
 	items := make([]sqlparser.Expr, len(n.List))
 	copy(items, n.List)
@@ -414,11 +461,11 @@ func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) 
 	}
 	cr, ok := expr.(*sqlparser.ColumnRef)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
-	col, colKind, ok := segColIndex(c.layout, cr, base, tblCols)
+	off, colKind, ok := colOffset(c.layout, cr)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	vals := make([]types.Value, 0, len(items))
 	hasNullItem := false
@@ -426,7 +473,7 @@ func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) 
 	for _, it := range items {
 		lit, ok := it.(*sqlparser.Literal)
 		if !ok {
-			return segConjunct{}, false
+			return vecConjunct{}, false
 		}
 		if lit.Val.IsNull() {
 			hasNullItem = true
@@ -446,7 +493,7 @@ func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) 
 			set[v.Str()] = struct{}{}
 		}
 	}
-	prune := func(seg *storage.Segment) bool {
+	prune := func(seg *storage.Segment, col int) bool {
 		z := &seg.Zones[col]
 		if allNull(z) {
 			return true
@@ -477,8 +524,7 @@ func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) 
 		}
 		return true
 	}
-	narrow := func(seg *storage.Segment, sel []int) ([]int, error) {
-		cv := &seg.Cols[col]
+	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
 		out := sel[:0]
 		if allStrings && cv.Pure {
 			for _, i := range sel {
@@ -521,7 +567,7 @@ func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) 
 	// of the disjointness prune), or when the bounds pin a single value that
 	// is a list member. A matched row is TRUE even with a NULL list item, so
 	// hasNullItem does not weaken the proof.
-	covers := func(seg *storage.Segment) bool {
+	covers := func(seg *storage.Segment, col int) bool {
 		z := &seg.Zones[col]
 		if negated || z.NullCount > 0 || seg.Len() == 0 {
 			return false
@@ -546,50 +592,49 @@ func segIn(c *compiler, n *sqlparser.In, base, tblCols int) (segConjunct, bool) 
 		}
 		return false
 	}
-	return segConjunct{prune: prune, narrow: narrow, covers: covers}, true
+	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
 }
 
-// segBetween seg-fuses `col [NOT] BETWEEN lit AND lit` when the bound kinds
-// match the column (or everything is numeric); other pairings keep their
-// error-raising row semantics via Rest. Pruning (non-negated only) fires
+// fuseBetween fuses `col [NOT] BETWEEN lit AND lit` when the bound kinds
+// match the column (or everything is numeric); other pairings keep the
+// Evaluator's error-raising semantics. Pruning (non-negated only) fires
 // when the range and the zone bounds are disjoint and every bound-vs-bound
 // comparison succeeded — which, with Ordered, rules out per-row errors on
 // the skipped segment.
-func segBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (segConjunct, bool) {
+func fuseBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (vecConjunct, bool) {
 	expr, lo, hi := n.Expr, n.Lo, n.Hi
 	c.coerceTimePair(&expr, &lo)
 	c.coerceTimePair(&expr, &hi)
 	cr, ok := expr.(*sqlparser.ColumnRef)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
-	col, colKind, ok := segColIndex(c.layout, cr, base, tblCols)
+	off, colKind, ok := colOffset(c.layout, cr)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	loLit, ok := lo.(*sqlparser.Literal)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	hiLit, ok := hi.(*sqlparser.Literal)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	lov, hiv := loLit.Val, hiLit.Val
 	if lov.IsNull() || hiv.IsNull() {
 		// A NULL bound makes every row UNKNOWN.
-		return segConjunct{prune: pruneAlways, narrow: dropAllSeg}, true
+		return dropAll(off, base, tblCols), true
 	}
 	sameKind := lov.Kind() == colKind && hiv.Kind() == colKind
 	numeric := numericKind(colKind) && numericKind(lov.Kind()) && numericKind(hiv.Kind())
 	if !sameKind && !numeric {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	negated := n.Negated
 	lof, _ := lov.AsFloat()
 	hif, _ := hiv.AsFloat()
-	narrow := func(seg *storage.Segment, sel []int) ([]int, error) {
-		cv := &seg.Cols[col]
+	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
 		out := sel[:0]
 		if cv.Pure {
 			keep := func(in bool) bool { return in != negated }
@@ -651,7 +696,7 @@ func segBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (segConjun
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment) bool {
+	prune := func(seg *storage.Segment, col int) bool {
 		z := &seg.Zones[col]
 		if allNull(z) {
 			return true
@@ -668,7 +713,7 @@ func segBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (segConjun
 	}
 	// Coverage: no NULL rows, and the zone bounds sit inside the range
 	// (non-negated) or entirely outside it (negated).
-	covers := func(seg *storage.Segment) bool {
+	covers := func(seg *storage.Segment, col int) bool {
 		z := &seg.Zones[col]
 		if !z.Ordered || z.Min.IsNull() || z.NullCount > 0 || seg.Len() == 0 {
 			return false
@@ -685,29 +730,28 @@ func segBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (segConjun
 		}
 		return loMin <= 0 && hiMax >= 0
 	}
-	return segConjunct{prune: prune, narrow: narrow, covers: covers}, true
+	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
 }
 
-// segLike seg-fuses `col [NOT] LIKE 'pattern'` over TEXT columns. Only the
+// fuseLike fuses `col [NOT] LIKE 'pattern'` over TEXT columns. Only the
 // all-NULL prune applies (always error-free); non-TEXT declared columns go
-// through Rest so the row kernel's type error surfaces identically.
-func segLike(layout *Layout, n *sqlparser.Like, base, tblCols int) (segConjunct, bool) {
+// through the Evaluator so its type error surfaces identically.
+func fuseLike(layout *Layout, n *sqlparser.Like, base, tblCols int) (vecConjunct, bool) {
 	cr, ok := n.Expr.(*sqlparser.ColumnRef)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	pat, ok := n.Pattern.(*sqlparser.Literal)
 	if !ok || pat.Val.Kind() != types.KindString {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
-	col, colKind, ok := segColIndex(layout, cr, base, tblCols)
+	off, colKind, ok := colOffset(layout, cr)
 	if !ok || colKind != types.KindString {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	pattern := pat.Val.Str()
 	negated := n.Negated
-	narrow := func(seg *storage.Segment, sel []int) ([]int, error) {
-		cv := &seg.Cols[col]
+	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
 		out := sel[:0]
 		if cv.Pure {
 			for _, i := range sel {
@@ -731,25 +775,32 @@ func segLike(layout *Layout, n *sqlparser.Like, base, tblCols int) (segConjunct,
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment) bool { return allNull(&seg.Zones[col]) }
-	return segConjunct{prune: prune, narrow: narrow}, true
+	prune := func(seg *storage.Segment, col int) bool { return allNull(&seg.Zones[col]) }
+	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, nil), true
 }
 
-// segIsNull seg-fuses `col IS [NOT] NULL` over the null bitmap, pruning via
-// the zone map's null count.
-func segIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (segConjunct, bool) {
+// fuseIsNull fuses `col IS [NOT] NULL` over the null marks, pruning via the
+// zone map's null count.
+func fuseIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (vecConjunct, bool) {
 	cr, ok := n.Expr.(*sqlparser.ColumnRef)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
-	col, _, ok := segColIndex(layout, cr, base, tblCols)
+	off, _, ok := colOffset(layout, cr)
 	if !ok {
-		return segConjunct{}, false
+		return vecConjunct{}, false
 	}
 	negated := n.Negated
-	narrow := func(seg *storage.Segment, sel []int) ([]int, error) {
-		cv := &seg.Cols[col]
+	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
 		out := sel[:0]
+		if !cv.Pure {
+			for _, i := range sel {
+				if cv.Vals[i].IsNull() != negated {
+					out = append(out, i)
+				}
+			}
+			return out, nil
+		}
 		for _, i := range sel {
 			if cv.Nulls[i] != negated {
 				out = append(out, i)
@@ -757,7 +808,7 @@ func segIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (segConju
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment) bool {
+	prune := func(seg *storage.Segment, col int) bool {
 		z := &seg.Zones[col]
 		if negated {
 			return z.NullCount == seg.Len()
@@ -766,7 +817,7 @@ func segIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (segConju
 	}
 	// Coverage is exact off the null count alone: IS NULL covers an all-NULL
 	// segment, IS NOT NULL a null-free one.
-	covers := func(seg *storage.Segment) bool {
+	covers := func(seg *storage.Segment, col int) bool {
 		z := &seg.Zones[col]
 		if seg.Len() == 0 {
 			return false
@@ -776,5 +827,5 @@ func segIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (segConju
 		}
 		return z.NullCount == seg.Len()
 	}
-	return segConjunct{prune: prune, narrow: narrow, covers: covers}, true
+	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
 }

@@ -239,3 +239,98 @@ func TestParallelScanSegmentEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestScanChecksOnlyVersionsThatCanBeVisible: a scan that finds a quarter of
+// a sealed segment's versions invisible offers what it saw as the segment's
+// live set, and later scans check only those versions — none at all once
+// every version has been deleted by committed transactions. The cache holds
+// only for snapshots at or after the one that built it: an older snapshot
+// still reads every row; and a delete that aborted or is still in flight is
+// never taken for final.
+func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
+	tbl, m := clusteredBySource(t)
+	heap := tbl.Snap()
+	if len(heap.Segments) < 4 {
+		t.Fatalf("fixture: %d segments", len(heap.Segments))
+	}
+	count := func(snap txn.Snapshot) int {
+		rows, err := Drain(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows)
+	}
+	before := m.ReadSnapshot()
+	total := count(before)
+	seg0, seg1, seg2, seg3 := heap.Segments[0], heap.Segments[1], heap.Segments[2], heap.Segments[3]
+
+	del := func(rows []*storage.Row) *txn.Txn {
+		tx := m.Begin()
+		for _, r := range rows {
+			if err := tx.Delete(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tx
+	}
+	half := seg3.Len() / 2
+	if err := del(seg0.Rows).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := del(seg3.Rows[:half]).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := del(seg1.Rows).Abort(); err != nil {
+		t.Fatal(err)
+	}
+	inflight := del(seg2.Rows)
+	defer inflight.Abort()
+
+	after := m.ReadSnapshot()
+	want := total - seg0.Len() - half
+	if got := count(after); got != want {
+		t.Fatalf("after the committed deletes: %d rows, want %d", got, want)
+	}
+	if l := seg0.Live(after.Seq); l == nil || len(l.Pos) != 0 {
+		t.Errorf("segment 0: live set %+v, want an empty one: every version is deleted for good", l)
+	}
+	if l := seg3.Live(after.Seq); l == nil || len(l.Pos) != seg3.Len()-half || int(l.Pos[0]) != half {
+		t.Errorf("segment 3: live set %+v, want the %d undeleted versions", l, seg3.Len()-half)
+	}
+	if seg1.Live(after.Seq) != nil || seg2.Live(after.Seq) != nil {
+		t.Error("an aborted or in-flight deleter was taken for final")
+	}
+	// The cache is per snapshot: the older one cannot use it and still sees
+	// everything.
+	if seg0.Live(before.Seq) != nil {
+		t.Error("live set offered to a snapshot older than the one that built it")
+	}
+	if got := count(before); got != total {
+		t.Errorf("snapshot from before the deletes: %d rows, want %d", got, total)
+	}
+	if got := count(m.ReadSnapshot()); got != want {
+		t.Errorf("rescan through the cached live sets: %d rows, want %d", got, want)
+	}
+	// The deleter's own snapshot sees its uncommitted deletes, which are not
+	// final either.
+	if got := count(inflight.Snapshot()); got != want-seg2.Len() {
+		t.Errorf("in-flight deleter's own view: %d rows, want %d", got, want-seg2.Len())
+	}
+	if seg2.Live(m.ReadSnapshot().Seq) != nil {
+		t.Error("an uncommitted delete was taken for final")
+	}
+	// More deletes in segment 3: the cached set is narrowed from itself.
+	if err := del(seg3.Rows[half:]).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	last := m.ReadSnapshot()
+	if got := count(last); got != want-(seg3.Len()-half) {
+		t.Errorf("after deleting the rest of segment 3: %d rows, want %d", got, want-(seg3.Len()-half))
+	}
+	if l := seg3.Live(last.Seq); l == nil || len(l.Pos) != 0 {
+		t.Errorf("segment 3: live set %+v, want an empty one", l)
+	}
+	if got := count(after); got != want {
+		t.Errorf("snapshot between the deletes: %d rows, want %d", got, want)
+	}
+}

@@ -10,153 +10,199 @@ import "trac/internal/types"
 // tuple is ever built and the work is bounded by the inputs, not by the
 // join's output.
 //
-// The anchor is drained first; each probe then streams through the batch
-// bridge against a hash table over the anchor rows still in play, and is
-// closed the moment every one of them is marked — a probe over a table that
-// grows with every poll costs what it takes to cover the anchor, not what
-// the table holds. Arms run in the order given and skip rows an earlier arm
-// already emitted; once every anchor row is emitted the remaining arms are
-// never opened. The planner orders arms and probes cheapest first.
+// The anchor is collected first, as one columnar batch; each probe then
+// streams through against a key index over the anchor positions still in
+// play — keys read straight off the probe's key vectors — and is closed the
+// moment every one of them is marked: a probe over a table that grows with
+// every poll costs what it takes to cover the anchor, not what the table
+// holds. Arms run in the order given and skip tuples an earlier arm already
+// emitted; once every anchor tuple is emitted the remaining arms are never
+// opened. The planner orders arms and probes cheapest first.
 //
-// Anchor rows are emitted as they arrived (no projection, no merged tuple),
-// in anchor order. Two anchor rows may still project to the same tuple, so
-// the planner keeps a Distinct above the projection.
+// The output is the anchor batch itself with Sel narrowed to the qualifying
+// positions (no projection, no merged tuple), in anchor order. Two anchor
+// tuples may still project alike, so the planner keeps a Distinct above the
+// projection.
 type SemiJoin struct {
 	Anchor BatchOperator
 	Arms   []SemiArm
 
-	out     [][]types.Value
-	pos     int
-	scratch []types.Value
-	buf     []byte
+	held   // the anchor, narrowed
+	merged []types.Value
+	buf    []byte
 }
 
 // SemiArm is one disjunct of a SemiJoin: Filter AND every probe.
 type SemiArm struct {
-	Filter Evaluator // over an anchor row; nil passes every row
+	Filter Evaluator // over a boxed anchor tuple; nil passes every tuple
 	Probes []*SemiProbe
 }
 
-// SemiProbe is one existential input. With keys, an anchor row matches a
-// probe row when the key values are equal (NULL keys never match) and the
-// Residual, if any, holds on the merged tuple. Without keys every probe row
-// is a candidate for every anchor row: with no Residual either, the first
-// probe row marks them all — the existence probe of a disconnected
+// SemiProbe is one existential input. With keys, an anchor tuple matches a
+// probe tuple when the key values are equal (NULL keys never match) and the
+// Residual, if any, holds on the merged tuple. Without keys every probe
+// tuple is a candidate for every anchor tuple: with no Residual either, the
+// first probe tuple marks them all — the existence probe of a disconnected
 // join-graph component.
 type SemiProbe struct {
 	Src                   BatchOperator
 	AnchorKeys, ProbeKeys []Evaluator
+	// AnchorCols/ProbeCols hold, per key, the tuple offset on that side when
+	// the key is a bare column (-1 = evaluate the key over the boxed tuple);
+	// nil evaluates every key.
+	AnchorCols, ProbeCols []int
 	Residual              Evaluator
-	// The Residual's merged tuple is Width wide; anchor columns start at
-	// AnchorOffset and a probe row's at ProbeOffset (0 for full-width rows,
-	// the binding's offset for a narrow scan).
-	AnchorOffset, ProbeOffset, Width int
+	// The Residual's merged tuple is Width wide, the width of the probe's
+	// own tuples; the anchor's columns are boxed into it at AnchorOffset.
+	AnchorOffset, Width int
 
-	// Probed counts the probe rows examined by the last execution;
+	// Probed counts the probe tuples examined by the last execution;
 	// Exhausted reports whether it read the probe side to its end rather
-	// than stopping once every anchor row was marked. Both are reset by
+	// than stopping once every anchor tuple was marked. Both are reset by
 	// SemiJoin.Open and stay zero for a probe that was never opened.
 	Probed    int
 	Exhausted bool
 }
 
-// Open drains the anchor, runs the arms and leaves the qualifying rows ready
-// for NextBatch. Every input is closed again before Open returns.
+// Open collects the anchor, runs the arms and leaves the narrowed anchor
+// ready for NextBatch. Every input is closed again before Open returns.
 func (j *SemiJoin) Open() error {
-	j.out, j.pos = nil, 0
 	for ai := range j.Arms {
 		for _, p := range j.Arms[ai].Probes {
 			p.Probed, p.Exhausted = 0, false
 		}
 	}
-	rows, err := drainBatches(j.Anchor)
-	if err != nil {
+	anchor, err := collect(j.Anchor)
+	if err != nil || anchor == nil {
 		return err
 	}
-	done := make([]bool, len(rows))
-	remaining := len(rows)
+	if err := j.run(anchor); err != nil || anchor.Len() == 0 {
+		PutBatch(anchor)
+		return err
+	}
+	j.out = anchor
+	return nil
+}
+
+// collect runs a batch operator to completion and returns everything it
+// selects as one batch (nil when it selects nothing): the operator's own
+// batch when it emits just one, otherwise a batch the selected tuples are
+// gathered into.
+func collect(op BatchOperator) (*Batch, error) {
+	if err := op.Open(); err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	var all *Batch
+	gathered := false
+	gather := func(b *Batch) {
+		for c, cv := range b.Cols {
+			if cv != nil {
+				vecGather(all.Cols[c], cv, b.Sel)
+			}
+		}
+		all.n += b.Len()
+		PutBatch(b)
+	}
+	for {
+		b, err := op.NextBatch()
+		if err != nil {
+			PutBatch(all)
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		if all == nil {
+			all = b
+			continue
+		}
+		if !gathered {
+			first := all
+			all, gathered = GetBatch(), true
+			all.Shape(len(first.Cols), 0)
+			for c, cv := range first.Cols {
+				if cv != nil {
+					all.Cols[c] = all.NewVec(cv.Kind)
+				}
+			}
+			gather(first)
+		}
+		gather(b)
+	}
+	if gathered {
+		all.SelectAll()
+	}
+	return all, nil
+}
+
+// run narrows the anchor's selection to the positions some arm qualifies.
+func (j *SemiJoin) run(anchor *Batch) error {
+	done := make([]bool, anchor.n) // by vector position
+	remaining := anchor.Len()
 	for ai := range j.Arms {
 		if remaining == 0 {
 			break
 		}
 		arm := &j.Arms[ai]
 		cand := make([]int32, 0, remaining)
-		for i, row := range rows {
-			if done[i] {
+		for _, pos := range anchor.Sel {
+			if done[pos] {
 				continue
 			}
-			ok, err := EvalPredicate(arm.Filter, row)
-			if err != nil {
-				return err
+			ok := true
+			if arm.Filter != nil {
+				var err error
+				if ok, err = EvalPredicate(arm.Filter, anchor.RowAt(pos)); err != nil {
+					return err
+				}
 			}
 			if ok {
-				cand = append(cand, int32(i))
+				cand = append(cand, int32(pos))
 			}
 		}
 		for _, p := range arm.Probes {
 			if len(cand) == 0 {
 				break
 			}
-			if cand, err = j.runProbe(p, rows, cand); err != nil {
+			var err error
+			if cand, err = j.runProbe(p, anchor, cand); err != nil {
 				return err
 			}
 		}
-		for _, i := range cand {
-			done[i] = true
+		for _, pos := range cand {
+			done[pos] = true
 		}
 		remaining -= len(cand)
 	}
-	out := rows[:0]
-	for i, row := range rows {
-		if done[i] {
-			out = append(out, row)
+	sel := anchor.Sel[:0]
+	for _, pos := range anchor.Sel {
+		if done[pos] {
+			sel = append(sel, pos)
 		}
 	}
-	j.out = out
+	anchor.Sel = sel
 	return nil
 }
 
-// drainBatches runs a batch operator to completion and collects its rows.
-func drainBatches(op BatchOperator) ([][]types.Value, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var rows [][]types.Value
-	for {
-		b, err := op.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
-		}
-		PutBatch(b)
-	}
-}
-
 // probeState is the bookkeeping of one probe execution: which candidates
-// are marked, and for keyed probes the hash table over the candidates. A
-// key's chain starts at head[key] and follows next; both index into cand.
+// are marked, and for keyed probes the index of the candidates' keys (its
+// ids index into cand).
 type probeState struct {
-	rows     [][]types.Value
+	anchor   *Batch
 	cand     []int32
 	mark     []bool
 	unmarked int // candidates that can still be marked
-	head     map[string]int32
-	next     []int32
+	idx      *keyIndex
 }
 
-// runProbe streams one probe against the candidate anchor rows and returns
-// the candidates it marked, in order. The probe is closed as soon as no
-// unmarked candidate is left, whether or not it was exhausted.
-func (j *SemiJoin) runProbe(p *SemiProbe, rows [][]types.Value, cand []int32) ([]int32, error) {
-	st := &probeState{rows: rows, cand: cand, mark: make([]bool, len(cand)), unmarked: len(cand)}
+// runProbe streams one probe against the candidate anchor positions and
+// returns the candidates it marked, in order. The probe is closed as soon as
+// no unmarked candidate is left, whether or not it was exhausted.
+func (j *SemiJoin) runProbe(p *SemiProbe, anchor *Batch, cand []int32) ([]int32, error) {
+	st := &probeState{anchor: anchor, cand: cand, mark: make([]bool, len(cand)), unmarked: len(cand)}
 	if len(p.AnchorKeys) > 0 {
-		if err := j.buildKeys(p, st); err != nil {
+		if err := j.indexKeys(p, st); err != nil {
 			return nil, err
 		}
 	}
@@ -173,24 +219,23 @@ func (j *SemiJoin) runProbe(p *SemiProbe, rows [][]types.Value, cand []int32) ([
 		}
 	}
 	marked := cand[:0]
-	for ci, i := range cand {
+	for ci, pos := range cand {
 		if st.mark[ci] {
-			marked = append(marked, i)
+			marked = append(marked, pos)
 		}
 	}
 	return marked, nil
 }
 
-// buildKeys hashes the candidates on the probe's anchor keys. Candidates
+// indexKeys files the candidates under the probe's anchor keys. Candidates
 // with a NULL key can never be marked and are left out of the count the
 // early stop watches.
-func (j *SemiJoin) buildKeys(p *SemiProbe, st *probeState) error {
-	st.head = make(map[string]int32, len(st.cand))
-	st.next = make([]int32, len(st.cand))
+func (j *SemiJoin) indexKeys(p *SemiProbe, st *probeState) error {
+	st.idx = newKeyIndex(len(p.AnchorKeys), len(st.cand))
 	st.unmarked = 0
-	for ci, i := range st.cand {
-		key, null, err := evalKeys(p.AnchorKeys, st.rows[i], j.buf[:0])
-		j.buf = key
+	vals := make([]types.Value, len(p.AnchorKeys))
+	for ci, pos := range st.cand {
+		null, err := st.anchor.keyValues(vals, p.AnchorCols, p.AnchorKeys, int(pos))
 		if err != nil {
 			return err
 		}
@@ -198,13 +243,7 @@ func (j *SemiJoin) buildKeys(p *SemiProbe, st *probeState) error {
 			continue
 		}
 		st.unmarked++
-		st.next[ci] = -1
-		if h, ok := st.head[string(key)]; ok {
-			// Splice behind the head so the map is written once per key.
-			st.next[ci], st.next[h] = st.next[h], int32(ci)
-		} else {
-			st.head[string(key)] = int32(ci)
-		}
+		st.idx.add(int32(ci), vals, &j.buf)
 	}
 	return nil
 }
@@ -230,56 +269,58 @@ func (j *SemiJoin) stream(p *SemiProbe, st *probeState) error {
 	return nil
 }
 
-// probeBatch marks the candidates the batch's rows join, stopping mid-batch
-// once none is left.
+// probeBatch marks the candidates the batch's tuples join, stopping
+// mid-batch once none is left.
 func (j *SemiJoin) probeBatch(p *SemiProbe, st *probeState, b *Batch) error {
-	for i := 0; i < b.Len() && st.unmarked > 0; i++ {
-		probe := b.Row(i)
-		p.Probed++
-		if st.head == nil {
+	if st.idx == nil {
+		for _, pos := range b.Sel {
+			if st.unmarked == 0 {
+				break
+			}
+			p.Probed++
 			for ci := range st.cand {
-				if err := j.tryMark(p, st, int32(ci), probe); err != nil {
+				if err := j.tryMark(p, st, int32(ci), b, pos); err != nil {
 					return err
 				}
 			}
-			continue
 		}
-		key, null, err := evalKeys(p.ProbeKeys, probe, j.buf[:0])
-		j.buf = key
-		if err != nil {
-			return err
-		}
-		if null {
-			continue
-		}
-		h, ok := st.head[string(key)]
-		if !ok {
-			continue
-		}
-		for ci := h; ci >= 0; ci = st.next[ci] {
-			if err := j.tryMark(p, st, ci, probe); err != nil {
-				return err
+		return nil
+	}
+	examined, err := st.idx.probe(b, p.ProbeCols, p.ProbeKeys, &j.buf, func(pos int, head int32) (bool, error) {
+		for ci := head; ci >= 0; ci = st.idx.next[ci] {
+			if err := j.tryMark(p, st, ci, b, pos); err != nil {
+				return false, err
 			}
 		}
-	}
-	return nil
+		return st.unmarked > 0, nil
+	})
+	p.Probed += examined
+	return err
 }
 
 // tryMark marks candidate ci if it is unmarked and the residual (checked on
-// the merged tuple, before marking) holds against the probe row.
-func (j *SemiJoin) tryMark(p *SemiProbe, st *probeState, ci int32, probe []types.Value) error {
+// the merged tuple, before marking) holds against the probe tuple at pos.
+func (j *SemiJoin) tryMark(p *SemiProbe, st *probeState, ci int32, b *Batch, pos int) error {
 	if st.mark[ci] {
 		return nil
 	}
 	if p.Residual != nil {
-		if cap(j.scratch) < p.Width {
-			j.scratch = make([]types.Value, p.Width)
+		if cap(j.merged) < p.Width {
+			j.merged = make([]types.Value, p.Width)
 		}
 		// Regions other probes wrote earlier may be stale; this residual
 		// only reads the anchor's and its own probe's columns.
-		merged := j.scratch[:p.Width]
-		copy(merged[p.ProbeOffset:], probe)
-		copy(merged[p.AnchorOffset:], st.rows[st.cand[ci]])
+		merged := j.merged[:p.Width]
+		for c, cv := range b.Cols {
+			if cv != nil {
+				merged[c] = cv.Value(pos)
+			}
+		}
+		for c, cv := range st.anchor.Cols {
+			if cv != nil {
+				merged[p.AnchorOffset+c] = cv.Value(int(st.cand[ci]))
+			}
+		}
 		ok, err := EvalPredicate(p.Residual, merged)
 		if err != nil || !ok {
 			return err
@@ -287,24 +328,5 @@ func (j *SemiJoin) tryMark(p *SemiProbe, st *probeState, ci int32, probe []types
 	}
 	st.mark[ci] = true
 	st.unmarked--
-	return nil
-}
-
-// NextBatch emits the next window of qualifying anchor rows.
-func (j *SemiJoin) NextBatch() (*Batch, error) {
-	if j.pos >= len(j.out) {
-		return nil, nil
-	}
-	b := GetBatch()
-	for j.pos < len(j.out) && !b.Full() {
-		b.Append(j.out[j.pos])
-		j.pos++
-	}
-	return b, nil
-}
-
-// Close drops the result; the inputs were closed by Open.
-func (j *SemiJoin) Close() error {
-	j.out = nil
 	return nil
 }

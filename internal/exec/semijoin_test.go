@@ -128,19 +128,23 @@ func TestSemiJoinExistenceProbes(t *testing.T) {
 }
 
 func TestSemiJoinResidualIsCheckedBeforeMarking(t *testing.T) {
-	// Merged tuple: [anchor.k, anchor.n, probe.k, probe.n]; the residual asks
-	// anchor.n < probe.n. The first probe row with key a fails it and must
-	// not mark the anchor row; the third one passes.
+	// Merged tuple: [anchor.k, anchor.n, probe.k, probe.n] — the probe's
+	// tuples already have that shape, the anchor is boxed in at offset 0; the
+	// residual asks anchor.n < probe.n. The first probe row with key a fails
+	// it and must not mark the anchor row; the third one passes.
 	mk := func(k string, n int64) []types.Value {
 		return []types.Value{types.NewString(k), types.NewInt(n)}
+	}
+	mkp := func(k string, n int64) []types.Value {
+		return append(make([]types.Value, 2), mk(k, n)...)
 	}
 	residual := func(row []types.Value) (types.Value, error) {
 		return types.NewBool(row[1].Int() < row[3].Int()), nil
 	}
 	keyed := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 1), mk("b", 9), mk("a", 7)}}),
-		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
-		Residual: residual, AnchorOffset: 0, ProbeOffset: 2, Width: 4,
+		Src:        ToBatch(&ValuesOp{RowsData: [][]types.Value{mkp("a", 1), mkp("b", 9), mkp("a", 7)}}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(2)},
+		Residual: residual, AnchorOffset: 0, Width: 4,
 	}
 	j := &SemiJoin{
 		Anchor: ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 5), mk("b", 9)}}),
@@ -152,8 +156,8 @@ func TestSemiJoinResidualIsCheckedBeforeMarking(t *testing.T) {
 
 	// Without keys the residual alone decides, row by row.
 	loop := &SemiProbe{
-		Src:      ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("x", 6), mk("y", 10)}}),
-		Residual: residual, AnchorOffset: 0, ProbeOffset: 2, Width: 4,
+		Src:      ToBatch(&ValuesOp{RowsData: [][]types.Value{mkp("x", 6), mkp("y", 10)}}),
+		Residual: residual, AnchorOffset: 0, Width: 4,
 	}
 	j = &SemiJoin{
 		Anchor: ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 5), mk("b", 9), mk("c", 10)}}),
@@ -227,7 +231,7 @@ func TestSemiJoinEarlyStopReapsParallelProbe(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for run := 0; run < 20; run++ {
 		probe := &SemiProbe{
-			Src:        &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 64, Alias: true},
+			Src:        &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 64},
 			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 		}
 		j := &SemiJoin{

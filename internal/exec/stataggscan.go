@@ -37,13 +37,15 @@ type StatAggScan struct {
 	Snap  txn.Snapshot
 	Specs []AggSpec
 	// ArgCols holds the table-column index of each spec's bare-column
-	// argument (-1 only for COUNT(*)); ArgKinds the declared kinds.
-	ArgCols  []int
-	ArgKinds []types.Kind
-	// Kernel/SegFilter are the pushed-down predicate's fused and columnar
-	// forms; both nil when the aggregate has no WHERE clause.
+	// argument (-1 only for COUNT(*)).
+	ArgCols []int
+	// Kernel/SegFilter are the pushed-down predicate and its zone-map side;
+	// both nil when the aggregate has no WHERE clause.
 	Kernel    Kernel
 	SegFilter *SegmentFilter
+	// Need lists the table columns the scanned remainder reads (arguments
+	// and predicate); nil carries every column.
+	Need []int
 	// Workers bounds the parallel degree for leftover scan work; <= 0
 	// selects GOMAXPROCS.
 	Workers int
@@ -187,7 +189,7 @@ func (s *StatAggScan) Open() error {
 	s.StatSegments, s.ScannedSegments, s.PrunedSegments, s.TailRows =
 		len(fold), len(scan), pruned, len(tail)
 
-	tab := newAggTable(nil, nil, s.Specs, s.ArgCols, s.ArgKinds)
+	tab := newAggTable(nil, nil, s.Specs, s.ArgCols)
 	st := tab.globalState()
 	for _, seg := range fold {
 		s.foldSegment(st, seg)
@@ -228,39 +230,15 @@ func (s *StatAggScan) Open() error {
 // the leftover work spans multiple units.
 func (s *StatAggScan) scanUnits(tab *aggTable, units []storage.Morsel) error {
 	src := storage.NewMorsels(units)
-	width := s.Table.Schema.NumColumns()
 	workers := s.Degree()
 	if workers > len(units) {
 		workers = len(units)
 	}
 	newScan := func() *batchMorselScan {
-		return &batchMorselScan{
-			src: src, table: s.Table, snap: s.Snap, kernel: s.Kernel,
-			segf: s.SegFilter, offset: 0, width: width, alias: true,
-		}
-	}
-	drain := func(op BatchOperator, t *aggTable) error {
-		if err := op.Open(); err != nil {
-			return err
-		}
-		defer op.Close()
-		for {
-			b, err := op.NextBatch()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				return nil
-			}
-			err = t.observeBatch(b)
-			PutBatch(b)
-			if err != nil {
-				return err
-			}
-		}
+		return &batchMorselScan{src: src, scan: newUnitScan(s.Table, s.Snap, s.Kernel, s.SegFilter, 0, 0, s.Need)}
 	}
 	if workers <= 1 {
-		return drain(newScan(), tab)
+		return tab.observeAll(newScan())
 	}
 	tabs := make([]*aggTable, workers)
 	errs := make([]error, workers)
@@ -269,9 +247,8 @@ func (s *StatAggScan) scanUnits(tab *aggTable, units []storage.Morsel) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t := newAggTable(nil, nil, s.Specs, s.ArgCols, s.ArgKinds)
-			tabs[i] = t
-			errs[i] = drain(newScan(), t)
+			tabs[i] = newAggTable(nil, nil, s.Specs, s.ArgCols)
+			errs[i] = tabs[i].observeAll(newScan())
 		}(i)
 	}
 	wg.Wait()

@@ -64,9 +64,11 @@ func subsetOf(set, of map[int]bool) bool {
 // scan. All of mine are consumed here (the index narrows the candidate set;
 // the full predicate still runs as the scan filter, which also keeps
 // semantics exact when the index bounds are conservative, e.g. LIKE
-// prefixes). serial rules out a parallel heap scan, for consumers that stop
-// after the first rows.
-func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, snap txn.Snapshot, serial bool) (exec.Operator, float64, string, error) {
+// prefixes). A columnar heap scan carries only the columns the plan reads:
+// what cols says is still read above it, plus this predicate's own. serial
+// rules out a parallel heap scan, for consumers that stop after the first
+// rows.
+func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols scanCols, snap txn.Snapshot, serial bool) (exec.Operator, float64, string, error) {
 	b := layout.Bindings[i]
 	tbl := b.Table
 	// Estimates count live rows: a small table updated in place all day
@@ -175,11 +177,11 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, snap 
 			fusedNote = fmt.Sprintf("fused %d/%d predicates, ", fused, total)
 		}
 		segNote := segmentPruneNote(tbl, segf)
+		need := cols.need(layout, map[int]bool{i: true})
 		if workers > 1 {
 			op := &exec.ParallelScan{
 				Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
-				Offset: b.Offset, Width: layout.Width(), Workers: workers,
-				Alias: true,
+				Offset: b.Offset, Width: layout.Width(), Need: need, Workers: workers,
 			}
 			note := fmt.Sprintf("vectorized parallel seq scan on %s (%d workers, %sest %.0f rows%s)",
 				b.Name, workers, fusedNote, est, segNote)
@@ -187,7 +189,7 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, snap 
 		}
 		op := &exec.RowFromBatch{Src: &exec.BatchScan{
 			Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
-			Offset: b.Offset, Width: layout.Width(),
+			Offset: b.Offset, Width: layout.Width(), Need: need,
 		}}
 		note := fmt.Sprintf("vectorized seq scan on %s (%sest %.0f rows%s)", b.Name, fusedNote, est, segNote)
 		return op, est, note, nil

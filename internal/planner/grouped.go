@@ -53,11 +53,10 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 	// ORDER BY; identical calls share one accumulator.
 	var specs []exec.AggSpec
 	var specSQL []string
-	// argCols/argKinds parallel specs: a bare-column aggregate argument
-	// records its tuple offset and declared kind, enabling the typed batch
-	// kernels and zone-map stat pushdown; -1 keeps the evaluator path.
+	// argCols parallels specs: a bare-column aggregate argument records its
+	// tuple offset, enabling the typed batch kernels (which read that
+	// vector) and zone-map stat pushdown; -1 keeps the evaluator path.
 	var argCols []int
-	var argKinds []types.Kind
 	addSpec := func(fc *sqlparser.FuncCall) (int, error) {
 		key := fc.SQL()
 		for i, s := range specSQL {
@@ -66,7 +65,7 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 			}
 		}
 		spec := exec.AggSpec{Func: fc.Name, Star: fc.Star}
-		col, kind := -1, types.KindNull
+		col := -1
 		if !fc.Star {
 			arg, err := exec.Compile(fc.Arg, layout)
 			if err != nil {
@@ -76,16 +75,12 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 			if cr, ok := fc.Arg.(*sqlparser.ColumnRef); ok {
 				if off, err := layout.Resolve(cr.Table, cr.Column); err == nil {
 					col = off
-					if c, err := layout.ColumnAt(off); err == nil {
-						kind = c.Kind
-					}
 				}
 			}
 		}
 		specs = append(specs, spec)
 		specSQL = append(specSQL, key)
 		argCols = append(argCols, col)
-		argKinds = append(argKinds, kind)
 		return len(specs) - 1, nil
 	}
 
@@ -166,7 +161,7 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 		sortKeys = append(sortKeys, exec.SortKey{Expr: ev, Desc: o.Desc})
 	}
 
-	root := p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, argKinds, notes)
+	root := p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, notes)
 	if having != nil {
 		root = &exec.Filter{Child: root, Pred: having}
 	}
@@ -182,27 +177,25 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 // aggregation (input bridges to a batch pipeline), then the row operator.
 // All four produce identical results; only the amount of data touched and
 // the degree of parallelism differ.
-func (p *Planner) buildAggRoot(input exec.Operator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, argKinds []types.Kind, notes *[]string) exec.Operator {
+func (p *Planner) buildAggRoot(input exec.Operator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
 	if p.DisableVectorized {
 		return &exec.GroupAggregate{Child: input, Keys: keyEvals, Specs: specs}
 	}
 	if len(keyEvals) == 0 && !p.DisableStatPushdown {
-		if op := p.tryStatAgg(input, specs, argCols, argKinds, notes); op != nil {
+		if op := p.tryStatAgg(input, specs, argCols, notes); op != nil {
 			return op
 		}
 	}
 	if ps, ok := input.(*exec.ParallelScan); ok && ps.Degree() > 1 {
 		*notes = append(*notes, fmt.Sprintf("parallel partial aggregation (%d workers)", ps.Degree()))
 		return &exec.ParallelGroupAggregate{
-			Scan: ps, Keys: keyEvals, KeyCols: keyCols,
-			Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+			Scan: ps, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
 		}
 	}
 	if src, ok := exec.AsBatch(input); ok {
 		*notes = append(*notes, "vectorized hash aggregation")
 		return &exec.BatchGroupAggregate{
-			Src: src, Keys: keyEvals, KeyCols: keyCols,
-			Specs: specs, ArgCols: argCols, ArgKinds: argKinds,
+			Src: src, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
 		}
 	}
 	return &exec.GroupAggregate{Child: input, Keys: keyEvals, Specs: specs}
@@ -214,7 +207,7 @@ func (p *Planner) buildAggRoot(input exec.Operator, keyEvals []exec.Evaluator, k
 // Every spec must be COUNT(*)/COUNT/MIN/MAX/SUM/AVG over a bare column, and
 // the input must be an unjoined full-width scan whose predicate (if any)
 // lives entirely in the pushed-down kernel + columnar filter.
-func (p *Planner) tryStatAgg(input exec.Operator, specs []exec.AggSpec, argCols []int, argKinds []types.Kind, notes *[]string) exec.Operator {
+func (p *Planner) tryStatAgg(input exec.Operator, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
 	for si := range specs {
 		switch specs[si].Func {
 		case sqlparser.FuncCount, sqlparser.FuncMin, sqlparser.FuncMax,
@@ -226,14 +219,14 @@ func (p *Planner) tryStatAgg(input exec.Operator, specs []exec.AggSpec, argCols 
 			return nil
 		}
 	}
-	op := &exec.StatAggScan{Specs: specs, ArgCols: argCols, ArgKinds: argKinds}
+	op := &exec.StatAggScan{Specs: specs, ArgCols: argCols}
 	switch n := input.(type) {
 	case *exec.ParallelScan:
 		if n.Filter != nil || n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
 			return nil
 		}
 		op.Table, op.Snap = n.Table, n.Snap
-		op.Kernel, op.SegFilter = n.Kernel, n.SegFilter
+		op.Kernel, op.SegFilter, op.Need = n.Kernel, n.SegFilter, n.Need
 		op.Workers, op.MorselSize = n.Degree(), n.MorselSize
 	case *exec.RowFromBatch:
 		bs, ok := n.Src.(*exec.BatchScan)
@@ -241,7 +234,7 @@ func (p *Planner) tryStatAgg(input exec.Operator, specs []exec.AggSpec, argCols 
 			return nil
 		}
 		op.Table, op.Snap = bs.Table, bs.Snap
-		op.Kernel, op.SegFilter = bs.Kernel, bs.SegFilter
+		op.Kernel, op.SegFilter, op.Need = bs.Kernel, bs.SegFilter, bs.Need
 		op.Workers = 1
 	default:
 		return nil

@@ -12,6 +12,7 @@ package planner
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 
 	"trac/internal/exec"
@@ -91,8 +92,10 @@ type Plan struct {
 	Vectorized bool
 
 	// semis ties each semi-join note to its probe, so that Describe can say
-	// after a run how much of the probe side was read.
+	// after a run how much of the probe side was read; joins ties each
+	// columnar hash-join note to its operator, for the tuples boxed.
 	semis []semiNote
+	joins []joinNote
 }
 
 type semiNote struct {
@@ -100,12 +103,19 @@ type semiNote struct {
 	probe *exec.SemiProbe
 }
 
+type joinNote struct {
+	note int // index into Notes
+	join *exec.BatchHashJoin
+}
+
 // Describe renders the planning notes, including the plan's parallel degree
 // and whether it runs vectorized. Called after the plan has run, semi-join
-// notes also carry how many probe rows the execution read.
+// notes also carry how many probe rows the execution read, and columnar
+// hash-join notes how many tuples the plan boxed on the probe stream
+// (exec.RowsBoxed: build sides are materialized by design and not counted).
 func (p *Plan) Describe() string {
 	notes := p.Notes
-	if len(p.semis) > 0 {
+	if len(p.semis)+len(p.joins) > 0 {
 		notes = append([]string(nil), p.Notes...)
 		for _, sn := range p.semis {
 			switch {
@@ -113,6 +123,11 @@ func (p *Plan) Describe() string {
 				notes[sn.note] += fmt.Sprintf(", read all %d rows", sn.probe.Probed)
 			case sn.probe.Probed > 0:
 				notes[sn.note] += fmt.Sprintf(", stopped after %d rows", sn.probe.Probed)
+			}
+		}
+		for _, jn := range p.joins {
+			if jn.join.Probed > 0 {
+				notes[jn.note] += fmt.Sprintf(", %d rows boxed", exec.RowsBoxed(p.Root))
 			}
 		}
 	}
@@ -198,6 +213,9 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 			for _, sn := range bp.semis {
 				plan.semis = append(plan.semis, semiNote{note: sn.note + len(plan.Notes), probe: sn.probe})
 			}
+			for _, jn := range bp.joins {
+				plan.joins = append(plan.joins, joinNote{note: jn.note + len(plan.Notes), join: jn.join})
+			}
 			plan.Notes = append(plan.Notes, bp.Notes...)
 		}
 		plan.Root = &exec.Union{Children: children}
@@ -253,6 +271,7 @@ func (p *Planner) applyOutputOrderLimit(root exec.Operator, sel *sqlparser.Selec
 type conjunct struct {
 	expr     sqlparser.Expr
 	bindings map[int]bool
+	cols     colSet // the tuple offsets it reads
 	used     bool
 }
 
@@ -266,6 +285,60 @@ type block struct {
 	items     []sqlparser.Expr
 	columns   []string
 	grouped   bool // aggregates, GROUP BY or HAVING
+	// tail is what the block reads after its WHERE clause: the select list,
+	// GROUP BY, HAVING and ORDER BY. scratch is a spare set of the same
+	// width for whoever plans the block.
+	tail, scratch colSet
+}
+
+// colSet marks tuple offsets of a layout: the required-column pass. A scan
+// carries, and a join gathers, only the columns some later stage reads —
+// the block's tail plus every conjunct not yet placed (see scanCols.need).
+type colSet []bool
+
+// addRefs marks every column the expression reads. A name that does not
+// resolve is a select-list alias (ORDER BY, GROUP BY); the expression it
+// stands for is in the select list and marked from there.
+func (cs colSet) addRefs(e sqlparser.Expr, layout *exec.Layout) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+		if cr, ok := x.(*sqlparser.ColumnRef); ok {
+			if off, err := layout.Resolve(cr.Table, cr.Column); err == nil {
+				cs[off] = true
+			}
+		}
+		return true
+	})
+}
+
+// bareCol returns the tuple offset of an expression that is a bare column
+// reference and -1 for any other: the vector a batch operator reads directly
+// instead of evaluating the expression over a boxed tuple.
+func bareCol(e sqlparser.Expr, layout *exec.Layout) int {
+	if cr, ok := e.(*sqlparser.ColumnRef); ok {
+		if off, err := layout.Resolve(cr.Table, cr.Column); err == nil {
+			return off
+		}
+	}
+	return -1
+}
+
+// bareCols is bareCol over a list.
+func bareCols(exprs []sqlparser.Expr, layout *exec.Layout) []int {
+	cols := make([]int, len(exprs))
+	for i, e := range exprs {
+		cols[i] = bareCol(e, layout)
+	}
+	return cols
+}
+
+// colNames renders tuple offsets as binding.column, for explain notes.
+func colNames(layout *exec.Layout, offs []int) string {
+	names := make([]string, len(offs))
+	for i, off := range offs {
+		c, _ := layout.ColumnAt(off)
+		names[i] = layout.Bindings[layout.BindingOf(off)].Name + "." + c.Name
+	}
+	return strings.Join(names, ", ")
 }
 
 // bindBlock resolves a block's FROM list, WHERE conjuncts and select items.
@@ -286,14 +359,22 @@ func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 	}
 	b := &block{sel: sel, layout: exec.NewLayout(bindings)}
 
-	// Split WHERE into conjuncts and attribute each to its bindings.
-	for _, e := range splitAnd(sel.Where) {
+	// Split WHERE into conjuncts and attribute each to its bindings. The
+	// column sets of the conjuncts and the tail are carved from one slab.
+	exprs := splitAnd(sel.Where)
+	width := b.layout.Width()
+	slab := make(colSet, (len(exprs)+2)*width)
+	for i, e := range exprs {
 		refs, err := p.bindingsOf(e, b.layout)
 		if err != nil {
 			return nil, err
 		}
-		b.conjuncts = append(b.conjuncts, &conjunct{expr: e, bindings: refs})
+		cols := slab[i*width : (i+1)*width : (i+1)*width]
+		cols.addRefs(e, b.layout)
+		b.conjuncts = append(b.conjuncts, &conjunct{expr: e, bindings: refs, cols: cols})
 	}
+	b.tail = slab[len(exprs)*width : (len(exprs)+1)*width]
+	b.scratch = slab[(len(exprs)+1)*width:]
 
 	// Select list: aggregates vs plain projection.
 	var err error
@@ -306,6 +387,18 @@ func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 		if _, ok := it.(*sqlparser.FuncCall); ok {
 			b.grouped = true
 		}
+	}
+	for _, e := range b.items {
+		b.tail.addRefs(e, b.layout)
+	}
+	for _, e := range sel.GroupBy {
+		b.tail.addRefs(e, b.layout)
+	}
+	if sel.Having != nil {
+		b.tail.addRefs(sel.Having, b.layout)
+	}
+	for _, o := range sel.OrderBy {
+		b.tail.addRefs(o.Expr, b.layout)
 	}
 	return b, nil
 }
@@ -339,7 +432,7 @@ func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
 	// LIMIT without ORDER BY over one table stops after the first surviving
 	// rows: a parallel scan would spin up workers to throw their output away.
 	serial := len(all) == 1 && sel.Limit != nil && len(sel.OrderBy) == 0 && !b.grouped
-	root, err := p.joinTree(layout, all, b.conjuncts, snap, &plan.Notes, serial)
+	root, err := p.joinTree(layout, all, b.conjuncts, b.tail, snap, plan, serial)
 	if err != nil {
 		return nil, err
 	}
@@ -414,8 +507,14 @@ func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout)
 			return nil, err
 		}
 	}
+	distinct := sel.Distinct
 	if src, ok := exec.AsBatch(root); ok && !p.DisableVectorized && len(sel.OrderBy) == 0 {
-		root = &exec.RowFromBatch{Src: &exec.BatchProject{Child: src, Exprs: evals}}
+		var out exec.BatchOperator = &exec.BatchProject{Child: src, Exprs: evals, Cols: bareCols(items, layout)}
+		if distinct {
+			// Duplicates go before any tuple is boxed.
+			out, distinct = &exec.BatchDistinct{Child: out}, false
+		}
+		root = &exec.RowFromBatch{Src: out}
 	} else {
 		if len(sel.OrderBy) == 0 {
 			// Projection copies values out; without a pre-projection Sort
@@ -424,7 +523,7 @@ func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout)
 		}
 		root = &exec.Project{Child: root, Exprs: evals}
 	}
-	if sel.Distinct {
+	if distinct {
 		root = &exec.Distinct{Child: root}
 	}
 	if sel.Limit != nil {
@@ -436,8 +535,11 @@ func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout)
 // joinTree plans the scans and joins for a subset of bindings: access path
 // per member (never a parallel scan when serial is set), greedy
 // equijoin-first join ordering, residual filters as soon as their bindings
-// are joined.
-func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, snap txn.Snapshot, notes *[]string, serial bool) (exec.Operator, error) {
+// are joined. tail is what the consumer of the tree reads off its tuples;
+// with the conjuncts still unplaced at each stage it decides which columns
+// a scan carries and a join gathers.
+func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, tail colSet, snap txn.Snapshot, plan *Plan, serial bool) (exec.Operator, error) {
+	notes := &plan.Notes
 	type node struct {
 		op  exec.Operator
 		est float64
@@ -450,7 +552,7 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 				mine = append(mine, c)
 			}
 		}
-		op, est, note, err := p.accessPath(layout, i, mine, snap, serial)
+		op, est, note, err := p.accessPath(layout, i, mine, scanCols{tail, conjuncts, mine}, snap, serial)
 		if err != nil {
 			return nil, err
 		}
@@ -494,6 +596,7 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 		n := nodes[cand]
 		if keys := p.equijoinKeys(conjuncts, layout, joined, cand); keys != nil {
 			var buildKeys, probeKeys []exec.Evaluator
+			var buildCols, probeCols []int
 			for _, k := range keys {
 				newSide, err := exec.Compile(k.newExpr, layout)
 				if err != nil {
@@ -508,20 +611,31 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 				if n.est <= rootEst {
 					buildKeys = append(buildKeys, newSide)
 					probeKeys = append(probeKeys, curSide)
+					buildCols = append(buildCols, bareCol(k.newExpr, layout))
+					probeCols = append(probeCols, bareCol(k.curExpr, layout))
 				} else {
 					buildKeys = append(buildKeys, curSide)
 					probeKeys = append(probeKeys, newSide)
+					buildCols = append(buildCols, bareCol(k.curExpr, layout))
+					probeCols = append(probeCols, bareCol(k.newExpr, layout))
 				}
 			}
-			if n.est <= rootEst {
-				root = p.makeHashJoin(n.op, root, buildKeys, probeKeys)
-				*notes = append(*notes, fmt.Sprintf("hash join: build %s (est %.0f), probe so-far (est %.0f)",
-					layout.Bindings[cand].Name, n.est, rootEst))
-			} else {
-				root = p.makeHashJoin(root, n.op, buildKeys, probeKeys)
-				*notes = append(*notes, fmt.Sprintf("hash join: build so-far (est %.0f), probe %s (est %.0f)",
-					rootEst, layout.Bindings[cand].Name, n.est))
+			j := joinSpec{
+				buildKeys: buildKeys, probeKeys: probeKeys, buildCols: buildCols, probeCols: probeCols,
+				cand: cand, candBuilds: n.est <= rootEst,
+				after: scanCols{tail: tail, conjuncts: conjuncts},
 			}
+			var note string
+			if j.candBuilds {
+				j.build, j.probe = n.op, root
+				note = fmt.Sprintf("hash join: build %s (est %.0f), probe so-far (est %.0f)",
+					layout.Bindings[cand].Name, n.est, rootEst)
+			} else {
+				j.build, j.probe = root, n.op
+				note = fmt.Sprintf("hash join: build so-far (est %.0f), probe %s (est %.0f)",
+					rootEst, layout.Bindings[cand].Name, n.est)
+			}
+			root = p.makeHashJoin(j, layout, joined, note, plan)
 			rootEst = rootEst * n.est / 10 // crude equijoin output estimate
 		} else {
 			markScanReuse(root) // outer side: rows are merged, not retained
@@ -539,19 +653,85 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 	return root, nil
 }
 
-// makeHashJoin builds the physical hash join. A probe side that is (or
-// bridges to) a batch pipeline gets the batched probe operator, which
-// hashes whole batches of keys per call; otherwise the row probe. The
-// build side stays a row operator either way — buildHashTable handles the
-// parallel partial-build internally.
-func (p *Planner) makeHashJoin(build, probe exec.Operator, buildKeys, probeKeys []exec.Evaluator) exec.Operator {
-	if src, ok := exec.AsBatch(probe); ok && !p.DisableVectorized {
-		return &exec.RowFromBatch{Src: &exec.BatchHashJoin{
-			Build: build, Probe: src, BuildKeys: buildKeys, ProbeKeys: probeKeys,
-		}}
+// scanCols is what the required-column pass knows at one point of planning:
+// the consumer's tail, the block's conjuncts (the unplaced ones count) and,
+// for a scan, its own pushed-down conjuncts. A columnar operator asks it for
+// its column list; a row operator never does, so index-probe plans pay
+// nothing for the pass.
+type scanCols struct {
+	tail      colSet
+	conjuncts []*conjunct
+	own       []*conjunct
+}
+
+// need lists, in ascending order, the tuple offsets of the given bindings
+// (nil: all) that the plan still reads at some stage: the tail, the columns
+// of every conjunct not yet placed, and those of own (placed, but evaluated
+// by the scan itself).
+func (sc scanCols) need(layout *exec.Layout, bindings map[int]bool) []int {
+	need := make([]int, 0, len(sc.tail))
+	for off, on := range sc.tail {
+		for _, c := range sc.conjuncts {
+			on = on || (!c.used && c.cols[off])
+		}
+		for _, c := range sc.own {
+			on = on || c.cols[off]
+		}
+		if on && (bindings == nil || bindings[layout.BindingOf(off)]) {
+			need = append(need, off)
+		}
 	}
-	markScanReuse(probe) // probe side: rows are merged, not retained
-	return &exec.HashJoin{Build: build, Probe: probe, BuildKeys: buildKeys, ProbeKeys: probeKeys}
+	return need
+}
+
+// joinSpec is one planned hash join: both inputs and their compiled keys,
+// the key columns on either side (bareCol), and what the columnar join needs to
+// work out the columns it gathers — the candidate binding and whether it is
+// the build side, and the pass's state now that the key conjuncts are
+// placed.
+type joinSpec struct {
+	build, probe         exec.Operator
+	buildKeys, probeKeys []exec.Evaluator
+	buildCols, probeCols []int
+	cand                 int
+	candBuilds           bool
+	after                scanCols
+}
+
+// makeHashJoin builds the physical hash join and records its note. A probe
+// side that is (or bridges to) a batch pipeline gets the columnar join,
+// which collects the build side as a batch too, reads keys off the key
+// vectors and gathers only the needed columns; otherwise the row join.
+func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]bool, note string, plan *Plan) exec.Operator {
+	src, ok := exec.AsBatch(j.probe)
+	if !ok || p.DisableVectorized {
+		plan.Notes = append(plan.Notes, note)
+		markScanReuse(j.probe) // probe side: rows are merged, not retained
+		return &exec.HashJoin{Build: j.build, Probe: j.probe, BuildKeys: j.buildKeys, ProbeKeys: j.probeKeys}
+	}
+	// What the plan reads above this join, of the bindings it outputs.
+	joined[j.cand] = true
+	need := j.after.need(layout, joined)
+	op := &exec.BatchHashJoin{
+		Build: j.build, Probe: src, BuildKeys: j.buildKeys, ProbeKeys: j.probeKeys,
+		BuildCols: j.buildCols, ProbeCols: j.probeCols, Need: need,
+	}
+	// The probe-side columns the join touches: bare keys, and what it
+	// gathers for the plan above.
+	var reads []int
+	for _, off := range op.ProbeCols {
+		if off >= 0 {
+			reads = append(reads, off)
+		}
+	}
+	for _, off := range need {
+		if (layout.BindingOf(off) == j.cand) != j.candBuilds && !slices.Contains(reads, off) {
+			reads = append(reads, off)
+		}
+	}
+	plan.joins = append(plan.joins, joinNote{note: len(plan.Notes), join: op})
+	plan.Notes = append(plan.Notes, fmt.Sprintf("%s columnar [%s]", note, colNames(layout, reads)))
+	return &exec.RowFromBatch{Src: op}
 }
 
 // markScanReuse enables scan-buffer reuse on a direct scan (possibly under

@@ -199,8 +199,20 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 	aLayout := exec.NewLayout([]exec.Binding{{Name: ab.Name, Table: ab.Table}})
 
 	// The anchor scan carries the predicate every block agrees on; what a
-	// block asks beyond that becomes its arm's filter.
-	anchorOp, anchorEst, note, err := p.accessPath(aLayout, 0, anchorOwn(blocks[u.scan], u.anchors[u.scan]), snap, false)
+	// block asks beyond that becomes its arm's filter. It carries every
+	// anchor column some block reads, wherever: output, filter, key, residual.
+	reads := blocks[0].scratch[:aLayout.Width()]
+	clear(reads)
+	for bi, b := range blocks {
+		off := b.layout.Bindings[u.anchors[bi]].Offset
+		for ci := range reads {
+			reads[ci] = reads[ci] || b.tail[off+ci]
+			for _, c := range b.conjuncts {
+				reads[ci] = reads[ci] || c.cols[off+ci]
+			}
+		}
+	}
+	anchorOp, anchorEst, note, err := p.accessPath(aLayout, 0, anchorOwn(blocks[u.scan], u.anchors[u.scan]), scanCols{tail: reads}, snap, false)
 	if err != nil {
 		return err
 	}
@@ -262,14 +274,20 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 	for _, members := range otherComponents(len(layout.Bindings), anchor, b.conjuncts) {
 		// Conjuncts tying the component to the anchor: an equality with the
 		// anchor alone on one side is a hash key, anything else a residual.
+		// Their columns are what the probe reads off the component's tuples.
 		probe := &exec.SemiProbe{AnchorOffset: layout.Bindings[anchor].Offset, Width: layout.Width()}
 		var keys []*equiKey
 		var residual []sqlparser.Expr
+		tying := b.scratch
+		clear(tying)
 		for _, c := range b.conjuncts {
 			if c.used || !c.bindings[anchor] || !readsAny(c, members) {
 				continue
 			}
 			c.used = true
+			for off, on := range c.cols {
+				tying[off] = tying[off] || on
+			}
 			if k := p.anchorKey(c, layout, anchor); k != nil {
 				keys = append(keys, k)
 			} else {
@@ -278,16 +296,12 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 		}
 		existence := len(keys) == 0 && len(residual) == 0
 
-		// A lone relation is scanned in its own layout (heap rows aliased,
-		// not padded); a joined component arrives full width.
+		// Either way the component's tuples have the block's layout; a
+		// columnar scan carries only the columns read.
 		var src exec.Operator
 		var est float64
-		pLayout := layout
 		name := layout.Bindings[members[0]].Name
 		if len(members) == 1 {
-			pb := layout.Bindings[members[0]]
-			pLayout = exec.NewLayout([]exec.Binding{{Name: pb.Name, Table: pb.Table}})
-			probe.ProbeOffset = pb.Offset
 			var mine []*conjunct
 			for _, c := range b.conjuncts {
 				if !c.used && onlyBinding(c.bindings, members[0]) {
@@ -296,14 +310,14 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 			}
 			var note string
 			var err error
-			src, est, note, err = p.accessPath(pLayout, 0, mine, snap, existence)
+			src, est, note, err = p.accessPath(layout, members[0], mine, scanCols{tail: tying, own: mine}, snap, existence)
 			if err != nil {
 				return arm, 0, err
 			}
 			plan.Notes = append(plan.Notes, note)
 		} else {
 			var err error
-			src, err = p.joinTree(layout, members, b.conjuncts, snap, &plan.Notes, existence)
+			src, err = p.joinTree(layout, members, b.conjuncts, tying, snap, plan, existence)
 			if err != nil {
 				return arm, 0, err
 			}
@@ -320,12 +334,14 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 			if err != nil {
 				return arm, 0, err
 			}
-			pk, err := exec.Compile(k.newExpr, pLayout)
+			pk, err := exec.Compile(k.newExpr, layout)
 			if err != nil {
 				return arm, 0, err
 			}
 			probe.AnchorKeys = append(probe.AnchorKeys, ak)
 			probe.ProbeKeys = append(probe.ProbeKeys, pk)
+			probe.AnchorCols = append(probe.AnchorCols, bareCol(k.curExpr, aLayout))
+			probe.ProbeCols = append(probe.ProbeCols, bareCol(k.newExpr, layout))
 		}
 		if len(residual) > 0 {
 			var err error

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -586,4 +587,59 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("query succeeded on a drained connection")
 	}
 	c.Close()
+}
+
+// TestFailedQueryReapsScanWorkers is the wire-level half of the executor's
+// failed-Open fix: a hash join whose build side fails at run time
+// (arithmetic on TEXT) has already started the parallel scan of its probe
+// side. Ten such queries, embedded and then through the client driver, must
+// leave the goroutine count where it was — before the fix each one parked its
+// scan workers on the exchange forever, and any client could do that to a
+// server.
+func TestFailedQueryReapsScanWorkers(t *testing.T) {
+	eng, err := workload.Build(serveSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Planner().ParallelThreshold, eng.Planner().MaxParallel = 50, 3
+	db := trac.WrapEngine(eng)
+	_, addr := startServer(t, db, server.Config{})
+	c, err := tracclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const sql = `SELECT COUNT(*) FROM Routing R, Activity A WHERE R.neighbor = A.mach_id AND R.mach_id + 1 = 2`
+	if plan, err := db.Explain(sql); err != nil || !strings.Contains(plan, "parallel seq scan on A") {
+		t.Fatalf("fixture: the probe side should be a parallel scan:\n%s\n%v", plan, err)
+	}
+	settled := func(base int) int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	if err := c.Ping(); err != nil { // the connection's goroutines are up
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := db.Query(sql); err == nil || !strings.Contains(err.Error(), "arithmetic") {
+			t.Fatalf("embedded: err = %v, want an arithmetic type error", err)
+		}
+	}
+	if n := settled(base); n > base {
+		t.Errorf("embedded: %d goroutines after ten failed queries, %d before", n, base)
+	}
+	for i := 0; i < 10; i++ {
+		var se *tracclient.ServerError
+		if _, err := c.Query(sql); !errors.As(err, &se) {
+			t.Fatalf("wire: err = %v, want a ServerError", err)
+		}
+	}
+	if n := settled(base); n > base {
+		t.Errorf("wire: %d goroutines after ten failed queries, %d before", n, base)
+	}
 }

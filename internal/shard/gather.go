@@ -111,35 +111,36 @@ func (r *Router) Explain(sql string) (string, error) {
 // executeScatter plans every (block, shard) statement under the cut's
 // snapshots, drains all of them concurrently (the scatter), then merges
 // per-shard partials in deterministic shard order (the gather). A
-// firstAnswer block is asked shard by shard instead and needs no gather.
+// firstAnswer block joins the scatter with its first shard only — the arms
+// of a recency query then run side by side instead of one after the other —
+// and asks its other shards, one by one, only if that one had no rows; it
+// needs no gather.
 func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error) {
 	var ops []exec.Operator
 	starts := make([]int, len(sp.blocks)+1)
 	blockRows := make([][][]types.Value, len(sp.blocks))
 	maxParallel, vectorized := 1, false
+	plan := func(bp *blockPlan, s int) (exec.Operator, error) {
+		pl, err := r.shards[s].Planner().PlanSelect(bp.stmt, cut.Snaps[s])
+		if err != nil {
+			return nil, err
+		}
+		maxParallel = max(maxParallel, pl.Parallel)
+		vectorized = vectorized || pl.Vectorized
+		return pl.Root, nil
+	}
 	for bi, bp := range sp.blocks {
 		starts[bi] = len(ops)
-		for _, s := range bp.shards {
-			plan, err := r.shards[s].Planner().PlanSelect(bp.stmt, cut.Snaps[s])
+		shards := bp.shards
+		if bp.firstAnswer && len(shards) > 1 {
+			shards = shards[:1]
+		}
+		for _, s := range shards {
+			root, err := plan(bp, s)
 			if err != nil {
 				return nil, err
 			}
-			if plan.Parallel > maxParallel {
-				maxParallel = plan.Parallel
-			}
-			vectorized = vectorized || plan.Vectorized
-			if !bp.firstAnswer {
-				ops = append(ops, plan.Root)
-				continue
-			}
-			// Shards answer alike or not at all: stop at the first that has
-			// rows instead of deriving the same answer on every shard.
-			if blockRows[bi], err = exec.Drain(plan.Root); err != nil {
-				return nil, err
-			}
-			if len(blockRows[bi]) > 0 {
-				break
-			}
+			ops = append(ops, root)
 		}
 	}
 	starts[len(sp.blocks)] = len(ops)
@@ -147,16 +148,32 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 	if err != nil {
 		return nil, err
 	}
-	if len(ops) > maxParallel {
-		maxParallel = len(ops)
-	}
+	maxParallel = max(maxParallel, len(ops))
 
 	for bi, bp := range sp.blocks {
-		if bp.firstAnswer {
+		if !bp.firstAnswer {
+			if blockRows[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		if blockRows[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
-			return nil, err
+		// Shards answer alike or not at all: stop at the first that has
+		// rows instead of deriving the same answer on every shard.
+		if len(bp.shards) == 0 {
+			continue
+		}
+		blockRows[bi] = perOp[starts[bi]]
+		for _, s := range bp.shards[1:] {
+			if len(blockRows[bi]) > 0 {
+				break
+			}
+			root, err := plan(bp, s)
+			if err != nil {
+				return nil, err
+			}
+			if blockRows[bi], err = exec.Drain(root); err != nil {
+				return nil, err
+			}
 		}
 	}
 

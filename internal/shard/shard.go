@@ -196,14 +196,14 @@ func (r *Router) Exec(sql string) (int, error) {
 					return 0, fmt.Errorf("shard: UPDATE of partition column %s.%s would require moving rows between shards", s.Table, col)
 				}
 			}
-			return r.broadcastSum(sql)
+			return r.broadcastSum(s)
 		}
-		return r.broadcastReplicated(sql)
+		return r.broadcastReplicated(s)
 	case *sqlparser.DeleteStmt:
 		if _, ok := r.PartitionColumn(s.Table); ok {
-			return r.broadcastSum(sql)
+			return r.broadcastSum(s)
 		}
-		return r.broadcastReplicated(sql)
+		return r.broadcastReplicated(s)
 	case *sqlparser.DropTableStmt:
 		n, err := r.broadcastDDL(sql)
 		if err == nil {
@@ -240,13 +240,14 @@ func (r *Router) broadcastDDL(sql string) (int, error) {
 
 // broadcastSum executes a DML statement on every shard and sums the affected
 // counts — the right combination for a partitioned table, whose rows are
-// disjoint across shards.
-func (r *Router) broadcastSum(sql string) (int, error) {
+// disjoint across shards. Like broadcastReplicated it hands every shard the
+// statement the router already parsed, never its text.
+func (r *Router) broadcastSum(stmt sqlparser.Statement) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := 0
 	for i, db := range r.shards {
-		n, err := db.Exec(sql)
+		n, err := db.ExecStmt(stmt)
 		if err != nil {
 			return 0, fmt.Errorf("shard: broadcast failed on shard %d (earlier shards already applied): %w", i, err)
 		}
@@ -258,12 +259,12 @@ func (r *Router) broadcastSum(sql string) (int, error) {
 // broadcastReplicated executes a DML statement on every shard and returns
 // shard 0's affected count — replicas are identical, so per-shard counts
 // agree and summing would overcount.
-func (r *Router) broadcastReplicated(sql string) (int, error) {
+func (r *Router) broadcastReplicated(stmt sqlparser.Statement) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	first := 0
 	for i, db := range r.shards {
-		n, err := db.Exec(sql)
+		n, err := db.ExecStmt(stmt)
 		if err != nil {
 			return 0, fmt.Errorf("shard: broadcast failed on shard %d (earlier shards already applied): %w", i, err)
 		}
@@ -298,7 +299,7 @@ func (r *Router) Atomic(fn func(db *engine.DB) error) error {
 func (r *Router) execInsert(s *sqlparser.InsertStmt) (int, error) {
 	col, ok := r.PartitionColumn(s.Table)
 	if !ok {
-		return r.broadcastReplicated(s.SQL())
+		return r.broadcastReplicated(s)
 	}
 	tbl, err := r.shards[0].Catalog().Get(s.Table)
 	if err != nil {

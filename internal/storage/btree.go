@@ -19,6 +19,9 @@ const btreeOrder = 64
 // reachable and are filtered by visibility at scan time. A production system
 // would vacuum; for a monitoring workload dominated by inserts this is the
 // behaviour the paper's PostgreSQL prototype exhibits between VACUUM runs.
+// What it does keep, per key, is how long a head of the chain is superseded
+// for good (goneMark), so that a key updated in place all day — a Heartbeat
+// row — is probed at the cost of its live versions, not of its history.
 type BTree struct {
 	mu       sync.RWMutex
 	root     node
@@ -41,7 +44,17 @@ func (*innerNode) isLeaf() bool { return false }
 type leafNode struct {
 	keys []types.Value
 	rows [][]*Row
+	gone []goneMark // per key, parallel to rows
 	next *leafNode
+}
+
+// goneMark says that the first n versions of a key's chain were, as of
+// commit sequence seq, deleted by committed transactions (a committed delete
+// is final) or created by aborted ones: a snapshot at or after seq cannot
+// see any of them.
+type goneMark struct {
+	n   int
+	seq uint64
 }
 
 func (*leafNode) isLeaf() bool { return true }
@@ -89,6 +102,7 @@ func (t *BTree) insert(n node, key types.Value, row *Row) (types.Value, node) {
 		i := lowerBound(nd.keys, key)
 		if i < len(nd.keys) && types.Equal(nd.keys[i], key) {
 			nd.rows[i] = append(nd.rows[i], row)
+			nd.gone[i].advance(nd.rows[i])
 			return types.Null, nil
 		}
 		nd.keys = append(nd.keys, types.Null)
@@ -97,6 +111,9 @@ func (t *BTree) insert(n node, key types.Value, row *Row) (types.Value, node) {
 		nd.rows = append(nd.rows, nil)
 		copy(nd.rows[i+1:], nd.rows[i:])
 		nd.rows[i] = []*Row{row}
+		nd.gone = append(nd.gone, goneMark{})
+		copy(nd.gone[i+1:], nd.gone[i:])
+		nd.gone[i] = goneMark{}
 		t.distinct++
 		if len(nd.keys) <= btreeOrder {
 			return types.Null, nil
@@ -128,10 +145,12 @@ func (t *BTree) splitLeaf(nd *leafNode) (types.Value, node) {
 	right := &leafNode{
 		keys: append([]types.Value(nil), nd.keys[mid:]...),
 		rows: append([][]*Row(nil), nd.rows[mid:]...),
+		gone: append([]goneMark(nil), nd.gone[mid:]...),
 		next: nd.next,
 	}
 	nd.keys = nd.keys[:mid:mid]
 	nd.rows = nd.rows[:mid:mid]
+	nd.gone = nd.gone[:mid:mid]
 	nd.next = right
 	return right.keys[0], right
 }
@@ -148,9 +167,33 @@ func (t *BTree) splitInner(nd *innerNode) (types.Value, node) {
 	return splitKey, right
 }
 
-// Lookup returns the rows stored under exactly key (nil if none). The
+// advance extends the mark over the versions at the head of the chain that
+// have been superseded for good since it was last looked at; the newest
+// version is never covered. Called with the tree's write lock held, on each
+// insert under the key, so a chain that grows by in-place updates is walked
+// once per version.
+func (g *goneMark) advance(chain []*Row) {
+	for g.n < len(chain)-1 {
+		r := chain[g.n]
+		at := uint64(1) // creator aborted: never visible to anyone
+		if r.XminSeq.Load() != AbortedSeq {
+			if at = r.XmaxSeq.Load(); at == 0 || at == AbortedSeq {
+				return // live, or its deleter is unresolved or aborted
+			}
+		}
+		g.n, g.seq = g.n+1, max(g.seq, at)
+	}
+}
+
+// Lookup returns every version stored under exactly key (nil if none). The
 // returned slice must not be modified.
-func (t *BTree) Lookup(key types.Value) []*Row {
+func (t *BTree) Lookup(key types.Value) []*Row { return t.LookupAt(key, 0) }
+
+// LookupAt returns the versions stored under exactly key that a snapshot at
+// commit sequence seq may see: the whole chain, minus its head of versions
+// superseded for good when that is known to have happened at or before seq.
+// The returned slice must not be modified.
+func (t *BTree) LookupAt(key types.Value, seq uint64) []*Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := t.root
@@ -161,6 +204,9 @@ func (t *BTree) Lookup(key types.Value) []*Row {
 		case *leafNode:
 			i := lowerBound(nd.keys, key)
 			if i < len(nd.keys) && types.Equal(nd.keys[i], key) {
+				if g := nd.gone[i]; g.n > 0 && g.seq <= seq {
+					return nd.rows[i][g.n:]
+				}
 				return nd.rows[i]
 			}
 			return nil

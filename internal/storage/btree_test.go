@@ -195,3 +195,61 @@ func TestBTreeConcurrentInsertLookup(t *testing.T) {
 		t.Errorf("Len = %d", tr.Len())
 	}
 }
+
+// TestBTreeLookupAtSkipsVersionsSupersededForGood: a key updated in place
+// grows a chain of versions of which only the last few can be visible. Each
+// insert under the key extends the mark over the head of the chain that
+// committed deletes (or aborted creators) have made invisible for good, and
+// LookupAt hands a snapshot only the rest — provided the snapshot is not
+// older than the last of those deletes; Lookup still returns everything.
+func TestBTreeLookupAtSkipsVersionsSupersededForGood(t *testing.T) {
+	tree := NewBTree()
+	key := types.NewString("m1")
+	version := func(xminSeq, xmaxSeq uint64) *Row {
+		r := NewRow([]types.Value{key}, 1)
+		r.XminSeq.Store(xminSeq)
+		if xmaxSeq != 0 {
+			r.Xmax.Store(2)
+			r.XmaxSeq.Store(xmaxSeq)
+		}
+		return r
+	}
+	v1 := version(1, 5)          // deleted by the commit at 5
+	v2 := version(AbortedSeq, 0) // its creator aborted
+	v3 := version(5, 9)          // deleted by the commit at 9
+	v4 := version(9, 0)          // live
+	for _, r := range []*Row{v1, v2, v3, v4} {
+		tree.Insert(key, r)
+	}
+	if got := tree.Lookup(key); len(got) != 4 {
+		t.Fatalf("Lookup returned %d versions, want all 4", len(got))
+	}
+	if got := tree.LookupAt(key, 9); len(got) != 1 || got[0] != v4 {
+		t.Errorf("snapshot at 9 is offered %d versions, want only the live one", len(got))
+	}
+	// A snapshot from before the last covered delete still needs v3 (and
+	// gets the whole chain: the mark is one number, not one per snapshot).
+	if got := tree.LookupAt(key, 7); len(got) != 4 {
+		t.Errorf("snapshot at 7 is offered %d versions, want all 4", len(got))
+	}
+
+	// A version whose deleter has not committed (or aborted) stops the mark,
+	// and the newest version is never covered.
+	pending := version(9, 0)
+	pending.Xmax.Store(3) // delete mark held, no commit sequence yet
+	other := NewBTree()
+	for _, r := range []*Row{version(1, 4), pending, version(1, 6), version(6, 8)} {
+		other.Insert(key, r)
+	}
+	if got := other.LookupAt(key, 100); len(got) != 3 || got[0] != pending {
+		t.Errorf("mark ran past an unresolved deleter: %d versions offered, want 3", len(got))
+	}
+	pending.XmaxSeq.Store(12)
+	other.Insert(key, version(12, 0))
+	if got := other.LookupAt(key, 100); len(got) != 1 {
+		t.Errorf("after the deleter committed: %d versions offered, want only the newest", len(got))
+	}
+	if got := other.LookupAt(key, 11); len(got) != 5 {
+		t.Errorf("snapshot at 11 (before that commit): %d versions offered, want all 5", len(got))
+	}
+}

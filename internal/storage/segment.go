@@ -2,6 +2,7 @@ package storage
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"trac/internal/types"
 )
@@ -110,10 +111,78 @@ type Segment struct {
 	Rows  []*Row
 	Cols  []ColVec
 	Zones []ZoneMap
+
+	// live caches which versions can still be visible (see LiveSet): a table
+	// updated in place all day — Heartbeat, which every report reads —
+	// leaves segments that are mostly or wholly superseded versions, and a
+	// scan should pay for the live ones, not for every version ever written.
+	live atomic.Pointer[LiveSet]
 }
 
 // Len returns the number of row versions in the segment.
 func (s *Segment) Len() int { return len(s.Rows) }
+
+// LiveSet says which versions of a segment can still be visible: as of
+// commit sequence Seq, every version NOT in Pos (ascending positions) had
+// been deleted by a committed transaction — a committed delete is final — or
+// was created by one that aborted. A snapshot taken at or after Seq therefore
+// needs to check only the versions in Pos; an older one must check them all.
+// A LiveSet is immutable once published.
+type LiveSet struct {
+	Seq uint64
+	Pos []int32
+}
+
+// Live returns the cached LiveSet usable by a snapshot at seq, or nil.
+func (s *Segment) Live(seq uint64) *LiveSet {
+	if l := s.live.Load(); l != nil && l.Seq <= seq {
+		return l
+	}
+	return nil
+}
+
+// NoteLive offers the outcome of one scan's visibility pass as the new
+// cache: under a snapshot at seq the scan checked the versions in from (nil:
+// every version) and found those in visible. It is published only if every
+// checked version that was not visible is gone for good — a deleter still in
+// flight or aborted, or a creator not yet committed, leaves the cache as it
+// was, and the next scan checks again.
+func (s *Segment) NoteLive(seq uint64, from *LiveSet, visible []int) {
+	gone := func(p int) bool {
+		r := s.Rows[p]
+		if r.XminSeq.Load() == AbortedSeq {
+			return true
+		}
+		x := r.XmaxSeq.Load()
+		return x != 0 && x != AbortedSeq && x <= seq
+	}
+	next := 0 // visible[next] is the next visible position at or after p
+	check := func(p int) bool {
+		if next < len(visible) && visible[next] == p {
+			next++
+			return true
+		}
+		return gone(p)
+	}
+	if from == nil {
+		for p := range s.Rows {
+			if !check(p) {
+				return
+			}
+		}
+	} else {
+		for _, p := range from.Pos {
+			if !check(int(p)) {
+				return
+			}
+		}
+	}
+	pos := make([]int32, len(visible))
+	for i, p := range visible {
+		pos[i] = int32(p)
+	}
+	s.live.Store(&LiveSet{Seq: seq, Pos: pos})
+}
 
 // sealSegment builds the columnar form of one heap region.
 func sealSegment(rows []*Row, schema *Schema) *Segment {
@@ -325,8 +394,21 @@ func (t *Table) sealThreshold() int {
 	}
 }
 
-// maybeSealLocked seals complete threshold-sized regions of the tail. The
-// caller holds t.mu.
+// agedTailFactor and minAgedSeal decide when a tail short of the seal
+// threshold is sealed anyway: once it holds agedTailFactor versions per live
+// row of the table (and at least minAgedSeal). Only a table rewritten in
+// place gets there — Heartbeat, one row per source, updated with every
+// ingested row — and for it the tail is where superseded versions would
+// otherwise sit unsummarized: sealed, they fall under a live set (see
+// LiveSet) and a scan stops checking them. An insert-only table never has a
+// tail longer than its live rows and keeps sealing by the threshold alone.
+const (
+	agedTailFactor = 4
+	minAgedSeal    = 64
+)
+
+// maybeSealLocked seals complete threshold-sized regions of the tail, and a
+// shorter tail that is mostly superseded versions. The caller holds t.mu.
 func (t *Table) maybeSealLocked() {
 	size := t.sealThreshold()
 	if size == 0 {
@@ -334,6 +416,11 @@ func (t *Table) maybeSealLocked() {
 	}
 	for len(t.rows)-t.sealed >= size {
 		t.sealRegionLocked(size)
+	}
+	tail := len(t.rows) - t.sealed
+	live := max(len(t.rows)-int(t.dead.Load()), 0)
+	if tail >= minAgedSeal && tail >= agedTailFactor*live {
+		t.sealRegionLocked(tail)
 	}
 }
 

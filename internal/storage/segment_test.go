@@ -124,6 +124,37 @@ func TestAutoSealThreshold(t *testing.T) {
 	}
 }
 
+// TestAgedTailSealsEarly: a table rewritten in place seals its tail once it
+// holds agedTailFactor versions per live row, long before the threshold; an
+// insert-only table, whose tail never outgrows its live rows, does not.
+func TestAgedTailSealsEarly(t *testing.T) {
+	const live = 50
+	hot := NewTable("heartbeat", segSchema(t))
+	for i := 0; i < live; i++ {
+		hot.Append(segRow(int64(i), "s", 0, false))
+	}
+	for round := 1; round <= 20; round++ {
+		for i := 0; i < live; i++ {
+			hot.Append(segRow(int64(i), "s", float64(round), false))
+			hot.NoteDead(1)
+		}
+	}
+	if tail := len(hot.Snap().Tail()); tail > agedTailFactor*live+1 {
+		t.Errorf("rewritten table keeps a tail of %d versions for %d live rows", tail, live)
+	}
+	if hot.NumSegments() < 4 || hot.SealedRows()+len(hot.Snap().Tail()) != hot.NumVersions() {
+		t.Errorf("%d segments over %d of %d versions", hot.NumSegments(), hot.SealedRows(), hot.NumVersions())
+	}
+
+	cold := NewTable("activity", segSchema(t))
+	for i := 0; i < DefaultSegmentSize-1; i++ {
+		cold.Append(segRow(int64(i), "s", 0, false))
+	}
+	if cold.NumSegments() != 0 {
+		t.Errorf("insert-only table sealed %d segments below the threshold", cold.NumSegments())
+	}
+}
+
 func TestSealEmptyTableAndOversizedThreshold(t *testing.T) {
 	tbl := NewTable("t", segSchema(t))
 	if n := tbl.Seal(); n != 0 {

@@ -92,6 +92,9 @@ type Table struct {
 	// DELETE (see NoteDead); LiveRows subtracts it from the version count.
 	dead atomic.Int64
 
+	// visited counts versions readers checked for visibility (NoteVisited).
+	visited atomic.Int64
+
 	// spill is non-nil while the table's checkpointed sealed prefix still
 	// lives only in its segment file. Read accessors hydrate it on first
 	// touch; Append deliberately does not (recovery replaying an append-only
@@ -332,6 +335,15 @@ func (t *Table) NumVersions() int {
 // estimate (an aborted writer is not subtracted back), which is all the
 // planner's cardinalities need.
 func (t *Table) NoteDead(n int) { t.dead.Add(int64(n)) }
+
+// NoteVisited records that a reader checked n versions of this table for
+// visibility: one call per scan unit, index probe or keyed write, not per
+// row. VersionsVisited is what pins that a table rewritten in place is read
+// at the cost of its live rows (see Segment.Live, BTree.LookupAt).
+func (t *Table) NoteVisited(n int) { t.visited.Add(int64(n)) }
+
+// VersionsVisited returns the running total NoteVisited has been told.
+func (t *Table) VersionsVisited() int64 { return t.visited.Load() }
 
 // LiveRows approximates the number of live rows: versions minus the ones
 // NoteDead has been told about. Planner estimates use it so that a small,

@@ -67,6 +67,26 @@ var GroupByCorpus = []string{
 	`SELECT name, SUM(id + 1), MIN(id * 2) FROM NullProbe GROUP BY name ORDER BY name`,
 }
 
+// JoinCorpus exercises the hash join's columnar probe where it can go wrong:
+// NULL keys on either side (never equal, not even to each other), nothing
+// needed above the join (COUNT(*): the output carries no column), every
+// column needed (SELECT *), a residual that alone reads a column, composite
+// and BIGINT / TIMESTAMP keys, and a build or a probe side no row survives
+// on.
+var JoinCorpus = []string{
+	`SELECT COUNT(*) FROM NullProbe n, NullProbe m WHERE n.name = m.name`,
+	`SELECT n.id, m.id FROM NullProbe n, NullProbe m WHERE n.score = m.score`,
+	`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.neighbor = A.mach_id AND A.value = 'idle'`,
+	`SELECT * FROM NullProbe n, Activity a WHERE n.name = a.value AND a.mach_id = 'Tao1'`,
+	`SELECT A.* FROM Routing R, Activity A WHERE R.neighbor = A.mach_id AND R.mach_id = 'Tao1'`,
+	`SELECT R.mach_id FROM Routing R, Activity A WHERE R.neighbor = A.mach_id AND R.mach_id < A.value AND A.mach_id = 'Tao2'`,
+	`SELECT COUNT(*) FROM NullProbe n, NullProbe m WHERE n.name = m.name AND n.id = m.id`,
+	`SELECT n.name, m.score FROM NullProbe n, NullProbe m WHERE n.id = m.id AND m.id > 2`,
+	`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.event_time = A.event_time AND R.mach_id = 'Tao1'`,
+	`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.neighbor = A.mach_id AND R.mach_id = 'no-such-machine'`,
+	`SELECT A.mach_id FROM Routing R, Activity A WHERE R.neighbor = A.mach_id AND A.value = 'no-such-value'`,
+}
+
 // NullProbeStmts returns the DDL + inserts that create the NullProbe fixture
 // (NULLs in every column), executable against a single engine or broadcast
 // through a shard router.
@@ -124,5 +144,6 @@ func EquivCorpus(cat *storage.Catalog) ([]string, error) {
 	}
 	corpus = append(corpus, AdHocCorpus...)
 	corpus = append(corpus, GroupByCorpus...)
+	corpus = append(corpus, JoinCorpus...)
 	return corpus, nil
 }
