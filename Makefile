@@ -29,7 +29,7 @@ lint-fix:
 # the crash-injection recovery sweeps, then smoke every benchmark so
 # bench-only code paths cannot rot unnoticed. The serving layer's tests run
 # twenty times over: its admission tests must hold by construction, not by
-# winning a race against the worker pool.
+# winning a race against the goroutines they contend with.
 check: lint bench-smoke benchmark-smoke crash
 	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./client/...
 	$(GO) test -count 20 ./internal/server

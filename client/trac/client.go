@@ -36,9 +36,10 @@ type Report = server.Report
 // SourceRecency is one (source, recency) pair in a report.
 type SourceRecency = server.SourceRecency
 
-// ErrBusy is returned when the server's admission layer shed the request
-// (queue full, deadline expired, session quota, or draining). The request
-// did not run; retry after backoff.
+// ErrBusy is returned when the server's admission layer shed the request:
+// every execution slot stayed taken until the request's queueing deadline
+// (it never got a place in the queue, or had one and expired there), or the
+// server is draining. The request did not run; retry after backoff.
 var ErrBusy = errors.New("tracclient: server busy")
 
 // BusyError is the concrete ErrBusy carrying the shed reason.
@@ -342,8 +343,8 @@ func (s *Stmt) Close() error {
 	return nil
 }
 
-// Ping round-trips a no-op frame (handled inline server-side, so it works
-// even when the admission queue is saturated).
+// Ping round-trips a no-op frame (answered without an execution slot, so it
+// works even when the admission queue is saturated).
 func (c *Client) Ping() error {
 	ft, payload, err := c.roundTrip(server.FramePing, nil)
 	if err != nil {

@@ -1,19 +1,20 @@
 // Command trac-server serves a TRAC database over the length-prefixed
 // binary wire protocol in internal/server. Each client connection is one
-// session (temp tables + prepared statements); requests pass through a
-// bounded admission queue into a worker pool, so overload degrades to fast
-// "busy" responses with bounded p99 rather than collapse.
+// session (temp tables + prepared statements) served by one goroutine, which
+// takes one of a bounded number of execution slots for each request and
+// waits a bounded time for it, so overload degrades to fast "busy" responses
+// with bounded p99 rather than collapse.
 //
 //	trac-server -demo                       # serve the paper's §5.1 fixture
 //	trac-server -f init.sql -addr :7483     # run DDL/DML script, then serve
 //	trac-server -demo -shards 4             # sharded scatter-gather serving
 //	trac-server -dir ./db                   # serve a durable directory
 //
-// Flags tune the admission layer: -workers (pool size, default GOMAXPROCS),
-// -queue (admission queue depth, default 8×workers), -quota (per-session
-// in-flight cap), -admit-timeout (queueing deadline before a request is
-// shed). -token enables shared-secret auth. SIGINT/SIGTERM drain in-flight
-// sessions, then checkpoint (with -dir) and close the database before exit.
+// Flags tune the admission layer: -workers (execution slots, default
+// GOMAXPROCS), -queue (requests that may wait for a slot, default
+// 8×workers), -admit-timeout (queueing deadline before a request is shed).
+// -token enables shared-secret auth. SIGINT/SIGTERM drain in-flight sessions,
+// then checkpoint (with -dir) and close the database before exit.
 //
 // With -dir the database is recovered from the directory (trac.OpenDir) and
 // every committed statement is logged there. -demo and -f initialize an
@@ -46,9 +47,8 @@ func main() {
 	shards := flag.Int("shards", 1, "open the database as N hash-partitioned engine shards")
 	dir := flag.String("dir", "", "serve the durable database directory at this path (not with -shards > 1)")
 	token := flag.String("token", "", "shared-secret auth token (empty disables auth)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "execution slots (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 8×workers)")
-	quota := flag.Int("quota", 0, "per-session in-flight request quota (0 = default 8)")
 	admitTimeout := flag.Duration("admit-timeout", 0, "admission queueing deadline (0 = default 100ms)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	flag.Parse()
@@ -76,10 +76,9 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		DB:           db,
-		Token:        *token,
-		Name:         "trac-server",
-		SessionQuota: *quota,
+		DB:    db,
+		Token: *token,
+		Name:  "trac-server",
 		Sched: server.SchedConfig{
 			Workers:          *workers,
 			QueueDepth:       *queue,

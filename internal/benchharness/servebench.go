@@ -166,15 +166,14 @@ func serveScenarios(sources int) []serveScenario {
 }
 
 // launchServeBench builds the workload database and serves it on loopback.
-func launchServeBench(totalRows, sources int, sched server.SchedConfig, quota int) (*server.Server, string, func(), error) {
+func launchServeBench(totalRows, sources int, sched server.SchedConfig) (*server.Server, string, func(), error) {
 	eng, err := workload.Build(workload.Spec{TotalRows: totalRows, DataSources: sources})
 	if err != nil {
 		return nil, "", nil, err
 	}
 	srv, err := server.New(server.Config{
-		DB:           trac.WrapEngine(eng),
-		SessionQuota: quota,
-		Sched:        sched,
+		DB:    trac.WrapEngine(eng),
+		Sched: sched,
 	})
 	if err != nil {
 		return nil, "", nil, err
@@ -354,9 +353,8 @@ func RunServeBench(totalRows, sources, requestsPerCell int, clientCounts []int, 
 		PreparedSpeedup: map[string]float64{},
 	}
 
-	// Throughput/latency cells: default admission sizing, generous quota so
-	// the serial-round-trip clients are never quota-shed.
-	srv, addr, stop, err := launchServeBench(totalRows, sources, server.SchedConfig{}, 64)
+	// Throughput/latency cells: default admission sizing.
+	srv, addr, stop, err := launchServeBench(totalRows, sources, server.SchedConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +424,7 @@ func RunServeBench(totalRows, sources, requestsPerCell int, clientCounts []int, 
 	// the full queue and expire against the admission deadline.
 	const overRows, overSources = 3000, 100
 	overCfg := server.SchedConfig{Workers: 1, QueueDepth: 1, AdmissionTimeout: 2 * time.Millisecond}
-	osrv, oaddr, ostop, err := launchServeBench(overRows, overSources, overCfg, 64)
+	osrv, oaddr, ostop, err := launchServeBench(overRows, overSources, overCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func TestServeBenchSmall(t *testing.T) {
 // benchServeOp measures one wire round trip per iteration.
 func benchServeOp(b *testing.B, setup func(c *tracclient.Client) (func() error, error)) {
 	b.Helper()
-	_, addr, stop, err := launchServeBench(2000, 100, server.SchedConfig{AdmissionTimeout: time.Minute}, 64)
+	_, addr, stop, err := launchServeBench(2000, 100, server.SchedConfig{AdmissionTimeout: time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}

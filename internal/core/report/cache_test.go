@@ -1,7 +1,10 @@
 package report
 
 import (
+	"strings"
 	"testing"
+
+	"trac/internal/core/recgen"
 )
 
 const idleQuery = `SELECT mach_id FROM Activity WHERE value = 'idle'`
@@ -77,6 +80,40 @@ func TestConfigVariantsDoNotShareEntries(t *testing.T) {
 	if rep.Method != Naive || len(rep.Normal)+len(rep.Exceptional) != 11 {
 		t.Errorf("naive report wrong: method=%v, sources=%d",
 			rep.Method, len(rep.Normal)+len(rep.Exceptional))
+	}
+}
+
+// TestCacheKeySeparatesEveryField: two configs that differ in any one field,
+// or in which Heartbeat name holds a given string, never share a key, while
+// renderings of one query that differ only in whitespace do.
+func TestCacheKeySeparatesEveryField(t *testing.T) {
+	variants := []Config{
+		{},
+		{Method: Naive},
+		{Detector: DetectorMAD},
+		{ZThreshold: 2.5},
+		{SkipStats: true},
+		{SkipTempTables: true},
+		{Heartbeat: recgen.Options{HeartbeatTable: "hb"}},
+		{Heartbeat: recgen.Options{SidColumn: "hb"}},
+		{Heartbeat: recgen.Options{RecencyColumn: "hb"}},
+		{Heartbeat: recgen.Options{HeartbeatTable: `a"|"b`}},
+		{Heartbeat: recgen.Options{HeartbeatTable: "a", SidColumn: "b"}},
+	}
+	seen := map[string]int{}
+	for i, cfg := range variants {
+		key := cacheKey(idleQuery, cfg)
+		if j, dup := seen[key]; dup {
+			t.Errorf("configs %d and %d share the key %q", j, i, key)
+		}
+		seen[key] = i
+	}
+	spaced := strings.ReplaceAll(idleQuery, " ", "  \n")
+	if cacheKey(spaced, Config{}) != cacheKey(idleQuery, Config{}) {
+		t.Error("whitespace variants of one query have different keys")
+	}
+	if cacheKey(idleQuery, Config{}) == cacheKey(strings.Replace(idleQuery, "idle", "idle ", 1), Config{}) {
+		t.Error("queries differing inside a string literal share a key")
 	}
 }
 

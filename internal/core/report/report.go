@@ -7,8 +7,10 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -174,9 +176,22 @@ func Prepare(db *engine.DB, userSQL string, cfg Config) (*Prepared, error) {
 // detection thresholds) still share the generated plan, but we include them
 // anyway: Prepared embeds the whole Config, so a cache hit replays it.
 func cacheKey(userSQL string, cfg Config) string {
-	return fmt.Sprintf("report:%d|%+v|%d|%g|%t|%t|%s",
-		cfg.Method, cfg.Heartbeat, cfg.Detector, cfg.ZThreshold,
-		cfg.SkipStats, cfg.SkipTempTables, engine.NormalizeSQL(userSQL))
+	sql := engine.NormalizeSQL(userSQL)
+	hb := cfg.Heartbeat
+	b := make([]byte, 0, 64+len(hb.HeartbeatTable)+len(hb.SidColumn)+len(hb.RecencyColumn)+len(sql))
+	b = append(b, "report:"...)
+	b = strconv.AppendInt(b, int64(cfg.Method), 10)
+	// The three names are quoted: a '|' inside one cannot pass for a
+	// separator.
+	for _, name := range [...]string{hb.HeartbeatTable, hb.SidColumn, hb.RecencyColumn} {
+		b = strconv.AppendQuote(append(b, '|'), name)
+	}
+	b = strconv.AppendInt(append(b, '|'), int64(cfg.Detector), 10)
+	b = strconv.AppendFloat(append(b, '|'), cfg.ZThreshold, 'g', -1, 64)
+	b = strconv.AppendBool(append(b, '|'), cfg.SkipStats)
+	b = strconv.AppendBool(append(b, '|'), cfg.SkipTempTables)
+	b = append(append(b, '|'), sql...)
+	return string(b)
 }
 
 // PrepareCached returns a Prepared for (userSQL, cfg) from the engine's plan
@@ -334,7 +349,13 @@ func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
 		}
 		ks[i] = key{uint64(sr.Recency.UnixNano()) ^ 1<<63, pre, int32(i)}
 	}
-	ks = radixSort(ks, make([]key, len(ks)))
+	if len(ks) <= smallSort {
+		// A point report carries a pair or two; sixteen radix passes that
+		// each clear 256 counters cost more than comparing them.
+		slices.SortFunc(ks, func(a, b key) int { return cmp.Or(cmp.Compare(a.ns, b.ns), cmp.Compare(a.pre, b.pre)) })
+	} else {
+		ks = radixSort(ks, make([]key, len(ks)))
+	}
 	for lo := 0; lo < len(ks); {
 		hi := lo + 1
 		for hi < len(ks) && ks[hi].ns == ks[lo].ns && ks[hi].pre == ks[lo].pre {
@@ -396,6 +417,10 @@ func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
 		rep.Bound = rep.Most.Recency.Sub(rep.Least.Recency)
 	}
 }
+
+// smallSort is the pair count up to which Summarize sorts its keys by
+// comparison instead of by radix.
+const smallSort = 32
 
 // key is one pair under sort: its recency in nanoseconds with the sign bit
 // flipped (so that unsigned order is time order), the first eight bytes of

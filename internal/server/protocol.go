@@ -1,9 +1,9 @@
 // Package server is TRAC's concurrent serving layer: a length-prefixed
-// binary frame protocol, an authenticated session layer mapping connections
-// onto engine sessions (temp tables, prepared recency reports riding the
-// plan cache), and an admission-controlled scheduler that shares the
-// morsel-parallel executor among many clients with bounded p99 under
-// overload.
+// binary frame protocol, an authenticated session layer mapping each
+// connection onto one engine session (temp tables, prepared recency reports
+// riding the plan cache) served by one goroutine, and an admission scheduler
+// that shares the morsel-parallel executor among many clients with bounded
+// p99 under overload.
 //
 // This file is the wire protocol. Every frame is
 //
@@ -14,8 +14,10 @@
 // Error frame and closes. After the handshake the client issues request
 // frames (Query, Exec, Report, Prepare, ExecPrepared, ClosePrepared, Ping)
 // and the server answers each with exactly one response frame, in request
-// order. Requests the admission layer refuses get a Busy frame instead of
-// queueing unboundedly.
+// order. A client may pipeline: the requests of one connection run one at a
+// time in the order they were sent, and the answers to a burst share writes.
+// Requests the admission layer refuses get a Busy frame instead of queueing
+// unboundedly.
 package server
 
 import (
@@ -36,6 +38,9 @@ const ProtocolVersion = 1
 // treated as corrupt and the connection is dropped. Result sets stream as
 // one frame, so this is also the result-set ceiling.
 const MaxFrameSize = 64 << 20
+
+// frameHeaderLen is the frame header: one type byte, then the payload length.
+const frameHeaderLen = 5
 
 // FrameType tags a frame.
 type FrameType uint8
@@ -91,7 +96,7 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("server: frame payload %d exceeds limit %d", len(payload), MaxFrameSize)
 	}
-	var hdr [5]byte
+	var hdr [frameHeaderLen]byte
 	hdr[0] = byte(t)
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -104,14 +109,17 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 // ReadFrame reads one frame, rejecting unknown types and oversized payloads
 // before allocating for them.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	return ReadFrameLimit(r, MaxFrameSize)
+	return ReadFrameInto(r, nil, MaxFrameSize)
 }
 
-// ReadFrameLimit is ReadFrame with a caller-chosen payload ceiling (tests
-// and fuzzing use small limits so corrupt length prefixes cannot demand
-// large allocations).
-func ReadFrameLimit(r io.Reader, limit int) (FrameType, []byte, error) {
-	var hdr [5]byte
+// ReadFrameInto is ReadFrame with a caller-chosen payload ceiling (tests and
+// fuzzing use small limits so corrupt length prefixes cannot demand large
+// allocations) that reads the payload into buf's capacity when it fits,
+// allocating otherwise: the returned payload then aliases buf, so a reader
+// that is done with one frame before it reads the next passes the same
+// buffer every time.
+func ReadFrameInto(r io.Reader, buf []byte, limit int) (FrameType, []byte, error) {
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frameInvalid, nil, err
 	}
@@ -123,10 +131,10 @@ func ReadFrameLimit(r io.Reader, limit int) (FrameType, []byte, error) {
 	if int64(n) > int64(limit) {
 		return frameInvalid, nil, fmt.Errorf("server: frame payload %d exceeds limit %d", n, limit)
 	}
-	if n == 0 {
-		return t, nil, nil
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
 	}
-	payload := make([]byte, n)
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return frameInvalid, nil, err
 	}
@@ -482,8 +490,11 @@ func (r *rbuf) result() *Result {
 }
 
 // EncodeResult renders a FrameResult payload.
-func EncodeResult(res *Result) []byte {
-	var w wbuf
+func EncodeResult(res *Result) []byte { return AppendResult(nil, res) }
+
+// AppendResult appends a FrameResult payload to dst.
+func AppendResult(dst []byte, res *Result) []byte {
+	w := wbuf{b: dst}
 	w.result(res)
 	return w.b
 }
@@ -577,8 +588,11 @@ type Report struct {
 }
 
 // EncodeReport renders a FrameReportData payload.
-func EncodeReport(rep *Report) []byte {
-	var w wbuf
+func EncodeReport(rep *Report) []byte { return AppendReport(nil, rep) }
+
+// AppendReport appends a FrameReportData payload to dst.
+func AppendReport(dst []byte, rep *Report) []byte {
+	w := wbuf{b: dst}
 	w.result(rep.Result)
 	w.bool(rep.Naive)
 	w.str(rep.RecencySQL)
@@ -671,7 +685,7 @@ func DecodeError(b []byte) (string, error) {
 const (
 	BusyQueueFull uint8 = iota + 1 // admission queue stayed full past the deadline
 	BusyExpired                    // admitted, but its deadline passed while queued
-	BusyQuota                      // the session's in-flight quota is exhausted
+	BusyQuota                      // reserved, never sent: a session has one request in flight by construction
 	BusyDraining                   // the server is shutting down
 )
 

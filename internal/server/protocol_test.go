@@ -32,6 +32,39 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameIntoReusesTheBuffer: a payload that fits the caller's buffer
+// is read into it, a larger one gets a buffer of its own, and the next read
+// overwrites what the last one returned — the contract the connection loop
+// relies on and must not outlive.
+func TestReadFrameIntoReusesTheBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	payloads := [][]byte{[]byte("first"), nil, bytes.Repeat([]byte{0xAB}, 100), []byte("last")}
+	for _, p := range payloads {
+		if err := WriteFrame(&stream, FrameQuery, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 16)
+	var prev []byte
+	for i, want := range payloads {
+		_, got, err := ReadFrameInto(&stream, buf, MaxFrameSize)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: %q (%v), want %q", i, got, err, want)
+		}
+		fits := len(want) <= cap(buf)
+		if aliases := cap(got) > 0 && &got[:1][0] == &buf[:1][0]; aliases != fits {
+			t.Fatalf("frame %d (%d bytes, buffer %d): payload aliases the buffer = %v", i, len(want), cap(buf), aliases)
+		}
+		if cap(got) > cap(buf) {
+			buf = got[:0] // what the connection loop does: keep the grown buffer
+		}
+		prev = got
+	}
+	if cap(buf) < 100 || string(prev) != "last" {
+		t.Fatalf("buffer cap %d after a 100-byte frame, last payload %q", cap(buf), prev)
+	}
+}
+
 func TestReadFrameRejectsUnknownType(t *testing.T) {
 	for _, b := range []byte{0, byte(frameMax), 0xFF} {
 		buf := bytes.NewReader([]byte{b, 0, 0, 0, 0})
@@ -46,7 +79,7 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	var hdr [5]byte
 	hdr[0] = byte(FrameQuery)
 	hdr[1], hdr[2], hdr[3], hdr[4] = 0x40, 0, 0, 0
-	if _, _, err := ReadFrameLimit(bytes.NewReader(hdr[:]), 1<<20); err == nil {
+	if _, _, err := ReadFrameInto(bytes.NewReader(hdr[:]), nil, 1<<20); err == nil {
 		t.Fatal("oversized length accepted")
 	}
 }
@@ -136,6 +169,9 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if appended := AppendResult([]byte("kept"), res); !bytes.Equal(appended, append([]byte("kept"), EncodeResult(res)...)) {
+		t.Fatal("AppendResult does not append EncodeResult's bytes to dst")
+	}
 	if !reflect.DeepEqual(got.Columns, res.Columns) || got.Parallel != res.Parallel ||
 		got.Vectorized != res.Vectorized || len(got.Rows) != len(res.Rows) {
 		t.Fatalf("Result header mismatch: %+v", got)
@@ -184,6 +220,9 @@ func TestReportRoundTrip(t *testing.T) {
 	got, err := DecodeReport(EncodeReport(rep))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if appended := AppendReport([]byte("kept"), rep); !bytes.Equal(appended, append([]byte("kept"), EncodeReport(rep)...)) {
+		t.Fatal("AppendReport does not append EncodeReport's bytes to dst")
 	}
 	// Zero out the result for struct equality (validated separately above).
 	got.Result, rep.Result = nil, nil
@@ -305,7 +344,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		ft, payload, err := ReadFrameLimit(r, 1<<16)
+		ft, payload, err := ReadFrameInto(r, nil, 1<<16)
 		if err != nil {
 			return
 		}

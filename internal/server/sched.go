@@ -18,17 +18,17 @@ var (
 
 // SchedConfig sizes the admission layer.
 type SchedConfig struct {
-	// Workers is the execution pool size; 0 selects GOMAXPROCS. The pool,
-	// not the connection count, bounds how many queries contend for the
-	// morsel-parallel executor at once.
+	// Workers is the number of execution slots; 0 selects GOMAXPROCS. The
+	// slots, not the connection count, bound how many queries contend for
+	// the morsel-parallel executor at once.
 	Workers int
-	// QueueDepth bounds the admission queue; 0 selects 8×Workers. A full
-	// queue sheds instead of growing, which is what keeps p99 bounded
-	// under overload.
+	// QueueDepth bounds how many requests may wait for a slot; 0 selects
+	// 8×Workers. A full queue sheds instead of growing, which is what keeps
+	// p99 bounded under overload.
 	QueueDepth int
-	// AdmissionTimeout is how long a request may wait for a queue slot and
-	// the default per-task queueing deadline; 0 selects 100ms. A task that
-	// has not reached a worker by its deadline is shed without running.
+	// AdmissionTimeout is the default queueing deadline: how long a request
+	// may wait for a place in the queue and then a slot before it is shed
+	// without running; 0 selects 100ms.
 	AdmissionTimeout time.Duration
 }
 
@@ -45,12 +45,13 @@ func (c SchedConfig) withDefaults() SchedConfig {
 	return c
 }
 
-// Task is one admitted unit of work. Exactly one of Run or Shed is invoked,
-// always from a scheduler goroutine (Run) or the submitting goroutine /
-// a worker (Shed).
+// Task is one unit of work offered to the scheduler. Exactly one of Run or
+// Shed is invoked, on the goroutine that called Submit, before Submit
+// returns.
 type Task struct {
-	// Deadline is the queueing deadline: a task still queued past it is
-	// shed (BusyExpired) instead of executed late.
+	// Deadline is the queueing deadline: a task still waiting for a slot
+	// when it passes is shed instead of executed late; one that finds a
+	// slot free never consults it. Zero selects now+AdmissionTimeout.
 	Deadline time.Time
 	// Run executes the request and delivers its response.
 	Run func()
@@ -60,30 +61,34 @@ type Task struct {
 
 // SchedStats is a snapshot of the admission counters.
 type SchedStats struct {
-	Admitted      uint64 // tasks that entered the queue
+	Admitted      uint64 // tasks that got a slot or a place in the queue
 	Executed      uint64 // tasks that ran to completion
-	ShedQueueFull uint64 // refused: no queue slot by the admission timeout
-	ShedExpired   uint64 // admitted but expired before a worker freed up
+	ShedQueueFull uint64 // refused: no place in the queue by the deadline
+	ShedExpired   uint64 // admitted, but no slot freed up by the deadline
 	ShedDraining  uint64 // refused: scheduler shutting down
 }
 
 // Shed totals every refusal.
 func (s SchedStats) Shed() uint64 { return s.ShedQueueFull + s.ShedExpired + s.ShedDraining }
 
-// Scheduler is the bounded worker pool + bounded admission queue the server
-// pushes every request through. Overload degrades to fast Busy responses
-// and a bounded queueing delay for the requests that do run, rather than
-// collapse: latency for admitted work is capped at roughly
-// QueueDepth/Workers × per-query time + AdmissionTimeout.
+// Scheduler is the admission layer every request passes through: two
+// counting semaphores, Workers execution slots and QueueDepth places to wait
+// for one. A task runs on the goroutine that submitted it, so admission
+// costs a request no goroutine hand-off. Overload degrades to fast Busy
+// responses rather than collapse: no task waits past its deadline, and at
+// most Workers run at once.
 type Scheduler struct {
-	cfg   SchedConfig
-	queue chan *Task
-	wg    sync.WaitGroup
+	cfg SchedConfig
+	// A blocked send on a full channel queues behind the sends blocked
+	// before it, and a slot is only ever free when nobody is blocked, so
+	// waiters get slots first come, first served.
+	running chan struct{} // one element per task holding a slot
+	waiting chan struct{} // one element per task queued for a slot
 
-	// mu guards the draining transition: Submit holds it shared around the
-	// queue send so Drain (exclusive) cannot close the queue mid-send.
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	draining bool
+	active   int           // Submit calls past the draining check
+	idle     chan struct{} // closed once draining and active == 0
 
 	admitted      atomic.Uint64
 	executed      atomic.Uint64
@@ -92,18 +97,18 @@ type Scheduler struct {
 	shedDraining  atomic.Uint64
 }
 
-// NewScheduler starts the worker pool.
+// NewScheduler sizes the admission layer; it starts no goroutine.
 func NewScheduler(cfg SchedConfig) *Scheduler {
 	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg, queue: make(chan *Task, cfg.QueueDepth)}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+	return &Scheduler{
+		cfg:     cfg,
+		running: make(chan struct{}, cfg.Workers),
+		waiting: make(chan struct{}, cfg.QueueDepth),
+		idle:    make(chan struct{}),
 	}
-	return s
 }
 
-// Workers reports the pool size.
+// Workers reports the number of execution slots.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
 // QueueDepth reports the admission-queue bound.
@@ -112,80 +117,94 @@ func (s *Scheduler) QueueDepth() int { return s.cfg.QueueDepth }
 // AdmissionTimeout reports the default queueing deadline.
 func (s *Scheduler) AdmissionTimeout() time.Duration { return s.cfg.AdmissionTimeout }
 
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		if !t.Deadline.IsZero() && time.Now().After(t.Deadline) {
-			s.shedExpired.Add(1)
-			t.Shed(BusyExpired)
-			continue
-		}
-		s.executed.Add(1)
-		t.Run()
-	}
-}
-
-// Submit admits a task or sheds it. A zero task deadline defaults to
-// now+AdmissionTimeout. On a full queue the submitter waits for a slot
-// until the deadline, then sheds — that wait is the per-connection
-// backpressure: it stalls the submitting connection's pipeline, never
-// other sessions. When Submit returns nil, exactly one of t.Run or t.Shed
-// will eventually be invoked; on ErrBusy/ErrDraining, t.Shed has already
-// run.
+// Submit runs t on the calling goroutine once an execution slot is free, or
+// sheds it, and returns when t.Run or t.Shed has returned. With every slot
+// taken the caller waits until the task's deadline: that wait is the
+// backpressure, and it stalls the submitting connection only. A task out of
+// time is shed at its deadline with BusyQueueFull (it never got a place in
+// the queue) or BusyExpired (it had one) and ErrBusy is returned; a draining
+// scheduler sheds with BusyDraining and returns ErrDraining.
 func (s *Scheduler) Submit(t *Task) error {
-	if t.Deadline.IsZero() {
-		t.Deadline = time.Now().Add(s.cfg.AdmissionTimeout)
-	}
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
+	if !s.enter() {
 		s.shedDraining.Add(1)
 		t.Shed(BusyDraining)
 		return ErrDraining
 	}
-	// Fast path: a free slot admits without a timer.
+	defer s.leave()
 	select {
-	case s.queue <- t:
-		s.mu.RUnlock()
+	case s.running <- struct{}{}: // a free slot admits without a clock read or a timer
 		s.admitted.Add(1)
-		return nil
 	default:
+		if code := s.wait(t.Deadline); code != 0 {
+			t.Shed(code)
+			return ErrBusy
+		}
 	}
-	timer := time.NewTimer(time.Until(t.Deadline))
+	t.Run()
+	<-s.running
+	s.executed.Add(1)
+	return nil
+}
+
+// wait queues the caller for an execution slot. It returns 0 holding one, or
+// the Busy code to shed with once the deadline has passed.
+func (s *Scheduler) wait(deadline time.Time) uint8 {
+	if deadline.IsZero() {
+		deadline = time.Now().Add(s.cfg.AdmissionTimeout)
+	}
+	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	select {
-	case s.queue <- t:
-		s.mu.RUnlock()
-		s.admitted.Add(1)
-		return nil
+	case s.waiting <- struct{}{}:
 	case <-timer.C:
-		s.mu.RUnlock()
 		s.shedQueueFull.Add(1)
-		t.Shed(BusyQueueFull)
-		return ErrBusy
+		return BusyQueueFull
+	}
+	s.admitted.Add(1)
+	defer func() { <-s.waiting }()
+	select {
+	case s.running <- struct{}{}:
+		return 0
+	case <-timer.C:
+		s.shedExpired.Add(1)
+		return BusyExpired
 	}
 }
 
-// Drain stops admission and waits for every queued task to finish (or the
-// context to expire). Queued tasks still run — graceful drain completes
-// admitted work; only new submissions are refused.
+// enter counts the caller in unless the scheduler is draining.
+func (s *Scheduler) enter() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.active++
+	return true
+}
+
+func (s *Scheduler) leave() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.active--
+	if s.draining && s.active == 0 {
+		close(s.idle)
+	}
+}
+
+// Drain stops admission and waits for every task already submitted to
+// finish (or the context to expire). Tasks waiting for a slot still run —
+// graceful drain completes admitted work; only new submissions are refused.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
+	if !s.draining {
+		s.draining = true
+		if s.active == 0 {
+			close(s.idle)
+		}
 	}
-	s.draining = true
-	close(s.queue)
 	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.wg.Wait()
-	}()
 	select {
-	case <-done:
+	case <-s.idle:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -2,30 +2,93 @@ package server
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestSchedulerRunsTasks(t *testing.T) {
-	s := NewScheduler(SchedConfig{Workers: 2})
-	defer s.Drain(context.Background())
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
+// HoldSlot submits a task that occupies an execution slot until the returned
+// release is called (at the latest by the test's cleanup, so a failing
+// assertion never leaves a slot held for a Drain); it returns once the task is
+// running. Exported, like the two helpers after it, for package server_test.
+func HoldSlot(t *testing.T, s *Scheduler) (release func()) {
+	t.Helper()
+	gate, started, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
 		err := s.Submit(&Task{
-			Run:  func() { ran.Add(1); wg.Done() },
-			Shed: func(uint8) { wg.Done() },
+			Deadline: time.Now().Add(time.Minute),
+			Run:      func() { close(started); <-gate },
+			Shed:     func(code uint8) { t.Errorf("holder shed with code %d", code); close(started) },
+		})
+		if err != nil {
+			t.Errorf("holder: %v", err)
+		}
+	}()
+	<-started
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }); <-done }
+	t.Cleanup(release)
+	return release
+}
+
+// WaitAdmitted blocks until n tasks have a slot or a place in the queue.
+func WaitAdmitted(t *testing.T, s *Scheduler, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Admitted < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("admitted %d tasks, want %d", s.Stats().Admitted, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// WaitDraining blocks until s refuses new work: the refusal is what tells a
+// test that a Drain running on another goroutine has taken effect.
+func WaitDraining(t *testing.T, s *Scheduler) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var code uint8
+		err := s.Submit(&Task{
+			Deadline: time.Now(), // not draining yet: shed at once, try again
+			Run:      func() { t.Error("task ran on a draining scheduler") },
+			Shed:     func(c uint8) { code = c },
+		})
+		if err == ErrDraining {
+			if code != BusyDraining {
+				t.Fatalf("shed code = %d, want BusyDraining", code)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("submit during drain: %v, want ErrDraining", err)
+		}
+	}
+}
+
+// TestSchedulerRunsTasksOnTheCaller: Submit is synchronous — the task has
+// run, on the submitting goroutine, when it returns — and starts no
+// goroutine of its own.
+func TestSchedulerRunsTasksOnTheCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewScheduler(SchedConfig{Workers: 2})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewScheduler started %d goroutines", n-before)
+	}
+	ran := 0 // unsynchronized on purpose: -race fails if Run leaves the caller
+	for i := 0; i < 50; i++ {
+		err := s.Submit(&Task{
+			Run:  func() { ran++ },
+			Shed: func(code uint8) { t.Errorf("shed with code %d", code) },
 		})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
-	}
-	wg.Wait()
-	if ran.Load() != 50 {
-		t.Fatalf("ran %d of 50", ran.Load())
+		if ran != i+1 {
+			t.Fatalf("Submit %d returned before its task ran", i)
+		}
 	}
 	st := s.Stats()
 	if st.Executed != 50 || st.Admitted != 50 || st.Shed() != 0 {
@@ -35,7 +98,6 @@ func TestSchedulerRunsTasks(t *testing.T) {
 
 func TestSchedulerDefaults(t *testing.T) {
 	s := NewScheduler(SchedConfig{})
-	defer s.Drain(context.Background())
 	if s.Workers() < 1 {
 		t.Fatalf("workers = %d", s.Workers())
 	}
@@ -47,161 +109,162 @@ func TestSchedulerDefaults(t *testing.T) {
 	}
 }
 
-// TestSchedulerShedsOnFullQueue: with the lone worker blocked and the queue
-// full, a submit with an already-tight deadline sheds fast instead of
-// queueing unboundedly — the property that bounds p99 under overload.
+// TestSchedulerBoundsConcurrency: however many goroutines submit, at most
+// Workers tasks run at once and every one of them runs.
+func TestSchedulerBoundsConcurrency(t *testing.T) {
+	const workers, submitters = 3, 24
+	s := NewScheduler(SchedConfig{Workers: workers, QueueDepth: submitters, AdmissionTimeout: time.Minute})
+	var running, peak, ran atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := s.Submit(&Task{
+				Run: func() {
+					n := running.Add(1)
+					for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+					}
+					time.Sleep(time.Millisecond)
+					running.Add(-1)
+					ran.Add(1)
+				},
+				Shed: func(code uint8) { t.Errorf("shed with code %d", code) },
+			})
+			if err != nil {
+				t.Errorf("Submit: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() != submitters || peak.Load() > workers {
+		t.Fatalf("ran %d of %d, %d at once with %d slots", ran.Load(), submitters, peak.Load(), workers)
+	}
+}
+
+// TestSchedulerShedsOnFullQueue: with the lone slot held and the queue full,
+// a submit sheds at its deadline instead of queueing unboundedly — the
+// property that bounds p99 under overload.
 func TestSchedulerShedsOnFullQueue(t *testing.T) {
-	s := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 1, AdmissionTimeout: 10 * time.Millisecond})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	if err := s.Submit(&Task{
-		Deadline: time.Now().Add(time.Minute),
-		Run:      func() { <-release; wg.Done() },
-		Shed:     func(uint8) { wg.Done() },
-	}); err != nil {
-		t.Fatalf("first submit: %v", err)
-	}
-	// Fill the single queue slot.
-	wg.Add(1)
-	if err := s.Submit(&Task{
-		Deadline: time.Now().Add(time.Minute),
-		Run:      func() { wg.Done() },
-		Shed:     func(uint8) { wg.Done() },
-	}); err != nil {
-		t.Fatalf("second submit: %v", err)
-	}
-	// Queue full, worker wedged: this one must shed by its deadline.
-	var code atomic.Uint32
-	shedDone := make(chan struct{})
+	s := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 1, AdmissionTimeout: time.Minute})
+	release := HoldSlot(t, s)
+	// Fill the single place in the queue.
+	queued := make(chan error, 1)
+	var queuedRan atomic.Bool
+	go func() {
+		queued <- s.Submit(&Task{
+			Run:  func() { queuedRan.Store(true) },
+			Shed: func(code uint8) { t.Errorf("queued task shed with code %d", code) },
+		})
+	}()
+	WaitAdmitted(t, s, 2)
+
+	// Slot held, queue full: this one must shed by its deadline.
+	var code uint8
+	start := time.Now()
 	err := s.Submit(&Task{
-		Deadline: time.Now().Add(10 * time.Millisecond),
-		Run:      func() { t.Error("task ran despite full queue"); close(shedDone) },
-		Shed:     func(c uint8) { code.Store(uint32(c)); close(shedDone) },
+		Deadline: start.Add(10 * time.Millisecond),
+		Run:      func() { t.Error("task ran despite full queue") },
+		Shed:     func(c uint8) { code = c },
 	})
-	if err != ErrBusy {
-		t.Fatalf("err = %v, want ErrBusy", err)
+	if err != ErrBusy || code != BusyQueueFull {
+		t.Fatalf("err = %v, code = %d; want ErrBusy, BusyQueueFull", err, code)
 	}
-	<-shedDone
-	if uint8(code.Load()) != BusyQueueFull {
-		t.Fatalf("shed code = %d, want BusyQueueFull", code.Load())
+	if waited := time.Since(start); waited < 10*time.Millisecond {
+		t.Fatalf("shed after %v, before its deadline", waited)
 	}
-	close(release)
-	wg.Wait()
-	if st := s.Stats(); st.ShedQueueFull != 1 {
+	release()
+	if err := <-queued; err != nil || !queuedRan.Load() {
+		t.Fatalf("queued task: err %v, ran %v", err, queuedRan.Load())
+	}
+	if st := s.Stats(); st.ShedQueueFull != 1 || st.Executed != 2 || st.Admitted != 2 {
 		t.Fatalf("stats %+v", st)
 	}
-	s.Drain(context.Background())
 }
 
-// TestSchedulerShedsExpiredInQueue: a task admitted but still queued past
-// its deadline is shed by the worker, not executed late.
-func TestSchedulerShedsExpiredInQueue(t *testing.T) {
+// TestSchedulerShedsExpiredAtDeadline: a task with a place in the queue is
+// shed when its deadline passes, while the slot is still held — not whenever
+// the slot's holder gets round to finishing.
+func TestSchedulerShedsExpiredAtDeadline(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 4, AdmissionTimeout: time.Minute})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	s.Submit(&Task{
-		Deadline: time.Now().Add(time.Minute),
-		Run:      func() { <-release; wg.Done() },
-		Shed:     func(uint8) { wg.Done() },
+	HoldSlot(t, s) // released by cleanup: the slot stays taken throughout
+	var code uint8
+	start := time.Now()
+	err := s.Submit(&Task{
+		Deadline: start.Add(50 * time.Millisecond), // long enough that it has queued by then
+		Run:      func() { t.Error("expired task ran") },
+		Shed:     func(c uint8) { code = c },
 	})
-	var code atomic.Uint32
-	expired := make(chan struct{})
-	s.Submit(&Task{
-		Deadline: time.Now().Add(5 * time.Millisecond),
-		Run:      func() { t.Error("expired task ran"); close(expired) },
-		Shed:     func(c uint8) { code.Store(uint32(c)); close(expired) },
-	})
-	time.Sleep(20 * time.Millisecond) // let the deadline lapse while queued
-	close(release)
-	<-expired
-	wg.Wait()
-	if uint8(code.Load()) != BusyExpired {
-		t.Fatalf("shed code = %d, want BusyExpired", code.Load())
+	if err != ErrBusy || code != BusyExpired {
+		t.Fatalf("err = %v, code = %d; want ErrBusy, BusyExpired", err, code)
 	}
-	if st := s.Stats(); st.ShedExpired != 1 {
+	if waited := time.Since(start); waited < 50*time.Millisecond {
+		t.Fatalf("shed after %v, before its deadline", waited)
+	}
+	if st := s.Stats(); st.ShedExpired != 1 || st.Admitted != 2 || st.Executed != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	s.Drain(context.Background())
 }
 
-// TestSchedulerDrainCompletesAdmittedWork: Drain refuses new submissions
-// but runs everything already queued.
+// TestSchedulerDrainCompletesAdmittedWork: Drain refuses new submissions but
+// waits for the running task and runs everything queued behind it.
 func TestSchedulerDrainCompletesAdmittedWork(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 8, AdmissionTimeout: time.Minute})
-	release := make(chan struct{})
+	release := HoldSlot(t, s)
 	var ran atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(1)
-	s.Submit(&Task{
-		Deadline: time.Now().Add(time.Minute),
-		Run:      func() { <-release; ran.Add(1); wg.Done() },
-		Shed:     func(uint8) { wg.Done() },
-	})
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
-		s.Submit(&Task{
-			Deadline: time.Now().Add(time.Minute),
-			Run:      func() { ran.Add(1); wg.Done() },
-			Shed:     func(uint8) { wg.Done() },
-		})
+		go func() {
+			defer wg.Done()
+			s.Submit(&Task{
+				Run:  func() { ran.Add(1) },
+				Shed: func(code uint8) { t.Errorf("admitted task shed with code %d", code) },
+			})
+		}()
 	}
+	WaitAdmitted(t, s, 6)
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	time.Sleep(10 * time.Millisecond)
 
-	// New work is refused while draining.
-	var code atomic.Uint32
-	if err := s.Submit(&Task{
-		Run:  func() { t.Error("task admitted during drain") },
-		Shed: func(c uint8) { code.Store(uint32(c)) },
-	}); err != ErrDraining {
-		t.Fatalf("submit during drain: %v, want ErrDraining", err)
-	}
-	if uint8(code.Load()) != BusyDraining {
-		t.Fatalf("shed code = %d, want BusyDraining", code.Load())
+	WaitDraining(t, s)
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with admitted work outstanding", err)
+	default:
 	}
 
-	close(release)
+	release()
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	wg.Wait()
-	if ran.Load() != 6 {
-		t.Fatalf("drain completed %d of 6 admitted tasks", ran.Load())
+	if ran.Load() != 5 {
+		t.Fatalf("drain completed %d of 5 queued tasks", ran.Load())
 	}
 }
 
 func TestSchedulerDrainContextExpiry(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 1, AdmissionTimeout: time.Minute})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	s.Submit(&Task{
-		Deadline: time.Now().Add(time.Minute),
-		Run:      func() { <-release; wg.Done() },
-		Shed:     func(uint8) { wg.Done() },
-	})
+	release := HoldSlot(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if err := s.Drain(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Drain = %v, want DeadlineExceeded", err)
 	}
-	close(release)
-	wg.Wait()
-	// Second drain is a no-op.
+	release()
+	// A second drain waits for what the first gave up on.
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("second Drain: %v", err)
 	}
 }
 
-// TestSchedulerSubmitDrainRace: concurrent submits racing Drain must never
-// panic (send on closed channel) and every task resolves exactly once.
+// TestSchedulerSubmitDrainRace: submits racing Drain resolve exactly once
+// each, and every task that ran had finished when Drain returned.
 func TestSchedulerSubmitDrainRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		s := NewScheduler(SchedConfig{Workers: 2, QueueDepth: 2, AdmissionTimeout: 5 * time.Millisecond})
-		var resolved atomic.Int64
+		var resolved, running atomic.Int64
 		const n = 40
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -209,17 +272,22 @@ func TestSchedulerSubmitDrainRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				s.Submit(&Task{
-					Run:  func() { resolved.Add(1) },
+					Run:  func() { running.Add(1); runtime.Gosched(); running.Add(-1); resolved.Add(1) },
 					Shed: func(uint8) { resolved.Add(1) },
 				})
 			}()
 		}
 		s.Drain(context.Background())
+		if r := running.Load(); r != 0 {
+			t.Fatalf("iter %d: %d tasks still running after Drain", iter, r)
+		}
 		wg.Wait()
-		// Tasks admitted before the queue closed have all run by now
-		// (Drain waits for workers); shed tasks resolved inline.
 		if resolved.Load() != n {
 			t.Fatalf("iter %d: resolved %d of %d", iter, resolved.Load(), n)
+		}
+		st := s.Stats()
+		if st.Executed+st.Shed() != n || st.Admitted != st.Executed+st.ShedExpired {
+			t.Fatalf("iter %d: stats do not add up: %+v", iter, st)
 		}
 	}
 }

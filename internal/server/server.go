@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -24,10 +25,6 @@ type Config struct {
 	Token string
 	// Name is the server string sent in Welcome frames.
 	Name string
-	// SessionQuota bounds one session's in-flight (admitted but
-	// unanswered) requests; excess pipelined frames get an immediate Busy.
-	// 0 selects 8.
-	SessionQuota int
 	// HandshakeTimeout bounds how long a fresh connection may take to send
 	// Hello; 0 selects 5s.
 	HandshakeTimeout time.Duration
@@ -41,9 +38,6 @@ func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "trac-server"
 	}
-	if c.SessionQuota <= 0 {
-		c.SessionQuota = 8
-	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
@@ -52,17 +46,15 @@ func (c Config) withDefaults() Config {
 
 // Stats is a serving snapshot.
 type Stats struct {
-	Sched       SchedStats
-	Conns       int    // live connections
-	Accepted    uint64 // connections accepted since start
-	AuthFailed  uint64
-	ShedQuota   uint64 // requests refused by a session's in-flight quota
-	TempsLeaked int    // residual sys_temp_* tables (0 when cleanup is healthy)
+	Sched      SchedStats
+	Conns      int    // live connections
+	Accepted   uint64 // connections accepted since start
+	AuthFailed uint64
 }
 
 // Server serves the TRAC wire protocol over a listener, mapping each
-// authenticated connection onto one engine session and pushing every
-// request through the admission scheduler.
+// authenticated connection onto one engine session and one goroutine, which
+// takes every request through the admission scheduler and runs it itself.
 type Server struct {
 	cfg   Config
 	sched *Scheduler
@@ -75,7 +67,6 @@ type Server struct {
 	connWG     sync.WaitGroup
 	accepted   atomic.Uint64
 	authFailed atomic.Uint64
-	shedQuota  atomic.Uint64
 }
 
 // New builds a Server (not yet listening).
@@ -177,9 +168,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if l != nil {
 		l.Close()
 	}
-	// Unblock every reader parked in ReadFrame; each reader then stops
-	// taking requests, and its writer flushes the responses still in
-	// flight before the connection closes.
+	// Unblock every connection parked in a read. One that is serving a
+	// request writes and flushes its answer first, as it does before any
+	// read, and closes when that read fails.
 	for _, c := range conns {
 		c.nc.SetReadDeadline(time.Now())
 	}
@@ -194,7 +185,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Force-close stragglers; their readers exit on the dead conn.
+		// Force-close stragglers; they exit on the dead conn.
 		s.mu.Lock()
 		for c := range s.conns {
 			c.nc.Close()
@@ -215,40 +206,40 @@ func (s *Server) Stats() Stats {
 		Conns:      n,
 		Accepted:   s.accepted.Load(),
 		AuthFailed: s.authFailed.Load(),
-		ShedQuota:  s.shedQuota.Load(),
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Connection handling.
 
-// pending is one request's slot in the ordered response stream. The
-// executing task resolves it by sending the encoded response; the writer
-// drains pendings in request order, so pipelined clients see responses in
-// the order they asked.
-type pending struct {
-	ch chan response
-}
+// maxRetainedBuf bounds the frame buffers a connection keeps between
+// requests: one oversized statement or result set is not pinned for the
+// connection's lifetime.
+const maxRetainedBuf = 1 << 20
 
-type response struct {
-	ft      FrameType
-	payload []byte
-}
-
-// conn is one client connection: a reader (request admission), a writer
-// (ordered responses), one engine session, and the session's prepared
-// statements.
+// conn is one client connection, served by one goroutine that reads a
+// request, takes an execution slot, runs the request and writes the answer
+// before it reads the next: pipelined requests run in the order they were
+// sent, answers leave in that order, and no field is shared.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	sess *trac.Session
-
-	inflight atomic.Int64 // admitted-but-unanswered requests (quota)
-
-	stmtMu sync.Mutex
+	sess   *trac.Session
 	stmts  map[uint64]*trac.PreparedReport
 	nextID uint64
+
+	// The request being served. task's Run and Shed are bound once per
+	// connection and exchange the request and its answer through these
+	// fields, so admission allocates nothing per request.
+	task    Task
+	ft      FrameType // request type going in, response type coming out
+	payload []byte    // likewise
+
+	// in holds the request payload, dead once the request has executed
+	// (decoding copies what it keeps); out holds the encoded result or
+	// report, written before the next request executes.
+	in, out []byte
 }
 
 func (c *conn) serve() {
@@ -273,17 +264,48 @@ func (c *conn) serve() {
 
 	br := bufio.NewReaderSize(c.nc, 32<<10)
 	bw := bufio.NewWriterSize(c.nc, 32<<10)
+	c.task = Task{Run: c.run, Shed: c.shed}
+	for {
+		var err error
+		if c.ft, c.payload, err = ReadFrameInto(br, c.in, MaxFrameSize); err != nil {
+			// Disconnect, drain poke or a corrupt frame behind answers still
+			// buffered; the connection closes whether or not they get out.
+			_ = bw.Flush()
+			return
+		}
+		c.in = retained(c.payload)
+		c.respond()
+		if err := WriteFrame(bw, c.ft, c.payload); err != nil {
+			return
+		}
+		c.out = retained(c.out)
+		// Flush before any read that can block. While the client's next
+		// frame is already here the answers accumulate, so a pipelined burst
+		// goes out in few writes and a lone request is never delayed.
+		if !frameBuffered(br) {
+			if err := bw.Flush(); err != nil {
+				return
+			}
+		}
+	}
+}
 
-	respQ := make(chan *pending, c.srv.cfg.SessionQuota+8)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop(bw, respQ)
-	}()
+// retained is buf emptied for reuse, or nil when it grew too large to keep.
+func retained(buf []byte) []byte {
+	if cap(buf) > maxRetainedBuf {
+		return nil
+	}
+	return buf[:0]
+}
 
-	c.readLoop(br, respQ)
-	close(respQ)
-	<-writerDone
+// frameBuffered reports whether br holds a complete frame, which can be read
+// without blocking.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeaderLen) // buffered bytes: Peek cannot fail
+	return int64(br.Buffered()-frameHeaderLen) >= int64(binary.BigEndian.Uint32(hdr[1:]))
 }
 
 // handshake authenticates the connection within the handshake timeout.
@@ -319,99 +341,39 @@ func (c *conn) handshake() error {
 	}))
 }
 
-// readLoop admits requests until the connection drops or the server
-// drains. Each request claims the next slot in the ordered response
-// stream before dispatch, so concurrent execution cannot reorder answers.
-func (c *conn) readLoop(br *bufio.Reader, respQ chan<- *pending) {
-	for {
-		ft, payload, err := ReadFrame(br)
-		if err != nil {
-			return // disconnect (or drain poke): session cleanup runs in serve()
-		}
-		p := &pending{ch: make(chan response, 1)}
-		respQ <- p
-		c.dispatch(ft, payload, p)
-	}
-}
-
-// dispatch resolves a request frame into p, inline for control frames and
-// through the scheduler for query work.
-func (c *conn) dispatch(ft FrameType, payload []byte, p *pending) {
-	switch ft {
+// respond replaces the request in c.ft/c.payload with its answer: inline for
+// control frames, which do no query work and so answer even when every slot
+// is taken, and through the scheduler for the rest.
+func (c *conn) respond() {
+	switch c.ft {
 	case FramePing:
-		p.ch <- response{ft: FramePong}
-		return
+		c.ft, c.payload = FramePong, nil
 	case FrameClosePrepared:
-		id, err := DecodeStmtID(payload)
+		id, err := DecodeStmtID(c.payload)
 		if err != nil {
-			p.ch <- errResponse(err)
+			c.ft, c.payload = errResponse(err)
 			return
 		}
-		c.stmtMu.Lock()
 		delete(c.stmts, id)
-		c.stmtMu.Unlock()
-		p.ch <- response{ft: FrameOK}
-		return
-	}
-
-	// Per-session quota: pipelined requests beyond the quota shed
-	// immediately, without touching the shared admission queue.
-	if c.inflight.Load() >= int64(c.srv.cfg.SessionQuota) {
-		c.srv.shedQuota.Add(1)
-		p.ch <- response{ft: FrameBusy, payload: EncodeBusy(BusyQuota)}
-		return
-	}
-	c.inflight.Add(1)
-	t := &Task{
-		Run: func() {
-			defer c.inflight.Add(-1)
-			p.ch <- c.execute(ft, payload)
-		},
-		Shed: func(code uint8) {
-			defer c.inflight.Add(-1)
-			p.ch <- response{ft: FrameBusy, payload: EncodeBusy(code)}
-		},
-	}
-	// Submit guarantees exactly one of Run/Shed fires, so p always
-	// resolves; the error return is already folded into Shed.
-	_ = c.srv.sched.Submit(t)
-}
-
-// writeLoop flushes responses in request order. After a write error it
-// keeps draining (discarding) so executing tasks can still resolve their
-// pendings and the reader is never wedged on a full respQ.
-func (c *conn) writeLoop(bw *bufio.Writer, respQ <-chan *pending) {
-	var dead bool
-	for p := range respQ {
-		resp := <-p.ch
-		if dead {
-			continue
-		}
-		if err := WriteFrame(bw, resp.ft, resp.payload); err != nil {
-			dead = true
-			continue
-		}
-		// Flush when no response is immediately ready: batches pipelined
-		// bursts into few syscalls without delaying a lone response.
-		if len(respQ) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-			}
-		}
-	}
-	if !dead {
-		bw.Flush()
+		c.ft, c.payload = FrameOK, nil
+	default:
+		// Exactly one of run and shed has answered when Submit returns; the
+		// error it returns is that same shed.
+		_ = c.srv.sched.Submit(&c.task)
 	}
 }
 
-func errResponse(err error) response {
-	return response{ft: FrameError, payload: EncodeError(err.Error())}
+func (c *conn) run() { c.ft, c.payload = c.execute(c.ft, c.payload) }
+
+func (c *conn) shed(code uint8) { c.ft, c.payload = FrameBusy, EncodeBusy(code) }
+
+func errResponse(err error) (FrameType, []byte) {
+	return FrameError, EncodeError(err.Error())
 }
 
-// execute runs one admitted request against the database. It is called on
-// a scheduler worker; the session layer (temp tables, plan cache) is safe
-// for the concurrent pipelined calls a session quota > 1 allows.
-func (c *conn) execute(ft FrameType, payload []byte) response {
+// execute runs one admitted request against the database and returns the
+// response frame. Results and reports are encoded into c.out.
+func (c *conn) execute(ft FrameType, payload []byte) (FrameType, []byte) {
 	db := c.srv.cfg.DB
 	switch ft {
 	case FrameQuery:
@@ -423,7 +385,8 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return response{ft: FrameResult, payload: EncodeResult(fromEngineResult(res))}
+		c.out = AppendResult(c.out[:0], fromEngineResult(res))
+		return FrameResult, c.out
 
 	case FrameExec:
 		sql, err := DecodeSQL(payload)
@@ -434,7 +397,7 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return response{ft: FrameExecOK, payload: EncodeExecOK(n)}
+		return FrameExecOK, EncodeExecOK(n)
 
 	case FrameReport:
 		rq, err := DecodeReportRequest(payload)
@@ -445,7 +408,8 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return response{ft: FrameReportData, payload: EncodeReport(fromReport(rep))}
+		c.out = AppendReport(c.out[:0], fromReport(rep))
+		return FrameReportData, c.out
 
 	case FramePrepare:
 		rq, err := DecodeReportRequest(payload)
@@ -459,9 +423,7 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		c.stmtMu.Lock()
 		st := c.stmts[id]
-		c.stmtMu.Unlock()
 		if st == nil {
 			return errResponse(fmt.Errorf("server: unknown prepared statement %d", id))
 		}
@@ -472,7 +434,8 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return response{ft: FrameReportData, payload: EncodeReport(fromReport(rep))}
+		c.out = AppendReport(c.out[:0], fromReport(rep))
+		return FrameReportData, c.out
 
 	default:
 		return errResponse(fmt.Errorf("server: unexpected frame %s", ft))
@@ -482,25 +445,22 @@ func (c *conn) execute(ft FrameType, payload []byte) response {
 // prepare validates the query, generates its recency plan through the
 // engine's plan cache (warming it for the execute path), and registers the
 // statement in the session.
-func (c *conn) prepare(rq ReportRequest) response {
+func (c *conn) prepare(rq ReportRequest) (FrameType, []byte) {
 	pr, err := c.srv.cfg.DB.PrepareReport(rq.SQL, configOption(reportConfig(rq.Opts)))
 	if err != nil {
 		return errResponse(err)
 	}
-	c.stmtMu.Lock()
 	if c.stmts == nil {
 		c.stmts = make(map[uint64]*trac.PreparedReport)
 	}
 	c.nextID++
-	id := c.nextID
-	c.stmts[id] = pr
-	c.stmtMu.Unlock()
-	return response{ft: FramePrepared, payload: EncodePrepared(Prepared{
-		ID:         id,
+	c.stmts[c.nextID] = pr
+	return FramePrepared, EncodePrepared(Prepared{
+		ID:         c.nextID,
 		RecencySQL: pr.RecencySQL(),
 		Minimal:    pr.Minimal(),
 		Empty:      pr.RecencySQL() == "",
-	})}
+	})
 }
 
 // ---------------------------------------------------------------------------
