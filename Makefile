@@ -61,16 +61,13 @@ benchmark-smoke:
 chaos:
 	TRAC_CHAOS=1 $(GO) test -race -count=1 ./internal/gridsim/... ./internal/sniffer/...
 
-# bench runs the Go benchmarks once through, then regenerates BENCH_exec.json
-# (the checked-in vectorized-vs-row executor report) via tracbench. The
-# execbench total matches the 200k-row Go benchmark dataset: per-row executor
-# overhead — what vectorization removes — dominates there, while much larger
-# heaps leave both sides memory-bound on the row heap. The shardbench runs at
-# 1M rows so per-shard scan time dominates the fixed scatter-gather cost and
-# the pruned-probe speedup reflects data volume, not report overhead.
+# bench runs the Go benchmarks once through, then regenerates the checked-in
+# BENCH_*.json reports via tracbench. The storage and aggregation totals match
+# the 200k-row Go benchmark dataset. The shardbench runs at 1M rows so
+# per-shard scan time dominates the fixed scatter-gather cost and the
+# pruned-probe speedup reflects data volume, not report overhead.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/tracbench -execbench -total 200000 -iterations 11 -o BENCH_exec.json
 	$(GO) run ./cmd/tracbench -storagebench -total 200000 -iterations 11 -storage-o BENCH_storage.json
 	$(GO) run ./cmd/tracbench -aggbench -total 200000 -iterations 11 -agg-o BENCH_agg.json
 	$(GO) run ./cmd/tracbench -recoverybench -total 200000 -iterations 5 -recovery-o BENCH_recovery.json

@@ -388,7 +388,7 @@ func testingNow() time.Time                  { return time.Now() }
 func testingSince(t time.Time) time.Duration { return time.Since(t) }
 
 // BenchmarkParallelScan measures the morsel-driven parallel heap scan
-// against the single-threaded sequential scan at two table sizes. On a
+// against the single-threaded batch scan at two table sizes. On a
 // multi-core host the GOMAXPROCS variant should approach core-count
 // speedup; on one core it measures the exchange overhead instead.
 func BenchmarkParallelScan(b *testing.B) {
@@ -423,15 +423,15 @@ func BenchmarkParallelScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		filter, err := exec.Compile(e, layout)
+		kernel, _, _, err := exec.CompileKernel(e, layout)
 		if err != nil {
 			b.Fatal(err)
 		}
 		want := total / 4
 		runtime.GC()
 
-		drain := func(b *testing.B, op exec.Operator) {
-			rows, err := exec.Drain(op)
+		drain := func(b *testing.B, op exec.BatchOperator) {
+			rows, err := exec.Drain(&exec.RowFromBatch{Src: op})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -441,7 +441,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("rows=%d/seq", total), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				drain(b, &exec.SeqScan{Table: tbl, Snap: snap, Filter: filter})
+				drain(b, &exec.BatchScan{Table: tbl, Snap: snap, Kernel: kernel})
 			}
 		})
 		workerCounts := []int{1}
@@ -451,7 +451,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		for _, workers := range workerCounts {
 			b.Run(fmt.Sprintf("rows=%d/parallel=%d", total, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					drain(b, &exec.ParallelScan{Table: tbl, Snap: snap, Filter: filter, Workers: workers})
+					drain(b, &exec.ParallelScan{Table: tbl, Snap: snap, Kernel: kernel, Workers: workers})
 				}
 			})
 		}

@@ -3,8 +3,7 @@
 //	tracbench -figure 1            # Figure 1: overhead vs data ratio, Q1–Q4
 //	tracbench -figure 2            # Figure 2: absolute times for Q1/Q3
 //	tracbench -fpr                 # the §5.2 false-positive-rate table
-//	tracbench -execbench           # vectorized-vs-row executor microbench
-//	tracbench -storagebench        # columnar-segment-vs-row storage microbench
+//	tracbench -storagebench        # zone-map pruning vs unpruned scan microbench
 //	tracbench -aggbench            # aggregation pushdown/parallelism microbench
 //	tracbench -recoverybench       # durable-directory recovery microbench
 //	tracbench -shardbench          # sharded scatter-gather vs single-shard microbench
@@ -36,9 +35,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	chart := flag.Bool("chart", false, "also draw ASCII log-log charts for Figure 1")
-	execbench := flag.Bool("execbench", false, "run the vectorized-vs-row executor microbenchmarks")
-	execOut := flag.String("o", "BENCH_exec.json", "output path for the -execbench report")
-	storagebench := flag.Bool("storagebench", false, "run the columnar-segment-vs-row storage microbenchmarks")
+	storagebench := flag.Bool("storagebench", false, "run the zone-map pruning storage microbenchmarks")
 	storageOut := flag.String("storage-o", "BENCH_storage.json", "output path for the -storagebench report")
 	segSize := flag.Int("segment-size", 0, "segment size for -storagebench/-aggbench (0 = storage default)")
 	aggbench := flag.Bool("aggbench", false, "run the aggregation pushdown/parallelism microbenchmarks")
@@ -58,14 +55,13 @@ func main() {
 	if *all {
 		*figure = 1
 		*fpr = true
-		*execbench = true
 		*storagebench = true
 		*aggbench = true
 		*recoverybench = true
 		*shardbench = true
 		*servebench = true
 	}
-	if *figure == 0 && !*fpr && !*execbench && !*storagebench && !*aggbench && !*recoverybench && !*shardbench && !*servebench {
+	if *figure == 0 && !*fpr && !*storagebench && !*aggbench && !*recoverybench && !*shardbench && !*servebench {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -108,30 +104,6 @@ func main() {
 			if *figure == 2 || *all {
 				fmt.Println(benchharness.RenderFigure2(points, 0))
 			}
-		}
-	}
-
-	if *execbench {
-		progress := func(string) {}
-		if !*quiet {
-			progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		report, err := benchharness.RunExecBench(*total, 1_000, *iters, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "execbench failed:", err)
-			os.Exit(1)
-		}
-		out, err := benchharness.MarshalExecBench(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "execbench marshal failed:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*execOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "execbench write failed:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *execOut)
 		}
 	}
 

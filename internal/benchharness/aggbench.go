@@ -1,8 +1,8 @@
-// Aggregation microbenchmarks: zone-map stat pushdown, vectorized hash
-// aggregation and morsel-parallel partial aggregation vs their serial /
-// row-at-a-time baselines, over the sealed source-clustered storage dataset.
-// The same scenarios back the Go benchmarks (BenchmarkStatAggregate & co.)
-// and the `tracbench -aggbench` run that emits BENCH_agg.json.
+// Aggregation microbenchmarks: zone-map stat pushdown and morsel-parallel
+// partial aggregation vs serial hash aggregation over a full scan, over the
+// sealed source-clustered storage dataset. The same scenarios back the Go
+// benchmarks (BenchmarkStatAggregate & co.) and the `tracbench -aggbench`
+// run that emits BENCH_agg.json.
 package benchharness
 
 import (
@@ -16,8 +16,8 @@ import (
 )
 
 // AggBenchResult is one measured pair, serialized into BENCH_agg.json.
-// Baseline names what the slow side is (row pipeline or serial batch
-// aggregation), since the three scenarios compare against different things.
+// Baseline names what the slow side is, since the scenarios compare against
+// different things.
 type AggBenchResult struct {
 	Name             string  `json:"name"`
 	Baseline         string  `json:"baseline"`
@@ -48,7 +48,7 @@ type AggBenchReport struct {
 // aggScenario pairs a baseline aggregation pipeline with the optimized one,
 // capturing the stat-pushdown counters / worker count where they apply.
 type aggScenario struct {
-	ExecScenario
+	PairScenario
 	Baseline     string
 	StatSegments *int
 	Scanned      *int
@@ -64,8 +64,8 @@ type aggCall struct {
 
 // buildAggSpecs compiles calls into the parallel spec/argCols form the
 // aggregation operators share. Every non-star argument is a bare column, so
-// each spec gets both the evaluator (row path) and the resolved tuple offset
-// (batch kernels, stat pushdown).
+// each spec gets both the evaluator and the resolved tuple offset (typed
+// batch kernels, stat pushdown).
 func buildAggSpecs(layout *exec.Layout, calls []aggCall) ([]exec.AggSpec, []int, error) {
 	specs := make([]exec.AggSpec, len(calls))
 	argCols := make([]int, len(calls))
@@ -91,8 +91,9 @@ func buildAggSpecs(layout *exec.Layout, calls []aggCall) ([]exec.AggSpec, []int,
 
 // StatCoveredScenario: global COUNT(*)/SUM/MIN/MAX/AVG over the fully
 // sealed table with no predicate — every segment is answered from its zone
-// maps. Baseline: full SeqScan through the row aggregate. This is the shape
-// the recency report layer issues per table (how many rows, how stale).
+// maps. Baseline: hash aggregation over a scan that reads every segment.
+// This is the shape the recency report layer issues per table (how many
+// rows, how stale).
 func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 	layout := exec.NewLayout([]exec.Binding{{Name: "t", Table: d.Table}})
 	specs, argCols, err := buildAggSpecs(layout, []aggCall{
@@ -107,16 +108,16 @@ func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 		return nil, err
 	}
 	snap := d.Mgr.ReadSnapshot()
-	sc := &aggScenario{Baseline: "row-scan", StatSegments: new(int), Scanned: new(int)}
+	sc := &aggScenario{Baseline: "scan-aggregate", StatSegments: new(int), Scanned: new(int)}
 	sc.Name = "stat-covered"
 	sc.InputRows = d.Rows
-	sc.Row = func() (int, error) {
-		return countRows(&exec.Aggregate{
-			Child: &exec.SeqScan{Table: d.Table, Snap: snap, Reuse: true},
-			Specs: specs,
+	sc.Base = func() (int, error) {
+		return countRows(&exec.BatchGroupAggregate{
+			Src:   &exec.BatchScan{Table: d.Table, Snap: snap},
+			Specs: specs, ArgCols: argCols,
 		})
 	}
-	sc.Vec = func() (int, error) {
+	sc.Opt = func() (int, error) {
 		scan := &exec.StatAggScan{
 			Table: d.Table, Snap: snap,
 			Specs: specs, ArgCols: argCols,
@@ -124,67 +125,6 @@ func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 		n, err := countRows(scan)
 		*sc.StatSegments, *sc.Scanned = scan.StatSegments, scan.ScannedSegments
 		return n, err
-	}
-	return sc, nil
-}
-
-// GroupByHalfScenario: GROUP BY over a ~50% selective predicate on the
-// cyclic FLOAT column — zone maps cannot prune a single segment, so the
-// entire win is the vectorized pipeline: fused predicate kernel feeding the
-// typed hash-aggregation kernels vs per-row evaluator calls.
-func (d *StorageDataset) GroupByHalfScenario() (*aggScenario, error) {
-	layout := exec.NewLayout([]exec.Binding{{Name: "t", Table: d.Table}})
-	const pred = "load < 0.5"
-	ev, err := compileExpr(pred, layout)
-	if err != nil {
-		return nil, err
-	}
-	k, err := compileKernel(pred, layout)
-	if err != nil {
-		return nil, err
-	}
-	e, err := sqlparser.ParseExpr(pred)
-	if err != nil {
-		return nil, err
-	}
-	segf, err := exec.CompileSegmentFilter(e, layout, 0, d.Table.Schema.NumColumns())
-	if err != nil {
-		return nil, err
-	}
-	keyEv, err := compileExpr("value", layout)
-	if err != nil {
-		return nil, err
-	}
-	keyCol, err := layout.Resolve("", "value")
-	if err != nil {
-		return nil, err
-	}
-	specs, argCols, err := buildAggSpecs(layout, []aggCall{
-		{sqlparser.FuncCount, ""},
-		{sqlparser.FuncSum, "id"},
-		{sqlparser.FuncMin, "event_time"},
-		{sqlparser.FuncMax, "event_time"},
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap := d.Mgr.ReadSnapshot()
-	sc := &aggScenario{Baseline: "row-aggregate"}
-	sc.Name = "group-by-half"
-	sc.InputRows = d.Rows
-	sc.Row = func() (int, error) {
-		return countRows(&exec.GroupAggregate{
-			Child: &exec.SeqScan{Table: d.Table, Snap: snap, Filter: ev, Reuse: true},
-			Keys:  []exec.Evaluator{keyEv},
-			Specs: specs,
-		})
-	}
-	sc.Vec = func() (int, error) {
-		return countRows(&exec.BatchGroupAggregate{
-			Src:  &exec.BatchScan{Table: d.Table, Snap: snap, Kernel: k, SegFilter: segf},
-			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
-			Specs: specs, ArgCols: argCols,
-		})
 	}
 	return sc, nil
 }
@@ -228,15 +168,15 @@ func (d *StorageDataset) ParallelMergeScenario(workers int) (*aggScenario, error
 	sc := &aggScenario{Baseline: "serial-batch", Workers: workers}
 	sc.Name = "parallel-merge"
 	sc.InputRows = d.Rows
-	sc.ExecScenario.Workers = workers
-	sc.Row = func() (int, error) {
+	sc.PairScenario.Workers = workers
+	sc.Base = func() (int, error) {
 		return countRows(&exec.BatchGroupAggregate{
 			Src:  &exec.BatchScan{Table: d.Table, Snap: snap},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
 			Specs: specs, ArgCols: argCols,
 		})
 	}
-	sc.Vec = func() (int, error) {
+	sc.Opt = func() (int, error) {
 		return countRows(&exec.ParallelGroupAggregate{
 			Scan: &exec.ParallelScan{Table: d.Table, Snap: snap, Workers: workers},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
@@ -252,15 +192,11 @@ func (d *StorageDataset) AggScenarios() ([]*aggScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	half, err := d.GroupByHalfScenario()
-	if err != nil {
-		return nil, err
-	}
 	merge, err := d.ParallelMergeScenario(0)
 	if err != nil {
 		return nil, err
 	}
-	return []*aggScenario{covered, half, merge}, nil
+	return []*aggScenario{covered, merge}, nil
 }
 
 // RunAggBench measures every aggregation scenario over a fully sealed
@@ -288,7 +224,7 @@ func RunAggBench(totalRows, sources, segmentSize, iterations int, progress func(
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for _, sc := range scenarios {
-		res, err := MeasureExecScenario(&sc.ExecScenario, iterations)
+		res, err := MeasurePair(&sc.PairScenario, iterations)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.Name, err)
 		}
@@ -297,7 +233,7 @@ func RunAggBench(totalRows, sources, segmentSize, iterations int, progress func(
 			InputRows: res.InputRows, OutputRows: res.OutputRows,
 			GoMaxProcs: res.GoMaxProcs, Workers: sc.Workers,
 			Degenerate: res.Degenerate, Label: res.Label,
-			BaselineNsPerRow: res.RowNsPerRow, AggNsPerRow: res.VecNsPerRow,
+			BaselineNsPerRow: res.BaseNsPerRow, AggNsPerRow: res.OptNsPerRow,
 			Speedup: res.Speedup,
 		}
 		if sc.StatSegments != nil {

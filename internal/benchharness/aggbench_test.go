@@ -17,34 +17,19 @@ func aggScenarioNamed(b *testing.B, name string) *aggScenario {
 	return nil
 }
 
-func BenchmarkRowStatAggregate(b *testing.B) {
-	sc := aggScenarioNamed(b, "stat-covered")
-	runSide(b, sc.InputRows, sc.Row)
-}
-
 func BenchmarkStatAggregate(b *testing.B) {
 	sc := aggScenarioNamed(b, "stat-covered")
-	runSide(b, sc.InputRows, sc.Vec)
-}
-
-func BenchmarkRowGroupByHalf(b *testing.B) {
-	sc := aggScenarioNamed(b, "group-by-half")
-	runSide(b, sc.InputRows, sc.Row)
-}
-
-func BenchmarkVectorizedGroupByHalf(b *testing.B) {
-	sc := aggScenarioNamed(b, "group-by-half")
-	runSide(b, sc.InputRows, sc.Vec)
+	runSide(b, sc.InputRows, sc.Opt)
 }
 
 func BenchmarkSerialGroupByMerge(b *testing.B) {
 	sc := aggScenarioNamed(b, "parallel-merge")
-	runSide(b, sc.InputRows, sc.Row)
+	runSide(b, sc.InputRows, sc.Base)
 }
 
 func BenchmarkParallelGroupByMerge(b *testing.B) {
 	sc := aggScenarioNamed(b, "parallel-merge")
-	runSide(b, sc.InputRows, sc.Vec)
+	runSide(b, sc.InputRows, sc.Opt)
 }
 
 // TestAggScenariosAgree is the correctness gate for the aggregation
@@ -61,18 +46,18 @@ func TestAggScenariosAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range scenarios {
-		rowN, err := sc.Row()
+		baseN, err := sc.Base()
 		if err != nil {
 			t.Fatalf("%s baseline side: %v", sc.Name, err)
 		}
-		aggN, err := sc.Vec()
+		aggN, err := sc.Opt()
 		if err != nil {
 			t.Fatalf("%s optimized side: %v", sc.Name, err)
 		}
-		if rowN != aggN {
-			t.Errorf("%s: baseline %d rows, optimized %d", sc.Name, rowN, aggN)
+		if baseN != aggN {
+			t.Errorf("%s: baseline %d rows, optimized %d", sc.Name, baseN, aggN)
 		}
-		if rowN == 0 {
+		if baseN == 0 {
 			t.Errorf("%s: empty result, scenario measures nothing", sc.Name)
 		}
 		if sc.StatSegments != nil {

@@ -1,9 +1,9 @@
-// Storage-layer microbenchmarks: sealed columnar segments with zone-map
-// pruning vs the row-at-a-time heap scan, over a source-clustered dataset
-// (the paper's ingestion order: sniffer logs arrive one source at a time,
-// so consecutive heap rows share a source). The same scenarios back the Go
-// benchmarks and the `tracbench -storagebench` run that emits
-// BENCH_storage.json.
+// Storage-layer microbenchmarks: a scan of sealed columnar segments with
+// zone-map pruning vs the same scan reading every segment, over a
+// source-clustered dataset (the paper's ingestion order: sniffer logs arrive
+// one source at a time, so consecutive heap rows share a source). The same
+// scenarios back the Go benchmarks and the `tracbench -storagebench` run
+// that emits BENCH_storage.json.
 package benchharness
 
 import (
@@ -19,17 +19,17 @@ import (
 )
 
 // StorageBenchResult is one measured pair plus the zone-map outcome on the
-// columnar side, serialized into BENCH_storage.json.
+// pruning side, serialized into BENCH_storage.json.
 type StorageBenchResult struct {
-	Name            string  `json:"name"`
-	Predicate       string  `json:"predicate"`
-	InputRows       int     `json:"input_rows"`
-	OutputRows      int     `json:"output_rows"`
-	PrunedSegments  int     `json:"pruned_segments"`
-	ScannedSegments int     `json:"scanned_segments"`
-	RowNsPerRow     float64 `json:"row_ns_per_row"`
-	SegNsPerRow     float64 `json:"columnar_ns_per_row"`
-	Speedup         float64 `json:"speedup"`
+	Name             string  `json:"name"`
+	Predicate        string  `json:"predicate"`
+	InputRows        int     `json:"input_rows"`
+	OutputRows       int     `json:"output_rows"`
+	PrunedSegments   int     `json:"pruned_segments"`
+	ScannedSegments  int     `json:"scanned_segments"`
+	UnprunedNsPerRow float64 `json:"unpruned_ns_per_row"`
+	PrunedNsPerRow   float64 `json:"pruned_ns_per_row"`
+	Speedup          float64 `json:"speedup"`
 }
 
 // StorageBenchReport is the top-level BENCH_storage.json document.
@@ -56,6 +56,7 @@ type StorageDataset struct {
 // whole heap into segmentSize-row segments. Clustering is what makes zone
 // maps selective: each segment covers a narrow id/time range and a handful
 // of sources.
+//
 //tracvet:ignore catbump the table is bench-private and never enters a catalog, so no plan cache can observe the source-column change
 func BuildStorageDataset(totalRows, sources, segmentSize int) (*StorageDataset, error) {
 	schema, err := storage.NewSchema([]storage.Column{
@@ -100,11 +101,11 @@ func BuildStorageDataset(totalRows, sources, segmentSize int) (*StorageDataset, 
 	return &StorageDataset{Table: tbl, Mgr: mgr, Rows: totalRows, Sources: sources}, nil
 }
 
-// storageScenario pairs the row path (SeqScan + evaluator filter) with the
-// columnar path (BatchScan + SegmentFilter) for one predicate, capturing
-// the columnar side's zone-map counters.
+// storageScenario pairs a BatchScan that reads every segment (no
+// SegmentFilter: pruning off) with the same scan consulting the zone maps
+// first, for one predicate, capturing the pruning side's counters.
 type storageScenario struct {
-	ExecScenario
+	PairScenario
 	Predicate string
 	Pruned    *int
 	Scanned   *int
@@ -112,15 +113,11 @@ type storageScenario struct {
 
 func (d *StorageDataset) scenario(name, pred string) (*storageScenario, error) {
 	layout := exec.NewLayout([]exec.Binding{{Name: "t", Table: d.Table}})
-	ev, err := compileExpr(pred, layout)
-	if err != nil {
-		return nil, err
-	}
-	k, err := compileKernel(pred, layout)
-	if err != nil {
-		return nil, err
-	}
 	e, err := sqlparser.ParseExpr(pred)
+	if err != nil {
+		return nil, err
+	}
+	k, _, _, err := exec.CompileKernel(e, layout)
 	if err != nil {
 		return nil, err
 	}
@@ -132,10 +129,10 @@ func (d *StorageDataset) scenario(name, pred string) (*storageScenario, error) {
 	sc := &storageScenario{Predicate: pred, Pruned: new(int), Scanned: new(int)}
 	sc.Name = name
 	sc.InputRows = d.Rows
-	sc.Row = func() (int, error) {
-		return countRows(&exec.SeqScan{Table: d.Table, Snap: snap, Filter: ev, Reuse: true})
+	sc.Base = func() (int, error) {
+		return countBatches(&exec.BatchScan{Table: d.Table, Snap: snap, Kernel: k})
 	}
-	sc.Vec = func() (int, error) {
+	sc.Opt = func() (int, error) {
 		scan := &exec.BatchScan{Table: d.Table, Snap: snap, Kernel: k, SegFilter: segf}
 		n, err := countBatches(scan)
 		*sc.Pruned, *sc.Scanned = scan.PrunedSegments, scan.ScannedSegments
@@ -154,8 +151,8 @@ func (d *StorageDataset) scenario(name, pred string) (*storageScenario, error) {
 //   - time-range: a 5% trailing time window — pure min/max range pruning
 //     over the monotonic timestamp column.
 //   - half-filter: ~50% selective cyclic FLOAT predicate — zone maps
-//     cannot prune, isolating columnar-vector evaluation + late
-//     materialization against the row path.
+//     cannot prune a segment, so the cell prices consulting them for
+//     nothing.
 func (d *StorageDataset) StorageScenarios() ([]*storageScenario, error) {
 	mid := fmt.Sprintf("src-%05d", d.Sources/2)
 	set := fmt.Sprintf("'src-%05d', 'src-%05d', 'src-%05d'",
@@ -203,7 +200,7 @@ func RunStorageBench(totalRows, sources, segmentSize, iterations int, progress f
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for _, sc := range scenarios {
-		res, err := MeasureExecScenario(&sc.ExecScenario, iterations)
+		res, err := MeasurePair(&sc.PairScenario, iterations)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.Name, err)
 		}
@@ -211,12 +208,12 @@ func RunStorageBench(totalRows, sources, segmentSize, iterations int, progress f
 			Name: res.Name, Predicate: sc.Predicate,
 			InputRows: res.InputRows, OutputRows: res.OutputRows,
 			PrunedSegments: *sc.Pruned, ScannedSegments: *sc.Scanned,
-			RowNsPerRow: res.RowNsPerRow, SegNsPerRow: res.VecNsPerRow,
+			UnprunedNsPerRow: res.BaseNsPerRow, PrunedNsPerRow: res.OptNsPerRow,
 			Speedup: res.Speedup,
 		}
 		if progress != nil {
-			progress(fmt.Sprintf("%-14s row %8.1f ns/row   columnar %8.1f ns/row   speedup %6.2fx   segments %d pruned / %d scanned",
-				r.Name, r.RowNsPerRow, r.SegNsPerRow, r.Speedup, r.PrunedSegments, r.ScannedSegments))
+			progress(fmt.Sprintf("%-14s unpruned %8.1f ns/row   pruned %8.1f ns/row   speedup %6.2fx   segments %d pruned / %d scanned",
+				r.Name, r.UnprunedNsPerRow, r.PrunedNsPerRow, r.Speedup, r.PrunedSegments, r.ScannedSegments))
 		}
 		report.Results = append(report.Results, r)
 	}

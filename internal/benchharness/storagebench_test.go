@@ -39,34 +39,31 @@ func storageScenarioNamed(b *testing.B, name string) *storageScenario {
 	return nil
 }
 
-func BenchmarkRowSourceProbe(b *testing.B) {
-	sc := storageScenarioNamed(b, "source-probe")
-	runSide(b, sc.InputRows, sc.Row)
+// runSide times one side of a scenario, reporting ns per input row.
+func runSide(b *testing.B, inputRows int, fn func() (int, error)) {
+	b.Helper()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fn(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inputRows), "ns/row")
 }
 
 func BenchmarkColumnarSourceProbe(b *testing.B) {
 	sc := storageScenarioNamed(b, "source-probe")
-	runSide(b, sc.InputRows, sc.Vec)
-}
-
-func BenchmarkRowTimeRange(b *testing.B) {
-	sc := storageScenarioNamed(b, "time-range")
-	runSide(b, sc.InputRows, sc.Row)
+	runSide(b, sc.InputRows, sc.Opt)
 }
 
 func BenchmarkColumnarTimeRange(b *testing.B) {
 	sc := storageScenarioNamed(b, "time-range")
-	runSide(b, sc.InputRows, sc.Vec)
-}
-
-func BenchmarkRowHalfFilter(b *testing.B) {
-	sc := storageScenarioNamed(b, "half-filter")
-	runSide(b, sc.InputRows, sc.Row)
+	runSide(b, sc.InputRows, sc.Opt)
 }
 
 func BenchmarkColumnarHalfFilter(b *testing.B) {
 	sc := storageScenarioNamed(b, "half-filter")
-	runSide(b, sc.InputRows, sc.Vec)
+	runSide(b, sc.InputRows, sc.Opt)
 }
 
 // TestStorageScenariosAgree is the correctness gate for the storage
@@ -87,18 +84,18 @@ func TestStorageScenariosAgree(t *testing.T) {
 		"half-filter": false,
 	}
 	for _, sc := range scenarios {
-		rowN, err := sc.Row()
+		baseN, err := sc.Base()
 		if err != nil {
-			t.Fatalf("%s row side: %v", sc.Name, err)
+			t.Fatalf("%s unpruned side: %v", sc.Name, err)
 		}
-		segN, err := sc.Vec()
+		segN, err := sc.Opt()
 		if err != nil {
-			t.Fatalf("%s columnar side: %v", sc.Name, err)
+			t.Fatalf("%s pruned side: %v", sc.Name, err)
 		}
-		if rowN != segN {
-			t.Errorf("%s: row %d rows, columnar %d", sc.Name, rowN, segN)
+		if baseN != segN {
+			t.Errorf("%s: unpruned %d rows, pruned %d", sc.Name, baseN, segN)
 		}
-		if rowN == 0 {
+		if baseN == 0 {
 			t.Errorf("%s: empty result, scenario measures nothing", sc.Name)
 		}
 		if want := wantPruned[sc.Name]; (*sc.Pruned > 0) != want {

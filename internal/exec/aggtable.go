@@ -117,7 +117,7 @@ func (st *aggState) addMax(si int, v types.Value) {
 	}
 }
 
-// observe accumulates one non-null aggregate input (the generic per-row
+// observe accumulates one non-null aggregate input (the generic per-value
 // path; the batch kernels inline the common type pairings).
 func (st *aggState) observe(si int, spec *AggSpec, v types.Value) error {
 	st.counts[si]++
@@ -134,7 +134,7 @@ func (st *aggState) observe(si int, spec *AggSpec, v types.Value) error {
 
 // mergeFrom folds another state's accumulators into this one (partial
 // aggregate merge). Exactness is preserved: int partial sums combine through
-// the same overflow-checked path as row accumulation.
+// the same overflow-checked path as accumulating the values themselves.
 func (st *aggState) mergeFrom(o *aggState) {
 	for si := range st.counts {
 		st.counts[si] += o.counts[si]
@@ -188,8 +188,8 @@ func (st *aggState) value(si int, fn sqlparser.FuncName) (types.Value, error) {
 	return types.Null, fmt.Errorf("exec: unknown aggregate %s", fn)
 }
 
-// aggTable is a hash aggregation table shared by the row, batch, parallel-
-// partial and stat-pushdown aggregation operators. Group states are kept in
+// aggTable is a hash aggregation table shared by the batch, parallel-partial
+// and stat-pushdown aggregation operators. Group states are kept in
 // first-seen order; the scratch key buffer is reused across rows (AppendKey
 // into a byte slice, map lookup via string(buf), allocation only when a new
 // group opens).
@@ -253,39 +253,6 @@ func (t *aggTable) argCol(si int) int {
 	return t.argCols[si]
 }
 
-// observeRow accumulates one input row (the tuple-at-a-time path).
-func (t *aggTable) observeRow(row []types.Value) error {
-	for i, k := range t.keys {
-		v, err := k(row)
-		if err != nil {
-			return err
-		}
-		t.keyScratch[i] = v
-	}
-	st, err := t.state()
-	if err != nil {
-		return err
-	}
-	for si := range t.specs {
-		spec := &t.specs[si]
-		if spec.Star {
-			st.counts[si]++
-			continue
-		}
-		v, err := spec.Arg(row)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			continue // aggregates skip NULLs
-		}
-		if err := st.observe(si, spec, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // observeBatch accumulates one batch: group states are resolved once per
 // selected position (keys read off the key vectors), then each spec runs its
 // accumulation kernel over the argument vector. With no grouping keys every
@@ -341,8 +308,8 @@ func (t *aggTable) observeBatch(b *Batch) error {
 // accumulate runs spec si over the batch: the i-th selected position feeds
 // states[i], or one when the aggregation has no keys. The func × vector-kind
 // dispatch happens once per batch; the typed loops touch only the argument
-// vector and skip NULLs exactly like the row path, and a generic vector (or
-// an argument that is not a bare column) takes the per-value path, so
+// vector and skip NULLs exactly like the per-value path (observe), which a
+// generic vector or an argument that is not a bare column takes, so
 // semantics stay identical.
 func (t *aggTable) accumulate(si int, b *Batch, states []*aggState, one *aggState) error {
 	spec := &t.specs[si]
@@ -431,7 +398,7 @@ func (t *aggTable) accumulate(si int, b *Batch, states []*aggState, one *aggStat
 		}
 	default:
 		// SUM/AVG over a non-numeric column, or an unknown aggregate: the
-		// per-value path raises the row path's error.
+		// per-value path raises its error.
 		for i, pos := range b.Sel {
 			if cv.Nulls[pos] {
 				continue

@@ -26,11 +26,11 @@ func oneColRows(vals ...types.Value) [][]types.Value {
 	return out
 }
 
-// drainAgg runs an ungrouped Aggregate over the values.
+// drainAgg runs a global aggregate over the values.
 func drainAgg(t *testing.T, specs []AggSpec, vals ...types.Value) []types.Value {
 	t.Helper()
-	rows, err := Drain(&Aggregate{
-		Child: &ValuesOp{RowsData: oneColRows(vals...)},
+	rows, err := Drain(&BatchGroupAggregate{
+		Src:   ToBatch(&ValuesOp{RowsData: oneColRows(vals...)}),
 		Specs: specs,
 	})
 	if err != nil {
@@ -118,8 +118,9 @@ func TestAggMixedKindSumDemotes(t *testing.T) {
 	}
 }
 
-// TestEmptyInputGlobalAggregate pins SQL's empty-input contract on all three
-// global paths: exactly one row, COUNT 0, SUM/AVG/MIN/MAX NULL.
+// TestEmptyInputGlobalAggregate pins SQL's empty-input contract on every
+// global path — arguments evaluated, arguments read off their vectors, stats:
+// exactly one row, COUNT 0, SUM/AVG/MIN/MAX NULL.
 func TestEmptyInputGlobalAggregate(t *testing.T) {
 	specs := []AggSpec{
 		{Func: sqlparser.FuncCount, Star: true},
@@ -145,17 +146,11 @@ func TestEmptyInputGlobalAggregate(t *testing.T) {
 		}
 	}
 
-	rows, err := Drain(&Aggregate{Child: &ValuesOp{}, Specs: specs})
+	rows, err := Drain(&BatchGroupAggregate{Src: ToBatch(&ValuesOp{}), Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("row", rows)
-
-	rows, err = Drain(&GroupAggregate{Child: &ValuesOp{}, Specs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("grouped-row", rows)
+	check("evaluated", rows)
 
 	rows, err = Drain(&BatchGroupAggregate{
 		Src: ToBatch(&ValuesOp{}), Specs: specs,
@@ -282,26 +277,26 @@ func statAggFor(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL str
 	return op
 }
 
-// rowAggFor is the tuple-at-a-time baseline for the same aggregate.
-func rowAggFor(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL string) []types.Value {
+// refAgg is the baseline for the same aggregate: the reference rows
+// (visibleRows) aggregated a value at a time through the evaluators — no
+// typed kernel, no zone-map stat.
+func refAgg(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL string, keys []Evaluator) [][]types.Value {
 	t.Helper()
 	specs, _ := fixtureSpecs()
-	var child Operator = &SeqScan{Table: tbl, Snap: snap}
-	if predSQL != "" {
-		layout := layoutFor(tbl, "a")
-		child = &Filter{Child: child, Pred: compileOn(t, layout, predSQL)}
-	}
-	rows, err := Drain(&Aggregate{Child: child, Specs: specs})
+	rows, err := Drain(&BatchGroupAggregate{
+		Src:  ToBatch(&ValuesOp{RowsData: visibleRows(t, tbl, snap, predSQL)}),
+		Keys: keys, Specs: specs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows[0]
+	return rows
 }
 
 // TestStatAggScanMatchesRowPath drives the pushdown coverage matrix over the
 // mixed sealed/tail fixture: no predicate (all segments answered from
 // stats), a fully covering predicate, a prune/cover/narrow mix, and
-// predicates stats cannot help with — all must equal the row baseline, and
+// predicates stats cannot help with — all must equal the reference, and
 // the classification counters must match the predicate geometry (ids are
 // clustered 0..99 / 100..199 / 200..299 / 300..399 per segment).
 func TestStatAggScanMatchesRowPath(t *testing.T) {
@@ -327,9 +322,9 @@ func TestStatAggScanMatchesRowPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pred %q: %v", c.pred, err)
 			}
-			want := rowAggFor(t, tbl, snap, c.pred)
+			want := refAgg(t, tbl, snap, c.pred, nil)[0]
 			if got := RowKey(rows[0]); got != RowKey(want) {
-				t.Errorf("pred %q workers=%d:\nstat: %v\nrow:  %v", c.pred, workers, rows[0], want)
+				t.Errorf("pred %q workers=%d:\nstat: %v\nref:  %v", c.pred, workers, rows[0], want)
 			}
 			if op.StatSegments != c.stat || op.ScannedSegments != c.scan || op.PrunedSegments != c.pruned {
 				t.Errorf("pred %q: classified stat=%d scan=%d pruned=%d, want %d/%d/%d",
@@ -382,7 +377,7 @@ func TestStatAggScanMVCCVisibilityGate(t *testing.T) {
 	}
 
 	// The post-delete snapshot must scan the touched segment and count one
-	// fewer row — matching the row path.
+	// fewer row — matching the reference.
 	op = statAggFor(t, tbl, after, "", 1)
 	rows, err = Drain(op)
 	if err != nil {
@@ -394,15 +389,16 @@ func TestStatAggScanMVCCVisibilityGate(t *testing.T) {
 	if rows[0][0].Int() != 436 {
 		t.Errorf("post-delete COUNT(*) = %v, want 436", rows[0][0])
 	}
-	want := rowAggFor(t, tbl, after, "")
+	want := refAgg(t, tbl, after, "", nil)[0]
 	if RowKey(rows[0]) != RowKey(want) {
-		t.Errorf("post-delete stat row %v != row path %v", rows[0], want)
+		t.Errorf("post-delete stat row %v != reference %v", rows[0], want)
 	}
 }
 
 // TestGroupAggregateModesAgree runs a grouped battery (COUNT(*)/COUNT(col)/
-// SUM/AVG/MIN/MAX with NULL groups and NULL inputs) through the row, batch,
-// and morsel-parallel operators and requires identical result multisets.
+// SUM/AVG/MIN/MAX with NULL groups and NULL inputs) through the reference,
+// the typed batch kernels and morsel-parallel partial aggregation, and
+// requires identical result multisets.
 // SUM/AVG run over the INT column only: integer accumulation is exact and
 // order-independent, so parallel merge order cannot perturb the comparison.
 func TestGroupAggregateModesAgree(t *testing.T) {
@@ -421,14 +417,9 @@ func TestGroupAggregateModesAgree(t *testing.T) {
 		return out
 	}
 
-	base, err := Drain(&GroupAggregate{
-		Child: &SeqScan{Table: tbl, Snap: snap}, Keys: keys, Specs: specs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := refAgg(t, tbl, snap, "", keys)
 	if len(base) != 4 { // idle, busy, down, NULL
-		t.Fatalf("row groups = %d, want 4", len(base))
+		t.Fatalf("reference groups = %d, want 4", len(base))
 	}
 
 	batch, err := Drain(&BatchGroupAggregate{
@@ -454,14 +445,14 @@ func TestGroupAggregateModesAgree(t *testing.T) {
 		"parallel": sorted(par),
 	} {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s diverges from row path\nrow: %v\ngot: %v", name, want, got)
+			t.Errorf("%s diverges from the reference\nref: %v\ngot: %v", name, want, got)
 		}
 	}
 }
 
 // TestGroupAggregateAllNullGroup pins COUNT(*) vs COUNT(col) over a group
-// whose aggregated column is entirely NULL, and MIN/MAX ignoring NULLs, on
-// both the row and batch operators.
+// whose aggregated column is entirely NULL, and MIN/MAX ignoring NULLs, with
+// the arguments evaluated and read off their vectors.
 func TestGroupAggregateAllNullGroup(t *testing.T) {
 	rows := [][]types.Value{
 		{types.NewString("a"), types.Null},
@@ -492,11 +483,11 @@ func TestGroupAggregateAllNullGroup(t *testing.T) {
 		}
 	}
 
-	got, err := Drain(&GroupAggregate{Child: &ValuesOp{RowsData: rows}, Keys: keys, Specs: specs})
+	got, err := Drain(&BatchGroupAggregate{Src: ToBatch(&ValuesOp{RowsData: rows}), Keys: keys, Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("row", got)
+	check("evaluated", got)
 	got, err = Drain(&BatchGroupAggregate{
 		Src: ToBatch(&ValuesOp{RowsData: rows}), Keys: keys,
 		Specs: specs, ArgCols: []int{-1, 1, 1, 1, 1},
@@ -515,7 +506,7 @@ func TestAggPartialMergePreservesExactness(t *testing.T) {
 	specs := []AggSpec{{Func: sqlparser.FuncSum, Arg: colAt(0)}}
 	mk := func(v int64) *aggTable {
 		tab := newAggTable(nil, nil, specs, nil)
-		if err := tab.observeRow([]types.Value{types.NewInt(v)}); err != nil {
+		if err := tab.observeAll(ToBatch(&ValuesOp{RowsData: intRows(v)})); err != nil {
 			t.Fatal(err)
 		}
 		return tab
@@ -537,5 +528,80 @@ func TestAggPartialMergePreservesExactness(t *testing.T) {
 	}
 	if sum.Float() < 0 {
 		t.Errorf("merged SUM wrapped negative: %v", sum)
+	}
+}
+
+func TestGroupAggregateDirect(t *testing.T) {
+	data := [][]types.Value{
+		{types.NewString("a"), types.NewInt(1)},
+		{types.NewString("b"), types.NewInt(2)},
+		{types.NewString("a"), types.NewInt(3)},
+	}
+	g := &BatchGroupAggregate{
+		Src:  ToBatch(&ValuesOp{RowsData: data}),
+		Keys: []Evaluator{colAt(0)},
+		Specs: []AggSpec{
+			{Func: sqlparser.FuncSum, Arg: colAt(1)},
+			{Func: sqlparser.FuncCount, Star: true},
+			{Func: sqlparser.FuncMin, Arg: colAt(1)},
+			{Func: sqlparser.FuncMax, Arg: colAt(1)},
+			{Func: sqlparser.FuncAvg, Arg: colAt(1)},
+		},
+	}
+	rows, err := Drain(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("groups = %d", len(rows))
+	}
+	// First-seen order: a then b.
+	if rows[0][0].Str() != "a" || rows[0][1].Int() != 4 || rows[0][2].Int() != 2 {
+		t.Errorf("group a = %v", rows[0])
+	}
+	if rows[0][3].Int() != 1 || rows[0][4].Int() != 3 || rows[0][5].Float() != 2 {
+		t.Errorf("group a min/max/avg = %v", rows[0])
+	}
+	if rows[1][0].Str() != "b" || rows[1][1].Int() != 2 {
+		t.Errorf("group b = %v", rows[1])
+	}
+}
+
+func TestGroupAggregateNullKeysGroupTogether(t *testing.T) {
+	data := [][]types.Value{
+		{types.Null, types.NewInt(1)},
+		{types.Null, types.NewInt(2)},
+		{types.NewString("x"), types.NewInt(3)},
+	}
+	rows, err := Drain(&BatchGroupAggregate{
+		Src:   ToBatch(&ValuesOp{RowsData: data}),
+		Keys:  []Evaluator{colAt(0)},
+		Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("NULL keys should form one group: %v", rows)
+	}
+	if !rows[0][0].IsNull() || rows[0][1].Int() != 2 {
+		t.Errorf("null group = %v", rows[0])
+	}
+}
+
+func TestGroupAggregateSumFloatPromotion(t *testing.T) {
+	row := drainAgg(t, []AggSpec{{Func: sqlparser.FuncSum, Arg: colAt(0)}}, types.NewInt(1), types.NewFloat(2.5))
+	if row[0].Kind() != types.KindFloat || row[0].Float() != 3.5 {
+		t.Errorf("sum = %v", row[0])
+	}
+}
+
+func TestGroupAggregateErrorOnNonNumericSum(t *testing.T) {
+	_, err := Drain(&BatchGroupAggregate{
+		Src:   ToBatch(&ValuesOp{RowsData: oneColRows(types.NewString("x"))}),
+		Specs: []AggSpec{{Func: sqlparser.FuncSum, Arg: colAt(0)}},
+	})
+	if err == nil {
+		t.Error("SUM over TEXT should fail")
 	}
 }

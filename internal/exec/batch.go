@@ -295,11 +295,11 @@ type BatchOperator interface {
 }
 
 // ToBatch adapts a row operator into a batch operator. It is the shim that
-// lets arbitrary row operators (index scans, row joins) feed batch
-// pipelines.
+// lets the row operators that sit below a batch operator (a nested-loop
+// join, a Values list) feed it.
 func ToBatch(op Operator) BatchOperator {
-	if src, ok := AsBatch(op); ok {
-		return src // unwrap a round trip; a ParallelScan speaks batches itself
+	if r, ok := op.(*RowFromBatch); ok {
+		return r.Src // unwrap a round trip
 	}
 	return &rowSource{child: op}
 }
@@ -346,8 +346,8 @@ func (r *rowSource) NextBatch() (*Batch, error) {
 func (r *rowSource) Close() error { return r.child.Close() }
 
 // RowFromBatch adapts a batch operator into a row operator: the batch→row
-// shim that lets batch pipelines feed row consumers (sorts, row joins,
-// result drains). This is where tuples are minted, one allocation per
+// shim that lets batch pipelines feed row consumers (sorts, a nested-loop
+// join, result drains). This is where tuples are minted, one allocation per
 // batch; the batch itself is recycled at once.
 type RowFromBatch struct {
 	Src BatchOperator
@@ -391,18 +391,4 @@ func (r *RowFromBatch) Bound() (int, bool) {
 func (r *RowFromBatch) Close() error {
 	r.rows = nil
 	return r.Src.Close()
-}
-
-// AsBatch unwraps the batch pipeline beneath a RowFromBatch bridge, or
-// recognizes an operator that natively speaks batches (ParallelScan). The
-// planner uses it to extend batch pipelines (filter, project, join probe)
-// instead of bouncing through row shims.
-func AsBatch(op Operator) (BatchOperator, bool) {
-	switch n := op.(type) {
-	case *RowFromBatch:
-		return n.Src, true
-	case *ParallelScan:
-		return n, true
-	}
-	return nil, false
 }

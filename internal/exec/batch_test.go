@@ -101,15 +101,11 @@ func TestToBatchRoundTripUnwraps(t *testing.T) {
 	if got := ToBatch(row); got != src {
 		t.Errorf("ToBatch(RowFromBatch{src}) = %T, want the original source", got)
 	}
-	if got, ok := AsBatch(row); !ok || got != src {
-		t.Errorf("AsBatch(RowFromBatch{src}) = %T ok=%v", got, ok)
-	}
 }
 
 func TestRowSourceBatchesRowOperator(t *testing.T) {
 	tbl, m := testActivity(t)
-	scan := &SeqScan{Table: tbl, Snap: m.ReadSnapshot()}
-	src := ToBatch(scan)
+	src := ToBatch(&ValuesOp{RowsData: visibleRows(t, tbl, m.ReadSnapshot(), "")})
 	if err := src.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,28 +130,13 @@ func TestRowSourceBatchesRowOperator(t *testing.T) {
 	}
 }
 
+// TestBatchScanMatchesSeqScan: the batch scan returns the rows a sequential
+// pass over the heap (visibleRows) keeps, in heap order.
 func TestBatchScanMatchesSeqScan(t *testing.T) {
 	tbl, m := bigActivity(t, 5000)
 	layout := layoutFor(tbl, "a")
-	e, err := sqlparser.ParseExpr("value = 'idle'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, _, _, err := CompileKernel(e, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Drain(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: k}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := Drain(&Filter{
-		Child: &SeqScan{Table: tbl, Snap: m.ReadSnapshot()},
-		Pred:  compileOn(t, layout, "value = 'idle'"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := drainBatches(t, &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: kernelOn(t, layout, "value = 'idle'")})
+	row := visibleRows(t, tbl, m.ReadSnapshot(), "value = 'idle'")
 	if len(batch) != len(row) {
 		t.Fatalf("batch %d rows, row %d rows", len(batch), len(row))
 	}
@@ -194,7 +175,7 @@ func TestBatchProjectMatchesProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := Drain(&Project{Child: &SeqScan{Table: tbl, Snap: m.ReadSnapshot()}, Exprs: exprs})
+	row, err := Drain(&Project{Child: &ValuesOp{RowsData: visibleRows(t, tbl, m.ReadSnapshot(), "")}, Exprs: exprs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,18 +190,26 @@ func TestBatchProjectMatchesProject(t *testing.T) {
 }
 
 // joinFixture builds the two-sided padded scans and key evaluators for a
-// mach_id equijoin of bigActivity against itself.
-func joinFixture(t *testing.T, n int) (build, probe func() Operator, buildKeys, probeKeys []Evaluator) {
+// mach_id equijoin of bigActivity against itself, and the reference: a
+// nested-loop join over the same scans, testing key equality on every pair.
+func joinFixture(t *testing.T, n int) (build, probe func() BatchOperator, buildKeys, probeKeys []Evaluator, ref [][]types.Value) {
 	t.Helper()
 	tbl, m := bigActivity(t, n)
 	layout := NewLayout([]Binding{{Name: "a", Table: tbl}, {Name: "b", Table: tbl}})
 	width := layout.Width()
 	arity := tbl.Schema.NumColumns()
-	build = func() Operator {
-		return &SeqScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: 0, Width: width}
+	build = func() BatchOperator {
+		return &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: 0, Width: width}
 	}
-	probe = func() Operator {
-		return &RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: arity, Width: width}}
+	probe = func() BatchOperator {
+		return &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: arity, Width: width}
+	}
+	ref, err := Drain(&NestedLoopJoin{
+		Outer: &RowFromBatch{Src: build()}, Inner: &RowFromBatch{Src: probe()},
+		Pred: compileOn(t, layout, "a.mach_id = b.mach_id"),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	bk, err := Compile(&sqlparser.ColumnRef{Table: "a", Column: "mach_id"}, layout)
 	if err != nil {
@@ -230,26 +219,18 @@ func joinFixture(t *testing.T, n int) (build, probe func() Operator, buildKeys, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return build, probe, []Evaluator{bk}, []Evaluator{pk}
+	return build, probe, []Evaluator{bk}, []Evaluator{pk}, ref
 }
 
+// TestBatchHashJoinMatchesRowHashJoin: the hash join returns the multiset of
+// joined tuples the nested-loop reference does.
 func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
-	build, probe, bk, pk := joinFixture(t, 300)
-	batchJoin := &RowFromBatch{Src: &BatchHashJoin{
-		Build: build(), Probe: ToBatch(probe()), BuildKeys: bk, ProbeKeys: pk,
-	}}
-	rowJoin := &HashJoin{Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk}
-
-	batchRows, err := Drain(batchJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowRows, err := Drain(rowJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	build, probe, bk, pk, rowRows := joinFixture(t, 300)
+	batchRows := drainBatches(t, &BatchHashJoin{
+		Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk,
+	})
 	if len(batchRows) != len(rowRows) {
-		t.Fatalf("batch join %d rows, row join %d", len(batchRows), len(rowRows))
+		t.Fatalf("hash join %d rows, reference %d", len(batchRows), len(rowRows))
 	}
 	seen := make(map[string]int)
 	for _, r := range batchRows {
@@ -269,16 +250,12 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 // nothing needed the batches carry a selection and no column (the COUNT(*)
 // shape), and with one column from each side exactly those two are boxed.
 func TestBatchHashJoinGathersOnlyNeed(t *testing.T) {
-	build, probe, bk, pk := joinFixture(t, 300)
+	build, probe, bk, pk, want := joinFixture(t, 300)
 	tbl, _ := bigActivity(t, 300)
 	arity := tbl.Schema.NumColumns()
-	want, err := Drain(&HashJoin{Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	count := &BatchHashJoin{
-		Build: build(), Probe: ToBatch(probe()), BuildKeys: bk, ProbeKeys: pk,
+		Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk,
 		ProbeCols: []int{arity}, Need: []int{},
 	}
 	if err := count.Open(); err != nil {
@@ -308,13 +285,10 @@ func TestBatchHashJoinGathersOnlyNeed(t *testing.T) {
 
 	// a.value (build side) and b.mach_id (probe side).
 	need := []int{1, arity}
-	got, err := Drain(&RowFromBatch{Src: &BatchHashJoin{
-		Build: build(), Probe: ToBatch(probe()), BuildKeys: bk, ProbeKeys: pk,
+	got := drainBatches(t, &BatchHashJoin{
+		Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk,
 		ProbeCols: []int{arity}, Need: need,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	seen := make(map[string]int)
 	for _, r := range want {
 		seen[RowKey([]types.Value{r[1], r[arity]})]++
@@ -366,13 +340,16 @@ func TestExchangeBatchChildren(t *testing.T) {
 func TestVectorizedWalker(t *testing.T) {
 	tbl, m := testActivity(t)
 	snap := m.ReadSnapshot()
-	if Vectorized(&SeqScan{Table: tbl, Snap: snap}) {
-		t.Error("SeqScan must not report vectorized")
+	if Vectorized(&Project{Child: &ValuesOp{}}) {
+		t.Error("a projection over materialized rows must not report vectorized")
 	}
 	if !Vectorized(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap}}) {
 		t.Error("RowFromBatch must report vectorized")
 	}
-	if !Vectorized(&Project{Child: &Limit{Child: &ParallelScan{Table: tbl, Snap: snap, Workers: 2}, N: 1}}) {
+	if !Vectorized(&RowFromBatch{Src: &IndexScan{Table: tbl, Snap: snap}}) {
+		t.Error("an index scan must report vectorized")
+	}
+	if !Vectorized(&Project{Child: &Limit{Child: &RowFromBatch{Src: &ParallelScan{Table: tbl, Snap: snap, Workers: 2}}, N: 1}}) {
 		t.Error("nested ParallelScan must report vectorized")
 	}
 }
@@ -388,7 +365,7 @@ func TestBatchParallelDegree(t *testing.T) {
 	if got := ParallelDegree(root); got != 6 {
 		t.Errorf("ParallelDegree through batch pipeline = %d, want 6", got)
 	}
-	join := &RowFromBatch{Src: &BatchHashJoin{Build: &SeqScan{Table: tbl, Snap: snap}, Probe: ps}}
+	join := &RowFromBatch{Src: &BatchHashJoin{Build: &BatchScan{Table: tbl, Snap: snap}, Probe: ps}}
 	if got := ParallelDegree(join); got != 6 {
 		t.Errorf("ParallelDegree through batch join probe = %d, want 6", got)
 	}
@@ -437,7 +414,7 @@ func TestDrainSizesResultFromKnownBound(t *testing.T) {
 }
 
 // TestBatchDistinctMatchesRowDistinct holds the columnar DISTINCT to the row
-// operator over every projection of a table with NULLs in every column,
+// operator (over the row-by-row reference) for every projection of a table with NULLs in every column,
 // sealed (typed vectors) and not, and over boxed tuples whose one column
 // mixes kinds: NULL equals NULL, 3 equals 3.0 but not '3', and the first
 // occurrence of each tuple is the one kept, in input order.
@@ -470,7 +447,7 @@ func TestBatchDistinctMatchesRowDistinct(t *testing.T) {
 			for i, c := range cols {
 				exprs[i] = col(c)
 			}
-			want, err := Drain(&Distinct{Child: &Project{Child: &SeqScan{Table: tbl, Snap: snap}, Exprs: exprs}})
+			want, err := Drain(&Distinct{Child: &Project{Child: &ValuesOp{RowsData: visibleRows(t, tbl, snap, "")}, Exprs: exprs}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,9 +10,9 @@ import (
 // directly: group keys are resolved per selected position (read off the key
 // vector when a key is a bare column), then each AggSpec runs a
 // type-specialized accumulation kernel over its argument vector — no tuple
-// is boxed on the way in. Output is row-at-a-time
-// ([keys..., aggregates...] in first-seen group order), matching
-// GroupAggregate exactly, NULLs and all.
+// is boxed on the way in. Output is row-at-a-time: [keys..., aggregates...]
+// in first-seen group order. With no keys it is SQL's global aggregation:
+// exactly one row, even over empty input.
 type BatchGroupAggregate struct {
 	Src  BatchOperator
 	Keys []Evaluator
@@ -91,8 +91,8 @@ func (g *BatchGroupAggregate) Close() error {
 // a given morsel claim order; SQL imposes no group order, and the planner's
 // ORDER BY sits above.
 //
-// Partial merge goes through the same overflow-checked accumulation as row
-// input, so integer SUM/AVG stay exact under parallelism. (Float sums remain
+// Partial merge goes through the same overflow-checked accumulation as the
+// scan's own input, so integer SUM/AVG stay exact under parallelism. (Float sums remain
 // order-sensitive — merging partials can differ from serial accumulation in
 // the low bits, exactly as any parallel aggregation does.)
 type ParallelGroupAggregate struct {

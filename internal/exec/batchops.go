@@ -11,8 +11,8 @@ import (
 
 // unitScan turns the units of a heap snapshot (storage.Morsel: a sealed
 // segment, or a run of unsealed tail rows) into columnar batches. It is the
-// one scan body behind BatchScan, the ParallelScan workers and StatAggScan's
-// leftover work.
+// one scan body behind BatchScan, IndexScan (whose matches are runs of rows),
+// the ParallelScan workers and StatAggScan's leftover work.
 //
 // A sealed segment becomes a batch that VIEWS the segment's vectors — zero
 // copy: the optional SegFilter first consults the zone maps (a pruned
@@ -33,15 +33,16 @@ type unitScan struct {
 	pruned, scanned int // zone-map outcomes so far
 }
 
-// newUnitScan resolves a scan operator's fields: width 0 means the table's
-// arity, and need — tuple offsets, nil for every column — is cut down to the
-// table's own range.
-func newUnitScan(table *storage.Table, snap txn.Snapshot, kernel Kernel, segf *SegmentFilter, offset, width int, need []int) *unitScan {
+// reset readies the scan for an execution from a scan operator's fields:
+// width 0 means the table's arity, and need — tuple offsets, nil for every
+// column — is cut down to the table's own range. The operator holds the
+// unitScan by value, so a reset allocates nothing once need has its room.
+func (u *unitScan) reset(table *storage.Table, snap txn.Snapshot, kernel Kernel, segf *SegmentFilter, offset, width int, need []int) {
 	n := table.Schema.NumColumns()
 	if width == 0 {
 		width = n
 	}
-	u := &unitScan{table: table, snap: snap, kernel: kernel, segf: segf, offset: offset, width: width}
+	*u = unitScan{table: table, snap: snap, kernel: kernel, segf: segf, offset: offset, width: width, need: u.need[:0]}
 	if need == nil {
 		for ci := 0; ci < n; ci++ {
 			u.need = append(u.need, ci)
@@ -52,7 +53,6 @@ func newUnitScan(table *storage.Table, snap txn.Snapshot, kernel Kernel, segf *S
 			u.need = append(u.need, ci)
 		}
 	}
-	return u
 }
 
 // batch scans one unit; it returns nil when no row of the unit survives.
@@ -155,13 +155,13 @@ type BatchScan struct {
 	ScannedSegments int
 
 	win  *storage.Windows
-	scan *unitScan
+	scan unitScan
 }
 
 // Open snapshots the heap as scan units and resets per-execution state.
 func (s *BatchScan) Open() error {
 	s.win = s.Table.Windows(BatchSize)
-	s.scan = newUnitScan(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
+	s.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
 	s.PrunedSegments, s.ScannedSegments = 0, 0
 	return nil
 }
@@ -184,7 +184,7 @@ func (s *BatchScan) NextBatch() (*Batch, error) {
 
 // Close releases the heap snapshot.
 func (s *BatchScan) Close() error {
-	s.win, s.scan = nil, nil
+	s.win = nil
 	return nil
 }
 
@@ -290,10 +290,9 @@ func (p *BatchProject) Bound() (int, bool) { return boundOf(p.Child) }
 // of them is boxed: it collects its input into one batch and narrows Sel to
 // the first occurrence of each tuple. Tuples are hashed off the vectors and
 // compared column by column along their hash's chain — nothing is encoded
-// or allocated per tuple, where the row Distinct builds a key string for
-// each. NULLs are equal to each other here, as in every DISTINCT, and a
-// generic vector is hashed and compared through AppendKey, which keeps its
-// cross-kind equalities.
+// or allocated per tuple. NULLs are equal to each other here, as in every
+// DISTINCT, and a generic vector is hashed and compared through AppendKey,
+// which keeps its cross-kind equalities.
 type BatchDistinct struct {
 	Child BatchOperator
 
@@ -404,11 +403,9 @@ func dedup(b *Batch) {
 // batch, a probe column from its vector at the probe position, a build
 // column from its vector at the build position. With nothing in Need
 // (COUNT(*) over a join) the output carries a selection vector and no column
-// at all. A build side that is a row operator (an index scan) comes in
-// through the row→batch shim.
+// at all.
 type BatchHashJoin struct {
-	Build                Operator
-	Probe                BatchOperator
+	Build, Probe         BatchOperator
 	BuildKeys, ProbeKeys []Evaluator
 	// BuildCols/ProbeCols hold, per key, the tuple offset on that side when
 	// the key is a bare column (-1 = evaluate the key over the boxed tuple);
@@ -446,7 +443,7 @@ func (j *BatchHashJoin) Open() error {
 
 // index collects the build side and files its positions under their keys.
 func (j *BatchHashJoin) index() error {
-	build, err := collect(ToBatch(j.Build))
+	build, err := collect(j.Build)
 	if err != nil {
 		return err
 	}
@@ -532,8 +529,16 @@ func (j *BatchHashJoin) probe(in *Batch) (*Batch, error) {
 	out.SelectAll()
 	for _, c := range need {
 		src, at := in.Cols[c], j.pos
-		if src == nil {
-			src, at = j.build.Cols[c], j.hit
+		switch bc := j.build.Cols[c]; {
+		case src != nil && bc != nil:
+			// A side that came through the row→batch shim (a nested-loop
+			// join's output) carries every column, NULL outside its own
+			// bindings: overlay the two, as merged tuples were.
+			out.Cols[c] = out.NewVec(types.KindNull)
+			vecOverlay(out.Cols[c], src, j.pos, bc, j.hit)
+			continue
+		case src == nil:
+			src, at = bc, j.hit
 		}
 		if src != nil {
 			out.Cols[c] = out.NewVec(src.Kind)
@@ -541,6 +546,18 @@ func (j *BatchHashJoin) probe(in *Batch) (*Batch, error) {
 		}
 	}
 	return out, nil
+}
+
+// vecOverlay appends to the generic vector dst, per pair k, a's value at
+// apos[k] unless it is NULL, b's at bpos[k] otherwise.
+func vecOverlay(dst, a *storage.ColVec, apos []int, b *storage.ColVec, bpos []int) {
+	for k, p := range apos {
+		v := a.Value(p)
+		if v.IsNull() {
+			v = b.Value(bpos[k])
+		}
+		dst.Vals = append(dst.Vals, v)
+	}
 }
 
 // Close releases both sides.

@@ -4,41 +4,8 @@ import (
 	"trac/internal/types"
 )
 
-// HashJoin is an inner equijoin: it materializes and hashes the build side,
-// then streams the probe side. Both inputs produce tuples of the SAME final
-// width (each scan pads to the joined layout), so joining is a merge of the
-// non-overlapping column regions rather than a concatenation.
-type HashJoin struct {
-	Build, Probe         Operator
-	BuildKeys, ProbeKeys []Evaluator // compiled key expressions, same arity
-	Residual             Evaluator   // extra predicate after merge, may be nil
-
-	table  *hashTable
-	cur    int32 // next build tuple in the current probe tuple's chain, -1 = none
-	probed []types.Value
-	vals   []types.Value
-	buf    []byte
-}
-
-// Open materializes the build side into the hash table. The probe side is
-// opened first so a parallel probe scan overlaps the build; when the build
-// fails, it is closed again.
-func (j *HashJoin) Open() error {
-	if err := j.Probe.Open(); err != nil {
-		return err
-	}
-	table, err := buildHashTable(j.Build, j.BuildKeys)
-	if err != nil {
-		j.Probe.Close()
-		return err
-	}
-	j.table = table
-	j.cur = -1
-	return nil
-}
-
 // keyIndex maps equality keys to chains of int32 ids — build tuples for the
-// hash joins, anchor candidates for a SemiJoin probe. A key's chain starts
+// hash join, anchor candidates for a SemiJoin probe. A key's chain starts
 // at its map entry and follows next. A lone TEXT key, the common case, is
 // filed under its payload itself, so a probe reads it straight off a string
 // vector; every other key (composite, or a value of another kind) under its
@@ -159,88 +126,6 @@ func (b *Batch) keyValues(vals []types.Value, cols []int, evals []Evaluator, pos
 		null = null || vals[k].IsNull()
 	}
 	return null, nil
-}
-
-// hashTable is a materialized join build side: the tuples and the index of
-// their keys.
-type hashTable struct {
-	rows [][]types.Value
-	idx  *keyIndex
-}
-
-// buildHashTable materializes a join build side as boxed tuples and files
-// them under their keys.
-func buildHashTable(build Operator, keys []Evaluator) (*hashTable, error) {
-	rows, err := Drain(build)
-	if err != nil {
-		return nil, err
-	}
-	t := &hashTable{rows: rows, idx: newKeyIndex(len(keys), len(rows))}
-	vals := make([]types.Value, len(keys))
-	var buf []byte
-	for id, row := range rows {
-		null, err := evalKeys(vals, keys, row)
-		if err != nil {
-			return nil, err
-		}
-		if !null { // NULL keys never join
-			t.idx.add(int32(id), vals, &buf)
-		}
-	}
-	return t, nil
-}
-
-// evalKeys computes a boxed tuple's key into vals; null reports a NULL key
-// value.
-func evalKeys(vals []types.Value, keys []Evaluator, row []types.Value) (null bool, err error) {
-	for k, key := range keys {
-		if vals[k], err = key(row); err != nil {
-			return false, err
-		}
-		null = null || vals[k].IsNull()
-	}
-	return null, nil
-}
-
-// Next emits the next joined tuple.
-func (j *HashJoin) Next() ([]types.Value, bool, error) {
-	for {
-		for j.cur >= 0 {
-			build := j.table.rows[j.cur]
-			j.cur = j.table.idx.next[j.cur]
-			merged := mergeTuples(build, j.probed)
-			ok, err := EvalPredicate(j.Residual, merged)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return merged, true, nil
-			}
-		}
-		probe, ok, err := j.Probe.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if cap(j.vals) < len(j.ProbeKeys) {
-			j.vals = make([]types.Value, len(j.ProbeKeys))
-		}
-		vals := j.vals[:len(j.ProbeKeys)]
-		null, err := evalKeys(vals, j.ProbeKeys, probe)
-		if err != nil {
-			return nil, false, err
-		}
-		if null {
-			continue // NULL keys never join
-		}
-		j.probed = probe
-		j.cur = j.table.idx.find(vals, &j.buf)
-	}
-}
-
-// Close releases both sides.
-func (j *HashJoin) Close() error {
-	j.table = nil
-	return j.Probe.Close()
 }
 
 // mergeTuples overlays the non-NULL regions of two same-width padded tuples.

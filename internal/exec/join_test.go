@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -54,7 +55,7 @@ func impureKeyTable(t *testing.T) (*storage.Table, *txn.Manager) {
 // TestBatchHashJoinImpureKeyColumn joins the mixed-kind key column with
 // itself: the columnar probe must fall back to exact per-value semantics —
 // BIGINT 3 equals DOUBLE 3 but not TEXT '3', NULL equals nothing — and agree
-// with the row hash join tuple for tuple.
+// with a nested-loop join testing key equality tuple for tuple.
 func TestBatchHashJoinImpureKeyColumn(t *testing.T) {
 	tbl, m := impureKeyTable(t)
 	layout := NewLayout([]Binding{{Name: "a", Table: tbl}, {Name: "b", Table: tbl}})
@@ -67,10 +68,16 @@ func TestBatchHashJoinImpureKeyColumn(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	build := func() Operator { return &SeqScan{Table: tbl, Snap: snap, Width: layout.Width()} }
-	want, err := Drain(&HashJoin{
-		Build: build(), Probe: &SeqScan{Table: tbl, Snap: snap, Offset: 2, Width: layout.Width()},
-		BuildKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(2)},
+	build := func() BatchOperator { return &BatchScan{Table: tbl, Snap: snap, Width: layout.Width()} }
+	probe := func() BatchOperator { return &BatchScan{Table: tbl, Snap: snap, Offset: 2, Width: layout.Width()} }
+	// Key equality as a hash join files keys: by their canonical encoding,
+	// NULL never equal (a compiled `a.k = b.k` would refuse TEXT vs BIGINT).
+	sameKey := func(row []types.Value) (types.Value, error) {
+		a, b := row[0], row[2]
+		return types.NewBool(!a.IsNull() && !b.IsNull() && RowKey(row[0:1]) == RowKey(row[2:3])), nil
+	}
+	want, err := Drain(&NestedLoopJoin{
+		Outer: &RowFromBatch{Src: build()}, Inner: &RowFromBatch{Src: probe()}, Pred: sameKey,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,33 +85,71 @@ func TestBatchHashJoinImpureKeyColumn(t *testing.T) {
 	// Per copy of the key list: a×a 4, the numeric 3s 4, then '3', 2.5 and 4
 	// each with itself; both copies join each other, so ×4.
 	if len(want) != 44 {
-		t.Fatalf("row join: %d tuples, want 44", len(want))
+		t.Fatalf("reference join: %d tuples, want 44", len(want))
 	}
-	got, err := Drain(&RowFromBatch{Src: &BatchHashJoin{
-		Build: build(), Probe: &BatchScan{Table: tbl, Snap: snap, Offset: 2, Width: layout.Width()},
+	got := drainBatches(t, &BatchHashJoin{
+		Build: build(), Probe: probe(),
 		BuildKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(2)}, ProbeCols: []int{2},
 		Need: []int{1, 3},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if g, w := ids(got), ids(want); len(g) != len(w) {
-		t.Fatalf("columnar join: %d tuples, row join %d", len(g), len(w))
+		t.Fatalf("columnar join: %d tuples, reference %d", len(g), len(w))
 	} else {
 		for i := range g {
 			if g[i] != w[i] {
-				t.Fatalf("tuple %d: columnar %s, row %s", i, g[i], w[i])
+				t.Fatalf("tuple %d: columnar %s, reference %s", i, g[i], w[i])
 			}
 		}
 	}
 }
 
-// failingOp is a row operator whose Next fails at once: a build or probe
+// TestBatchHashJoinOverNestedLoopOutput: a nested-loop join's tuples reach a
+// hash join through the row→batch shim, which carries every column of the
+// layout — NULL wherever the other side's bindings are. The join must take
+// each column from the side that holds it, as merging the tuples would.
+func TestBatchHashJoinOverNestedLoopOutput(t *testing.T) {
+	act, m := testActivity(t)
+	r1, r2 := routingTable(t, m), routingTable(t, m)
+	layout := NewLayout([]Binding{{Name: "r1", Table: r1}, {Name: "a", Table: act}, {Name: "r2", Table: r2}})
+	width, snap := layout.Width(), m.ReadSnapshot()
+	scan := func(b int) *RowFromBatch {
+		return &RowFromBatch{Src: &BatchScan{Table: layout.Bindings[b].Table, Snap: snap, Offset: layout.Bindings[b].Offset, Width: width}}
+	}
+	got := drainBatches(t, &BatchHashJoin{
+		Build:     scan(2).Src,
+		Probe:     ToBatch(&NestedLoopJoin{Outer: scan(0), Inner: scan(1)}),
+		BuildKeys: []Evaluator{compileOn(t, layout, "r2.neighbor")},
+		ProbeKeys: []Evaluator{compileOn(t, layout, "a.mach_id")},
+	})
+	want, err := Drain(&NestedLoopJoin{
+		Outer: &NestedLoopJoin{Outer: scan(0), Inner: scan(1)},
+		Inner: scan(2),
+		Pred:  compileOn(t, layout, "r2.neighbor = a.mach_id"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(rows [][]types.Value) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = RowKey(r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	// Both routing rows point at m3: 2 × 1 × 2 tuples, none with a NULL.
+	if g, w := keys(got), keys(want); len(w) != 4 || fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Errorf("hash join over nested-loop output:\n got %v\nwant %v", g, w)
+	}
+}
+
+// failingOp is an operator whose first pull fails at once: a build or probe
 // side that hits a run-time error (arithmetic on TEXT, say).
 type failingOp struct{}
 
 func (failingOp) Open() error                        { return nil }
 func (failingOp) Next() ([]types.Value, bool, error) { return nil, false, errors.New("boom") }
+func (failingOp) NextBatch() (*Batch, error)         { return nil, errors.New("boom") }
 func (failingOp) Close() error                       { return nil }
 
 // settledGoroutines waits for the goroutine count to fall back to at most
@@ -131,18 +176,15 @@ func TestFailedOpenReapsScanWorkers(t *testing.T) {
 	}
 	keys := []Evaluator{col(0)}
 	joins := map[string]func() Operator{
-		"HashJoin": func() Operator {
-			return &HashJoin{Build: failingOp{}, Probe: probe(), BuildKeys: keys, ProbeKeys: keys}
-		},
 		"BatchHashJoin": func() Operator {
 			return &RowFromBatch{Src: &BatchHashJoin{Build: failingOp{}, Probe: probe(), BuildKeys: keys, ProbeKeys: keys}}
 		},
 		"NestedLoopJoin": func() Operator {
-			return &NestedLoopJoin{Outer: probe(), Inner: failingOp{}}
+			return &NestedLoopJoin{Outer: &RowFromBatch{Src: probe()}, Inner: failingOp{}}
 		},
 		// The probe side failing at run time goes through Drain's Close.
 		"probe-side": func() Operator {
-			return &HashJoin{Build: probe(), Probe: failingOp{}, BuildKeys: keys, ProbeKeys: keys}
+			return &RowFromBatch{Src: &BatchHashJoin{Build: probe(), Probe: failingOp{}, BuildKeys: keys, ProbeKeys: keys}}
 		},
 	}
 	for name, mk := range joins {

@@ -10,7 +10,7 @@ import (
 // Kernel filters a batch in place: it compacts the selection vector down to
 // the tuples whose predicate evaluates to TRUE. SQL three-valued semantics
 // are preserved exactly — FALSE and UNKNOWN (NULL operands) both drop the
-// tuple, matching Filter's IsTrue gate.
+// tuple, matching EvalPredicate's IsTrue gate.
 type Kernel func(b *Batch) error
 
 // CompileKernel translates a predicate into a batch kernel against the
@@ -24,10 +24,10 @@ type Kernel func(b *Batch) error
 //
 // A nil expression compiles to a nil kernel (keep everything).
 //
-// One deliberate divergence from the row Evaluator: a fused AND chain stops
-// evaluating a tuple as soon as one conjunct is FALSE or UNKNOWN, so a later
-// conjunct that would raise a type error on that tuple never runs. The row
-// path only short-circuits on FALSE. Both orders are legal under SQL's
+// One deliberate divergence from the compiled Evaluator: a fused AND chain
+// stops evaluating a tuple as soon as one conjunct is FALSE or UNKNOWN, so a
+// later conjunct that would raise a type error on that tuple never runs. The
+// Evaluator only short-circuits on FALSE. Both orders are legal under SQL's
 // unordered AND; on error-free inputs the outputs are identical.
 func CompileKernel(e sqlparser.Expr, layout *Layout) (k Kernel, fused, total int, err error) {
 	conjs, fused, err := compileConjuncts(e, layout, 0, 0)
@@ -51,30 +51,6 @@ func chainKernels(conjs []vecConjunct) Kernel {
 				return nil
 			}
 		}
-		return nil
-	}
-}
-
-// KernelFromEvaluator wraps a compiled Evaluator as a batch kernel: the
-// general fallback for predicate shapes with no fused loop. Each selected
-// position is boxed into the batch's scratch tuple.
-func KernelFromEvaluator(ev Evaluator) Kernel {
-	if ev == nil {
-		return nil
-	}
-	return func(b *Batch) error {
-		out := b.Sel[:0]
-		for _, pos := range b.Sel {
-			keep, err := EvalPredicate(ev, b.RowAt(pos))
-			if err != nil {
-				b.Sel = out
-				return err
-			}
-			if keep {
-				out = append(out, pos)
-			}
-		}
-		b.Sel = out
 		return nil
 	}
 }

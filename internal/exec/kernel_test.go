@@ -75,19 +75,11 @@ func kernelIDs(t *testing.T, tbl *storage.Table, m *txn.Manager, exprSQL string)
 	return ids
 }
 
-// rowIDs runs the same predicate through the tuple-at-a-time Filter path.
+// rowIDs evaluates the same predicate a row at a time (visibleRows).
 func rowIDs(t *testing.T, tbl *storage.Table, m *txn.Manager, exprSQL string) []int64 {
 	t.Helper()
-	layout := layoutFor(tbl, "n")
-	rows, err := Drain(&Filter{
-		Child: &SeqScan{Table: tbl, Snap: m.ReadSnapshot()},
-		Pred:  compileOn(t, layout, exprSQL),
-	})
-	if err != nil {
-		t.Fatalf("run filter %q: %v", exprSQL, err)
-	}
 	var ids []int64
-	for _, r := range rows {
+	for _, r := range visibleRows(t, tbl, m.ReadSnapshot(), exprSQL) {
 		ids = append(ids, r[0].Int())
 	}
 	return ids
@@ -107,9 +99,9 @@ func idsEqual(a, b []int64) bool {
 
 // TestKernelNullSemantics pins the three-valued logic contract: a fused
 // kernel keeps a row iff the predicate is TRUE — NULL operands make the
-// conjunct UNKNOWN and the row is dropped, exactly like Filter's IsTrue
-// gate. Expected survivor sets are stated explicitly, then cross-checked
-// against the row path.
+// conjunct UNKNOWN and the row is dropped, exactly like EvalPredicate's
+// IsTrue gate. Expected survivor sets are stated explicitly, then
+// cross-checked against the compiled Evaluator row by row.
 func TestKernelNullSemantics(t *testing.T) {
 	tbl, m := nullActivity(t)
 	cases := []struct {
@@ -161,7 +153,7 @@ func TestKernelNullSemantics(t *testing.T) {
 		}
 		row := rowIDs(t, tbl, m, tc.expr)
 		if !idsEqual(got, row) {
-			t.Errorf("kernel %q = %v, but row path = %v", tc.expr, got, row)
+			t.Errorf("kernel %q = %v, but row by row = %v", tc.expr, got, row)
 		}
 	}
 }

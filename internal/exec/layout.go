@@ -1,7 +1,10 @@
 // Package exec implements the physical execution layer of the TRAC engine:
-// compiled expression evaluation with SQL three-valued logic, and an
-// iterator-model operator tree (scans, joins, aggregation, sort, distinct,
-// union) running against MVCC snapshots.
+// compiled expression evaluation with SQL three-valued logic, and operator
+// trees running against MVCC snapshots. Scans, filters, projections, hash
+// joins, semi-joins, DISTINCT and aggregation speak columnar batches
+// (BatchOperator); what runs above the one batch→row bridge — sort, limit,
+// union, a nested-loop join, the tail over aggregated groups — speaks rows
+// (Operator).
 package exec
 
 import (

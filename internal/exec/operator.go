@@ -20,8 +20,9 @@ type Operator interface {
 }
 
 // Drain runs an operator to completion and collects its output. A root that
-// speaks batches is pulled batch-at-a-time and its tuples minted here; an
-// operator that knows how many tuples it holds (bounded) sizes the result.
+// bridges a batch pipeline is pulled batch-at-a-time and its tuples minted
+// here; an operator that knows how many tuples it holds (bounded) sizes the
+// result.
 func Drain(op Operator) ([][]types.Value, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -33,9 +34,9 @@ func Drain(op Operator) ([][]types.Value, error) {
 			out = make([][]types.Value, 0, n)
 		}
 	}
-	if src, ok := AsBatch(op); ok {
+	if r, ok := op.(*RowFromBatch); ok {
 		for {
-			b, err := src.NextBatch()
+			b, err := r.Src.NextBatch()
 			if err != nil {
 				return nil, err
 			}
@@ -45,9 +46,7 @@ func Drain(op Operator) ([][]types.Value, error) {
 			out = b.AppendRows(out)
 			PutBatch(b)
 		}
-		if r, ok := op.(*RowFromBatch); ok {
-			r.Boxed += len(out)
-		}
+		r.Boxed += len(out)
 		return out, nil
 	}
 	for {
@@ -95,17 +94,10 @@ func eachInput(node any, fn func(any)) {
 		fn(n.Child)
 	case *Distinct:
 		fn(n.Child)
-	case *Aggregate:
-		fn(n.Child)
-	case *GroupAggregate:
-		fn(n.Child)
 	case *BatchGroupAggregate:
 		fn(n.Src)
 	case *ParallelGroupAggregate:
 		fn(n.Scan)
-	case *HashJoin:
-		fn(n.Build)
-		fn(n.Probe)
 	case *NestedLoopJoin:
 		fn(n.Outer)
 		fn(n.Inner)
@@ -137,15 +129,16 @@ func eachInput(node any, fn func(any)) {
 }
 
 // Vectorized reports whether any part of an operator tree runs
-// batch-at-a-time over column vectors. The bridges (RowFromBatch, the
-// row→batch shim) and a SemiJoin only carry what their inputs produce. The
-// planner records the answer in explain output and the engine surfaces it on
-// results.
+// batch-at-a-time over column vectors — every plan that reads a table does;
+// a constant SELECT or a gather over materialized rows does not. The bridges
+// (RowFromBatch, the row→batch shim) and a SemiJoin only carry what their
+// inputs produce. The planner records the answer in explain output and the
+// engine surfaces it on results.
 func Vectorized(op Operator) bool { return vectorized(op) }
 
 func vectorized(node any) bool {
 	switch node.(type) {
-	case *BatchScan, *ParallelScan, *Exchange, *BatchFilter, *BatchProject, *BatchDistinct,
+	case *BatchScan, *IndexScan, *ParallelScan, *Exchange, *BatchFilter, *BatchProject, *BatchDistinct,
 		*BatchHashJoin, *BatchGroupAggregate, *ParallelGroupAggregate, *StatAggScan:
 		return true
 	}
@@ -183,8 +176,6 @@ func rowsBoxed(node any) int {
 	switch j := node.(type) {
 	case *RowFromBatch:
 		n = j.Boxed
-	case *HashJoin:
-		return rowsBoxed(j.Probe)
 	case *BatchHashJoin:
 		return rowsBoxed(j.Probe)
 	}

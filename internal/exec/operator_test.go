@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"trac/internal/sqlparser"
@@ -24,6 +25,57 @@ func compileOn(t *testing.T, layout *Layout, src string) Evaluator {
 	return ev
 }
 
+// kernelOn compiles a predicate into a batch kernel.
+func kernelOn(t *testing.T, layout *Layout, src string) Kernel {
+	t.Helper()
+	e, err := sqlparser.ParseExpr(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, _, err := CompileKernel(e, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// drainBatches runs a batch operator to completion through the bridge.
+func drainBatches(t *testing.T, op BatchOperator) [][]types.Value {
+	t.Helper()
+	rows, err := Drain(&RowFromBatch{Src: op})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// visibleRows is the reference a scan is held to: the table's row versions
+// visible under snap, in heap order, on which pred ("" keeps every one) is
+// TRUE — evaluated a row at a time, no operator involved.
+func visibleRows(t *testing.T, tbl *storage.Table, snap txn.Snapshot, pred string) [][]types.Value {
+	t.Helper()
+	var ev Evaluator
+	if pred != "" {
+		ev = compileOn(t, layoutFor(tbl, "n"), pred)
+	}
+	var out [][]types.Value
+	for _, r := range tbl.Rows() {
+		if !snap.Visible(r) {
+			continue
+		}
+		keep, err := EvalPredicate(ev, r.Values)
+		if err != nil {
+			t.Fatalf("reference %q: %v", pred, err)
+		}
+		if keep {
+			out = append(out, r.Values)
+		}
+	}
+	return out
+}
+
+// TestSeqScanVisibilityAndFilter: the sequential scan (BatchScan) sees
+// committed versions only and keeps the rows its kernel passes.
 func TestSeqScanVisibilityAndFilter(t *testing.T) {
 	tbl, m := testActivity(t)
 	layout := layoutFor(tbl, "a")
@@ -35,16 +87,13 @@ func TestSeqScanVisibilityAndFilter(t *testing.T) {
 		types.NewString("m9"), types.NewString("idle"), types.NewTime(ts), types.NewFloat(0),
 	}, 0))
 
-	scan := &SeqScan{Table: tbl, Snap: m.ReadSnapshot(), Filter: compileOn(t, layout, "value = 'idle'")}
-	rows, err := Drain(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idle := kernelOn(t, layout, "value = 'idle'")
+	rows := drainBatches(t, &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: idle})
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (m1, m3): %v", len(rows), rows)
 	}
 	pending.Commit()
-	rows, _ = Drain(&SeqScan{Table: tbl, Snap: m.ReadSnapshot(), Filter: compileOn(t, layout, "value = 'idle'")})
+	rows = drainBatches(t, &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: idle})
 	if len(rows) != 3 {
 		t.Fatalf("after commit got %d rows, want 3", len(rows))
 	}
@@ -52,11 +101,7 @@ func TestSeqScanVisibilityAndFilter(t *testing.T) {
 
 func TestSeqScanPadding(t *testing.T) {
 	tbl, m := testActivity(t)
-	scan := &SeqScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: 2, Width: 6}
-	rows, err := Drain(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drainBatches(t, &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: 2, Width: 6})
 	if len(rows[0]) != 6 {
 		t.Fatalf("width = %d", len(rows[0]))
 	}
@@ -71,14 +116,10 @@ func TestSeqScanPadding(t *testing.T) {
 func TestIndexScanKeys(t *testing.T) {
 	tbl, m := testActivity(t)
 	tbl.CreateIndex("mach_id")
-	scan := &IndexScan{
+	rows := drainBatches(t, &IndexScan{
 		Table: tbl, Index: tbl.Index(0), Snap: m.ReadSnapshot(),
 		Keys: []types.Value{types.NewString("m1"), types.NewString("m3")},
-	}
-	rows, err := Drain(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -87,14 +128,10 @@ func TestIndexScanKeys(t *testing.T) {
 func TestIndexScanRange(t *testing.T) {
 	tbl, m := testActivity(t)
 	tbl.CreateIndex("mach_id")
-	scan := &IndexScan{
+	rows := drainBatches(t, &IndexScan{
 		Table: tbl, Index: tbl.Index(0), Snap: m.ReadSnapshot(),
 		Lo: storage.Incl(types.NewString("m2")), Hi: storage.Unbounded,
-	}
-	rows, err := Drain(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows) != 2 { // m2, m3
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -118,15 +155,172 @@ func TestIndexScanRespectsMVCC(t *testing.T) {
 	}
 	tx.Commit()
 
-	scanNew := &IndexScan{Table: tbl, Index: tbl.Index(0), Snap: m.ReadSnapshot(), Keys: []types.Value{types.NewString("m1")}}
-	rows, _ := Drain(scanNew)
+	rows := drainBatches(t, &IndexScan{Table: tbl, Index: tbl.Index(0), Snap: m.ReadSnapshot(), Keys: []types.Value{types.NewString("m1")}})
 	if len(rows) != 0 {
 		t.Errorf("new snapshot sees deleted row: %v", rows)
 	}
-	scanOld := &IndexScan{Table: tbl, Index: tbl.Index(0), Snap: oldSnap, Keys: []types.Value{types.NewString("m1")}}
-	rows, _ = Drain(scanOld)
+	rows = drainBatches(t, &IndexScan{Table: tbl, Index: tbl.Index(0), Snap: oldSnap, Keys: []types.Value{types.NewString("m1")}})
 	if len(rows) != 1 {
 		t.Errorf("old snapshot lost row: %v", rows)
+	}
+}
+
+// TestIndexScanBatches holds the batch index scan to the row-at-a-time
+// reference over the shapes the planner builds: a single key; an IN list
+// whose duplicate members the planner has folded out of the probe keys, with
+// the list itself as the kernel; a range; a LIKE prefix; a key with more
+// matches than one batch holds; a filter that is UNKNOWN on NULLs. The hot
+// key's versions include ones deleted by a committed, an aborted and an
+// in-flight transaction. Every batch holds at most BatchSize tuples, every
+// version the index returns is noted visited once, and a scan carries only
+// the columns in Need.
+func TestIndexScanBatches(t *testing.T) {
+	schema, err := storage.NewSchema([]storage.Column{
+		{Name: "k", Kind: types.KindString},
+		{Name: "v", Kind: types.KindInt},
+		{Name: "w", Kind: types.KindString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := storage.NewTable("K", schema)
+	m := txn.NewManager()
+	tx := m.Begin()
+	add := func(k string, v int) {
+		w := types.NewString(fmt.Sprintf("w%d", v%5))
+		if v%3 == 0 {
+			w = types.Null
+		}
+		if err := tx.InsertRow(tbl, storage.NewRow([]types.Value{types.NewString(k), types.NewInt(int64(v)), w}, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 0; v < 2500; v++ {
+		add("hot", v)
+	}
+	for i, k := range []string{"a1", "a2", "b1", "c"} {
+		add(k, 10_000+i)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	del := func(lo, hi int64) *txn.Txn {
+		tx := m.Begin()
+		for _, r := range tbl.Rows() {
+			if v := r.Values[1].Int(); v >= lo && v < hi {
+				if err := tx.Delete(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tx
+	}
+	if err := del(0, 100).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := del(100, 200).Abort(); err != nil {
+		t.Fatal(err)
+	}
+	inflight := del(200, 300)
+	defer inflight.Abort()
+
+	snap := m.ReadSnapshot()
+	layout := layoutFor(tbl, "n")
+	idx := tbl.Index(0)
+	str := func(s string) types.Value { return types.NewString(s) }
+	sorted := func(rows [][]types.Value) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = RowKey(r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		keys   []types.Value
+		lo, hi storage.Bound
+		pred   string
+		want   int
+	}{
+		{"single key", []types.Value{str("a2")}, storage.Bound{}, storage.Bound{}, "k = 'a2'", 1},
+		{"IN list with duplicate keys", []types.Value{str("a1"), str("b1")}, storage.Bound{}, storage.Bound{}, "k IN ('a1', 'b1', 'a1')", 2},
+		{"range", nil, storage.Incl(str("a2")), storage.Incl(str("c")), "k >= 'a2' AND k <= 'c'", 3},
+		{"LIKE prefix", nil, storage.Incl(str("a")), storage.Excl(str("b")), "k LIKE 'a%'", 2},
+		{"more than a batch", []types.Value{str("hot")}, storage.Bound{}, storage.Bound{}, "k = 'hot'", 2400},
+		{"NULL/UNKNOWN filter", []types.Value{str("hot")}, storage.Bound{}, storage.Bound{}, "k = 'hot' AND w <> 'w1'", 1280},
+	} {
+		scan := &IndexScan{Table: tbl, Index: idx, Snap: snap, Kernel: kernelOn(t, layout, c.pred), Keys: c.keys, Lo: c.lo, Hi: c.hi}
+		matched := 0
+		if c.keys != nil {
+			for _, k := range c.keys {
+				matched += len(idx.LookupAt(k, snap.Seq))
+			}
+		} else {
+			idx.Scan(c.lo, c.hi, func(_ types.Value, rows []*storage.Row) bool {
+				matched += len(rows)
+				return true
+			})
+		}
+		visited := tbl.VersionsVisited()
+		if err := scan.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]types.Value
+		for {
+			b, err := scan.NextBatch()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if b == nil {
+				break
+			}
+			if b.Len() == 0 || b.Len() > BatchSize {
+				t.Fatalf("%s: a batch of %d tuples", c.name, b.Len())
+			}
+			got = b.AppendRows(got)
+			PutBatch(b)
+		}
+		scan.Close()
+		want := visibleRows(t, tbl, snap, c.pred)
+		if len(want) != c.want {
+			t.Fatalf("%s: fixture gives %d reference rows, want %d", c.name, len(want), c.want)
+		}
+		if g, w := sorted(got), sorted(want); fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Errorf("%s: index scan returned %d rows, reference %d", c.name, len(g), len(w))
+		}
+		if n := tbl.VersionsVisited() - visited; n != int64(matched) {
+			t.Errorf("%s: %d versions noted visited, the index matched %d", c.name, n, matched)
+		}
+	}
+
+	// Only the Need columns travel: v alone, read by neither the kernel nor
+	// anything else.
+	scan := &IndexScan{Table: tbl, Index: idx, Snap: snap, Keys: []types.Value{str("hot")}, Offset: 3, Width: 6, Need: []int{4}}
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer scan.Close()
+	for n := 0; ; n++ {
+		b, err := scan.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			if n < 3 {
+				t.Errorf("2,400 matches came in %d batches", n)
+			}
+			break
+		}
+		for c, cv := range b.Cols {
+			if (cv != nil) != (c == 4) {
+				t.Fatalf("batch carries column %d: %v", c, cv != nil)
+			}
+		}
+		PutBatch(b)
 	}
 }
 
@@ -163,20 +357,16 @@ func TestHashJoinPaperQ2(t *testing.T) {
 	actOffset := layout.Bindings[1].Offset
 
 	snap := m.ReadSnapshot()
-	buildScan := &SeqScan{Table: rout, Snap: snap, Width: width,
-		Filter: compileOn(t, layout, "r.mach_id = 'm1'")}
-	probeScan := &SeqScan{Table: act, Snap: snap, Offset: actOffset, Width: width,
-		Filter: compileOn(t, layout, "a.value = 'idle'")}
+	buildScan := &BatchScan{Table: rout, Snap: snap, Width: width,
+		Kernel: kernelOn(t, layout, "r.mach_id = 'm1'")}
+	probeScan := &BatchScan{Table: act, Snap: snap, Offset: actOffset, Width: width,
+		Kernel: kernelOn(t, layout, "a.value = 'idle'")}
 
-	join := &HashJoin{
+	rows := drainBatches(t, &BatchHashJoin{
 		Build: buildScan, Probe: probeScan,
 		BuildKeys: []Evaluator{compileOn(t, layout, "r.neighbor")},
 		ProbeKeys: []Evaluator{compileOn(t, layout, "a.mach_id")},
-	}
-	rows, err := Drain(join)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows) != 1 {
 		t.Fatalf("got %d joined rows, want 1: %v", len(rows), rows)
 	}
@@ -193,10 +383,10 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	width := layout.Width()
 	snap := m.ReadSnapshot()
 
-	cross := &NestedLoopJoin{
-		Outer: &SeqScan{Table: rout, Snap: snap, Width: width},
-		Inner: &SeqScan{Table: act, Snap: snap, Offset: layout.Bindings[1].Offset, Width: width},
+	side := func(tbl *storage.Table, offset int) Operator {
+		return &RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap, Offset: offset, Width: width}}
 	}
+	cross := &NestedLoopJoin{Outer: side(rout, 0), Inner: side(act, layout.Bindings[1].Offset)}
 	rows, err := Drain(cross)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +396,8 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	}
 
 	pred := &NestedLoopJoin{
-		Outer: &SeqScan{Table: rout, Snap: snap, Width: width},
-		Inner: &SeqScan{Table: act, Snap: snap, Offset: layout.Bindings[1].Offset, Width: width},
+		Outer: side(rout, 0),
+		Inner: side(act, layout.Bindings[1].Offset),
 		Pred:  compileOn(t, layout, "r.neighbor = a.mach_id"),
 	}
 	rows, err = Drain(pred)
@@ -219,11 +409,12 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	}
 }
 
+// TestAggregateOperator: global aggregation (no keys) over a scan.
 func TestAggregateOperator(t *testing.T) {
 	tbl, m := testActivity(t)
 	layout := layoutFor(tbl, "a")
-	agg := &Aggregate{
-		Child: &SeqScan{Table: tbl, Snap: m.ReadSnapshot()},
+	agg := &BatchGroupAggregate{
+		Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot()},
 		Specs: []AggSpec{
 			{Func: sqlparser.FuncCount, Star: true},
 			{Func: sqlparser.FuncMin, Arg: compileOn(t, layout, "load")},
@@ -261,8 +452,8 @@ func TestAggregateOperator(t *testing.T) {
 func TestAggregateEmptyInput(t *testing.T) {
 	tbl, m := testActivity(t)
 	layout := layoutFor(tbl, "a")
-	agg := &Aggregate{
-		Child: &SeqScan{Table: tbl, Snap: m.ReadSnapshot(), Filter: compileOn(t, layout, "mach_id = 'none'")},
+	agg := &BatchGroupAggregate{
+		Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: kernelOn(t, layout, "mach_id = 'none'")},
 		Specs: []AggSpec{
 			{Func: sqlparser.FuncCount, Star: true},
 			{Func: sqlparser.FuncMin, Arg: compileOn(t, layout, "load")},
@@ -342,7 +533,7 @@ func TestProjectAndFilter(t *testing.T) {
 	layout := layoutFor(tbl, "a")
 	proj := &Project{
 		Child: &Filter{
-			Child: &SeqScan{Table: tbl, Snap: m.ReadSnapshot()},
+			Child: &RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot()}},
 			Pred:  compileOn(t, layout, "value = 'idle'"),
 		},
 		Exprs: []Evaluator{compileOn(t, layout, "mach_id"), compileOn(t, layout, "load * 10")},

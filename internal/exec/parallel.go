@@ -6,7 +6,6 @@ import (
 
 	"trac/internal/storage"
 	"trac/internal/txn"
-	"trac/internal/types"
 )
 
 // exchMsg is one producer→consumer hand-off: a batch of tuples or a terminal
@@ -29,15 +28,11 @@ type exchMsg struct {
 // Tuple order across children is nondeterministic, which is fine everywhere
 // the planner inserts one: below joins, aggregation, DISTINCT, sorts, and
 // set-semantics recency arms.
-//
-// An Exchange is consumed either row-at-a-time (Next, which mints tuples) or
-// batch-at-a-time (NextBatch), not both.
 type Exchange struct {
 	Children []BatchOperator
 
 	ch   chan exchMsg
 	stop chan struct{}
-	rows RowFromBatch // Next: the batch→row bridge over NextBatch (never opened)
 	err  error
 	done bool
 }
@@ -48,7 +43,7 @@ func (e *Exchange) Open() error {
 	// before it waits for the consumer.
 	e.ch = make(chan exchMsg, len(e.Children)*2)
 	e.stop = make(chan struct{})
-	e.rows, e.err, e.done = RowFromBatch{Src: e}, nil, false
+	e.err, e.done = nil, false
 
 	var wg sync.WaitGroup
 	for _, child := range e.Children {
@@ -96,9 +91,6 @@ func (e *Exchange) produce(op BatchOperator) {
 		}
 	}
 }
-
-// Next emits the next tuple from any child.
-func (e *Exchange) Next() ([]types.Value, bool, error) { return e.rows.Next() }
 
 // NextBatch hands the next child batch to the caller (ownership included).
 func (e *Exchange) NextBatch() (*Batch, error) {
@@ -155,17 +147,11 @@ func (e *Exchange) shutdown() {
 // it into a columnar batch — MVCC visibility, zone-map pruning and the
 // pushed-down predicate all applied locally (see unitScan), with no
 // synchronization beyond the per-morsel atomic claim. An internal Exchange
-// gathers worker batches back into the single-threaded pipeline; it serves
-// both the row interface (Next) and the batch interface (NextBatch).
-//
-// The predicate is either a fused Kernel (set by the planner's vectorized
-// pipelines) or a compiled row Evaluator (Filter); Kernel wins when both
-// are set.
+// gathers worker batches back into the single-threaded pipeline.
 type ParallelScan struct {
 	Table  *storage.Table
 	Snap   txn.Snapshot
-	Filter Evaluator // may be nil; evaluated against the boxed tuple
-	Kernel Kernel    // may be nil; preferred over Filter when set
+	Kernel Kernel // the predicate; may be nil
 	// SegFilter is the predicate's zone-map side, consulted before a sealed
 	// segment is read.
 	SegFilter *SegmentFilter
@@ -194,17 +180,12 @@ func (s *ParallelScan) Degree() int {
 // through their own machinery (a parallel hash-join build, partial
 // aggregation) use this directly instead of Open/NextBatch.
 func (s *ParallelScan) BatchPartials() []BatchOperator {
-	kernel := s.Kernel
-	if kernel == nil {
-		kernel = KernelFromEvaluator(s.Filter)
-	}
 	src := s.Table.Morsels(s.MorselSize)
 	out := make([]BatchOperator, s.Degree())
 	for i := range out {
-		out[i] = &batchMorselScan{
-			src:  src,
-			scan: newUnitScan(s.Table, s.Snap, kernel, s.SegFilter, s.Offset, s.Width, s.Need),
-		}
+		m := &batchMorselScan{src: src}
+		m.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
+		out[i] = m
 	}
 	return out
 }
@@ -213,11 +194,6 @@ func (s *ParallelScan) BatchPartials() []BatchOperator {
 func (s *ParallelScan) Open() error {
 	s.ex = &Exchange{Children: s.BatchPartials()}
 	return s.ex.Open()
-}
-
-// Next emits the next visible, predicate-passing row from any worker.
-func (s *ParallelScan) Next() ([]types.Value, bool, error) {
-	return s.ex.Next()
 }
 
 // NextBatch emits the next worker batch.
@@ -240,7 +216,7 @@ func (s *ParallelScan) Close() error {
 // claim.
 type batchMorselScan struct {
 	src  *storage.Morsels
-	scan *unitScan
+	scan unitScan
 }
 
 func (m *batchMorselScan) Open() error { return nil }

@@ -43,6 +43,14 @@ func bigActivity(t *testing.T, n int) (*storage.Table, *txn.Manager) {
 	return tbl, m
 }
 
+func intRows(vals ...int64) [][]types.Value {
+	out := make([][]types.Value, len(vals))
+	for i, v := range vals {
+		out[i] = []types.Value{types.NewInt(v)}
+	}
+	return out
+}
+
 func sortedFirstCol(rows [][]types.Value) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -52,25 +60,21 @@ func sortedFirstCol(rows [][]types.Value) []string {
 	return out
 }
 
+// TestParallelScanMatchesSeqScan: the parallel scan returns the rows a
+// sequential pass over the heap (visibleRows) keeps, in some order.
 func TestParallelScanMatchesSeqScan(t *testing.T) {
 	tbl, m := bigActivity(t, 1000)
 	layout := layoutFor(tbl, "a")
 	snap := m.ReadSnapshot()
 	for _, filterSQL := range []string{"", "value = 'idle'"} {
-		var filter Evaluator
+		var kernel Kernel
 		if filterSQL != "" {
-			filter = compileOn(t, layout, filterSQL)
+			kernel = kernelOn(t, layout, filterSQL)
 		}
-		seq, err := Drain(&SeqScan{Table: tbl, Snap: snap, Filter: filter})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Drain(&ParallelScan{
-			Table: tbl, Snap: snap, Filter: filter, Workers: 4, MorselSize: 64,
+		seq := visibleRows(t, tbl, snap, filterSQL)
+		par := drainBatches(t, &ParallelScan{
+			Table: tbl, Snap: snap, Kernel: kernel, Workers: 4, MorselSize: 64,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		a, b := sortedFirstCol(seq), sortedFirstCol(par)
 		if len(a) != len(b) {
 			t.Fatalf("filter %q: seq %d rows, parallel %d rows", filterSQL, len(a), len(b))
@@ -98,10 +102,7 @@ func TestParallelScanSnapshotIsolation(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Drain(&ParallelScan{Table: tbl, Snap: old, Workers: 4, MorselSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drainBatches(t, &ParallelScan{Table: tbl, Snap: old, Workers: 4, MorselSize: 32})
 	if len(rows) != 500 {
 		t.Errorf("old snapshot sees %d rows, want 500", len(rows))
 	}
@@ -110,10 +111,7 @@ func TestParallelScanSnapshotIsolation(t *testing.T) {
 			t.Fatalf("row committed after snapshot is visible: %v", r)
 		}
 	}
-	now, err := Drain(&ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	now := drainBatches(t, &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 32})
 	if len(now) != 1000 {
 		t.Errorf("fresh snapshot sees %d rows, want 1000", len(now))
 	}
@@ -122,10 +120,7 @@ func TestParallelScanSnapshotIsolation(t *testing.T) {
 func TestParallelScanOutputDoesNotAliasHeap(t *testing.T) {
 	tbl, m := bigActivity(t, 200)
 	snap := m.ReadSnapshot()
-	rows, err := Drain(&ParallelScan{Table: tbl, Snap: snap, Workers: 3, MorselSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drainBatches(t, &ParallelScan{Table: tbl, Snap: snap, Workers: 3, MorselSize: 16})
 	// Clobber every returned tuple; a worker that leaked heap row storage
 	// (or reused an output buffer across tuples) corrupts a later scan.
 	for _, r := range rows {
@@ -133,10 +128,7 @@ func TestParallelScanOutputDoesNotAliasHeap(t *testing.T) {
 			r[i] = types.NewString("clobbered")
 		}
 	}
-	again, err := Drain(&ParallelScan{Table: tbl, Snap: snap, Workers: 3, MorselSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := drainBatches(t, &ParallelScan{Table: tbl, Snap: snap, Workers: 3, MorselSize: 16})
 	if len(again) != 200 {
 		t.Fatalf("rows = %d", len(again))
 	}
@@ -167,13 +159,13 @@ func TestExchangePropagatesChildError(t *testing.T) {
 		ToBatch(&ValuesOp{RowsData: intRows(1, 2, 3)}),
 		ToBatch(&errOp{}),
 	}}
-	_, err := Drain(ex)
+	_, err := Drain(&RowFromBatch{Src: ex})
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The exchange must be re-openable after a failed run.
 	ex2 := &Exchange{Children: []BatchOperator{ToBatch(&ValuesOp{RowsData: intRows(4, 5)})}}
-	rows, err := Drain(ex2)
+	rows, err := Drain(&RowFromBatch{Src: ex2})
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("clean exchange: %v, %v", rows, err)
 	}
@@ -185,13 +177,15 @@ func TestExchangeEarlyClose(t *testing.T) {
 	if err := ps.Open(); err != nil {
 		t.Fatal(err)
 	}
-	// Read a handful of rows, then abandon the scan; Close must unblock and
-	// reap the producer goroutines (the -race run would flag leaks touching
-	// freed state).
-	for i := 0; i < 5; i++ {
-		if _, ok, err := ps.Next(); err != nil || !ok {
-			t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
+	// Read a couple of batches, then abandon the scan; Close must unblock
+	// and reap the producer goroutines (the -race run would flag leaks
+	// touching freed state).
+	for i := 0; i < 2; i++ {
+		b, err := ps.NextBatch()
+		if err != nil || b == nil {
+			t.Fatalf("batch %d: %v err=%v", i, b, err)
 		}
+		PutBatch(b)
 	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
@@ -206,17 +200,13 @@ func TestHashJoinParallelBuildMatchesSerial(t *testing.T) {
 	roff := layout.Bindings[1].Offset
 	snap := m.ReadSnapshot()
 
-	drainJoin := func(build Operator) []string {
-		j := &HashJoin{
+	drainJoin := func(build BatchOperator) []string {
+		rows := drainBatches(t, &BatchHashJoin{
 			Build:     build,
-			Probe:     &SeqScan{Table: rout, Snap: snap, Offset: roff, Width: width},
+			Probe:     &BatchScan{Table: rout, Snap: snap, Offset: roff, Width: width},
 			BuildKeys: []Evaluator{compileOn(t, layout, "a.mach_id")},
 			ProbeKeys: []Evaluator{compileOn(t, layout, "r.neighbor")},
-		}
-		rows, err := Drain(j)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 		out := make([]string, len(rows))
 		for i, r := range rows {
 			out[i] = fmt.Sprintf("%v|%v|%v", r[0], r[1], r[roff])
@@ -225,7 +215,7 @@ func TestHashJoinParallelBuildMatchesSerial(t *testing.T) {
 		return out
 	}
 
-	serial := drainJoin(&SeqScan{Table: act, Snap: snap, Width: width})
+	serial := drainJoin(&BatchScan{Table: act, Snap: snap, Width: width})
 	parallel := drainJoin(&ParallelScan{
 		Table: act, Snap: snap, Width: width, Workers: 4, MorselSize: 32,
 	})
@@ -243,19 +233,20 @@ func TestHashJoinParallelBuildMatchesSerial(t *testing.T) {
 }
 
 func TestRetainingOperatorsOverParallelScan(t *testing.T) {
-	// Sort and GroupAggregate retain their child's rows across Next calls —
-	// the operators the buffer-reuse audit flags. ParallelScan feeds them
-	// from concurrent workers; every tuple must be an independent
-	// allocation, or retained rows would be recycled underneath them.
+	// A Sort retains its child's rows across Next calls and an aggregation
+	// its group keys across batches; ParallelScan feeds them from concurrent
+	// workers. Every tuple the bridge mints must be an independent
+	// allocation, and every key the aggregation keeps a copy, or retained
+	// values would be recycled underneath them.
 	tbl, m := bigActivity(t, 600)
 	layout := layoutFor(tbl, "a")
 	snap := m.ReadSnapshot()
-	scan := func() Operator {
+	scan := func() BatchOperator {
 		return &ParallelScan{Table: tbl, Snap: snap, Workers: 4, MorselSize: 16}
 	}
 
 	sorted, err := Drain(&Sort{
-		Child: scan(),
+		Child: &RowFromBatch{Src: scan()},
 		Keys:  []SortKey{{Expr: compileOn(t, layout, "mach_id")}, {Expr: compileOn(t, layout, "value")}},
 	})
 	if err != nil {
@@ -270,8 +261,8 @@ func TestRetainingOperatorsOverParallelScan(t *testing.T) {
 		}
 	}
 
-	groups, err := Drain(&GroupAggregate{
-		Child: scan(),
+	groups, err := Drain(&BatchGroupAggregate{
+		Src:   scan(),
 		Keys:  []Evaluator{compileOn(t, layout, "mach_id")},
 		Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}},
 	})
@@ -294,15 +285,15 @@ func TestParallelDegreeWalk(t *testing.T) {
 	tbl, m := bigActivity(t, 100)
 	snap := m.ReadSnapshot()
 	ps := &ParallelScan{Table: tbl, Snap: snap, Workers: 6}
-	plan := &Limit{Child: &Sort{Child: &Filter{Child: ps}}}
+	plan := &Limit{Child: &Sort{Child: &Filter{Child: &RowFromBatch{Src: ps}}}}
 	if d := ParallelDegree(plan); d != 6 {
 		t.Errorf("degree through filter/sort/limit = %d, want 6", d)
 	}
-	join := &HashJoin{Build: ps, Probe: &SeqScan{Table: tbl, Snap: snap}}
+	join := &RowFromBatch{Src: &BatchHashJoin{Build: ps, Probe: &BatchScan{Table: tbl, Snap: snap}}}
 	if d := ParallelDegree(join); d != 6 {
 		t.Errorf("degree through join build = %d, want 6", d)
 	}
-	if d := ParallelDegree(&SeqScan{Table: tbl, Snap: snap}); d != 1 {
+	if d := ParallelDegree(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap}}); d != 1 {
 		t.Errorf("seq scan degree = %d, want 1", d)
 	}
 }

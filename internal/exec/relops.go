@@ -79,52 +79,6 @@ type AggSpec struct {
 	Arg  Evaluator // nil when Star
 }
 
-// Aggregate computes ungrouped aggregates over its entire input, emitting
-// exactly one row. (The TRAC query model — single SPJ block — needs no
-// GROUP BY; recency statistics are computed by the report layer.)
-type Aggregate struct {
-	Child Operator
-	Specs []AggSpec
-
-	done bool
-}
-
-// Open opens the child.
-func (a *Aggregate) Open() error {
-	a.done = false
-	return a.Child.Open()
-}
-
-// Next computes and emits the single aggregate row.
-func (a *Aggregate) Next() ([]types.Value, bool, error) {
-	if a.done {
-		return nil, false, nil
-	}
-	a.done = true
-
-	tab := newAggTable(nil, nil, a.Specs, nil)
-	for {
-		row, ok, err := a.Child.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		if err := tab.observeRow(row); err != nil {
-			return nil, false, err
-		}
-	}
-	rows, err := tab.emit(0)
-	if err != nil {
-		return nil, false, err
-	}
-	return rows[0], true, nil
-}
-
-// Close closes the child.
-func (a *Aggregate) Close() error { return a.Child.Close() }
-
 // SortKey is one ORDER BY key.
 type SortKey struct {
 	Expr Evaluator

@@ -6,106 +6,37 @@ import (
 	"trac/internal/types"
 )
 
-// SeqScan iterates every visible row version of a table, optionally
-// applying a compiled filter, and emits the table's columns padded into a
-// tuple of the given width at the given offset (so a scan can feed a join
-// layout directly).
-type SeqScan struct {
-	Table  *storage.Table
-	Snap   txn.Snapshot
-	Filter Evaluator // may be nil; evaluated against the padded tuple
-	Offset int       // where this table's columns start in the output tuple
-	Width  int       // total output tuple width (0 means table arity)
-	// Reuse makes Next return the same backing buffer every call. The
-	// planner sets it only when the consumer provably does not retain the
-	// slice (e.g. a hash-join probe side or an aggregate input), removing
-	// one allocation per scanned row on the hot paths.
-	Reuse bool
-
-	rows []*storage.Row
-	pos  int
-	buf  []types.Value
-}
-
-// Open snapshots the heap.
-func (s *SeqScan) Open() error {
-	s.rows = s.Table.Rows()
-	s.pos = 0
-	if s.Width == 0 {
-		s.Width = s.Table.Schema.NumColumns()
-	}
-	if s.Reuse {
-		s.buf = make([]types.Value, s.Width)
-	}
-	return nil
-}
-
-// Next emits the next visible, filter-passing row.
-func (s *SeqScan) Next() ([]types.Value, bool, error) {
-	n := s.Table.Schema.NumColumns()
-	for s.pos < len(s.rows) {
-		r := s.rows[s.pos]
-		s.pos++
-		if !s.Snap.Visible(r) {
-			continue
-		}
-		var row []types.Value
-		if s.Reuse {
-			row = s.buf
-		} else {
-			row = make([]types.Value, s.Width)
-		}
-		copy(row[s.Offset:s.Offset+n], r.Values)
-		ok, err := EvalPredicate(s.Filter, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// Close releases the heap snapshot.
-func (s *SeqScan) Close() error {
-	s.rows = nil
-	return nil
-}
-
-// IndexScan probes a B+tree with a set of equality keys and/or one range,
-// emitting visible rows like SeqScan. Keys and the range may be combined
-// by the planner (e.g. IN-list plus residual filter).
+// IndexScan probes a B+tree with a set of equality keys or one range and
+// emits the visible, predicate-passing matches as columnar batches. Open
+// gathers the matching versions; NextBatch hands them, up to BatchSize at a
+// time, to the scan body a tail run of the heap goes through (unitScan):
+// visibility, the predicate kernel, and a transposition that carries only
+// the columns in Need.
 type IndexScan struct {
 	Table  *storage.Table
 	Index  *storage.BTree
 	Snap   txn.Snapshot
-	Filter Evaluator
-	Offset int
-	Width  int
+	Kernel Kernel // the predicate; may be nil
+	Offset int    // where this table's columns start in the output tuple
+	Width  int    // total output tuple width (0 means table arity)
+	// Need lists the tuple offsets the plan reads; nil carries every column.
+	Need []int
 
-	// Keys, when non-nil, probes each key with point lookups.
+	// Keys, when non-nil, probes each key with a point lookup; the keys must
+	// be distinct (the planner deduplicates an IN list), or a repeated key's
+	// matches are emitted twice.
 	Keys []types.Value
 	// Lo/Hi, when Keys is nil, bound a range scan.
 	Lo, Hi storage.Bound
-	// Reuse: see SeqScan.Reuse.
-	Reuse bool
 
 	matches []*storage.Row
 	pos     int
-	buf     []types.Value
+	scan    unitScan
 }
 
-// Open gathers matching row versions from the index.
+// Open gathers the matching row versions from the index.
 func (s *IndexScan) Open() error {
-	if s.Width == 0 {
-		s.Width = s.Table.Schema.NumColumns()
-	}
-	if s.Reuse {
-		s.buf = make([]types.Value, s.Width)
-	}
-	s.matches = s.matches[:0]
-	s.pos = 0
+	s.matches, s.pos = s.matches[:0], 0
 	if s.Keys != nil {
 		for _, k := range s.Keys {
 			s.matches = append(s.matches, s.Index.LookupAt(k, s.Snap.Seq)...)
@@ -116,38 +47,25 @@ func (s *IndexScan) Open() error {
 			return true
 		})
 	}
-	s.Table.NoteVisited(len(s.matches))
+	s.scan.reset(s.Table, s.Snap, s.Kernel, nil, s.Offset, s.Width, s.Need)
 	return nil
 }
 
-// Next emits the next visible, filter-passing match.
-func (s *IndexScan) Next() ([]types.Value, bool, error) {
-	n := s.Table.Schema.NumColumns()
+// NextBatch emits the next non-empty batch of visible, predicate-passing
+// matches.
+func (s *IndexScan) NextBatch() (*Batch, error) {
 	for s.pos < len(s.matches) {
-		r := s.matches[s.pos]
-		s.pos++
-		if !s.Snap.Visible(r) {
-			continue
-		}
-		var row []types.Value
-		if s.Reuse {
-			row = s.buf
-		} else {
-			row = make([]types.Value, s.Width)
-		}
-		copy(row[s.Offset:s.Offset+n], r.Values)
-		ok, err := EvalPredicate(s.Filter, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
+		end := min(s.pos+BatchSize, len(s.matches))
+		b, err := s.scan.batch(storage.Morsel{Rows: s.matches[s.pos:end]})
+		s.pos = end
+		if b != nil || err != nil {
+			return b, err
 		}
 	}
-	return nil, false, nil
+	return nil, nil
 }
 
-// Close releases gathered matches.
+// Close releases the gathered matches.
 func (s *IndexScan) Close() error {
 	s.matches = nil
 	return nil

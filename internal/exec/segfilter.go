@@ -52,7 +52,8 @@ func colKernel(off int, loop selLoop) Kernel {
 // CompileKernel's early-out is (see its doc comment): both orders agree
 // wherever no conjunct raises an error, and a conjunct only has a zone-map
 // proof for kind pairings whose loop cannot raise one on values a zone map
-// admits. On error-free inputs the outputs are identical to the row path.
+// admits. On error-free inputs the outputs are identical to evaluating the
+// whole predicate row by row.
 type SegmentFilter struct {
 	conjs []vecConjunct
 	// Fused counts conjuncts with a typed vector loop out of Total, for
@@ -90,9 +91,30 @@ func compileConjuncts(e sqlparser.Expr, layout *Layout, base, tblCols int) (conj
 		if err != nil {
 			return nil, 0, err
 		}
-		conjs = append(conjs, vecConjunct{narrow: KernelFromEvaluator(ev)})
+		conjs = append(conjs, vecConjunct{narrow: evalKernel(ev)})
 	}
 	return conjs, fused, nil
+}
+
+// evalKernel runs a compiled Evaluator as a batch kernel: the general
+// fallback for a conjunct with no fused loop. Each selected position is
+// boxed into the batch's scratch tuple.
+func evalKernel(ev Evaluator) Kernel {
+	return func(b *Batch) error {
+		out := b.Sel[:0]
+		for _, pos := range b.Sel {
+			keep, err := EvalPredicate(ev, b.RowAt(pos))
+			if err != nil {
+				b.Sel = out
+				return err
+			}
+			if keep {
+				out = append(out, pos)
+			}
+		}
+		b.Sel = out
+		return nil
+	}
 }
 
 // Prune reports that no row of the segment can satisfy the predicate: some

@@ -62,8 +62,8 @@ var segfilterCorpus = []string{
 
 // TestSegmentFilterMatchesRowPath pins the core equivalence: a fully sealed
 // table scanned through zone-map pruning + columnar narrowing must keep
-// exactly the rows the tuple-at-a-time Filter keeps, for every predicate
-// shape and NULL placement in the corpus.
+// exactly the rows the predicate keeps evaluated row by row, for every
+// predicate shape and NULL placement in the corpus.
 func TestSegmentFilterMatchesRowPath(t *testing.T) {
 	tbl, m := nullActivity(t)
 	if n := tbl.Seal(); n != 1 {
@@ -73,14 +73,14 @@ func TestSegmentFilterMatchesRowPath(t *testing.T) {
 		want := rowIDs(t, tbl, m, expr)
 		got, _, _ := segIDs(t, tbl, m, expr)
 		if !idsEqual(got, want) {
-			t.Errorf("sealed %q = %v, row path %v", expr, got, want)
+			t.Errorf("sealed %q = %v, row by row %v", expr, got, want)
 		}
 	}
 }
 
 // TestSegmentFilterMixedHeap runs the corpus over a heap that is part
 // sealed segment, part unsealed row tail: the segment path and the tail
-// kernel path must agree with the row path end to end.
+// kernel path must agree with row-by-row evaluation end to end.
 func TestSegmentFilterMixedHeap(t *testing.T) {
 	tbl, m := nullActivity(t)
 	tbl.Seal()
@@ -103,7 +103,7 @@ func TestSegmentFilterMixedHeap(t *testing.T) {
 		want := rowIDs(t, tbl, m, expr)
 		got, _, _ := segIDs(t, tbl, m, expr)
 		if !idsEqual(got, want) {
-			t.Errorf("mixed %q = %v, row path %v", expr, got, want)
+			t.Errorf("mixed %q = %v, row by row %v", expr, got, want)
 		}
 	}
 }
@@ -146,7 +146,7 @@ func clusteredBySource(t *testing.T) (*storage.Table, *txn.Manager) {
 
 // TestZoneMapPruning checks that selective predicates skip segments whose
 // zone maps exclude them — and that the pruned scans still return exactly
-// the row-path answer.
+// the row-by-row answer.
 func TestZoneMapPruning(t *testing.T) {
 	tbl, m := clusteredBySource(t)
 	cases := []struct {
@@ -178,7 +178,7 @@ func TestZoneMapPruning(t *testing.T) {
 		want := rowIDs(t, tbl, m, tc.expr)
 		got, pruned, scanned := segIDs(t, tbl, m, tc.expr)
 		if !idsEqual(got, want) {
-			t.Errorf("%q = %v, row path %v", tc.expr, got, want)
+			t.Errorf("%q = %v, row by row %v", tc.expr, got, want)
 		}
 		if pruned != tc.pruned || scanned != tc.scanned {
 			t.Errorf("%q pruned/scanned = %d/%d, want %d/%d",
@@ -190,7 +190,7 @@ func TestZoneMapPruning(t *testing.T) {
 // TestParallelScanSegmentEquivalence runs the corpus through the
 // morsel-parallel batch path with the segment filter attached: worker
 // claims interleave segment and tail units, and the merged result must
-// match the serial row path (order-insensitively — parallel scans do not
+// match row-by-row evaluation (order-insensitively — parallel scans do not
 // preserve heap order).
 func TestParallelScanSegmentEquivalence(t *testing.T) {
 	tbl, m := clusteredBySource(t)
@@ -230,7 +230,7 @@ func TestParallelScanSegmentEquivalence(t *testing.T) {
 		}
 		want := rowIDs(t, tbl, m, expr)
 		if len(got) != len(want) {
-			t.Fatalf("parallel %q: %d rows, row path %d", expr, len(got), len(want))
+			t.Fatalf("parallel %q: %d rows, row by row %d", expr, len(got), len(want))
 		}
 		for _, id := range want {
 			if !got[id] {

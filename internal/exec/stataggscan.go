@@ -28,7 +28,7 @@ import (
 //     segment back to the scan path — correctness never depends on stats.
 //
 // Segments failing any proof (and the unsealed tail) are scanned through the
-// same batch kernels as a plain vectorized aggregate — in parallel across
+// same batch kernels as a plain aggregate — in parallel across
 // Workers when the leftover work spans multiple morsels — and the partial
 // tables merge into the stat-derived state through the overflow-checked
 // accumulators, so integer SUM/AVG remain exact end to end.
@@ -235,7 +235,9 @@ func (s *StatAggScan) scanUnits(tab *aggTable, units []storage.Morsel) error {
 		workers = len(units)
 	}
 	newScan := func() *batchMorselScan {
-		return &batchMorselScan{src: src, scan: newUnitScan(s.Table, s.Snap, s.Kernel, s.SegFilter, 0, 0, s.Need)}
+		m := &batchMorselScan{src: src}
+		m.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, 0, 0, s.Need)
+		return m
 	}
 	if workers <= 1 {
 		return tab.observeAll(newScan())

@@ -62,13 +62,12 @@ func subsetOf(set, of map[int]bool) bool {
 // (mine: the ones reading no other binding): an index scan when an indexed
 // column has a usable equality/IN key set or range, otherwise a sequential
 // scan. All of mine are consumed here (the index narrows the candidate set;
-// the full predicate still runs as the scan filter, which also keeps
+// the full predicate still runs as the scan's kernel, which also keeps
 // semantics exact when the index bounds are conservative, e.g. LIKE
-// prefixes). A columnar heap scan carries only the columns the plan reads:
-// what cols says is still read above it, plus this predicate's own. serial
-// rules out a parallel heap scan, for consumers that stop after the first
-// rows.
-func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols scanCols, snap txn.Snapshot, serial bool) (exec.Operator, float64, string, error) {
+// prefixes). Either scan carries only the columns the plan reads: what cols
+// says is still read above it, plus this predicate's own. serial rules out a
+// parallel heap scan, for consumers that stop after the first rows.
+func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols scanCols, snap txn.Snapshot, serial bool) (exec.BatchOperator, float64, string, error) {
 	b := layout.Bindings[i]
 	tbl := b.Table
 	// Estimates count live rows: a small table updated in place all day
@@ -115,20 +114,22 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 		}
 	}
 
-	// Compile the full single-table predicate as the scan filter.
-	var filter exec.Evaluator
-	var exprs []sqlparser.Expr
-	for _, c := range mine {
-		exprs = append(exprs, c.expr)
-		c.used = true
-	}
-	if len(exprs) > 0 {
-		var err error
-		filter, err = exec.Compile(sqlparser.AndAll(exprs...), layout)
-		if err != nil {
-			return nil, 0, "", err
+	// The full single-table predicate becomes the scan's fused kernel.
+	var pred sqlparser.Expr
+	if len(mine) > 0 {
+		exprs := make([]sqlparser.Expr, len(mine))
+		for k, c := range mine {
+			exprs[k] = c.expr
+			c.used = true
 		}
+		pred = sqlparser.AndAll(exprs...)
 	}
+	kernel, fused, total, err := exec.CompileKernel(pred, layout)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	lo, hi := b.Offset, b.Offset+tbl.Schema.NumColumns()
+	need := cols.need(func(off int) bool { return off >= lo && off < hi })
 
 	est := p.estimateRows(tbl, b.Name, mine, totalRows)
 	// Equality probes read exactly the matching chains, so they are always
@@ -138,8 +139,8 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 			est = best.est
 		}
 		op := &exec.IndexScan{
-			Table: tbl, Index: tbl.Index(best.col), Snap: snap, Filter: filter,
-			Offset: b.Offset, Width: layout.Width(),
+			Table: tbl, Index: tbl.Index(best.col), Snap: snap, Kernel: kernel,
+			Offset: b.Offset, Width: layout.Width(), Need: need,
 			Keys: best.keys, Lo: best.lo, Hi: best.hi,
 		}
 		kind := "range"
@@ -150,60 +151,37 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 			b.Name, tbl.Schema.Columns[best.col].Name, kind, est)
 		return op, est, note, nil
 	}
-	// Heap scan: parallelize when the INPUT cardinality (every heap version
-	// is visited regardless of filter selectivity) clears the threshold and
-	// more than one CPU is available. Unless vectorization is disabled, heap
-	// scans run batch-at-a-time with the predicate compiled into a fused
-	// kernel (type-specialized comparison loops over whole batches).
+	// Heap scan, with the predicate's zone-map side consulted before each
+	// sealed segment is read: parallelize when the INPUT cardinality (every
+	// heap version is visited regardless of filter selectivity) clears the
+	// threshold and more than one CPU is available.
 	workers := 1
 	if !serial {
 		workers = p.parallelWorkers(float64(tbl.NumVersions()))
 	}
-	if !p.DisableVectorized {
-		var pred sqlparser.Expr
-		if len(exprs) > 0 {
-			pred = sqlparser.AndAll(exprs...)
-		}
-		kernel, fused, total, err := exec.CompileKernel(pred, layout)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		segf, err := exec.CompileSegmentFilter(pred, layout, b.Offset, tbl.Schema.NumColumns())
-		if err != nil {
-			return nil, 0, "", err
-		}
-		fusedNote := ""
-		if total > 0 {
-			fusedNote = fmt.Sprintf("fused %d/%d predicates, ", fused, total)
-		}
-		segNote := segmentPruneNote(tbl, segf)
-		need := cols.need(layout, map[int]bool{i: true})
-		if workers > 1 {
-			op := &exec.ParallelScan{
-				Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
-				Offset: b.Offset, Width: layout.Width(), Need: need, Workers: workers,
-			}
-			note := fmt.Sprintf("vectorized parallel seq scan on %s (%d workers, %sest %.0f rows%s)",
-				b.Name, workers, fusedNote, est, segNote)
-			return op, est, note, nil
-		}
-		op := &exec.RowFromBatch{Src: &exec.BatchScan{
-			Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
-			Offset: b.Offset, Width: layout.Width(), Need: need,
-		}}
-		note := fmt.Sprintf("vectorized seq scan on %s (%sest %.0f rows%s)", b.Name, fusedNote, est, segNote)
-		return op, est, note, nil
+	segf, err := exec.CompileSegmentFilter(pred, layout, b.Offset, tbl.Schema.NumColumns())
+	if err != nil {
+		return nil, 0, "", err
 	}
+	fusedNote := ""
+	if total > 0 {
+		fusedNote = fmt.Sprintf("fused %d/%d predicates, ", fused, total)
+	}
+	segNote := segmentPruneNote(tbl, segf)
 	if workers > 1 {
 		op := &exec.ParallelScan{
-			Table: tbl, Snap: snap, Filter: filter,
-			Offset: b.Offset, Width: layout.Width(), Workers: workers,
+			Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
+			Offset: b.Offset, Width: layout.Width(), Need: need, Workers: workers,
 		}
-		note := fmt.Sprintf("parallel seq scan on %s (%d workers, est %.0f rows)", b.Name, workers, est)
+		note := fmt.Sprintf("vectorized parallel seq scan on %s (%d workers, %sest %.0f rows%s)",
+			b.Name, workers, fusedNote, est, segNote)
 		return op, est, note, nil
 	}
-	op := &exec.SeqScan{Table: tbl, Snap: snap, Filter: filter, Offset: b.Offset, Width: layout.Width()}
-	note := fmt.Sprintf("seq scan on %s (est %.0f rows)", b.Name, est)
+	op := &exec.BatchScan{
+		Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
+		Offset: b.Offset, Width: layout.Width(), Need: need,
+	}
+	note := fmt.Sprintf("vectorized seq scan on %s (%sest %.0f rows%s)", b.Name, fusedNote, est, segNote)
 	return op, est, note, nil
 }
 

@@ -9,53 +9,29 @@ import (
 	"trac/internal/types"
 )
 
-// finishGrouped builds the aggregation tail of a plan: a hash
-// GroupAggregate producing [group keys..., aggregates...], an optional
-// HAVING filter, the ORDER BY sort, and the final projection. Select items,
-// HAVING and ORDER BY are compiled against the grouped intermediate tuple
-// via a compile hook that maps GROUP BY expressions and aggregate calls to
-// intermediate positions; a bare column that is neither grouped nor inside
-// an aggregate is rejected, per SQL semantics.
-func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, layout *exec.Layout, items []sqlparser.Expr, notes *[]string) (exec.Operator, error) {
-	// Group keys: evaluator over base rows + canonical text for matching.
-	// A bare-column key additionally records its tuple offset (keyCols) so
-	// the batch aggregation path reads it straight out of the selection
-	// vector instead of through the evaluator.
+// finishGrouped builds the aggregation tail of a plan: the aggregation
+// operator producing [group keys..., aggregates...], then the GroupedTail
+// over its groups. A bare-column key or aggregate argument also records its
+// tuple offset (keyCols, argCols), so the batch aggregation reads it straight
+// off the vector instead of through the evaluator — and zone-map stats can
+// answer an aggregate over it.
+func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOperator, layout *exec.Layout, items []sqlparser.Expr, notes *[]string) (exec.Operator, error) {
 	keyEvals := make([]exec.Evaluator, len(sel.GroupBy))
 	keyCols := make([]int, len(sel.GroupBy))
 	keySQL := make([]string, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		// A bare alias in GROUP BY resolves to its select-list expression.
-		ge := g
-		if cr, ok := g.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			for j, it := range sel.Items {
-				if strings.EqualFold(it.Alias, cr.Column) && !it.Star {
-					ge = sel.Items[j].Expr
-					break
-				}
-			}
-		}
+		ge := GroupKey(sel, g)
 		ev, err := exec.Compile(ge, layout)
 		if err != nil {
 			return nil, err
 		}
-		keyEvals[i] = ev
-		keyCols[i] = -1
-		if cr, ok := ge.(*sqlparser.ColumnRef); ok {
-			if off, err := layout.Resolve(cr.Table, cr.Column); err == nil {
-				keyCols[i] = off
-			}
-		}
-		keySQL[i] = ge.SQL()
+		keyEvals[i], keyCols[i], keySQL[i] = ev, bareCol(ge, layout), ge.SQL()
 	}
 
-	// Aggregate specs are discovered lazily while compiling items/HAVING/
-	// ORDER BY; identical calls share one accumulator.
+	// Aggregate specs are discovered while the tail compiles; identical calls
+	// share one accumulator.
 	var specs []exec.AggSpec
 	var specSQL []string
-	// argCols parallels specs: a bare-column aggregate argument records its
-	// tuple offset, enabling the typed batch kernels (which read that
-	// vector) and zone-map stat pushdown; -1 keeps the evaluator path.
 	var argCols []int
 	addSpec := func(fc *sqlparser.FuncCall) (int, error) {
 		key := fc.SQL()
@@ -71,34 +47,64 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 			if err != nil {
 				return 0, err
 			}
-			spec.Arg = arg
-			if cr, ok := fc.Arg.(*sqlparser.ColumnRef); ok {
-				if off, err := layout.Resolve(cr.Table, cr.Column); err == nil {
-					col = off
-				}
-			}
+			spec.Arg, col = arg, bareCol(fc.Arg, layout)
 		}
 		specs = append(specs, spec)
 		specSQL = append(specSQL, key)
 		argCols = append(argCols, col)
 		return len(specs) - 1, nil
 	}
+	tail, err := CompileGroupedTail(sel, items, keySQL, addSpec)
+	if err != nil {
+		return nil, err
+	}
+	return tail.Over(p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, notes)), nil
+}
 
-	nKeys := len(keyEvals)
+// GroupKey resolves one GROUP BY expression: a bare select-list alias stands
+// for that item's expression.
+func GroupKey(sel *sqlparser.SelectStmt, g sqlparser.Expr) sqlparser.Expr {
+	if cr, ok := g.(*sqlparser.ColumnRef); ok && cr.Table == "" {
+		for _, it := range sel.Items {
+			if strings.EqualFold(it.Alias, cr.Column) && !it.Star {
+				return it.Expr
+			}
+		}
+	}
+	return g
+}
+
+// GroupedTail is what a grouped block evaluates over its groups, compiled
+// against the [keys..., aggregates...] tuple each group is: the select
+// items, HAVING and the ORDER BY keys.
+type GroupedTail struct {
+	items  []exec.Evaluator
+	having exec.Evaluator
+	order  []exec.SortKey
+}
+
+// CompileGroupedTail compiles a grouped block's select items, HAVING and
+// ORDER BY over its groups. keySQL is the canonical text of each GROUP BY
+// key (see GroupKey); agg returns the position among the aggregates of an
+// aggregate call — the planner files a new accumulator, the shard gather
+// looks up the partials it merged. A column reference that is neither a
+// grouping key nor inside an aggregate is rejected, per SQL.
+func CompileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr, keySQL []string, agg func(*sqlparser.FuncCall) (int, error)) (*GroupedTail, error) {
+	at := func(pos int) exec.Evaluator {
+		return func(row []types.Value) (types.Value, error) { return row[pos], nil }
+	}
 	hook := func(e sqlparser.Expr) (exec.Evaluator, bool, error) {
 		if fc, ok := e.(*sqlparser.FuncCall); ok {
-			idx, err := addSpec(fc)
+			idx, err := agg(fc)
 			if err != nil {
 				return nil, false, err
 			}
-			pos := nKeys + idx
-			return func(row []types.Value) (types.Value, error) { return row[pos], nil }, true, nil
+			return at(len(keySQL) + idx), true, nil
 		}
 		text := e.SQL()
 		for i, k := range keySQL {
 			if k == text {
-				pos := i
-				return func(row []types.Value) (types.Value, error) { return row[pos], nil }, true, nil
+				return at(i), true, nil
 			}
 		}
 		if cr, ok := e.(*sqlparser.ColumnRef); ok {
@@ -107,8 +113,7 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 			for i, k := range keySQL {
 				if kr, err := sqlparser.ParseExpr(k); err == nil {
 					if kcr, ok := kr.(*sqlparser.ColumnRef); ok && strings.EqualFold(kcr.Column, cr.Column) {
-						pos := i
-						return func(row []types.Value) (types.Value, error) { return row[pos], nil }, true, nil
+						return at(i), true, nil
 					}
 				}
 			}
@@ -116,72 +121,56 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.Operator, 
 		}
 		return nil, false, nil
 	}
-
-	// The grouped layout has no base-table columns; hooks must intercept
+	// The grouped tuple has no base-table columns; the hook must intercept
 	// every column reference. An empty layout enforces that.
-	groupedLayout := exec.NewLayout(nil)
-
-	itemEvals := make([]exec.Evaluator, len(items))
+	groups := exec.NewLayout(nil)
+	t := &GroupedTail{items: make([]exec.Evaluator, len(items))}
 	for i, it := range items {
-		ev, err := exec.CompileWith(it, groupedLayout, hook)
+		ev, err := exec.CompileWith(it, groups, hook)
 		if err != nil {
 			return nil, err
 		}
-		itemEvals[i] = ev
+		t.items[i] = ev
 	}
-	var having exec.Evaluator
 	if sel.Having != nil {
-		ev, err := exec.CompileWith(sel.Having, groupedLayout, hook)
+		ev, err := exec.CompileWith(sel.Having, groups, hook)
 		if err != nil {
 			return nil, err
 		}
-		having = ev
+		t.having = ev
 	}
-	var sortKeys []exec.SortKey
 	for _, o := range sel.OrderBy {
-		oe := o.Expr
-		if lit, ok := oe.(*sqlparser.Literal); ok && lit.Val.Kind() == types.KindInt {
-			pos := int(lit.Val.Int()) - 1
-			if pos < 0 || pos >= len(items) {
-				return nil, fmt.Errorf("planner: ORDER BY position %d out of range", pos+1)
-			}
-			oe = items[pos]
-		} else if cr, ok := oe.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			for i, it := range sel.Items {
-				if strings.EqualFold(it.Alias, cr.Column) {
-					oe = items[i]
-					break
-				}
-			}
-		}
-		ev, err := exec.CompileWith(oe, groupedLayout, hook)
+		oe, err := orderExpr(sel, items, o.Expr)
 		if err != nil {
 			return nil, err
 		}
-		sortKeys = append(sortKeys, exec.SortKey{Expr: ev, Desc: o.Desc})
+		ev, err := exec.CompileWith(oe, groups, hook)
+		if err != nil {
+			return nil, err
+		}
+		t.order = append(t.order, exec.SortKey{Expr: ev, Desc: o.Desc})
 	}
+	return t, nil
+}
 
-	root := p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, notes)
-	if having != nil {
-		root = &exec.Filter{Child: root, Pred: having}
+// Over stacks the tail over the groups: HAVING filter, sort, projection.
+func (t *GroupedTail) Over(groups exec.Operator) exec.Operator {
+	if t.having != nil {
+		groups = &exec.Filter{Child: groups, Pred: t.having}
 	}
-	if len(sortKeys) > 0 {
-		root = &exec.Sort{Child: root, Keys: sortKeys}
+	if len(t.order) > 0 {
+		groups = &exec.Sort{Child: groups, Keys: t.order}
 	}
-	return &exec.Project{Child: root, Exprs: itemEvals}, nil
+	return &exec.Project{Child: groups, Exprs: t.items}
 }
 
 // buildAggRoot picks the physical aggregation operator. Preference order:
 // zone-map stat pushdown (global aggregates over a bare scan), morsel-
-// parallel partial aggregation (input is a parallel scan), vectorized hash
-// aggregation (input bridges to a batch pipeline), then the row operator.
-// All four produce identical results; only the amount of data touched and
-// the degree of parallelism differ.
-func (p *Planner) buildAggRoot(input exec.Operator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
-	if p.DisableVectorized {
-		return &exec.GroupAggregate{Child: input, Keys: keyEvals, Specs: specs}
-	}
-	if len(keyEvals) == 0 && !p.DisableStatPushdown {
+// parallel partial aggregation (input is a parallel scan), then columnar
+// hash aggregation. All three produce identical results; only the amount of
+// data touched and the degree of parallelism differ.
+func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
+	if len(keyEvals) == 0 {
 		if op := p.tryStatAgg(input, specs, argCols, notes); op != nil {
 			return op
 		}
@@ -192,13 +181,10 @@ func (p *Planner) buildAggRoot(input exec.Operator, keyEvals []exec.Evaluator, k
 			Scan: ps, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
 		}
 	}
-	if src, ok := exec.AsBatch(input); ok {
-		*notes = append(*notes, "vectorized hash aggregation")
-		return &exec.BatchGroupAggregate{
-			Src: src, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
-		}
+	*notes = append(*notes, "vectorized hash aggregation")
+	return &exec.BatchGroupAggregate{
+		Src: input, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
 	}
-	return &exec.GroupAggregate{Child: input, Keys: keyEvals, Specs: specs}
 }
 
 // tryStatAgg recognizes a global aggregate over a bare table scan — the
@@ -207,7 +193,7 @@ func (p *Planner) buildAggRoot(input exec.Operator, keyEvals []exec.Evaluator, k
 // Every spec must be COUNT(*)/COUNT/MIN/MAX/SUM/AVG over a bare column, and
 // the input must be an unjoined full-width scan whose predicate (if any)
 // lives entirely in the pushed-down kernel + columnar filter.
-func (p *Planner) tryStatAgg(input exec.Operator, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
+func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
 	for si := range specs {
 		switch specs[si].Func {
 		case sqlparser.FuncCount, sqlparser.FuncMin, sqlparser.FuncMax,
@@ -222,19 +208,18 @@ func (p *Planner) tryStatAgg(input exec.Operator, specs []exec.AggSpec, argCols 
 	op := &exec.StatAggScan{Specs: specs, ArgCols: argCols}
 	switch n := input.(type) {
 	case *exec.ParallelScan:
-		if n.Filter != nil || n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
+		if n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
 			return nil
 		}
 		op.Table, op.Snap = n.Table, n.Snap
 		op.Kernel, op.SegFilter, op.Need = n.Kernel, n.SegFilter, n.Need
 		op.Workers, op.MorselSize = n.Degree(), n.MorselSize
-	case *exec.RowFromBatch:
-		bs, ok := n.Src.(*exec.BatchScan)
-		if !ok || bs.Offset != 0 || bs.Width != bs.Table.Schema.NumColumns() {
+	case *exec.BatchScan:
+		if n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
 			return nil
 		}
-		op.Table, op.Snap = bs.Table, bs.Snap
-		op.Kernel, op.SegFilter, op.Need = bs.Kernel, bs.SegFilter, bs.Need
+		op.Table, op.Snap = n.Table, n.Snap
+		op.Kernel, op.SegFilter, op.Need = n.Kernel, n.SegFilter, n.Need
 		op.Workers = 1
 	default:
 		return nil

@@ -11,8 +11,6 @@ import (
 // looking for a ParallelScan.
 func findParallelScan(op exec.Operator) *exec.ParallelScan {
 	switch n := op.(type) {
-	case *exec.ParallelScan:
-		return n
 	case *exec.RowFromBatch:
 		return findBatchParallelScan(n.Src)
 	case *exec.Filter:
@@ -25,10 +23,8 @@ func findParallelScan(op exec.Operator) *exec.ParallelScan {
 		return findParallelScan(n.Child)
 	case *exec.Distinct:
 		return findParallelScan(n.Child)
-	case *exec.Aggregate:
-		return findParallelScan(n.Child)
-	case *exec.GroupAggregate:
-		return findParallelScan(n.Child)
+	case *exec.BatchGroupAggregate:
+		return findBatchParallelScan(n.Src)
 	}
 	return nil
 }
@@ -42,7 +38,7 @@ func findBatchParallelScan(op exec.BatchOperator) *exec.ParallelScan {
 	case *exec.BatchProject:
 		return findBatchParallelScan(n.Child)
 	case *exec.BatchHashJoin:
-		if ps := findParallelScan(n.Build); ps != nil {
+		if ps := findBatchParallelScan(n.Build); ps != nil {
 			return ps
 		}
 		return findBatchParallelScan(n.Probe)

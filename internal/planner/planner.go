@@ -2,7 +2,9 @@
 // trees. It performs name binding, predicate pushdown, index selection on
 // equality/IN/range/LIKE-prefix predicates, greedy join ordering with hash
 // joins for equijoins, and handles aggregation, DISTINCT, ORDER BY, LIMIT
-// and UNION.
+// and UNION. Everything from the scans up to the projection or aggregation
+// runs batch-at-a-time (exec.BatchOperator); one bridge mints the rows the
+// row tail above it — sort, limit, union, the finish over groups — reads.
 //
 // The recency queries the TRAC core generates are ordinary SELECTs, so they
 // flow through this same planner — matching the paper's prototype, where
@@ -35,15 +37,6 @@ type Planner struct {
 	ParallelThreshold int
 	// MaxParallel caps the per-scan worker count; <= 0 means GOMAXPROCS.
 	MaxParallel int
-	// DisableVectorized forces tuple-at-a-time plans (equivalence testing
-	// and ablation benchmarks). The default is batch-at-a-time pipelines
-	// for heap scans, filters, projections, hash-join probes, and hash
-	// aggregation.
-	DisableVectorized bool
-	// DisableStatPushdown keeps global aggregates on the scan path instead
-	// of answering fully-covered segments from zone-map stats (equivalence
-	// testing and ablation benchmarks).
-	DisableStatPushdown bool
 }
 
 // New returns a planner over the catalog.
@@ -154,7 +147,7 @@ func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Pla
 		return nil, err
 	}
 	plan.Parallel = exec.ParallelDegree(plan.Root)
-	plan.Vectorized = !p.DisableVectorized && exec.Vectorized(plan.Root)
+	plan.Vectorized = exec.Vectorized(plan.Root)
 	return plan, nil
 }
 
@@ -221,17 +214,17 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 		plan.Root = &exec.Union{Children: children}
 	}
 	var err error
-	plan.Root, err = p.applyOutputOrderLimit(plan.Root, sel, plan.Columns)
+	plan.Root, err = ApplyOutputOrderLimit(plan.Root, sel, plan.Columns)
 	if err != nil {
 		return nil, err
 	}
 	return plan, nil
 }
 
-// applyOutputOrderLimit handles ORDER BY/LIMIT over a plan whose tuples are
-// already output-shaped (e.g. a UNION). ORDER BY may reference output
-// columns by name or 1-based position.
-func (p *Planner) applyOutputOrderLimit(root exec.Operator, sel *sqlparser.SelectStmt, columns []string) (exec.Operator, error) {
+// ApplyOutputOrderLimit handles ORDER BY/LIMIT over a plan whose tuples are
+// already output-shaped (a UNION, here or gathered across shards). ORDER BY
+// may reference output columns by name or 1-based position.
+func ApplyOutputOrderLimit(root exec.Operator, sel *sqlparser.SelectStmt, columns []string) (exec.Operator, error) {
 	if len(sel.OrderBy) > 0 {
 		var keys []exec.SortKey
 		for _, o := range sel.OrderBy {
@@ -447,19 +440,17 @@ func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
 	}
 
 	if b.grouped {
-		// Aggregation never retains its input rows.
-		markScanReuse(root)
-		root, err = p.finishGrouped(sel, root, layout, b.items, &plan.Notes)
+		out, err := p.finishGrouped(sel, root, layout, b.items, &plan.Notes)
 		if err != nil {
 			return nil, err
 		}
 		if sel.Distinct {
-			root = &exec.Distinct{Child: root}
+			out = &exec.Distinct{Child: out}
 		}
 		if sel.Limit != nil {
-			root = &exec.Limit{Child: root, N: *sel.Limit}
+			out = &exec.Limit{Child: out, N: *sel.Limit}
 		}
-		plan.Root = root
+		plan.Root = out
 		return plan, nil
 	}
 	plan.Root, err = p.finishPlain(b, root, layout)
@@ -467,38 +458,25 @@ func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
 }
 
 // finishPlain builds the non-aggregate tail over root, whose tuples have the
-// given layout: ORDER BY on source tuples (before projection; aliases and
-// 1-based positions resolve to their select-list expressions), projection,
-// DISTINCT, LIMIT.
-func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout) (exec.Operator, error) {
+// given layout. Without ORDER BY it is all columnar — projection, DISTINCT —
+// and the bridge mints only output tuples; with ORDER BY the sort reads the
+// source tuples (aliases and 1-based positions resolve to their select-list
+// expressions) and the projection and DISTINCT follow it row by row. LIMIT
+// comes last either way.
+func (p *Planner) finishPlain(b *block, root exec.BatchOperator, layout *exec.Layout) (exec.Operator, error) {
 	sel, items := b.sel, b.items
-	if len(sel.OrderBy) > 0 {
-		var keys []exec.SortKey
-		for _, o := range sel.OrderBy {
-			oe := o.Expr
-			if lit, ok := oe.(*sqlparser.Literal); ok && lit.Val.Kind() == types.KindInt {
-				pos := int(lit.Val.Int()) - 1
-				if pos < 0 || pos >= len(items) {
-					return nil, fmt.Errorf("planner: ORDER BY position %d out of range", pos+1)
-				}
-				oe = items[pos]
-			} else if cr, ok := oe.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-				for i, it := range sel.Items {
-					if strings.EqualFold(it.Alias, cr.Column) {
-						oe = items[i]
-						break
-					}
-				}
-			}
-			ev, err := exec.Compile(oe, layout)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, exec.SortKey{Expr: ev, Desc: o.Desc})
+	var keys []exec.SortKey
+	for _, o := range sel.OrderBy {
+		oe, err := orderExpr(sel, items, o.Expr)
+		if err != nil {
+			return nil, err
 		}
-		root = &exec.Sort{Child: root, Keys: keys}
+		ev, err := exec.Compile(oe, layout)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, exec.SortKey{Expr: ev, Desc: o.Desc})
 	}
-
 	evals := make([]exec.Evaluator, len(items))
 	for i, it := range items {
 		var err error
@@ -507,29 +485,45 @@ func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout)
 			return nil, err
 		}
 	}
-	distinct := sel.Distinct
-	if src, ok := exec.AsBatch(root); ok && !p.DisableVectorized && len(sel.OrderBy) == 0 {
-		var out exec.BatchOperator = &exec.BatchProject{Child: src, Exprs: evals, Cols: bareCols(items, layout)}
-		if distinct {
+	var out exec.Operator
+	if len(keys) == 0 {
+		var src exec.BatchOperator = &exec.BatchProject{Child: root, Exprs: evals, Cols: bareCols(items, layout)}
+		if sel.Distinct {
 			// Duplicates go before any tuple is boxed.
-			out, distinct = &exec.BatchDistinct{Child: out}, false
+			src = &exec.BatchDistinct{Child: src}
 		}
-		root = &exec.RowFromBatch{Src: out}
+		out = &exec.RowFromBatch{Src: src}
 	} else {
-		if len(sel.OrderBy) == 0 {
-			// Projection copies values out; without a pre-projection Sort
-			// (which retains raw tuples) a scan feeding it may reuse buffers.
-			markScanReuse(root)
+		out = &exec.Project{Child: &exec.Sort{Child: &exec.RowFromBatch{Src: root}, Keys: keys}, Exprs: evals}
+		if sel.Distinct {
+			out = &exec.Distinct{Child: out}
 		}
-		root = &exec.Project{Child: root, Exprs: evals}
-	}
-	if distinct {
-		root = &exec.Distinct{Child: root}
 	}
 	if sel.Limit != nil {
-		root = &exec.Limit{Child: root, N: *sel.Limit}
+		out = &exec.Limit{Child: out, N: *sel.Limit}
 	}
-	return root, nil
+	return out, nil
+}
+
+// orderExpr resolves one ORDER BY expression of a block: a 1-based position
+// or a bare select-list alias stands for that item's expression; anything
+// else is itself.
+func orderExpr(sel *sqlparser.SelectStmt, items []sqlparser.Expr, oe sqlparser.Expr) (sqlparser.Expr, error) {
+	if lit, ok := oe.(*sqlparser.Literal); ok && lit.Val.Kind() == types.KindInt {
+		pos := int(lit.Val.Int()) - 1
+		if pos < 0 || pos >= len(items) {
+			return nil, fmt.Errorf("planner: ORDER BY position %d out of range", pos+1)
+		}
+		return items[pos], nil
+	}
+	if cr, ok := oe.(*sqlparser.ColumnRef); ok && cr.Table == "" {
+		for i, it := range sel.Items {
+			if strings.EqualFold(it.Alias, cr.Column) {
+				return items[i], nil
+			}
+		}
+	}
+	return oe, nil
 }
 
 // joinTree plans the scans and joins for a subset of bindings: access path
@@ -538,10 +532,10 @@ func (p *Planner) finishPlain(b *block, root exec.Operator, layout *exec.Layout)
 // are joined. tail is what the consumer of the tree reads off its tuples;
 // with the conjuncts still unplaced at each stage it decides which columns
 // a scan carries and a join gathers.
-func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, tail colSet, snap txn.Snapshot, plan *Plan, serial bool) (exec.Operator, error) {
+func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, tail colSet, snap txn.Snapshot, plan *Plan, serial bool) (exec.BatchOperator, error) {
 	notes := &plan.Notes
 	type node struct {
-		op  exec.Operator
+		op  exec.BatchOperator
 		est float64
 	}
 	nodes := make(map[int]*node, len(members))
@@ -561,7 +555,7 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 	}
 
 	joined := make(map[int]bool, len(members))
-	var root exec.Operator
+	var root exec.BatchOperator
 	var rootEst float64
 	{
 		best := -1
@@ -638,8 +632,11 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 			root = p.makeHashJoin(j, layout, joined, note, plan)
 			rootEst = rootEst * n.est / 10 // crude equijoin output estimate
 		} else {
-			markScanReuse(root) // outer side: rows are merged, not retained
-			root = &exec.NestedLoopJoin{Outer: root, Inner: n.op}
+			// The one row join: both sides cross the bridge, the merged
+			// tuples come back through the row→batch shim.
+			root = exec.ToBatch(&exec.NestedLoopJoin{
+				Outer: &exec.RowFromBatch{Src: root}, Inner: &exec.RowFromBatch{Src: n.op},
+			})
 			*notes = append(*notes, fmt.Sprintf("nested loop: %s (est %.0f)", layout.Bindings[cand].Name, n.est))
 			rootEst = rootEst * n.est
 		}
@@ -655,21 +652,20 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 
 // scanCols is what the required-column pass knows at one point of planning:
 // the consumer's tail, the block's conjuncts (the unplaced ones count) and,
-// for a scan, its own pushed-down conjuncts. A columnar operator asks it for
-// its column list; a row operator never does, so index-probe plans pay
-// nothing for the pass.
+// for a scan, its own pushed-down conjuncts. A scan asks it for the columns
+// it carries, a hash join for the columns it gathers.
 type scanCols struct {
 	tail      colSet
 	conjuncts []*conjunct
 	own       []*conjunct
 }
 
-// need lists, in ascending order, the tuple offsets of the given bindings
-// (nil: all) that the plan still reads at some stage: the tail, the columns
-// of every conjunct not yet placed, and those of own (placed, but evaluated
-// by the scan itself).
-func (sc scanCols) need(layout *exec.Layout, bindings map[int]bool) []int {
-	need := make([]int, 0, len(sc.tail))
+// need lists, in ascending order, the tuple offsets the caller outputs (in)
+// that the plan still reads at some stage: the tail, the columns of every
+// conjunct not yet placed, and those of own (placed, but evaluated by the
+// scan itself).
+func (sc scanCols) need(in func(off int) bool) []int {
+	need := make([]int, 0, len(sc.tail)) // non-nil: nil would mean every column
 	for off, on := range sc.tail {
 		for _, c := range sc.conjuncts {
 			on = on || (!c.used && c.cols[off])
@@ -677,7 +673,7 @@ func (sc scanCols) need(layout *exec.Layout, bindings map[int]bool) []int {
 		for _, c := range sc.own {
 			on = on || c.cols[off]
 		}
-		if on && (bindings == nil || bindings[layout.BindingOf(off)]) {
+		if on && in(off) {
 			need = append(need, off)
 		}
 	}
@@ -690,7 +686,7 @@ func (sc scanCols) need(layout *exec.Layout, bindings map[int]bool) []int {
 // the build side, and the pass's state now that the key conjuncts are
 // placed.
 type joinSpec struct {
-	build, probe         exec.Operator
+	build, probe         exec.BatchOperator
 	buildKeys, probeKeys []exec.Evaluator
 	buildCols, probeCols []int
 	cand                 int
@@ -698,22 +694,15 @@ type joinSpec struct {
 	after                scanCols
 }
 
-// makeHashJoin builds the physical hash join and records its note. A probe
-// side that is (or bridges to) a batch pipeline gets the columnar join,
-// which collects the build side as a batch too, reads keys off the key
-// vectors and gathers only the needed columns; otherwise the row join.
-func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]bool, note string, plan *Plan) exec.Operator {
-	src, ok := exec.AsBatch(j.probe)
-	if !ok || p.DisableVectorized {
-		plan.Notes = append(plan.Notes, note)
-		markScanReuse(j.probe) // probe side: rows are merged, not retained
-		return &exec.HashJoin{Build: j.build, Probe: j.probe, BuildKeys: j.buildKeys, ProbeKeys: j.probeKeys}
-	}
+// makeHashJoin builds the columnar hash join and records its note. The join
+// collects the build side as a batch, reads keys off the key vectors and
+// gathers only the columns the plan reads above it.
+func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]bool, note string, plan *Plan) exec.BatchOperator {
 	// What the plan reads above this join, of the bindings it outputs.
 	joined[j.cand] = true
-	need := j.after.need(layout, joined)
+	need := j.after.need(func(off int) bool { return joined[layout.BindingOf(off)] })
 	op := &exec.BatchHashJoin{
-		Build: j.build, Probe: src, BuildKeys: j.buildKeys, ProbeKeys: j.probeKeys,
+		Build: j.build, Probe: j.probe, BuildKeys: j.buildKeys, ProbeKeys: j.probeKeys,
 		BuildCols: j.buildCols, ProbeCols: j.probeCols, Need: need,
 	}
 	// The probe-side columns the join touches: bare keys, and what it
@@ -731,26 +720,7 @@ func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]b
 	}
 	plan.joins = append(plan.joins, joinNote{note: len(plan.Notes), join: op})
 	plan.Notes = append(plan.Notes, fmt.Sprintf("%s columnar [%s]", note, colNames(layout, reads)))
-	return &exec.RowFromBatch{Src: op}
-}
-
-// markScanReuse enables scan-buffer reuse on a direct scan (possibly under
-// pass-through Filters). It is called only where the consumer provably does
-// not retain the scan's output slice: hash-join probe sides, nested-loop
-// outer sides, and scan-fed aggregation/projection (see planBlock).
-func markScanReuse(op exec.Operator) {
-	switch n := op.(type) {
-	case *exec.SeqScan:
-		n.Reuse = true
-	case *exec.IndexScan:
-		n.Reuse = true
-	case *exec.ParallelScan:
-		// Never reused: parallel-scan tuples cross goroutine boundaries
-		// through the Exchange, so the consumer and the producing worker
-		// are concurrent — a recycled buffer would be a data race.
-	case *exec.Filter:
-		markScanReuse(n.Child)
-	}
+	return op
 }
 
 func (p *Planner) planConstant(sel *sqlparser.SelectStmt) (*Plan, error) {
@@ -766,7 +736,7 @@ func (p *Planner) planConstant(sel *sqlparser.SelectStmt) (*Plan, error) {
 			return nil, err
 		}
 		exprs = append(exprs, ev)
-		columns = append(columns, itemName(it))
+		columns = append(columns, ItemName(it))
 	}
 	root := exec.Operator(&exec.Project{
 		Child: &exec.ValuesOp{RowsData: [][]types.Value{{}}},
@@ -786,7 +756,7 @@ func (p *Planner) expandItems(sel *sqlparser.SelectStmt, layout *exec.Layout) ([
 	for _, it := range sel.Items {
 		if !it.Star {
 			items = append(items, it.Expr)
-			columns = append(columns, itemName(it))
+			columns = append(columns, ItemName(it))
 			continue
 		}
 		for _, b := range layout.Bindings {
@@ -805,7 +775,9 @@ func (p *Planner) expandItems(sel *sqlparser.SelectStmt, layout *exec.Layout) ([
 	return items, columns, nil
 }
 
-func itemName(it sqlparser.SelectItem) string {
+// ItemName is the output-column name of a select item: its alias, else the
+// column it reads, else the lower-cased aggregate, else its SQL text.
+func ItemName(it sqlparser.SelectItem) string {
 	if it.Alias != "" {
 		return it.Alias
 	}
@@ -873,25 +845,15 @@ func residualExprs(conjuncts []*conjunct, joined map[int]bool) []sqlparser.Expr 
 }
 
 // applyResidualFilter applies the now-eligible residual conjuncts on top of
-// root. When root is (or bridges to) a batch pipeline, the predicate is
-// compiled into a fused kernel and applied as a BatchFilter extending that
-// pipeline; otherwise it compiles to an ordinary row Filter.
-func (p *Planner) applyResidualFilter(root exec.Operator, conjuncts []*conjunct, layout *exec.Layout, joined map[int]bool) (exec.Operator, error) {
+// root, compiled into a fused kernel.
+func (p *Planner) applyResidualFilter(root exec.BatchOperator, conjuncts []*conjunct, layout *exec.Layout, joined map[int]bool) (exec.BatchOperator, error) {
 	exprs := residualExprs(conjuncts, joined)
 	if len(exprs) == 0 {
 		return root, nil
 	}
-	pred := sqlparser.AndAll(exprs...)
-	if src, ok := exec.AsBatch(root); ok && !p.DisableVectorized {
-		k, _, _, err := exec.CompileKernel(pred, layout)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.RowFromBatch{Src: &exec.BatchFilter{Child: src, Kernel: k}}, nil
-	}
-	ev, err := exec.Compile(pred, layout)
+	k, _, _, err := exec.CompileKernel(sqlparser.AndAll(exprs...), layout)
 	if err != nil {
 		return nil, err
 	}
-	return &exec.Filter{Child: root, Pred: ev}, nil
+	return &exec.BatchFilter{Child: root, Kernel: k}, nil
 }

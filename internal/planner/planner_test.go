@@ -108,6 +108,97 @@ func TestIndexScanChosenForEquality(t *testing.T) {
 	}
 }
 
+// batchSide lists what feeds the row tail of a plan: the sources of its
+// batch→row bridges and of its aggregations.
+func batchSide(op exec.Operator) []exec.BatchOperator {
+	switch n := op.(type) {
+	case *exec.RowFromBatch:
+		return []exec.BatchOperator{n.Src}
+	case *exec.BatchGroupAggregate:
+		return []exec.BatchOperator{n.Src}
+	case *exec.Project:
+		return batchSide(n.Child)
+	case *exec.Distinct:
+		return batchSide(n.Child)
+	case *exec.Limit:
+		return batchSide(n.Child)
+	case *exec.Sort:
+		return batchSide(n.Child)
+	}
+	return nil
+}
+
+// rowBelowBridge names every operator on the batch side of a plan that is
+// not one of the columnar operators — the row→batch shim over a row
+// operator, say — and counts the index scans.
+func rowBelowBridge(op exec.BatchOperator, indexScans *int) []string {
+	switch n := op.(type) {
+	case *exec.IndexScan:
+		*indexScans++
+		return nil
+	case *exec.BatchScan, *exec.ParallelScan:
+		return nil
+	case *exec.BatchFilter:
+		return rowBelowBridge(n.Child, indexScans)
+	case *exec.BatchProject:
+		return rowBelowBridge(n.Child, indexScans)
+	case *exec.BatchDistinct:
+		return rowBelowBridge(n.Child, indexScans)
+	case *exec.BatchHashJoin:
+		return append(rowBelowBridge(n.Build, indexScans), rowBelowBridge(n.Probe, indexScans)...)
+	case *exec.SemiJoin:
+		out := rowBelowBridge(n.Anchor, indexScans)
+		for _, arm := range n.Arms {
+			for _, p := range arm.Probes {
+				out = append(out, rowBelowBridge(p.Src, indexScans)...)
+			}
+		}
+		return out
+	}
+	return []string{fmt.Sprintf("%T", op)}
+}
+
+// TestWirePointFormsPlanColumnar: the statements a wire_point refresh sends —
+// the point form, the selective join form, and the recency query generated
+// for each — are index probes that run columnar up to the one bridge (or the
+// aggregation), with no row operator below it, and mint only the tuples they
+// return: RowsBoxed equals the rows of a plain plan and is 0 for the COUNT(*).
+func TestWirePointFormsPlanColumnar(t *testing.T) {
+	p, mgr := fixture(t)
+	for _, c := range []struct {
+		sql       string
+		rows      int
+		aggregate bool
+	}{
+		{`SELECT value, event_time FROM Activity WHERE mach_id = 'm4'`, 1, false},
+		{`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h WHERE trac_h.sid = 'm4'`, 1, false},
+		{`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND R.neighbor = A.mach_id AND A.value = 'idle'`, 1, true},
+		{`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Activity A WHERE trac_h.sid IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND A.value = 'idle' UNION SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Routing R WHERE trac_h.sid IN ('m1', 'm2') AND R.neighbor = trac_h.sid AND R.mach_id IN ('m1', 'm2')`, 2, false},
+	} {
+		pl := plan(t, p, mgr, c.sql)
+		sources := batchSide(pl.Root)
+		if len(sources) != 1 || !pl.Vectorized {
+			t.Errorf("%s: %d batch pipelines, vectorized=%v:\n%s", c.sql, len(sources), pl.Vectorized, pl.Describe())
+			continue
+		}
+		indexScans := 0
+		if rows := rowBelowBridge(sources[0], &indexScans); len(rows) > 0 || indexScans == 0 {
+			t.Errorf("%s: %d index scans; below the bridge: %v", c.sql, indexScans, rows)
+		}
+		rows, err := exec.Drain(pl.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(rows)
+		if c.aggregate {
+			want = 0
+		}
+		if len(rows) != c.rows || exec.RowsBoxed(pl.Root) != want {
+			t.Errorf("%s: %d rows, %d boxed; want %d rows, %d boxed", c.sql, len(rows), exec.RowsBoxed(pl.Root), c.rows, want)
+		}
+	}
+}
+
 func TestRangeScanChosen(t *testing.T) {
 	p, mgr := fixture(t)
 	pl := plan(t, p, mgr, `SELECT mach_id FROM Activity WHERE mach_id LIKE 'm1%'`)

@@ -244,7 +244,7 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 		arms[bi] = costed{arm, cost}
 	}
 	slices.SortStableFunc(arms, func(x, y costed) int { return cmp.Compare(x.cost, y.cost) })
-	semi := &exec.SemiJoin{Anchor: exec.ToBatch(anchorOp), Arms: make([]exec.SemiArm, len(arms))}
+	semi := &exec.SemiJoin{Anchor: anchorOp, Arms: make([]exec.SemiArm, len(arms))}
 	for i, a := range arms {
 		semi.Arms[i] = a.arm
 	}
@@ -252,7 +252,7 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 	// The Distinct of the tail stays: two anchor rows may project alike, even
 	// on a PRIMARY KEY column — the engine checks keys against the writer's
 	// snapshot only, so overlapping transactions can commit one key twice.
-	plan.Root, err = p.finishPlain(blocks[0], &exec.RowFromBatch{Src: semi}, aLayout)
+	plan.Root, err = p.finishPlain(blocks[0], semi, aLayout)
 	return err
 }
 
@@ -298,7 +298,7 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 
 		// Either way the component's tuples have the block's layout; a
 		// columnar scan carries only the columns read.
-		var src exec.Operator
+		var src exec.BatchOperator
 		var est float64
 		name := layout.Bindings[members[0]].Name
 		if len(members) == 1 {
@@ -328,7 +328,7 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 				est += float64(layout.Bindings[m].Table.LiveRows())
 			}
 		}
-		probe.Src = exec.ToBatch(src)
+		probe.Src = src
 		for _, k := range keys {
 			ak, err := exec.Compile(k.curExpr, aLayout)
 			if err != nil {

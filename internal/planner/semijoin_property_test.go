@@ -13,7 +13,7 @@ import (
 )
 
 // TestSemiJoinMatchesReference drives random DISTINCT-anchored blocks, and
-// UNIONs of them, through every executor mode over sealed and sealed+tail
+// UNIONs of them, through serial and parallel plans over sealed and sealed+tail
 // heaps, and holds each answer to the row set the naive reference evaluator
 // derives from the cross product. The generator covers what the semi-join
 // has to get right: NULL join keys on both sides, projections with and
@@ -59,7 +59,7 @@ func TestSemiJoinMatchesReference(t *testing.T) {
 						trial, tail, m.name, sql, want, got, plan)
 				}
 			}
-			execModes[1].apply(db)
+			execModes[0].apply(db)
 			plan, err := db.ExplainAt(sql, db.Snapshot())
 			if err != nil {
 				t.Fatal(err)
@@ -80,26 +80,19 @@ func TestSemiJoinMatchesReference(t *testing.T) {
 }
 
 type execMode struct {
-	name                string
-	disableVectorized   bool
-	disableStatPushdown bool
-	parallel            bool
+	name     string
+	parallel bool
 }
 
-// execModes are the executor modes the workload equivalence suites run.
+// execModes are the executor modes the workload equivalence suites run: the
+// serial plan, and the same forced onto morsel-parallel scans.
 var execModes = []execMode{
-	{name: "row", disableVectorized: true},
-	{name: "vectorized"},
-	{name: "vectorized-nopushdown", disableStatPushdown: true},
-	{name: "vectorized-parallel", parallel: true},
-	{name: "vectorized-parallel-nopushdown", disableStatPushdown: true, parallel: true},
-	{name: "row-parallel", disableVectorized: true, parallel: true},
+	{name: "serial"},
+	{name: "parallel", parallel: true},
 }
 
 func (m execMode) apply(db *engine.DB) {
 	pl := db.Planner()
-	pl.DisableVectorized = m.disableVectorized
-	pl.DisableStatPushdown = m.disableStatPushdown
 	pl.ParallelThreshold, pl.MaxParallel = 0, 0
 	if m.parallel {
 		pl.ParallelThreshold, pl.MaxParallel = 4, 3

@@ -255,6 +255,14 @@ func (c *conn) serve() {
 		c.srv.logf("handshake %s: %v", c.nc.RemoteAddr(), err)
 		return
 	}
+	// The handshake's deadline reset may have cleared a drain poke that
+	// landed during it; a Shutdown that starts after this check pokes again.
+	c.srv.mu.Lock()
+	draining := c.srv.draining
+	c.srv.mu.Unlock()
+	if draining {
+		return
+	}
 
 	// The session exists for exactly the connection's lifetime: however the
 	// connection ends — clean Goodbye, abrupt kill, server drain — its temp

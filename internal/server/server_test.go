@@ -763,6 +763,86 @@ func TestGracefulShutdown(t *testing.T) {
 	c.Close()
 }
 
+// holdResetListener hands out connections whose first zero read deadline —
+// the handshake's deferred reset — waits until a later deadline has been
+// set: the interleaving in which the reset clears Shutdown's drain poke.
+type holdResetListener struct {
+	net.Listener
+	reached chan struct{} // closed once a reset is waiting
+}
+
+func (l holdResetListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdResetConn{Conn: nc, reached: l.reached, poked: make(chan struct{})}, nil
+}
+
+type holdResetConn struct {
+	net.Conn
+	reached, poked chan struct{}
+	holding        atomic.Bool
+	pokeOnce       sync.Once
+}
+
+func (c *holdResetConn) SetReadDeadline(t time.Time) error {
+	if t.IsZero() && c.holding.CompareAndSwap(false, true) {
+		close(c.reached)
+		<-c.poked
+		return c.Conn.SetReadDeadline(t)
+	}
+	err := c.Conn.SetReadDeadline(t)
+	if c.holding.Load() {
+		c.pokeOnce.Do(func() { close(c.poked) })
+	}
+	return err
+}
+
+// TestShutdownDuringHandshake: a connection whose handshake ends just after
+// Shutdown poked its read deadline has that poke cleared by the handshake's
+// own reset. It must still notice the drain instead of blocking in a read
+// until the drain bound expires.
+func TestShutdownDuringHandshake(t *testing.T) {
+	srv, err := server.New(server.Config{DB: trac.Open()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := make(chan struct{})
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(holdResetListener{l, reached}) }()
+
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := server.WriteFrame(nc, server.FrameHello, server.EncodeHello(server.Hello{Version: server.ProtocolVersion})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handshake never reset its read deadline")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown took %v: the connection slept through the drain poke", d)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
 // TestFailedQueryReapsScanWorkers is the wire-level half of the executor's
 // failed-Open fix: a hash join whose build side fails at run time
 // (arithmetic on TEXT) has already started the parallel scan of its probe

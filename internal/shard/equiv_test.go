@@ -33,11 +33,9 @@ func buildPair(t *testing.T, n int) (*engine.DB, *shard.Router) {
 }
 
 // setMode applies one planner configuration to every shard.
-func setMode(r *shard.Router, disableVectorized, disableStatPushdown bool, parallelThreshold, maxParallel int) {
+func setMode(r *shard.Router, parallelThreshold, maxParallel int) {
 	for i := 0; i < r.N(); i++ {
 		pl := r.Shard(i).Planner()
-		pl.DisableVectorized = disableVectorized
-		pl.DisableStatPushdown = disableStatPushdown
 		pl.ParallelThreshold = parallelThreshold
 		pl.MaxParallel = maxParallel
 	}
@@ -46,9 +44,9 @@ func setMode(r *shard.Router, disableVectorized, disableStatPushdown bool, paral
 // TestShardedMatchesUnsharded is the cross-shard equivalence property: the
 // full corpus (Q1–Q4, generated recency queries, NULL semantics, joins,
 // UNION, GROUP BY) at 1, 3 and 8 shards must be row-identical to the
-// unsharded engine under every planner mode — the unsharded suite already
-// proves the modes agree with each other, so the unsharded default mode is
-// the baseline for all of them.
+// unsharded engine with serial and with parallel shard plans — the unsharded
+// suite already holds its own plans to the reference, so the unsharded
+// default plan is the baseline for both.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	for _, n := range []int{1, 3, 8} {
 		n := n
@@ -59,18 +57,12 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			modes := []struct {
-				name                string
-				disableVectorized   bool
-				disableStatPushdown bool
-				parallelThreshold   int
-				maxParallel         int
+				name              string
+				parallelThreshold int
+				maxParallel       int
 			}{
-				{name: "row", disableVectorized: true},
-				{name: "vectorized"},
-				{name: "vectorized-nopushdown", disableStatPushdown: true},
-				{name: "vectorized-parallel", parallelThreshold: 50, maxParallel: 4},
-				{name: "vectorized-parallel-nopushdown", disableStatPushdown: true, parallelThreshold: 50, maxParallel: 4},
-				{name: "row-parallel", disableVectorized: true, parallelThreshold: 50, maxParallel: 4},
+				{name: "serial"},
+				{name: "parallel", parallelThreshold: 50, maxParallel: 4},
 			}
 			sawScatter := false
 			for qi, sql := range corpus {
@@ -80,7 +72,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				}
 				baseline := workload.RowSet(res)
 				for _, m := range modes {
-					setMode(r, m.disableVectorized, m.disableStatPushdown, m.parallelThreshold, m.maxParallel)
+					setMode(r, m.parallelThreshold, m.maxParallel)
 					sres, err := r.Query(sql)
 					if err != nil {
 						t.Fatalf("q%d [%s] sharded %s: %v", qi, m.name, sql, err)
@@ -93,7 +85,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 							qi, m.name, n, sql, baseline, got)
 					}
 				}
-				setMode(r, false, false, 0, 0)
+				setMode(r, 0, 0)
 			}
 			if n > 1 && !sawScatter {
 				t.Error("no corpus query ever fanned out across shards")

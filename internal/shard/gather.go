@@ -188,7 +188,7 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 			children[i] = &exec.ValuesOp{RowsData: br}
 		}
 		var root exec.Operator = &exec.Union{Children: children}
-		root, err = applyOutputOrderLimit(root, sp.sel, sp.columns)
+		root, err = planner.ApplyOutputOrderLimit(root, sp.sel, sp.columns)
 		if err != nil {
 			return nil, err
 		}
@@ -412,92 +412,23 @@ func (ag *aggGather) gather(perShard [][][]types.Value) ([][]types.Value, error)
 	return ag.finishMerged(final)
 }
 
-// finishMerged compiles the block's items/HAVING/ORDER BY against the merged
-// [keys..., aggregates...] tuple — the same compile-hook scheme the planner's
-// finishGrouped uses — and runs the operator tail in the unsharded order:
-// HAVING filter, sort, projection, DISTINCT, LIMIT.
+// finishMerged runs the planner's grouped tail (planner.GroupedTail) over
+// the merged [keys..., aggregates...] tuples — HAVING filter, sort,
+// projection — then the block's DISTINCT and LIMIT, in the unsharded order.
 func (ag *aggGather) finishMerged(final [][]types.Value) ([][]types.Value, error) {
-	groupedLayout := exec.NewLayout(nil)
-	hook := func(e sqlparser.Expr) (exec.Evaluator, bool, error) {
-		if fc, ok := e.(*sqlparser.FuncCall); ok {
-			text := fc.SQL()
-			for i, s := range ag.aggSQL {
-				if s == text {
-					pos := ag.nKeys + i
-					return func(row []types.Value) (types.Value, error) { return row[pos], nil }, true, nil
-				}
-			}
-			return nil, false, fmt.Errorf("shard: aggregate %s missing from gather plan", text)
-		}
-		text := e.SQL()
-		for i, k := range ag.keySQL {
-			if k == text {
-				pos := i
-				return func(row []types.Value) (types.Value, error) { return row[pos], nil }, true, nil
+	tail, err := planner.CompileGroupedTail(ag.sel, ag.items, ag.keySQL, func(fc *sqlparser.FuncCall) (int, error) {
+		text := fc.SQL()
+		for i, s := range ag.aggSQL {
+			if s == text {
+				return i, nil
 			}
 		}
-		if cr, ok := e.(*sqlparser.ColumnRef); ok {
-			for i, k := range ag.keySQL {
-				if kr, err := sqlparser.ParseExpr(k); err == nil {
-					if kcr, ok := kr.(*sqlparser.ColumnRef); ok && strings.EqualFold(kcr.Column, cr.Column) {
-						pos := i
-						return func(row []types.Value) (types.Value, error) { return row[pos], nil }, true, nil
-					}
-				}
-			}
-			return nil, false, fmt.Errorf("planner: column %q must appear in GROUP BY or inside an aggregate", cr.SQL())
-		}
-		return nil, false, nil
+		return 0, fmt.Errorf("shard: aggregate %s missing from gather plan", text)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	itemEvals := make([]exec.Evaluator, len(ag.items))
-	for i, it := range ag.items {
-		ev, err := exec.CompileWith(it, groupedLayout, hook)
-		if err != nil {
-			return nil, err
-		}
-		itemEvals[i] = ev
-	}
-	var having exec.Evaluator
-	if ag.sel.Having != nil {
-		ev, err := exec.CompileWith(ag.sel.Having, groupedLayout, hook)
-		if err != nil {
-			return nil, err
-		}
-		having = ev
-	}
-	var sortKeys []exec.SortKey
-	for _, o := range ag.sel.OrderBy {
-		oe := o.Expr
-		if lit, ok := oe.(*sqlparser.Literal); ok && lit.Val.Kind() == types.KindInt {
-			pos := int(lit.Val.Int()) - 1
-			if pos < 0 || pos >= len(ag.items) {
-				return nil, fmt.Errorf("planner: ORDER BY position %d out of range", pos+1)
-			}
-			oe = ag.items[pos]
-		} else if cr, ok := oe.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			for i, it := range ag.sel.Items {
-				if strings.EqualFold(it.Alias, cr.Column) {
-					oe = ag.items[i]
-					break
-				}
-			}
-		}
-		ev, err := exec.CompileWith(oe, groupedLayout, hook)
-		if err != nil {
-			return nil, err
-		}
-		sortKeys = append(sortKeys, exec.SortKey{Expr: ev, Desc: o.Desc})
-	}
-
-	var root exec.Operator = &exec.ValuesOp{RowsData: final}
-	if having != nil {
-		root = &exec.Filter{Child: root, Pred: having}
-	}
-	if len(sortKeys) > 0 {
-		root = &exec.Sort{Child: root, Keys: sortKeys}
-	}
-	root = &exec.Project{Child: root, Exprs: itemEvals}
+	root := tail.Over(&exec.ValuesOp{RowsData: final})
 	if ag.sel.Distinct {
 		root = &exec.Distinct{Child: root}
 	}
@@ -505,41 +436,4 @@ func (ag *aggGather) finishMerged(final [][]types.Value) ([][]types.Value, error
 		root = &exec.Limit{Child: root, N: *ag.sel.Limit}
 	}
 	return exec.Drain(root)
-}
-
-// applyOutputOrderLimit mirrors the planner's UNION tail: ORDER BY resolves
-// against output columns by name or 1-based position.
-func applyOutputOrderLimit(root exec.Operator, sel *sqlparser.SelectStmt, columns []string) (exec.Operator, error) {
-	if len(sel.OrderBy) > 0 {
-		var keys []exec.SortKey
-		for _, o := range sel.OrderBy {
-			idx := -1
-			switch e := o.Expr.(type) {
-			case *sqlparser.Literal:
-				if e.Val.Kind() == types.KindInt {
-					idx = int(e.Val.Int()) - 1
-				}
-			case *sqlparser.ColumnRef:
-				for i, c := range columns {
-					if strings.EqualFold(c, e.Column) {
-						idx = i
-						break
-					}
-				}
-			}
-			if idx < 0 || idx >= len(columns) {
-				return nil, fmt.Errorf("planner: ORDER BY over a UNION must reference an output column")
-			}
-			i := idx
-			keys = append(keys, exec.SortKey{
-				Expr: func(row []types.Value) (types.Value, error) { return row[i], nil },
-				Desc: o.Desc,
-			})
-		}
-		root = &exec.Sort{Child: root, Keys: keys}
-	}
-	if sel.Limit != nil {
-		root = &exec.Limit{Child: root, N: *sel.Limit}
-	}
-	return root, nil
 }

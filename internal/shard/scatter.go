@@ -125,7 +125,7 @@ func (r *Router) decomposeBlock(b *sqlparser.SelectStmt) (*blockPlan, []string, 
 		bp.nVisible = len(b.Items)
 		columns := make([]string, len(b.Items))
 		for i, it := range b.Items {
-			columns[i] = itemName(it)
+			columns[i] = planner.ItemName(it)
 		}
 		return bp, columns, nil
 	}
@@ -325,19 +325,11 @@ func (r *Router) anchorGather(b *sqlparser.SelectStmt, bp *blockPlan) error {
 func (r *Router) decomposeAgg(b *sqlparser.SelectStmt, bp *blockPlan, items []sqlparser.Expr) error {
 	ag := &aggGather{sel: b, items: items}
 
-	// Resolve GROUP BY keys like finishGrouped: a bare alias resolves to
-	// its select-list expression; keySQL is the canonical matching text.
+	// Resolve GROUP BY keys as the planner does; keySQL is the canonical
+	// matching text.
 	var keyExprs []sqlparser.Expr
 	for _, g := range b.GroupBy {
-		ge := g
-		if cr, ok := g.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			for _, it := range b.Items {
-				if strings.EqualFold(it.Alias, cr.Column) && !it.Star {
-					ge = it.Expr
-					break
-				}
-			}
-		}
+		ge := planner.GroupKey(b, g)
 		keyExprs = append(keyExprs, ge)
 		ag.keySQL = append(ag.keySQL, ge.SQL())
 	}
@@ -430,7 +422,7 @@ func (r *Router) expandItems(b *sqlparser.SelectStmt) ([]sqlparser.Expr, []strin
 	for _, it := range b.Items {
 		if !it.Star {
 			items = append(items, it.Expr)
-			columns = append(columns, itemName(it))
+			columns = append(columns, planner.ItemName(it))
 			continue
 		}
 		for _, ref := range b.From {
@@ -451,18 +443,4 @@ func (r *Router) expandItems(b *sqlparser.SelectStmt) ([]sqlparser.Expr, []strin
 		return nil, nil, fmt.Errorf("planner: empty select list")
 	}
 	return items, columns, nil
-}
-
-// itemName mirrors the planner's output-column naming.
-func itemName(it sqlparser.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if cr, ok := it.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Column
-	}
-	if fc, ok := it.Expr.(*sqlparser.FuncCall); ok {
-		return strings.ToLower(string(fc.Name))
-	}
-	return it.Expr.SQL()
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCorpusCompletenessGuard holds the paper's guarantee over the workload's
-// own queries on every executor mode: the sources a report names include
+// own queries, on serial and parallel plans: the sources a report names include
 // every source the exhaustive enumeration of Definitions 1 and 2 finds
 // relevant (Corollaries 3/5), they are exactly those when the generator says
 // Minimal (Theorems 3/4), and the Minimal flags themselves are the ones the
@@ -49,10 +49,9 @@ func TestCorpusCompletenessGuard(t *testing.T) {
 	// guarantee though not, on this data, a single false positive.
 	minimal := map[string]bool{"Q1": true, "Q2": true, "Q3": false, "Q4": false}
 	modes := []struct {
-		name              string
-		disableVectorized bool
-		parallel          bool
-	}{{"row", true, false}, {"vectorized", false, false}, {"vectorized-parallel", false, true}, {"row-parallel", true, true}}
+		name     string
+		parallel bool
+	}{{"serial", false}, {"parallel", true}}
 	for _, name := range []string{"Q1", "Q2", "Q3", "Q4"} {
 		sql, _ := workload.Query(name)
 		sel, err := sqlparser.ParseSelect(sql)
@@ -65,7 +64,6 @@ func TestCorpusCompletenessGuard(t *testing.T) {
 		}
 		for _, m := range modes {
 			pl := db.Planner()
-			pl.DisableVectorized = m.disableVectorized
 			pl.ParallelThreshold, pl.MaxParallel = 0, 0
 			if m.parallel {
 				pl.ParallelThreshold, pl.MaxParallel = 8, 3

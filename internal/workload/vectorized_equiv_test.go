@@ -2,9 +2,14 @@ package workload_test
 
 import (
 	"fmt"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	"trac/internal/engine"
+	"trac/internal/refeval"
+	"trac/internal/sqlparser"
 	"trac/internal/workload"
 )
 
@@ -33,91 +38,151 @@ func rowSet(res *engine.Result) []string {
 	return workload.RowSet(res)
 }
 
-// runEquivModes runs every corpus query under tuple-at-a-time plans
-// (DisableVectorized), vectorized plans, both forced onto the parallel
-// morsel-driven path, and the vectorized variants again with zone-map stat
-// pushdown disabled, asserting all result multisets are identical. The
-// nopushdown modes pin down that answering global aggregates from segment
-// stats returns exactly what scanning the same segments would have.
-func runEquivModes(t *testing.T, db *engine.DB, corpus []string) {
-	t.Helper()
-	type mode struct {
-		name                string
-		disableVectorized   bool
-		disableStatPushdown bool
-		parallelThreshold   int
-		maxParallel         int
-	}
-	modes := []mode{
-		{name: "row", disableVectorized: true},
-		{name: "vectorized"},
-		{name: "vectorized-nopushdown", disableStatPushdown: true},
-		{name: "vectorized-parallel", parallelThreshold: 50, maxParallel: 4},
-		{name: "vectorized-parallel-nopushdown", disableStatPushdown: true, parallelThreshold: 50, maxParallel: 4},
-		{name: "row-parallel", disableVectorized: true, parallelThreshold: 50, maxParallel: 4},
-	}
+// equivModes are the planner configurations every corpus statement runs
+// under: serial plans, and the same forced onto morsel-parallel scans.
+var equivModes = []struct {
+	name                           string
+	parallelThreshold, maxParallel int
+}{
+	{name: "serial"},
+	{name: "parallel", parallelThreshold: 50, maxParallel: 4},
+}
 
-	sawVectorized := false
+// setMode applies one planner configuration.
+func setMode(db *engine.DB, parallelThreshold, maxParallel int) {
+	pl := db.Planner()
+	pl.ParallelThreshold, pl.MaxParallel = parallelThreshold, maxParallel
+}
+
+// rendered renders a result the way internal/refeval does: one "v1|v2|…"
+// string per row, sorted.
+func rendered(res *engine.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		vals := make([]string, len(row))
+		for j, v := range row {
+			vals[j] = v.String()
+		}
+		out[i] = strings.Join(vals, "|")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// maxRefTuples bounds the cross product the reference evaluator is asked to
+// materialize; larger joins are held to the serial engine run instead.
+const maxRefTuples = 100_000
+
+// reference evaluates a statement with internal/refeval when it can: an SPJ
+// block (DISTINCT and UNION allowed; no ORDER BY, LIMIT, aggregation or
+// star) whose cross product stays under maxRefTuples.
+func reference(db *engine.DB, sql string) ([]string, bool) {
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil || len(sel.OrderBy) > 0 || sel.Limit != nil {
+		return nil, false
+	}
+	for _, b := range append([]*sqlparser.SelectStmt{sel}, sel.Union...) {
+		tuples := 1
+		for _, ref := range b.From {
+			tbl, err := db.Catalog().Get(ref.Name)
+			if err != nil {
+				return nil, false
+			}
+			tuples *= max(len(tbl.Rows()), 1)
+		}
+		if tuples > maxRefTuples {
+			return nil, false
+		}
+	}
+	want, err := refeval.Eval(db.Catalog(), db.Snapshot(), sel)
+	return want, err == nil
+}
+
+// runEquivModes runs every corpus query in every mode on db and holds each
+// answer to a baseline: the reference evaluator for the statements it
+// evaluates, and otherwise the serial run of the same statement on base — an
+// unsealed one-engine twin of db (db itself when db is unsealed). It returns
+// how many statements were held to the reference.
+func runEquivModes(t *testing.T, db, base *engine.DB, corpus []string) int {
+	t.Helper()
+	refs, sawVectorized := 0, false
 	for qi, sql := range corpus {
+		want, isRef := reference(db, sql)
 		var baseline []string
-		for _, m := range modes {
-			pl := db.Planner()
-			pl.DisableVectorized = m.disableVectorized
-			pl.DisableStatPushdown = m.disableStatPushdown
-			pl.ParallelThreshold = m.parallelThreshold
-			pl.MaxParallel = m.maxParallel
+		if isRef {
+			refs++
+		} else {
+			setMode(base, 0, 0)
+			res, err := base.Query(sql)
+			if err != nil {
+				t.Fatalf("q%d [baseline] %s: %v", qi, sql, err)
+			}
+			baseline = rowSet(res)
+		}
+		for _, m := range equivModes {
+			setMode(db, m.parallelThreshold, m.maxParallel)
 			res, err := db.Query(sql)
 			if err != nil {
 				t.Fatalf("q%d [%s] %s: %v", qi, m.name, sql, err)
 			}
-			if res.Vectorized {
-				sawVectorized = true
-			}
-			if m.disableVectorized && res.Vectorized {
-				t.Errorf("q%d [%s]: result claims vectorized with vectorization disabled", qi, m.name)
-			}
-			got := rowSet(res)
-			if baseline == nil {
-				baseline = got
-				continue
-			}
-			if fmt.Sprint(got) != fmt.Sprint(baseline) {
-				t.Errorf("q%d [%s] diverges from row baseline\nquery: %s\nrow:   %v\ngot:   %v",
-					qi, m.name, sql, baseline, got)
+			sawVectorized = sawVectorized || res.Vectorized
+			switch {
+			case isRef:
+				if got := rendered(res); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("q%d [%s] diverges from the reference evaluator\nquery: %s\nref: %v\ngot: %v",
+						qi, m.name, sql, want, got)
+				}
+			default:
+				if got := rowSet(res); fmt.Sprint(got) != fmt.Sprint(baseline) {
+					t.Errorf("q%d [%s] diverges from the serial unsealed run\nquery: %s\nbase: %v\ngot:  %v",
+						qi, m.name, sql, baseline, got)
+				}
 			}
 		}
-		pl := db.Planner()
-		pl.DisableVectorized = false
-		pl.DisableStatPushdown = false
-		pl.ParallelThreshold = 0
-		pl.MaxParallel = 0
+		setMode(db, 0, 0)
 	}
 	if !sawVectorized {
 		t.Error("no corpus query ever executed vectorized")
 	}
+	return refs
 }
 
-// TestVectorizedMatchesRowExecution is the batch/row equivalence property
-// test over the plain (unsealed) workload heap.
+// TestVectorizedMatchesRowExecution is the executor's equivalence property
+// over the plain (unsealed) workload heap: serial and parallel plans agree
+// with the reference evaluator, and with each other where it cannot go.
 func TestVectorizedMatchesRowExecution(t *testing.T) {
 	db, err := workload.Build(workload.Spec{TotalRows: 4000, DataSources: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addNullProbe(t, db)
-	runEquivModes(t, db, equivCorpus(t, db))
+	corpus := equivCorpus(t, db)
+	refs := runEquivModes(t, db, db, corpus)
+	t.Logf("%d of %d statements held to the reference evaluator", refs, len(corpus))
+	if refs < len(corpus)/3 {
+		t.Errorf("only %d of %d statements held to the reference evaluator", refs, len(corpus))
+	}
 }
 
-// TestMixedSealedUnsealedEquivalence repeats the 4-mode equivalence run
-// over a dual-format heap: every table is sealed into column segments, then
-// grown an unsealed row tail, so each scan crosses the zone-map-pruned
-// columnar path and the row-kernel tail path within one query.
+// TestMixedSealedUnsealedEquivalence repeats the run over a dual-format
+// heap: every table is sealed into column segments, then grown an unsealed
+// row tail, so each scan crosses the zone-map-pruned columnar path and the
+// tail within one query. The baseline beyond the reference evaluator is an
+// unsealed twin with the same rows: it has no segments, so no stats, and a
+// global aggregate the sealed side answers from zone maps must come out as
+// the twin's scan does.
 func TestMixedSealedUnsealedEquivalence(t *testing.T) {
-	db, err := workload.Build(workload.Spec{TotalRows: 4000, DataSources: 100})
+	spec := workload.Spec{TotalRows: 4000, DataSources: 100}
+	db, err := workload.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := workload.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addNullProbe(t, db)
+	addNullProbe(t, twin)
 	// Seal in small chunks so zone-map pruning has multiple segments to
 	// work with, then append tail rows that stay below the threshold.
 	for _, name := range db.Catalog().Names() {
@@ -128,11 +193,16 @@ func TestMixedSealedUnsealedEquivalence(t *testing.T) {
 		tbl.SetSealThreshold(300)
 	}
 	db.SealAll()
-	db.MustExec(`INSERT INTO Activity VALUES ('src-tail', 'idle', '2006-03-15 00:01:00')`)
-	db.MustExec(`INSERT INTO Activity VALUES ('src-tail', 'busy', NULL)`)
-	db.MustExec(`INSERT INTO Routing VALUES ('src-tail', 'Tao1', '2006-03-15 00:01:00')`)
-	db.MustExec(`INSERT INTO NullProbe VALUES (7, NULL, 0.45)`)
-	db.MustExec(`INSERT INTO NullProbe VALUES (8, 'idle', NULL)`)
+	for _, sql := range []string{
+		`INSERT INTO Activity VALUES ('src-tail', 'idle', '2006-03-15 00:01:00')`,
+		`INSERT INTO Activity VALUES ('src-tail', 'busy', NULL)`,
+		`INSERT INTO Routing VALUES ('src-tail', 'Tao1', '2006-03-15 00:01:00')`,
+		`INSERT INTO NullProbe VALUES (7, NULL, 0.45)`,
+		`INSERT INTO NullProbe VALUES (8, 'idle', NULL)`,
+	} {
+		db.MustExec(sql)
+		twin.MustExec(sql)
+	}
 
 	act, err := db.Catalog().Get("Activity")
 	if err != nil {
@@ -142,12 +212,29 @@ func TestMixedSealedUnsealedEquivalence(t *testing.T) {
 		t.Fatalf("Activity not mixed: %d segments, %d/%d rows sealed",
 			act.NumSegments(), act.SealedRows(), act.NumVersions())
 	}
-	runEquivModes(t, db, equivCorpus(t, db))
+	corpus := equivCorpus(t, db)
+	runEquivModes(t, db, twin, corpus)
+
+	// The comparison with the twin must have covered stat-answered segments.
+	stat := regexp.MustCompile(`agg: ([1-9]\d*) segments answered from stats`)
+	answered := 0
+	for _, sql := range corpus {
+		plan, err := db.ExplainAt(sql, db.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stat.MatchString(plan) {
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Error("no corpus statement answered a segment from zone-map stats")
+	}
 }
 
 // TestAggregateRacingAppends aggregates a sealed-plus-tail heap while a
-// background writer keeps appending rows, cycling through every planner mode
-// (row, vectorized with and without stat pushdown, parallel). Each snapshot
+// background writer keeps appending rows, alternating serial (stat-answered)
+// and parallel plans. Each snapshot
 // must be internally consistent: COUNT(*) equals COUNT(mach_id) (the column
 // is never NULL), and counts never move backwards across queries. Run under
 // -race this also checks the stat-fold path reads zone maps and tails safely
@@ -184,26 +271,10 @@ func TestAggregateRacingAppends(t *testing.T) {
 		}
 	}()
 
-	type mode struct {
-		disableVectorized   bool
-		disableStatPushdown bool
-		parallelThreshold   int
-		maxParallel         int
-	}
-	modes := []mode{
-		{disableVectorized: true},
-		{},
-		{disableStatPushdown: true},
-		{parallelThreshold: 50, maxParallel: 4},
-	}
 	var lastCount int64
 	for iter := 0; iter < 40; iter++ {
-		m := modes[iter%len(modes)]
-		pl := db.Planner()
-		pl.DisableVectorized = m.disableVectorized
-		pl.DisableStatPushdown = m.disableStatPushdown
-		pl.ParallelThreshold = m.parallelThreshold
-		pl.MaxParallel = m.maxParallel
+		m := equivModes[iter%len(equivModes)]
+		setMode(db, m.parallelThreshold, m.maxParallel)
 		res, err := db.Query(`SELECT COUNT(*), COUNT(mach_id) FROM Activity`)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -224,10 +295,5 @@ func TestAggregateRacingAppends(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-
-	pl := db.Planner()
-	pl.DisableVectorized = false
-	pl.DisableStatPushdown = false
-	pl.ParallelThreshold = 0
-	pl.MaxParallel = 0
+	setMode(db, 0, 0)
 }
