@@ -23,10 +23,12 @@ lint-fix:
 	$(GO) run ./cmd/tracvet -fix ./...
 
 # check is the CI gate: lint everything, run the concurrency-sensitive
-# packages (parallel scan, plan cache, MVCC; the planner's property tests
-# drive parallel scans whose batches view segment memory across goroutines,
-# and storage owns that memory) under the race detector, run
-# the crash-injection recovery sweeps, then smoke every benchmark so
+# packages (parallel scan, plan cache, plan templates, MVCC; the planner's
+# property tests drive parallel scans whose batches view segment memory
+# across goroutines, and storage owns that memory; the exec re-Open tests and
+# the server's DDL-race hammer run reused plan trees) under the race
+# detector, run the crash-injection recovery sweeps, then smoke every
+# benchmark — BenchmarkPlanSelect's fresh and template paths included — so
 # bench-only code paths cannot rot unnoticed. The serving layer's tests run
 # twenty times over: its admission tests must hold by construction, not by
 # winning a race against the goroutines they contend with.

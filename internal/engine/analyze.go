@@ -33,6 +33,8 @@ func (db *DB) execAnalyze(s *sqlparser.AnalyzeStmt) error {
 		}
 		analyzeTable(tbl, snap)
 	}
+	// Statistics shape access paths: a plan kept for reuse is made again.
+	db.catalog.BumpVersion()
 	return nil
 }
 

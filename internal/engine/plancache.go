@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"container/list"
 	"strings"
-	"sync"
+	"sync/atomic"
+
+	"trac/internal/lru"
 )
 
 // DefaultPlanCacheSize bounds the per-database plan cache. Monitoring
@@ -19,17 +20,12 @@ const DefaultPlanCacheSize = 256
 // entry, so DDL/CHECK changes invalidate every cached plan without any
 // dependency tracking. Safe for concurrent use.
 type PlanCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List
-	entries  map[string]*list.Element
-	hits     uint64
-	misses   uint64
+	entries      *lru.Cache[string, planEntry]
+	hits, misses atomic.Uint64
 }
 
 // planEntry is one cached value.
 type planEntry struct {
-	key     string
 	version uint64
 	value   any
 }
@@ -40,69 +36,39 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheSize
 	}
-	return &PlanCache{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-	}
+	return &PlanCache{entries: lru.New[string, planEntry](capacity)}
 }
 
 // Get returns the cached value for key if present AND inserted under the
 // same catalog version; a version mismatch evicts the stale entry and
-// reports a miss.
+// reports a miss. (A fresh value another caller puts between the lookup and
+// the eviction goes with it: one more miss, never a stale hit.)
 func (c *PlanCache) Get(key string, version uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	ent, ok := c.entries.Get(key)
+	if ok && ent.version != version {
+		c.entries.Remove(key)
+		ok = false
+	}
 	if !ok {
-		c.misses++
+		c.misses.Add(1)
 		return nil, false
 	}
-	ent := el.Value.(*planEntry)
-	if ent.version != version {
-		c.ll.Remove(el)
-		delete(c.entries, key)
-		c.misses++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
+	c.hits.Add(1)
 	return ent.value, true
 }
 
 // Put inserts (or replaces) a value under the given catalog version,
 // evicting the least recently used entry when full.
 func (c *PlanCache) Put(key string, version uint64, value any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*planEntry)
-		ent.version = version
-		ent.value = value
-		c.ll.MoveToFront(el)
-		return
-	}
-	el := c.ll.PushFront(&planEntry{key: key, version: version, value: value})
-	c.entries[key] = el
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
-	}
+	c.entries.Put(key, planEntry{version: version, value: value})
 }
 
 // Len returns the number of live entries.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *PlanCache) Len() int { return c.entries.Len() }
 
 // Stats returns cumulative hit/miss counts.
 func (c *PlanCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // NormalizeSQL collapses whitespace runs to single spaces and trims the

@@ -430,6 +430,7 @@ type BatchHashJoin struct {
 // so its scan workers overlap the build; when the build fails, it is closed
 // again.
 func (j *BatchHashJoin) Open() error {
+	j.Probed = 0
 	if err := j.Probe.Open(); err != nil {
 		return err
 	}
@@ -437,7 +438,6 @@ func (j *BatchHashJoin) Open() error {
 		j.Close()
 		return err
 	}
-	j.Probed = 0
 	return nil
 }
 
@@ -564,5 +564,6 @@ func vecOverlay(dst, a *storage.ColVec, apos []int, b *storage.ColVec, bpos []in
 func (j *BatchHashJoin) Close() error {
 	PutBatch(j.build)
 	j.build, j.idx = nil, nil
+	j.pos, j.hit = recycled(j.pos), recycled(j.hit)
 	return j.Probe.Close()
 }

@@ -201,7 +201,7 @@ func (j *NestedLoopJoin) Next() ([]types.Value, bool, error) {
 
 // Close releases both sides.
 func (j *NestedLoopJoin) Close() error {
-	j.inner = nil
+	j.inner, j.outerRow = nil, nil
 	if !j.open {
 		return nil
 	}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 
+	"trac/internal/storage"
+	"trac/internal/txn"
 	"trac/internal/types"
 )
 
@@ -29,12 +31,16 @@ func Drain(op Operator) ([][]types.Value, error) {
 	}
 	defer op.Close()
 	var out [][]types.Value
-	if bd, ok := op.(bounded); ok {
+	root := op
+	if w, ok := op.(wrapper); ok {
+		root = w.Unwrap()
+	}
+	if bd, ok := root.(bounded); ok {
 		if n, known := bd.Bound(); known {
 			out = make([][]types.Value, 0, n)
 		}
 	}
-	if r, ok := op.(*RowFromBatch); ok {
+	if r, ok := root.(*RowFromBatch); ok {
 		for {
 			b, err := r.Src.NextBatch()
 			if err != nil {
@@ -59,6 +65,14 @@ func Drain(op Operator) ([][]types.Value, error) {
 		}
 		out = append(out, row)
 	}
+}
+
+// wrapper is implemented by a plan root that stands in front of an operator
+// tree without being part of it — the planner's hold on a reusable tree,
+// which hands the tree back when closed. Drain and the tree walks look
+// through it.
+type wrapper interface {
+	Unwrap() Operator
 }
 
 // bounded is implemented by operators that, once open, can state an upper
@@ -125,8 +139,44 @@ func eachInput(node any, fn func(any)) {
 				fn(p.Src)
 			}
 		}
+	case wrapper:
+		fn(n.Unwrap())
 	}
 }
+
+// Scans calls fn with the table and the snapshot field of every scan in an
+// operator tree: what running the tree again at another snapshot re-binds.
+func Scans(op Operator, fn func(*storage.Table, *txn.Snapshot)) { scans(op, fn) }
+
+func scans(node any, fn func(*storage.Table, *txn.Snapshot)) {
+	switch n := node.(type) {
+	case *IndexScan:
+		fn(n.Table, &n.Snap)
+	case *BatchScan:
+		fn(n.Table, &n.Snap)
+	case *ParallelScan:
+		fn(n.Table, &n.Snap)
+	case *StatAggScan:
+		fn(n.Table, &n.Snap)
+	}
+	eachInput(node, func(in any) { scans(in, fn) })
+}
+
+// recycled empties a scratch slice for its operator's next run. Its elements
+// are zeroed, so it keeps no pointer into the last run's data, and one grown
+// past keptScratch elements is dropped: a tree kept for reuse holds no buffer
+// the size of its last input.
+func recycled[T any](s []T) []T {
+	if cap(s) > keptScratch {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// keptScratch is the most of a scratch slice a closed operator keeps: what a
+// point probe or a selective join's probe batch needs.
+const keptScratch = 256
 
 // Vectorized reports whether any part of an operator tree runs
 // batch-at-a-time over column vectors — every plan that reads a table does;

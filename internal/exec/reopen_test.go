@@ -1,0 +1,267 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"trac/internal/sqlparser"
+	"trac/internal/storage"
+	"trac/internal/txn"
+	"trac/internal/types"
+)
+
+// reopenCase is one operator run again and again over the same input, as a
+// plan kept for reuse is: every run must answer what the first did and count
+// what the first counted — no state or counter carries over — and the closed
+// operator must hold nothing of the run.
+type reopenCase struct {
+	name   string
+	op     Operator
+	sorted bool         // the output order is not fixed (parallel workers)
+	counts func() []int // the run's counters
+	holds  func() []string
+}
+
+// holding names what a closed operator still holds of its run: each name
+// whose condition is true.
+func holding(conds ...any) []string {
+	var out []string
+	for i := 0; i < len(conds); i += 2 {
+		if conds[i+1].(bool) {
+			out = append(out, conds[i].(string))
+		}
+	}
+	return out
+}
+
+func nonNil[T comparable](s []T) bool {
+	var zero T
+	return slices.ContainsFunc(s[:cap(s)], func(v T) bool { return v != zero })
+}
+
+func reopenCases(t *testing.T) []reopenCase {
+	t.Helper()
+	var cases []reopenCase
+	add := func(c reopenCase) { cases = append(cases, c) }
+
+	act, am := testActivity(t)
+	if err := act.CreateIndex("mach_id"); err != nil {
+		t.Fatal(err)
+	}
+	is := &IndexScan{Table: act, Index: act.Index(0), Snap: am.ReadSnapshot(),
+		Keys: []types.Value{types.NewString("m1"), types.NewString("m3")}}
+	isRoot := &RowFromBatch{Src: is}
+	add(reopenCase{name: "IndexScan", op: isRoot,
+		counts: func() []int { return []int{isRoot.Boxed} },
+		holds:  func() []string { return holding("row pointers", nonNil(is.matches)) }})
+
+	agg, gm := aggFixture(t)
+	layout := layoutFor(agg, "a")
+	kernel := kernelOn(t, layout, "id < 150 OR id >= 400")
+	idLow, err := sqlparser.ParseExpr("id < 150")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segf, err := CompileSegmentFilter(idLow, layout, 0, agg.Schema.NumColumns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := &BatchScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernelOn(t, layout, "id < 150"), SegFilter: segf}
+	bsRoot := &RowFromBatch{Src: bs}
+	add(reopenCase{name: "BatchScan", op: bsRoot,
+		counts: func() []int { return []int{bs.PrunedSegments, bs.ScannedSegments, bsRoot.Boxed} },
+		holds:  func() []string { return holding("heap windows", bs.win != nil) }})
+
+	ps := &ParallelScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernel, Workers: 2, MorselSize: 64}
+	psRoot := &RowFromBatch{Src: ps}
+	add(reopenCase{name: "ParallelScan", op: psRoot, sorted: true,
+		counts: func() []int { return []int{psRoot.Boxed} },
+		holds:  func() []string { return holding("exchange", ps.ex != nil) }})
+
+	ex := &Exchange{Children: []BatchOperator{
+		ToBatch(&ValuesOp{RowsData: strRows("a", "b")}), ToBatch(&ValuesOp{RowsData: strRows("c")}),
+	}}
+	exRoot := &RowFromBatch{Src: ex}
+	add(reopenCase{name: "Exchange", op: exRoot, sorted: true,
+		counts: func() []int { return []int{exRoot.Boxed} },
+		holds:  func() []string { return holding("producers", ex.stop != nil) }})
+
+	sa := statAggFor(t, agg, gm.ReadSnapshot(), "id < 150 OR id >= 400", 1)
+	add(reopenCase{name: "StatAggScan", op: sa,
+		counts: func() []int { return []int{sa.StatSegments, sa.ScannedSegments, sa.PrunedSegments, sa.TailRows} },
+		holds:  func() []string { return holding("result", sa.out != nil) }})
+
+	build, probe, bk, pk, _ := joinFixture(t, 300)
+	hj := &BatchHashJoin{Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk}
+	hjRoot := &RowFromBatch{Src: hj}
+	add(reopenCase{name: "BatchHashJoin", op: hjRoot,
+		counts: func() []int { return []int{hj.Probed, hjRoot.Boxed} },
+		holds:  func() []string { return holding("build side", hj.build != nil, "hash table", hj.idx != nil) }})
+
+	sp := &SemiProbe{
+		Src:        ToBatch(&ValuesOp{RowsData: [][]types.Value{{types.NewString("b"), types.NewInt(1)}, {types.NewString("c"), types.NewInt(2)}, {types.NewString("b"), types.NewInt(3)}}}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+		Residual: func(row []types.Value) (types.Value, error) { return types.NewBool(row[1].Int() > 1), nil },
+		Width:    2,
+	}
+	sj := &SemiJoin{Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c")}), Arms: []SemiArm{{Probes: []*SemiProbe{sp}}}}
+	sjRoot := &RowFromBatch{Src: sj}
+	add(reopenCase{name: "SemiJoin", op: sjRoot,
+		counts: func() []int { return []int{sp.Probed, boolInt(sp.Exhausted), sjRoot.Boxed} },
+		holds:  func() []string { return holding("anchor batch", sj.out != nil, "merged tuple", nonNil(sj.merged)) }})
+
+	bd := &BatchDistinct{Child: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "a", "", "")})}
+	bdRoot := &RowFromBatch{Src: bd}
+	add(reopenCase{name: "BatchDistinct", op: bdRoot,
+		counts: func() []int { return []int{bdRoot.Boxed} },
+		holds:  func() []string { return holding("deduplicated batch", bd.out != nil) }})
+
+	ga := &BatchGroupAggregate{Src: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "a")}),
+		Keys: []Evaluator{col(0)}, Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}}}
+	add(reopenCase{name: "BatchGroupAggregate", op: ga,
+		holds: func() []string { return holding("groups", ga.out != nil) }})
+
+	so := &Sort{Child: &ValuesOp{RowsData: strRows("c", "a", "b")}, Keys: []SortKey{{Expr: col(0)}}}
+	add(reopenCase{name: "Sort", op: so,
+		holds: func() []string { return holding("sorted rows", so.rows != nil) }})
+
+	li := &Limit{Child: &ValuesOp{RowsData: strRows("a", "b", "c")}, N: 2}
+	add(reopenCase{name: "Limit", op: li,
+		counts: func() []int { return []int{int(li.emitted)} }})
+
+	un := &Union{Children: []Operator{&ValuesOp{RowsData: strRows("a", "b")}, &ValuesOp{RowsData: strRows("b", "c")}}}
+	add(reopenCase{name: "Union", op: un,
+		holds: func() []string { return holding("seen set", un.seen != nil) }})
+
+	pad := func(a, b string) []types.Value {
+		row := []types.Value{types.Null, types.Null}
+		if a != "" {
+			row[0] = types.NewString(a)
+		}
+		if b != "" {
+			row[1] = types.NewString(b)
+		}
+		return row
+	}
+	nl := &NestedLoopJoin{
+		Outer: &ValuesOp{RowsData: [][]types.Value{pad("x", ""), pad("y", "")}},
+		Inner: &ValuesOp{RowsData: [][]types.Value{pad("", "1"), pad("", "2")}},
+	}
+	add(reopenCase{name: "NestedLoopJoin", op: nl,
+		holds: func() []string { return holding("inner rows", nl.inner != nil, "outer tuple", nl.outerRow != nil) }})
+
+	vo := &ValuesOp{RowsData: strRows("a", "b")}
+	add(reopenCase{name: "ValuesOp", op: vo,
+		counts: func() []int { n, _ := vo.Bound(); return []int{n} }})
+	return cases
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestReopenCarriesNothingOver runs every operator three times over one
+// input: a plan template's tree is opened again after every Close.
+func TestReopenCarriesNothingOver(t *testing.T) {
+	for _, c := range reopenCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var first string
+			var firstCounts []int
+			for run := 0; run < 3; run++ {
+				rows, err := Drain(c.op)
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if len(rows) == 0 {
+					t.Fatalf("run %d: no rows; the case tests nothing", run)
+				}
+				keys := make([]string, len(rows))
+				for i, r := range rows {
+					keys[i] = RowKey(r)
+				}
+				if c.sorted {
+					sort.Strings(keys)
+				}
+				got := fmt.Sprint(keys)
+				var counts []int
+				if c.counts != nil {
+					counts = c.counts()
+				}
+				if c.holds != nil {
+					if h := c.holds(); len(h) > 0 {
+						t.Errorf("run %d: the closed operator still holds its %v", run, h)
+					}
+				}
+				if run == 0 {
+					first, firstCounts = got, counts
+					continue
+				}
+				if got != first {
+					t.Errorf("run %d answered %s, run 0 %s", run, got, first)
+				}
+				if !slices.Equal(counts, firstCounts) {
+					t.Errorf("run %d counted %v, run 0 %v", run, counts, firstCounts)
+				}
+			}
+		})
+	}
+}
+
+// TestReopenedScansReadTheirNewSnapshot: a scan re-bound to a later snapshot
+// between runs — what a plan template's checkout does — sees the rows
+// committed in between, and its counters describe the new run alone.
+func TestReopenedScansReadTheirNewSnapshot(t *testing.T) {
+	tbl, m := aggFixture(t)
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	is := &IndexScan{Table: tbl, Index: tbl.Index(0), Lo: storage.Incl(types.NewInt(390)), Hi: storage.Unbounded}
+	bs := &BatchScan{Table: tbl}
+	ps := &ParallelScan{Table: tbl, Workers: 2, MorselSize: 64}
+	sa := &StatAggScan{Table: tbl, Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}}, ArgCols: []int{-1}, Workers: 1}
+	scans := []struct {
+		name string
+		op   Operator
+		snap *txn.Snapshot
+		rows func([][]types.Value) int
+	}{
+		{"IndexScan", &RowFromBatch{Src: is}, &is.Snap, func(r [][]types.Value) int { return len(r) }},
+		{"BatchScan", &RowFromBatch{Src: bs}, &bs.Snap, func(r [][]types.Value) int { return len(r) }},
+		{"ParallelScan", &RowFromBatch{Src: ps}, &ps.Snap, func(r [][]types.Value) int { return len(r) }},
+		{"StatAggScan", sa, &sa.Snap, func(r [][]types.Value) int { return int(r[0][0].Int()) }},
+	}
+	count := func() map[string]int {
+		out := map[string]int{}
+		for _, s := range scans {
+			*s.snap = m.ReadSnapshot()
+			rows, err := Drain(s.op)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			out[s.name] = s.rows(rows)
+		}
+		return out
+	}
+	before := count()
+	tx := m.Begin()
+	if err := tx.InsertRow(tbl, storage.NewRow([]types.Value{types.NewInt(1000), types.NewString("new"), types.NewFloat(1)}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := count()
+	for _, s := range scans {
+		if after[s.name] != before[s.name]+1 {
+			t.Errorf("%s: %d rows before the insert, %d after; want one more", s.name, before[s.name], after[s.name])
+		}
+	}
+	if sa.StatSegments != 4 || sa.TailRows != 38 {
+		t.Errorf("StatAggScan counted %d stat-answered segments and %d tail rows, want 4 and 38", sa.StatSegments, sa.TailRows)
+	}
+}

@@ -144,21 +144,13 @@ func (f *SegmentFilter) Covers(seg *storage.Segment) bool {
 	return true
 }
 
-// zoned attaches a conjunct's zone-map proofs when its column, at tuple
-// offset off, belongs to the scanned table; the proofs take the column's
-// position in the table.
-func zoned(vc vecConjunct, off, base, tblCols int, prune, covers func(seg *storage.Segment, col int) bool) vecConjunct {
+// zoneCol returns the position in the scanned table of the column at tuple
+// offset off, and whether the column belongs to that table at all: only
+// then does a conjunct over it get zone-map proofs. A kernel (tblCols 0)
+// never asks for them, so the proofs are built only for a SegmentFilter.
+func zoneCol(off, base, tblCols int) (int, bool) {
 	col := off - base
-	if col < 0 || col >= tblCols {
-		return vc
-	}
-	if prune != nil {
-		vc.prune = func(seg *storage.Segment) bool { return prune(seg, col) }
-	}
-	if covers != nil {
-		vc.covers = func(seg *storage.Segment) bool { return covers(seg, col) }
-	}
-	return vc
+	return col, col >= 0 && col < tblCols
 }
 
 // fuseConjunct returns the fused form of one conjunct, or ok=false when the
@@ -203,7 +195,10 @@ func dropAll(off, base, tblCols int) vecConjunct {
 		b.Sel = b.Sel[:0]
 		return nil
 	}}
-	return zoned(vc, off, base, tblCols, func(*storage.Segment, int) bool { return true }, nil)
+	if _, ok := zoneCol(off, base, tblCols); ok {
+		vc.prune = func(*storage.Segment) bool { return true }
+	}
+	return vc
 }
 
 // allNull reports a zone map proving the column is NULL in every row of the
@@ -404,13 +399,12 @@ func fuseCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, l
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment, col int) bool {
-		return pruneCmpZone(&seg.Zones[col], lit, op)
+	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	if col, ok := zoneCol(off, base, tblCols); ok {
+		vc.prune = func(seg *storage.Segment) bool { return pruneCmpZone(&seg.Zones[col], lit, op) }
+		vc.covers = func(seg *storage.Segment) bool { return coverCmpZone(&seg.Zones[col], seg.Len(), lit, op) }
 	}
-	covers := func(seg *storage.Segment, col int) bool {
-		return coverCmpZone(&seg.Zones[col], seg.Len(), lit, op)
-	}
-	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
+	return vc, true
 }
 
 // fuseCmpColCol fuses `col <op> col`: typed loops for two pure vectors of
@@ -515,37 +509,6 @@ func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool)
 			set[v.Str()] = struct{}{}
 		}
 	}
-	prune := func(seg *storage.Segment, col int) bool {
-		z := &seg.Zones[col]
-		if allNull(z) {
-			return true
-		}
-		if negated {
-			return false
-		}
-		if allStrings && z.Sources != nil {
-			for _, v := range vals {
-				if z.HasSource(v.Str()) {
-					return false
-				}
-			}
-			return true
-		}
-		if !z.Ordered || z.Min.IsNull() {
-			return false
-		}
-		for _, v := range vals {
-			cmpMin, errMin := types.Compare(v, z.Min)
-			cmpMax, errMax := types.Compare(v, z.Max)
-			if errMin != nil || errMax != nil {
-				return false
-			}
-			if cmpMin >= 0 && cmpMax <= 0 {
-				return false // member inside the bounds: could match
-			}
-		}
-		return true
-	}
 	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
 		out := sel[:0]
 		if allStrings && cv.Pure {
@@ -584,12 +547,48 @@ func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool)
 		}
 		return out, nil
 	}
+	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	col, ok := zoneCol(off, base, tblCols)
+	if !ok {
+		return vc, true
+	}
+	vc.prune = func(seg *storage.Segment) bool {
+		z := &seg.Zones[col]
+		if allNull(z) {
+			return true
+		}
+		if negated {
+			return false
+		}
+		if allStrings && z.Sources != nil {
+			for _, v := range vals {
+				if z.HasSource(v.Str()) {
+					return false
+				}
+			}
+			return true
+		}
+		if !z.Ordered || z.Min.IsNull() {
+			return false
+		}
+		for _, v := range vals {
+			cmpMin, errMin := types.Compare(v, z.Min)
+			cmpMax, errMax := types.Compare(v, z.Max)
+			if errMin != nil || errMax != nil {
+				return false
+			}
+			if cmpMin >= 0 && cmpMax <= 0 {
+				return false // member inside the bounds: could match
+			}
+		}
+		return true
+	}
 	// Coverage (non-negated only): with no NULL rows, every row matches when
 	// the tracked distinct-source set is a subset of the probe list (the dual
 	// of the disjointness prune), or when the bounds pin a single value that
 	// is a list member. A matched row is TRUE even with a NULL list item, so
 	// hasNullItem does not weaken the proof.
-	covers := func(seg *storage.Segment, col int) bool {
+	vc.covers = func(seg *storage.Segment) bool {
 		z := &seg.Zones[col]
 		if negated || z.NullCount > 0 || seg.Len() == 0 {
 			return false
@@ -614,7 +613,7 @@ func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool)
 		}
 		return false
 	}
-	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
+	return vc, true
 }
 
 // fuseBetween fuses `col [NOT] BETWEEN lit AND lit` when the bound kinds
@@ -718,7 +717,12 @@ func fuseBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (vecConju
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment, col int) bool {
+	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	col, ok := zoneCol(off, base, tblCols)
+	if !ok {
+		return vc, true
+	}
+	vc.prune = func(seg *storage.Segment) bool {
 		z := &seg.Zones[col]
 		if allNull(z) {
 			return true
@@ -735,7 +739,7 @@ func fuseBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (vecConju
 	}
 	// Coverage: no NULL rows, and the zone bounds sit inside the range
 	// (non-negated) or entirely outside it (negated).
-	covers := func(seg *storage.Segment, col int) bool {
+	vc.covers = func(seg *storage.Segment) bool {
 		z := &seg.Zones[col]
 		if !z.Ordered || z.Min.IsNull() || z.NullCount > 0 || seg.Len() == 0 {
 			return false
@@ -752,7 +756,7 @@ func fuseBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (vecConju
 		}
 		return loMin <= 0 && hiMax >= 0
 	}
-	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
+	return vc, true
 }
 
 // fuseLike fuses `col [NOT] LIKE 'pattern'` over TEXT columns. Only the
@@ -797,8 +801,11 @@ func fuseLike(layout *Layout, n *sqlparser.Like, base, tblCols int) (vecConjunct
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment, col int) bool { return allNull(&seg.Zones[col]) }
-	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, nil), true
+	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	if col, ok := zoneCol(off, base, tblCols); ok {
+		vc.prune = func(seg *storage.Segment) bool { return allNull(&seg.Zones[col]) }
+	}
+	return vc, true
 }
 
 // fuseIsNull fuses `col IS [NOT] NULL` over the null marks, pruning via the
@@ -830,7 +837,12 @@ func fuseIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (vecConj
 		}
 		return out, nil
 	}
-	prune := func(seg *storage.Segment, col int) bool {
+	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	col, ok := zoneCol(off, base, tblCols)
+	if !ok {
+		return vc, true
+	}
+	vc.prune = func(seg *storage.Segment) bool {
 		z := &seg.Zones[col]
 		if negated {
 			return z.NullCount == seg.Len()
@@ -839,7 +851,7 @@ func fuseIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (vecConj
 	}
 	// Coverage is exact off the null count alone: IS NULL covers an all-NULL
 	// segment, IS NOT NULL a null-free one.
-	covers := func(seg *storage.Segment, col int) bool {
+	vc.covers = func(seg *storage.Segment) bool {
 		z := &seg.Zones[col]
 		if seg.Len() == 0 {
 			return false
@@ -849,5 +861,5 @@ func fuseIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (vecConj
 		}
 		return z.NullCount == seg.Len()
 	}
-	return zoned(vecConjunct{narrow: colKernel(off, narrow)}, off, base, tblCols, prune, covers), true
+	return vc, true
 }

@@ -84,6 +84,12 @@ func (j *SemiJoin) Open() error {
 	return nil
 }
 
+// Close drops the result if nobody took it, and the last merged tuple.
+func (j *SemiJoin) Close() error {
+	j.merged = recycled(j.merged)
+	return j.held.Close()
+}
+
 // collect runs a batch operator to completion and returns everything it
 // selects as one batch (nil when it selects nothing): the operator's own
 // batch when it emits just one, otherwise a batch the selected tuples are

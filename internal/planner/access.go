@@ -1,12 +1,9 @@
 package planner
 
 import (
-	"fmt"
-
 	"trac/internal/exec"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
-	"trac/internal/txn"
 	"trac/internal/types"
 )
 
@@ -66,8 +63,9 @@ func subsetOf(set, of map[int]bool) bool {
 // semantics exact when the index bounds are conservative, e.g. LIKE
 // prefixes). Either scan carries only the columns the plan reads: what cols
 // says is still read above it, plus this predicate's own. serial rules out a
-// parallel heap scan, for consumers that stop after the first rows.
-func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols scanCols, snap txn.Snapshot, serial bool) (exec.BatchOperator, float64, string, error) {
+// parallel heap scan, for consumers that stop after the first rows. The scan
+// is bound to a snapshot when the plan is checked out.
+func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols scanCols, serial bool) (exec.BatchOperator, float64, note, error) {
 	b := layout.Bindings[i]
 	tbl := b.Table
 	// Estimates count live rows: a small table updated in place all day
@@ -126,7 +124,7 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 	}
 	kernel, fused, total, err := exec.CompileKernel(pred, layout)
 	if err != nil {
-		return nil, 0, "", err
+		return nil, 0, note{}, err
 	}
 	lo, hi := b.Offset, b.Offset+tbl.Schema.NumColumns()
 	need := cols.need(func(off int) bool { return off >= lo && off < hi })
@@ -139,17 +137,11 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 			est = best.est
 		}
 		op := &exec.IndexScan{
-			Table: tbl, Index: tbl.Index(best.col), Snap: snap, Kernel: kernel,
+			Table: tbl, Index: tbl.Index(best.col), Kernel: kernel,
 			Offset: b.Offset, Width: layout.Width(), Need: need,
 			Keys: best.keys, Lo: best.lo, Hi: best.hi,
 		}
-		kind := "range"
-		if best.keys != nil {
-			kind = fmt.Sprintf("%d key(s)", len(best.keys))
-		}
-		note := fmt.Sprintf("index scan on %s.%s (%s, est %.0f rows)",
-			b.Name, tbl.Schema.Columns[best.col].Name, kind, est)
-		return op, est, note, nil
+		return op, est, note{kind: noteIndexScan, name: b.Name, col: tbl.Schema.Columns[best.col].Name, n: len(best.keys), est: est}, nil
 	}
 	// Heap scan, with the predicate's zone-map side consulted before each
 	// sealed segment is read: parallelize when the INPUT cardinality (every
@@ -161,50 +153,21 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 	}
 	segf, err := exec.CompileSegmentFilter(pred, layout, b.Offset, tbl.Schema.NumColumns())
 	if err != nil {
-		return nil, 0, "", err
+		return nil, 0, note{}, err
 	}
-	fusedNote := ""
-	if total > 0 {
-		fusedNote = fmt.Sprintf("fused %d/%d predicates, ", fused, total)
-	}
-	segNote := segmentPruneNote(tbl, segf)
+	n := note{kind: noteSeqScan, name: b.Name, n: workers, fused: fused, total: total, est: est, table: tbl, segf: segf}
 	if workers > 1 {
 		op := &exec.ParallelScan{
-			Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
+			Table: tbl, Kernel: kernel, SegFilter: segf,
 			Offset: b.Offset, Width: layout.Width(), Need: need, Workers: workers,
 		}
-		note := fmt.Sprintf("vectorized parallel seq scan on %s (%d workers, %sest %.0f rows%s)",
-			b.Name, workers, fusedNote, est, segNote)
-		return op, est, note, nil
+		return op, est, n, nil
 	}
 	op := &exec.BatchScan{
-		Table: tbl, Snap: snap, Kernel: kernel, SegFilter: segf,
+		Table: tbl, Kernel: kernel, SegFilter: segf,
 		Offset: b.Offset, Width: layout.Width(), Need: need,
 	}
-	note := fmt.Sprintf("vectorized seq scan on %s (%sest %.0f rows%s)", b.Name, fusedNote, est, segNote)
-	return op, est, note, nil
-}
-
-// segmentPruneNote describes the sealed-segment coverage of a table and how
-// many segments the compiled filter's zone maps prune at plan time. The
-// counts are advisory (taken against the planning-time heap snapshot; the
-// scan re-checks its own execution snapshot) but make pruning visible in
-// EXPLAIN. Empty when the table has no sealed segments.
-func segmentPruneNote(tbl *storage.Table, segf *exec.SegmentFilter) string {
-	heap := tbl.Snap()
-	if len(heap.Segments) == 0 {
-		return ""
-	}
-	pruned := 0
-	if segf != nil {
-		for _, seg := range heap.Segments {
-			if segf.Prune(seg) {
-				pruned++
-			}
-		}
-	}
-	return fmt.Sprintf(", segments %d/%d pruned, tail %d rows",
-		pruned, len(heap.Segments), len(heap.Tail()))
+	return op, est, n, nil
 }
 
 // estimateRows estimates the scan output cardinality by multiplying

@@ -15,7 +15,7 @@ import (
 // tuple offset (keyCols, argCols), so the batch aggregation reads it straight
 // off the vector instead of through the evaluator — and zone-map stats can
 // answer an aggregate over it.
-func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOperator, layout *exec.Layout, items []sqlparser.Expr, notes *[]string) (exec.Operator, error) {
+func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOperator, layout *exec.Layout, items []sqlparser.Expr, t *template) (exec.Operator, error) {
 	keyEvals := make([]exec.Evaluator, len(sel.GroupBy))
 	keyCols := make([]int, len(sel.GroupBy))
 	keySQL := make([]string, len(sel.GroupBy))
@@ -58,7 +58,7 @@ func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOpera
 	if err != nil {
 		return nil, err
 	}
-	return tail.Over(p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, notes)), nil
+	return tail.Over(p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, t)), nil
 }
 
 // GroupKey resolves one GROUP BY expression: a bare select-list alias stands
@@ -169,19 +169,19 @@ func (t *GroupedTail) Over(groups exec.Operator) exec.Operator {
 // parallel partial aggregation (input is a parallel scan), then columnar
 // hash aggregation. All three produce identical results; only the amount of
 // data touched and the degree of parallelism differ.
-func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
+func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, t *template) exec.Operator {
 	if len(keyEvals) == 0 {
-		if op := p.tryStatAgg(input, specs, argCols, notes); op != nil {
+		if op := p.tryStatAgg(input, specs, argCols, t); op != nil {
 			return op
 		}
 	}
 	if ps, ok := input.(*exec.ParallelScan); ok && ps.Degree() > 1 {
-		*notes = append(*notes, fmt.Sprintf("parallel partial aggregation (%d workers)", ps.Degree()))
+		t.notes = append(t.notes, note{kind: noteCount, text: "parallel partial aggregation (%d workers)", n: ps.Degree()})
 		return &exec.ParallelGroupAggregate{
 			Scan: ps, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
 		}
 	}
-	*notes = append(*notes, "vectorized hash aggregation")
+	t.notes = append(t.notes, note{text: "vectorized hash aggregation"})
 	return &exec.BatchGroupAggregate{
 		Src: input, Keys: keyEvals, KeyCols: keyCols, Specs: specs, ArgCols: argCols,
 	}
@@ -193,7 +193,7 @@ func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluat
 // Every spec must be COUNT(*)/COUNT/MIN/MAX/SUM/AVG over a bare column, and
 // the input must be an unjoined full-width scan whose predicate (if any)
 // lives entirely in the pushed-down kernel + columnar filter.
-func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, argCols []int, notes *[]string) exec.Operator {
+func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, argCols []int, t *template) exec.Operator {
 	for si := range specs {
 		switch specs[si].Func {
 		case sqlparser.FuncCount, sqlparser.FuncMin, sqlparser.FuncMax,
@@ -211,22 +211,19 @@ func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, arg
 		if n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
 			return nil
 		}
-		op.Table, op.Snap = n.Table, n.Snap
+		op.Table = n.Table
 		op.Kernel, op.SegFilter, op.Need = n.Kernel, n.SegFilter, n.Need
 		op.Workers, op.MorselSize = n.Degree(), n.MorselSize
 	case *exec.BatchScan:
 		if n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
 			return nil
 		}
-		op.Table, op.Snap = n.Table, n.Snap
+		op.Table = n.Table
 		op.Kernel, op.SegFilter, op.Need = n.Kernel, n.SegFilter, n.Need
 		op.Workers = 1
 	default:
 		return nil
 	}
-	statSegs, scanSegs, pruned, tailRows := op.Classify()
-	*notes = append(*notes, fmt.Sprintf(
-		"agg: %d segments answered from stats, %d scanned, %d pruned, tail %d rows",
-		statSegs, scanSegs, pruned, tailRows))
+	t.notes = append(t.notes, note{kind: noteStatAgg, op: op})
 	return op
 }

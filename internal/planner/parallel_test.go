@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"trac/internal/exec"
+	"trac/internal/sqlparser"
 )
 
 // findParallelScan walks down through single-child wrappers (row and batch)
 // looking for a ParallelScan.
 func findParallelScan(op exec.Operator) *exec.ParallelScan {
 	switch n := op.(type) {
+	case *checkout:
+		return findParallelScan(n.Unwrap())
 	case *exec.RowFromBatch:
 		return findBatchParallelScan(n.Src)
 	case *exec.Filter:
@@ -147,5 +150,32 @@ func TestParallelWorkersScaling(t *testing.T) {
 	serial := &Planner{ParallelThreshold: 1000, MaxParallel: 1}
 	if got := serial.parallelWorkers(1e9); got != 1 {
 		t.Errorf("MaxParallel=1 must force serial, got %d", got)
+	}
+}
+
+// TestTemplateFollowsParallelConfig: the parallel degree is a planning
+// decision, so a template made under one planner configuration is not
+// re-bound under another.
+func TestTemplateFollowsParallelConfig(t *testing.T) {
+	p, mgr := jobFixture(t, 20, 20, 5_000)
+	sel, err := sqlparser.ParseSelect(`SELECT mach_id FROM JobLog WHERE job_id > 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ max, degree int }{{1, 1}, {4, 4}, {1, 1}} {
+		p.ParallelThreshold, p.MaxParallel = 1_000, c.max
+		for run := 0; run < 3; run++ {
+			pl, err := p.PlanSelect(sel, mgr.ReadSnapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := exec.Drain(pl.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Parallel != c.degree || len(rows) != 5_000-11 {
+				t.Errorf("MaxParallel %d, run %d: degree %d, %d rows; want %d, %d", c.max, run, pl.Parallel, len(rows), c.degree, 5_000-11)
+			}
+		}
 	}
 }

@@ -16,11 +16,12 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"trac/internal/exec"
+	"trac/internal/lru"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
-	"trac/internal/txn"
 	"trac/internal/types"
 )
 
@@ -29,7 +30,8 @@ import (
 // goroutine fan-out and channel hand-off cost more than the scan itself.
 const DefaultParallelThreshold = 50_000
 
-// Planner plans statements against a catalog.
+// Planner plans statements against a catalog, keeping the operator tree of
+// each statement it planned for the statement's next plan (template.go).
 type Planner struct {
 	Catalog *storage.Catalog
 	// ParallelThreshold overrides DefaultParallelThreshold when > 0
@@ -37,11 +39,14 @@ type Planner struct {
 	ParallelThreshold int
 	// MaxParallel caps the per-scan worker count; <= 0 means GOMAXPROCS.
 	MaxParallel int
+
+	templates    *lru.Cache[*sqlparser.SelectStmt, *slot]
+	hits, misses atomic.Uint64
 }
 
 // New returns a planner over the catalog.
 func New(catalog *storage.Catalog) *Planner {
-	return &Planner{Catalog: catalog}
+	return &Planner{Catalog: catalog, templates: lru.New[*sqlparser.SelectStmt, *slot](templateSlots)}
 }
 
 // parallelWorkers decides the parallel degree for a heap scan over the given
@@ -70,12 +75,15 @@ func (p *Planner) parallelWorkers(inputRows float64) int {
 	return w
 }
 
-// Plan is an executable plan plus its output description.
+// Plan is an executable plan plus its output description. Its Root runs the
+// statement's tree; closing the Root hands the tree back to the planner.
 type Plan struct {
 	Root    exec.Operator
 	Columns []string
 	// Notes records planning decisions (access paths, join order) for
-	// EXPLAIN-style diagnostics and for the ablation benchmarks.
+	// EXPLAIN-style diagnostics and for the ablation benchmarks, one line
+	// each. Describe renders them — planning formats nothing — and leaves
+	// them here.
 	Notes []string
 	// Parallel is the maximum parallel worker degree anywhere in the plan
 	// (1 = fully single-threaded).
@@ -84,74 +92,12 @@ type Plan struct {
 	// batch-at-a-time.
 	Vectorized bool
 
-	// semis ties each semi-join note to its probe, so that Describe can say
-	// after a run how much of the probe side was read; joins ties each
-	// columnar hash-join note to its operator, for the tuples boxed.
-	semis []semiNote
-	joins []joinNote
+	t              *template
+	opened, closed bool
+	runs           []ran // what the run left, captured when Root closed
 }
 
-type semiNote struct {
-	note  int // index into Notes
-	probe *exec.SemiProbe
-}
-
-type joinNote struct {
-	note int // index into Notes
-	join *exec.BatchHashJoin
-}
-
-// Describe renders the planning notes, including the plan's parallel degree
-// and whether it runs vectorized. Called after the plan has run, semi-join
-// notes also carry how many probe rows the execution read, and columnar
-// hash-join notes how many tuples the plan boxed on the probe stream
-// (exec.RowsBoxed: build sides are materialized by design and not counted).
-func (p *Plan) Describe() string {
-	notes := p.Notes
-	if len(p.semis)+len(p.joins) > 0 {
-		notes = append([]string(nil), p.Notes...)
-		for _, sn := range p.semis {
-			switch {
-			case sn.probe.Exhausted:
-				notes[sn.note] += fmt.Sprintf(", read all %d rows", sn.probe.Probed)
-			case sn.probe.Probed > 0:
-				notes[sn.note] += fmt.Sprintf(", stopped after %d rows", sn.probe.Probed)
-			}
-		}
-		for _, jn := range p.joins {
-			if jn.join.Probed > 0 {
-				notes[jn.note] += fmt.Sprintf(", %d rows boxed", exec.RowsBoxed(p.Root))
-			}
-		}
-	}
-	out := strings.Join(notes, "\n")
-	if p.Parallel > 1 {
-		out += fmt.Sprintf("\nparallel degree: %d", p.Parallel)
-	}
-	if p.Vectorized {
-		out += "\nvectorized execution"
-	}
-	return out
-}
-
-// PlanSelect builds a plan for a SELECT against the given snapshot.
-func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
-	var plan *Plan
-	var err error
-	if len(sel.Union) > 0 {
-		plan, err = p.planUnion(sel, snap)
-	} else {
-		plan, err = p.planBlock(sel, snap)
-	}
-	if err != nil {
-		return nil, err
-	}
-	plan.Parallel = exec.ParallelDegree(plan.Root)
-	plan.Vectorized = exec.Vectorized(plan.Root)
-	return plan, nil
-}
-
-func (p *Planner) planUnion(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
+func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.Operator, []string, error) {
 	stmts := make([]*sqlparser.SelectStmt, 0, 1+len(sel.Union))
 	head := *sel
 	head.Union = nil
@@ -167,58 +113,54 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan
 		}
 		b, err := p.bindBlock(st)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		blocks[i] = b
 	}
 
-	plan := &Plan{}
+	var root exec.Operator
+	var columns []string
 	if u, ok := unionAnchors(blocks); ok {
 		// Every block draws its output from the same relation: one anchor
 		// scan, one arm per block, each anchor row emitted once; the
 		// DISTINCT of the tail is the UNION's set semantics.
-		plan.Columns = blocks[0].columns
-		plan.Notes = append(plan.Notes, fmt.Sprintf("anchored union: %d arms, 1 anchor scan", len(blocks)))
-		if err := p.planAnchored(blocks, u, snap, plan); err != nil {
-			return nil, err
+		columns = blocks[0].columns
+		t.notes = append(t.notes, note{kind: noteCount, text: "anchored union: %d arms, 1 anchor scan", n: len(blocks)})
+		var err error
+		if root, err = p.planAnchored(blocks, u, t); err != nil {
+			return nil, nil, err
 		}
 	} else {
 		var children []exec.Operator
 		for i, st := range stmts {
-			var bp *Plan
+			t.notes = append(t.notes, note{kind: noteCount, text: "union block %d:", n: i})
+			var child exec.Operator
+			var cols []string
 			var err error
 			if blocks[i] == nil {
-				bp, err = p.planConstant(st)
+				child, cols, err = p.planConstant(st, t)
 			} else {
-				bp, err = p.planBound(blocks[i], snap)
+				child, err = p.planBound(blocks[i], t)
+				cols = blocks[i].columns
 			}
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if i == 0 {
-				plan.Columns = bp.Columns
-			} else if len(bp.Columns) != len(plan.Columns) {
-				return nil, fmt.Errorf("planner: UNION blocks have different arity (%d vs %d)",
-					len(plan.Columns), len(bp.Columns))
+				columns = cols
+			} else if len(cols) != len(columns) {
+				return nil, nil, fmt.Errorf("planner: UNION blocks have different arity (%d vs %d)",
+					len(columns), len(cols))
 			}
-			children = append(children, bp.Root)
-			plan.Notes = append(plan.Notes, fmt.Sprintf("union block %d:", i))
-			for _, sn := range bp.semis {
-				plan.semis = append(plan.semis, semiNote{note: sn.note + len(plan.Notes), probe: sn.probe})
-			}
-			for _, jn := range bp.joins {
-				plan.joins = append(plan.joins, joinNote{note: jn.note + len(plan.Notes), join: jn.join})
-			}
-			plan.Notes = append(plan.Notes, bp.Notes...)
+			children = append(children, child)
 		}
-		plan.Root = &exec.Union{Children: children}
+		root = &exec.Union{Children: children}
 	}
-	var err error
-	plan.Root, err = ApplyOutputOrderLimit(plan.Root, sel, plan.Columns)
+	root, err := ApplyOutputOrderLimit(root, sel, columns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return plan, nil
+	return root, columns, nil
 }
 
 // ApplyOutputOrderLimit handles ORDER BY/LIMIT over a plan whose tuples are
@@ -324,16 +266,6 @@ func bareCols(exprs []sqlparser.Expr, layout *exec.Layout) []int {
 	return cols
 }
 
-// colNames renders tuple offsets as binding.column, for explain notes.
-func colNames(layout *exec.Layout, offs []int) string {
-	names := make([]string, len(offs))
-	for i, off := range offs {
-		c, _ := layout.ColumnAt(off)
-		names[i] = layout.Bindings[layout.BindingOf(off)].Name + "." + c.Name
-	}
-	return strings.Join(names, ", ")
-}
-
 // bindBlock resolves a block's FROM list, WHERE conjuncts and select items.
 func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 	bindings := make([]exec.Binding, 0, len(sel.From))
@@ -396,26 +328,26 @@ func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 	return b, nil
 }
 
-func (p *Planner) planBlock(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
+func (p *Planner) planBlock(sel *sqlparser.SelectStmt, t *template) (exec.Operator, []string, error) {
 	// SELECT with no FROM: evaluate items against an empty tuple.
 	if len(sel.From) == 0 {
-		return p.planConstant(sel)
+		return p.planConstant(sel, t)
 	}
 	b, err := p.bindBlock(sel)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p.planBound(b, snap)
+	root, err := p.planBound(b, t)
+	return root, b.columns, err
 }
 
 // planBound plans a bound block: a semi-join when the block is
 // DISTINCT-anchored (see anchorOf), otherwise the join tree over every
 // binding; then the aggregation or projection tail.
-func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
+func (p *Planner) planBound(b *block, t *template) (exec.Operator, error) {
 	sel, layout := b.sel, b.layout
-	plan := &Plan{Columns: b.columns}
 	if a := anchorOf(b); a >= 0 {
-		return plan, p.planAnchored([]*block{b}, &anchoredUnion{anchors: []int{a}}, snap, plan)
+		return p.planAnchored([]*block{b}, &anchoredUnion{anchors: []int{a}}, t)
 	}
 
 	all := make([]int, len(layout.Bindings))
@@ -425,7 +357,7 @@ func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
 	// LIMIT without ORDER BY over one table stops after the first surviving
 	// rows: a parallel scan would spin up workers to throw their output away.
 	serial := len(all) == 1 && sel.Limit != nil && len(sel.OrderBy) == 0 && !b.grouped
-	root, err := p.joinTree(layout, all, b.conjuncts, b.tail, snap, plan, serial)
+	root, err := p.joinTree(layout, all, b.conjuncts, b.tail, t, serial)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +372,7 @@ func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
 	}
 
 	if b.grouped {
-		out, err := p.finishGrouped(sel, root, layout, b.items, &plan.Notes)
+		out, err := p.finishGrouped(sel, root, layout, b.items, t)
 		if err != nil {
 			return nil, err
 		}
@@ -450,11 +382,9 @@ func (p *Planner) planBound(b *block, snap txn.Snapshot) (*Plan, error) {
 		if sel.Limit != nil {
 			out = &exec.Limit{Child: out, N: *sel.Limit}
 		}
-		plan.Root = out
-		return plan, nil
+		return out, nil
 	}
-	plan.Root, err = p.finishPlain(b, root, layout)
-	return plan, err
+	return p.finishPlain(b, root, layout)
 }
 
 // finishPlain builds the non-aggregate tail over root, whose tuples have the
@@ -532,8 +462,7 @@ func orderExpr(sel *sqlparser.SelectStmt, items []sqlparser.Expr, oe sqlparser.E
 // are joined. tail is what the consumer of the tree reads off its tuples;
 // with the conjuncts still unplaced at each stage it decides which columns
 // a scan carries and a join gathers.
-func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, tail colSet, snap txn.Snapshot, plan *Plan, serial bool) (exec.BatchOperator, error) {
-	notes := &plan.Notes
+func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conjunct, tail colSet, t *template, serial bool) (exec.BatchOperator, error) {
 	type node struct {
 		op  exec.BatchOperator
 		est float64
@@ -546,12 +475,12 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 				mine = append(mine, c)
 			}
 		}
-		op, est, note, err := p.accessPath(layout, i, mine, scanCols{tail, conjuncts, mine}, snap, serial)
+		op, est, n, err := p.accessPath(layout, i, mine, scanCols{tail, conjuncts, mine}, serial)
 		if err != nil {
 			return nil, err
 		}
 		nodes[i] = &node{op: op, est: est}
-		*notes = append(*notes, note)
+		t.notes = append(t.notes, n)
 	}
 
 	joined := make(map[int]bool, len(members))
@@ -619,17 +548,13 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 				cand: cand, candBuilds: n.est <= rootEst,
 				after: scanCols{tail: tail, conjuncts: conjuncts},
 			}
-			var note string
 			if j.candBuilds {
 				j.build, j.probe = n.op, root
-				note = fmt.Sprintf("hash join: build %s (est %.0f), probe so-far (est %.0f)",
-					layout.Bindings[cand].Name, n.est, rootEst)
 			} else {
 				j.build, j.probe = root, n.op
-				note = fmt.Sprintf("hash join: build so-far (est %.0f), probe %s (est %.0f)",
-					rootEst, layout.Bindings[cand].Name, n.est)
 			}
-			root = p.makeHashJoin(j, layout, joined, note, plan)
+			root = p.makeHashJoin(j, layout, joined, t,
+				note{kind: noteHashJoin, name: layout.Bindings[cand].Name, est: n.est, est2: rootEst, flag: j.candBuilds})
 			rootEst = rootEst * n.est / 10 // crude equijoin output estimate
 		} else {
 			// The one row join: both sides cross the bridge, the merged
@@ -637,7 +562,7 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 			root = exec.ToBatch(&exec.NestedLoopJoin{
 				Outer: &exec.RowFromBatch{Src: root}, Inner: &exec.RowFromBatch{Src: n.op},
 			})
-			*notes = append(*notes, fmt.Sprintf("nested loop: %s (est %.0f)", layout.Bindings[cand].Name, n.est))
+			t.notes = append(t.notes, note{kind: noteNestedLoop, name: layout.Bindings[cand].Name, est: n.est})
 			rootEst = rootEst * n.est
 		}
 		joined[cand] = true
@@ -694,10 +619,11 @@ type joinSpec struct {
 	after                scanCols
 }
 
-// makeHashJoin builds the columnar hash join and records its note. The join
-// collects the build side as a batch, reads keys off the key vectors and
-// gathers only the columns the plan reads above it.
-func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]bool, note string, plan *Plan) exec.BatchOperator {
+// makeHashJoin builds the columnar hash join and records its note, n with
+// the probe-side columns it reads added. The join collects the build side as
+// a batch, reads keys off the key vectors and gathers only the columns the
+// plan reads above it.
+func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]bool, t *template, n note) exec.BatchOperator {
 	// What the plan reads above this join, of the bindings it outputs.
 	joined[j.cand] = true
 	need := j.after.need(func(off int) bool { return joined[layout.BindingOf(off)] })
@@ -718,22 +644,22 @@ func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]b
 			reads = append(reads, off)
 		}
 	}
-	plan.joins = append(plan.joins, joinNote{note: len(plan.Notes), join: op})
-	plan.Notes = append(plan.Notes, fmt.Sprintf("%s columnar [%s]", note, colNames(layout, reads)))
+	n.layout, n.cols, n.op = layout, reads, op
+	t.notes = append(t.notes, n)
 	return op
 }
 
-func (p *Planner) planConstant(sel *sqlparser.SelectStmt) (*Plan, error) {
+func (p *Planner) planConstant(sel *sqlparser.SelectStmt, t *template) (exec.Operator, []string, error) {
 	layout := exec.NewLayout(nil)
 	var exprs []exec.Evaluator
 	var columns []string
 	for _, it := range sel.Items {
 		if it.Star {
-			return nil, fmt.Errorf("planner: SELECT * requires a FROM clause")
+			return nil, nil, fmt.Errorf("planner: SELECT * requires a FROM clause")
 		}
 		ev, err := exec.Compile(it.Expr, layout)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		exprs = append(exprs, ev)
 		columns = append(columns, ItemName(it))
@@ -745,7 +671,8 @@ func (p *Planner) planConstant(sel *sqlparser.SelectStmt) (*Plan, error) {
 	if sel.Limit != nil {
 		root = &exec.Limit{Child: root, N: *sel.Limit}
 	}
-	return &Plan{Root: root, Columns: columns, Notes: []string{"constant select"}}, nil
+	t.notes = append(t.notes, note{text: "constant select"})
+	return root, columns, nil
 }
 
 // expandItems resolves stars and returns one expression per output column

@@ -86,6 +86,54 @@ func plan(t *testing.T, p *Planner, mgr *txn.Manager, sql string) *Plan {
 	return pl
 }
 
+// semiProbes lists a plan's semi-join probes in note order.
+func semiProbes(pl *Plan) []*exec.SemiProbe {
+	var out []*exec.SemiProbe
+	for _, n := range pl.t.notes {
+		if probe, ok := n.op.(*exec.SemiProbe); ok {
+			out = append(out, probe)
+		}
+	}
+	return out
+}
+
+// hashJoins lists a plan's columnar hash joins in note order.
+func hashJoins(pl *Plan) []*exec.BatchHashJoin {
+	var out []*exec.BatchHashJoin
+	for _, n := range pl.t.notes {
+		if j, ok := n.op.(*exec.BatchHashJoin); ok {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// eachRun plans and drains one parsed statement runs times, calling check
+// after each: the first two runs plan it (a statement's first tree is not
+// kept), every later one must re-bind its template.
+func eachRun(t *testing.T, p *Planner, mgr *txn.Manager, sql string, runs int, check func(run int, pl *Plan, rows [][]types.Value)) {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < runs; run++ {
+		hits, _ := p.TemplateStats()
+		pl, err := p.PlanSelect(sel, mgr.ReadSnapshot())
+		if err != nil {
+			t.Fatalf("plan %q: %v", sql, err)
+		}
+		if again, _ := p.TemplateStats(); (again > hits) != (run > 1) {
+			t.Fatalf("%s: run %d template hit = %v", sql, run, again > hits)
+		}
+		rows, err := exec.Drain(pl.Root)
+		if err != nil {
+			t.Fatalf("run %q: %v", sql, err)
+		}
+		check(run, pl, rows)
+	}
+}
+
 func runPlan(t *testing.T, p *Planner, mgr *txn.Manager, sql string) [][]types.Value {
 	t.Helper()
 	pl := plan(t, p, mgr, sql)
@@ -112,6 +160,8 @@ func TestIndexScanChosenForEquality(t *testing.T) {
 // batch→row bridges and of its aggregations.
 func batchSide(op exec.Operator) []exec.BatchOperator {
 	switch n := op.(type) {
+	case *checkout:
+		return batchSide(n.Unwrap())
 	case *exec.RowFromBatch:
 		return []exec.BatchOperator{n.Src}
 	case *exec.BatchGroupAggregate:
@@ -163,6 +213,7 @@ func rowBelowBridge(op exec.BatchOperator, indexScans *int) []string {
 // for each — are index probes that run columnar up to the one bridge (or the
 // aggregation), with no row operator below it, and mint only the tuples they
 // return: RowsBoxed equals the rows of a plain plan and is 0 for the COUNT(*).
+// The third run of each statement is its template's, and holds to the same.
 func TestWirePointFormsPlanColumnar(t *testing.T) {
 	p, mgr := fixture(t)
 	for _, c := range []struct {
@@ -185,17 +236,15 @@ func TestWirePointFormsPlanColumnar(t *testing.T) {
 		if rows := rowBelowBridge(sources[0], &indexScans); len(rows) > 0 || indexScans == 0 {
 			t.Errorf("%s: %d index scans; below the bridge: %v", c.sql, indexScans, rows)
 		}
-		rows, err := exec.Drain(pl.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := len(rows)
-		if c.aggregate {
-			want = 0
-		}
-		if len(rows) != c.rows || exec.RowsBoxed(pl.Root) != want {
-			t.Errorf("%s: %d rows, %d boxed; want %d rows, %d boxed", c.sql, len(rows), exec.RowsBoxed(pl.Root), c.rows, want)
-		}
+		eachRun(t, p, mgr, c.sql, 3, func(run int, pl *Plan, rows [][]types.Value) {
+			want := len(rows)
+			if c.aggregate {
+				want = 0
+			}
+			if len(rows) != c.rows || exec.RowsBoxed(pl.Root) != want {
+				t.Errorf("%s run %d: %d rows, %d boxed; want %d rows, %d boxed", c.sql, run, len(rows), exec.RowsBoxed(pl.Root), c.rows, want)
+			}
+		})
 	}
 }
 
@@ -417,5 +466,59 @@ func TestJoinResultMatchesNaiveCross(t *testing.T) {
 	sort.Strings(got)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("join mismatch:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestDescribeAfterCloseReadsNoSharedState: once a plan's Root is closed its
+// tree may be checked out and run again at once; Describe of the closed plan
+// must still report its own run, reading nothing the new run writes (run
+// under -race).
+func TestDescribeAfterCloseReadsNoSharedState(t *testing.T) {
+	p, mgr := fixture(t)
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND R.neighbor = A.mach_id AND A.value = 'idle'`,
+		`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Activity A WHERE trac_h.sid IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND A.value = 'idle' UNION SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Routing R WHERE trac_h.sid IN ('m1', 'm2') AND R.neighbor = trac_h.sid AND R.mach_id IN ('m1', 'm2')`,
+	} {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() (*Plan, error) {
+			pl, err := p.PlanSelect(sel, mgr.ReadSnapshot())
+			if err == nil {
+				_, err = exec.Drain(pl.Root)
+			}
+			return pl, err
+		}
+		var closed *Plan
+		for i := 0; i < 3; i++ { // the third run is the template's
+			if closed, err = run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := closed.Describe()
+		if !strings.Contains(want, "rows boxed") && !strings.Contains(want, "stopped after") && !strings.Contains(want, "read all") {
+			t.Fatalf("the closed plan reports no run:\n%s", want)
+		}
+		hits, _ := p.TemplateStats()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 50; i++ {
+				if _, err := run(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < 50; i++ {
+			if got := closed.Describe(); got != want {
+				t.Fatalf("Describe of a closed plan changed while its tree ran again:\n%s\nwas:\n%s", got, want)
+			}
+		}
+		<-done
+		if again, _ := p.TemplateStats(); again < hits+50 {
+			t.Errorf("%d of the 50 runs re-bound the template, want all", again-hits)
+		}
 	}
 }

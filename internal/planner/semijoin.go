@@ -8,7 +8,6 @@ import (
 
 	"trac/internal/exec"
 	"trac/internal/sqlparser"
-	"trac/internal/txn"
 )
 
 // The semi-join rule. A SELECT DISTINCT block whose select list and ORDER BY
@@ -194,7 +193,7 @@ func (p *Planner) AnchorShape(sel *sqlparser.SelectStmt) (*AnchorShape, error) {
 // the ORDER BY / projection / LIMIT tail of the first block (the blocks of
 // a UNION carry none of their own and share the select list). A lone block
 // is the union of itself.
-func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snapshot, plan *Plan) error {
+func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, t *template) (exec.Operator, error) {
 	ab := blocks[0].layout.Bindings[u.anchors[0]]
 	aLayout := exec.NewLayout([]exec.Binding{{Name: ab.Name, Table: ab.Table}})
 
@@ -212,11 +211,11 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 			}
 		}
 	}
-	anchorOp, anchorEst, note, err := p.accessPath(aLayout, 0, anchorOwn(blocks[u.scan], u.anchors[u.scan]), scanCols{tail: reads}, snap, false)
+	anchorOp, anchorEst, n, err := p.accessPath(aLayout, 0, anchorOwn(blocks[u.scan], u.anchors[u.scan]), scanCols{tail: reads}, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	plan.Notes = append(plan.Notes, note)
+	t.notes = append(t.notes, n)
 
 	type costed struct {
 		arm  exec.SemiArm
@@ -224,9 +223,9 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 	}
 	arms := make([]costed, len(blocks))
 	for bi, b := range blocks {
-		arm, cost, err := p.planArm(b, u.anchors[bi], aLayout, anchorEst, snap, plan)
+		arm, cost, err := p.planArm(b, u.anchors[bi], aLayout, anchorEst, t)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if bi != u.scan {
 			var extra []sqlparser.Expr
@@ -237,7 +236,7 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 			}
 			if len(extra) > 0 {
 				if arm.Filter, err = exec.Compile(sqlparser.AndAll(extra...), aLayout); err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
@@ -252,13 +251,12 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, snap txn.Snaps
 	// The Distinct of the tail stays: two anchor rows may project alike, even
 	// on a PRIMARY KEY column — the engine checks keys against the writer's
 	// snapshot only, so overlapping transactions can commit one key twice.
-	plan.Root, err = p.finishPlain(blocks[0], semi, aLayout)
-	return err
+	return p.finishPlain(blocks[0], semi, aLayout)
 }
 
 // planArm plans the probes of one block: every component of its relations
 // other than the anchor. cost is the arm's estimated probe input.
-func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst float64, snap txn.Snapshot, plan *Plan) (exec.SemiArm, float64, error) {
+func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst float64, t *template) (exec.SemiArm, float64, error) {
 	var arm exec.SemiArm
 	layout := b.layout
 	for _, c := range anchorOwn(b, anchor) {
@@ -268,7 +266,7 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 	type costed struct {
 		probe *exec.SemiProbe
 		est   float64
-		note  string
+		note  note
 	}
 	var probes []costed
 	for _, members := range otherComponents(len(layout.Bindings), anchor, b.conjuncts) {
@@ -308,16 +306,16 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 					mine = append(mine, c)
 				}
 			}
-			var note string
+			var n note
 			var err error
-			src, est, note, err = p.accessPath(layout, members[0], mine, scanCols{tail: tying, own: mine}, snap, existence)
+			src, est, n, err = p.accessPath(layout, members[0], mine, scanCols{tail: tying, own: mine}, existence)
 			if err != nil {
 				return arm, 0, err
 			}
-			plan.Notes = append(plan.Notes, note)
+			t.notes = append(t.notes, n)
 		} else {
 			var err error
-			src, err = p.joinTree(layout, members, b.conjuncts, tying, snap, plan, existence)
+			src, err = p.joinTree(layout, members, b.conjuncts, tying, t, existence)
 			if err != nil {
 				return arm, 0, err
 			}
@@ -350,13 +348,13 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 				return arm, 0, err
 			}
 		}
-		note := fmt.Sprintf("semi-join: anchor %s (%.0f rows), probe %s", layout.Bindings[anchor].Name, anchorEst, name)
 		if existence {
 			// An existence probe stops at the first row it sees.
 			est = 0
-			note += " (existence)"
 		}
-		probes = append(probes, costed{probe, est, note})
+		probes = append(probes, costed{probe, est, note{
+			kind: noteSemiJoin, col: layout.Bindings[anchor].Name, est: anchorEst, name: name, flag: existence, op: probe,
+		}})
 	}
 	for _, c := range b.conjuncts {
 		if !c.used {
@@ -369,8 +367,7 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 	cost := 0.0
 	for _, pr := range probes {
 		arm.Probes = append(arm.Probes, pr.probe)
-		plan.semis = append(plan.semis, semiNote{note: len(plan.Notes), probe: pr.probe})
-		plan.Notes = append(plan.Notes, pr.note)
+		t.notes = append(t.notes, pr.note)
 		cost += pr.est
 	}
 	return arm, cost, nil

@@ -64,25 +64,23 @@ func TestRecencyArmCostFollowsSourcesNotJoinedTable(t *testing.T) {
 	const sources = 200
 	for _, jobRows := range []int{5_000, 50_000} {
 		p, mgr := jobFixture(t, sources, sources, jobRows)
-		pl := plan(t, p, mgr, heartbeatSemiJobLog)
-		rows, err := exec.Drain(pl.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != sources {
-			t.Fatalf("%d JobLog rows: %d sources reported, want %d", jobRows, len(rows), sources)
-		}
-		if len(pl.semis) != 1 {
-			t.Fatalf("plan has %d semi-join probes:\n%s", len(pl.semis), pl.Describe())
-		}
-		probe := pl.semis[0].probe
-		if probe.Exhausted || probe.Probed > 2*sources {
-			t.Errorf("%d JobLog rows: probed %d (exhausted=%v), want about %d", jobRows, probe.Probed, probe.Exhausted, sources)
-		}
-		want := fmt.Sprintf("semi-join: anchor h (%d rows), probe J, stopped after %d rows", sources, probe.Probed)
-		if desc := pl.Describe(); !strings.Contains(desc, want) {
-			t.Errorf("plan notes lack %q:\n%s", want, desc)
-		}
+		eachRun(t, p, mgr, heartbeatSemiJobLog, 3, func(run int, pl *Plan, rows [][]types.Value) {
+			if len(rows) != sources {
+				t.Fatalf("%d JobLog rows, run %d: %d sources reported, want %d", jobRows, run, len(rows), sources)
+			}
+			probes := semiProbes(pl)
+			if len(probes) != 1 {
+				t.Fatalf("plan has %d semi-join probes:\n%s", len(probes), pl.Describe())
+			}
+			probe := probes[0]
+			if probe.Exhausted || probe.Probed > 2*sources {
+				t.Errorf("%d JobLog rows, run %d: probed %d (exhausted=%v), want about %d", jobRows, run, probe.Probed, probe.Exhausted, sources)
+			}
+			want := fmt.Sprintf("semi-join: anchor h (%d rows), probe J, stopped after %d rows", sources, probe.Probed)
+			if desc := pl.Describe(); !strings.Contains(desc, want) {
+				t.Errorf("run %d: plan notes lack %q:\n%s", run, want, desc)
+			}
+		})
 	}
 }
 
@@ -92,22 +90,19 @@ func TestRecencyArmCostFollowsSourcesNotJoinedTable(t *testing.T) {
 func TestRecencyArmReadsProbeOnceWhenASourceIsMissing(t *testing.T) {
 	const sources, jobRows = 200, 20_000
 	p, mgr := jobFixture(t, sources, sources-1, jobRows)
-	pl := plan(t, p, mgr, heartbeatSemiJobLog)
-	rows, err := exec.Drain(pl.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != sources-1 {
-		t.Fatalf("%d sources reported, want %d", len(rows), sources-1)
-	}
-	probe := pl.semis[0].probe
-	if !probe.Exhausted || probe.Probed != jobRows {
-		t.Errorf("probed %d rows (exhausted=%v), want exactly %d", probe.Probed, probe.Exhausted, jobRows)
-	}
-	desc := pl.Describe()
-	if strings.Contains(desc, "hash join") || !strings.Contains(desc, fmt.Sprintf("read all %d rows", jobRows)) {
-		t.Errorf("plan:\n%s", desc)
-	}
+	eachRun(t, p, mgr, heartbeatSemiJobLog, 3, func(run int, pl *Plan, rows [][]types.Value) {
+		if len(rows) != sources-1 {
+			t.Fatalf("run %d: %d sources reported, want %d", run, len(rows), sources-1)
+		}
+		probe := semiProbes(pl)[0]
+		if !probe.Exhausted || probe.Probed != jobRows {
+			t.Errorf("run %d: probed %d rows (exhausted=%v), want exactly %d", run, probe.Probed, probe.Exhausted, jobRows)
+		}
+		desc := pl.Describe()
+		if strings.Contains(desc, "hash join") || !strings.Contains(desc, fmt.Sprintf("read all %d rows", jobRows)) {
+			t.Errorf("run %d: plan:\n%s", run, desc)
+		}
+	})
 }
 
 // TestLiveRowEstimate: a Heartbeat row updated many times is still one row
@@ -180,18 +175,16 @@ func TestAnchoredUnionSharesTheAnchorScan(t *testing.T) {
 		strings.Count(desc, "scan on H") != 1 {
 		t.Errorf("plan:\n%s", desc)
 	}
-	rows, err := exec.Drain(pl.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 20 { // every source neighbours someone; m1 enters through the second arm
-		t.Errorf("%d rows, want 20", len(rows))
-	}
-	// The existence arm marks 19 sources after one probe row; the keyed arm
-	// then only has m1 left to find.
-	if first := pl.semis[0].probe; first.Probed != 1 {
-		t.Errorf("existence arm probed %d rows:\n%s", first.Probed, pl.Describe())
-	}
+	eachRun(t, p, mgr, fusedSQL, 3, func(run int, pl *Plan, rows [][]types.Value) {
+		if len(rows) != 20 { // every source neighbours someone; m1 enters through the second arm
+			t.Errorf("run %d: %d rows, want 20", run, len(rows))
+		}
+		// The existence arm marks 19 sources after one probe row; the keyed
+		// arm then only has m1 left to find.
+		if first := semiProbes(pl)[0]; first.Probed != 1 {
+			t.Errorf("run %d: existence arm probed %d rows:\n%s", run, first.Probed, pl.Describe())
+		}
+	})
 
 	apart := plan(t, p, mgr, `
 		SELECT DISTINCT H.sid FROM Heartbeat H, Activity A WHERE H.sid IN ('m1', 'm2') AND A.value = 'idle'
@@ -200,7 +193,7 @@ func TestAnchoredUnionSharesTheAnchorScan(t *testing.T) {
 	if desc := apart.Describe(); strings.Contains(desc, "anchored union") || strings.Count(desc, "index scan on H.sid") != 2 {
 		t.Errorf("plan:\n%s", desc)
 	}
-	rows, err = exec.Drain(apart.Root)
+	rows, err := exec.Drain(apart.Root)
 	if err != nil || len(rows) != 3 {
 		t.Errorf("rows = %v, err = %v; want m1, m2, m3", rows, err)
 	}

@@ -332,11 +332,14 @@ func TestAbruptDisconnectReclaimsSessions(t *testing.T) {
 
 // TestPrepareExecuteDDLRace is the stale-plan hammer: many client sessions
 // race Prepare/Execute against a DDL (AddCheck) that bumps the catalog
-// version and makes the query provably empty. Every wire report must be
-// consistent with SOME catalog state (non-empty with sources before the
-// DDL, Empty after) and once the DDL commits, executes must switch to Empty
-// — the version-keyed plan cache may never serve the stale plan. Run under
-// -race via make check.
+// version and makes the query provably empty, while SetColumnDomain keeps
+// bumping it too (with a domain that leaves the answer alone), so prepared
+// reports and the planner's templates of their statements are dropped and
+// rebuilt under the sessions' feet. Every wire report must be consistent
+// with SOME catalog state (non-empty with sources before the DDL, Empty
+// after) and once the DDL commits, executes must switch to Empty — neither
+// the version-keyed plan cache nor a plan template may ever serve the stale
+// plan. Run under -race via make check.
 func TestPrepareExecuteDDLRace(t *testing.T) {
 	db := trac.Open()
 	db.MustExec(`CREATE TABLE Activity (mach_id TEXT, value TEXT)`)
@@ -398,6 +401,23 @@ func TestPrepareExecuteDDLRace(t *testing.T) {
 			}
 		}(i)
 	}
+	stopBumps := make(chan struct{})
+	bumps := make(chan error, 1)
+	go func() {
+		defer close(bumps)
+		for {
+			select {
+			case <-stopBumps:
+				return
+			default:
+			}
+			if err := db.SetColumnDomain("Activity", "value", trac.StringDomain("idle", "busy", "down")); err != nil {
+				bumps <- err
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	close(start)
 	time.Sleep(5 * time.Millisecond)
 	if err := db.AddCheck("Activity", `value IN ('idle', 'busy')`); err != nil {
@@ -405,6 +425,10 @@ func TestPrepareExecuteDDLRace(t *testing.T) {
 	}
 	ddlDone.Store(true)
 	wg.Wait()
+	close(stopBumps)
+	if err := <-bumps; err != nil {
+		t.Fatalf("SetColumnDomain: %v", err)
+	}
 
 	if preEmpty.Load() != 0 {
 		t.Errorf("%d Empty reports before the DDL existed", preEmpty.Load())

@@ -2,11 +2,13 @@ package shard_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"trac/internal/core/report"
 	"trac/internal/engine"
 	"trac/internal/shard"
+	"trac/internal/sqlparser"
 	"trac/internal/workload"
 )
 
@@ -247,4 +249,98 @@ func TestShardedReportTempTables(t *testing.T) {
 	if rep.Bound < 0 {
 		t.Errorf("negative bound of inconsistency %v", rep.Bound)
 	}
+}
+
+// TestShardedTemplateMatchesFreshPlan is the template-vs-fresh path
+// equivalence across 3 shards: every corpus statement is parsed once, run
+// through the router twice (a statement's first tree is not kept) and then
+// three more times while rows are inserted, the heaps sealed, rows deleted
+// and a Heartbeat row updated in between. From the second of the counted
+// runs on, the shards re-bind their templates of the statement's scatter
+// blocks;
+// each answer must equal a fresh plan under the same cut (the statement's
+// text with its keyword in lower case, which the scatter cache keys apart,
+// parsed anew) and the unsharded engine after the same writes.
+func TestShardedTemplateMatchesFreshPlan(t *testing.T) {
+	db, r := buildPair(t, 3)
+	corpus, err := workload.EquivCorpus(db.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sels := make([]*sqlparser.SelectStmt, len(corpus))
+	for i, sql := range corpus {
+		if sels[i], err = sqlparser.ParseSelect(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := func() uint64 {
+		var n uint64
+		for i := 0; i < r.N(); i++ {
+			h, _ := r.Shard(i).Planner().TemplateStats()
+			n += h
+		}
+		return n
+	}
+	for qi, sel := range sels {
+		if _, err := r.QueryStmtAt(sel, corpus[qi], mustCut(t, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 4; run++ {
+		if run > 0 {
+			for _, sql := range []string{
+				fmt.Sprintf(`INSERT INTO Activity VALUES ('Tao1', 'idle', '2006-03-15 01:0%d:00')`, run),
+				fmt.Sprintf(`INSERT INTO Activity VALUES ('tmpl-%d', 'busy', NULL)`, run),
+				fmt.Sprintf(`INSERT INTO Routing VALUES ('Tao2', 'tmpl-%d', '2006-03-15 01:00:00')`, run),
+				fmt.Sprintf(`DELETE FROM Activity WHERE mach_id = 'Tao%d'`, 4+run),
+				fmt.Sprintf(`UPDATE Heartbeat SET recency = '2006-03-16 00:0%d:00' WHERE sid = 'Tao3'`, run),
+			} {
+				db.MustExec(sql)
+				mustExec(t, r, sql)
+			}
+			if run == 1 {
+				db.SealAll()
+				r.SealAll()
+			}
+		}
+		for qi, sel := range sels {
+			cut := mustCut(t, r)
+			before := hits()
+			got, err := r.QueryStmtAt(sel, corpus[qi], cut)
+			if err != nil {
+				t.Fatalf("run %d q%d %s: %v", run, qi, corpus[qi], err)
+			}
+			if run > 0 && hits() == before {
+				t.Errorf("run %d q%d: no shard re-bound a template: %s", run, qi, corpus[qi])
+			}
+			freshSQL := "select" + strings.TrimPrefix(corpus[qi], "SELECT")
+			fresh, err := sqlparser.ParseSelect(freshSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := r.QueryStmtAt(fresh, freshSQL, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := workload.RowSet(got), workload.RowSet(want); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("run %d q%d: template and fresh plan disagree\nquery: %s\nfresh:    %v\ntemplate: %v", run, qi, corpus[qi], w, g)
+			}
+			res, err := db.Query(corpus[qi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := workload.RowSet(got), workload.RowSet(res); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("run %d q%d: sharded template diverges from unsharded\nquery: %s\nunsharded: %v\nsharded:   %v", run, qi, corpus[qi], w, g)
+			}
+		}
+	}
+}
+
+func mustCut(t *testing.T, r *shard.Router) shard.Cut {
+	t.Helper()
+	cut, err := r.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cut
 }

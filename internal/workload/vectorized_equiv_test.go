@@ -297,3 +297,85 @@ func TestAggregateRacingAppends(t *testing.T) {
 	}
 	setMode(db, 0, 0)
 }
+
+// TestTemplateMatchesFreshPlan is the template-vs-fresh path equivalence:
+// every corpus statement is parsed once, planned twice (a statement's first
+// tree is not kept) and then run through its plan template three times while
+// the database changes under it — rows inserted into a sealed heap's tail,
+// the tail sealed, rows deleted, a Heartbeat row updated. Every run after
+// the first must re-bind the template, and each answer must equal a fresh
+// plan of the statement at the same snapshot, and the reference evaluator
+// where it applies.
+func TestTemplateMatchesFreshPlan(t *testing.T) {
+	db, err := workload.Build(workload.Spec{TotalRows: 4000, DataSources: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addNullProbe(t, db)
+	for _, name := range db.Catalog().Names() {
+		tbl, err := db.Catalog().Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.SetSealThreshold(300)
+	}
+	db.SealAll()
+	corpus := equivCorpus(t, db)
+	sels := make([]*sqlparser.SelectStmt, len(corpus))
+	for i, sql := range corpus {
+		if sels[i], err = sqlparser.ParseSelect(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sel := range sels {
+		if _, err := db.QueryStmtAt(sel, db.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 4; run++ {
+		if run > 0 {
+			for _, sql := range []string{
+				fmt.Sprintf(`INSERT INTO Activity VALUES ('Tao1', 'idle', '2006-03-15 01:0%d:00')`, run),
+				fmt.Sprintf(`INSERT INTO Activity VALUES ('tmpl-%d', 'busy', NULL)`, run),
+				fmt.Sprintf(`INSERT INTO Routing VALUES ('Tao2', 'tmpl-%d', '2006-03-15 01:00:00')`, run),
+				fmt.Sprintf(`DELETE FROM Activity WHERE mach_id = 'Tao%d'`, 4+run),
+				fmt.Sprintf(`UPDATE Heartbeat SET recency = '2006-03-16 00:0%d:00' WHERE sid = 'Tao3'`, run),
+			} {
+				db.MustExec(sql)
+			}
+			if run == 1 {
+				// NullProbe has six rows: one more is within the drift a
+				// template survives, two more are not.
+				db.MustExec(`INSERT INTO NullProbe VALUES (10, 'idle', 0.3)`)
+				db.SealAll()
+			}
+		}
+		snap := db.Snapshot()
+		for i, sel := range sels {
+			hits, _ := db.Planner().TemplateStats()
+			got, err := db.QueryStmtAt(sel, snap)
+			if err != nil {
+				t.Fatalf("run %d q%d %s: %v", run, i, corpus[i], err)
+			}
+			if again, _ := db.Planner().TemplateStats(); run > 0 && again == hits {
+				t.Errorf("run %d q%d was planned afresh, not from its template: %s", run, i, corpus[i])
+			}
+			fresh, err := sqlparser.ParseSelect(corpus[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.QueryStmtAt(fresh, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := rowSet(got), rowSet(want); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("run %d q%d: template and fresh plan disagree\nquery: %s\nfresh:    %v\ntemplate: %v", run, i, corpus[i], w, g)
+			}
+			if ref, ok := reference(db, corpus[i]); ok {
+				if g := rendered(got); fmt.Sprint(g) != fmt.Sprint(ref) {
+					t.Errorf("run %d q%d diverges from the reference evaluator\nquery: %s\nref: %v\ngot: %v", run, i, corpus[i], ref, g)
+				}
+			}
+		}
+	}
+}

@@ -28,6 +28,7 @@ package trac
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"trac/internal/core/recgen"
 	"trac/internal/core/report"
@@ -42,6 +43,12 @@ type DB struct {
 	be     backend
 	eng    *engine.DB    // the engine, or shard 0: prepares reports, owns sessions
 	router *shard.Router // non-nil when opened with WithShards(n > 1)
+
+	// meta orders schema metadata — source columns, domains, CHECKs, which
+	// SetSourceColumn, SetColumnDomain and AddCheck change in place — against
+	// the calls that read it while they plan, generate or write rows: those
+	// hold it shared, the three writers exclusively.
+	meta sync.RWMutex
 }
 
 // backend is the one door every statement, report and lifecycle call goes
@@ -160,7 +167,11 @@ func (db *DB) PartitionTable(table, column string) error {
 // Exec executes any SQL statement (DDL or DML), returning the number of
 // affected rows. On a sharded database, DML routes by partition key or
 // replicates, and DDL broadcasts to every shard atomically.
-func (db *DB) Exec(sql string) (int, error) { return db.be.Exec(sql) }
+func (db *DB) Exec(sql string) (int, error) {
+	db.meta.RLock()
+	defer db.meta.RUnlock()
+	return db.be.Exec(sql)
+}
 
 // MustExec executes a statement and panics on error (fixtures, tests).
 func (db *DB) MustExec(sql string) int {
@@ -173,7 +184,11 @@ func (db *DB) MustExec(sql string) int {
 
 // Query runs a SELECT and materializes its result; sharded databases
 // scatter it across the pruned shard set under a consistent cut.
-func (db *DB) Query(sql string) (*Result, error) { return db.be.Query(sql) }
+func (db *DB) Query(sql string) (*Result, error) {
+	db.meta.RLock()
+	defer db.meta.RUnlock()
+	return db.be.Query(sql)
+}
 
 // SetSourceColumn marks a table's data source column (§3.3 of the paper):
 // the column identifying which distributed source wrote each tuple. Every
@@ -182,6 +197,8 @@ func (db *DB) Query(sql string) (*Result, error) { return db.be.Query(sql) }
 // router's exclusive cut lock, so catalogs (and their versions) stay
 // identical across shards.
 func (db *DB) SetSourceColumn(table, column string) error {
+	db.meta.Lock()
+	defer db.meta.Unlock()
 	return db.be.Atomic(func(eng *engine.DB) error {
 		tbl, err := eng.Catalog().Get(table)
 		if err != nil {
@@ -201,6 +218,8 @@ func (db *DB) SetSourceColumn(table, column string) error {
 // from "upper bound" to "guaranteed minimal", Theorems 3/4) and brute-force
 // evaluation in tests.
 func (db *DB) SetColumnDomain(table, column string, domain Domain) error {
+	db.meta.Lock()
+	defer db.meta.Unlock()
 	return db.be.Atomic(func(eng *engine.DB) error {
 		tbl, err := eng.Catalog().Get(table)
 		if err != nil {
@@ -224,6 +243,8 @@ func (db *DB) SetColumnDomain(table, column string, domain Domain) error {
 // the user query, so potential tuples that could never legally exist stop
 // making sources relevant.
 func (db *DB) AddCheck(table, exprSQL string) error {
+	db.meta.Lock()
+	defer db.meta.Unlock()
 	return db.be.Atomic(func(eng *engine.DB) error {
 		return eng.AddCheck(table, exprSQL)
 	})
@@ -266,6 +287,8 @@ func (s *Session) TempTables() []string { return s.sess.TempTables() }
 // the copy lands on shard 0 and the router's catalog versions are settled so
 // later cuts stay coherent.
 func (s *Session) Persist(tempName, permanentName string) error {
+	s.db.meta.RLock()
+	defer s.db.meta.RUnlock()
 	if err := s.sess.Persist(tempName, permanentName); err != nil {
 		return err
 	}
@@ -336,6 +359,8 @@ func (s *Session) RecencyReport(sql string, opts ...Option) (*Report, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	s.db.meta.RLock()
+	defer s.db.meta.RUnlock()
 	return s.db.be.RecencyReport(s.sess, sql, cfg)
 }
 
@@ -358,6 +383,8 @@ func (db *DB) PrepareReport(sql string, opts ...Option) (*PreparedReport, error)
 	for _, o := range opts {
 		o(&cfg)
 	}
+	db.meta.RLock()
+	defer db.meta.RUnlock()
 	p, _, err := report.PrepareCached(db.eng, sql, cfg)
 	if err != nil {
 		return nil, err
@@ -371,6 +398,8 @@ func (db *DB) PrepareReport(sql string, opts ...Option) (*PreparedReport, error)
 // catalog is unchanged, and is regenerated after a catalog change (a widened
 // domain, a new CHECK, DDL), so a plan made stale never runs.
 func (pr *PreparedReport) Execute(s *Session) (*Report, error) {
+	pr.db.meta.RLock()
+	defer pr.db.meta.RUnlock()
 	return pr.db.be.RecencyReport(s.sess, pr.sql, pr.cfg)
 }
 
@@ -395,7 +424,11 @@ func (db *DB) GenerateRecencyQuery(userSQL string, opts ...Option) (recencySQL s
 
 // Explain returns the physical plan notes for a SELECT; sharded databases
 // prefix each block with its `shards: k of N, pruned p` scatter note.
-func (db *DB) Explain(sql string) (string, error) { return db.be.Explain(sql) }
+func (db *DB) Explain(sql string) (string, error) {
+	db.meta.RLock()
+	defer db.meta.RUnlock()
+	return db.be.Explain(sql)
+}
 
 // Heartbeat upserts a source's recency timestamp directly (the fast path a
 // loader uses; equivalent to UPDATE-or-INSERT on the Heartbeat table). The
@@ -407,6 +440,8 @@ func (db *DB) Heartbeat(sid, timestamp string) error {
 	}
 	sidSQL := types.NewString(sid).SQL()
 	tsSQL := types.NewTime(ts).SQL()
+	db.meta.RLock()
+	defer db.meta.RUnlock()
 	// Heartbeat is replicated on a sharded database; Atomic upserts on every
 	// shard as one broadcast, so a cut never sees a source's recency advanced
 	// on some shards only.
