@@ -602,7 +602,7 @@ func (db *DB) execUpdate(s *sqlparser.UpdateStmt, tx *txn.Txn) (int, error) {
 		if err := db.enforceChecks(tbl, newVals); err != nil {
 			return 0, err
 		}
-		if err := tx.Delete(old); err != nil {
+		if err := tx.Delete(tbl, old); err != nil {
 			return 0, err
 		}
 		if err := tx.InsertRow(tbl, storage.NewRow(newVals, 0)); err != nil {
@@ -623,7 +623,7 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, tx *txn.Txn) (int, error) {
 		return 0, err
 	}
 	for _, r := range matched {
-		if err := tx.Delete(r); err != nil {
+		if err := tx.Delete(tbl, r); err != nil {
 			return 0, err
 		}
 	}

@@ -355,7 +355,7 @@ func TestStatAggScanMVCCVisibilityGate(t *testing.T) {
 		t.Fatal("fixture: id=150 not in segment 1")
 	}
 	tx := m.Begin()
-	if err := tx.Delete(victim); err != nil {
+	if err := tx.Delete(tbl, victim); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -30,7 +30,68 @@ type unitScan struct {
 	width  int   // output tuple width
 	need   []int // table columns to carry
 
+	// feed's sink, when set, takes a sealed segment's source set in place of
+	// the segment's rows; done means it holds all it can take and the scan
+	// ends.
+	feed sourceFeed
+	done bool
+
 	pruned, scanned int // zone-map outcomes so far
+}
+
+// sourceFeed is a heap scan's attachment point for the semi-join probe it
+// feeds (sink), which takes a sealed segment's source set in place of the
+// segment's rows when the set stands for them (unitScan.fromSources): set
+// for one run by the probe before it opens the scan, and taken — cleared —
+// by that Open, so a scan opened again carries nothing over. col is the
+// table's source column.
+type sourceFeed struct {
+	sink *probeState
+	col  int
+}
+
+// attach sets sink to receive the source sets of a scan of table whose
+// columns start at tuple offset offset, provided col is that table's TEXT
+// source column.
+func (f *sourceFeed) attach(table *storage.Table, offset, col int, sink *probeState) {
+	*f = sourceFeed{}
+	if sc := table.Schema.SourceColumn; sc >= 0 && col == offset+sc && table.Schema.Columns[sc].Kind == types.KindString {
+		*f = sourceFeed{sink: sink, col: sc}
+	}
+}
+
+// take returns the attachment and clears it.
+func (f *sourceFeed) take() sourceFeed {
+	g := *f
+	*f = sourceFeed{}
+	return g
+}
+
+// covers reports whether a scan's predicate — kernel, with segf its zone-map
+// side — provably holds on every row of seg.
+func covers(segf *SegmentFilter, kernel Kernel, seg *storage.Segment) bool {
+	if segf != nil {
+		return segf.Covers(seg)
+	}
+	return kernel == nil // no predicate at all
+}
+
+// segAllVisible reports whether every version of seg, a segment of table, is
+// visible under snap: the MVCC gate for answering a segment from what was
+// recorded when it was sealed (zone-map stats, source sets), which
+// summarizes every version whatever its visibility. Once a segment has
+// settled (storage.Table.Settled) this is two atomic loads; otherwise every
+// version is checked.
+func segAllVisible(table *storage.Table, snap txn.Snapshot, seg *storage.Segment) bool {
+	if seq, ok := table.Settled(seg); ok {
+		return seq <= snap.Seq
+	}
+	for _, r := range seg.Rows {
+		if !snap.Visible(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // reset readies the scan for an execution from a scan operator's fields:
@@ -65,6 +126,9 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 		}
 		if u.segf != nil && u.segf.Prune(m.Seg) {
 			u.pruned++
+			return nil, nil
+		}
+		if u.feed.sink != nil && u.fromSources(m.Seg) {
 			return nil, nil
 		}
 	}
@@ -114,6 +178,21 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 	return b, nil
 }
 
+// fromSources hands seg's source set to the sink in place of its rows, when
+// the set says exactly which sources the scan would return from the
+// segment: the set was recorded (a segment over MaxZoneSources has none —
+// one nil check, then the rows are read), the predicate holds on every row,
+// and every version is visible under the snapshot. It reports whether it
+// did.
+func (u *unitScan) fromSources(seg *storage.Segment) bool {
+	sources := seg.Zones[u.feed.col].Sources
+	if sources == nil || !covers(u.segf, u.kernel, seg) || !segAllVisible(u.table, u.snap, seg) {
+		return false
+	}
+	u.done = !u.feed.sink.markSources(sources)
+	return true
+}
+
 // transpose turns the visible rows of a tail run (b.Sel indexes rows) into
 // vectors the batch owns, one pass over the rows filling every needed column
 // (a row's values share a cache line; its columns do not share a row).
@@ -154,6 +233,7 @@ type BatchScan struct {
 	PrunedSegments  int
 	ScannedSegments int
 
+	feed sourceFeed
 	win  *storage.Windows
 	scan unitScan
 }
@@ -162,17 +242,24 @@ type BatchScan struct {
 func (s *BatchScan) Open() error {
 	s.win = s.Table.Windows(BatchSize)
 	s.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
+	s.scan.feed = s.feed.take()
 	s.PrunedSegments, s.ScannedSegments = 0, 0
 	return nil
+}
+
+// feedSources attaches a semi-join probe's sink for the next run (see
+// sourceFeed.attach).
+func (s *BatchScan) feedSources(col int, sink *probeState) {
+	s.feed.attach(s.Table, s.Offset, col, sink)
 }
 
 // NextBatch emits the next non-empty batch of visible, predicate-passing
 // rows.
 func (s *BatchScan) NextBatch() (*Batch, error) {
-	for {
+	for !s.scan.done {
 		u, ok := s.win.Next()
 		if !ok {
-			return nil, nil
+			break
 		}
 		b, err := s.scan.batch(u)
 		s.PrunedSegments, s.ScannedSegments = s.scan.pruned, s.scan.scanned
@@ -180,6 +267,7 @@ func (s *BatchScan) NextBatch() (*Batch, error) {
 			return b, err
 		}
 	}
+	return nil, nil
 }
 
 // Close releases the heap snapshot.

@@ -150,7 +150,7 @@ func TestIndexScanRespectsMVCC(t *testing.T) {
 		}
 	}
 	tx := m.Begin()
-	if err := tx.Delete(victim); err != nil {
+	if err := tx.Delete(tbl, victim); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -211,7 +211,7 @@ func TestIndexScanBatches(t *testing.T) {
 		tx := m.Begin()
 		for _, r := range tbl.Rows() {
 			if v := r.Values[1].Int(); v >= lo && v < hi {
-				if err := tx.Delete(r); err != nil {
+				if err := tx.Delete(tbl, r); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -164,7 +164,8 @@ type ParallelScan struct {
 	// MorselSize overrides storage.DefaultMorselSize (tests).
 	MorselSize int
 
-	ex *Exchange
+	feed sourceFeed
+	ex   *Exchange
 }
 
 // Degree returns the effective worker count.
@@ -182,12 +183,20 @@ func (s *ParallelScan) Degree() int {
 func (s *ParallelScan) BatchPartials() []BatchOperator {
 	src := s.Table.Morsels(s.MorselSize)
 	out := make([]BatchOperator, s.Degree())
+	feed := s.feed.take()
 	for i := range out {
 		m := &batchMorselScan{src: src}
 		m.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
+		m.scan.feed = feed
 		out[i] = m
 	}
 	return out
+}
+
+// feedSources attaches a semi-join probe's sink for the next run (see
+// sourceFeed.attach); every worker of that run hands it source sets.
+func (s *ParallelScan) feedSources(col int, sink *probeState) {
+	s.feed.attach(s.Table, s.Offset, col, sink)
 }
 
 // Open partitions the heap and starts the workers.
@@ -222,15 +231,16 @@ type batchMorselScan struct {
 func (m *batchMorselScan) Open() error { return nil }
 
 func (m *batchMorselScan) NextBatch() (*Batch, error) {
-	for {
+	for !m.scan.done {
 		u, ok := m.src.Claim()
 		if !ok {
-			return nil, nil
+			break
 		}
 		if b, err := m.scan.batch(u); b != nil || err != nil {
 			return b, err
 		}
 	}
+	return nil, nil
 }
 
 func (m *batchMorselScan) Close() error { return nil }

@@ -110,7 +110,10 @@ func reopenCases(t *testing.T) []reopenCase {
 	sjRoot := &RowFromBatch{Src: sj}
 	add(reopenCase{name: "SemiJoin", op: sjRoot,
 		counts: func() []int { return []int{sp.Probed, boolInt(sp.Exhausted), sjRoot.Boxed} },
-		holds:  func() []string { return holding("anchor batch", sj.out != nil, "merged tuple", nonNil(sj.merged)) }})
+		holds: func() []string {
+			return holding("anchor batch", sj.out != nil, "merged tuple", nonNil(sj.merged),
+				"probe state", sj.st.anchor != nil || sj.st.cand != nil || sj.st.idx != nil || nonNil(sj.st.mark))
+		}})
 
 	bd := &BatchDistinct{Child: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "a", "", "")})}
 	bdRoot := &RowFromBatch{Src: bd}

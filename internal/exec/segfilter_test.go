@@ -267,7 +267,7 @@ func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
 	del := func(rows []*storage.Row) *txn.Txn {
 		tx := m.Begin()
 		for _, r := range rows {
-			if err := tx.Delete(r); err != nil {
+			if err := tx.Delete(tbl, r); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,11 @@
 package exec
 
-import "trac/internal/types"
+import (
+	"slices"
+	"sync"
+
+	"trac/internal/types"
+)
 
 // SemiJoin emits each row of its Anchor input at most once: a row qualifies
 // when, for some arm, it passes the arm's Filter and every one of the arm's
@@ -19,6 +24,16 @@ import "trac/internal/types"
 // emitted; once every anchor tuple is emitted the remaining arms are never
 // opened. The planner orders arms and probes cheapest first.
 //
+// A probe that cannot cover the anchor — a source that never wrote to the
+// probed table — would read the table to its end to prove it. When the
+// probe's one key is the probed table's source column and there is no
+// Residual, a heap scan feeding it (BatchScan, ParallelScan) hands it each
+// sealed segment's zone-map source set instead of the segment's rows where
+// the set says exactly which keys the rows hold (unitScan.fromSources): the
+// probe marks those keys' candidates from the set, and only the tail and the
+// segments the set cannot stand for are read. The metadata phase is that
+// hook on the one scan body, against the one key index.
+//
 // The output is the anchor batch itself with Sel narrowed to the qualifying
 // positions (no projection, no merged tuple), in anchor order. Two anchor
 // tuples may still project alike, so the planner keeps a Distinct above the
@@ -30,6 +45,7 @@ type SemiJoin struct {
 	held   // the anchor, narrowed
 	merged []types.Value
 	buf    []byte
+	st     probeState // the probe running now
 }
 
 // SemiArm is one disjunct of a SemiJoin: Filter AND every probe.
@@ -57,11 +73,30 @@ type SemiProbe struct {
 	AnchorOffset, Width int
 
 	// Probed counts the probe tuples examined by the last execution;
-	// Exhausted reports whether it read the probe side to its end rather
-	// than stopping once every anchor tuple was marked. Both are reset by
-	// SemiJoin.Open and stay zero for a probe that was never opened.
-	Probed    int
-	Exhausted bool
+	// MetaSegments the sealed segments it took from their source sets
+	// without reading them; Exhausted reports whether it reached the end of
+	// the probe side with candidates left unmarked rather than stopping once
+	// every anchor tuple was marked. All three are reset by SemiJoin.Open
+	// and stay zero for a probe that was never opened.
+	Probed       int
+	MetaSegments int
+	Exhausted    bool
+}
+
+// sourceScan is a heap scan that can feed a probe source sets (sourceFeed).
+type sourceScan interface {
+	feedSources(col int, sink *probeState)
+}
+
+// feedSources attaches st to the probe's scan, for its next run, as the sink
+// of the source sets of the segments it need not read — when the probe
+// qualifies: one key, a bare column of the probe tuple (the scan checks it
+// is the scanned table's TEXT source column), and no Residual (a source set
+// says which keys a segment holds, nothing about the rest of their rows).
+func (p *SemiProbe) feedSources(st *probeState) {
+	if src, ok := p.Src.(sourceScan); ok && len(p.ProbeKeys) == 1 && p.Residual == nil && p.ProbeCols != nil && p.ProbeCols[0] >= 0 {
+		src.feedSources(p.ProbeCols[0], st)
+	}
 }
 
 // Open collects the anchor, runs the arms and leaves the narrowed anchor
@@ -69,7 +104,7 @@ type SemiProbe struct {
 func (j *SemiJoin) Open() error {
 	for ai := range j.Arms {
 		for _, p := range j.Arms[ai].Probes {
-			p.Probed, p.Exhausted = 0, false
+			p.Probed, p.MetaSegments, p.Exhausted = 0, 0, false
 		}
 	}
 	anchor, err := collect(j.Anchor)
@@ -193,26 +228,38 @@ func (j *SemiJoin) run(anchor *Batch) error {
 
 // probeState is the bookkeeping of one probe execution: which candidates
 // are marked, and for keyed probes the index of the candidates' keys (its
-// ids index into cand).
+// ids index into cand). mu guards marking: the workers of a parallel scan
+// hand over source sets (markSources) while the probe's own goroutine marks
+// from batches. A SemiJoin runs its probes one at a time through one state,
+// which lives as long as the operator: the scan it feeds holds it.
 type probeState struct {
+	mu       sync.Mutex
+	probe    *SemiProbe
 	anchor   *Batch
 	cand     []int32
 	mark     []bool
 	unmarked int // candidates that can still be marked
 	idx      *keyIndex
+	buf      *[]byte
+	key      [1]types.Value
 }
 
 // runProbe streams one probe against the candidate anchor positions and
 // returns the candidates it marked, in order. The probe is closed as soon as
 // no unmarked candidate is left, whether or not it was exhausted.
 func (j *SemiJoin) runProbe(p *SemiProbe, anchor *Batch, cand []int32) ([]int32, error) {
-	st := &probeState{anchor: anchor, cand: cand, mark: make([]bool, len(cand)), unmarked: len(cand)}
+	st := &j.st
+	st.probe, st.anchor, st.cand, st.unmarked, st.buf = p, anchor, cand, len(cand), &j.buf
+	st.mark = slices.Grow(st.mark[:0], len(cand))[:len(cand)]
+	clear(st.mark)
+	defer st.release()
 	if len(p.AnchorKeys) > 0 {
 		if err := j.indexKeys(p, st); err != nil {
 			return nil, err
 		}
 	}
 	if st.unmarked > 0 {
+		p.feedSources(st)
 		if err := p.Src.Open(); err != nil {
 			return nil, err
 		}
@@ -231,6 +278,14 @@ func (j *SemiJoin) runProbe(p *SemiProbe, anchor *Batch, cand []int32) ([]int32,
 		}
 	}
 	return marked, nil
+}
+
+// release drops what the state holds of the probe run, keeping only a small
+// mark vector for the next.
+func (st *probeState) release() {
+	st.probe, st.anchor, st.cand, st.idx = nil, nil, nil, nil
+	st.mark = recycled(st.mark)
+	st.key[0] = types.Null
 }
 
 // indexKeys files the candidates under the probe's anchor keys. Candidates
@@ -257,22 +312,53 @@ func (j *SemiJoin) indexKeys(p *SemiProbe, st *probeState) error {
 // stream pulls probe batches until every candidate is marked or the probe
 // side ends.
 func (j *SemiJoin) stream(p *SemiProbe, st *probeState) error {
-	for st.unmarked > 0 {
+	for st.left() {
 		b, err := p.Src.NextBatch()
 		if err != nil {
 			return err
 		}
 		if b == nil {
-			p.Exhausted = true
+			p.Exhausted = st.left()
 			return nil
 		}
+		st.mu.Lock()
 		err = j.probeBatch(p, st, b)
+		st.mu.Unlock()
 		PutBatch(b)
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// left reports whether a candidate can still be marked.
+func (st *probeState) left() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.unmarked > 0
+}
+
+// markSources marks the candidates whose key is one of a sealed segment's
+// sources, taken from the segment's zone map in place of its rows; it
+// reports whether a candidate is left.
+func (st *probeState) markSources(sources []string) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.probe.MetaSegments++
+	for _, s := range sources {
+		if st.unmarked == 0 {
+			break
+		}
+		st.key[0] = types.NewString(s)
+		for ci := st.idx.find(st.key[:], st.buf); ci >= 0; ci = st.idx.next[ci] {
+			if !st.mark[ci] {
+				st.mark[ci] = true
+				st.unmarked--
+			}
+		}
+	}
+	return st.unmarked > 0
 }
 
 // probeBatch marks the candidates the batch's tuples join, stopping

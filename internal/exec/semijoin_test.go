@@ -256,3 +256,47 @@ func TestSemiJoinEarlyStopReapsParallelProbe(t *testing.T) {
 		runtime.Gosched()
 	}
 }
+
+// TestSemiJoinTakesSealedSegmentsFromSourceSets: a probe keyed on its
+// table's source column takes a sealed segment's sources from the zone map,
+// serial or parallel, and the attachment lasts one run — the same scan
+// opened on its own reads every row. A Residual keeps the probe on the rows.
+func TestSemiJoinTakesSealedSegmentsFromSourceSets(t *testing.T) {
+	act, m := testActivity(t)
+	act.Seal()
+	for _, tc := range []struct {
+		name     string
+		scan     BatchOperator
+		residual Evaluator
+		meta     int
+		probed   int
+	}{
+		{"serial", &BatchScan{Table: act, Snap: m.ReadSnapshot()}, nil, 1, 0},
+		{"parallel", &ParallelScan{Table: act, Snap: m.ReadSnapshot(), Workers: 2}, nil, 1, 0},
+		{"residual", &BatchScan{Table: act, Snap: m.ReadSnapshot()},
+			func([]types.Value) (types.Value, error) { return types.NewBool(true), nil }, 0, 3},
+	} {
+		probe := &SemiProbe{
+			Src:        tc.scan,
+			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+			AnchorCols: []int{0}, ProbeCols: []int{0},
+			Residual: tc.residual, Width: 4,
+		}
+		j := &SemiJoin{
+			Anchor: ToBatch(&ValuesOp{RowsData: strRows("m9", "m2", "m1")}),
+			Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
+		}
+		for run := 0; run < 2; run++ {
+			if got := fmt.Sprint(drainSemi(t, j)); got != "[m2 m1]" {
+				t.Errorf("%s run %d: rows = %s, want [m2 m1]", tc.name, run, got)
+			}
+			if probe.MetaSegments != tc.meta || probe.Probed != tc.probed || !probe.Exhausted {
+				t.Errorf("%s run %d: %d segments from source sets, %d rows read, exhausted=%v; want %d, %d, true",
+					tc.name, run, probe.MetaSegments, probe.Probed, probe.Exhausted, tc.meta, tc.probed)
+			}
+		}
+		if rows, err := Drain(&RowFromBatch{Src: tc.scan}); err != nil || len(rows) != 3 {
+			t.Errorf("%s: the scan alone returned %d rows (err %v), want 3", tc.name, len(rows), err)
+		}
+	}
+}

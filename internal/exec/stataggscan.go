@@ -70,17 +70,6 @@ func (s *StatAggScan) Degree() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// segAllVisible reports whether every row version in rows is visible under
-// the snapshot — the MVCC gate for answering from seal-time stats.
-func segAllVisible(snap txn.Snapshot, rows []*storage.Row) bool {
-	for _, r := range rows {
-		if !snap.Visible(r) {
-			return false
-		}
-	}
-	return true
-}
-
 // statable reports whether every spec can be answered from seg's zone maps.
 func (s *StatAggScan) statable(seg *storage.Segment) bool {
 	for si := range s.Specs {
@@ -110,14 +99,6 @@ func (s *StatAggScan) statable(seg *storage.Segment) bool {
 	return true
 }
 
-// covered reports whether the predicate provably matches every row of seg.
-func (s *StatAggScan) covered(seg *storage.Segment) bool {
-	if s.SegFilter != nil {
-		return s.SegFilter.Covers(seg)
-	}
-	return s.Kernel == nil // no predicate at all
-}
-
 // classify splits the snapshot's segments into stat-answerable and
 // must-scan sets. It is called by Open (authoritative) and by the planner
 // for the EXPLAIN note (advisory — the note's snapshot may predate the
@@ -128,7 +109,7 @@ func (s *StatAggScan) classify(heap *storage.HeapSnap) (fold, scan []*storage.Se
 			pruned++
 			continue
 		}
-		if s.covered(seg) && s.statable(seg) && segAllVisible(s.Snap, seg.Rows) {
+		if covers(s.SegFilter, s.Kernel, seg) && s.statable(seg) && segAllVisible(s.Table, s.Snap, seg) {
 			fold = append(fold, seg)
 			continue
 		}

@@ -43,7 +43,8 @@ type note struct {
 // ran is what a run left in the operator a note reports on.
 type ran struct {
 	rows      int    // semi-join: probe rows read; hash join: tuples boxed, -1 when it probed nothing
-	exhausted bool   // semi-join: the probe side was read to its end
+	meta      int    // semi-join: sealed segments taken from their source sets
+	exhausted bool   // semi-join: the probe side ended with candidates unmarked
 	segs      [4]int // stat aggregate: segments stat-answered, scanned, pruned; tail rows
 }
 
@@ -53,7 +54,7 @@ func (t *template) capture(dst []ran) []ran {
 	for i := range t.notes {
 		switch op := t.notes[i].op.(type) {
 		case *exec.SemiProbe:
-			dst = append(dst, ran{rows: op.Probed, exhausted: op.Exhausted})
+			dst = append(dst, ran{rows: op.Probed, meta: op.MetaSegments, exhausted: op.Exhausted})
 		case *exec.BatchHashJoin:
 			r := ran{rows: -1}
 			if op.Probed > 0 {
@@ -72,7 +73,8 @@ func (t *template) capture(dst []ran) []ran {
 
 // Describe renders the planning notes, including the plan's parallel degree
 // and whether it runs vectorized. Once the plan has run, semi-join notes
-// also carry how many probe rows the execution read, and columnar hash-join
+// also carry how many sealed segments each probe took from their source sets
+// and how many rows it read, and columnar hash-join
 // notes how many tuples the plan boxed on the probe stream (exec.RowsBoxed:
 // build sides are materialized by design and not counted). Segment notes
 // describe the table as it is when Describe is called.
@@ -143,14 +145,18 @@ func (n *note) render(r *ran) string {
 		if n.flag {
 			s += " (existence)"
 		}
-		switch {
-		case r == nil:
-		case r.exhausted:
-			s += fmt.Sprintf(", read all %d rows", r.rows)
-		case r.rows > 0:
-			s += fmt.Sprintf(", stopped after %d rows", r.rows)
+		if r == nil || (r.rows == 0 && r.meta == 0 && !r.exhausted) {
+			return s // not run, or never opened
 		}
-		return s
+		s += ": "
+		if r.meta > 0 {
+			s += fmt.Sprintf("%d segments from source sets, ", r.meta)
+		}
+		end := "stopped"
+		if r.exhausted {
+			end = "exhausted"
+		}
+		return s + fmt.Sprintf("%d rows read, %s", r.rows, end)
 	case noteStatAgg:
 		segs := r.segsOr(n.op.(*exec.StatAggScan))
 		return fmt.Sprintf("agg: %d segments answered from stats, %d scanned, %d pruned, tail %d rows",

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trac/internal/engine"
+	"trac/internal/exec"
 	"trac/internal/refeval"
 	"trac/internal/sqlparser"
 )
@@ -21,13 +22,16 @@ import (
 // no row survives on, residual < and <> predicates beside and instead of
 // equi-keys, anchors not first in FROM, anchor rows updated and deleted under
 // MVCC, index-scan and seq-scan anchors, and arms with different anchor
-// predicates.
+// predicates. The existential relations declare their source column and
+// seal into small segments, so probes keyed on it take segments from their
+// source sets — beside versions deleted, inserted by writers still in
+// flight, and left by writers that aborted, which a source set still lists.
 func TestSemiJoinMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060915))
-	semi, fused := 0, 0
+	semi, fused, meta := 0, 0, 0
 	for trial := 0; trial < 40; trial++ {
 		tail := trial%2 == 1
-		db := anchoredDB(rng, tail)
+		db, release := anchoredDB(rng, tail)
 		for q := 0; q < 10; q++ {
 			sql := anchoredQuery(rng)
 			sel, err := sqlparser.ParseSelect(sql)
@@ -60,22 +64,30 @@ func TestSemiJoinMatchesReference(t *testing.T) {
 				}
 			}
 			execModes[0].apply(db)
-			plan, err := db.ExplainAt(sql, db.Snapshot())
+			plan, err := db.Planner().PlanSelect(sel, db.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.Contains(plan, "semi-join: anchor") {
+			if _, err := exec.Drain(plan.Root); err != nil {
+				t.Fatal(err)
+			}
+			desc := plan.Describe()
+			if strings.Contains(desc, "semi-join: anchor") {
 				semi++
 			}
-			if strings.Contains(plan, "anchored union") {
+			if strings.Contains(desc, "anchored union") {
 				fused++
 			}
+			if strings.Contains(desc, "from source sets") {
+				meta++
+			}
 		}
+		release()
 	}
 	// The generator must actually reach the paths under test.
-	t.Logf("coverage: %d semi-join plans, %d fused unions", semi, fused)
-	if semi < 100 || fused < 20 {
-		t.Errorf("coverage too thin: %d semi-join plans, %d fused unions", semi, fused)
+	t.Logf("coverage: %d semi-join plans, %d fused unions, %d runs with segments from source sets", semi, fused, meta)
+	if semi < 100 || fused < 20 || meta < 20 {
+		t.Errorf("coverage too thin: %d semi-join plans, %d fused unions, %d runs with segments from source sets", semi, fused, meta)
 	}
 }
 
@@ -114,14 +126,26 @@ var (
 )
 
 // anchoredDB builds H (the anchor: primary key id, a nullable group and a
-// value), T1 and T2 (the existential relations: nullable source columns),
-// churns H under MVCC, seals everything, and with tail set writes on after
-// the seal so that every table also has an unsealed tail.
-func anchoredDB(rng *rand.Rand, tail bool) *engine.DB {
-	db := engine.New()
+// value), T1 and T2 (the existential relations: nullable declared source
+// columns, sealed every few rows), churns H under MVCC, has T1 churned by a
+// writer that aborts, by committed deletes and by a writer left in flight,
+// seals everything, and with tail set writes on after the seal so that every
+// table also has an unsealed tail. release ends the writer in flight.
+func anchoredDB(rng *rand.Rand, tail bool) (db *engine.DB, release func()) {
+	db = engine.New()
 	db.MustExec(`CREATE TABLE H (id TEXT PRIMARY KEY, grp TEXT, v BIGINT)`)
 	db.MustExec(`CREATE TABLE T1 (src TEXT, a BIGINT, b TEXT)`)
 	db.MustExec(`CREATE TABLE T2 (src TEXT, c BIGINT)`)
+	for _, name := range []string{"T1", "T2"} {
+		tbl, err := db.Catalog().Get(name)
+		if err != nil {
+			panic(err)
+		}
+		if err := tbl.Schema.SetSourceColumn("src"); err != nil {
+			panic(err)
+		}
+		tbl.SetSealThreshold(4 + rng.Intn(12))
+	}
 	if rng.Intn(2) == 0 {
 		db.MustExec(`CREATE INDEX t1src ON T1 (src)`)
 	}
@@ -148,13 +172,31 @@ func anchoredDB(rng *rand.Rand, tail bool) *engine.DB {
 			}
 		}
 	}
+	churn := func(run func(string) (int, error)) {
+		if _, err := run(fmt.Sprintf(`DELETE FROM T1 WHERE a = %d`, rng.Intn(10))); err != nil {
+			panic(err)
+		}
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			if _, err := run(fmt.Sprintf(`INSERT INTO T1 VALUES (%s, %d, %s)`, sqlText(rng, srcs), rng.Intn(10), sqlText(rng, grps))); err != nil {
+				panic(err)
+			}
+		}
+	}
 	write()
 	write()
+	aborted := db.BeginBatch()
+	churn(aborted.Exec)
+	if err := aborted.Abort(); err != nil {
+		panic(err)
+	}
+	churn(db.Exec)
+	inFlight := db.BeginBatch()
+	churn(inFlight.Exec)
 	db.SealAll()
 	if tail {
 		write()
 	}
-	return db
+	return db, func() { inFlight.Abort() }
 }
 
 func pickN(rng *rand.Rand, from []string, n int) []string {

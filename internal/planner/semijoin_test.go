@@ -16,6 +16,21 @@ import (
 // sources — the shape of a fact table every poll appends to.
 func jobFixture(t *testing.T, sources, writers, jobRows int) (*Planner, *txn.Manager) {
 	t.Helper()
+	return buildJobFixture(t, sources, writers, jobRows, 1, false)
+}
+
+// sourcedJobFixture is jobFixture with JobLog's mach_id declared its source
+// column and the rows written in runs of 32 per source, as a poll appends
+// one machine's batch: a sealed segment then spans at most 128 sources and
+// keeps its source set.
+func sourcedJobFixture(t *testing.T, sources, writers, jobRows int) (*Planner, *txn.Manager) {
+	t.Helper()
+	return buildJobFixture(t, sources, writers, jobRows, 32, true)
+}
+
+// buildJobFixture writes JobLog row i for source 1 + (i/run)%writers.
+func buildJobFixture(t testing.TB, sources, writers, jobRows, run int, declared bool) (*Planner, *txn.Manager) {
+	t.Helper()
 	cat := storage.NewCatalog()
 	mgr := txn.NewManager()
 	mk := func(name string, cols []storage.Column) *storage.Table {
@@ -37,6 +52,11 @@ func jobFixture(t *testing.T, sources, writers, jobRows int) (*Planner, *txn.Man
 		{Name: "mach_id", Kind: types.KindString},
 		{Name: "job_id", Kind: types.KindInt},
 	})
+	if declared {
+		if err := jobs.Schema.SetSourceColumn("mach_id"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tx := mgr.Begin()
 	for i := 1; i <= sources; i++ {
 		tx.InsertRow(hb, storage.NewRow([]types.Value{
@@ -45,7 +65,7 @@ func jobFixture(t *testing.T, sources, writers, jobRows int) (*Planner, *txn.Man
 	}
 	for i := 0; i < jobRows; i++ {
 		tx.InsertRow(jobs, storage.NewRow([]types.Value{
-			types.NewString(fmt.Sprintf("m%d", 1+i%writers)), types.NewInt(int64(i)),
+			types.NewString(fmt.Sprintf("m%d", 1+(i/run)%writers)), types.NewInt(int64(i)),
 		}, 0))
 	}
 	if err := tx.Commit(); err != nil {
@@ -76,7 +96,7 @@ func TestRecencyArmCostFollowsSourcesNotJoinedTable(t *testing.T) {
 			if probe.Exhausted || probe.Probed > 2*sources {
 				t.Errorf("%d JobLog rows, run %d: probed %d (exhausted=%v), want about %d", jobRows, run, probe.Probed, probe.Exhausted, sources)
 			}
-			want := fmt.Sprintf("semi-join: anchor h (%d rows), probe J, stopped after %d rows", sources, probe.Probed)
+			want := fmt.Sprintf("semi-join: anchor h (%d rows), probe J: %d rows read, stopped", sources, probe.Probed)
 			if desc := pl.Describe(); !strings.Contains(desc, want) {
 				t.Errorf("run %d: plan notes lack %q:\n%s", run, want, desc)
 			}
@@ -99,7 +119,7 @@ func TestRecencyArmReadsProbeOnceWhenASourceIsMissing(t *testing.T) {
 			t.Errorf("run %d: probed %d rows (exhausted=%v), want exactly %d", run, probe.Probed, probe.Exhausted, jobRows)
 		}
 		desc := pl.Describe()
-		if strings.Contains(desc, "hash join") || !strings.Contains(desc, fmt.Sprintf("read all %d rows", jobRows)) {
+		if strings.Contains(desc, "hash join") || !strings.Contains(desc, fmt.Sprintf("probe J: %d rows read, exhausted", jobRows)) {
 			t.Errorf("run %d: plan:\n%s", run, desc)
 		}
 	})
@@ -118,7 +138,7 @@ func TestLiveRowEstimate(t *testing.T) {
 			if !snap.Visible(r) {
 				continue
 			}
-			if err := tx.Delete(r); err != nil {
+			if err := tx.Delete(hb, r); err != nil {
 				t.Fatal(err)
 			}
 			vals := append([]types.Value(nil), r.Values...)

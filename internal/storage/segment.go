@@ -15,9 +15,13 @@ import (
 const DefaultSegmentSize = 4096
 
 // MaxZoneSources caps the per-segment distinct-source set. Beyond the cap
-// the set is dropped (nil = untracked) and source pruning falls back to the
-// min/max bounds; with the default segment size a cap this high is only hit
-// by pathologically interleaved loads.
+// the set is dropped (nil = untracked): source pruning falls back to the
+// min/max bounds, and a semi-join probe that would have taken the segment's
+// sources from the set (the metadata phase of exec.SemiJoin) reads its rows
+// instead. The cap is reached in ordinary loads, not only pathological ones:
+// a segment of 4,096 versions written ten or twenty rows per source at a
+// time spans hundreds of sources, and so does a segment of a table rewritten
+// in place once per source per poll, sealed after it aged.
 const MaxZoneSources = 128
 
 // ColVec is one column of a sealed segment in columnar form. When Pure,
@@ -117,7 +121,15 @@ type Segment struct {
 	// leaves segments that are mostly or wholly superseded versions, and a
 	// scan should pay for the live ones, not for every version ever written.
 	live atomic.Pointer[LiveSet]
+
+	// settled caches the last successful Table.Settled pass over the segment.
+	settled atomic.Pointer[settledMark]
 }
+
+// settledMark records that, when the owning table's delete-mark count was
+// marks, every version of the segment had a committed creator — the latest
+// at sequence seq — and no delete mark.
+type settledMark struct{ marks, seq uint64 }
 
 // Len returns the number of row versions in the segment.
 func (s *Segment) Len() int { return len(s.Rows) }
@@ -182,6 +194,33 @@ func (s *Segment) NoteLive(seq uint64, from *LiveSet, visible []int) {
 		pos[i] = int32(p)
 	}
 	s.live.Store(&LiveSet{Seq: seq, Pos: pos})
+}
+
+// Settled reports whether every version of seg, a segment of t, was created
+// by a committed transaction and carries no delete mark; seq is then the
+// latest creator's commit sequence, so a snapshot at or after seq sees every
+// version and an older one does not. Commits are final and a new delete mark
+// counts in t's delete marks (NoteDeleteMark), so the answer of one pass
+// over the rows holds until the table takes its next mark: a segment of an
+// insert-only table is read once, and every later call is two atomic loads.
+// A segment with an in-flight, aborted or deleted version is not settled,
+// and each call checks it again, up to the first such version.
+func (t *Table) Settled(seg *Segment) (seq uint64, ok bool) {
+	// Read before the rows: a mark taken during the pass then fails the
+	// cache's comparison at the next call.
+	marks := t.marks.Load()
+	if m := seg.settled.Load(); m != nil && m.marks == marks {
+		return m.seq, true
+	}
+	for _, r := range seg.Rows {
+		x := r.XminSeq.Load()
+		if x == 0 || x == AbortedSeq || r.Xmax.Load() != 0 {
+			return 0, false
+		}
+		seq = max(seq, x)
+	}
+	seg.settled.Store(&settledMark{marks: marks, seq: seq})
+	return seq, true
 }
 
 // sealSegment builds the columnar form of one heap region.

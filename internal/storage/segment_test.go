@@ -273,3 +273,46 @@ func TestAppendsRacingLiveScan(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSettledHoldsUntilTheNextDeleteMark: a segment whose creators all
+// committed and whose versions carry no delete mark is settled at its latest
+// creator's sequence; the answer is cached until the table takes a delete
+// mark, and a segment with an uncommitted, aborted or deleted version is
+// never settled.
+func TestSettledHoldsUntilTheNextDeleteMark(t *testing.T) {
+	tbl := NewTable("t", segSchema(t))
+	tbl.SetSealThreshold(-1)
+	for i := 0; i < 8; i++ {
+		r := segRow(int64(i), "s", 0, false)
+		r.XminSeq.Store(uint64(3 + i%2))
+		tbl.Append(r)
+	}
+	tbl.Seal()
+	seg := tbl.Snap().Segments[0]
+	if seq, ok := tbl.Settled(seg); !ok || seq != 4 {
+		t.Fatalf("Settled = %d, %v; want 4, true", seq, ok)
+	}
+
+	// The cache answers without reading the rows: a mark set behind the
+	// table's back goes unseen until the table is told of it.
+	seg.Rows[5].Xmax.Store(9)
+	if _, ok := tbl.Settled(seg); !ok {
+		t.Fatal("settled answer not cached")
+	}
+	tbl.NoteDeleteMark()
+	if _, ok := tbl.Settled(seg); ok {
+		t.Fatal("settled with a delete-marked version")
+	}
+	seg.Rows[5].Xmax.Store(0) // the deleter aborted and released its mark
+	if seq, ok := tbl.Settled(seg); !ok || seq != 4 {
+		t.Fatalf("after the release Settled = %d, %v; want 4, true", seq, ok)
+	}
+
+	for _, creator := range []uint64{0, AbortedSeq} {
+		seg.Rows[2].XminSeq.Store(creator)
+		tbl.NoteDeleteMark() // drop the cache
+		if _, ok := tbl.Settled(seg); ok {
+			t.Errorf("settled with a version whose creator seq is %d", creator)
+		}
+	}
+}

@@ -92,6 +92,9 @@ type Table struct {
 	// DELETE (see NoteDead); LiveRows subtracts it from the version count.
 	dead atomic.Int64
 
+	// marks counts delete marks set on the table's versions (NoteDeleteMark).
+	marks atomic.Uint64
+
 	// visited counts versions readers checked for visibility (NoteVisited).
 	visited atomic.Int64
 
@@ -335,6 +338,12 @@ func (t *Table) NumVersions() int {
 // estimate (an aborted writer is not subtracted back), which is all the
 // planner's cardinalities need.
 func (t *Table) NoteDead(n int) { t.dead.Add(int64(n)) }
+
+// NoteDeleteMark records that a transaction has just set the delete mark of
+// one of the table's versions. Unlike NoteDead it is exact: the transaction
+// layer calls it for every mark, after setting it, and Settled relies on
+// that.
+func (t *Table) NoteDeleteMark() { t.marks.Add(1) }
 
 // NoteVisited records that a reader checked n versions of this table for
 // visibility: one call per scan unit, index probe or keyed write, not per

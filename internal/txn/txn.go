@@ -124,9 +124,12 @@ func (t *Txn) InsertRows(tbl *storage.Table, rows []*storage.Row) error {
 	return tbl.AppendRows(rows)
 }
 
-// Delete marks a row version as deleted by this transaction. It fails with
+// Delete marks a version of tbl as deleted by this transaction. It fails with
 // ErrWriteConflict if another live or committed transaction got there first.
-func (t *Txn) Delete(row *storage.Row) error {
+// Every mark it sets is counted in tbl's delete marks, which is what lets a
+// reader cache that a sealed segment holds no deleted version
+// (storage.Table.Settled).
+func (t *Txn) Delete(tbl *storage.Table, row *storage.Row) error {
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
@@ -144,6 +147,7 @@ func (t *Txn) Delete(row *storage.Row) error {
 			if seq, ok := t.mgr.lookupStatus(cur); ok && seq == storage.AbortedSeq {
 				if row.Xmax.CompareAndSwap(cur, t.id) {
 					row.XmaxSeq.Store(0)
+					tbl.NoteDeleteMark()
 					t.mu.Lock()
 					t.deleted = append(t.deleted, row)
 					t.mu.Unlock()
@@ -155,6 +159,7 @@ func (t *Txn) Delete(row *storage.Row) error {
 		}
 		if row.Xmax.CompareAndSwap(0, t.id) {
 			row.XmaxSeq.Store(0)
+			tbl.NoteDeleteMark()
 			t.mu.Lock()
 			t.deleted = append(t.deleted, row)
 			t.mu.Unlock()

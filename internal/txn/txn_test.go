@@ -97,7 +97,7 @@ func TestDeleteVisibility(t *testing.T) {
 	snapBefore := m.ReadSnapshot()
 
 	tx2 := m.Begin()
-	if err := tx2.Delete(r); err != nil {
+	if err := tx2.Delete(tbl, r); err != nil {
 		t.Fatal(err)
 	}
 	// Deleter's own snapshot must no longer see the row.
@@ -127,14 +127,14 @@ func TestAbortedDeleteRestoresRow(t *testing.T) {
 	tx1.Commit()
 
 	tx2 := m.Begin()
-	tx2.Delete(r)
+	tx2.Delete(tbl, r)
 	tx2.Abort()
 	if n := len(visibleRows(tbl, m.ReadSnapshot())); n != 1 {
 		t.Errorf("row lost after aborted delete: %d", n)
 	}
 	// Another transaction can now delete it.
 	tx3 := m.Begin()
-	if err := tx3.Delete(r); err != nil {
+	if err := tx3.Delete(tbl, r); err != nil {
 		t.Errorf("delete after aborted delete: %v", err)
 	}
 	tx3.Commit()
@@ -153,20 +153,20 @@ func TestWriteWriteConflict(t *testing.T) {
 
 	a := m.Begin()
 	b := m.Begin()
-	if err := a.Delete(r); err != nil {
+	if err := a.Delete(tbl, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Delete(r); !errors.Is(err, ErrWriteConflict) {
+	if err := b.Delete(tbl, r); !errors.Is(err, ErrWriteConflict) {
 		t.Errorf("expected ErrWriteConflict, got %v", err)
 	}
 	// Double delete by the same txn is idempotent.
-	if err := a.Delete(r); err != nil {
+	if err := a.Delete(tbl, r); err != nil {
 		t.Errorf("self re-delete: %v", err)
 	}
 	a.Commit()
 	// Conflict also after the first deleter committed.
 	c := m.Begin()
-	if err := c.Delete(r); !errors.Is(err, ErrWriteConflict) {
+	if err := c.Delete(tbl, r); !errors.Is(err, ErrWriteConflict) {
 		t.Errorf("expected ErrWriteConflict after commit, got %v", err)
 	}
 }
@@ -185,7 +185,7 @@ func TestFinishedTxnRejectsUse(t *testing.T) {
 	if err := tx.InsertRow(tbl, row("m1", 1)); !errors.Is(err, ErrFinished) {
 		t.Errorf("insert after commit: %v", err)
 	}
-	if err := tx.Delete(row("m1", 1)); !errors.Is(err, ErrFinished) {
+	if err := tx.Delete(tbl, row("m1", 1)); !errors.Is(err, ErrFinished) {
 		t.Errorf("delete after commit: %v", err)
 	}
 }
@@ -267,7 +267,7 @@ func TestUpdatePattern(t *testing.T) {
 	oldSnap := m.ReadSnapshot()
 
 	up := m.Begin()
-	if err := up.Delete(old); err != nil {
+	if err := up.Delete(tbl, old); err != nil {
 		t.Fatal(err)
 	}
 	if err := up.InsertRow(tbl, row("m1", 2)); err != nil {
