@@ -652,6 +652,6 @@ func vecOverlay(dst, a *storage.ColVec, apos []int, b *storage.ColVec, bpos []in
 func (j *BatchHashJoin) Close() error {
 	PutBatch(j.build)
 	j.build, j.idx = nil, nil
-	j.pos, j.hit = recycled(j.pos), recycled(j.hit)
+	j.pos, j.hit = recycled(j.pos, keptScratch), recycled(j.hit, keptScratch)
 	return j.Probe.Close()
 }

@@ -164,10 +164,10 @@ func scans(node any, fn func(*storage.Table, *txn.Snapshot)) {
 
 // recycled empties a scratch slice for its operator's next run. Its elements
 // are zeroed, so it keeps no pointer into the last run's data, and one grown
-// past keptScratch elements is dropped: a tree kept for reuse holds no buffer
-// the size of its last input.
-func recycled[T any](s []T) []T {
-	if cap(s) > keptScratch {
+// past most elements is dropped: a tree kept for reuse holds no buffer the
+// size of a large last input.
+func recycled[T any](s []T, most int) []T {
+	if cap(s) > most {
 		return nil
 	}
 	clear(s[:cap(s)])
@@ -177,6 +177,12 @@ func recycled[T any](s []T) []T {
 // keptScratch is the most of a scratch slice a closed operator keeps: what a
 // point probe or a selective join's probe batch needs.
 const keptScratch = 256
+
+// keptAnchor is the most anchor positions a closed SemiJoin keeps its
+// per-position buffers for: a recency plan's anchor, the sources of its
+// Heartbeat relation, is the same few thousand rows on every refresh, while
+// a user query anchored on a fact table must not pin buffers its size.
+const keptAnchor = 8192
 
 // Vectorized reports whether any part of an operator tree runs
 // batch-at-a-time over column vectors — every plan that reads a table does;

@@ -115,6 +115,38 @@ func reopenCases(t *testing.T) []reopenCase {
 				"probe state", sj.st.anchor != nil || sj.st.cand != nil || sj.st.idx != nil || nonNil(sj.st.mark))
 		}})
 
+	// An anchored union whose second arm narrows the anchor with a kernel:
+	// the arm's candidate selection and the emitted marks are the operator's
+	// own buffers, and no run may start from what the last one left in them.
+	first := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("m2")}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
+	au := &SemiJoin{Anchor: &BatchScan{Table: act, Snap: am.ReadSnapshot()}, Arms: []SemiArm{
+		{Probes: []*SemiProbe{first}},
+		{Kernel: kernelOn(t, layoutFor(act, "a"), "value = 'idle' AND mach_id <> 'm3'")},
+	}}
+	auRoot := &RowFromBatch{Src: au}
+	add(reopenCase{name: "AnchoredUnionArmKernel", op: auRoot,
+		counts: func() []int { return []int{first.Probed, auRoot.Boxed} },
+		holds: func() []string {
+			return holding("anchor batch", au.out != nil, "arm selection", len(au.cand) > 0, "emitted marks", nonNil(au.done))
+		}})
+
+	// An anchor past keptAnchor positions (a user query anchored on a fact
+	// table) leaves none of its per-position buffers in the closed operator.
+	many := make([]string, keptAnchor+1)
+	for i := range many {
+		many[i] = fmt.Sprintf("s%d", i)
+	}
+	bigProbe := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("s1", many[keptAnchor])}),
+		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
+	big := &SemiJoin{Anchor: ToBatch(&ValuesOp{RowsData: strRows(many...)}), Arms: []SemiArm{{Probes: []*SemiProbe{bigProbe}}}}
+	bigRoot := &RowFromBatch{Src: big}
+	add(reopenCase{name: "SemiJoinPastKeptAnchor", op: bigRoot,
+		counts: func() []int { return []int{bigProbe.Probed, bigRoot.Boxed} },
+		holds: func() []string {
+			return holding("emitted marks", cap(big.done) > 0, "arm selection", cap(big.cand) > 0, "probe marks", cap(big.st.mark) > 0)
+		}})
+
 	bd := &BatchDistinct{Child: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "a", "", "")})}
 	bdRoot := &RowFromBatch{Src: bd}
 	add(reopenCase{name: "BatchDistinct", op: bdRoot,
@@ -212,6 +244,20 @@ func TestReopenCarriesNothingOver(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSemiJoinKeepsSmallPositionBuffers: over an anchor of at most
+// keptAnchor positions a closed SemiJoin keeps its position buffers, zeroed,
+// so the next run of a recency template does not allocate them again.
+func TestSemiJoinKeepsSmallPositionBuffers(t *testing.T) {
+	p := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("b")}), AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
+	sj := &SemiJoin{Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c")}), Arms: []SemiArm{{Probes: []*SemiProbe{p}}}}
+	if _, err := Drain(&RowFromBatch{Src: sj}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(sj.done) < 3 || cap(sj.cand) < 3 || cap(sj.st.mark) < 3 {
+		t.Errorf("closed SemiJoin kept capacities done %d, cand %d, mark %d; want each ≥ 3", cap(sj.done), cap(sj.cand), cap(sj.st.mark))
 	}
 }
 

@@ -67,7 +67,7 @@ func (s *IndexScan) NextBatch() (*Batch, error) {
 
 // Close releases the gathered matches.
 func (s *IndexScan) Close() error {
-	s.matches = recycled(s.matches)
+	s.matches = recycled(s.matches, keptScratch)
 	return nil
 }
 

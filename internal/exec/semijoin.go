@@ -8,7 +8,7 @@ import (
 )
 
 // SemiJoin emits each row of its Anchor input at most once: a row qualifies
-// when, for some arm, it passes the arm's Filter and every one of the arm's
+// when, for some arm, it passes the arm's Kernel and every one of the arm's
 // probes holds a row that joins it. It is the physical form of a SELECT
 // DISTINCT block (or a UNION of such blocks) whose output columns all come
 // from one relation: every other relation is existential, so no joined
@@ -46,11 +46,21 @@ type SemiJoin struct {
 	merged []types.Value
 	buf    []byte
 	st     probeState // the probe running now
+
+	// Per anchor position: emitted by some arm; and the running arm's
+	// candidates, a selection over the anchor batch. Both are sized to the
+	// anchor and kept, zeroed, from one run to the next up to keptAnchor
+	// positions.
+	done []bool
+	cand []int
 }
 
-// SemiArm is one disjunct of a SemiJoin: Filter AND every probe.
+// SemiArm is one disjunct of a SemiJoin: Kernel AND every probe.
 type SemiArm struct {
-	Filter Evaluator // over a boxed anchor tuple; nil passes every tuple
+	// Kernel narrows the anchor batch's selection to the tuples the arm's
+	// own anchor predicate passes (CompileKernel over the anchor's layout);
+	// nil passes every tuple.
+	Kernel Kernel
 	Probes []*SemiProbe
 }
 
@@ -119,9 +129,11 @@ func (j *SemiJoin) Open() error {
 	return nil
 }
 
-// Close drops the result if nobody took it, and the last merged tuple.
+// Close drops the result if nobody took it, the last merged tuple and what
+// the run left in the position buffers.
 func (j *SemiJoin) Close() error {
-	j.merged = recycled(j.merged)
+	j.merged = recycled(j.merged, keptScratch)
+	j.done, j.cand = recycled(j.done, keptAnchor), recycled(j.cand, keptAnchor)
 	return j.held.Close()
 }
 
@@ -178,28 +190,30 @@ func collect(op BatchOperator) (*Batch, error) {
 }
 
 // run narrows the anchor's selection to the positions some arm qualifies.
+// An arm's candidates are the positions no earlier arm emitted, narrowed by
+// its kernel over the anchor batch and then by each of its probes.
 func (j *SemiJoin) run(anchor *Batch) error {
-	done := make([]bool, anchor.n) // by vector position
-	remaining := anchor.Len()
+	j.done = slices.Grow(j.done[:0], anchor.n)[:anchor.n]
+	clear(j.done)
+	all, remaining := anchor.Sel, anchor.Len()
 	for ai := range j.Arms {
 		if remaining == 0 {
 			break
 		}
 		arm := &j.Arms[ai]
-		cand := make([]int32, 0, remaining)
-		for _, pos := range anchor.Sel {
-			if done[pos] {
-				continue
+		j.cand = slices.Grow(j.cand[:0], remaining)
+		for _, pos := range all {
+			if !j.done[pos] {
+				j.cand = append(j.cand, pos)
 			}
-			ok := true
-			if arm.Filter != nil {
-				var err error
-				if ok, err = EvalPredicate(arm.Filter, anchor.RowAt(pos)); err != nil {
-					return err
-				}
-			}
-			if ok {
-				cand = append(cand, int32(pos))
+		}
+		cand := j.cand
+		if arm.Kernel != nil {
+			anchor.Sel = cand
+			err := arm.Kernel(anchor)
+			cand, anchor.Sel = anchor.Sel, all
+			if err != nil {
+				return err
 			}
 		}
 		for _, p := range arm.Probes {
@@ -212,13 +226,13 @@ func (j *SemiJoin) run(anchor *Batch) error {
 			}
 		}
 		for _, pos := range cand {
-			done[pos] = true
+			j.done[pos] = true
 		}
 		remaining -= len(cand)
 	}
-	sel := anchor.Sel[:0]
-	for _, pos := range anchor.Sel {
-		if done[pos] {
+	sel := all[:0]
+	for _, pos := range all {
+		if j.done[pos] {
 			sel = append(sel, pos)
 		}
 	}
@@ -236,7 +250,7 @@ type probeState struct {
 	mu       sync.Mutex
 	probe    *SemiProbe
 	anchor   *Batch
-	cand     []int32
+	cand     []int
 	mark     []bool
 	unmarked int // candidates that can still be marked
 	idx      *keyIndex
@@ -247,7 +261,7 @@ type probeState struct {
 // runProbe streams one probe against the candidate anchor positions and
 // returns the candidates it marked, in order. The probe is closed as soon as
 // no unmarked candidate is left, whether or not it was exhausted.
-func (j *SemiJoin) runProbe(p *SemiProbe, anchor *Batch, cand []int32) ([]int32, error) {
+func (j *SemiJoin) runProbe(p *SemiProbe, anchor *Batch, cand []int) ([]int, error) {
 	st := &j.st
 	st.probe, st.anchor, st.cand, st.unmarked, st.buf = p, anchor, cand, len(cand), &j.buf
 	st.mark = slices.Grow(st.mark[:0], len(cand))[:len(cand)]
@@ -280,11 +294,11 @@ func (j *SemiJoin) runProbe(p *SemiProbe, anchor *Batch, cand []int32) ([]int32,
 	return marked, nil
 }
 
-// release drops what the state holds of the probe run, keeping only a small
-// mark vector for the next.
+// release drops what the state holds of the probe run, keeping the mark
+// vector, zeroed, for the next as SemiJoin keeps its position buffers.
 func (st *probeState) release() {
 	st.probe, st.anchor, st.cand, st.idx = nil, nil, nil, nil
-	st.mark = recycled(st.mark)
+	st.mark = recycled(st.mark, keptAnchor)
 	st.key[0] = types.Null
 }
 
@@ -296,7 +310,7 @@ func (j *SemiJoin) indexKeys(p *SemiProbe, st *probeState) error {
 	st.unmarked = 0
 	vals := make([]types.Value, len(p.AnchorKeys))
 	for ci, pos := range st.cand {
-		null, err := st.anchor.keyValues(vals, p.AnchorCols, p.AnchorKeys, int(pos))
+		null, err := st.anchor.keyValues(vals, p.AnchorCols, p.AnchorKeys, pos)
 		if err != nil {
 			return err
 		}
@@ -410,7 +424,7 @@ func (j *SemiJoin) tryMark(p *SemiProbe, st *probeState, ci int32, b *Batch, pos
 		}
 		for c, cv := range st.anchor.Cols {
 			if cv != nil {
-				merged[p.AnchorOffset+c] = cv.Value(int(st.cand[ci]))
+				merged[p.AnchorOffset+c] = cv.Value(st.cand[ci])
 			}
 		}
 		ok, err := EvalPredicate(p.Residual, merged)

@@ -2,10 +2,15 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"trac/internal/sqlparser"
+	"trac/internal/storage"
+	"trac/internal/txn"
 	"trac/internal/types"
 )
 
@@ -178,13 +183,22 @@ func TestSemiJoinArmsShareOneMarkVector(t *testing.T) {
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 	}
 	never := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("z")})}
-	notD := func(row []types.Value) (types.Value, error) { return types.NewBool(row[0].Str() != "d"), nil }
+	notD := func(b *Batch) error {
+		sel := b.Sel[:0]
+		for _, pos := range b.Sel {
+			if b.Cols[0].Value(pos).Str() != "d" {
+				sel = append(sel, pos)
+			}
+		}
+		b.Sel = sel
+		return nil
+	}
 	j := &SemiJoin{
 		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c", "d")}),
 		Arms: []SemiArm{
 			{Probes: []*SemiProbe{first}},
-			{Filter: notD, Probes: []*SemiProbe{second}}, // only c is still open
-			{Filter: notD, Probes: []*SemiProbe{never}},  // nothing is: never opened
+			{Kernel: notD, Probes: []*SemiProbe{second}}, // only c is still open
+			{Kernel: notD, Probes: []*SemiProbe{never}},  // nothing is: never opened
 		},
 	}
 	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b c]" {
@@ -297,6 +311,124 @@ func TestSemiJoinTakesSealedSegmentsFromSourceSets(t *testing.T) {
 		}
 		if rows, err := Drain(&RowFromBatch{Src: tc.scan}); err != nil || len(rows) != 3 {
 			t.Errorf("%s: the scan alone returned %d rows (err %v), want 3", tc.name, len(rows), err)
+		}
+	}
+}
+
+// TestSemiArmKernelMatchesEvalPredicate: an arm's kernel qualifies exactly
+// the anchor tuples on which EvalPredicate of the same expression holds, and
+// fails exactly when it fails on a tuple the arm examines. The anchors are
+// random rows with NULLs, read through a typed scan (sealed or tail) and
+// through the row shim's generic vectors; an earlier keyed arm has already
+// emitted some of them, so the kernel narrows a selection with holes.
+func TestSemiArmKernelMatchesEvalPredicate(t *testing.T) {
+	schema, err := storage.NewSchema([]storage.Column{
+		{Name: "sid", Kind: types.KindString},
+		{Name: "n", Kind: types.KindInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exprs := []string{
+		"sid NOT IN ('s1', 's3')",
+		"sid NOT IN ('s1', NULL)", // never TRUE
+		"sid IN ('s2', NULL)",
+		"sid LIKE 's1%'",
+		"sid NOT LIKE '%2'",
+		"sid IS NULL",
+		"sid <> 's4' AND n > 2",
+		"sid = 's2' OR n < 2",                     // no fused loop: the boxed fallback
+		"sid LIKE 's%' AND (n = 1 OR sid = 's5')", // fused, then boxed
+		"sid > n",                                 // TEXT against INT: a compare error
+		"sid > n AND sid = 's1'",
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		tbl := storage.NewTable("h", schema)
+		m := txn.NewManager()
+		tx := m.Begin()
+		var rows [][]types.Value
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			row := []types.Value{types.Null, types.Null}
+			if k := rng.Intn(7); k > 0 {
+				row[0] = types.NewString(fmt.Sprintf("s%d", k))
+			}
+			if k := rng.Intn(6); k > 0 {
+				row[1] = types.NewInt(int64(k))
+			}
+			rows = append(rows, row)
+			if err := tx.InsertRow(tbl, storage.NewRow(row, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 1 {
+			tbl.Seal()
+		}
+		layout := layoutFor(tbl, "h")
+		emitted := map[string]bool{}
+		var first []string
+		for k := 1; k <= 6; k++ {
+			if rng.Intn(3) == 0 {
+				sid := fmt.Sprintf("s%d", k)
+				emitted[sid] = true
+				first = append(first, sid)
+			}
+		}
+		for _, src := range exprs {
+			e, err := sqlparser.ParseExpr(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := Compile(e, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			var wantErr error
+			for _, row := range rows {
+				ok := !row[0].IsNull() && emitted[row[0].Str()]
+				if !ok {
+					if ok, err = EvalPredicate(ev, row); err != nil && wantErr == nil {
+						wantErr = err
+					}
+				}
+				if ok {
+					want = append(want, RowKey(row))
+				}
+			}
+			for _, anchor := range []BatchOperator{
+				&BatchScan{Table: tbl, Snap: m.ReadSnapshot()},
+				ToBatch(&ValuesOp{RowsData: rows}),
+			} {
+				kernel, _, _, err := CompileKernel(e, layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j := &SemiJoin{Anchor: anchor, Arms: []SemiArm{
+					{Probes: []*SemiProbe{{
+						Src:        ToBatch(&ValuesOp{RowsData: strRows(first...)}),
+						AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
+					}}},
+					{Kernel: kernel},
+				}}
+				out, err := Drain(&RowFromBatch{Src: j})
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("trial %d, %s over %T: kernel error %v, row by row %v", trial, src, anchor, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				got := make([]string, len(out))
+				for i, row := range out {
+					got[i] = RowKey(row)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d, %s over %T (first arm %v):\nkernel:     %q\nrow by row: %q", trial, src, anchor, first, got, want)
+				}
+			}
 		}
 	}
 }

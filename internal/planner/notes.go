@@ -18,7 +18,7 @@ const (
 	noteSeqScan                    // name, n workers, fused/total, est; segments of table under segf
 	noteHashJoin                   // name, est, est2 so far, flag: name builds; probe columns cols of layout
 	noteNestedLoop                 // name, est
-	noteSemiJoin                   // col the anchor, est, name the probe; flag: existence
+	noteSemiJoin                   // col the anchor, est, name the probe; flag: existence; part: a partition is read
 	noteStatAgg                    // the aggregate's segment classification
 )
 
@@ -32,7 +32,7 @@ type note struct {
 	n            int
 	fused, total int
 	est, est2    float64
-	flag         bool
+	flag, part   bool
 	table        *storage.Table
 	segf         *exec.SegmentFilter
 	layout       *exec.Layout
@@ -69,6 +69,27 @@ func (t *template) capture(dst []ran) []ran {
 		}
 	}
 	return dst
+}
+
+// PartitionExhausted reports whether a semi-join probe that reads one hash
+// partition of a sharded table (its note's part, fixed when the plan was
+// made) reached the end of its input with candidates left unmarked in the
+// plan's run: what this shard's partition lacked, another's may hold. It
+// reads what Close captured, so it is false for a plan that has not run and
+// closed.
+func (p *Plan) PartitionExhausted() bool {
+	runs := p.runs
+	for i := range p.t.notes {
+		n := &p.t.notes[i]
+		if n.op == nil || len(runs) == 0 {
+			continue
+		}
+		if n.kind == noteSemiJoin && n.part && runs[0].exhausted {
+			return true
+		}
+		runs = runs[1:]
+	}
+	return false
 }
 
 // Describe renders the planning notes, including the plan's parallel degree

@@ -198,8 +198,8 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, t *template) (
 	aLayout := exec.NewLayout([]exec.Binding{{Name: ab.Name, Table: ab.Table}})
 
 	// The anchor scan carries the predicate every block agrees on; what a
-	// block asks beyond that becomes its arm's filter. It carries every
-	// anchor column some block reads, wherever: output, filter, key, residual.
+	// block asks beyond that becomes its arm's kernel. It carries every
+	// anchor column some block reads, wherever: output, kernel, key, residual.
 	reads := blocks[0].scratch[:aLayout.Width()]
 	clear(reads)
 	for bi, b := range blocks {
@@ -235,7 +235,7 @@ func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, t *template) (
 				}
 			}
 			if len(extra) > 0 {
-				if arm.Filter, err = exec.Compile(sqlparser.AndAll(extra...), aLayout); err != nil {
+				if arm.Kernel, _, _, err = exec.CompileKernel(sqlparser.AndAll(extra...), aLayout); err != nil {
 					return nil, err
 				}
 			}
@@ -260,7 +260,7 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 	var arm exec.SemiArm
 	layout := b.layout
 	for _, c := range anchorOwn(b, anchor) {
-		c.used = true // in the anchor scan or the arm's filter
+		c.used = true // in the anchor scan or the arm's kernel
 	}
 
 	type costed struct {
@@ -352,8 +352,16 @@ func (p *Planner) planArm(b *block, anchor int, aLayout *exec.Layout, anchorEst 
 			// An existence probe stops at the first row it sees.
 			est = 0
 		}
+		// A probe that reads a hash partition of a sharded table and comes
+		// back exhausted leaves the answer open to another shard's partition
+		// (Plan.PartitionExhausted).
+		part := false
+		for _, m := range members {
+			_, ok := layout.Bindings[m].Table.Partition()
+			part = part || ok
+		}
 		probes = append(probes, costed{probe, est, note{
-			kind: noteSemiJoin, col: layout.Bindings[anchor].Name, est: anchorEst, name: name, flag: existence, op: probe,
+			kind: noteSemiJoin, col: layout.Bindings[anchor].Name, est: anchorEst, name: name, flag: existence, part: part, op: probe,
 		}})
 	}
 	for _, c := range b.conjuncts {

@@ -9,6 +9,7 @@ import (
 	"trac/internal/engine"
 	"trac/internal/shard"
 	"trac/internal/sqlparser"
+	"trac/internal/types"
 	"trac/internal/workload"
 )
 
@@ -91,6 +92,66 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			}
 			if n > 1 && !sawScatter {
 				t.Error("no corpus query ever fanned out across shards")
+			}
+		})
+	}
+}
+
+// TestShardedRecencyUnionPlacement holds recency unions whose arms are
+// existence-only on the partitioned table to the unsharded engine, with the
+// only qualifying partitioned row on no shard, on the first, on the last, and
+// with two arms satisfied on different shards: the anchored walk must ask
+// past every shard whose partition left an arm's probe exhausted.
+func TestShardedRecencyUnionPlacement(t *testing.T) {
+	const hb = `SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h`
+	union := hb + `, Activity A WHERE trac_h.sid NOT IN ('Tao1', 'Tao10') AND A.value = 'mark-a' UNION ` +
+		hb + `, Routing R WHERE R.neighbor = trac_h.sid AND R.mach_id IN ('Tao1', 'Tao10')`
+	split := hb + `, Activity A WHERE trac_h.sid LIKE 'Tao1%' AND A.value = 'mark-a' UNION ` +
+		hb + `, Routing R, Activity A WHERE R.neighbor = trac_h.sid AND R.mach_id IN ('Tao2', 'Tao3') AND A.value = 'mark-b'`
+	for _, n := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			db, r := buildPair(t, n)
+			on := func(s int) string {
+				for i := 1; i <= equivSpec.DataSources; i++ {
+					if sid := workload.SourceName(i); r.ShardOf(types.NewString(sid)) == s {
+						return sid
+					}
+				}
+				t.Fatalf("no source hashes to shard %d", s)
+				return ""
+			}
+			first, last := on(0), on(n-1)
+			for _, tc := range []struct {
+				name  string
+				marks map[string]string // value -> mach_id of its one row
+			}{
+				{"on no shard", nil},
+				{"on shard 0", map[string]string{"mark-a": first}},
+				{"on the last shard", map[string]string{"mark-a": last}},
+				{"split, first and last", map[string]string{"mark-a": first, "mark-b": last}},
+				{"split, last and first", map[string]string{"mark-a": last, "mark-b": first}},
+			} {
+				for value, sid := range tc.marks {
+					sql := fmt.Sprintf(`INSERT INTO Activity VALUES ('%s', '%s', NULL)`, sid, value)
+					db.MustExec(sql)
+					mustExec(t, r, sql)
+				}
+				for _, sql := range []string{union, split} {
+					res, err := db.Query(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sres, err := r.Query(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := workload.RowSet(sres), workload.RowSet(res); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s: sharded diverges\nquery: %s\nunsharded: %v\nsharded:   %v", tc.name, sql, want, got)
+					}
+				}
+				const unmark = `DELETE FROM Activity WHERE value IN ('mark-a', 'mark-b')`
+				db.MustExec(unmark)
+				mustExec(t, r, unmark)
 			}
 		})
 	}

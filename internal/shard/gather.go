@@ -68,7 +68,8 @@ func (r *Router) plan(sel *sqlparser.SelectStmt, sql string, version uint64) (*s
 }
 
 // Explain renders the scatter decomposition — the per-block `shards: k of N,
-// pruned p` note — followed by the engine plan of each block's first shard.
+// pruned p` note — followed by the engine plan of each block's first shard;
+// an anchored statement (anchoredWalk) is one note and its first shard's plan.
 func (r *Router) Explain(sql string) (string, error) {
 	cut, err := r.Cut()
 	if err != nil {
@@ -82,6 +83,15 @@ func (r *Router) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	if sp.walk != nil {
+		first := sp.walk[0]
+		plan, err := r.shards[first].Planner().PlanSelect(sp.sel, cut.Snaps[first])
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("scatter: %s, anchored union on one shard (next shard only while a partitioned existence probe is exhausted)\nshard %d plan:\n%s",
+			planner.ShardNote(1, len(r.shards), len(r.shards)-len(sp.walk)), first, plan.Describe()), nil
+	}
 	var sb strings.Builder
 	for i, bp := range sp.blocks {
 		if len(sp.blocks) > 1 {
@@ -93,9 +103,6 @@ func (r *Router) Explain(sql string) (string, error) {
 			fmt.Fprintf(&sb, "shards: 1 of %d, replicated", len(r.shards))
 		} else {
 			sb.WriteString(planner.ShardNote(len(bp.shards), len(r.shards), bp.pruned))
-		}
-		if bp.firstAnswer {
-			sb.WriteString(", gather: first non-empty answer (partitioned relation is existence-only)")
 		}
 		sb.WriteString("\n")
 		first := bp.shards[0]
@@ -110,37 +117,25 @@ func (r *Router) Explain(sql string) (string, error) {
 
 // executeScatter plans every (block, shard) statement under the cut's
 // snapshots, drains all of them concurrently (the scatter), then merges
-// per-shard partials in deterministic shard order (the gather). A
-// firstAnswer block joins the scatter with its first shard only — the arms
-// of a recency query then run side by side instead of one after the other —
-// and asks its other shards, one by one, only if that one had no rows; it
-// needs no gather.
+// per-shard partials in deterministic shard order (the gather). An anchored
+// statement runs whole instead (runAnchored).
 func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error) {
+	if sp.walk != nil {
+		return r.runAnchored(sp, cut)
+	}
 	var ops []exec.Operator
 	starts := make([]int, len(sp.blocks)+1)
-	blockRows := make([][][]types.Value, len(sp.blocks))
 	maxParallel, vectorized := 1, false
-	plan := func(bp *blockPlan, s int) (exec.Operator, error) {
-		pl, err := r.shards[s].Planner().PlanSelect(bp.stmt, cut.Snaps[s])
-		if err != nil {
-			return nil, err
-		}
-		maxParallel = max(maxParallel, pl.Parallel)
-		vectorized = vectorized || pl.Vectorized
-		return pl.Root, nil
-	}
 	for bi, bp := range sp.blocks {
 		starts[bi] = len(ops)
-		shards := bp.shards
-		if bp.firstAnswer && len(shards) > 1 {
-			shards = shards[:1]
-		}
-		for _, s := range shards {
-			root, err := plan(bp, s)
+		for _, s := range bp.shards {
+			pl, err := r.shards[s].Planner().PlanSelect(bp.stmt, cut.Snaps[s])
 			if err != nil {
 				return nil, err
 			}
-			ops = append(ops, root)
+			maxParallel = max(maxParallel, pl.Parallel)
+			vectorized = vectorized || pl.Vectorized
+			ops = append(ops, pl.Root)
 		}
 	}
 	starts[len(sp.blocks)] = len(ops)
@@ -150,33 +145,12 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 	}
 	maxParallel = max(maxParallel, len(ops))
 
+	blockRows := make([][][]types.Value, len(sp.blocks))
 	for bi, bp := range sp.blocks {
-		if !bp.firstAnswer {
-			if blockRows[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// Shards answer alike or not at all: stop at the first that has
-		// rows instead of deriving the same answer on every shard.
-		if len(bp.shards) == 0 {
-			continue
-		}
-		blockRows[bi] = perOp[starts[bi]]
-		for _, s := range bp.shards[1:] {
-			if len(blockRows[bi]) > 0 {
-				break
-			}
-			root, err := plan(bp, s)
-			if err != nil {
-				return nil, err
-			}
-			if blockRows[bi], err = exec.Drain(root); err != nil {
-				return nil, err
-			}
+		if blockRows[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
+			return nil, err
 		}
 	}
-
 	var rows [][]types.Value
 	if len(sp.blocks) == 1 {
 		rows = blockRows[0]
@@ -198,6 +172,38 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 		}
 	}
 	return &engine.Result{Columns: sp.columns, Rows: rows, Parallel: maxParallel, Vectorized: vectorized}, nil
+}
+
+// runAnchored runs an anchored statement whole, through the engine's own
+// anchored union — one anchor scan, one SemiJoin, one Distinct — on the first
+// shard of its walk. A shard's answer is the statement's answer unless an
+// existence probe over a partitioned relation came back exhausted there: the
+// rows that arm would add may sit in another shard's partition. Only then is
+// the next shard asked, and the answers of the shards asked are united.
+func (r *Router) runAnchored(sp *scatterPlan, cut Cut) (*engine.Result, error) {
+	res := &engine.Result{Columns: sp.columns, Parallel: 1}
+	var asked []exec.Operator
+	for _, s := range sp.walk {
+		pl, err := r.shards[s].Planner().PlanSelect(sp.sel, cut.Snaps[s])
+		if err != nil {
+			return nil, err
+		}
+		if res.Rows, err = exec.Drain(pl.Root); err != nil {
+			return nil, err
+		}
+		res.Parallel = max(res.Parallel, pl.Parallel)
+		res.Vectorized = res.Vectorized || pl.Vectorized
+		asked = append(asked, &exec.ValuesOp{RowsData: res.Rows})
+		if !pl.PartitionExhausted() {
+			break
+		}
+	}
+	if len(asked) == 1 {
+		return res, nil
+	}
+	var err error
+	res.Rows, err = exec.Drain(&exec.Union{Children: asked})
+	return res, err
 }
 
 // gather merges one block's per-shard results (in shard order) into the rows

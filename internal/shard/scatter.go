@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,6 +20,11 @@ type scatterPlan struct {
 	sel     *sqlparser.SelectStmt
 	blocks  []*blockPlan
 	columns []string
+
+	// walk is set for an anchored statement (anchoredWalk): the shards the
+	// whole statement runs on, one at a time, in this order. nil: the blocks
+	// scatter and gather one by one.
+	walk []int
 }
 
 // blockPlan is the scatter/gather shape of one SELECT block.
@@ -39,11 +45,11 @@ type blockPlan struct {
 	distinct bool
 	limit    *int64
 
-	// firstAnswer: a DISTINCT-anchored block (planner.AnchorShape) without
-	// ORDER BY or LIMIT whose anchor is replicated and whose partitioned
-	// relation is not tied to it. Every shard that holds a row of the
-	// partitioned relation then answers alike, and the others not at all.
-	firstAnswer bool
+	// anchor is the lower-cased name of the relation a DISTINCT-anchored
+	// block (planner.AnchorShape) without ORDER BY or LIMIT draws its output
+	// from, when that relation is replicated and no predicate ties a
+	// partitioned relation to it; "" otherwise.
+	anchor string
 }
 
 // posKey sorts gathered tuples by an absolute position.
@@ -111,7 +117,35 @@ func (r *Router) decompose(sel *sqlparser.SelectStmt) (*scatterPlan, error) {
 		}
 		sp.blocks = append(sp.blocks, bp)
 	}
+	sp.walk = anchoredWalk(sel, sp.blocks)
 	return sp, nil
+}
+
+// anchoredWalk decides whether a statement runs whole on one shard: every
+// block is anchored on one replicated relation (blockPlan.anchor) and the
+// statement has no ORDER BY or LIMIT of its own. Every shard of a cut then
+// holds the whole anchor, and a partition only decides whether an arm's
+// existence probe finds a row. It returns the shards the blocks over a
+// partitioned relation touch — shard 0 when there are none — and nil for
+// any other statement.
+func anchoredWalk(sel *sqlparser.SelectStmt, blocks []*blockPlan) []int {
+	if len(sel.OrderBy) > 0 || sel.Limit != nil {
+		return nil
+	}
+	var walk []int
+	for _, bp := range blocks {
+		if bp.anchor == "" || bp.anchor != blocks[0].anchor {
+			return nil
+		}
+		if !bp.replicated {
+			walk = append(walk, bp.shards...)
+		}
+	}
+	if len(walk) == 0 {
+		return []int{0}
+	}
+	slices.Sort(walk)
+	return slices.Compact(walk)
 }
 
 // decomposeBlock computes one block's shard set and per-shard statement.
@@ -299,9 +333,10 @@ func (r *Router) decomposePlain(b *sqlparser.SelectStmt, bp *blockPlan, items []
 	return nil
 }
 
-// anchorGather decides whether a DISTINCT-anchored block can take its first
-// non-empty per-shard answer. The anchor must be replicated: its rows are
-// then the same on every shard of a cut.
+// anchorGather records the relation a DISTINCT-anchored block draws its
+// output from (blockPlan.anchor). The anchor must be replicated — its rows are
+// then the same on every shard of a cut — and every partitioned relation
+// existence-only: untied, it decides only whether the block has rows at all.
 func (r *Router) anchorGather(b *sqlparser.SelectStmt, bp *blockPlan) error {
 	shape, err := r.shards[0].Planner().AnchorShape(b)
 	if err != nil || shape == nil {
@@ -309,14 +344,16 @@ func (r *Router) anchorGather(b *sqlparser.SelectStmt, bp *blockPlan) error {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if _, partitioned := r.part[strings.ToLower(b.From[shape.Anchor].Name)]; partitioned {
+	anchor := strings.ToLower(b.From[shape.Anchor].Name)
+	if _, partitioned := r.part[anchor]; partitioned {
 		return nil
 	}
 	for i, ref := range b.From {
-		if _, partitioned := r.part[strings.ToLower(ref.Name)]; partitioned && !shape.Tied[i] {
-			bp.firstAnswer = true
+		if _, partitioned := r.part[strings.ToLower(ref.Name)]; partitioned && shape.Tied[i] {
+			return nil
 		}
 	}
+	bp.anchor = anchor
 	return nil
 }
 
