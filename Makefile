@@ -8,11 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs the stock vet plus tracvet, the repo's own invariant suite
-# (catalog-version bumps, lock pairing, error wrapping, cancelable loops,
-# owned goroutines, lock-order cycles, batch-pool ownership, crashfs
-# discipline, channel leaks). Exits non-zero on any finding.
+# lint checks that every Go file is gofmt-clean (testdata excepted: the
+# tracvet golden files pin line numbers), then runs the stock vet plus
+# tracvet, the repo's own invariant suite (catalog-version bumps, lock
+# pairing, error wrapping, cancelable loops, owned goroutines, lock-order
+# cycles, batch-pool ownership, crashfs discipline, channel leaks). Exits
+# non-zero on any finding.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/tracvet ./...
 

@@ -151,7 +151,7 @@ type funcUnit struct {
 	Name     string // display name ("(*Sniffer).Poll", "func literal")
 	Decl     *ast.FuncDecl
 	Body     *ast.BlockStmt
-	RecvName string      // receiver identifier ("" for plain funcs/literals)
+	RecvName string // receiver identifier ("" for plain funcs/literals)
 	RecvType *types.Named
 }
 
@@ -244,8 +244,8 @@ func collectSuppressions(fset *token.FileSet, f *ast.File, known map[string]bool
 
 // result is the outcome of running analyzers over a set of packages.
 type result struct {
-	Findings   []Finding `json:"findings"`
-	Suppressed []Finding `json:"suppressed"`
+	Findings   []Finding      `json:"findings"`
+	Suppressed []Finding      `json:"suppressed"`
 	Counts     map[string]int `json:"counts"`
 }
 

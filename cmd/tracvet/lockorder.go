@@ -46,11 +46,11 @@ type loAcquire struct {
 type loFuncInfo struct {
 	name     string
 	pkg      *pkgInfo
-	acquires []loAcquire      // region-bearing acquires (outside nested literals)
-	calls    []loCall         // static call sites (outside nested literals)
-	seeds    map[string]bool  // classes acquired anywhere in the body, literals included
-	callees  []*types.Func    // all static callees, literals included
-	may      map[string]bool  // fixpoint: classes reachable through any call chain
+	acquires []loAcquire     // region-bearing acquires (outside nested literals)
+	calls    []loCall        // static call sites (outside nested literals)
+	seeds    map[string]bool // classes acquired anywhere in the body, literals included
+	callees  []*types.Func   // all static callees, literals included
+	may      map[string]bool // fixpoint: classes reachable through any call chain
 }
 
 type loCall struct {

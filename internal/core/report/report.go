@@ -17,6 +17,7 @@ import (
 	"trac/internal/core/recgen"
 	"trac/internal/core/stats"
 	"trac/internal/engine"
+	"trac/internal/exec"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/types"
@@ -218,19 +219,30 @@ func PrepareCached(db *engine.DB, userSQL string, cfg Config) (*Prepared, bool, 
 	return p, false, nil
 }
 
-// readPoint runs one parsed SELECT at a pinned, consistent point of the
+// ReadPoint runs parsed SELECTs at one pinned, consistent point of the
 // database: an engine snapshot, or a cut across every shard of a router. The
 // paper's first guiding requirement — the user query and its recency query
-// see the same state — is that both go through the SAME readPoint. sql is
-// sel's text (a router keys its scatter-plan cache by it).
-type readPoint = func(sel *sqlparser.SelectStmt, sql string) (*engine.Result, error)
+// see the same state — is that both go through the SAME ReadPoint. Rows
+// answers the user query as a result; Batch answers the recency query
+// unboxed, as one batch the caller owns (nil when there are no rows), whose
+// (source, recency) columns become the report's pairs without a tuple being
+// minted. sql is sel's text (a router keys its scatter-plan cache by it).
+type ReadPoint struct {
+	Rows  func(sel *sqlparser.SelectStmt, sql string) (*engine.Result, error)
+	Batch func(sel *sqlparser.SelectStmt, sql string) (*exec.Batch, error)
+}
 
 // snapshotOf pins read points on one engine: each is a fresh MVCC snapshot.
-func snapshotOf(db *engine.DB) func() (readPoint, error) {
-	return func() (readPoint, error) {
+func snapshotOf(db *engine.DB) func() (ReadPoint, error) {
+	return func() (ReadPoint, error) {
 		snap := db.Snapshot()
-		return func(sel *sqlparser.SelectStmt, _ string) (*engine.Result, error) {
-			return db.QueryStmtAt(sel, snap)
+		return ReadPoint{
+			Rows: func(sel *sqlparser.SelectStmt, _ string) (*engine.Result, error) {
+				return db.QueryStmtAt(sel, snap)
+			},
+			Batch: func(sel *sqlparser.SelectStmt, _ string) (*exec.Batch, error) {
+				return db.QueryBatchAt(sel, snap)
+			},
 		}, nil
 	}
 }
@@ -252,7 +264,7 @@ func Run(sess *engine.Session, userSQL string, cfg Config) (*Report, error) {
 // is set, goes through that engine's plan cache keyed by catalog version: a
 // steady-state repeat skips parsing and generation, and a plan made before a
 // catalog bump is never run after it. Temp tables materialize on sess.
-func RunAt(sess *engine.Session, userSQL string, cfg Config, pin func() (readPoint, error)) (*Report, error) {
+func RunAt(sess *engine.Session, userSQL string, cfg Config, pin func() (ReadPoint, error)) (*Report, error) {
 	start := time.Now()
 	p, hit, err := PrepareCached(sess.DB(), userSQL, cfg)
 	if err != nil {
@@ -282,7 +294,7 @@ func (p *Prepared) Execute(sess *engine.Session) (*Report, error) {
 
 // execute runs the user and recency queries at one read point and assembles
 // the report.
-func (p *Prepared) execute(sess *engine.Session, pin func() (readPoint, error)) (*Report, error) {
+func (p *Prepared) execute(sess *engine.Session, pin func() (ReadPoint, error)) (*Report, error) {
 	cfg := p.Config
 	rep := &Report{
 		Method:  cfg.Method,
@@ -295,13 +307,13 @@ func (p *Prepared) execute(sess *engine.Session, pin func() (readPoint, error)) 
 	}
 
 	// One read point for both queries: the paper's first guiding requirement.
-	query, err := pin()
+	at, err := pin()
 	if err != nil {
 		return nil, err
 	}
 
 	t0 := time.Now()
-	res, err := query(p.UserStmt, p.userSQL)
+	res, err := at.Rows(p.UserStmt, p.userSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -311,12 +323,13 @@ func (p *Prepared) execute(sess *engine.Session, pin func() (readPoint, error)) 
 	var pairs []SourceRecency
 	if p.Generated.Stmt != nil {
 		t1 := time.Now()
-		rres, err := query(p.Generated.Stmt, p.Generated.SQL)
+		b, err := at.Batch(p.Generated.Stmt, p.Generated.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("report: recency query failed: %w", err)
 		}
 		rep.Timing.RecencyQuery = time.Since(t1)
-		pairs = Pairs(rres.Rows)
+		pairs = pairsOf(b)
+		exec.PutBatch(b)
 	}
 
 	t2 := time.Now()
@@ -432,20 +445,20 @@ type key struct {
 
 // radixSort sorts ks by (ns, pre), stably, least significant byte first,
 // skipping the bytes every key shares; it returns whichever of ks and tmp
-// (same length) holds the result.
+// (same length) holds the result. The sixteen byte histograms are filled in
+// one read of the keys: a pass permutes the keys but leaves each byte's
+// histogram as it was.
 func radixSort(ks, tmp []key) []key {
-	for pass := 0; pass < 16; pass++ {
-		byNS, shift := pass >= 8, uint(8*(pass%8))
-		var count [256]int
-		if byNS {
-			for i := range ks {
-				count[byte(ks[i].ns>>shift)]++
-			}
-		} else {
-			for i := range ks {
-				count[byte(ks[i].pre>>shift)]++
-			}
+	var counts [16][256]int
+	for i := range ks {
+		for b := 0; b < 8; b++ {
+			counts[b][byte(ks[i].pre>>(8*b))]++
+			counts[8+b][byte(ks[i].ns>>(8*b))]++
 		}
+	}
+	for pass := range counts {
+		byNS, shift := pass >= 8, uint(8*(pass%8))
+		count := &counts[pass]
 		if slices.Contains(count[:], len(ks)) {
 			continue // every key has the same byte here (or there are none)
 		}
@@ -479,29 +492,49 @@ func pick(pairs []SourceRecency, idx []int) []SourceRecency {
 	return out
 }
 
-// Pairs reads the (sid, recency) rows a recency query returned; rows with a
-// NULL in either column carry no recency and are skipped.
-func Pairs(rows [][]types.Value) []SourceRecency {
-	pairs := make([]SourceRecency, 0, len(rows))
-	for _, row := range rows {
-		if len(row) < 2 || row[0].IsNull() || row[1].IsNull() {
+// pairsOf reads the (sid, recency) pairs off the first two columns of a
+// recency query's answer, straight from their vectors; a tuple with a NULL
+// in either column carries no recency and is skipped.
+func pairsOf(b *exec.Batch) []SourceRecency {
+	if b == nil || len(b.Cols) < 2 {
+		return nil
+	}
+	sid, rec := b.Cols[0], b.Cols[1]
+	pairs := make([]SourceRecency, 0, b.Len())
+	for _, pos := range b.Sel {
+		s, r := sid.Value(pos), rec.Value(pos)
+		if s.IsNull() || r.IsNull() {
 			continue
 		}
-		pairs = append(pairs, SourceRecency{Sid: row[0].String(), Recency: row[1].Time()})
+		pairs = append(pairs, SourceRecency{Sid: s.String(), Recency: r.Time()})
 	}
 	return pairs
 }
 
 // Materialize creates the session temp tables (sys_temp_e, sys_temp_a) for a
-// summarized report.
+// summarized report. Their rows are made from the report's pairs when a
+// table is first read (engine.Session.CreateTempTable), not here: a report
+// nobody queries further pays only for two names in the catalog. The tables
+// hold what rep.Exceptional and rep.Normal hold at that first read.
 func Materialize(sess *engine.Session, rep *Report) error {
 	cols := []storage.Column{
 		{Name: "sid", Kind: types.KindString},
 		{Name: "recency", Kind: types.KindTime},
 	}
-	// Both tables' rows are carved from one arena.
-	arena := make([]types.Value, 2*(len(rep.Exceptional)+len(rep.Normal)))
-	toRows := func(srs []SourceRecency) [][]types.Value {
+	var err error
+	rep.ExceptionalTable, err = sess.CreateTempTable("sys_temp_e", cols, tuplesOf(rep.Exceptional))
+	if err != nil {
+		return err
+	}
+	rep.NormalTable, err = sess.CreateTempTable("sys_temp_a", cols, tuplesOf(rep.Normal))
+	return err
+}
+
+// tuplesOf returns a temp table's filler: the (sid, recency) tuples of srs,
+// carved from one arena.
+func tuplesOf(srs []SourceRecency) func() [][]types.Value {
+	return func() [][]types.Value {
+		arena := make([]types.Value, 2*len(srs))
 		rows := make([][]types.Value, len(srs))
 		for i, sr := range srs {
 			rows[i], arena = arena[:2:2], arena[2:]
@@ -509,13 +542,6 @@ func Materialize(sess *engine.Session, rep *Report) error {
 		}
 		return rows
 	}
-	var err error
-	rep.ExceptionalTable, err = sess.CreateTempTable("sys_temp_e", cols, toRows(rep.Exceptional))
-	if err != nil {
-		return err
-	}
-	rep.NormalTable, err = sess.CreateTempTable("sys_temp_a", cols, toRows(rep.Normal))
-	return err
 }
 
 // Render produces the paper's NOTICE-style report text followed by the

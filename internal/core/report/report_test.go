@@ -340,3 +340,72 @@ func TestSummarizeOrdersPairsByRecencyThenSid(t *testing.T) {
 		}
 	}
 }
+
+// TestTempTablesFilledOnFirstRead: a report registers its sys_temp_* tables
+// without filling them; the first read fills each with exactly the report's
+// pairs, and a source whose recency is NULL is in neither.
+func TestTempTablesFilledOnFirstRead(t *testing.T) {
+	db := sectionDB(t)
+	db.MustExec(`INSERT INTO Heartbeat VALUES ('m12', NULL)`)
+	sess := db.NewSession()
+	defer sess.Close()
+	rep, err := Run(sess, `SELECT mach_id, value FROM Activity A WHERE value = 'idle'`, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		table string
+		pairs []SourceRecency
+	}{
+		{rep.NormalTable, rep.Normal},
+		{rep.ExceptionalTable, rep.Exceptional},
+	} {
+		tbl, err := db.Catalog().Get(tc.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tbl.Spilled() {
+			t.Errorf("%s was filled before anyone read it", tc.table)
+		}
+		res, err := db.Query(`SELECT sid, recency FROM ` + tc.table + ` ORDER BY recency, sid`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []SourceRecency
+		for _, row := range res.Rows {
+			got = append(got, SourceRecency{Sid: row[0].Str(), Recency: row[1].Time()})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.pairs) {
+			t.Errorf("%s holds %v, the report %v", tc.table, got, tc.pairs)
+		}
+	}
+	if n := len(rep.Normal) + len(rep.Exceptional); n != 11 {
+		t.Errorf("%d sources reported, want the 11 with a recency", n)
+	}
+}
+
+// BenchmarkSummarize classifies and orders the 5,000 (source, recency) pairs
+// of a wide report: 600 distinct timestamps, so ties are common, and 25
+// sources a day behind.
+func BenchmarkSummarize(b *testing.B) {
+	base := time.Date(2006, 3, 15, 14, 0, 0, 0, time.UTC)
+	in := make([]SourceRecency, 5000)
+	for i := range in {
+		in[i] = SourceRecency{Sid: fmt.Sprintf("Tao%d", i+1), Recency: base.Add(time.Duration(i%600) * time.Second)}
+		if i >= len(in)-25 {
+			in[i].Recency = base.Add(-24 * time.Hour)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	pairs := make([]SourceRecency, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(pairs, in)
+		rep := &Report{}
+		Summarize(rep, pairs, Config{})
+		if len(rep.Exceptional) != 25 {
+			b.Fatalf("%d exceptional sources, want 25", len(rep.Exceptional))
+		}
+	}
+}

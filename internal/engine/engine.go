@@ -59,15 +59,24 @@ func (db *DB) fsRef() crashfs.FS {
 	return db.fsys
 }
 
-// New creates an empty database.
+// New creates an empty database. Its first commit is the bootstrap
+// transaction's, with no writes: the commit horizon is at least 1 from the
+// start, so rows stamped as committed by it (storage.BootstrapRows: rows
+// recovered from a checkpoint, a temp table's contents) are visible to every
+// snapshot.
 func New() *DB {
 	cat := storage.NewCatalog()
-	return &DB{
+	db := &DB{
 		catalog:   cat,
 		mgr:       txn.NewManager(),
 		planner:   planner.New(cat),
 		planCache: NewPlanCache(0),
 	}
+	if err := db.mgr.Begin().Commit(); err != nil {
+		// Unreachable: Commit fails only on a transaction already finished.
+		panic(err)
+	}
+	return db
 }
 
 // Catalog exposes the table catalog (schema registration, domains, source
@@ -209,6 +218,18 @@ func (db *DB) QueryStmtAt(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Result
 		parallel = 1
 	}
 	return &Result{Columns: plan.Columns, Rows: rows, Parallel: parallel, Vectorized: plan.Vectorized}, nil
+}
+
+// QueryBatchAt runs an already-parsed SELECT under a snapshot and returns its
+// answer unboxed, as one batch the caller owns and recycles with
+// exec.PutBatch (nil when there are no rows): what a recency report reads
+// its (source, recency) pairs from, column by column.
+func (db *DB) QueryBatchAt(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*exec.Batch, error) {
+	plan, err := db.planner.PlanSelect(sel, snap)
+	if err != nil {
+		return nil, err
+	}
+	return exec.DrainBatch(plan.Root)
 }
 
 // ExplainAt plans a SELECT and returns the planner's notes without running

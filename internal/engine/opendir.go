@@ -116,12 +116,6 @@ func OpenDir(dir string, opts ...OpenOption) (*DB, error) {
 			return nil, err
 		}
 	}
-	// Bootstrap commit: guarantees the commit horizon is ≥ 1, so rows
-	// hydrated from segment files (stamped XminSeq 1) are visible to every
-	// snapshot even before the first real commit.
-	if err := db.mgr.Begin().Commit(); err != nil {
-		return nil, err
-	}
 	if cfg.verify {
 		for _, name := range db.catalog.Names() {
 			tbl, err := db.catalog.Get(name)
@@ -627,8 +621,9 @@ func (db *DB) loadDirTable(r *bufio.Reader, fsys crashfs.FS, dir string) error {
 		want := int(spilled)
 		// Indexes wait for hydration; building them now would force the
 		// load this laziness exists to avoid.
-		tbl.SetSpill(func() ([]*storage.Segment, error) {
-			return loadSegmentFile(fsys, segPath, schema, want)
+		tbl.SetSpill(func() ([]*storage.Segment, []*storage.Row, error) {
+			segs, err := loadSegmentFile(fsys, segPath, schema, want)
+			return segs, nil, err
 		}, idxCols)
 		return nil
 	}

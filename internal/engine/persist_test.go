@@ -133,7 +133,7 @@ func TestCheckpointLeavesOutSessionTempTables(t *testing.T) {
 	loadPaperFixture(t, db)
 	sess := db.NewSession()
 	cols := []storage.Column{{Name: "sid", Kind: types.KindString}}
-	name, err := sess.CreateTempTable("sys_temp_a", cols, [][]types.Value{{types.NewString("m1")}})
+	name, err := sess.CreateTempTable("sys_temp_a", cols, func() [][]types.Value { return [][]types.Value{{types.NewString("m1")}} })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,10 @@ func (c *PlanCache) Stats() (hits, misses uint64) {
 
 // NormalizeSQL collapses whitespace runs to single spaces and trims the
 // ends, so cosmetically different renderings of the same query share one
-// cache entry. Single-quoted string literals (with '' escapes) are copied
-// verbatim: collapsing inside them would merge queries that differ only in
-// literal whitespace — a wrong-answer bug, not just a missed hit. Case is
-// left alone for the same reason.
+// cache entry. Single-quoted string literals, a quote inside one written
+// twice, are copied verbatim: collapsing inside them would merge queries that
+// differ only in literal whitespace — a wrong-answer bug, not just a missed
+// hit. Case is left alone for the same reason.
 func NormalizeSQL(sql string) string {
 	var sb strings.Builder
 	sb.Grow(len(sql))

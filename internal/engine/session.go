@@ -25,9 +25,15 @@ func (db *DB) NewSession() *Session { return &Session{db: db} }
 // DB returns the owning database.
 func (s *Session) DB() *DB { return s.db }
 
-// CreateTempTable materializes rows into a fresh catalog-registered table
-// named with the given prefix (e.g. "sys_temp_a"), and returns its full
-// name. The table is queryable with ordinary SQL until the session closes.
+// CreateTempTable registers a fresh table named with the given prefix (e.g.
+// "sys_temp_a") and returns its full name. The table is queryable with
+// ordinary SQL until the session closes. Its rows are fill's tuples, made on
+// the table's first read — through the same first-touch gate a recovered
+// table's checkpointed segments load by (storage.Table.SetSpill) — and
+// committed by the bootstrap transaction, so every snapshot sees them: a
+// report's temp tables cost nothing until someone reads them, and fill runs
+// at most once, never for a table dropped unread. A nil fill is an empty
+// table.
 //
 // Temp-table churn deliberately does not bump the catalog version: names
 // are globally unique (tempSeq), so no cached recency plan can ever resolve
@@ -35,7 +41,7 @@ func (s *Session) DB() *DB { return s.db }
 // the entire plan cache each time.
 //
 //tracvet:ignore catbump temp tables are uniquely named and session-private; bumping would evict the plan cache per interaction
-func (s *Session) CreateTempTable(prefix string, cols []storage.Column, rows [][]types.Value) (string, error) {
+func (s *Session) CreateTempTable(prefix string, cols []storage.Column, fill func() [][]types.Value) (string, error) {
 	name := fmt.Sprintf("%s%d", prefix, s.db.tempSeq.Add(1))
 	schema, err := storage.NewSchema(cols)
 	if err != nil {
@@ -45,27 +51,15 @@ func (s *Session) CreateTempTable(prefix string, cols []storage.Column, rows [][
 	// Read once and dropped with the session: column vectors, zone maps and
 	// a distinct-source set would cost more to build than they can save.
 	tbl.SetSealThreshold(-1)
+	if fill != nil {
+		tbl.SetSpill(func() ([]*storage.Segment, []*storage.Row, error) {
+			return nil, storage.BootstrapRows(fill()), nil
+		}, nil)
+	}
 	if err := s.db.catalog.Create(tbl); err != nil {
 		return "", err
 	}
 	s.db.temps.Store(name, struct{}{})
-	// One allocation for the row versions, one append for the table.
-	versions := make([]storage.Row, len(rows))
-	refs := make([]*storage.Row, len(rows))
-	for i, r := range rows {
-		versions[i].Values = r
-		refs[i] = &versions[i]
-	}
-	tx := s.db.mgr.Begin()
-	if err := tx.InsertRows(tbl, refs); err != nil {
-		tx.Abort()
-		s.db.temps.Delete(name)
-		_ = s.db.catalog.Drop(name)
-		return "", err
-	}
-	if err := tx.Commit(); err != nil {
-		return "", err
-	}
 	s.mu.Lock()
 	s.temps = append(s.temps, name)
 	s.mu.Unlock()

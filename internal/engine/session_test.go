@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"trac/internal/storage"
@@ -30,7 +32,7 @@ func TestSessionTempTableLifecycle(t *testing.T) {
 		{types.NewString("m1"), tsv(t, "2006-03-15 14:20:05")},
 		{types.NewString("m3"), tsv(t, "2006-03-15 14:40:05")},
 	}
-	name, err := sess.CreateTempTable("sys_temp_a", cols, rows)
+	name, err := sess.CreateTempTable("sys_temp_a", cols, func() [][]types.Value { return rows })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestSessionCloseIsIdempotent(t *testing.T) {
 	db := New()
 	sess := db.NewSession()
 	cols := []storage.Column{{Name: "x", Kind: types.KindInt}}
-	if _, err := sess.CreateTempTable("sys_temp_a", cols, [][]types.Value{{types.NewInt(1)}}); err != nil {
+	if _, err := sess.CreateTempTable("sys_temp_a", cols, func() [][]types.Value { return [][]types.Value{{types.NewInt(1)}} }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {
@@ -113,7 +115,7 @@ func TestTempTablesNeverAutoSeal(t *testing.T) {
 	for i := range rows {
 		rows[i] = []types.Value{types.NewString(fmt.Sprintf("m%d", i))}
 	}
-	name, err := sess.CreateTempTable("sys_temp_a", []storage.Column{{Name: "sid", Kind: types.KindString}}, rows)
+	name, err := sess.CreateTempTable("sys_temp_a", []storage.Column{{Name: "sid", Kind: types.KindString}}, func() [][]types.Value { return rows })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +129,78 @@ func TestTempTablesNeverAutoSeal(t *testing.T) {
 	res, err := db.Query(`SELECT COUNT(*) FROM ` + name + ` WHERE sid <> 'm7'`)
 	if err != nil || res.Rows[0][0].Int() != int64(len(rows)-1) {
 		t.Errorf("COUNT(*) = %v, %v; want %d", res, err, len(rows)-1)
+	}
+}
+
+// TestTempTableFilledOnFirstRead: a temp table's rows are made by its filler
+// when the table is first read — once, however many readers race to be
+// first — and read back exactly as the filler made them; Persist of a table
+// nobody read copies them, and Close of a table nobody read never runs its
+// filler.
+func TestTempTableFilledOnFirstRead(t *testing.T) {
+	db := New()
+	sess := db.NewSession()
+	cols := []storage.Column{
+		{Name: "sid", Kind: types.KindString},
+		{Name: "recency", Kind: types.KindTime},
+	}
+	rows := [][]types.Value{
+		{types.NewString("m1"), tsv(t, "2006-03-15 14:20:05")},
+		{types.NewString("m3"), tsv(t, "2006-03-15 14:40:05")},
+		{types.NewString("m4"), types.Null},
+	}
+	var fills atomic.Int32
+	fill := func() [][]types.Value {
+		fills.Add(1)
+		return rows
+	}
+	var names [3]string
+	for i := range names {
+		var err error
+		if names[i], err = sess.CreateTempTable("sys_temp_a", cols, fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read, persisted := names[0], names[1]
+	if n := fills.Load(); n != 0 {
+		t.Fatalf("%d fills before any read", n)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := db.Query(`SELECT sid, recency FROM ` + read + ` ORDER BY sid`)
+			if err == nil && fmt.Sprint(res.Rows) != fmt.Sprint(rows) {
+				err = fmt.Errorf("read %v, filler made %v", res.Rows, rows)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if n := fills.Load(); n != 1 {
+		t.Errorf("%d fills after concurrent first reads, want 1", n)
+	}
+
+	if err := sess.Persist(persisted, "kept_recency"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(`SELECT sid, recency FROM kept_recency ORDER BY sid`)
+	if err != nil || fmt.Sprint(res.Rows) != fmt.Sprint(rows) {
+		t.Errorf("persisted unread table holds %v (%v), want %v", res, err, rows)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fills.Load(); n != 2 {
+		t.Errorf("%d fills after Close, want 2: the unread table's filler ran", n)
 	}
 }

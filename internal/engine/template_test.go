@@ -45,7 +45,7 @@ func TestTemplateOverDroppedTempTableErrors(t *testing.T) {
 	db := New()
 	sess := db.NewSession()
 	name, err := sess.CreateTempTable("sys_temp_a", []storage.Column{{Name: "sid", Kind: types.KindString}},
-		[][]types.Value{{types.NewString("m1")}, {types.NewString("m2")}})
+		func() [][]types.Value { return [][]types.Value{{types.NewString("m1")}, {types.NewString("m2")}} })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,15 @@ type Batch struct {
 	own     []*storage.ColVec // vectors this batch owns; own[:used] are in use
 	used    int
 	scratch []types.Value // RowAt's tuple
+
+	// Scratch of a kernel or key probe over a coded vector (keepByCode,
+	// keyIndex.probe), sized to its dictionary and kept while the batch is
+	// pooled: the dictionary viewed as a vector, a selection over it, and per
+	// code the conjunct's outcome or the key's chain head.
+	dict  storage.ColVec
+	codes []int
+	keep  []bool
+	heads []int32
 }
 
 // Len returns the number of selected tuples.

@@ -17,10 +17,11 @@ import (
 // A sealed segment becomes a batch that VIEWS the segment's vectors — zero
 // copy: the optional SegFilter first consults the zone maps (a pruned
 // segment costs one check and zero value touches), then Sel is the visible
-// positions narrowed by the predicate kernel's typed loops. A tail run is
-// transposed once, visible rows only, into vectors the batch owns, and the
-// same kernel runs over them. Either way the batch carries just the columns
-// in need.
+// positions — every position, none checked, once the segment has settled
+// before the snapshot — narrowed by the predicate kernel's typed loops. A
+// tail run is transposed once, visible rows only, into vectors the batch
+// owns, and the same kernel runs over them. Either way the batch carries
+// just the columns in need.
 type unitScan struct {
 	table  *storage.Table
 	snap   txn.Snapshot
@@ -135,7 +136,8 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 	b := GetBatch()
 	b.Shape(u.width, len(m.Rows))
 	checked := len(m.Rows)
-	if live != nil {
+	switch {
+	case live != nil:
 		// Versions outside the cached live set are gone for good.
 		checked = len(live.Pos)
 		for _, p := range live.Pos {
@@ -143,7 +145,12 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 				b.Sel = append(b.Sel, int(p))
 			}
 		}
-	} else {
+	case m.Seg != nil && u.settled(m.Seg):
+		// Every version was committed by the snapshot and none is deleted:
+		// there is nothing to check.
+		checked = 0
+		b.SelectAll()
+	default:
 		for i, r := range m.Rows {
 			if u.snap.Visible(r) {
 				b.Sel = append(b.Sel, i)
@@ -176,6 +183,13 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 		return nil, nil
 	}
 	return b, nil
+}
+
+// settled reports whether seg has settled (storage.Table.Settled) before the
+// scan's snapshot: every version visible, none to check.
+func (u *unitScan) settled(seg *storage.Segment) bool {
+	seq, ok := u.table.Settled(seg)
+	return ok && seq <= u.snap.Seq
 }
 
 // fromSources hands seg's source set to the sink in place of its rows, when
@@ -426,11 +440,40 @@ func (h *held) Close() error {
 	return nil
 }
 
+// UnionBatches unites batches of one width as a set: their selected tuples,
+// concatenated in order into one batch the caller owns, narrowed to the
+// first occurrence of each (nil when there is none). The inputs, nil ones
+// allowed, are recycled.
+func UnionBatches(bs []*Batch) *Batch {
+	var all *Batch
+	for _, b := range bs {
+		if b == nil {
+			continue
+		}
+		if all == nil {
+			all = emptyLike(b)
+		}
+		all.absorb(b)
+	}
+	if all != nil {
+		all.SelectAll()
+		dedup(all)
+	}
+	return all
+}
+
 // dedup narrows a batch's selection to the first occurrence of each tuple.
+// The positions kept are filed in an open-addressed table of at least twice
+// their number, a slot holding a position beside 32 bits of its tuple's hash:
+// a probe passes over most occupied slots without comparing a column.
 func dedup(b *Batch) {
 	seed := maphash.MakeSeed()
-	head := make(map[uint64]int32, b.Len()) // tuple hash → latest position kept
-	next := make([]int32, b.n)              // the one kept before it, -1 at the end
+	bits := 1
+	for 1<<bits < 2*b.Len() {
+		bits++
+	}
+	slots := make([]uint64, 1<<bits) // hash tag << 32 | position + 1; 0 is empty
+	mask := uint64(len(slots) - 1)
 	sel := b.Sel[:0]
 	for _, pos := range b.Sel {
 		var sum uint64
@@ -447,40 +490,43 @@ func dedup(b *Batch) {
 				sum = mixHash(sum, hashInt(byte(cv.Kind), uint64(cv.I64[pos])))
 			}
 		}
-		first, ok := head[sum]
-		if !ok {
-			first = -1
-		}
-		dup := false
-		for q := first; q >= 0 && !dup; q = next[q] {
-			dup = true
-			for _, cv := range b.Cols {
-				if cv == nil {
-					continue
-				}
-				var same bool
-				switch p, q := pos, int(q); {
-				case !cv.Pure || cv.Kind == types.KindFloat:
-					same = sameValue(cv.Value(p), cv.Value(q))
-				case cv.Nulls[p] || cv.Nulls[q]:
-					same = cv.Nulls[p] && cv.Nulls[q]
-				case cv.Kind == types.KindString:
-					same = cv.Str[p] == cv.Str[q]
-				default:
-					same = cv.I64[p] == cv.I64[q]
-				}
-				if !same {
-					dup = false
-					break
-				}
+		tag := sum & 0xFFFFFFFF00000000
+		i := sum >> (64 - bits)
+		for ; slots[i] != 0; i = (i + 1) & mask {
+			if slots[i]&0xFFFFFFFF00000000 == tag && samePositions(b, pos, int(uint32(slots[i]))-1) {
+				break
 			}
 		}
-		if !dup {
-			next[pos], head[sum] = first, int32(pos)
+		if slots[i] == 0 {
+			slots[i] = tag | uint64(pos+1)
 			sel = append(sel, pos)
 		}
 	}
 	b.Sel = sel
+}
+
+// samePositions reports whether positions p and q of b hold the same tuple, NULL
+// equal to NULL as in DISTINCT.
+func samePositions(b *Batch, p, q int) bool {
+	for _, cv := range b.Cols {
+		var same bool
+		switch {
+		case cv == nil:
+			continue
+		case !cv.Pure || cv.Kind == types.KindFloat:
+			same = sameValue(cv.Value(p), cv.Value(q))
+		case cv.Nulls[p] || cv.Nulls[q]:
+			same = cv.Nulls[p] && cv.Nulls[q]
+		case cv.Kind == types.KindString:
+			same = cv.Str[p] == cv.Str[q]
+		default:
+			same = cv.I64[p] == cv.I64[q]
+		}
+		if !same {
+			return false
+		}
+	}
+	return true
 }
 
 // BatchHashJoin is the columnar hash join. The build side — the smaller

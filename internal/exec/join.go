@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"trac/internal/types"
 )
 
@@ -46,6 +48,17 @@ func (x *keyIndex) find(vals []types.Value, buf *[]byte) int32 {
 	return h
 }
 
+// head returns the head of a lone TEXT key's chain, or -1.
+func (x *keyIndex) head(s string) int32 {
+	if h, ok := x.str[s]; ok {
+		return h
+	}
+	return -1
+}
+
+// unknownHead marks a code whose chain head probe has not looked up yet.
+const unknownHead = -2
+
 // add files id under the key, behind the chain's head so the map is written
 // once per distinct key.
 func (x *keyIndex) add(id int32, vals []types.Value, buf *[]byte) {
@@ -70,14 +83,34 @@ func (x *keyIndex) add(id int32, vals []types.Value, buf *[]byte) {
 // boxed tuple otherwise — and calls hit with the chain head of each position
 // whose key is filed. hit returns false to stop early. probe reports how
 // many positions it examined.
+//
+// A lone TEXT key read off a coded vector whose dictionary is shorter than
+// the selection is looked up once per code, the first time a position
+// carries it; the heads found are the batch's scratch.
 func (x *keyIndex) probe(b *Batch, cols []int, evals []Evaluator, buf *[]byte, hit func(pos int, head int32) (bool, error)) (int, error) {
 	if x.single && cols != nil && cols[0] >= 0 {
 		if cv := b.Cols[cols[0]]; cv.Pure && cv.Kind == types.KindString {
+			coded := cv.Codes != nil && len(cv.Dict) < len(b.Sel)
+			if coded {
+				b.heads = slices.Grow(b.heads[:0], len(cv.Dict))[:len(cv.Dict)]
+				for c := range b.heads {
+					b.heads[c] = unknownHead
+				}
+			}
 			for i, pos := range b.Sel {
 				if cv.Nulls[pos] {
 					continue
 				}
-				if h, ok := x.str[cv.Str[pos]]; ok {
+				var h int32
+				if coded {
+					if h = b.heads[cv.Codes[pos]]; h == unknownHead {
+						h = x.head(cv.Str[pos])
+						b.heads[cv.Codes[pos]] = h
+					}
+				} else {
+					h = x.head(cv.Str[pos])
+				}
+				if h >= 0 {
 					if more, err := hit(pos, h); err != nil || !more {
 						return i + 1, err
 					}

@@ -31,10 +31,7 @@ func Drain(op Operator) ([][]types.Value, error) {
 	}
 	defer op.Close()
 	var out [][]types.Value
-	root := op
-	if w, ok := op.(wrapper); ok {
-		root = w.Unwrap()
-	}
+	root := unwrap(op)
 	if bd, ok := root.(bounded); ok {
 		if n, known := bd.Bound(); known {
 			out = make([][]types.Value, 0, n)
@@ -67,12 +64,68 @@ func Drain(op Operator) ([][]types.Value, error) {
 	}
 }
 
+// DrainBatch runs an operator to completion and returns its output unboxed,
+// as one batch the caller owns and recycles with PutBatch (nil when there is
+// none). A root that bridges a batch pipeline hands its batches over as they
+// are — one batch whole, several gathered into one — and mints no tuple; any
+// other root's tuples are transposed into the batch once (BatchOf).
+func DrainBatch(op Operator) (*Batch, error) {
+	if r, ok := unwrap(op).(*RowFromBatch); ok {
+		if err := op.Open(); err != nil {
+			return nil, err
+		}
+		defer op.Close()
+		return gatherAll(r.Src)
+	}
+	rows, err := Drain(op)
+	if err != nil {
+		return nil, err
+	}
+	return BatchOf(rows), nil
+}
+
+// BatchOf transposes tuples of one width into a batch the caller owns (nil
+// when there are none): each column is typed by its first non-NULL value and
+// turns generic where a later value's kind differs (vecSet).
+func BatchOf(rows [][]types.Value) *Batch {
+	if len(rows) == 0 {
+		return nil
+	}
+	b := GetBatch()
+	b.Shape(len(rows[0]), len(rows))
+	for c := range b.Cols {
+		kind := types.KindNull
+		for _, row := range rows {
+			if !row[c].IsNull() {
+				kind = row[c].Kind()
+				break
+			}
+		}
+		cv := b.NewVec(kind)
+		vecResize(cv, len(rows))
+		for k, row := range rows {
+			vecSet(cv, k, row[c])
+		}
+		b.Cols[c] = cv
+	}
+	b.SelectAll()
+	return b
+}
+
 // wrapper is implemented by a plan root that stands in front of an operator
 // tree without being part of it — the planner's hold on a reusable tree,
 // which hands the tree back when closed. Drain and the tree walks look
 // through it.
 type wrapper interface {
 	Unwrap() Operator
+}
+
+// unwrap looks through a wrapper to the tree's own root.
+func unwrap(op Operator) Operator {
+	if w, ok := op.(wrapper); ok {
+		return w.Unwrap()
+	}
+	return op
 }
 
 // bounded is implemented by operators that, once open, can state an upper

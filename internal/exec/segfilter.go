@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"trac/internal/sqlparser"
@@ -33,13 +34,57 @@ type vecConjunct struct {
 // selLoop narrows a selection vector over one column vector, in place.
 type selLoop func(cv *storage.ColVec, sel []int) ([]int, error)
 
-// colKernel applies a selLoop to the batch column at tuple offset off.
-func colKernel(off int, loop selLoop) Kernel {
+// colKernel applies a selLoop to the batch column at tuple offset off. A loop
+// that drops NULLs and decides every other row by its value alone (byValue:
+// comparison, IN, BETWEEN, LIKE — not IS NULL) runs over a coded vector's
+// dictionary instead when that is shorter than the selection: once per
+// distinct value, and the rows are then kept by code (Batch.keepByCode).
+func colKernel(off int, loop selLoop, byValue bool) Kernel {
 	return func(b *Batch) error {
-		sel, err := loop(b.Cols[off], b.Sel)
+		cv := b.Cols[off]
+		if byValue && cv.Codes != nil && len(cv.Dict) < len(b.Sel) {
+			return b.keepByCode(cv, loop)
+		}
+		sel, err := loop(cv, b.Sel)
 		b.Sel = sel
 		return err
 	}
+}
+
+// keepByCode narrows the selection to the non-NULL rows of the coded vector
+// cv whose value loop keeps, running loop over cv's dictionary viewed as a
+// vector of its own. The view, the selection over it and the per-code
+// outcome are scratch the batch keeps. A loop over a pure TEXT vector raises
+// no error, so deciding values no selected row holds changes nothing.
+func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) error {
+	n := len(cv.Dict)
+	d := &b.dict
+	if cap(d.Nulls) < n {
+		d.Nulls = make([]bool, n) // never set: dictionary entries are not NULL
+	}
+	d.Kind, d.Pure, d.Nulls, d.Str = types.KindString, true, d.Nulls[:n], cv.Dict
+	b.codes = slices.Grow(b.codes[:0], n)[:n]
+	for c := range b.codes {
+		b.codes[c] = c
+	}
+	held, err := loop(d, b.codes)
+	d.Str = nil
+	if err != nil {
+		return err
+	}
+	b.keep = slices.Grow(b.keep[:0], n)[:n]
+	clear(b.keep)
+	for _, c := range held {
+		b.keep[c] = true
+	}
+	out := b.Sel[:0]
+	for _, i := range b.Sel {
+		if !cv.Nulls[i] && b.keep[cv.Codes[i]] {
+			out = append(out, i)
+		}
+	}
+	b.Sel = out
+	return nil
 }
 
 // SegmentFilter holds the zone-map side of a pushed-down scan predicate:
@@ -399,7 +444,7 @@ func fuseCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, l
 		}
 		return out, nil
 	}
-	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
 	if col, ok := zoneCol(off, base, tblCols); ok {
 		vc.prune = func(seg *storage.Segment) bool { return pruneCmpZone(&seg.Zones[col], lit, op) }
 		vc.covers = func(seg *storage.Segment) bool { return coverCmpZone(&seg.Zones[col], seg.Len(), lit, op) }
@@ -547,7 +592,7 @@ func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool)
 		}
 		return out, nil
 	}
-	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
 	col, ok := zoneCol(off, base, tblCols)
 	if !ok {
 		return vc, true
@@ -717,7 +762,7 @@ func fuseBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (vecConju
 		}
 		return out, nil
 	}
-	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
 	col, ok := zoneCol(off, base, tblCols)
 	if !ok {
 		return vc, true
@@ -801,7 +846,7 @@ func fuseLike(layout *Layout, n *sqlparser.Like, base, tblCols int) (vecConjunct
 		}
 		return out, nil
 	}
-	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
 	if col, ok := zoneCol(off, base, tblCols); ok {
 		vc.prune = func(seg *storage.Segment) bool { return allNull(&seg.Zones[col]) }
 	}
@@ -837,7 +882,7 @@ func fuseIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (vecConj
 		}
 		return out, nil
 	}
-	vc := vecConjunct{narrow: colKernel(off, narrow)}
+	vc := vecConjunct{narrow: colKernel(off, narrow, false)}
 	col, ok := zoneCol(off, base, tblCols)
 	if !ok {
 		return vc, true

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -332,5 +333,362 @@ func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
 	}
 	if got := count(after); got != want {
 		t.Errorf("snapshot between the deletes: %d rows, want %d", got, want)
+	}
+}
+
+// codedTable builds a 40-row table whose TEXT column name cycles through a
+// handful of values, NULL and the empty string among them, so that a sealed
+// segment's dictionary is far shorter than its rows. sealed seals it into
+// one segment (a coded name vector); otherwise it stays a row tail, which a
+// scan transposes into plain vectors: the Str path.
+func codedTable(t *testing.T, sealed bool) (*storage.Table, *txn.Manager) {
+	t.Helper()
+	schema, err := storage.NewSchema([]storage.Column{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "name", Kind: types.KindString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := storage.NewTable("N", schema)
+	tbl.SetSealThreshold(-1)
+	names := []types.Value{
+		types.NewString("idle"), types.NewString("busy"), types.NewString("down"), types.Null,
+		types.NewString(""), types.NewString("idle"), types.NewString("Busy"), types.NewString("b%"),
+	}
+	m := txn.NewManager()
+	tx := m.Begin()
+	for i := 0; i < 40; i++ {
+		if err := tx.InsertRow(tbl, storage.NewRow([]types.Value{types.NewInt(int64(i)), names[i%len(names)]}, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if sealed {
+		tbl.Seal()
+	}
+	return tbl, m
+}
+
+// codedCorpus is every NULL-dropping TEXT conjunct shape over name, with
+// NULL list members and LIKE patterns; the conjunctions after an id bound
+// leave fewer rows selected than the dictionary holds (the per-row branch).
+var codedCorpus = []string{
+	"name = 'idle'", "name <> 'idle'", "name = ''", "name = 'absent'",
+	"name < 'down'", "name >= 'busy'", "name > ''",
+	"name BETWEEN 'b' AND 'e'", "name NOT BETWEEN 'b' AND 'e'",
+	"name IN ('idle', 'down')", "name NOT IN ('idle')", "name IN ('idle', NULL)",
+	"name NOT IN ('idle', NULL)", "name NOT IN ('absent', NULL)", "name IN ('Busy', 1)",
+	"name LIKE 'b%'", "name NOT LIKE '%d%'", "name LIKE ''",
+	"name IS NULL", "name IS NOT NULL",
+	"id < 3 AND name = 'idle'", "id = 17 AND name NOT IN ('busy', NULL)", "id > 35 AND name LIKE '%e'",
+	"name <> 'busy' AND name NOT IN ('idle')",
+}
+
+// TestCodedSegmentMatchesStrPath: a sealed segment's coded TEXT vector —
+// built at seal, and again when the segment is decoded from a segment file —
+// answers every conjunct exactly as the plain Str vectors of a row tail do,
+// and as the predicate evaluated row by row.
+func TestCodedSegmentMatchesStrPath(t *testing.T) {
+	sealed, sm := codedTable(t, true)
+	tail, tm := codedTable(t, false)
+	segs := sealed.Snap().Segments
+	if len(segs) != 1 || segs[0].Cols[1].Dict == nil || len(segs[0].Cols[1].Dict) >= segs[0].Len() {
+		t.Fatalf("fixture: want one segment with a short dictionary, got %d segments", len(segs))
+	}
+	var file bytes.Buffer
+	if err := storage.WriteSegmentFile(&file, sealed.Schema, segs); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := storage.ReadSegmentFile(bytes.NewReader(file.Bytes()), int64(file.Len()), sealed.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(decoded[0].Cols[1].Dict), fmt.Sprint(segs[0].Cols[1].Dict); got != want {
+		t.Fatalf("decoded dictionary %s, sealed %s", got, want)
+	}
+	restored := storage.NewTable("N", sealed.Schema)
+	restored.SetSpill(func() ([]*storage.Segment, []*storage.Row, error) { return decoded, nil, nil }, nil)
+	rm := txn.NewManager()
+	if err := rm.Begin().Commit(); err != nil { // the bootstrap commit decoded rows are stamped with
+		t.Fatal(err)
+	}
+	for _, expr := range codedCorpus {
+		want := rowIDs(t, tail, tm, expr)
+		str, _, _ := segIDs(t, tail, tm, expr)
+		coded, _, _ := segIDs(t, sealed, sm, expr)
+		dec, _, _ := segIDs(t, restored, rm, expr)
+		if !idsEqual(str, want) || !idsEqual(coded, want) || !idsEqual(dec, want) {
+			t.Errorf("%q: coded %v, decoded %v, Str path %v, row by row %v", expr, coded, dec, str, want)
+		}
+	}
+}
+
+// TestCodedKernelBranches: over a coded vector a value conjunct's loop runs
+// once per dictionary entry while the dictionary is shorter than the
+// selection, over the selected rows otherwise; IS NULL always reads the
+// rows.
+func TestCodedKernelBranches(t *testing.T) {
+	tbl, _ := codedTable(t, true)
+	cv := &tbl.Snap().Segments[0].Cols[1]
+	var saw int
+	keepAll := func(_ *storage.ColVec, sel []int) ([]int, error) {
+		saw = len(sel)
+		return sel, nil
+	}
+	run := func(byValue bool, sel []int) int {
+		b := &Batch{Cols: []*storage.ColVec{nil, cv}, Sel: append([]int(nil), sel...)}
+		if err := colKernel(1, keepAll, byValue)(b); err != nil {
+			t.Fatal(err)
+		}
+		return saw
+	}
+	all := make([]int, len(cv.Str))
+	for i := range all {
+		all[i] = i
+	}
+	if got := run(true, all); got != len(cv.Dict) {
+		t.Errorf("whole segment: loop saw %d values, want the %d dictionary entries", got, len(cv.Dict))
+	}
+	if got := run(true, all[:2]); got != 2 {
+		t.Errorf("two rows selected: loop saw %d, want the 2 rows", got)
+	}
+	if got := run(false, all); got != len(all) {
+		t.Errorf("IS NULL shape: loop saw %d, want every one of %d rows", got, len(all))
+	}
+}
+
+// TestCodedKeyProbe: a key probe over a coded vector, which looks each code
+// up once, finds exactly the chain heads — and stops exactly where — the
+// probe over the same vector's Str payload does.
+func TestCodedKeyProbe(t *testing.T) {
+	tbl, _ := codedTable(t, true)
+	coded := &tbl.Snap().Segments[0].Cols[1]
+	plain := *coded
+	plain.Dict, plain.Codes = nil, nil
+	idx := newKeyIndex(1, 4)
+	var buf []byte
+	for id, k := range []string{"idle", "down", "", "idle"} {
+		idx.add(int32(id), []types.Value{types.NewString(k)}, &buf)
+	}
+	probe := func(cv *storage.ColVec, stopAfter int) (string, int) {
+		b := &Batch{Cols: []*storage.ColVec{nil, cv}}
+		for i := range cv.Str {
+			b.Sel = append(b.Sel, i)
+		}
+		var hits []string
+		n, err := idx.probe(b, []int{1}, nil, &buf, func(pos int, head int32) (bool, error) {
+			hits = append(hits, fmt.Sprintf("%d:%d", pos, head))
+			return len(hits) < stopAfter, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(hits), n
+	}
+	for _, stop := range []int{1, 7, 1 << 20} {
+		gotHits, gotN := probe(coded, stop)
+		wantHits, wantN := probe(&plain, stop)
+		if gotHits != wantHits || gotN != wantN {
+			t.Errorf("stop after %d: coded probe %s (%d examined), Str probe %s (%d examined)", stop, gotHits, gotN, wantHits, wantN)
+		}
+	}
+}
+
+// TestSettledSegmentsSkipVisibility: a scan selects every version of a
+// settled segment without checking one — VersionsVisited does not move —
+// when the segment settled before the snapshot; a segment with an in-flight
+// or aborted creator or a delete mark, or a snapshot older than the
+// segment's latest creator, takes the per-row check, and every case answers
+// what checking each version does.
+func TestSettledSegmentsSkipVisibility(t *testing.T) {
+	type fixture struct {
+		tbl *storage.Table
+		m   *txn.Manager
+	}
+	build := func(t *testing.T, batches ...int) fixture {
+		schema, err := storage.NewSchema([]storage.Column{{Name: "id", Kind: types.KindInt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fixture{storage.NewTable("S", schema), txn.NewManager()}
+		f.tbl.SetSealThreshold(-1)
+		id := 0
+		for _, n := range batches {
+			tx := f.m.Begin()
+			for i := 0; i < n; i++ {
+				tx.InsertRow(f.tbl, storage.NewRow([]types.Value{types.NewInt(int64(id))}, 0))
+				id++
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	// check scans under snap, holds the answer to the per-row one and returns
+	// how many versions the scan checked.
+	check := func(t *testing.T, f fixture, snap txn.Snapshot) int64 {
+		t.Helper()
+		before := f.tbl.VersionsVisited()
+		rows, err := Drain(&RowFromBatch{Src: &BatchScan{Table: f.tbl, Snap: snap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited := f.tbl.VersionsVisited() - before
+		if want := visibleRows(t, f.tbl, snap, ""); len(rows) != len(want) {
+			t.Errorf("scan returned %d rows, per-row visibility %d", len(rows), len(want))
+		}
+		return visited
+	}
+
+	t.Run("settled", func(t *testing.T) {
+		f := build(t, 8, 8)
+		f.tbl.Seal()
+		if n := check(t, f, f.m.ReadSnapshot()); n != 0 {
+			t.Errorf("settled segment: %d versions checked, want 0", n)
+		}
+	})
+	t.Run("older snapshot", func(t *testing.T) {
+		f := build(t, 8)
+		old := f.m.ReadSnapshot()
+		tx := f.m.Begin()
+		for i := 0; i < 8; i++ {
+			tx.InsertRow(f.tbl, storage.NewRow([]types.Value{types.NewInt(int64(100 + i))}, 0))
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		f.tbl.Seal()
+		if n := check(t, f, old); n != 16 {
+			t.Errorf("snapshot before the latest creator: %d versions checked, want 16", n)
+		}
+		if n := check(t, f, f.m.ReadSnapshot()); n != 0 {
+			t.Errorf("snapshot after it: %d versions checked, want 0", n)
+		}
+	})
+	t.Run("in-flight creator", func(t *testing.T) {
+		f := build(t, 8)
+		tx := f.m.Begin()
+		tx.InsertRow(f.tbl, storage.NewRow([]types.Value{types.NewInt(99)}, 0))
+		f.tbl.Seal()
+		if n := check(t, f, f.m.ReadSnapshot()); n != 9 {
+			t.Errorf("in-flight creator: %d versions checked, want 9", n)
+		}
+		if n := check(t, f, tx.Snapshot()); n != 9 {
+			t.Errorf("the creator's own snapshot: %d versions checked, want 9", n)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := check(t, f, f.m.ReadSnapshot()); n != 0 {
+			t.Errorf("once committed: %d versions checked, want 0", n)
+		}
+	})
+	t.Run("aborted creator", func(t *testing.T) {
+		f := build(t, 8)
+		tx := f.m.Begin()
+		tx.InsertRow(f.tbl, storage.NewRow([]types.Value{types.NewInt(99)}, 0))
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		f.tbl.Seal()
+		if n := check(t, f, f.m.ReadSnapshot()); n != 9 {
+			t.Errorf("aborted creator: %d versions checked, want 9", n)
+		}
+	})
+	t.Run("delete mark", func(t *testing.T) {
+		f := build(t, 8)
+		f.tbl.Seal()
+		if n := check(t, f, f.m.ReadSnapshot()); n != 0 {
+			t.Fatalf("before the delete: %d versions checked, want 0", n)
+		}
+		tx := f.m.Begin()
+		if err := tx.Delete(f.tbl, f.tbl.Rows()[3]); err != nil {
+			t.Fatal(err)
+		}
+		if n := check(t, f, f.m.ReadSnapshot()); n != 8 {
+			t.Errorf("in-flight delete mark: %d versions checked, want 8", n)
+		}
+		if n := check(t, f, tx.Snapshot()); n != 8 {
+			t.Errorf("the deleter's own snapshot: %d versions checked, want 8", n)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := check(t, f, f.m.ReadSnapshot()); n != 8 {
+			t.Errorf("committed delete mark: %d versions checked, want 8", n)
+		}
+	})
+}
+
+// BenchmarkCodedScan scans 50 sealed segments (100 sources, clustered as
+// ingestion writes them, and a two-valued TEXT column) with a coded NOT IN
+// and = — the shape of the paper's Q2 — counting the rows that survive.
+func BenchmarkCodedScan(b *testing.B) {
+	schema, err := storage.NewSchema([]storage.Column{
+		{Name: "mach_id", Kind: types.KindString},
+		{Name: "value", Kind: types.KindString},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := schema.SetSourceColumn("mach_id"); err != nil {
+		b.Fatal(err)
+	}
+	tbl := storage.NewTable("Activity", schema)
+	const rows = 50 * storage.DefaultSegmentSize
+	m := txn.NewManager()
+	tx := m.Begin()
+	values := [2]types.Value{types.NewString("busy"), types.NewString("idle")}
+	for i := 0; i < rows; i++ {
+		src := types.NewString(fmt.Sprintf("Tao%d", 1+i/(rows/100)))
+		tx.InsertRow(tbl, storage.NewRow([]types.Value{src, values[i*7919%13%2]}, 0))
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	if n := tbl.NumSegments(); n != 50 {
+		b.Fatalf("%d segments, want 50", n)
+	}
+	layout := layoutFor(tbl, "a")
+	e, err := sqlparser.ParseExpr(`mach_id NOT IN ('Tao1', 'Tao10', 'Tao20', 'Tao30', 'Tao40', 'Tao50') AND value = 'idle'`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, _, _, err := CompileKernel(e, layout)
+	if err != nil {
+		b.Fatal(err)
+	}
+	segf, err := CompileSegmentFilter(e, layout, 0, tbl.Schema.NumColumns())
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := m.ReadSnapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan := &BatchScan{Table: tbl, Snap: snap, Kernel: k, SegFilter: segf}
+		if err := scan.Open(); err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			batch, err := scan.NextBatch()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			n += batch.Len()
+			PutBatch(batch)
+		}
+		scan.Close()
+		if n == 0 || n >= rows {
+			b.Fatalf("%d of %d rows survived", n, rows)
+		}
 	}
 }

@@ -138,25 +138,22 @@ func (j *SemiJoin) Close() error {
 }
 
 // collect runs a batch operator to completion and returns everything it
-// selects as one batch (nil when it selects nothing): the operator's own
-// batch when it emits just one, otherwise a batch the selected tuples are
-// gathered into.
+// selects as one batch (see gatherAll).
 func collect(op BatchOperator) (*Batch, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
+	return gatherAll(op)
+}
+
+// gatherAll pulls an open batch operator to its end and returns everything
+// it selects as one batch (nil when it selects nothing): the operator's own
+// batch when it emits just one, otherwise a batch the selected tuples are
+// gathered into.
+func gatherAll(op BatchOperator) (*Batch, error) {
 	var all *Batch
 	gathered := false
-	gather := func(b *Batch) {
-		for c, cv := range b.Cols {
-			if cv != nil {
-				vecGather(all.Cols[c], cv, b.Sel)
-			}
-		}
-		all.n += b.Len()
-		PutBatch(b)
-	}
 	for {
 		b, err := op.NextBatch()
 		if err != nil {
@@ -172,21 +169,40 @@ func collect(op BatchOperator) (*Batch, error) {
 		}
 		if !gathered {
 			first := all
-			all, gathered = GetBatch(), true
-			all.Shape(len(first.Cols), 0)
-			for c, cv := range first.Cols {
-				if cv != nil {
-					all.Cols[c] = all.NewVec(cv.Kind)
-				}
-			}
-			gather(first)
+			all, gathered = emptyLike(first), true
+			all.absorb(first)
 		}
-		gather(b)
+		all.absorb(b)
 	}
 	if gathered {
 		all.SelectAll()
 	}
 	return all, nil
+}
+
+// emptyLike returns an empty batch of b's width owning an empty vector of
+// the same kind for each column b carries.
+func emptyLike(b *Batch) *Batch {
+	all := GetBatch()
+	all.Shape(len(b.Cols), 0)
+	for c, cv := range b.Cols {
+		if cv != nil {
+			all.Cols[c] = all.NewVec(cv.Kind)
+		}
+	}
+	return all
+}
+
+// absorb appends the selected tuples of b, a batch of all's width, to the
+// vectors all owns, and recycles b. The caller selects the result.
+func (all *Batch) absorb(b *Batch) {
+	for c, cv := range b.Cols {
+		if cv != nil {
+			vecGather(all.Cols[c], cv, b.Sel)
+		}
+	}
+	all.n += b.Len()
+	PutBatch(b)
 }
 
 // run narrows the anchor's selection to the positions some arm qualifies.

@@ -215,7 +215,11 @@ func TestShardedMatchesUnshardedSealed(t *testing.T) {
 // rows, relevant-source classification, least/most recency and the bound of
 // inconsistency — between report.Run on the unsharded engine and
 // Router.RecencyReport at several shard counts, for Q1–Q4 and an
-// unselective probe.
+// unselective probe, with a Heartbeat row whose recency is NULL (a source
+// that never reported: skipped, not reported). A second fixture partitions
+// Routing instead of Activity, so that the recency union of a Q3-form query
+// ties the partitioned relation to the anchor: no shard can answer it alone,
+// and the router gathers its blocks as rows before the report reads them.
 func TestShardedRecencyReportMatches(t *testing.T) {
 	queries := []string{}
 	for _, name := range []string{"Q1", "Q2", "Q3", "Q4"} {
@@ -226,49 +230,63 @@ func TestShardedRecencyReportMatches(t *testing.T) {
 		queries = append(queries, sql)
 	}
 	queries = append(queries, `SELECT mach_id, value FROM Activity WHERE value = 'idle'`)
+	const tied = `SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id IN ('Tao1', 'Tao4', 'Tao7') AND R.neighbor = A.mach_id AND A.value = 'idle'`
+	const nullRecency = `INSERT INTO Heartbeat VALUES ('TaoNull', NULL)`
+
+	compare := func(t *testing.T, db *engine.DB, r *shard.Router, qi int, sql string) {
+		t.Helper()
+		for _, cfg := range []report.Config{
+			{},
+			{Method: report.Naive, SkipTempTables: true},
+		} {
+			sess := db.NewSession()
+			want, err := report.Run(sess, sql, cfg)
+			if err != nil {
+				t.Fatalf("q%d unsharded report: %v", qi, err)
+			}
+			ssess := r.Shard(0).NewSession()
+			got, err := r.RecencyReport(ssess, sql, cfg)
+			if err != nil {
+				t.Fatalf("q%d sharded report: %v", qi, err)
+			}
+			if a, b := workload.RowSet(got.Result), workload.RowSet(want.Result); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Errorf("q%d: result rows diverge\nsharded:   %v\nunsharded: %v", qi, a, b)
+			}
+			if got.Empty != want.Empty || got.RecencySQL != want.RecencySQL {
+				t.Errorf("q%d: generated recency query diverges: empty %v/%v sql %q vs %q",
+					qi, got.Empty, want.Empty, got.RecencySQL, want.RecencySQL)
+			}
+			if len(got.Normal) != len(want.Normal) || len(got.Exceptional) != len(want.Exceptional) {
+				t.Fatalf("q%d: classification diverges: %d/%d normal, %d/%d exceptional",
+					qi, len(got.Normal), len(want.Normal), len(got.Exceptional), len(want.Exceptional))
+			}
+			for i := range got.Normal {
+				if got.Normal[i] != want.Normal[i] {
+					t.Errorf("q%d: normal[%d] = %+v, want %+v", qi, i, got.Normal[i], want.Normal[i])
+				}
+			}
+			for _, sr := range append(got.Normal, got.Exceptional...) {
+				if sr.Sid == "TaoNull" {
+					t.Errorf("q%d: a source with a NULL recency was reported", qi)
+				}
+			}
+			if got.Least != want.Least || got.Most != want.Most || got.Bound != want.Bound {
+				t.Errorf("q%d: bound diverges: [%v, %v] width %v vs [%v, %v] width %v",
+					qi, got.Least, got.Most, got.Bound, want.Least, want.Most, want.Bound)
+			}
+			sess.Close()
+			ssess.Close()
+		}
+	}
 
 	for _, n := range []int{1, 3, 8} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			db, r := buildPair(t, n)
+			db.MustExec(nullRecency)
+			mustExec(t, r, nullRecency)
 			for qi, sql := range queries {
-				for _, cfg := range []report.Config{
-					{},
-					{Method: report.Naive, SkipTempTables: true},
-				} {
-					sess := db.NewSession()
-					want, err := report.Run(sess, sql, cfg)
-					if err != nil {
-						t.Fatalf("q%d unsharded report: %v", qi, err)
-					}
-					ssess := r.Shard(0).NewSession()
-					got, err := r.RecencyReport(ssess, sql, cfg)
-					if err != nil {
-						t.Fatalf("q%d sharded report: %v", qi, err)
-					}
-					if a, b := workload.RowSet(got.Result), workload.RowSet(want.Result); fmt.Sprint(a) != fmt.Sprint(b) {
-						t.Errorf("q%d: result rows diverge\nsharded:   %v\nunsharded: %v", qi, a, b)
-					}
-					if got.Empty != want.Empty || got.RecencySQL != want.RecencySQL {
-						t.Errorf("q%d: generated recency query diverges: empty %v/%v sql %q vs %q",
-							qi, got.Empty, want.Empty, got.RecencySQL, want.RecencySQL)
-					}
-					if len(got.Normal) != len(want.Normal) || len(got.Exceptional) != len(want.Exceptional) {
-						t.Fatalf("q%d: classification diverges: %d/%d normal, %d/%d exceptional",
-							qi, len(got.Normal), len(want.Normal), len(got.Exceptional), len(want.Exceptional))
-					}
-					for i := range got.Normal {
-						if got.Normal[i] != want.Normal[i] {
-							t.Errorf("q%d: normal[%d] = %+v, want %+v", qi, i, got.Normal[i], want.Normal[i])
-						}
-					}
-					if got.Least != want.Least || got.Most != want.Most || got.Bound != want.Bound {
-						t.Errorf("q%d: bound diverges: [%v, %v] width %v vs [%v, %v] width %v",
-							qi, got.Least, got.Most, got.Bound, want.Least, want.Most, want.Bound)
-					}
-					sess.Close()
-					ssess.Close()
-				}
+				compare(t, db, r, qi, sql)
 			}
 			// Sessions persisting temp tables bump only shard 0; the router
 			// must settle versions so later cuts stay coherent.
@@ -277,7 +295,77 @@ func TestShardedRecencyReportMatches(t *testing.T) {
 				t.Fatalf("query after reports: %v", err)
 			}
 		})
+		t.Run(fmt.Sprintf("tied/shards=%d", n), func(t *testing.T) {
+			db, r := routingPartitioned(t, n)
+			db.MustExec(nullRecency)
+			mustExec(t, r, nullRecency)
+			rep, err := report.Run(db.NewSession(), tied, report.Config{SkipTempTables: true})
+			if err != nil || rep.RecencySQL == "" {
+				t.Fatalf("recency query of %s: %q, %v", tied, rep.RecencySQL, err)
+			}
+			if plan, err := r.Explain(rep.RecencySQL); err != nil || strings.Contains(plan, "anchored union on one shard") {
+				t.Fatalf("the recency union should gather block by block: %v\n%s", err, plan)
+			}
+			compare(t, db, r, len(queries), tied)
+		})
 	}
+}
+
+// routingPartitioned builds a small grid twice, unsharded and behind an
+// n-shard router that hash-partitions Routing by its source column and
+// replicates Activity and Heartbeat.
+func routingPartitioned(t *testing.T, n int) (*engine.DB, *shard.Router) {
+	t.Helper()
+	db := engine.New()
+	r, err := shard.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`,
+		`CREATE TABLE Routing (mach_id TEXT, neighbor TEXT, event_time TIMESTAMP)`,
+		`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`,
+	} {
+		db.MustExec(sql)
+		mustExec(t, r, sql)
+	}
+	if err := r.Partition("Routing", "mach_id"); err != nil {
+		t.Fatal(err)
+	}
+	setSources := func(eng *engine.DB) error {
+		for _, name := range []string{"Activity", "Routing"} {
+			tbl, err := eng.Catalog().Get(name)
+			if err != nil {
+				return err
+			}
+			if err := tbl.Schema.SetSourceColumn("mach_id"); err != nil {
+				return err
+			}
+		}
+		eng.Catalog().BumpVersion()
+		return nil
+	}
+	if err := setSources(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Atomic(setSources); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 12; i++ {
+		value := "busy"
+		if i%3 != 0 {
+			value = "idle"
+		}
+		for _, sql := range []string{
+			fmt.Sprintf(`INSERT INTO Heartbeat VALUES ('Tao%d', '2006-03-15 12:%02d:00')`, i, i%5),
+			fmt.Sprintf(`INSERT INTO Activity VALUES ('Tao%d', '%s', '2006-03-15 11:00:00')`, i, value),
+			fmt.Sprintf(`INSERT INTO Routing VALUES ('Tao%d', 'Tao%d', '2006-03-15 11:00:00')`, i, i%12+1),
+		} {
+			db.MustExec(sql)
+			mustExec(t, r, sql)
+		}
+	}
+	return db, r
 }
 
 // TestShardedReportTempTables checks a sharded report's temp tables

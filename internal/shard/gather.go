@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"trac/internal/core/report"
 	"trac/internal/engine"
 	"trac/internal/exec"
 	"trac/internal/planner"
@@ -22,13 +23,18 @@ func (r *Router) Query(sql string) (*engine.Result, error) {
 
 // pin captures one cut and returns the read point that runs statements under
 // it: what a recency report passes both of its queries through.
-func (r *Router) pin() (func(*sqlparser.SelectStmt, string) (*engine.Result, error), error) {
+func (r *Router) pin() (report.ReadPoint, error) {
 	cut, err := r.Cut()
 	if err != nil {
-		return nil, err
+		return report.ReadPoint{}, err
 	}
-	return func(sel *sqlparser.SelectStmt, sql string) (*engine.Result, error) {
-		return r.QueryStmtAt(sel, sql, cut)
+	return report.ReadPoint{
+		Rows: func(sel *sqlparser.SelectStmt, sql string) (*engine.Result, error) {
+			return r.QueryStmtAt(sel, sql, cut)
+		},
+		Batch: func(sel *sqlparser.SelectStmt, sql string) (*exec.Batch, error) {
+			return r.QueryBatchAt(sel, sql, cut)
+		},
 	}, nil
 }
 
@@ -48,7 +54,40 @@ func (r *Router) QueryStmtAt(sel *sqlparser.SelectStmt, sql string, cut Cut) (*e
 	if err != nil {
 		return nil, err
 	}
-	return r.executeScatter(sp, cut)
+	if sp.walk == nil {
+		return r.executeScatter(sp, cut)
+	}
+	// A statement run whole on one shard answers in a batch; a row caller
+	// boxes it here.
+	res := &engine.Result{Columns: sp.columns}
+	b, err := r.runAnchored(sp, cut, res)
+	if err != nil {
+		return nil, err
+	}
+	if b != nil {
+		res.Rows = b.AppendRows(nil)
+		exec.PutBatch(b)
+	}
+	return res, nil
+}
+
+// QueryBatchAt is QueryStmtAt returning the answer unboxed, as one batch the
+// caller owns (nil when there are no rows; engine.DB.QueryBatchAt). A
+// statement run whole on one shard answers in a batch already; any other is
+// gathered as rows and transposed into one once.
+func (r *Router) QueryBatchAt(sel *sqlparser.SelectStmt, sql string, cut Cut) (*exec.Batch, error) {
+	sp, err := r.plan(sel, sql, cut.Version)
+	if err != nil {
+		return nil, err
+	}
+	if sp.walk != nil {
+		return r.runAnchored(sp, cut, &engine.Result{})
+	}
+	res, err := r.executeScatter(sp, cut)
+	if err != nil {
+		return nil, err
+	}
+	return exec.BatchOf(res.Rows), nil
 }
 
 // plan returns the cached scatter decomposition for (sql, catalog version),
@@ -69,7 +108,8 @@ func (r *Router) plan(sel *sqlparser.SelectStmt, sql string, version uint64) (*s
 
 // Explain renders the scatter decomposition — the per-block `shards: k of N,
 // pruned p` note — followed by the engine plan of each block's first shard;
-// an anchored statement (anchoredWalk) is one note and its first shard's plan.
+// a statement that runs whole on one shard (anchoredWalk) is one note and its
+// first shard's plan.
 func (r *Router) Explain(sql string) (string, error) {
 	cut, err := r.Cut()
 	if err != nil {
@@ -89,8 +129,12 @@ func (r *Router) Explain(sql string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("scatter: %s, anchored union on one shard (next shard only while a partitioned existence probe is exhausted)\nshard %d plan:\n%s",
-			planner.ShardNote(1, len(r.shards), len(r.shards)-len(sp.walk)), first, plan.Describe()), nil
+		note := fmt.Sprintf("shards: 1 of %d, replicated", len(r.shards))
+		if !sp.replicated() {
+			note = planner.ShardNote(1, len(r.shards), len(r.shards)-len(sp.walk)) +
+				", anchored union on one shard (next shard only while a partitioned existence probe is exhausted)"
+		}
+		return fmt.Sprintf("scatter: %s\nshard %d plan:\n%s", note, first, plan.Describe()), nil
 	}
 	var sb strings.Builder
 	for i, bp := range sp.blocks {
@@ -117,12 +161,9 @@ func (r *Router) Explain(sql string) (string, error) {
 
 // executeScatter plans every (block, shard) statement under the cut's
 // snapshots, drains all of them concurrently (the scatter), then merges
-// per-shard partials in deterministic shard order (the gather). An anchored
-// statement runs whole instead (runAnchored).
+// per-shard partials in deterministic shard order (the gather). Callers run
+// a statement with a walk whole instead (runAnchored).
 func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error) {
-	if sp.walk != nil {
-		return r.runAnchored(sp, cut)
-	}
 	var ops []exec.Operator
 	starts := make([]int, len(sp.blocks)+1)
 	maxParallel, vectorized := 1, false
@@ -174,36 +215,46 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 	return &engine.Result{Columns: sp.columns, Rows: rows, Parallel: maxParallel, Vectorized: vectorized}, nil
 }
 
-// runAnchored runs an anchored statement whole, through the engine's own
-// anchored union — one anchor scan, one SemiJoin, one Distinct — on the first
-// shard of its walk. A shard's answer is the statement's answer unless an
-// existence probe over a partitioned relation came back exhausted there: the
-// rows that arm would add may sit in another shard's partition. Only then is
-// the next shard asked, and the answers of the shards asked are united.
-func (r *Router) runAnchored(sp *scatterPlan, cut Cut) (*engine.Result, error) {
-	res := &engine.Result{Columns: sp.columns, Parallel: 1}
-	var asked []exec.Operator
+// runAnchored runs a statement whole on the first shard of its walk — a
+// statement over replicated tables only, or an anchored union, through the
+// engine's own anchor scan, SemiJoin and Distinct — and returns its answer as
+// one batch the caller owns (nil when it has no rows). A shard's answer is
+// the statement's answer unless an existence probe over a partitioned
+// relation came back exhausted there: the rows that arm would add may sit in
+// another shard's partition. Only then is the next shard asked, and the
+// answers of the shards asked are united: their batches concatenated and
+// deduplicated once. res takes the plans' parallel degree and whether they
+// ran vectorized.
+func (r *Router) runAnchored(sp *scatterPlan, cut Cut, res *engine.Result) (*exec.Batch, error) {
+	res.Parallel = max(res.Parallel, 1)
+	var asked []*exec.Batch
+	drop := func() {
+		for _, b := range asked {
+			exec.PutBatch(b)
+		}
+	}
 	for _, s := range sp.walk {
 		pl, err := r.shards[s].Planner().PlanSelect(sp.sel, cut.Snaps[s])
 		if err != nil {
+			drop()
 			return nil, err
 		}
-		if res.Rows, err = exec.Drain(pl.Root); err != nil {
+		b, err := exec.DrainBatch(pl.Root)
+		if err != nil {
+			drop()
 			return nil, err
 		}
 		res.Parallel = max(res.Parallel, pl.Parallel)
 		res.Vectorized = res.Vectorized || pl.Vectorized
-		asked = append(asked, &exec.ValuesOp{RowsData: res.Rows})
+		asked = append(asked, b)
 		if !pl.PartitionExhausted() {
 			break
 		}
 	}
 	if len(asked) == 1 {
-		return res, nil
+		return asked[0], nil
 	}
-	var err error
-	res.Rows, err = exec.Drain(&exec.Union{Children: asked})
-	return res, err
+	return exec.UnionBatches(asked), nil
 }
 
 // gather merges one block's per-shard results (in shard order) into the rows

@@ -21,10 +21,21 @@ type scatterPlan struct {
 	blocks  []*blockPlan
 	columns []string
 
-	// walk is set for an anchored statement (anchoredWalk): the shards the
-	// whole statement runs on, one at a time, in this order. nil: the blocks
-	// scatter and gather one by one.
+	// walk is set for a statement that runs whole on one shard
+	// (anchoredWalk): the shards it runs on, one at a time, in this order.
+	// nil: the blocks scatter and gather one by one.
 	walk []int
+}
+
+// replicated reports whether every block reads replicated tables only: shard
+// 0 then holds every row the statement reads.
+func (sp *scatterPlan) replicated() bool {
+	for _, bp := range sp.blocks {
+		if !bp.replicated {
+			return false
+		}
+	}
+	return true
 }
 
 // blockPlan is the scatter/gather shape of one SELECT block.
@@ -117,19 +128,24 @@ func (r *Router) decompose(sel *sqlparser.SelectStmt) (*scatterPlan, error) {
 		}
 		sp.blocks = append(sp.blocks, bp)
 	}
-	sp.walk = anchoredWalk(sel, sp.blocks)
+	sp.walk = anchoredWalk(sp)
 	return sp, nil
 }
 
 // anchoredWalk decides whether a statement runs whole on one shard: every
+// block reads replicated tables only, which shard 0 holds in full; or every
 // block is anchored on one replicated relation (blockPlan.anchor) and the
 // statement has no ORDER BY or LIMIT of its own. Every shard of a cut then
 // holds the whole anchor, and a partition only decides whether an arm's
 // existence probe finds a row. It returns the shards the blocks over a
 // partitioned relation touch — shard 0 when there are none — and nil for
 // any other statement.
-func anchoredWalk(sel *sqlparser.SelectStmt, blocks []*blockPlan) []int {
-	if len(sel.OrderBy) > 0 || sel.Limit != nil {
+func anchoredWalk(sp *scatterPlan) []int {
+	if sp.replicated() {
+		return []int{0}
+	}
+	blocks := sp.blocks
+	if len(sp.sel.OrderBy) > 0 || sp.sel.Limit != nil {
 		return nil
 	}
 	var walk []int

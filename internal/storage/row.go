@@ -40,3 +40,20 @@ const AbortedSeq = ^uint64(0)
 func NewRow(values []types.Value, xmin uint64) *Row {
 	return &Row{Values: values, Xmin: xmin}
 }
+
+// BootstrapRows makes row versions of tuples, committed by the bootstrap
+// transaction (Xmin 1, XminSeq 1): every database commits it first, so the
+// versions are visible to every snapshot. Rows recovered from a checkpoint
+// and the contents of a temp table are born this way. The versions share one
+// allocation.
+func BootstrapRows(tuples [][]types.Value) []*Row {
+	versions := make([]Row, len(tuples))
+	rows := make([]*Row, len(tuples))
+	for i, vals := range tuples {
+		v := &versions[i]
+		v.Values, v.Xmin = vals, 1
+		v.XminSeq.Store(1)
+		rows[i] = v
+	}
+	return rows
+}

@@ -211,6 +211,7 @@ func ReadSegmentFile(r io.ReaderAt, size int64, schema *Schema) ([]*Segment, err
 				return nil, fmt.Errorf("storage: segment block %d/%d: %w", si, ci, err)
 			}
 		}
+		seg.code(schema)
 		seg.Rows = materializeRows(seg.Cols, rows)
 		segs = append(segs, seg)
 	}
@@ -220,17 +221,15 @@ func ReadSegmentFile(r io.ReaderAt, size int64, schema *Schema) ([]*Segment, err
 // materializeRows rebuilds the row form of a decoded segment, stamped
 // committed-at-bootstrap (see ReadSegmentFile).
 func materializeRows(cols []ColVec, n int) []*Row {
-	rows := make([]*Row, n)
-	for i := 0; i < n; i++ {
+	tuples := make([][]types.Value, n)
+	for i := range tuples {
 		values := make([]types.Value, len(cols))
 		for ci := range cols {
 			values[ci] = cols[ci].Value(i)
 		}
-		r := NewRow(values, 1)
-		r.XminSeq.Store(1)
-		rows[i] = r
+		tuples[i] = values
 	}
-	return rows
+	return BootstrapRows(tuples)
 }
 
 // ---------------------------------------------------------------------------

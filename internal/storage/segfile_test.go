@@ -134,9 +134,9 @@ func TestTableLazySpillHydration(t *testing.T) {
 	segs := CompactSegments(segTestRows(200), schema, 100)
 	loads := 0
 	tbl := NewTable("Activity", schema)
-	tbl.SetSpill(func() ([]*Segment, error) {
+	tbl.SetSpill(func() ([]*Segment, []*Row, error) {
 		loads++
-		return segs, nil
+		return segs, nil, nil
 	}, []int{0})
 
 	if !tbl.Spilled() {
@@ -198,8 +198,8 @@ func TestTableLazySpillHydration(t *testing.T) {
 func TestTableSpillLoadErrorSurfacesViaHydrate(t *testing.T) {
 	schema := segTestSchema(t)
 	tbl := NewTable("T", schema)
-	tbl.SetSpill(func() ([]*Segment, error) {
-		return nil, bytes.ErrTooLarge // any sentinel
+	tbl.SetSpill(func() ([]*Segment, []*Row, error) {
+		return nil, nil, bytes.ErrTooLarge // any sentinel
 	}, nil)
 	if err := tbl.Hydrate(); err == nil {
 		t.Fatal("Hydrate should surface the load error")

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"trac/internal/types"
@@ -32,6 +34,14 @@ const MaxZoneSources = 128
 // value of any other kind (possible only through the direct storage API —
 // the SQL layer coerces on insert) is stored as a generic Vals copy instead,
 // and kernels fall back to exact per-value semantics.
+//
+// A pure TEXT column of a sealed segment is also coded: Dict holds its
+// distinct non-NULL values in ascending order and Codes[i] is the position
+// of Str[i] in Dict (0 in a NULL slot), so a kernel can decide a predicate
+// once per distinct value and a probe look a key up once per value. The
+// codes are derived from Str at seal and at segment-file decode, like a zone
+// map; the file format carries only Str. Vectors a batch owns are never
+// coded.
 type ColVec struct {
 	Kind  types.Kind
 	Pure  bool
@@ -39,6 +49,8 @@ type ColVec struct {
 	I64   []int64
 	F64   []float64
 	Str   []string
+	Dict  []string
+	Codes []uint32
 	Vals  []types.Value // only when !Pure
 }
 
@@ -80,8 +92,9 @@ type ZoneMap struct {
 	Ordered bool
 	// Sources is the sorted distinct value set, tracked only for a monitored
 	// table's TEXT data source column and only up to MaxZoneSources entries;
-	// nil means untracked. It gives exact membership pruning for the
-	// source-probing predicates user queries and generated recency arms share.
+	// nil means untracked. It is the column's Dict, shared. It gives exact
+	// membership pruning for the source-probing predicates user queries and
+	// generated recency arms share.
 	Sources []string
 	// SumValid reports that the column's non-null sum was recorded at seal
 	// time: the column is pure INT or DOUBLE. Together with NullCount (the
@@ -235,10 +248,70 @@ func sealSegment(rows []*Row, schema *Schema) *Segment {
 		buildCol(rows, ci, schema.Columns[ci].Kind, &seg.Cols[ci], &seg.Zones[ci])
 		zoneSums(&seg.Cols[ci], &seg.Zones[ci], n)
 	}
-	if sc := schema.SourceColumn; sc >= 0 && schema.Columns[sc].Kind == types.KindString {
-		seg.Zones[sc].Sources = distinctSources(&seg.Cols[sc], n)
-	}
+	seg.code(schema)
 	return seg
+}
+
+// code gives every pure TEXT column of the segment its dictionary and codes
+// (see ColVec), and the source column's zone map its dictionary as the
+// source set when that has at most MaxZoneSources entries.
+func (s *Segment) code(schema *Schema) {
+	for ci := range s.Cols {
+		codeText(&s.Cols[ci])
+	}
+	if sc := schema.SourceColumn; sc >= 0 {
+		z := &s.Zones[sc]
+		z.Sources = nil
+		if d := s.Cols[sc].Dict; d != nil && len(d) <= MaxZoneSources {
+			z.Sources = d
+		}
+	}
+}
+
+// codeText builds a pure TEXT column's Dict and Codes. Values are numbered
+// in order of first appearance — a run of one value, the common layout of a
+// source-clustered column, costs one comparison a row — and renumbered once
+// the distinct values are sorted.
+func codeText(col *ColVec) {
+	if !col.Pure || col.Kind != types.KindString {
+		return
+	}
+	codes := make([]uint32, len(col.Str))
+	ids := make(map[string]uint32)
+	var seen []string
+	last, lastID := "", uint32(0)
+	for i, s := range col.Str {
+		switch {
+		case col.Nulls[i]:
+			continue
+		case len(seen) > 0 && s == last:
+		default:
+			id, ok := ids[s]
+			if !ok {
+				id = uint32(len(seen))
+				ids[s] = id
+				seen = append(seen, s)
+			}
+			last, lastID = s, id
+		}
+		codes[i] = lastID
+	}
+	order := make([]uint32, 2*len(seen))
+	order, rank := order[:len(seen)], order[len(seen):] // by rank: the id; by id: the rank
+	for k := range order {
+		order[k] = uint32(k)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(seen[a], seen[b]) })
+	dict := make([]string, len(seen))
+	for k, id := range order {
+		dict[k], rank[id] = seen[id], uint32(k)
+	}
+	for i, c := range codes {
+		if !col.Nulls[i] {
+			codes[i] = rank[c]
+		}
+	}
+	col.Dict, col.Codes = dict, codes
 }
 
 // buildCol extracts one column into vector form and computes its zone map.
@@ -346,34 +419,6 @@ func zoneSums(col *ColVec, zone *ZoneMap, n int) {
 			}
 		}
 	}
-}
-
-// distinctSources collects the sorted distinct non-null values of a pure
-// TEXT source column, or nil when the column is impure or the set exceeds
-// MaxZoneSources.
-func distinctSources(col *ColVec, n int) []string {
-	if !col.Pure {
-		return nil
-	}
-	set := make(map[string]struct{}, 16)
-	for i := 0; i < n; i++ {
-		if col.Nulls[i] {
-			continue
-		}
-		if _, ok := set[col.Str[i]]; ok {
-			continue
-		}
-		if len(set) >= MaxZoneSources {
-			return nil
-		}
-		set[col.Str[i]] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // HeapSnap is one consistent snapshot of a table's heap: the full version

@@ -98,10 +98,11 @@ type Table struct {
 	// visited counts versions readers checked for visibility (NoteVisited).
 	visited atomic.Int64
 
-	// spill is non-nil while the table's checkpointed sealed prefix still
-	// lives only in its segment file. Read accessors hydrate it on first
-	// touch; Append deliberately does not (recovery replaying an append-only
-	// WAL tail stays O(tail)). See SetSpill.
+	// spill is non-nil while part of the table is not resident yet: a
+	// recovered table's checkpointed sealed prefix, still only in its segment
+	// file, or a temp table's contents, not yet built. Read accessors hydrate
+	// it on first touch; Append deliberately does not (recovery replaying an
+	// append-only WAL tail stays O(tail)). See SetSpill.
 	spill atomic.Pointer[tableSpill]
 
 	// part is set when this table is one hash partition of a sharded
@@ -190,23 +191,28 @@ func (t *Table) PartitionStats() PartitionStats {
 	return ps
 }
 
-// tableSpill is the not-yet-hydrated portion of a recovered table.
+// tableSpill is the not-yet-hydrated portion of a table.
 type tableSpill struct {
 	once sync.Once
 	err  error
-	load func() ([]*Segment, error)
+	load func() ([]*Segment, []*Row, error)
 	// pendingIdx lists column positions whose indexes are created at
 	// hydration time (building them earlier would force the load).
 	pendingIdx []int
 }
 
-// SetSpill registers a lazy loader for the table's spilled sealed prefix.
-// Until the first read access, the table holds only its row tail; the
-// loader then supplies the checkpointed segments, which are spliced in
-// front of any rows appended in the meantime, and the pending indexes are
-// built over the full heap. Call before the table is shared across
-// goroutines (i.e. during recovery).
-func (t *Table) SetSpill(load func() ([]*Segment, error), pendingIdx []int) {
+// SetSpill registers a lazy loader for the part of the table that is not
+// resident yet. Until the first read access, the table holds only the rows
+// appended to it; the loader then supplies sealed segments (a recovered
+// table's checkpointed prefix) and unsealed rows (a temp table's contents),
+// which are spliced, in that order, in front of the rows appended in the
+// meantime, and the pending indexes are built over the full heap; a loader
+// that supplies rows is for a table that seals nothing before they arrive
+// (a temp table never seals), so that segments keep covering a prefix of the
+// heap. The loader runs at most once, even under concurrent first readers.
+// Call before the table is shared across goroutines (during recovery, or
+// before the table is registered in a catalog).
+func (t *Table) SetSpill(load func() ([]*Segment, []*Row, error), pendingIdx []int) {
 	t.spill.Store(&tableSpill{load: load, pendingIdx: pendingIdx})
 }
 
@@ -229,12 +235,18 @@ func (t *Table) Hydrate() error {
 	return nil
 }
 
-// hydrate splices the loaded segments in front of the live tail. Runs at
-// most once per tableSpill (guarded by its sync.Once).
+// hydrate splices the loaded segments and rows in front of the live tail.
+// Runs at most once per tableSpill (guarded by its sync.Once).
 func (t *Table) hydrate(sp *tableSpill) error {
-	segs, err := sp.load()
+	segs, loaded, err := sp.load()
 	if err != nil {
 		return err
+	}
+	for _, row := range loaded {
+		if len(row.Values) != len(t.Schema.Columns) {
+			return fmt.Errorf("storage: table %s expects %d values, got %d",
+				t.Name, len(t.Schema.Columns), len(row.Values))
+		}
 	}
 	total := 0
 	for _, s := range segs {
@@ -242,10 +254,11 @@ func (t *Table) hydrate(sp *tableSpill) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rows := make([]*Row, 0, total+len(t.rows))
+	rows := make([]*Row, 0, total+len(loaded)+len(t.rows))
 	for _, s := range segs {
 		rows = append(rows, s.Rows...)
 	}
+	rows = append(rows, loaded...)
 	rows = append(rows, t.rows...)
 	t.rows = rows
 	t.segments = append(segs[:len(segs):len(segs)], t.segments...)
