@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fix check chaos crash bench bench-smoke bench-parallel benchmark-smoke
+.PHONY: build test lint check chaos crash bench bench-smoke bench-parallel benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -11,20 +11,13 @@ test:
 # lint checks that every Go file is gofmt-clean (testdata excepted: the
 # tracvet golden files pin line numbers), then runs the stock vet plus
 # tracvet, the repo's own invariant suite (catalog-version bumps, lock
-# pairing, error wrapping, cancelable loops, owned goroutines, lock-order
-# cycles, batch-pool ownership, crashfs discipline, channel leaks). Exits
-# non-zero on any finding.
+# pairing, error wrapping, checked Close/Sync, lock-order cycles, batch-pool
+# ownership, crashfs discipline). Exits non-zero on any finding.
 lint:
 	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/tracvet ./...
-
-# lint-fix applies tracvet's mechanical remedies in place (errwrap's final
-# %v -> %w, synccheck's explicit `_ =` discard), then re-lints so the exit
-# status reflects what a human still has to look at.
-lint-fix:
-	$(GO) run ./cmd/tracvet -fix ./...
 
 # check is the CI gate: lint everything, run the concurrency-sensitive
 # packages (parallel scan, plan cache, plan templates, MVCC; the planner's

@@ -37,12 +37,13 @@ import (
 	"time"
 
 	"trac"
+	"trac/internal/demo"
 	"trac/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7483", "listen address")
-	demo := flag.Bool("demo", false, "preload the paper's example schema and data")
+	withDemo := flag.Bool("demo", false, "preload the paper's example schema and data")
 	script := flag.String("f", "", "execute SQL statements from this file before serving")
 	shards := flag.Int("shards", 1, "open the database as N hash-partitioned engine shards")
 	dir := flag.String("dir", "", "serve the durable database directory at this path (not with -shards > 1)")
@@ -53,15 +54,15 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	flag.Parse()
 
-	db, err := open(*dir, *shards)
+	db, err := demo.Open(*dir, *shards)
 	if err != nil {
 		log.Fatalf("trac-server: %v", err)
 	}
 	if *dir != "" && len(db.Catalog()) > 0 {
 		log.Printf("trac-server: %s already holds %d tables; -demo and -f skipped", *dir, len(db.Catalog()))
 	} else {
-		if *demo {
-			loadDemo(db)
+		if *withDemo {
+			demo.Load(db)
 		}
 		if *script != "" {
 			if err := runScript(db, *script); err != nil {
@@ -120,17 +121,6 @@ func main() {
 	}
 }
 
-// open opens the in-memory database, or recovers the durable directory.
-func open(dir string, shards int) (*trac.DB, error) {
-	switch {
-	case dir == "":
-		return trac.Open(trac.WithShards(shards)), nil
-	case shards > 1:
-		return nil, fmt.Errorf("-dir with -shards %d: %w", shards, trac.ErrShardedDir)
-	}
-	return trac.OpenDir(dir)
-}
-
 // closeDB runs after the drain: nothing is in flight, so a durable database
 // is checkpointed (the next start loads a dump instead of replaying this
 // run's log) and then closed either way.
@@ -162,46 +152,4 @@ func runScript(db *trac.DB, path string) error {
 		}
 	}
 	return sc.Err()
-}
-
-func loadDemo(db *trac.DB) {
-	db.MustExec(`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`)
-	db.MustExec(`CREATE TABLE Routing (mach_id TEXT, neighbor TEXT, event_time TIMESTAMP)`)
-	db.MustExec(`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`)
-	if db.Shards() > 1 {
-		if err := db.PartitionTable("Activity", "mach_id"); err != nil {
-			panic(err)
-		}
-	}
-	db.MustExec(`CREATE INDEX idx_activity ON Activity (mach_id)`)
-	db.MustExec(`CREATE INDEX idx_routing ON Routing (mach_id)`)
-	if err := db.SetSourceColumn("Activity", "mach_id"); err != nil {
-		panic(err)
-	}
-	if err := db.SetSourceColumn("Routing", "mach_id"); err != nil {
-		panic(err)
-	}
-	if err := db.SetColumnDomain("Activity", "value", trac.StringDomain("idle", "busy")); err != nil {
-		panic(err)
-	}
-	db.MustExec(`INSERT INTO Activity VALUES
-		('m1', 'idle', '2006-03-11 20:37:46'),
-		('m2', 'busy', '2006-02-10 18:22:01'),
-		('m3', 'idle', '2006-03-12 10:23:05')`)
-	db.MustExec(`INSERT INTO Routing VALUES
-		('m1', 'm3', '2006-03-12 23:20:06'),
-		('m2', 'm3', '2006-02-10 03:34:21')`)
-	hbs := map[string]string{
-		"m1": "2006-03-15 14:20:05", "m2": "2006-03-14 17:23:00",
-		"m3": "2006-03-15 14:40:05", "m4": "2006-03-15 14:21:05",
-		"m5": "2006-03-15 14:22:05", "m6": "2006-03-15 14:23:05",
-		"m7": "2006-03-15 14:24:05", "m8": "2006-03-15 14:25:05",
-		"m9": "2006-03-15 14:26:05", "m10": "2006-03-15 14:27:05",
-		"m11": "2006-03-15 14:28:05",
-	}
-	for sid, ts := range hbs {
-		if err := db.Heartbeat(sid, ts); err != nil {
-			panic(err)
-		}
-	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"trac"
 	tracclient "trac/client/trac"
+	"trac/internal/demo"
 	"trac/internal/server"
 )
 
@@ -16,7 +17,7 @@ import (
 // write through the wire, drain, checkpoint and close, reopen, rows present.
 func TestServeDurableDir(t *testing.T) {
 	dir := t.TempDir()
-	db, err := open(dir, 1)
+	db, err := demo.Open(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestServeDurableDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := open(dir, 1)
+	db2, err := demo.Open(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestServeDurableDir(t *testing.T) {
 }
 
 func TestDirRejectsShards(t *testing.T) {
-	if _, err := open(t.TempDir(), 3); !errors.Is(err, trac.ErrShardedDir) {
-		t.Fatalf("open(dir, 3 shards) = %v, want ErrShardedDir", err)
+	if _, err := demo.Open(t.TempDir(), 3); !errors.Is(err, trac.ErrShardedDir) {
+		t.Fatalf("demo.Open(dir, 3 shards) = %v, want ErrShardedDir", err)
 	}
 }

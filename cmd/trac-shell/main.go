@@ -43,25 +43,26 @@ import (
 	"time"
 
 	"trac"
+	"trac/internal/demo"
 )
 
 func main() {
-	demo := flag.Bool("demo", false, "preload the paper's example schema and data")
+	withDemo := flag.Bool("demo", false, "preload the paper's example schema and data")
 	script := flag.String("f", "", "execute statements from this file before reading stdin")
 	shards := flag.Int("shards", 1, "open the database as N hash-partitioned engine shards")
 	dir := flag.String("dir", "", "keep the database in this durable directory (recovers what it holds)")
 	flag.Parse()
 
-	db, err := open(*dir, *shards)
+	db, err := demo.Open(*dir, *shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trac-shell:", err)
 		os.Exit(1)
 	}
 	switch {
-	case *demo && len(db.Catalog()) > 0:
+	case *withDemo && len(db.Catalog()) > 0:
 		fmt.Println("-demo skipped:", *dir, "already holds tables")
-	case *demo:
-		loadDemo(db)
+	case *withDemo:
+		demo.Load(db)
 		fmt.Println("demo fixture loaded: Activity, Routing, Heartbeat (sources m1..m11)")
 	}
 	sess := db.NewSession()
@@ -117,17 +118,6 @@ func main() {
 			fmt.Print("trac=# ")
 		}
 	}
-}
-
-// open opens the in-memory database, or the durable directory.
-func open(dir string, shards int) (*trac.DB, error) {
-	switch {
-	case dir == "":
-		return trac.Open(trac.WithShards(shards)), nil
-	case shards > 1:
-		return nil, fmt.Errorf("-dir with -shards %d: %w", shards, trac.ErrShardedDir)
-	}
-	return trac.OpenDir(dir)
 }
 
 // shutdown drops the session's temp tables and closes the database so a
@@ -349,46 +339,4 @@ func runReport(sess *trac.Session, sql string, opts ...trac.Option) {
 		return
 	}
 	fmt.Print(rep.Render())
-}
-
-func loadDemo(db *trac.DB) {
-	db.MustExec(`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`)
-	db.MustExec(`CREATE TABLE Routing (mach_id TEXT, neighbor TEXT, event_time TIMESTAMP)`)
-	db.MustExec(`CREATE TABLE Heartbeat (sid TEXT PRIMARY KEY, recency TIMESTAMP)`)
-	if db.Shards() > 1 {
-		if err := db.PartitionTable("Activity", "mach_id"); err != nil {
-			panic(err)
-		}
-	}
-	db.MustExec(`CREATE INDEX idx_activity ON Activity (mach_id)`)
-	db.MustExec(`CREATE INDEX idx_routing ON Routing (mach_id)`)
-	if err := db.SetSourceColumn("Activity", "mach_id"); err != nil {
-		panic(err)
-	}
-	if err := db.SetSourceColumn("Routing", "mach_id"); err != nil {
-		panic(err)
-	}
-	if err := db.SetColumnDomain("Activity", "value", trac.StringDomain("idle", "busy")); err != nil {
-		panic(err)
-	}
-	db.MustExec(`INSERT INTO Activity VALUES
-		('m1', 'idle', '2006-03-11 20:37:46'),
-		('m2', 'busy', '2006-02-10 18:22:01'),
-		('m3', 'idle', '2006-03-12 10:23:05')`)
-	db.MustExec(`INSERT INTO Routing VALUES
-		('m1', 'm3', '2006-03-12 23:20:06'),
-		('m2', 'm3', '2006-02-10 03:34:21')`)
-	hbs := map[string]string{
-		"m1": "2006-03-15 14:20:05", "m2": "2006-03-14 17:23:00",
-		"m3": "2006-03-15 14:40:05", "m4": "2006-03-15 14:21:05",
-		"m5": "2006-03-15 14:22:05", "m6": "2006-03-15 14:23:05",
-		"m7": "2006-03-15 14:24:05", "m8": "2006-03-15 14:25:05",
-		"m9": "2006-03-15 14:26:05", "m10": "2006-03-15 14:27:05",
-		"m11": "2006-03-15 14:28:05",
-	}
-	for sid, ts := range hbs {
-		if err := db.Heartbeat(sid, ts); err != nil {
-			panic(err)
-		}
-	}
 }

@@ -22,10 +22,6 @@ type Finding struct {
 	Col      int    `json:"col"`
 	Message  string `json:"message"`
 	Reason   string `json:"reason,omitempty"`
-
-	// fixEdits is the mechanical remedy, when the analyzer has one; applied
-	// by -fix, never serialized (edits are byte offsets valid only this run).
-	fixEdits []TextEdit
 }
 
 // Analyzer is one repo-specific invariant checker. Per-package analyzers set
@@ -46,17 +42,12 @@ type Pass struct {
 	Info  *types.Info
 	Path  string
 
-	reportf func(pos token.Pos, msg string, edits []TextEdit)
+	reportf func(pos token.Pos, msg string)
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.reportf(pos, fmt.Sprintf(format, args...), nil)
-}
-
-// ReportfFix records a finding that carries a mechanical -fix remedy.
-func (p *Pass) ReportfFix(pos token.Pos, edits []TextEdit, format string, args ...any) {
-	p.reportf(pos, fmt.Sprintf(format, args...), edits)
+	p.reportf(pos, fmt.Sprintf(format, args...))
 }
 
 // TypeOf returns the static type of an expression (nil when unknown).
@@ -249,7 +240,7 @@ type result struct {
 	Counts     map[string]int `json:"counts"`
 }
 
-// runAnalyzers runs every enabled analyzer over every package and applies
+// runAnalyzers runs every given analyzer over every package and applies
 // suppression comments. Findings come back sorted and with paths relative
 // to relDir (when non-empty).
 func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir string) *result {
@@ -263,7 +254,6 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 		analyzer string
 		pos      token.Position
 		msg      string
-		edits    []TextEdit
 	}
 	var raw []rawFinding
 	var sups []suppression
@@ -274,7 +264,7 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 		}
 		for _, f := range pi.Files {
 			fileSups := collectSuppressions(l.Fset, f, known, func(pos token.Pos, msg string) {
-				raw = append(raw, rawFinding{"tracvet", l.Fset.Position(pos), msg, nil})
+				raw = append(raw, rawFinding{"tracvet", l.Fset.Position(pos), msg})
 			})
 			sups = append(sups, fileSups...)
 		}
@@ -284,8 +274,8 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 				continue
 			}
 			name := a.Name
-			pass.reportf = func(pos token.Pos, msg string, edits []TextEdit) {
-				raw = append(raw, rawFinding{name, l.Fset.Position(pos), msg, edits})
+			pass.reportf = func(pos token.Pos, msg string) {
+				raw = append(raw, rawFinding{name, l.Fset.Position(pos), msg})
 			}
 			a.Run(pass)
 		}
@@ -304,7 +294,7 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 		for _, a := range progAnalyzers {
 			name := a.Name
 			pp := &ProgPass{Prog: prog, reportf: func(pos token.Pos, msg string) {
-				raw = append(raw, rawFinding{name, l.Fset.Position(pos), msg, nil})
+				raw = append(raw, rawFinding{name, l.Fset.Position(pos), msg})
 			}}
 			a.RunProgram(pp)
 		}
@@ -330,8 +320,8 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 		reasons[i], suppressedAt[i] = match(rf)
 	}
 	// A suppression that matched nothing is itself a finding (only when its
-	// analyzer actually ran — suppressions for disabled analyzers are mute,
-	// not dead).
+	// analyzer actually ran — a test that runs one analyzer leaves the
+	// others' suppressions mute, not dead).
 	enabled := make(map[string]bool, len(analyzers)+1)
 	enabled["tracvet"] = true
 	for _, a := range analyzers {
@@ -341,8 +331,7 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 		if !s.used && enabled[s.Analyzer] {
 			raw = append(raw, rawFinding{"tracvet",
 				token.Position{Filename: s.File, Line: s.Line, Column: 1},
-				fmt.Sprintf("unused //tracvet:ignore %s: nothing is suppressed here — delete it (stale suppressions hide future regressions)", s.Analyzer),
-				nil})
+				fmt.Sprintf("unused //tracvet:ignore %s: nothing is suppressed here — delete it (stale suppressions hide future regressions)", s.Analyzer)})
 			reasons = append(reasons, "")
 			suppressedAt = append(suppressedAt, false)
 		}
@@ -355,7 +344,6 @@ func runAnalyzers(l *loader, pkgs []*pkgInfo, analyzers []*Analyzer, relDir stri
 			Col:      rf.pos.Column,
 			Message:  rf.msg,
 			Reason:   reasons[i],
-			fixEdits: rf.edits,
 		}
 		if relDir != "" {
 			if rel, err := relPath(relDir, f.File); err == nil {

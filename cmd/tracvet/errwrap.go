@@ -75,44 +75,9 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr, isErr func(ast.Expr) bool) {
 	}
 	for _, arg := range call.Args[1:] {
 		if isErr(arg) {
-			p.ReportfFix(arg.Pos(), errorfFix(p, call, arg),
+			p.Reportf(arg.Pos(),
 				"error passed to fmt.Errorf without %%w; the chain is lost for errors.Is/As — wrap it")
 			return
 		}
 	}
-}
-
-// errorfFix builds the mechanical %v→%w rewrite, when it is unambiguous:
-// the format is a plain string literal, the error is the final argument, and
-// the literal's final verb is a bare %v or %s (so it is the one formatting
-// the error). Anything fancier is left to a human.
-func errorfFix(p *Pass, call *ast.CallExpr, errArg ast.Expr) []TextEdit {
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING || errArg != call.Args[len(call.Args)-1] {
-		return nil
-	}
-	idx, verb := lastVerb(lit.Value)
-	if idx < 0 || (verb != 'v' && verb != 's') {
-		return nil
-	}
-	pos := p.Fset.Position(lit.Pos())
-	return []TextEdit{{File: pos.Filename, Start: pos.Offset + idx, End: pos.Offset + idx + 2, New: "%w"}}
-}
-
-// lastVerb finds the byte index of the last % verb in a string literal's
-// source text (quotes included) and the byte after the %, skipping %%.
-func lastVerb(raw string) (int, byte) {
-	last := -1
-	var verb byte
-	for i := 0; i+1 < len(raw); i++ {
-		if raw[i] != '%' {
-			continue
-		}
-		if raw[i+1] == '%' {
-			i++
-			continue
-		}
-		last, verb = i, raw[i+1]
-	}
-	return last, verb
 }

@@ -5,15 +5,14 @@
 //	catbump        catalog mutations bump the catalog version (plan-cache coherence)
 //	lockcheck      locks are released on every path; no self-deadlock via exported methods
 //	errwrap        sentinel comparisons use errors.Is; fmt.Errorf wraps with %w
-//	ctxloop        retry/poll loops are cancelable
-//	nakedgoroutine goroutines recover or route failures to an owner
 //	synccheck      Close/Sync errors on writable files are checked (durability)
 //	lockorder      no cycles in the global lock acquisition graph; no RLock→Lock upgrades
 //	poolreuse      pooled exec.Batch ownership: no use-after-put/double-put/leak
 //	fsdiscipline   durable paths mutate the filesystem via crashfs only
-//	chanleak       goroutines cannot block forever on an escapeless channel op
 //
-// The first six are per-package syntactic/type-based checks. poolreuse runs
+// Each stays because a one-edit mutant of the tree makes it fire while every
+// test still passes (EXPERIMENTS.md, "tracvet on a diet"). The first four and
+// fsdiscipline are per-package syntactic/type-based checks. poolreuse runs
 // flow-sensitive dataflow over an AST-level CFG (cfg.go) with one level of
 // callee summaries; lockorder is whole-program, building a lock-class
 // acquisition graph across every module-internal package reachable from the
@@ -21,13 +20,10 @@
 //
 // Usage:
 //
-//	tracvet [-json|-sarif] [-fix] [-disable a,b] [packages]
+//	tracvet [-json] [packages]
 //
 // Packages default to "./...". Exit status: 0 clean, 1 findings, 2 usage or
-// load errors. -sarif emits SARIF 2.1.0 for CI code-scanning upload. -fix
-// applies the mechanical remedies (errwrap %v→%w on the final verb,
-// synccheck explicit `_ =` discard), then re-runs the analysis and reports
-// what remains. False positives are silenced in place with a justified
+// load errors. False positives are silenced in place with a justified
 // comment on (or the line before) the flagged line:
 //
 //	//tracvet:ignore <analyzer> <reason>
@@ -50,13 +46,10 @@ var allAnalyzers = []*Analyzer{
 	catbumpAnalyzer,
 	lockcheckAnalyzer,
 	errwrapAnalyzer,
-	ctxloopAnalyzer,
-	nakedgoroutineAnalyzer,
 	synccheckAnalyzer,
 	lockorderAnalyzer,
 	poolreuseAnalyzer,
 	fsdisciplineAnalyzer,
-	chanleakAnalyzer,
 }
 
 func main() {
@@ -67,12 +60,8 @@ func run(argv []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("tracvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	fix := fs.Bool("fix", false, "apply mechanical fixes, then report what remains")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	list := fs.Bool("list", false, "list analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tracvet [-json|-sarif] [-fix] [-disable a,b] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: tracvet [-json] [packages]\n\nAnalyzers:\n")
 		for _, a := range allAnalyzers {
 			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
@@ -81,63 +70,25 @@ func run(argv []string, stdout, stderr *os.File) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	if *list {
-		for _, a := range allAnalyzers {
-			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	enabled, err := selectAnalyzers(*disable)
-	if err != nil {
-		fmt.Fprintln(stderr, "tracvet:", err)
-		return 2
-	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := vet(patterns, enabled)
+	res, err := vet(patterns, allAnalyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "tracvet:", err)
 		return 2
 	}
 
-	if *fix {
-		n, ferr := applyFixes(res.Findings)
-		if ferr != nil {
-			fmt.Fprintln(stderr, ferr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "tracvet: applied %d fix(es)\n", n)
-		// Re-analyze from the rewritten sources so the report (and the exit
-		// status) reflects what is actually left.
-		res, err = vet(patterns, enabled)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracvet:", err)
-			return 2
-		}
-	}
-
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "tracvet: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	switch {
-	case *sarifOut:
-		if err := writeSARIF(stdout, res); err != nil {
-			fmt.Fprintln(stderr, "tracvet:", err)
-			return 2
-		}
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
 			fmt.Fprintln(stderr, "tracvet:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, f := range res.Findings {
 			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
@@ -151,7 +102,7 @@ func run(argv []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// vet loads the packages matched by patterns and runs the enabled analyzers.
+// vet loads the packages matched by patterns and runs the given analyzers.
 func vet(patterns []string, analyzers []*Analyzer) (*result, error) {
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
@@ -178,38 +129,6 @@ func vet(patterns []string, analyzers []*Analyzer) (*result, error) {
 	}
 	cwd, _ := os.Getwd()
 	return runAnalyzers(l, pkgs, analyzers, cwd), nil
-}
-
-// selectAnalyzers filters allAnalyzers by the -disable list.
-func selectAnalyzers(disable string) ([]*Analyzer, error) {
-	if disable == "" {
-		return allAnalyzers, nil
-	}
-	off := make(map[string]bool)
-	for _, name := range strings.Split(disable, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range allAnalyzers {
-			if a.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("-disable: unknown analyzer %q", name)
-		}
-		off[name] = true
-	}
-	var enabled []*Analyzer
-	for _, a := range allAnalyzers {
-		if !off[a.Name] {
-			enabled = append(enabled, a)
-		}
-	}
-	return enabled, nil
 }
 
 // relPath returns target relative to base when that makes it shorter and does

@@ -62,11 +62,7 @@ func runSynccheck(p *Pass) {
 						return true
 					}
 				}
-				// The mechanical -fix makes the discard explicit (`_ =`);
-				// actually routing the error somewhere is a human decision.
-				pos := p.Fset.Position(n.Pos())
-				edits := []TextEdit{{File: pos.Filename, Start: pos.Offset, End: pos.Offset, New: "_ = "}}
-				p.ReportfFix(n.Pos(), edits,
+				p.Reportf(n.Pos(),
 					"%s error discarded on file %s; a failed %s can lose persisted data — check it (or assign to _ if it provably cannot matter)",
 					sel.Sel.Name, exprKey(p.Fset, sel.X), sel.Sel.Name)
 			}

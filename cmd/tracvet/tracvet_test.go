@@ -89,16 +89,13 @@ func runGolden(t *testing.T, name string) {
 	}
 }
 
-func TestCatbumpGolden(t *testing.T)        { runGolden(t, "catbump") }
-func TestLockcheckGolden(t *testing.T)      { runGolden(t, "lockcheck") }
-func TestErrwrapGolden(t *testing.T)        { runGolden(t, "errwrap") }
-func TestCtxloopGolden(t *testing.T)        { runGolden(t, "ctxloop") }
-func TestNakedgoroutineGolden(t *testing.T) { runGolden(t, "nakedgoroutine") }
-func TestSynccheckGolden(t *testing.T)      { runGolden(t, "synccheck") }
-func TestLockorderGolden(t *testing.T)      { runGolden(t, "lockorder") }
-func TestPoolreuseGolden(t *testing.T)      { runGolden(t, "poolreuse") }
-func TestFsdisciplineGolden(t *testing.T)   { runGolden(t, "fsdiscipline") }
-func TestChanleakGolden(t *testing.T)       { runGolden(t, "chanleak") }
+func TestCatbumpGolden(t *testing.T)      { runGolden(t, "catbump") }
+func TestLockcheckGolden(t *testing.T)    { runGolden(t, "lockcheck") }
+func TestErrwrapGolden(t *testing.T)      { runGolden(t, "errwrap") }
+func TestSynccheckGolden(t *testing.T)    { runGolden(t, "synccheck") }
+func TestLockorderGolden(t *testing.T)    { runGolden(t, "lockorder") }
+func TestPoolreuseGolden(t *testing.T)    { runGolden(t, "poolreuse") }
+func TestFsdisciplineGolden(t *testing.T) { runGolden(t, "fsdiscipline") }
 
 // TestSuppressions: a justified //tracvet:ignore silences its finding and is
 // reported in the suppressed set; malformed or unknown ones are findings of
@@ -181,24 +178,5 @@ func TestJSONStable(t *testing.T) {
 }`
 	if string(got) != want {
 		t.Errorf("JSON encoding changed:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestDisableFlag: -disable removes an analyzer from the run.
-func TestDisableFlag(t *testing.T) {
-	enabled, err := selectAnalyzers("catbump,errwrap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enabled) != len(allAnalyzers)-2 {
-		t.Fatalf("got %d enabled analyzers, want %d", len(enabled), len(allAnalyzers)-2)
-	}
-	for _, a := range enabled {
-		if a.Name == "catbump" || a.Name == "errwrap" {
-			t.Errorf("analyzer %s not disabled", a.Name)
-		}
-	}
-	if _, err := selectAnalyzers("nosuch"); err == nil {
-		t.Error("unknown analyzer in -disable not rejected")
 	}
 }

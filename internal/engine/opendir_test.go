@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -385,5 +386,40 @@ func TestOpenDirMemFSRoundTrip(t *testing.T) {
 	defer db2.Close()
 	if got := countRows(t, db2, "T"); got != 4 {
 		t.Fatalf("post-crash rows = %d, want 4", got)
+	}
+}
+
+// TestCheckpointDirSweepsStaleEpochsThroughFS: after a second checkpoint the
+// directory holds one dump and one WAL, both of the current epoch. The sweep
+// must go through the database's FS: on crashfs.Mem, a removal that reached
+// the real filesystem instead would leave every old epoch behind.
+func TestCheckpointDirSweepsStaleEpochsThroughFS(t *testing.T) {
+	m := crashfs.NewMem()
+	db, err := OpenDir("d", WithFS(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.MustExec(`CREATE TABLE T (a BIGINT, src TEXT)`)
+	for i := 0; i < 2; i++ {
+		bulkInsert(t, db, "T", i*10, 10)
+		if err := db.CheckpointDir(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, err := m.ReadDir("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epochs []string
+	for _, name := range names {
+		if strings.HasPrefix(name, "dump.") || strings.HasPrefix(name, "wal.") {
+			epochs = append(epochs, name)
+		}
+	}
+	sort.Strings(epochs) // Mem lists a directory in no particular order
+	want := []string{dumpFileName(db.Epoch()), walFileName(db.Epoch())}
+	if fmt.Sprint(epochs) != fmt.Sprint(want) {
+		t.Fatalf("epoch files after two checkpoints = %v, want only %v", epochs, want)
 	}
 }

@@ -245,6 +245,101 @@ func TestWALFsyncFailurePoisons(t *testing.T) {
 	}
 }
 
+// TestBatchCommitWALFailureIsErrWALAppend: a batch whose transaction
+// committed but whose log append failed says so as ErrWALAppend, as an
+// autocommit does. The sniffer's resync tells "visible but maybe not
+// durable" from "not applied" by that sentinel alone.
+func TestBatchCommitWALFailureIsErrWALAppend(t *testing.T) {
+	m := crashfs.NewMem()
+	db, err := OpenDir("p", WithFS(m), WithSyncWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`CREATE TABLE T (a BIGINT)`)
+	b := db.BeginBatch()
+	for _, sql := range []string{`INSERT INTO T VALUES (1)`, `INSERT INTO T VALUES (2)`} {
+		if _, err := b.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.SetCrashAt(1)
+	if err := b.Commit(); !errors.Is(err, ErrWALAppend) {
+		t.Fatalf("batch commit with a failing WAL = %v, want ErrWALAppend", err)
+	}
+	if got := countRows(t, db, "T"); got != 2 {
+		t.Errorf("rows after the failed append = %d, want the 2 the batch committed", got)
+	}
+}
+
+// syncFailFS is a crashfs.Mem whose file Syncs fail while failSync is set,
+// without killing the filesystem: the disk lost a flush, yet the handle
+// still closes cleanly.
+type syncFailFS struct {
+	*crashfs.Mem
+	failSync bool
+}
+
+var errInjectedSync = errors.New("injected fsync failure")
+
+func (fs *syncFailFS) OpenFile(name string, flag int, perm os.FileMode) (crashfs.File, error) {
+	f, err := fs.Mem.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncFailFile{f, fs}, nil
+}
+
+type syncFailFile struct {
+	crashfs.File
+	fs *syncFailFS
+}
+
+func (f syncFailFile) Sync() error {
+	if f.fs.failSync {
+		return errInjectedSync
+	}
+	return f.File.Sync()
+}
+
+// TestCloseReportsFinalSyncAndCloseFailures: DB.Close on a healthy WAL is
+// the last chance to learn that the log's tail never reached the disk, so a
+// failed final fsync and a failed close of the log both reach the caller.
+func TestCloseReportsFinalSyncAndCloseFailures(t *testing.T) {
+	open := func(fsys crashfs.FS) *DB {
+		db, err := OpenDir("p", WithFS(fsys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.MustExec(`CREATE TABLE T (a BIGINT)`)
+		db.MustExec(`INSERT INTO T VALUES (1)`)
+		return db
+	}
+
+	t.Run("sync", func(t *testing.T) {
+		fsys := &syncFailFS{Mem: crashfs.NewMem()}
+		db := open(fsys)
+		fsys.failSync = true
+		if err := db.Close(); !errors.Is(err, errInjectedSync) {
+			t.Fatalf("Close after a failed final fsync = %v, want the fsync error", err)
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		m := crashfs.NewMem()
+		db := open(m)
+		// The commits flushed the log, so Close's mutations are the fsync
+		// and then the close of the log file: fail the second.
+		m.SetCrashAt(2)
+		if err := db.Close(); !errors.Is(err, crashfs.ErrCrashed) {
+			t.Fatalf("Close after a failed close of the log = %v, want ErrCrashed", err)
+		}
+		ops := m.OpLog()
+		if n := len(ops); n < 2 || !strings.HasPrefix(ops[n-2], "sync ") || !strings.HasPrefix(ops[n-1], "close ") {
+			t.Fatalf("mutations = %q, want Close's sync then its failing close last", ops)
+		}
+	})
+}
+
 func TestWALRejectsForeignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not.wal")
 	if err := os.WriteFile(path, []byte("NOTAWAL!"+"garbage"), 0o644); err != nil {
