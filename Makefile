@@ -23,14 +23,15 @@ lint:
 # packages (parallel scan, plan cache, plan templates, MVCC; the planner's
 # property tests drive parallel scans whose batches view segment memory
 # across goroutines, and storage owns that memory; the exec re-Open tests and
-# the server's DDL-race hammer run reused plan trees) under the race
+# the server's DDL-race hammer run reused plan trees; the LRU behind the plan
+# cache and the templates is hammered from several goroutines) under the race
 # detector, run the crash-injection recovery sweeps, then smoke every
 # benchmark — BenchmarkPlanSelect's fresh and template paths included — so
 # bench-only code paths cannot rot unnoticed. The serving layer's tests run
 # twenty times over: its admission tests must hold by construction, not by
 # winning a race against the goroutines they contend with.
 check: lint bench-smoke benchmark-smoke crash
-	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./client/...
+	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./client/...
 	$(GO) test -count 20 ./internal/server
 
 # crash kills the storage stack at every mutating filesystem operation and

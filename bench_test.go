@@ -431,7 +431,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		runtime.GC()
 
 		drain := func(b *testing.B, op exec.BatchOperator) {
-			rows, err := exec.Drain(&exec.RowFromBatch{Src: op})
+			rows, err := exec.Drain(op)
 			if err != nil {
 				b.Fatal(err)
 			}

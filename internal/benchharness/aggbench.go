@@ -112,7 +112,7 @@ func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 	sc.Name = "stat-covered"
 	sc.InputRows = d.Rows
 	sc.Base = func() (int, error) {
-		return countRows(&exec.BatchGroupAggregate{
+		return countBatches(&exec.BatchGroupAggregate{
 			Src:   &exec.BatchScan{Table: d.Table, Snap: snap},
 			Specs: specs, ArgCols: argCols,
 		})
@@ -122,7 +122,7 @@ func (d *StorageDataset) StatCoveredScenario() (*aggScenario, error) {
 			Table: d.Table, Snap: snap,
 			Specs: specs, ArgCols: argCols,
 		}
-		n, err := countRows(scan)
+		n, err := countBatches(scan)
 		*sc.StatSegments, *sc.Scanned = scan.StatSegments, scan.ScannedSegments
 		return n, err
 	}
@@ -170,14 +170,14 @@ func (d *StorageDataset) ParallelMergeScenario(workers int) (*aggScenario, error
 	sc.InputRows = d.Rows
 	sc.PairScenario.Workers = workers
 	sc.Base = func() (int, error) {
-		return countRows(&exec.BatchGroupAggregate{
+		return countBatches(&exec.BatchGroupAggregate{
 			Src:  &exec.BatchScan{Table: d.Table, Snap: snap},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
 			Specs: specs, ArgCols: argCols,
 		})
 	}
 	sc.Opt = func() (int, error) {
-		return countRows(&exec.ParallelGroupAggregate{
+		return countBatches(&exec.ParallelGroupAggregate{
 			Scan: &exec.ParallelScan{Table: d.Table, Snap: snap, Workers: workers},
 			Keys: []exec.Evaluator{keyEv}, KeyCols: []int{keyCol},
 			Specs: specs, ArgCols: argCols,

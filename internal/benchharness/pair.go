@@ -55,13 +55,7 @@ func compileExpr(src string, layout *exec.Layout) (exec.Evaluator, error) {
 	return exec.Compile(e, layout)
 }
 
-// countRows drains a row operator (an aggregate's groups), counting output.
-func countRows(op exec.Operator) (int, error) {
-	rows, err := exec.Drain(op)
-	return len(rows), err
-}
-
-// countBatches drains a batch operator, counting selected rows.
+// countBatches drains an operator, counting selected rows.
 func countBatches(op exec.BatchOperator) (int, error) {
 	if err := op.Open(); err != nil {
 		return 0, err

@@ -423,3 +423,31 @@ func TestCheckpointDirSweepsStaleEpochsThroughFS(t *testing.T) {
 		t.Fatalf("epoch files after two checkpoints = %v, want only %v", epochs, want)
 	}
 }
+
+// TestOpenDirBumpsCatalogVersion: restoring a checkpoint's tables bypasses
+// DDL, so loading the dump moves the catalog version itself. Left at the
+// empty catalog's version, it would let a plan made against the empty
+// catalog pass for one made against the restored tables.
+func TestOpenDirBumpsCatalogVersion(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`CREATE TABLE M (a BIGINT, src TEXT)`)
+	db.MustExec(`INSERT INTO M VALUES (7, 's1')`)
+	if err := db.CheckpointDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if v, empty := db2.CatalogVersion(), New().CatalogVersion(); v == empty {
+		t.Errorf("catalog version after restoring a checkpoint = %d, the empty catalog's", v)
+	}
+}

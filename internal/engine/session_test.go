@@ -204,3 +204,26 @@ func TestTempTableFilledOnFirstRead(t *testing.T) {
 		t.Errorf("%d fills after Close, want 2: the unread table's filler ran", n)
 	}
 }
+
+// TestPersistBumpsCatalogVersion: a persisted table is a new name every later
+// statement can resolve, so Persist moves the catalog version and no plan
+// cached against the catalog without it is reused.
+func TestPersistBumpsCatalogVersion(t *testing.T) {
+	db := New()
+	sess := db.NewSession()
+	defer sess.Close()
+	cols := []storage.Column{{Name: "sid", Kind: types.KindString}}
+	name, err := sess.CreateTempTable("sys_temp_a", cols, func() [][]types.Value {
+		return [][]types.Value{{types.NewString("m1")}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.CatalogVersion()
+	if err := sess.Persist(name, "kept"); err != nil {
+		t.Fatal(err)
+	}
+	if after := db.CatalogVersion(); after <= before {
+		t.Errorf("catalog version %d before Persist, %d after; want it moved", before, after)
+	}
+}

@@ -467,25 +467,35 @@ func (t *aggTable) mergeTable(o *aggTable) error {
 	return nil
 }
 
-// emit finalizes every group into output tuples [keys..., aggregates...] in
-// first-seen order. With no grouping keys, an empty input still emits the
-// single global row.
-func (t *aggTable) emit(nKeys int) ([][]types.Value, error) {
+// emit finalizes every group into one batch the caller owns, a tuple
+// [keys..., aggregates...] per group in first-seen order over generic
+// vectors, or nil when there is no group. With no grouping keys an empty
+// input still emits the single global tuple.
+func (t *aggTable) emit(nKeys int) (*Batch, error) {
 	if len(t.order) == 0 && nKeys == 0 {
 		t.globalState()
 	}
-	out := make([][]types.Value, 0, len(t.order))
+	if len(t.order) == 0 {
+		return nil, nil
+	}
+	b := GetBatch()
+	b.Shape(nKeys+len(t.specs), len(t.order))
+	for c := range b.Cols {
+		b.Cols[c] = b.NewVec(types.KindNull)
+	}
 	for _, st := range t.order {
-		row := make([]types.Value, 0, nKeys+len(t.specs))
-		row = append(row, st.keys...)
+		for k, v := range st.keys {
+			b.Cols[k].Vals = append(b.Cols[k].Vals, v)
+		}
 		for si := range t.specs {
 			v, err := st.value(si, t.specs[si].Func)
 			if err != nil {
+				PutBatch(b)
 				return nil, err
 			}
-			row = append(row, v)
+			b.Cols[nKeys+si].Vals = append(b.Cols[nKeys+si].Vals, v)
 		}
-		out = append(out, row)
 	}
-	return out, nil
+	b.SelectAll()
+	return b, nil
 }

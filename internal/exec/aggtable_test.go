@@ -30,7 +30,7 @@ func oneColRows(vals ...types.Value) [][]types.Value {
 func drainAgg(t *testing.T, specs []AggSpec, vals ...types.Value) []types.Value {
 	t.Helper()
 	rows, err := Drain(&BatchGroupAggregate{
-		Src:   ToBatch(&ValuesOp{RowsData: oneColRows(vals...)}),
+		Src:   tuples(oneColRows(vals...)),
 		Specs: specs,
 	})
 	if err != nil {
@@ -146,14 +146,14 @@ func TestEmptyInputGlobalAggregate(t *testing.T) {
 		}
 	}
 
-	rows, err := Drain(&BatchGroupAggregate{Src: ToBatch(&ValuesOp{}), Specs: specs})
+	rows, err := Drain(&BatchGroupAggregate{Src: tuples(nil), Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("evaluated", rows)
 
 	rows, err = Drain(&BatchGroupAggregate{
-		Src: ToBatch(&ValuesOp{}), Specs: specs,
+		Src: tuples(nil), Specs: specs,
 		ArgCols: []int{-1, 0, 0, 0, 0, 0},
 	})
 	if err != nil {
@@ -284,7 +284,7 @@ func refAgg(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL string,
 	t.Helper()
 	specs, _ := fixtureSpecs()
 	rows, err := Drain(&BatchGroupAggregate{
-		Src:  ToBatch(&ValuesOp{RowsData: visibleRows(t, tbl, snap, predSQL)}),
+		Src:  tuples(visibleRows(t, tbl, snap, predSQL)),
 		Keys: keys, Specs: specs,
 	})
 	if err != nil {
@@ -483,13 +483,13 @@ func TestGroupAggregateAllNullGroup(t *testing.T) {
 		}
 	}
 
-	got, err := Drain(&BatchGroupAggregate{Src: ToBatch(&ValuesOp{RowsData: rows}), Keys: keys, Specs: specs})
+	got, err := Drain(&BatchGroupAggregate{Src: tuples(rows), Keys: keys, Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("evaluated", got)
 	got, err = Drain(&BatchGroupAggregate{
-		Src: ToBatch(&ValuesOp{RowsData: rows}), Keys: keys,
+		Src: tuples(rows), Keys: keys,
 		Specs: specs, ArgCols: []int{-1, 1, 1, 1, 1},
 	})
 	if err != nil {
@@ -506,7 +506,7 @@ func TestAggPartialMergePreservesExactness(t *testing.T) {
 	specs := []AggSpec{{Func: sqlparser.FuncSum, Arg: colAt(0)}}
 	mk := func(v int64) *aggTable {
 		tab := newAggTable(nil, nil, specs, nil)
-		if err := tab.observeAll(ToBatch(&ValuesOp{RowsData: intRows(v)})); err != nil {
+		if err := tab.observeAll(tuples(intRows(v))); err != nil {
 			t.Fatal(err)
 		}
 		return tab
@@ -518,11 +518,12 @@ func TestAggPartialMergePreservesExactness(t *testing.T) {
 	if err := merged.mergeTable(mk(10)); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := merged.emit(0)
+	out, err := merged.emit(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := rows[0][0]
+	defer PutBatch(out)
+	sum := out.Cols[0].Value(out.Sel[0])
 	if sum.Kind() != types.KindFloat {
 		t.Fatalf("merged overflow SUM = %v (%s), want FLOAT fallback", sum, sum.Kind())
 	}
@@ -538,7 +539,7 @@ func TestGroupAggregateDirect(t *testing.T) {
 		{types.NewString("a"), types.NewInt(3)},
 	}
 	g := &BatchGroupAggregate{
-		Src:  ToBatch(&ValuesOp{RowsData: data}),
+		Src:  tuples(data),
 		Keys: []Evaluator{colAt(0)},
 		Specs: []AggSpec{
 			{Func: sqlparser.FuncSum, Arg: colAt(1)},
@@ -574,7 +575,7 @@ func TestGroupAggregateNullKeysGroupTogether(t *testing.T) {
 		{types.NewString("x"), types.NewInt(3)},
 	}
 	rows, err := Drain(&BatchGroupAggregate{
-		Src:   ToBatch(&ValuesOp{RowsData: data}),
+		Src:   tuples(data),
 		Keys:  []Evaluator{colAt(0)},
 		Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}},
 	})
@@ -598,7 +599,7 @@ func TestGroupAggregateSumFloatPromotion(t *testing.T) {
 
 func TestGroupAggregateErrorOnNonNumericSum(t *testing.T) {
 	_, err := Drain(&BatchGroupAggregate{
-		Src:   ToBatch(&ValuesOp{RowsData: oneColRows(types.NewString("x"))}),
+		Src:   tuples(oneColRows(types.NewString("x"))),
 		Specs: []AggSpec{{Func: sqlparser.FuncSum, Arg: colAt(0)}},
 	})
 	if err == nil {

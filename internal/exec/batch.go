@@ -8,8 +8,8 @@ import (
 	"trac/internal/types"
 )
 
-// BatchSize is the target row count of a batch built row by row (the
-// row→batch shim, tail windows of the serial scan). It is large enough to
+// BatchSize is the target row count of a batch built row by row (tail
+// windows of the serial scan, index matches, a nested-loop join's pairs). It is large enough to
 // amortize per-batch overhead (interface calls, channel sends, kernel
 // dispatch) over ~1k rows. A batch that views a sealed segment holds the
 // whole segment, whatever its length.
@@ -18,24 +18,27 @@ const BatchSize = 1024
 // Batch is a window of tuples in columnar form: one typed vector per tuple
 // offset of the plan's layout, plus a selection vector. Operators
 // communicate batch-at-a-time by handing over *Batch values; a filter
-// narrows Sel in place, a projection rearranges Cols in place, a join emits
-// a fresh batch.
+// narrows Sel in place, a projection rearranges Cols in place, a sort
+// permutes Sel, a join emits a fresh batch.
 //
 // Cols[c] is nil for a column nothing above the producer reads (the
 // planner's required-column pass decides). The live tuples are the vector
-// positions Sel names, in order; positions Sel does not name are dead but
-// still occupy their slot.
+// positions Sel names, in Sel's order; positions Sel does not name are dead
+// but still occupy their slot. Sel need not ascend — a sort permutes it — so
+// whatever reads or narrows it keeps its order: a kernel narrowing in place,
+// a probe, DISTINCT keeping the first occurrence of each tuple, collecting
+// batches into one and minting tuples.
 //
 // Vectors are either viewed or owned. A scan of a sealed segment points
 // Cols at the segment's own vectors (immutable, shared with every other
 // reader — never written through a batch); a tail window, a join's output,
-// a computed projection and the row→batch shim fill vectors the batch owns
+// a computed projection and an aggregate's groups fill vectors the batch owns
 // (NewVec), which go back to the pool with it. Either way a consumer must
 // not touch a vector it took from Cols after PutBatch.
 //
-// []types.Value tuples exist only where a row-protocol consumer needs them:
-// AppendRows mints them (RowFromBatch, Drain), and RowAt boxes one position
-// into scratch for a compiled Evaluator.
+// []types.Value tuples exist only at the edges: AppendRows mints them for a
+// result's rows (Drain), and RowAt boxes one position into scratch for a
+// compiled Evaluator.
 type Batch struct {
 	Cols []*storage.ColVec
 	Sel  []int
@@ -293,111 +296,13 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// BatchOperator is the batch-at-a-time counterpart of Operator. The
-// contract is Open, then NextBatch until it returns a nil batch, then
-// Close. Every returned batch has Len() > 0; ownership transfers to the
-// caller (recycle with PutBatch or forward it).
+// BatchOperator is the one physical operator interface. The contract is
+// Open, then NextBatch until it returns a nil batch, then Close. Every
+// returned batch has Len() > 0; ownership transfers to the caller (recycle
+// with PutBatch or forward it). An operator may be opened again after Close
+// (a plan template's tree is) and carries nothing over from the last run.
 type BatchOperator interface {
 	Open() error
 	NextBatch() (*Batch, error)
 	Close() error
-}
-
-// ToBatch adapts a row operator into a batch operator. It is the shim that
-// lets the row operators that sit below a batch operator (a nested-loop
-// join, a Values list) feed it.
-func ToBatch(op Operator) BatchOperator {
-	if r, ok := op.(*RowFromBatch); ok {
-		return r.Src // unwrap a round trip
-	}
-	return &rowSource{child: op}
-}
-
-// rowSource is the row→batch adapter: up to BatchSize child tuples per
-// batch, transposed into generic vectors (a row operator states no column
-// kinds, and its tuples are already boxed).
-type rowSource struct {
-	child Operator
-}
-
-func (r *rowSource) Open() error { return r.child.Open() }
-
-func (r *rowSource) NextBatch() (*Batch, error) {
-	b := GetBatch()
-	for b.n < BatchSize {
-		row, ok, err := r.child.Next()
-		if err != nil {
-			PutBatch(b)
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if b.n == 0 {
-			b.Shape(len(row), 0)
-			for c := range b.Cols {
-				b.Cols[c] = b.NewVec(types.KindNull)
-			}
-		}
-		for c, v := range row {
-			b.Cols[c].Vals = append(b.Cols[c].Vals, v)
-		}
-		b.n++
-	}
-	if b.n == 0 {
-		PutBatch(b)
-		return nil, nil
-	}
-	b.SelectAll()
-	return b, nil
-}
-
-func (r *rowSource) Close() error { return r.child.Close() }
-
-// RowFromBatch adapts a batch operator into a row operator: the batch→row
-// shim that lets batch pipelines feed row consumers (sorts, a nested-loop
-// join, result drains). This is where tuples are minted, one allocation per
-// batch; the batch itself is recycled at once.
-type RowFromBatch struct {
-	Src BatchOperator
-
-	// Boxed counts the tuples minted by the last execution.
-	Boxed int
-
-	rows [][]types.Value
-	pos  int
-}
-
-// Open opens the batch source.
-func (r *RowFromBatch) Open() error {
-	r.rows, r.pos, r.Boxed = r.rows[:0], 0, 0
-	return r.Src.Open()
-}
-
-// Next emits the next selected tuple across batches.
-func (r *RowFromBatch) Next() ([]types.Value, bool, error) {
-	for r.pos >= len(r.rows) {
-		b, err := r.Src.NextBatch()
-		if err != nil || b == nil {
-			return nil, false, err
-		}
-		r.rows, r.pos = b.AppendRows(r.rows[:0]), 0
-		r.Boxed += len(r.rows)
-		PutBatch(b)
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, true, nil
-}
-
-// Bound is the source's bound plus the minted tuples not yet emitted.
-func (r *RowFromBatch) Bound() (int, bool) {
-	n, ok := boundOf(r.Src)
-	return n + len(r.rows) - r.pos, ok
-}
-
-// Close closes the source.
-func (r *RowFromBatch) Close() error {
-	r.rows = nil
-	return r.Src.Close()
 }

@@ -94,42 +94,6 @@ func TestVecSetDemotesOnKindMismatch(t *testing.T) {
 	}
 }
 
-func TestToBatchRoundTripUnwraps(t *testing.T) {
-	tbl, m := testActivity(t)
-	var src BatchOperator = &BatchScan{Table: tbl, Snap: m.ReadSnapshot()}
-	row := &RowFromBatch{Src: src}
-	if got := ToBatch(row); got != src {
-		t.Errorf("ToBatch(RowFromBatch{src}) = %T, want the original source", got)
-	}
-}
-
-func TestRowSourceBatchesRowOperator(t *testing.T) {
-	tbl, m := testActivity(t)
-	src := ToBatch(&ValuesOp{RowsData: visibleRows(t, tbl, m.ReadSnapshot(), "")})
-	if err := src.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	total := 0
-	for {
-		b, err := src.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		if b.Len() == 0 {
-			t.Fatal("batch contract violated: empty batch returned")
-		}
-		total += b.Len()
-		PutBatch(b)
-	}
-	if total != 3 {
-		t.Errorf("rows through rowSource = %d, want 3", total)
-	}
-}
-
 // TestBatchScanMatchesSeqScan: the batch scan returns the rows a sequential
 // pass over the heap (visibleRows) keeps, in heap order.
 func TestBatchScanMatchesSeqScan(t *testing.T) {
@@ -149,7 +113,7 @@ func TestBatchScanMatchesSeqScan(t *testing.T) {
 
 func TestBatchScanPadsWiderLayouts(t *testing.T) {
 	tbl, m := testActivity(t)
-	rows, err := Drain(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: 2, Width: 6}})
+	rows, err := Drain(&BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: 2, Width: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +132,11 @@ func TestBatchProjectMatchesProject(t *testing.T) {
 	tbl, m := testActivity(t)
 	layout := layoutFor(tbl, "a")
 	exprs := []Evaluator{compileOn(t, layout, "mach_id"), compileOn(t, layout, "load * 2")}
-	batch, err := Drain(&RowFromBatch{Src: &BatchProject{
+	batch := drainBatches(t, &BatchProject{
 		Child: &BatchScan{Table: tbl, Snap: m.ReadSnapshot()},
 		Exprs: exprs,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := Drain(&Project{Child: &ValuesOp{RowsData: visibleRows(t, tbl, m.ReadSnapshot(), "")}, Exprs: exprs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	row := project(t, visibleRows(t, tbl, m.ReadSnapshot(), ""), exprs)
 	if len(batch) != len(row) {
 		t.Fatalf("batch %d rows, row %d", len(batch), len(row))
 	}
@@ -187,6 +145,37 @@ func TestBatchProjectMatchesProject(t *testing.T) {
 			t.Fatalf("row %d differs: %v vs %v", i, batch[i], row[i])
 		}
 	}
+}
+
+// project evaluates the expressions over each tuple: the row-at-a-time
+// reference of a projection.
+func project(t *testing.T, rows [][]types.Value, exprs []Evaluator) [][]types.Value {
+	t.Helper()
+	out := make([][]types.Value, len(rows))
+	for i, r := range rows {
+		out[i] = make([]types.Value, len(exprs))
+		for j, e := range exprs {
+			var err error
+			if out[i][j], err = e(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// distinct keeps the first of the tuples RowKey encodes alike: the
+// reference of DISTINCT.
+func distinct(rows [][]types.Value) [][]types.Value {
+	seen := map[string]bool{}
+	var out [][]types.Value
+	for _, r := range rows {
+		if !seen[RowKey(r)] {
+			seen[RowKey(r)] = true
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // joinFixture builds the two-sided padded scans and key evaluators for a
@@ -204,9 +193,9 @@ func joinFixture(t *testing.T, n int) (build, probe func() BatchOperator, buildK
 	probe = func() BatchOperator {
 		return &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Offset: arity, Width: width}
 	}
-	ref, err := Drain(&NestedLoopJoin{
-		Outer: &RowFromBatch{Src: build()}, Inner: &RowFromBatch{Src: probe()},
-		Pred: compileOn(t, layout, "a.mach_id = b.mach_id"),
+	ref, err := Drain(&BatchNestedLoopJoin{
+		Outer: build(), Inner: probe(),
+		Kernel: EvalKernel(compileOn(t, layout, "a.mach_id = b.mach_id")),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,48 +326,31 @@ func TestExchangeBatchChildren(t *testing.T) {
 	}
 }
 
-func TestVectorizedWalker(t *testing.T) {
-	tbl, m := testActivity(t)
-	snap := m.ReadSnapshot()
-	if Vectorized(&Project{Child: &ValuesOp{}}) {
-		t.Error("a projection over materialized rows must not report vectorized")
-	}
-	if !Vectorized(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap}}) {
-		t.Error("RowFromBatch must report vectorized")
-	}
-	if !Vectorized(&RowFromBatch{Src: &IndexScan{Table: tbl, Snap: snap}}) {
-		t.Error("an index scan must report vectorized")
-	}
-	if !Vectorized(&Project{Child: &Limit{Child: &RowFromBatch{Src: &ParallelScan{Table: tbl, Snap: snap, Workers: 2}}, N: 1}}) {
-		t.Error("nested ParallelScan must report vectorized")
-	}
-}
-
 func TestBatchParallelDegree(t *testing.T) {
 	tbl, m := bigActivity(t, 1000)
 	snap := m.ReadSnapshot()
 	ps := &ParallelScan{Table: tbl, Snap: snap, Workers: 6}
-	root := &RowFromBatch{Src: &BatchProject{
+	root := &BatchProject{
 		Child: &BatchFilter{Child: ps},
 		Exprs: nil,
-	}}
+	}
 	if got := ParallelDegree(root); got != 6 {
 		t.Errorf("ParallelDegree through batch pipeline = %d, want 6", got)
 	}
-	join := &RowFromBatch{Src: &BatchHashJoin{Build: &BatchScan{Table: tbl, Snap: snap}, Probe: ps}}
+	join := &BatchHashJoin{Build: &BatchScan{Table: tbl, Snap: snap}, Probe: ps}
 	if got := ParallelDegree(join); got != 6 {
 		t.Errorf("ParallelDegree through batch join probe = %d, want 6", got)
 	}
 }
 
 // TestDrainSizesResultFromKnownBound: an operator that has materialized its
-// output (an aggregate's groups, a semi-join's qualifying anchor rows) tells
-// Drain how many tuples to expect through the pass-through operators above
-// it, so the result is allocated once instead of grown from nil.
+// output (an aggregate's groups, a semi-join's qualifying anchor rows) hands
+// it over as one batch, through the operators above it, so Drain mints the
+// result in one allocation sized for it instead of growing it from nil.
 func TestDrainSizesResultFromKnownBound(t *testing.T) {
 	tbl, m := bigActivity(t, 3000)
 	snap := m.ReadSnapshot()
-	groups, err := Drain(&Project{
+	groups := drainBatches(t, &BatchProject{
 		Child: &BatchGroupAggregate{
 			Src:  &BatchScan{Table: tbl, Snap: snap},
 			Keys: []Evaluator{col(0)}, KeyCols: []int{0},
@@ -386,35 +358,28 @@ func TestDrainSizesResultFromKnownBound(t *testing.T) {
 		},
 		Exprs: []Evaluator{col(0), col(1)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(groups) != 10 || cap(groups) != 10 {
 		t.Errorf("aggregate: len %d cap %d, want 10/10", len(groups), cap(groups))
 	}
 	semi := &SemiJoin{
 		Anchor: &BatchScan{Table: tbl, Snap: snap},
 		Arms: []SemiArm{{Probes: []*SemiProbe{{
-			Src:        ToBatch(&ValuesOp{RowsData: strRows("m3", "m4")}),
+			Src:        tuples(strRows("m3", "m4")),
 			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 			AnchorCols: []int{0}, ProbeCols: []int{0},
 		}}}},
 	}
-	rows, err := Drain(&Distinct{Child: &RowFromBatch{Src: &BatchProject{
+	rows := drainBatches(t, &BatchDistinct{Child: &BatchProject{
 		Child: semi, Exprs: []Evaluator{col(0), col(1)}, Cols: []int{0, 1},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 600 anchor rows qualify; DISTINCT keeps 2 of them in a result sized for
-	// the bound it was told.
-	if len(rows) != 2 || cap(rows) != 600 {
-		t.Errorf("semi-join under DISTINCT: len %d cap %d, want 2/600", len(rows), cap(rows))
+	}})
+	// 600 anchor rows qualify; DISTINCT keeps 2 of them.
+	if len(rows) != 2 || cap(rows) != 2 {
+		t.Errorf("semi-join under DISTINCT: len %d cap %d, want 2/2", len(rows), cap(rows))
 	}
 }
 
-// TestBatchDistinctMatchesRowDistinct holds the columnar DISTINCT to the row
-// operator (over the row-by-row reference) for every projection of a table with NULLs in every column,
+// TestBatchDistinctMatchesRowDistinct holds the columnar DISTINCT to the
+// row-by-row reference for every projection of a table with NULLs in every column,
 // sealed (typed vectors) and not, and over boxed tuples whose one column
 // mixes kinds: NULL equals NULL, 3 equals 3.0 but not '3', and the first
 // occurrence of each tuple is the one kept, in input order.
@@ -447,13 +412,10 @@ func TestBatchDistinctMatchesRowDistinct(t *testing.T) {
 			for i, c := range cols {
 				exprs[i] = col(c)
 			}
-			want, err := Drain(&Distinct{Child: &Project{Child: &ValuesOp{RowsData: visibleRows(t, tbl, snap, "")}, Exprs: exprs}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Drain(&RowFromBatch{Src: &BatchDistinct{Child: &BatchProject{
+			want := distinct(project(t, visibleRows(t, tbl, snap, ""), exprs))
+			got, err := Drain(&BatchDistinct{Child: &BatchProject{
 				Child: &BatchScan{Table: tbl, Snap: snap}, Exprs: exprs, Cols: cols,
-			}}})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,11 +429,8 @@ func TestBatchDistinctMatchesRowDistinct(t *testing.T) {
 		{types.NewInt(3)}, {types.NewFloat(3)}, {types.NewString("3")}, {types.Null},
 		{types.NewFloat(2.5)}, {types.Null}, {types.NewInt(3)}, {types.NewString("3")},
 	}
-	want, err := Drain(&Distinct{Child: &ValuesOp{RowsData: mixed}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Drain(&RowFromBatch{Src: &BatchDistinct{Child: ToBatch(&ValuesOp{RowsData: mixed})}})
+	want := distinct(mixed)
+	got, err := Drain(&BatchDistinct{Child: tuples(mixed)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,14 @@
 package exec
 
-import (
-	"sync"
-
-	"trac/internal/types"
-)
+import "sync"
 
 // BatchGroupAggregate is hash aggregation consuming columnar batches
 // directly: group keys are resolved per selected position (read off the key
 // vector when a key is a bare column), then each AggSpec runs a
 // type-specialized accumulation kernel over its argument vector — no tuple
-// is boxed on the way in. Output is row-at-a-time: [keys..., aggregates...]
-// in first-seen group order. With no keys it is SQL's global aggregation:
-// exactly one row, even over empty input.
+// is boxed on the way in. The output is one batch, a tuple [keys...,
+// aggregates...] per group in first-seen group order. With no keys it is
+// SQL's global aggregation: exactly one tuple, even over empty input.
 type BatchGroupAggregate struct {
 	Src  BatchOperator
 	Keys []Evaluator
@@ -25,8 +21,7 @@ type BatchGroupAggregate struct {
 	// Specs[i].Arg.
 	ArgCols []int
 
-	out [][]types.Value
-	pos int
+	held // the groups
 }
 
 // Open drains the source batch-at-a-time and computes all groups.
@@ -35,13 +30,9 @@ func (g *BatchGroupAggregate) Open() error {
 	if err := tab.observeAll(g.Src); err != nil {
 		return err
 	}
-	out, err := tab.emit(len(g.Keys))
-	if err != nil {
-		return err
-	}
-	g.out = out
-	g.pos = 0
-	return nil
+	var err error
+	g.out, err = tab.emit(len(g.Keys))
+	return err
 }
 
 // observeAll opens a batch source, accumulates everything it produces and
@@ -64,25 +55,6 @@ func (t *aggTable) observeAll(src BatchOperator) error {
 	}
 }
 
-// Bound is the number of groups left to emit.
-func (g *BatchGroupAggregate) Bound() (int, bool) { return len(g.out) - g.pos, true }
-
-// Next emits the next group row.
-func (g *BatchGroupAggregate) Next() ([]types.Value, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	r := g.out[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
-// Close releases group state.
-func (g *BatchGroupAggregate) Close() error {
-	g.out = nil
-	return nil
-}
-
 // ParallelGroupAggregate is morsel-parallel partial aggregation: each scan
 // worker drains its share of the morsel source into a thread-local aggTable
 // (no synchronization beyond the per-morsel atomic claim), and the partial
@@ -102,8 +74,7 @@ type ParallelGroupAggregate struct {
 	Specs   []AggSpec
 	ArgCols []int
 
-	out [][]types.Value
-	pos int
+	held // the groups
 }
 
 // Open fans workers over the scan's morsel partials and merges their tables.
@@ -133,30 +104,7 @@ func (g *ParallelGroupAggregate) Open() error {
 			return err
 		}
 	}
-	out, err := merged.emit(len(g.Keys))
-	if err != nil {
-		return err
-	}
-	g.out = out
-	g.pos = 0
-	return nil
-}
-
-// Bound is the number of groups left to emit.
-func (g *ParallelGroupAggregate) Bound() (int, bool) { return len(g.out) - g.pos, true }
-
-// Next emits the next group row.
-func (g *ParallelGroupAggregate) Next() ([]types.Value, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	r := g.out[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
-// Close releases group state.
-func (g *ParallelGroupAggregate) Close() error {
-	g.out = nil
-	return nil
+	var err error
+	g.out, err = merged.emit(len(g.Keys))
+	return err
 }

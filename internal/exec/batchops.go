@@ -325,9 +325,6 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 // Close closes the child.
 func (f *BatchFilter) Close() error { return f.Child.Close() }
 
-// Bound passes the child's bound through.
-func (f *BatchFilter) Bound() (int, bool) { return boundOf(f.Child) }
-
 // BatchProject rearranges each incoming batch into the output shape, in
 // place. An output column that is a bare input column (Cols) is the input's
 // vector, shared; any other expression is evaluated over boxed scratch
@@ -385,9 +382,6 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 // Close closes the child.
 func (p *BatchProject) Close() error { return p.Child.Close() }
 
-// Bound passes the child's bound through: projection keeps every tuple.
-func (p *BatchProject) Bound() (int, bool) { return boundOf(p.Child) }
-
 // BatchDistinct suppresses duplicate tuples of a batch pipeline before any
 // of them is boxed: it collects its input into one batch and narrows Sel to
 // the first occurrence of each tuple. Tuples are hashed off the vectors and
@@ -403,7 +397,7 @@ type BatchDistinct struct {
 
 // Open collects the child (opening and closing it) and removes duplicates.
 func (d *BatchDistinct) Open() error {
-	all, err := collect(d.Child)
+	all, err := DrainBatch(d.Child)
 	if err != nil || all == nil {
 		return err
 	}
@@ -425,14 +419,6 @@ func (h *held) NextBatch() (*Batch, error) {
 	return b, nil
 }
 
-// Bound is the number of tuples not yet handed over.
-func (h *held) Bound() (int, bool) {
-	if h.out == nil {
-		return 0, true
-	}
-	return h.out.Len(), true
-}
-
 // Close drops a result nobody took.
 func (h *held) Close() error {
 	PutBatch(h.out)
@@ -441,25 +427,57 @@ func (h *held) Close() error {
 }
 
 // UnionBatches unites batches of one width as a set: their selected tuples,
-// concatenated in order into one batch the caller owns, narrowed to the
-// first occurrence of each (nil when there is none). The inputs, nil ones
-// allowed, are recycled.
+// concatenated in order (Concat), narrowed to the first occurrence of each
+// (nil when there is none). The inputs, nil ones allowed, are recycled.
 func UnionBatches(bs []*Batch) *Batch {
-	var all *Batch
-	for _, b := range bs {
-		if b == nil {
-			continue
-		}
-		if all == nil {
-			all = emptyLike(b)
-		}
-		all.absorb(b)
-	}
+	all := Concat(bs)
 	if all != nil {
-		all.SelectAll()
 		dedup(all)
 	}
 	return all
+}
+
+// Concat concatenates batches of one width: their selected tuples, in
+// order, as one batch the caller owns (nil when there is none). The inputs,
+// nil ones allowed, are recycled, except the one batch there is, which is
+// returned as it is.
+func Concat(bs []*Batch) *Batch {
+	var c concat
+	for _, b := range bs {
+		c.add(b)
+	}
+	return c.done()
+}
+
+// concat builds one batch out of several: the first itself while it is the
+// only one, then a batch they are all gathered into, in order.
+type concat struct {
+	all      *Batch
+	gathered bool
+}
+
+// add takes b (nil is none) over.
+func (c *concat) add(b *Batch) {
+	switch {
+	case b == nil:
+	case c.all == nil:
+		c.all = b
+	default:
+		if !c.gathered {
+			first := c.all
+			c.all, c.gathered = emptyLike(first), true
+			c.all.absorb(first)
+		}
+		c.all.absorb(b)
+	}
+}
+
+// done returns the batch built.
+func (c *concat) done() *Batch {
+	if c.gathered {
+		c.all.SelectAll()
+	}
+	return c.all
 }
 
 // dedup narrows a batch's selection to the first occurrence of each tuple.
@@ -577,7 +595,7 @@ func (j *BatchHashJoin) Open() error {
 
 // index collects the build side and files its positions under their keys.
 func (j *BatchHashJoin) index() error {
-	build, err := collect(j.Build)
+	build, err := DrainBatch(j.Build)
 	if err != nil {
 		return err
 	}
@@ -622,14 +640,7 @@ func (j *BatchHashJoin) probe(in *Batch) (*Batch, error) {
 	}
 	// Which sides the output gathers from decides what a match must record:
 	// nothing at all for a count-only output.
-	need := j.Need
-	if need == nil {
-		need = j.every[:0]
-		for c := range in.Cols {
-			need = append(need, c)
-		}
-		j.every = need
-	}
+	need := needOf(j.Need, &j.every, len(in.Cols))
 	fromProbe, fromBuild := false, false
 	for _, c := range need {
 		fromProbe = fromProbe || in.Cols[c] != nil
@@ -658,40 +669,41 @@ func (j *BatchHashJoin) probe(in *Batch) (*Batch, error) {
 	if err != nil || matches == 0 {
 		return nil, err
 	}
+	return joined(matches, need, in, j.pos, j.build, j.hit), nil
+}
+
+// needOf is a join's Need, or when that is nil every offset of a tuple of
+// the given width, listed in *every.
+func needOf(need []int, every *[]int, width int) []int {
+	if need != nil {
+		return need
+	}
+	*every = (*every)[:0]
+	for c := 0; c < width; c++ {
+		*every = append(*every, c)
+	}
+	return *every
+}
+
+// joined gathers a join's output: n tuples, the k-th pairing a's tuple at
+// apos[k] with b's at bpos[k], carrying the columns in need — each from the
+// side that carries it, the two sides' columns being disjoint. A side
+// nothing is gathered from may pass no positions.
+func joined(n int, need []int, a *Batch, apos []int, b *Batch, bpos []int) *Batch {
 	out := GetBatch()
-	out.Shape(len(in.Cols), matches)
+	out.Shape(len(a.Cols), n)
 	out.SelectAll()
 	for _, c := range need {
-		src, at := in.Cols[c], j.pos
-		switch bc := j.build.Cols[c]; {
-		case src != nil && bc != nil:
-			// A side that came through the row→batch shim (a nested-loop
-			// join's output) carries every column, NULL outside its own
-			// bindings: overlay the two, as merged tuples were.
-			out.Cols[c] = out.NewVec(types.KindNull)
-			vecOverlay(out.Cols[c], src, j.pos, bc, j.hit)
-			continue
-		case src == nil:
-			src, at = bc, j.hit
+		src, at := a.Cols[c], apos
+		if src == nil {
+			src, at = b.Cols[c], bpos
 		}
 		if src != nil {
 			out.Cols[c] = out.NewVec(src.Kind)
 			vecGather(out.Cols[c], src, at)
 		}
 	}
-	return out, nil
-}
-
-// vecOverlay appends to the generic vector dst, per pair k, a's value at
-// apos[k] unless it is NULL, b's at bpos[k] otherwise.
-func vecOverlay(dst, a *storage.ColVec, apos []int, b *storage.ColVec, bpos []int) {
-	for k, p := range apos {
-		v := a.Value(p)
-		if v.IsNull() {
-			v = b.Value(bpos[k])
-		}
-		dst.Vals = append(dst.Vals, v)
-	}
+	return out
 }
 
 // Close releases both sides.

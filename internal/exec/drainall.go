@@ -1,35 +1,36 @@
 package exec
 
-import (
-	"sync"
-
-	"trac/internal/types"
-)
+import "sync"
 
 // DrainAll runs every operator to completion concurrently — the scatter
-// fan-in of a cross-shard plan — and returns the materialized rows grouped
-// per operator, in operator order. Unlike Exchange, which interleaves its
-// children's tuples nondeterministically, DrainAll preserves the per-child
-// grouping, so a gather that merges the groups in index order stays
-// deterministic while the drains themselves still overlap.
+// fan-in of a cross-shard plan — and returns each one's output as one batch
+// the caller owns (DrainBatch; nil when it has none), in operator order.
+// Unlike Exchange, which interleaves its children's batches
+// nondeterministically, DrainAll keeps each operator's output apart, so a
+// gather that merges them in index order stays deterministic while the
+// drains themselves still overlap.
 //
-// Operators must be independent (each is Opened, iterated and Closed on its
-// own goroutine). The first error wins; remaining drains still run to
-// completion so no operator is left un-Closed.
-func DrainAll(ops []Operator) ([][][]types.Value, error) {
-	out := make([][][]types.Value, len(ops))
+// Operators must be independent (each is Opened, drained and Closed on its
+// own goroutine). The first error wins, and every batch is then recycled;
+// the remaining drains still run to completion so no operator is left
+// un-Closed.
+func DrainAll(ops []BatchOperator) ([]*Batch, error) {
+	out := make([]*Batch, len(ops))
 	errs := make([]error, len(ops))
 	var wg sync.WaitGroup
 	for i, op := range ops {
 		wg.Add(1)
-		go func(i int, op Operator) {
+		go func(i int, op BatchOperator) {
 			defer wg.Done()
-			out[i], errs[i] = Drain(op)
+			out[i], errs[i] = DrainBatch(op)
 		}(i, op)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			for _, b := range out {
+				PutBatch(b)
+			}
 			return nil, err
 		}
 	}

@@ -161,83 +161,83 @@ func (b *Batch) keyValues(vals []types.Value, cols []int, evals []Evaluator, pos
 	return null, nil
 }
 
-// mergeTuples overlays the non-NULL regions of two same-width padded tuples.
-// Tuple regions are disjoint by construction (each base table owns a column
-// range), so a plain position-wise overlay is correct.
-func mergeTuples(a, b []types.Value) []types.Value {
-	out := make([]types.Value, len(a))
-	copy(out, a)
-	for i, v := range b {
-		if !v.IsNull() {
-			out[i] = v
-		}
-	}
-	return out
+// BatchNestedLoopJoin pairs every tuple of Outer with every tuple of Inner:
+// the join of relations no equality connects, a cross product with Kernel,
+// or the filters above it, deciding which pairs survive. The inner side is
+// collected into one batch; an outer batch is paired with it a few outer
+// tuples at a time, so that an output batch holds about BatchSize pairs, and
+// the columns in Need are gathered into it as BatchHashJoin gathers them.
+type BatchNestedLoopJoin struct {
+	Outer, Inner BatchOperator
+	Kernel       Kernel // the join predicate over the pairs; may be nil
+	// Need lists the tuple offsets the plan reads above the join; nil
+	// carries every column of both sides.
+	Need []int
+
+	inner *Batch // the collected inner side; nil when it is empty
+	cur   *Batch // the outer batch being paired
+	at    int    // where in cur's selection pairing resumes
+	pos   []int  // per output tuple: outer position
+	hit   []int  // per output tuple: inner position
+	every []int  // Need == nil: every tuple offset
 }
 
-// NestedLoopJoin materializes the inner side and runs the (smaller) loop for
-// every outer tuple, applying an arbitrary join predicate. It is the
-// fallback for non-equijoin predicates and cross products.
-type NestedLoopJoin struct {
-	Outer, Inner Operator
-	Pred         Evaluator // may be nil for a pure cross product
-
-	inner    [][]types.Value
-	outerRow []types.Value
-	idx      int
-	open     bool
-}
-
-// Open materializes the inner side.
-func (j *NestedLoopJoin) Open() error {
+// Open opens the outer side and collects the inner one; when that fails the
+// outer side is closed again.
+func (j *BatchNestedLoopJoin) Open() error {
 	if err := j.Outer.Open(); err != nil {
 		return err
 	}
-	rows, err := Drain(j.Inner)
+	inner, err := DrainBatch(j.Inner)
 	if err != nil {
 		j.Outer.Close()
 		return err
 	}
-	j.inner = rows
-	j.outerRow = nil
-	j.idx = 0
-	j.open = true
+	j.inner, j.cur, j.at = inner, nil, 0
 	return nil
 }
 
-// Next emits the next qualifying pair.
-func (j *NestedLoopJoin) Next() ([]types.Value, bool, error) {
-	for {
-		if j.outerRow == nil {
-			row, ok, err := j.Outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
+// NextBatch emits the next batch of pairs the kernel keeps.
+func (j *BatchNestedLoopJoin) NextBatch() (*Batch, error) {
+	for j.inner != nil {
+		if j.cur == nil {
+			b, err := j.Outer.NextBatch()
+			if err != nil || b == nil {
+				return nil, err
 			}
-			j.outerRow = row
-			j.idx = 0
+			j.cur, j.at = b, 0
 		}
-		for j.idx < len(j.inner) {
-			inner := j.inner[j.idx]
-			j.idx++
-			merged := mergeTuples(j.outerRow, inner)
-			ok, err := EvalPredicate(j.Pred, merged)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return merged, true, nil
+		j.pos, j.hit = j.pos[:0], j.hit[:0]
+		for ; j.at < j.cur.Len() && len(j.pos) < BatchSize; j.at++ {
+			for _, q := range j.inner.Sel {
+				j.pos = append(j.pos, j.cur.Sel[j.at])
+				j.hit = append(j.hit, q)
 			}
 		}
-		j.outerRow = nil
+		out := joined(len(j.pos), needOf(j.Need, &j.every, len(j.cur.Cols)), j.cur, j.pos, j.inner, j.hit)
+		if j.at == j.cur.Len() {
+			PutBatch(j.cur)
+			j.cur = nil
+		}
+		if j.Kernel != nil {
+			if err := j.Kernel(out); err != nil {
+				PutBatch(out)
+				return nil, err
+			}
+		}
+		if out.Len() > 0 {
+			return out, nil
+		}
+		PutBatch(out)
 	}
+	return nil, nil
 }
 
 // Close releases both sides.
-func (j *NestedLoopJoin) Close() error {
-	j.inner, j.outerRow = nil, nil
-	if !j.open {
-		return nil
-	}
-	j.open = false
+func (j *BatchNestedLoopJoin) Close() error {
+	PutBatch(j.inner)
+	PutBatch(j.cur)
+	j.inner, j.cur = nil, nil
+	j.pos, j.hit = recycled(j.pos, keptScratch), recycled(j.hit, keptScratch)
 	return j.Outer.Close()
 }

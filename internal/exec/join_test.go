@@ -76,9 +76,7 @@ func TestBatchHashJoinImpureKeyColumn(t *testing.T) {
 		a, b := row[0], row[2]
 		return types.NewBool(!a.IsNull() && !b.IsNull() && RowKey(row[0:1]) == RowKey(row[2:3])), nil
 	}
-	want, err := Drain(&NestedLoopJoin{
-		Outer: &RowFromBatch{Src: build()}, Inner: &RowFromBatch{Src: probe()}, Pred: sameKey,
-	})
+	want, err := Drain(&BatchNestedLoopJoin{Outer: build(), Inner: probe(), Kernel: EvalKernel(sameKey)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,28 +101,27 @@ func TestBatchHashJoinImpureKeyColumn(t *testing.T) {
 	}
 }
 
-// TestBatchHashJoinOverNestedLoopOutput: a nested-loop join's tuples reach a
-// hash join through the row→batch shim, which carries every column of the
-// layout — NULL wherever the other side's bindings are. The join must take
-// each column from the side that holds it, as merging the tuples would.
+// TestBatchHashJoinOverNestedLoopOutput: a nested-loop join's pairs feed a
+// hash join, each side's columns gathered from the side that carries them;
+// the hash join takes each column from the side that holds it.
 func TestBatchHashJoinOverNestedLoopOutput(t *testing.T) {
 	act, m := testActivity(t)
 	r1, r2 := routingTable(t, m), routingTable(t, m)
 	layout := NewLayout([]Binding{{Name: "r1", Table: r1}, {Name: "a", Table: act}, {Name: "r2", Table: r2}})
 	width, snap := layout.Width(), m.ReadSnapshot()
-	scan := func(b int) *RowFromBatch {
-		return &RowFromBatch{Src: &BatchScan{Table: layout.Bindings[b].Table, Snap: snap, Offset: layout.Bindings[b].Offset, Width: width}}
+	scan := func(b int) BatchOperator {
+		return &BatchScan{Table: layout.Bindings[b].Table, Snap: snap, Offset: layout.Bindings[b].Offset, Width: width}
 	}
 	got := drainBatches(t, &BatchHashJoin{
-		Build:     scan(2).Src,
-		Probe:     ToBatch(&NestedLoopJoin{Outer: scan(0), Inner: scan(1)}),
+		Build:     scan(2),
+		Probe:     &BatchNestedLoopJoin{Outer: scan(0), Inner: scan(1)},
 		BuildKeys: []Evaluator{compileOn(t, layout, "r2.neighbor")},
 		ProbeKeys: []Evaluator{compileOn(t, layout, "a.mach_id")},
 	})
-	want, err := Drain(&NestedLoopJoin{
-		Outer: &NestedLoopJoin{Outer: scan(0), Inner: scan(1)},
-		Inner: scan(2),
-		Pred:  compileOn(t, layout, "r2.neighbor = a.mach_id"),
+	want, err := Drain(&BatchNestedLoopJoin{
+		Outer:  &BatchNestedLoopJoin{Outer: scan(0), Inner: scan(1)},
+		Inner:  scan(2),
+		Kernel: EvalKernel(compileOn(t, layout, "r2.neighbor = a.mach_id")),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +144,9 @@ func TestBatchHashJoinOverNestedLoopOutput(t *testing.T) {
 // side that hits a run-time error (arithmetic on TEXT, say).
 type failingOp struct{}
 
-func (failingOp) Open() error                        { return nil }
-func (failingOp) Next() ([]types.Value, bool, error) { return nil, false, errors.New("boom") }
-func (failingOp) NextBatch() (*Batch, error)         { return nil, errors.New("boom") }
-func (failingOp) Close() error                       { return nil }
+func (failingOp) Open() error                { return nil }
+func (failingOp) NextBatch() (*Batch, error) { return nil, errors.New("boom") }
+func (failingOp) Close() error               { return nil }
 
 // settledGoroutines waits for the goroutine count to fall back to at most
 // base (exiting workers need a moment to be reaped) and returns the count.
@@ -175,16 +171,16 @@ func TestFailedOpenReapsScanWorkers(t *testing.T) {
 		return &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 3, MorselSize: 16}
 	}
 	keys := []Evaluator{col(0)}
-	joins := map[string]func() Operator{
-		"BatchHashJoin": func() Operator {
-			return &RowFromBatch{Src: &BatchHashJoin{Build: failingOp{}, Probe: probe(), BuildKeys: keys, ProbeKeys: keys}}
+	joins := map[string]func() BatchOperator{
+		"BatchHashJoin": func() BatchOperator {
+			return &BatchHashJoin{Build: failingOp{}, Probe: probe(), BuildKeys: keys, ProbeKeys: keys}
 		},
-		"NestedLoopJoin": func() Operator {
-			return &NestedLoopJoin{Outer: &RowFromBatch{Src: probe()}, Inner: failingOp{}}
+		"NestedLoopJoin": func() BatchOperator {
+			return &BatchNestedLoopJoin{Outer: probe(), Inner: failingOp{}}
 		},
 		// The probe side failing at run time goes through Drain's Close.
-		"probe-side": func() Operator {
-			return &RowFromBatch{Src: &BatchHashJoin{Build: probe(), Probe: failingOp{}, BuildKeys: keys, ProbeKeys: keys}}
+		"probe-side": func() BatchOperator {
+			return &BatchHashJoin{Build: probe(), Probe: failingOp{}, BuildKeys: keys, ProbeKeys: keys}
 		},
 	}
 	for name, mk := range joins {

@@ -64,7 +64,7 @@ func kernelIDs(t *testing.T, tbl *storage.Table, m *txn.Manager, exprSQL string)
 	if err != nil {
 		t.Fatalf("compile kernel %q: %v", exprSQL, err)
 	}
-	rows, err := Drain(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: k}})
+	rows, err := Drain(&BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: k})
 	if err != nil {
 		t.Fatalf("run kernel %q: %v", exprSQL, err)
 	}
@@ -206,7 +206,7 @@ func TestKernelErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Drain(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: k}})
+	_, err = Drain(&BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: k})
 	if err == nil || !strings.Contains(err.Error(), "compare") {
 		t.Fatalf("expected comparison error, got %v", err)
 	}

@@ -1,10 +1,10 @@
 // Package exec implements the physical execution layer of the TRAC engine:
 // compiled expression evaluation with SQL three-valued logic, and operator
-// trees running against MVCC snapshots. Scans, filters, projections, hash
-// joins, semi-joins, DISTINCT and aggregation speak columnar batches
-// (BatchOperator); what runs above the one batch→row bridge — sort, limit,
-// union, a nested-loop join, the tail over aggregated groups — speaks rows
-// (Operator).
+// trees running against MVCC snapshots. Every operator — scans, filters,
+// projections, joins, semi-joins, DISTINCT, aggregation, sort, limit and
+// union — speaks columnar batches (BatchOperator); tuples are minted only
+// where an answer leaves as rows (Drain) and boxed one at a time where a
+// compiled Evaluator reads one (Batch.RowAt).
 package exec
 
 import (

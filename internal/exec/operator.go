@@ -10,181 +10,88 @@ import (
 	"trac/internal/types"
 )
 
-// Operator is the iterator-model interface every physical operator
-// implements. The contract is Open, then Next until ok=false, then Close.
-type Operator interface {
-	// Open prepares the operator for iteration.
-	Open() error
-	// Next produces the next tuple; ok=false signals exhaustion.
-	Next() (row []types.Value, ok bool, err error)
-	// Close releases resources. It is safe to call after exhaustion.
-	Close() error
-}
-
-// Drain runs an operator to completion and collects its output. A root that
-// bridges a batch pipeline is pulled batch-at-a-time and its tuples minted
-// here; an operator that knows how many tuples it holds (bounded) sizes the
-// result.
-func Drain(op Operator) ([][]types.Value, error) {
+// Drain runs an operator to completion and mints its output as tuples: the
+// edge where an answer leaves the executor as rows (a result's Rows).
+func Drain(op BatchOperator) ([][]types.Value, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	var out [][]types.Value
-	root := unwrap(op)
-	if bd, ok := root.(bounded); ok {
-		if n, known := bd.Bound(); known {
-			out = make([][]types.Value, 0, n)
-		}
-	}
-	if r, ok := root.(*RowFromBatch); ok {
-		for {
-			b, err := r.Src.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			out = b.AppendRows(out)
-			PutBatch(b)
-		}
-		r.Boxed += len(out)
-		return out, nil
-	}
 	for {
-		row, ok, err := op.Next()
+		b, err := op.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if b == nil {
 			return out, nil
 		}
-		out = append(out, row)
+		out = b.AppendRows(out)
+		PutBatch(b)
 	}
 }
 
 // DrainBatch runs an operator to completion and returns its output unboxed,
 // as one batch the caller owns and recycles with PutBatch (nil when there is
-// none). A root that bridges a batch pipeline hands its batches over as they
-// are — one batch whole, several gathered into one — and mints no tuple; any
-// other root's tuples are transposed into the batch once (BatchOf).
-func DrainBatch(op Operator) (*Batch, error) {
-	if r, ok := unwrap(op).(*RowFromBatch); ok {
-		if err := op.Open(); err != nil {
-			return nil, err
-		}
-		defer op.Close()
-		return gatherAll(r.Src)
-	}
-	rows, err := Drain(op)
-	if err != nil {
+// none): the operator's own batch when it emits just one, otherwise its
+// batches gathered into one, in order (concat).
+func DrainBatch(op BatchOperator) (*Batch, error) {
+	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	return BatchOf(rows), nil
-}
-
-// BatchOf transposes tuples of one width into a batch the caller owns (nil
-// when there are none): each column is typed by its first non-NULL value and
-// turns generic where a later value's kind differs (vecSet).
-func BatchOf(rows [][]types.Value) *Batch {
-	if len(rows) == 0 {
-		return nil
-	}
-	b := GetBatch()
-	b.Shape(len(rows[0]), len(rows))
-	for c := range b.Cols {
-		kind := types.KindNull
-		for _, row := range rows {
-			if !row[c].IsNull() {
-				kind = row[c].Kind()
-				break
-			}
+	defer op.Close()
+	var c concat
+	for {
+		b, err := op.NextBatch()
+		if err != nil {
+			PutBatch(c.all)
+			return nil, err
 		}
-		cv := b.NewVec(kind)
-		vecResize(cv, len(rows))
-		for k, row := range rows {
-			vecSet(cv, k, row[c])
+		if b == nil {
+			return c.done(), nil
 		}
-		b.Cols[c] = cv
+		c.add(b)
 	}
-	b.SelectAll()
-	return b
 }
 
 // wrapper is implemented by a plan root that stands in front of an operator
 // tree without being part of it — the planner's hold on a reusable tree,
-// which hands the tree back when closed. Drain and the tree walks look
-// through it.
+// which hands the tree back when closed. The tree walks look through it.
 type wrapper interface {
-	Unwrap() Operator
+	Unwrap() BatchOperator
 }
 
-// unwrap looks through a wrapper to the tree's own root.
-func unwrap(op Operator) Operator {
-	if w, ok := op.(wrapper); ok {
-		return w.Unwrap()
-	}
-	return op
-}
-
-// bounded is implemented by operators that, once open, can state an upper
-// bound on the tuples they have yet to emit: a materialized aggregate, sort
-// or semi-join, and the pass-through operators above one.
-type bounded interface {
-	Bound() (n int, known bool)
-}
-
-// boundOf asks an operator (row or batch) for its bound.
-func boundOf(op any) (int, bool) {
-	if bd, ok := op.(bounded); ok {
-		return bd.Bound()
-	}
-	return 0, false
-}
-
-// eachInput calls fn with every operator, row or batch, directly beneath a
-// plan node.
-func eachInput(node any, fn func(any)) {
+// eachInput calls fn with every operator directly beneath a plan node.
+func eachInput(node BatchOperator, fn func(BatchOperator)) {
 	switch n := node.(type) {
-	case *RowFromBatch:
-		fn(n.Src)
-	case *rowSource:
-		fn(n.child)
-	case *Filter:
-		fn(n.Child)
-	case *Project:
-		fn(n.Child)
-	case *Sort:
-		fn(n.Child)
-	case *Limit:
-		fn(n.Child)
-	case *Distinct:
-		fn(n.Child)
-	case *BatchGroupAggregate:
-		fn(n.Src)
-	case *ParallelGroupAggregate:
-		fn(n.Scan)
-	case *NestedLoopJoin:
-		fn(n.Outer)
-		fn(n.Inner)
-	case *Union:
-		for _, c := range n.Children {
-			fn(c)
-		}
-	case *Exchange:
-		for _, c := range n.Children {
-			fn(c)
-		}
 	case *BatchFilter:
 		fn(n.Child)
 	case *BatchProject:
 		fn(n.Child)
 	case *BatchDistinct:
 		fn(n.Child)
+	case *BatchSort:
+		fn(n.Child)
+	case *BatchLimit:
+		fn(n.Child)
+	case *BatchUnion:
+		for _, c := range n.Children {
+			fn(c)
+		}
+	case *BatchGroupAggregate:
+		fn(n.Src)
+	case *ParallelGroupAggregate:
+		fn(n.Scan)
+	case *Exchange:
+		for _, c := range n.Children {
+			fn(c)
+		}
 	case *BatchHashJoin:
 		fn(n.Build)
 		fn(n.Probe)
+	case *BatchNestedLoopJoin:
+		fn(n.Outer)
+		fn(n.Inner)
 	case *SemiJoin:
 		fn(n.Anchor)
 		for _, arm := range n.Arms {
@@ -199,10 +106,8 @@ func eachInput(node any, fn func(any)) {
 
 // Scans calls fn with the table and the snapshot field of every scan in an
 // operator tree: what running the tree again at another snapshot re-binds.
-func Scans(op Operator, fn func(*storage.Table, *txn.Snapshot)) { scans(op, fn) }
-
-func scans(node any, fn func(*storage.Table, *txn.Snapshot)) {
-	switch n := node.(type) {
+func Scans(op BatchOperator, fn func(*storage.Table, *txn.Snapshot)) {
+	switch n := op.(type) {
 	case *IndexScan:
 		fn(n.Table, &n.Snap)
 	case *BatchScan:
@@ -212,7 +117,7 @@ func scans(node any, fn func(*storage.Table, *txn.Snapshot)) {
 	case *StatAggScan:
 		fn(n.Table, &n.Snap)
 	}
-	eachInput(node, func(in any) { scans(in, fn) })
+	eachInput(op, func(in BatchOperator) { Scans(in, fn) })
 }
 
 // recycled empties a scratch slice for its operator's next run. Its elements
@@ -237,33 +142,12 @@ const keptScratch = 256
 // a user query anchored on a fact table must not pin buffers its size.
 const keptAnchor = 8192
 
-// Vectorized reports whether any part of an operator tree runs
-// batch-at-a-time over column vectors — every plan that reads a table does;
-// a constant SELECT or a gather over materialized rows does not. The bridges
-// (RowFromBatch, the row→batch shim) and a SemiJoin only carry what their
-// inputs produce. The planner records the answer in explain output and the
-// engine surfaces it on results.
-func Vectorized(op Operator) bool { return vectorized(op) }
-
-func vectorized(node any) bool {
-	switch node.(type) {
-	case *BatchScan, *IndexScan, *ParallelScan, *Exchange, *BatchFilter, *BatchProject, *BatchDistinct,
-		*BatchHashJoin, *BatchGroupAggregate, *ParallelGroupAggregate, *StatAggScan:
-		return true
-	}
-	found := false
-	eachInput(node, func(in any) { found = found || vectorized(in) })
-	return found
-}
-
 // ParallelDegree reports the maximum parallel worker count anywhere in an
 // operator tree (1 for a fully single-threaded plan). The planner records it
 // in explain output and the engine surfaces it on results.
-func ParallelDegree(op Operator) int { return parallelDegree(op) }
-
-func parallelDegree(node any) int {
+func ParallelDegree(op BatchOperator) int {
 	d := 1
-	switch n := node.(type) {
+	switch n := op.(type) {
 	case *ParallelScan:
 		d = n.Degree()
 	case *StatAggScan:
@@ -271,25 +155,8 @@ func parallelDegree(node any) int {
 	case *Exchange:
 		d = max(d, len(n.Children))
 	}
-	eachInput(node, func(in any) { d = max(d, parallelDegree(in)) })
+	eachInput(op, func(in BatchOperator) { d = max(d, ParallelDegree(in)) })
 	return d
-}
-
-// RowsBoxed counts the tuples the last execution minted at the plan's
-// batch→row bridges, hash-join build sides excluded (a build side is
-// materialized by design; what the count watches is the probe stream).
-func RowsBoxed(op Operator) int { return rowsBoxed(op) }
-
-func rowsBoxed(node any) int {
-	n := 0
-	switch j := node.(type) {
-	case *RowFromBatch:
-		n = j.Boxed
-	case *BatchHashJoin:
-		return rowsBoxed(j.Probe)
-	}
-	eachInput(node, func(in any) { n += rowsBoxed(in) })
-	return n
 }
 
 // AppendKey appends a canonical, collision-free encoding of the values to

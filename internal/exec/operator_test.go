@@ -39,15 +39,46 @@ func kernelOn(t *testing.T, layout *Layout, src string) Kernel {
 	return k
 }
 
-// drainBatches runs a batch operator to completion through the bridge.
+// drainBatches runs an operator to completion and mints its tuples.
 func drainBatches(t *testing.T, op BatchOperator) [][]types.Value {
 	t.Helper()
-	rows, err := Drain(&RowFromBatch{Src: op})
+	rows, err := Drain(op)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
 }
+
+// tuples is an input over fixed tuples, in batches of at most BatchSize
+// tuples over generic vectors, as any operator may emit them.
+func tuples(rows [][]types.Value) BatchOperator { return &tupleSource{rows: rows} }
+
+type tupleSource struct {
+	rows [][]types.Value
+	pos  int
+}
+
+func (s *tupleSource) Open() error { s.pos = 0; return nil }
+
+func (s *tupleSource) NextBatch() (*Batch, error) {
+	if s.pos >= len(s.rows) {
+		return nil, nil
+	}
+	end := min(s.pos+BatchSize, len(s.rows))
+	b := GetBatch()
+	b.Shape(len(s.rows[s.pos]), end-s.pos)
+	for c := range b.Cols {
+		b.Cols[c] = b.NewVec(types.KindNull)
+		for _, r := range s.rows[s.pos:end] {
+			b.Cols[c].Vals = append(b.Cols[c].Vals, r[c])
+		}
+	}
+	b.SelectAll()
+	s.pos = end
+	return b, nil
+}
+
+func (s *tupleSource) Close() error { return nil }
 
 // visibleRows is the reference a scan is held to: the table's row versions
 // visible under snap, in heap order, on which pred ("" keeps every one) is
@@ -383,10 +414,10 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	width := layout.Width()
 	snap := m.ReadSnapshot()
 
-	side := func(tbl *storage.Table, offset int) Operator {
-		return &RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap, Offset: offset, Width: width}}
+	side := func(tbl *storage.Table, offset int) BatchOperator {
+		return &BatchScan{Table: tbl, Snap: snap, Offset: offset, Width: width}
 	}
-	cross := &NestedLoopJoin{Outer: side(rout, 0), Inner: side(act, layout.Bindings[1].Offset)}
+	cross := &BatchNestedLoopJoin{Outer: side(rout, 0), Inner: side(act, layout.Bindings[1].Offset)}
 	rows, err := Drain(cross)
 	if err != nil {
 		t.Fatal(err)
@@ -394,11 +425,17 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	if len(rows) != 2*3 {
 		t.Fatalf("cross product = %d rows, want 6", len(rows))
 	}
+	for _, r := range rows {
+		// Each side's key column comes from the side that carries it.
+		if r[0].IsNull() || r[layout.Bindings[1].Offset].IsNull() {
+			t.Fatalf("cross product tuple %v lacks a side", r)
+		}
+	}
 
-	pred := &NestedLoopJoin{
-		Outer: side(rout, 0),
-		Inner: side(act, layout.Bindings[1].Offset),
-		Pred:  compileOn(t, layout, "r.neighbor = a.mach_id"),
+	pred := &BatchNestedLoopJoin{
+		Outer:  side(rout, 0),
+		Inner:  side(act, layout.Bindings[1].Offset),
+		Kernel: EvalKernel(compileOn(t, layout, "r.neighbor = a.mach_id")),
 	}
 	rows, err = Drain(pred)
 	if err != nil {
@@ -406,6 +443,23 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	}
 	if len(rows) != 2 { // both routing rows join to m3
 		t.Fatalf("theta join = %d rows, want 2", len(rows))
+	}
+
+	// Only the columns in Need are gathered, each from its own side; with
+	// none, the pairs are counted.
+	need := &BatchNestedLoopJoin{Outer: side(rout, 0), Inner: side(act, layout.Bindings[1].Offset), Need: []int{1, 3}}
+	rows, err = Drain(need)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r[1].IsNull() || r[3].IsNull() || !r[0].IsNull() || !r[4].IsNull() {
+			t.Fatalf("Need [1 3] gathered %v", r)
+		}
+	}
+	count := &BatchNestedLoopJoin{Outer: side(rout, 0), Inner: side(act, layout.Bindings[1].Offset), Need: []int{}}
+	if rows, err = Drain(count); err != nil || len(rows) != 6 {
+		t.Fatalf("count-only cross product: %d tuples, %v", len(rows), err)
 	}
 }
 
@@ -474,51 +528,61 @@ func TestAggregateEmptyInput(t *testing.T) {
 
 func TestSortLimitDistinct(t *testing.T) {
 	data := [][]types.Value{
-		{types.NewInt(3)}, {types.NewInt(1)}, {types.NewInt(2)},
-		{types.NewInt(1)}, {types.NewInt(3)},
+		{types.NewInt(3), types.NewString("a")}, {types.NewInt(1), types.NewString("b")}, {types.NewInt(2), types.NewString("c")},
+		{types.NewInt(1), types.NewString("d")}, {types.NewInt(3), types.NewString("e")},
 	}
-	id := func(row []types.Value) (types.Value, error) { return row[0], nil }
-
-	sorted, err := Drain(&Sort{Child: &ValuesOp{RowsData: data}, Keys: []SortKey{{Expr: id}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 1, 2, 3, 3}
-	for i, r := range sorted {
-		if r[0].Int() != want[i] {
-			t.Fatalf("sorted = %v", sorted)
+	order := func(rows [][]types.Value) string {
+		out := ""
+		for _, r := range rows {
+			out += fmt.Sprint(r[0].Int()) + r[1].Str() + " "
 		}
+		return out
+	}
+	// Ties keep their input order, ascending and descending alike.
+	sorted := drainBatches(t, &BatchSort{Child: tuples(data), Keys: []SortKey{{Expr: col(0)}}})
+	if got := order(sorted); got != "1b 1d 2c 3a 3e " {
+		t.Fatalf("sorted = %s", got)
+	}
+	desc := drainBatches(t, &BatchSort{Child: tuples(data), Keys: []SortKey{{Expr: col(0), Desc: true}}})
+	if got := order(desc); got != "3a 3e 2c 1b 1d " {
+		t.Errorf("desc = %s", got)
 	}
 
-	desc, _ := Drain(&Sort{Child: &ValuesOp{RowsData: data}, Keys: []SortKey{{Expr: id, Desc: true}}})
-	if desc[0][0].Int() != 3 || desc[4][0].Int() != 1 {
-		t.Errorf("desc = %v", desc)
-	}
-
-	limited, _ := Drain(&Limit{Child: &ValuesOp{RowsData: data}, N: 2})
+	limited := drainBatches(t, &BatchLimit{Child: tuples(data), N: 2})
 	if len(limited) != 2 {
 		t.Errorf("limit = %d rows", len(limited))
 	}
 
-	distinct, _ := Drain(&Distinct{Child: &ValuesOp{RowsData: data}})
-	if len(distinct) != 3 {
-		t.Errorf("distinct = %d rows", len(distinct))
+	// DISTINCT after a sort keeps the first of equal tuples in sorted order,
+	// and a LIMIT above it cuts that order.
+	keys := &BatchProject{Child: &BatchSort{Child: tuples(data), Keys: []SortKey{{Expr: col(1), Desc: true}}}, Exprs: []Evaluator{col(0)}, Cols: []int{0}}
+	distinct := drainBatches(t, &BatchLimit{Child: &BatchDistinct{Child: keys}, N: 2})
+	if len(distinct) != 2 || distinct[0][0].Int() != 3 || distinct[1][0].Int() != 1 {
+		t.Errorf("sorted distinct, limited = %v", distinct)
+	}
+
+	// A limit stops pulling once it is reached: a second batch is never
+	// asked for.
+	many := make([][]types.Value, BatchSize+1)
+	for i := range many {
+		many[i] = []types.Value{types.NewInt(int64(i))}
+	}
+	src := &closeCounter{child: tuples(many)}
+	if rows := drainBatches(t, &BatchLimit{Child: src, N: 3}); len(rows) != 3 || src.pulls != 1 {
+		t.Errorf("LIMIT 3 over two batches: %d rows, %d pulls", len(rows), src.pulls)
 	}
 }
 
 func TestUnionSetSemantics(t *testing.T) {
-	mk := func(vals ...int64) Operator {
+	mk := func(vals ...int64) BatchOperator {
 		var rows [][]types.Value
 		for _, v := range vals {
 			rows = append(rows, []types.Value{types.NewInt(v)})
 		}
-		return &ValuesOp{RowsData: rows}
+		return tuples(rows)
 	}
-	u := &Union{Children: []Operator{mk(1, 2, 2), mk(2, 3), mk()}}
-	rows, err := Drain(u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := &BatchUnion{Children: []BatchOperator{mk(1, 2, 2), mk(2, 3), mk()}}
+	rows := drainBatches(t, u)
 	if len(rows) != 3 {
 		t.Fatalf("union = %v", rows)
 	}
@@ -531,17 +595,14 @@ func TestUnionSetSemantics(t *testing.T) {
 func TestProjectAndFilter(t *testing.T) {
 	tbl, m := testActivity(t)
 	layout := layoutFor(tbl, "a")
-	proj := &Project{
-		Child: &Filter{
-			Child: &RowFromBatch{Src: &BatchScan{Table: tbl, Snap: m.ReadSnapshot()}},
-			Pred:  compileOn(t, layout, "value = 'idle'"),
+	proj := &BatchProject{
+		Child: &BatchFilter{
+			Child:  &BatchScan{Table: tbl, Snap: m.ReadSnapshot()},
+			Kernel: EvalKernel(compileOn(t, layout, "value = 'idle'")),
 		},
 		Exprs: []Evaluator{compileOn(t, layout, "mach_id"), compileOn(t, layout, "load * 10")},
 	}
-	rows, err := Drain(proj)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drainBatches(t, proj)
 	if len(rows) != 2 || len(rows[0]) != 2 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -550,10 +611,10 @@ func TestProjectAndFilter(t *testing.T) {
 	}
 }
 
-// TestRowSetAgreesWithTheCanonicalEncoding: a DISTINCT's set of tuples must
-// treat two tuples as one exactly when AppendKey encodes them alike — 3 and
-// 3.0, 0 and -0, NaN and NaN, NULL and NULL are one value; 3 and '3', a
-// timestamp and the integer of its nanoseconds, are two.
+// TestRowSetAgreesWithTheCanonicalEncoding: the set of tuples a DISTINCT
+// keeps (dedup) must treat two tuples as one exactly when AppendKey encodes
+// them alike — 3 and 3.0, 0 and -0, NaN and NaN, NULL and NULL are one value;
+// 3 and '3', a timestamp and the integer of its nanoseconds, are two.
 func TestRowSetAgreesWithTheCanonicalEncoding(t *testing.T) {
 	zoo := []types.Value{
 		types.Null, types.NewBool(true), types.NewBool(false),
@@ -569,12 +630,21 @@ func TestRowSetAgreesWithTheCanonicalEncoding(t *testing.T) {
 			rows = append(rows, []types.Value{a, b}, []types.Value{b, a})
 		}
 	}
-	set, keys := newRowSet(0), map[string]bool{}
-	for i, r := range rows {
-		fresh := !keys[RowKey(r)]
-		keys[RowKey(r)] = true
-		if got := set.add(r); got != fresh {
-			t.Fatalf("tuple %d %v: rowSet says new=%v, its encoding %q says new=%v", i, r, got, RowKey(r), fresh)
+	var want []string
+	keys := map[string]bool{}
+	for _, r := range rows {
+		if !keys[RowKey(r)] {
+			keys[RowKey(r)] = true
+			want = append(want, RowKey(r))
+		}
+	}
+	got := drainBatches(t, &BatchDistinct{Child: tuples(rows)})
+	if len(got) != len(want) {
+		t.Fatalf("DISTINCT kept %d tuples, the encoding says %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if RowKey(r) != want[i] {
+			t.Fatalf("tuple %d: DISTINCT kept %v, the encoding's first occurrence is %q", i, r, want[i])
 		}
 	}
 }

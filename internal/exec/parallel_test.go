@@ -139,33 +139,34 @@ func TestParallelScanOutputDoesNotAliasHeap(t *testing.T) {
 	}
 }
 
-// errOp fails on Next after emitting a few rows.
+// errOp emits one batch of three tuples, then fails.
 type errOp struct {
-	emitted int
+	emitted bool
 }
 
-func (o *errOp) Open() error { o.emitted = 0; return nil }
-func (o *errOp) Next() ([]types.Value, bool, error) {
-	if o.emitted < 3 {
-		o.emitted++
-		return []types.Value{types.NewInt(int64(o.emitted))}, true, nil
+func (o *errOp) Open() error { o.emitted = false; return nil }
+func (o *errOp) NextBatch() (*Batch, error) {
+	if o.emitted {
+		return nil, errors.New("boom")
 	}
-	return nil, false, errors.New("boom")
+	o.emitted = true
+	src := tupleSource{rows: intRows(1, 2, 3)}
+	return src.NextBatch()
 }
 func (o *errOp) Close() error { return nil }
 
 func TestExchangePropagatesChildError(t *testing.T) {
 	ex := &Exchange{Children: []BatchOperator{
-		ToBatch(&ValuesOp{RowsData: intRows(1, 2, 3)}),
-		ToBatch(&errOp{}),
+		tuples(intRows(1, 2, 3)),
+		&errOp{},
 	}}
-	_, err := Drain(&RowFromBatch{Src: ex})
+	_, err := Drain(ex)
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The exchange must be re-openable after a failed run.
-	ex2 := &Exchange{Children: []BatchOperator{ToBatch(&ValuesOp{RowsData: intRows(4, 5)})}}
-	rows, err := Drain(&RowFromBatch{Src: ex2})
+	ex2 := &Exchange{Children: []BatchOperator{tuples(intRows(4, 5))}}
+	rows, err := Drain(ex2)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("clean exchange: %v, %v", rows, err)
 	}
@@ -233,11 +234,11 @@ func TestHashJoinParallelBuildMatchesSerial(t *testing.T) {
 }
 
 func TestRetainingOperatorsOverParallelScan(t *testing.T) {
-	// A Sort retains its child's rows across Next calls and an aggregation
-	// its group keys across batches; ParallelScan feeds them from concurrent
-	// workers. Every tuple the bridge mints must be an independent
-	// allocation, and every key the aggregation keeps a copy, or retained
-	// values would be recycled underneath them.
+	// A sort collects its child's batches and an aggregation keeps its group
+	// keys across batches; ParallelScan feeds them from concurrent workers.
+	// What the sort collects must be copied out of the workers' batches, and
+	// every key the aggregation keeps a copy, or retained values would be
+	// recycled underneath them.
 	tbl, m := bigActivity(t, 600)
 	layout := layoutFor(tbl, "a")
 	snap := m.ReadSnapshot()
@@ -245,8 +246,8 @@ func TestRetainingOperatorsOverParallelScan(t *testing.T) {
 		return &ParallelScan{Table: tbl, Snap: snap, Workers: 4, MorselSize: 16}
 	}
 
-	sorted, err := Drain(&Sort{
-		Child: &RowFromBatch{Src: scan()},
+	sorted, err := Drain(&BatchSort{
+		Child: scan(),
 		Keys:  []SortKey{{Expr: compileOn(t, layout, "mach_id")}, {Expr: compileOn(t, layout, "value")}},
 	})
 	if err != nil {
@@ -285,15 +286,15 @@ func TestParallelDegreeWalk(t *testing.T) {
 	tbl, m := bigActivity(t, 100)
 	snap := m.ReadSnapshot()
 	ps := &ParallelScan{Table: tbl, Snap: snap, Workers: 6}
-	plan := &Limit{Child: &Sort{Child: &Filter{Child: &RowFromBatch{Src: ps}}}}
+	plan := &BatchLimit{Child: &BatchSort{Child: &BatchFilter{Child: ps}}}
 	if d := ParallelDegree(plan); d != 6 {
 		t.Errorf("degree through filter/sort/limit = %d, want 6", d)
 	}
-	join := &RowFromBatch{Src: &BatchHashJoin{Build: ps, Probe: &BatchScan{Table: tbl, Snap: snap}}}
+	join := &BatchHashJoin{Build: ps, Probe: &BatchScan{Table: tbl, Snap: snap}}
 	if d := ParallelDegree(join); d != 6 {
 		t.Errorf("degree through join build = %d, want 6", d)
 	}
-	if d := ParallelDegree(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap}}); d != 1 {
+	if d := ParallelDegree(&BatchScan{Table: tbl, Snap: snap}); d != 1 {
 		t.Errorf("seq scan degree = %d, want 1", d)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // operator must hold nothing of the run.
 type reopenCase struct {
 	name   string
-	op     Operator
+	op     BatchOperator
 	sorted bool         // the output order is not fixed (parallel workers)
 	counts func() []int // the run's counters
 	holds  func() []string
@@ -52,10 +52,8 @@ func reopenCases(t *testing.T) []reopenCase {
 	}
 	is := &IndexScan{Table: act, Index: act.Index(0), Snap: am.ReadSnapshot(),
 		Keys: []types.Value{types.NewString("m1"), types.NewString("m3")}}
-	isRoot := &RowFromBatch{Src: is}
-	add(reopenCase{name: "IndexScan", op: isRoot,
-		counts: func() []int { return []int{isRoot.Boxed} },
-		holds:  func() []string { return holding("row pointers", nonNil(is.matches)) }})
+	add(reopenCase{name: "IndexScan", op: is,
+		holds: func() []string { return holding("row pointers", nonNil(is.matches)) }})
 
 	agg, gm := aggFixture(t)
 	layout := layoutFor(agg, "a")
@@ -69,24 +67,19 @@ func reopenCases(t *testing.T) []reopenCase {
 		t.Fatal(err)
 	}
 	bs := &BatchScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernelOn(t, layout, "id < 150"), SegFilter: segf}
-	bsRoot := &RowFromBatch{Src: bs}
-	add(reopenCase{name: "BatchScan", op: bsRoot,
-		counts: func() []int { return []int{bs.PrunedSegments, bs.ScannedSegments, bsRoot.Boxed} },
+	add(reopenCase{name: "BatchScan", op: bs,
+		counts: func() []int { return []int{bs.PrunedSegments, bs.ScannedSegments} },
 		holds:  func() []string { return holding("heap windows", bs.win != nil) }})
 
 	ps := &ParallelScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernel, Workers: 2, MorselSize: 64}
-	psRoot := &RowFromBatch{Src: ps}
-	add(reopenCase{name: "ParallelScan", op: psRoot, sorted: true,
-		counts: func() []int { return []int{psRoot.Boxed} },
-		holds:  func() []string { return holding("exchange", ps.ex != nil) }})
+	add(reopenCase{name: "ParallelScan", op: ps, sorted: true,
+		holds: func() []string { return holding("exchange", ps.ex != nil) }})
 
 	ex := &Exchange{Children: []BatchOperator{
-		ToBatch(&ValuesOp{RowsData: strRows("a", "b")}), ToBatch(&ValuesOp{RowsData: strRows("c")}),
+		tuples(strRows("a", "b")), tuples(strRows("c")),
 	}}
-	exRoot := &RowFromBatch{Src: ex}
-	add(reopenCase{name: "Exchange", op: exRoot, sorted: true,
-		counts: func() []int { return []int{exRoot.Boxed} },
-		holds:  func() []string { return holding("producers", ex.stop != nil) }})
+	add(reopenCase{name: "Exchange", op: ex, sorted: true,
+		holds: func() []string { return holding("producers", ex.stop != nil) }})
 
 	sa := statAggFor(t, agg, gm.ReadSnapshot(), "id < 150 OR id >= 400", 1)
 	add(reopenCase{name: "StatAggScan", op: sa,
@@ -95,21 +88,19 @@ func reopenCases(t *testing.T) []reopenCase {
 
 	build, probe, bk, pk, _ := joinFixture(t, 300)
 	hj := &BatchHashJoin{Build: build(), Probe: probe(), BuildKeys: bk, ProbeKeys: pk}
-	hjRoot := &RowFromBatch{Src: hj}
-	add(reopenCase{name: "BatchHashJoin", op: hjRoot,
-		counts: func() []int { return []int{hj.Probed, hjRoot.Boxed} },
+	add(reopenCase{name: "BatchHashJoin", op: hj,
+		counts: func() []int { return []int{hj.Probed} },
 		holds:  func() []string { return holding("build side", hj.build != nil, "hash table", hj.idx != nil) }})
 
 	sp := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: [][]types.Value{{types.NewString("b"), types.NewInt(1)}, {types.NewString("c"), types.NewInt(2)}, {types.NewString("b"), types.NewInt(3)}}}),
+		Src:        tuples([][]types.Value{{types.NewString("b"), types.NewInt(1)}, {types.NewString("c"), types.NewInt(2)}, {types.NewString("b"), types.NewInt(3)}}),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 		Residual: func(row []types.Value) (types.Value, error) { return types.NewBool(row[1].Int() > 1), nil },
 		Width:    2,
 	}
-	sj := &SemiJoin{Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c")}), Arms: []SemiArm{{Probes: []*SemiProbe{sp}}}}
-	sjRoot := &RowFromBatch{Src: sj}
-	add(reopenCase{name: "SemiJoin", op: sjRoot,
-		counts: func() []int { return []int{sp.Probed, boolInt(sp.Exhausted), sjRoot.Boxed} },
+	sj := &SemiJoin{Anchor: tuples(strRows("a", "b", "c")), Arms: []SemiArm{{Probes: []*SemiProbe{sp}}}}
+	add(reopenCase{name: "SemiJoin", op: sj,
+		counts: func() []int { return []int{sp.Probed, boolInt(sp.Exhausted)} },
 		holds: func() []string {
 			return holding("anchor batch", sj.out != nil, "merged tuple", nonNil(sj.merged),
 				"probe state", sj.st.anchor != nil || sj.st.cand != nil || sj.st.idx != nil || nonNil(sj.st.mark))
@@ -118,15 +109,14 @@ func reopenCases(t *testing.T) []reopenCase {
 	// An anchored union whose second arm narrows the anchor with a kernel:
 	// the arm's candidate selection and the emitted marks are the operator's
 	// own buffers, and no run may start from what the last one left in them.
-	first := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("m2")}),
+	first := &SemiProbe{Src: tuples(strRows("m2")),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
 	au := &SemiJoin{Anchor: &BatchScan{Table: act, Snap: am.ReadSnapshot()}, Arms: []SemiArm{
 		{Probes: []*SemiProbe{first}},
 		{Kernel: kernelOn(t, layoutFor(act, "a"), "value = 'idle' AND mach_id <> 'm3'")},
 	}}
-	auRoot := &RowFromBatch{Src: au}
-	add(reopenCase{name: "AnchoredUnionArmKernel", op: auRoot,
-		counts: func() []int { return []int{first.Probed, auRoot.Boxed} },
+	add(reopenCase{name: "AnchoredUnionArmKernel", op: au,
+		counts: func() []int { return []int{first.Probed} },
 		holds: func() []string {
 			return holding("anchor batch", au.out != nil, "arm selection", len(au.cand) > 0, "emitted marks", nonNil(au.done))
 		}})
@@ -137,59 +127,52 @@ func reopenCases(t *testing.T) []reopenCase {
 	for i := range many {
 		many[i] = fmt.Sprintf("s%d", i)
 	}
-	bigProbe := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("s1", many[keptAnchor])}),
+	bigProbe := &SemiProbe{Src: tuples(strRows("s1", many[keptAnchor])),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
-	big := &SemiJoin{Anchor: ToBatch(&ValuesOp{RowsData: strRows(many...)}), Arms: []SemiArm{{Probes: []*SemiProbe{bigProbe}}}}
-	bigRoot := &RowFromBatch{Src: big}
-	add(reopenCase{name: "SemiJoinPastKeptAnchor", op: bigRoot,
-		counts: func() []int { return []int{bigProbe.Probed, bigRoot.Boxed} },
+	big := &SemiJoin{Anchor: tuples(strRows(many...)), Arms: []SemiArm{{Probes: []*SemiProbe{bigProbe}}}}
+	add(reopenCase{name: "SemiJoinPastKeptAnchor", op: big,
+		counts: func() []int { return []int{bigProbe.Probed} },
 		holds: func() []string {
 			return holding("emitted marks", cap(big.done) > 0, "arm selection", cap(big.cand) > 0, "probe marks", cap(big.st.mark) > 0)
 		}})
 
-	bd := &BatchDistinct{Child: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "a", "", "")})}
-	bdRoot := &RowFromBatch{Src: bd}
-	add(reopenCase{name: "BatchDistinct", op: bdRoot,
-		counts: func() []int { return []int{bdRoot.Boxed} },
-		holds:  func() []string { return holding("deduplicated batch", bd.out != nil) }})
+	bd := &BatchDistinct{Child: tuples(strRows("a", "b", "a", "", ""))}
+	add(reopenCase{name: "BatchDistinct", op: bd,
+		holds: func() []string { return holding("deduplicated batch", bd.out != nil) }})
 
-	ga := &BatchGroupAggregate{Src: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "a")}),
+	ga := &BatchGroupAggregate{Src: tuples(strRows("a", "b", "a")),
 		Keys: []Evaluator{col(0)}, Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}}}
 	add(reopenCase{name: "BatchGroupAggregate", op: ga,
 		holds: func() []string { return holding("groups", ga.out != nil) }})
 
-	so := &Sort{Child: &ValuesOp{RowsData: strRows("c", "a", "b")}, Keys: []SortKey{{Expr: col(0)}}}
+	so := &BatchSort{Child: tuples(strRows("c", "a", "b")), Keys: []SortKey{{Expr: col(0)}}}
 	add(reopenCase{name: "Sort", op: so,
-		holds: func() []string { return holding("sorted rows", so.rows != nil) }})
+		holds: func() []string { return holding("sorted batch", so.out != nil) }})
 
-	li := &Limit{Child: &ValuesOp{RowsData: strRows("a", "b", "c")}, N: 2}
+	li := &BatchLimit{Child: tuples(strRows("a", "b", "c")), N: 2}
 	add(reopenCase{name: "Limit", op: li,
 		counts: func() []int { return []int{int(li.emitted)} }})
 
-	un := &Union{Children: []Operator{&ValuesOp{RowsData: strRows("a", "b")}, &ValuesOp{RowsData: strRows("b", "c")}}}
+	un := &BatchUnion{Children: []BatchOperator{tuples(strRows("a", "b")), tuples(strRows("b", "c"))}}
 	add(reopenCase{name: "Union", op: un,
-		holds: func() []string { return holding("seen set", un.seen != nil) }})
+		holds: func() []string { return holding("united batch", un.out != nil) }})
 
-	pad := func(a, b string) []types.Value {
-		row := []types.Value{types.Null, types.Null}
-		if a != "" {
-			row[0] = types.NewString(a)
-		}
-		if b != "" {
-			row[1] = types.NewString(b)
-		}
-		return row
-	}
-	nl := &NestedLoopJoin{
-		Outer: &ValuesOp{RowsData: [][]types.Value{pad("x", ""), pad("y", "")}},
-		Inner: &ValuesOp{RowsData: [][]types.Value{pad("", "1"), pad("", "2")}},
+	// Activity against itself: each side carries its own columns only.
+	arity := act.Schema.NumColumns()
+	nl := &BatchNestedLoopJoin{
+		Outer:  &BatchScan{Table: act, Snap: am.ReadSnapshot(), Width: 2 * arity},
+		Inner:  &BatchScan{Table: act, Snap: am.ReadSnapshot(), Offset: arity, Width: 2 * arity},
+		Kernel: EvalKernel(compileOn(t, NewLayout([]Binding{{Name: "a", Table: act}, {Name: "b", Table: act}}), "a.load < b.load")),
 	}
 	add(reopenCase{name: "NestedLoopJoin", op: nl,
-		holds: func() []string { return holding("inner rows", nl.inner != nil, "outer tuple", nl.outerRow != nil) }})
+		holds: func() []string {
+			return holding("inner batch", nl.inner != nil, "outer batch", nl.cur != nil, "pairs", nonNil(nl.pos) || nonNil(nl.hit))
+		}})
 
-	vo := &ValuesOp{RowsData: strRows("a", "b")}
-	add(reopenCase{name: "ValuesOp", op: vo,
-		counts: func() []int { n, _ := vo.Bound(); return []int{n} }})
+	// The values source of a constant SELECT, under its projection.
+	one := &OneRow{}
+	add(reopenCase{name: "ValuesOp", op: &BatchProject{Child: one, Exprs: []Evaluator{func([]types.Value) (types.Value, error) { return types.NewInt(1), nil }}},
+		holds: func() []string { return holding("tuple", one.out != nil) }})
 	return cases
 }
 
@@ -251,9 +234,9 @@ func TestReopenCarriesNothingOver(t *testing.T) {
 // keptAnchor positions a closed SemiJoin keeps its position buffers, zeroed,
 // so the next run of a recency template does not allocate them again.
 func TestSemiJoinKeepsSmallPositionBuffers(t *testing.T) {
-	p := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("b")}), AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
-	sj := &SemiJoin{Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c")}), Arms: []SemiArm{{Probes: []*SemiProbe{p}}}}
-	if _, err := Drain(&RowFromBatch{Src: sj}); err != nil {
+	p := &SemiProbe{Src: tuples(strRows("b")), AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)}}
+	sj := &SemiJoin{Anchor: tuples(strRows("a", "b", "c")), Arms: []SemiArm{{Probes: []*SemiProbe{p}}}}
+	if _, err := Drain(sj); err != nil {
 		t.Fatal(err)
 	}
 	if cap(sj.done) < 3 || cap(sj.cand) < 3 || cap(sj.st.mark) < 3 {
@@ -275,13 +258,13 @@ func TestReopenedScansReadTheirNewSnapshot(t *testing.T) {
 	sa := &StatAggScan{Table: tbl, Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}}, ArgCols: []int{-1}, Workers: 1}
 	scans := []struct {
 		name string
-		op   Operator
+		op   BatchOperator
 		snap *txn.Snapshot
 		rows func([][]types.Value) int
 	}{
-		{"IndexScan", &RowFromBatch{Src: is}, &is.Snap, func(r [][]types.Value) int { return len(r) }},
-		{"BatchScan", &RowFromBatch{Src: bs}, &bs.Snap, func(r [][]types.Value) int { return len(r) }},
-		{"ParallelScan", &RowFromBatch{Src: ps}, &ps.Snap, func(r [][]types.Value) int { return len(r) }},
+		{"IndexScan", is, &is.Snap, func(r [][]types.Value) int { return len(r) }},
+		{"BatchScan", bs, &bs.Snap, func(r [][]types.Value) int { return len(r) }},
+		{"ParallelScan", ps, &ps.Snap, func(r [][]types.Value) int { return len(r) }},
 		{"StatAggScan", sa, &sa.Snap, func(r [][]types.Value) int { return int(r[0][0].Int()) }},
 	}
 	count := func() map[string]int {

@@ -70,29 +70,3 @@ func (s *IndexScan) Close() error {
 	s.matches = recycled(s.matches, keptScratch)
 	return nil
 }
-
-// ValuesOp emits a fixed set of rows (used for testing and for internal
-// plumbing such as temp-table handoff).
-type ValuesOp struct {
-	RowsData [][]types.Value
-	pos      int
-}
-
-// Open resets the cursor.
-func (v *ValuesOp) Open() error { v.pos = 0; return nil }
-
-// Next emits the next fixed row.
-func (v *ValuesOp) Next() ([]types.Value, bool, error) {
-	if v.pos >= len(v.RowsData) {
-		return nil, false, nil
-	}
-	r := v.RowsData[v.pos]
-	v.pos++
-	return r, true, nil
-}
-
-// Bound is the number of fixed rows left.
-func (v *ValuesOp) Bound() (int, bool) { return len(v.RowsData) - v.pos, true }
-
-// Close is a no-op.
-func (v *ValuesOp) Close() error { return nil }

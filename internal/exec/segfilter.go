@@ -24,7 +24,8 @@ import (
 // segment's vectors, holds a transposed tail window, or is a join's output:
 // pure vectors take the typed loop, generic ones (a column holding a value
 // of another kind than declared, possible only through the direct storage
-// API; anything a row operator produced) exact per-value semantics.
+// API; a computed projection, an aggregate's groups) exact per-value
+// semantics.
 type vecConjunct struct {
 	narrow Kernel
 	prune  func(*storage.Segment) bool
@@ -136,15 +137,15 @@ func compileConjuncts(e sqlparser.Expr, layout *Layout, base, tblCols int) (conj
 		if err != nil {
 			return nil, 0, err
 		}
-		conjs = append(conjs, vecConjunct{narrow: evalKernel(ev)})
+		conjs = append(conjs, vecConjunct{narrow: EvalKernel(ev)})
 	}
 	return conjs, fused, nil
 }
 
-// evalKernel runs a compiled Evaluator as a batch kernel: the general
+// EvalKernel runs a compiled Evaluator as a batch kernel: the general
 // fallback for a conjunct with no fused loop. Each selected position is
 // boxed into the batch's scratch tuple.
-func evalKernel(ev Evaluator) Kernel {
+func EvalKernel(ev Evaluator) Kernel {
 	return func(b *Batch) error {
 		out := b.Sel[:0]
 		for _, pos := range b.Sel {

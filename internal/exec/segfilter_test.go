@@ -30,7 +30,7 @@ func segIDs(t *testing.T, tbl *storage.Table, m *txn.Manager, exprSQL string) (i
 		t.Fatalf("compile segment filter %q: %v", exprSQL, err)
 	}
 	scan := &BatchScan{Table: tbl, Snap: m.ReadSnapshot(), Kernel: k, SegFilter: segf}
-	rows, err := Drain(&RowFromBatch{Src: scan})
+	rows, err := Drain(scan)
 	if err != nil {
 		t.Fatalf("run segment filter %q: %v", exprSQL, err)
 	}
@@ -218,7 +218,7 @@ func TestParallelScanSegmentEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, Kernel: k, SegFilter: segf}
-		rows, err := Drain(&RowFromBatch{Src: ps})
+		rows, err := Drain(ps)
 		if err != nil {
 			t.Fatalf("parallel %q: %v", expr, err)
 		}
@@ -255,7 +255,7 @@ func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
 		t.Fatalf("fixture: %d segments", len(heap.Segments))
 	}
 	count := func(snap txn.Snapshot) int {
-		rows, err := Drain(&RowFromBatch{Src: &BatchScan{Table: tbl, Snap: snap}})
+		rows, err := Drain(&BatchScan{Table: tbl, Snap: snap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +533,7 @@ func TestSettledSegmentsSkipVisibility(t *testing.T) {
 	check := func(t *testing.T, f fixture, snap txn.Snapshot) int64 {
 		t.Helper()
 		before := f.tbl.VersionsVisited()
-		rows, err := Drain(&RowFromBatch{Src: &BatchScan{Table: f.tbl, Snap: snap}})
+		rows, err := Drain(&BatchScan{Table: f.tbl, Snap: snap})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,8 +36,8 @@ import (
 //
 // The output is the anchor batch itself with Sel narrowed to the qualifying
 // positions (no projection, no merged tuple), in anchor order. Two anchor
-// tuples may still project alike, so the planner keeps a Distinct above the
-// projection.
+// tuples may still project alike, so the planner keeps a BatchDistinct above
+// the projection.
 type SemiJoin struct {
 	Anchor BatchOperator
 	Arms   []SemiArm
@@ -117,7 +117,7 @@ func (j *SemiJoin) Open() error {
 			p.Probed, p.MetaSegments, p.Exhausted = 0, 0, false
 		}
 	}
-	anchor, err := collect(j.Anchor)
+	anchor, err := DrainBatch(j.Anchor)
 	if err != nil || anchor == nil {
 		return err
 	}
@@ -135,49 +135,6 @@ func (j *SemiJoin) Close() error {
 	j.merged = recycled(j.merged, keptScratch)
 	j.done, j.cand = recycled(j.done, keptAnchor), recycled(j.cand, keptAnchor)
 	return j.held.Close()
-}
-
-// collect runs a batch operator to completion and returns everything it
-// selects as one batch (see gatherAll).
-func collect(op BatchOperator) (*Batch, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	return gatherAll(op)
-}
-
-// gatherAll pulls an open batch operator to its end and returns everything
-// it selects as one batch (nil when it selects nothing): the operator's own
-// batch when it emits just one, otherwise a batch the selected tuples are
-// gathered into.
-func gatherAll(op BatchOperator) (*Batch, error) {
-	var all *Batch
-	gathered := false
-	for {
-		b, err := op.NextBatch()
-		if err != nil {
-			PutBatch(all)
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if all == nil {
-			all = b
-			continue
-		}
-		if !gathered {
-			first := all
-			all, gathered = emptyLike(first), true
-			all.absorb(first)
-		}
-		all.absorb(b)
-	}
-	if gathered {
-		all.SelectAll()
-	}
-	return all, nil
 }
 
 // emptyLike returns an empty batch of b's width owning an empty vector of

@@ -32,7 +32,7 @@ func strRows(vals ...string) [][]types.Value {
 
 func drainSemi(t *testing.T, j *SemiJoin) []string {
 	t.Helper()
-	rows, err := Drain(&RowFromBatch{Src: j})
+	rows, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,12 @@ func drainSemi(t *testing.T, j *SemiJoin) []string {
 
 func TestSemiJoinKeyedEmitsEachAnchorRowOnce(t *testing.T) {
 	probe := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: strRows("b", "", "b", "c", "b", "zz")}),
+		Src:        tuples(strRows("b", "", "b", "c", "b", "zz")),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 	}
 	j := &SemiJoin{
 		// Two anchor rows share key b; the NULL-keyed one can never match.
-		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "", "c", "b")}),
+		Anchor: tuples(strRows("a", "b", "", "c", "b")),
 		Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
 	}
 	for run := 0; run < 2; run++ { // re-openable
@@ -64,34 +64,14 @@ func TestSemiJoinKeyedEmitsEachAnchorRowOnce(t *testing.T) {
 	}
 }
 
-// A SemiJoin only carries rows in batches: a plan is vectorized through it
-// when one of its inputs is, not because the bridge above it speaks batches.
-func TestSemiJoinIsAsVectorizedAsItsInputs(t *testing.T) {
-	rowScan := func() BatchOperator { return ToBatch(&ValuesOp{RowsData: strRows("a")}) }
-	batchScan := &BatchFilter{Child: rowScan()}
-	for _, tc := range []struct {
-		anchor, probe BatchOperator
-		want          bool
-	}{
-		{rowScan(), rowScan(), false},
-		{batchScan, rowScan(), true},
-		{rowScan(), batchScan, true},
-	} {
-		j := &SemiJoin{Anchor: tc.anchor, Arms: []SemiArm{{Probes: []*SemiProbe{{Src: tc.probe}}}}}
-		if got := Vectorized(&Limit{Child: &RowFromBatch{Src: j}, N: 1}); got != tc.want {
-			t.Errorf("Vectorized over anchor %T, probe %T = %v, want %v", tc.anchor, tc.probe, got, tc.want)
-		}
-	}
-}
-
 func TestSemiJoinStopsOnceEveryKeyedRowIsMarked(t *testing.T) {
 	probe := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: strRows("b", "a", "x", "y", "z")}),
+		Src:        tuples(strRows("b", "a", "x", "y", "z")),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 	}
 	j := &SemiJoin{
 		// The NULL-keyed anchor row must not hold the early stop hostage.
-		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "", "b")}),
+		Anchor: tuples(strRows("a", "", "b")),
 		Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
 	}
 	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
@@ -103,10 +83,10 @@ func TestSemiJoinStopsOnceEveryKeyedRowIsMarked(t *testing.T) {
 }
 
 func TestSemiJoinExistenceProbes(t *testing.T) {
-	anchor := func() BatchOperator { return ToBatch(&ValuesOp{RowsData: strRows("a", "b")}) }
-	full := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("p", "q", "r")})}
-	empty := &SemiProbe{Src: ToBatch(&ValuesOp{})}
-	costly := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("p")})}
+	anchor := func() BatchOperator { return tuples(strRows("a", "b")) }
+	full := &SemiProbe{Src: tuples(strRows("p", "q", "r"))}
+	empty := &SemiProbe{Src: tuples(nil)}
+	costly := &SemiProbe{Src: tuples(strRows("p"))}
 
 	j := &SemiJoin{Anchor: anchor(), Arms: []SemiArm{{Probes: []*SemiProbe{full}}}}
 	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
@@ -147,12 +127,12 @@ func TestSemiJoinResidualIsCheckedBeforeMarking(t *testing.T) {
 		return types.NewBool(row[1].Int() < row[3].Int()), nil
 	}
 	keyed := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: [][]types.Value{mkp("a", 1), mkp("b", 9), mkp("a", 7)}}),
+		Src:        tuples([][]types.Value{mkp("a", 1), mkp("b", 9), mkp("a", 7)}),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(2)},
 		Residual: residual, AnchorOffset: 0, Width: 4,
 	}
 	j := &SemiJoin{
-		Anchor: ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 5), mk("b", 9)}}),
+		Anchor: tuples([][]types.Value{mk("a", 5), mk("b", 9)}),
 		Arms:   []SemiArm{{Probes: []*SemiProbe{keyed}}},
 	}
 	if got := fmt.Sprint(drainSemi(t, j)); got != "[a]" {
@@ -161,11 +141,11 @@ func TestSemiJoinResidualIsCheckedBeforeMarking(t *testing.T) {
 
 	// Without keys the residual alone decides, row by row.
 	loop := &SemiProbe{
-		Src:      ToBatch(&ValuesOp{RowsData: [][]types.Value{mkp("x", 6), mkp("y", 10)}}),
+		Src:      tuples([][]types.Value{mkp("x", 6), mkp("y", 10)}),
 		Residual: residual, AnchorOffset: 0, Width: 4,
 	}
 	j = &SemiJoin{
-		Anchor: ToBatch(&ValuesOp{RowsData: [][]types.Value{mk("a", 5), mk("b", 9), mk("c", 10)}}),
+		Anchor: tuples([][]types.Value{mk("a", 5), mk("b", 9), mk("c", 10)}),
 		Arms:   []SemiArm{{Probes: []*SemiProbe{loop}}},
 	}
 	if got := fmt.Sprint(drainSemi(t, j)); got != "[a b]" {
@@ -175,14 +155,14 @@ func TestSemiJoinResidualIsCheckedBeforeMarking(t *testing.T) {
 
 func TestSemiJoinArmsShareOneMarkVector(t *testing.T) {
 	first := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: strRows("a", "b")}),
+		Src:        tuples(strRows("a", "b")),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 	}
 	second := &SemiProbe{
-		Src:        ToBatch(&ValuesOp{RowsData: strRows("c", "b", "a", "c", "q")}),
+		Src:        tuples(strRows("c", "b", "a", "c", "q")),
 		AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 	}
-	never := &SemiProbe{Src: ToBatch(&ValuesOp{RowsData: strRows("z")})}
+	never := &SemiProbe{Src: tuples(strRows("z"))}
 	notD := func(b *Batch) error {
 		sel := b.Sel[:0]
 		for _, pos := range b.Sel {
@@ -194,7 +174,7 @@ func TestSemiJoinArmsShareOneMarkVector(t *testing.T) {
 		return nil
 	}
 	j := &SemiJoin{
-		Anchor: ToBatch(&ValuesOp{RowsData: strRows("a", "b", "c", "d")}),
+		Anchor: tuples(strRows("a", "b", "c", "d")),
 		Arms: []SemiArm{
 			{Probes: []*SemiProbe{first}},
 			{Kernel: notD, Probes: []*SemiProbe{second}}, // only c is still open
@@ -213,14 +193,14 @@ func TestSemiJoinArmsShareOneMarkVector(t *testing.T) {
 }
 
 func TestSemiJoinClosesProbeOnError(t *testing.T) {
-	src := &closeCounter{child: ToBatch(&errOp{})} // fails after three rows
+	src := &closeCounter{child: &errOp{}} // fails after three rows
 	j := &SemiJoin{
-		Anchor: ToBatch(&ValuesOp{RowsData: intRows(1, 99)}),
+		Anchor: tuples(intRows(1, 99)),
 		Arms: []SemiArm{{Probes: []*SemiProbe{{
 			Src: src, AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 		}}}},
 	}
-	if _, err := Drain(&RowFromBatch{Src: j}); err == nil || err.Error() != "boom" {
+	if _, err := Drain(j); err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if src.opens != 1 || src.closes != 1 {
@@ -229,12 +209,12 @@ func TestSemiJoinClosesProbeOnError(t *testing.T) {
 }
 
 type closeCounter struct {
-	child         BatchOperator
-	opens, closes int
+	child                BatchOperator
+	opens, pulls, closes int
 }
 
 func (c *closeCounter) Open() error                { c.opens++; return c.child.Open() }
-func (c *closeCounter) NextBatch() (*Batch, error) { return c.child.NextBatch() }
+func (c *closeCounter) NextBatch() (*Batch, error) { c.pulls++; return c.child.NextBatch() }
 func (c *closeCounter) Close() error               { c.closes++; return c.child.Close() }
 
 // TestSemiJoinEarlyStopReapsParallelProbe covers an anchor from a parallel
@@ -249,7 +229,7 @@ func TestSemiJoinEarlyStopReapsParallelProbe(t *testing.T) {
 			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 		}
 		j := &SemiJoin{
-			Anchor: ToBatch(&ValuesOp{RowsData: strRows("m0", "m3", "m9")}),
+			Anchor: tuples(strRows("m0", "m3", "m9")),
 			Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
 		}
 		if got := fmt.Sprint(drainSemi(t, j)); got != "[m0 m3 m9]" {
@@ -297,7 +277,7 @@ func TestSemiJoinTakesSealedSegmentsFromSourceSets(t *testing.T) {
 			Residual: tc.residual, Width: 4,
 		}
 		j := &SemiJoin{
-			Anchor: ToBatch(&ValuesOp{RowsData: strRows("m9", "m2", "m1")}),
+			Anchor: tuples(strRows("m9", "m2", "m1")),
 			Arms:   []SemiArm{{Probes: []*SemiProbe{probe}}},
 		}
 		for run := 0; run < 2; run++ {
@@ -309,7 +289,7 @@ func TestSemiJoinTakesSealedSegmentsFromSourceSets(t *testing.T) {
 					tc.name, run, probe.MetaSegments, probe.Probed, probe.Exhausted, tc.meta, tc.probed)
 			}
 		}
-		if rows, err := Drain(&RowFromBatch{Src: tc.scan}); err != nil || len(rows) != 3 {
+		if rows, err := Drain(tc.scan); err != nil || len(rows) != 3 {
 			t.Errorf("%s: the scan alone returned %d rows (err %v), want 3", tc.name, len(rows), err)
 		}
 	}
@@ -401,7 +381,7 @@ func TestSemiArmKernelMatchesEvalPredicate(t *testing.T) {
 			}
 			for _, anchor := range []BatchOperator{
 				&BatchScan{Table: tbl, Snap: m.ReadSnapshot()},
-				ToBatch(&ValuesOp{RowsData: rows}),
+				tuples(rows),
 			} {
 				kernel, _, _, err := CompileKernel(e, layout)
 				if err != nil {
@@ -409,12 +389,12 @@ func TestSemiArmKernelMatchesEvalPredicate(t *testing.T) {
 				}
 				j := &SemiJoin{Anchor: anchor, Arms: []SemiArm{
 					{Probes: []*SemiProbe{{
-						Src:        ToBatch(&ValuesOp{RowsData: strRows(first...)}),
+						Src:        tuples(strRows(first...)),
 						AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 					}}},
 					{Kernel: kernel},
 				}}
-				out, err := Drain(&RowFromBatch{Src: j})
+				out, err := Drain(j)
 				if (err != nil) != (wantErr != nil) {
 					t.Fatalf("trial %d, %s over %T: kernel error %v, row by row %v", trial, src, anchor, err, wantErr)
 				}

@@ -7,7 +7,6 @@ import (
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/txn"
-	"trac/internal/types"
 )
 
 // StatAggScan evaluates a global (no GROUP BY) aggregate directly over a
@@ -58,8 +57,7 @@ type StatAggScan struct {
 	PrunedSegments  int
 	TailRows        int
 
-	out  []types.Value
-	done bool
+	held // the aggregate's one tuple
 }
 
 // Degree returns the effective worker bound for leftover scan work.
@@ -161,9 +159,8 @@ func (s *StatAggScan) foldSegment(st *aggState, seg *storage.Segment) {
 }
 
 // Open classifies the snapshot, folds stats, scans the remainder, and
-// finalizes the single output row.
+// finalizes the single output tuple.
 func (s *StatAggScan) Open() error {
-	s.done = false
 	heap := s.Table.Snap()
 	fold, scan, pruned := s.classify(heap)
 	tail := heap.Tail()
@@ -199,12 +196,9 @@ func (s *StatAggScan) Open() error {
 		}
 	}
 
-	rows, err := tab.emit(0)
-	if err != nil {
-		return err
-	}
-	s.out = rows[0]
-	return nil
+	var err error
+	s.out, err = tab.emit(0)
+	return err
 }
 
 // scanUnits aggregates the morsels stats could not answer, in parallel when
@@ -245,20 +239,5 @@ func (s *StatAggScan) scanUnits(tab *aggTable, units []storage.Morsel) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// Next emits the single aggregate row.
-func (s *StatAggScan) Next() ([]types.Value, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	s.done = true
-	return s.out, true, nil
-}
-
-// Close releases state.
-func (s *StatAggScan) Close() error {
-	s.out = nil
 	return nil
 }

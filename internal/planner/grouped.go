@@ -15,7 +15,7 @@ import (
 // tuple offset (keyCols, argCols), so the batch aggregation reads it straight
 // off the vector instead of through the evaluator — and zone-map stats can
 // answer an aggregate over it.
-func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOperator, layout *exec.Layout, items []sqlparser.Expr, t *template) (exec.Operator, error) {
+func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOperator, layout *exec.Layout, items []sqlparser.Expr, t *template) (exec.BatchOperator, error) {
 	keyEvals := make([]exec.Evaluator, len(sel.GroupBy))
 	keyCols := make([]int, len(sel.GroupBy))
 	keySQL := make([]string, len(sel.GroupBy))
@@ -153,15 +153,16 @@ func CompileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr, keySQ
 	return t, nil
 }
 
-// Over stacks the tail over the groups: HAVING filter, sort, projection.
-func (t *GroupedTail) Over(groups exec.Operator) exec.Operator {
+// Over stacks the tail over the groups: HAVING as a filter kernel, the sort
+// and the projection.
+func (t *GroupedTail) Over(groups exec.BatchOperator) exec.BatchOperator {
 	if t.having != nil {
-		groups = &exec.Filter{Child: groups, Pred: t.having}
+		groups = &exec.BatchFilter{Child: groups, Kernel: exec.EvalKernel(t.having)}
 	}
 	if len(t.order) > 0 {
-		groups = &exec.Sort{Child: groups, Keys: t.order}
+		groups = &exec.BatchSort{Child: groups, Keys: t.order}
 	}
-	return &exec.Project{Child: groups, Exprs: t.items}
+	return &exec.BatchProject{Child: groups, Exprs: t.items}
 }
 
 // buildAggRoot picks the physical aggregation operator. Preference order:
@@ -169,7 +170,7 @@ func (t *GroupedTail) Over(groups exec.Operator) exec.Operator {
 // parallel partial aggregation (input is a parallel scan), then columnar
 // hash aggregation. All three produce identical results; only the amount of
 // data touched and the degree of parallelism differ.
-func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, t *template) exec.Operator {
+func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluator, keyCols []int, specs []exec.AggSpec, argCols []int, t *template) exec.BatchOperator {
 	if len(keyEvals) == 0 {
 		if op := p.tryStatAgg(input, specs, argCols, t); op != nil {
 			return op
@@ -193,7 +194,7 @@ func (p *Planner) buildAggRoot(input exec.BatchOperator, keyEvals []exec.Evaluat
 // Every spec must be COUNT(*)/COUNT/MIN/MAX/SUM/AVG over a bare column, and
 // the input must be an unjoined full-width scan whose predicate (if any)
 // lives entirely in the pushed-down kernel + columnar filter.
-func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, argCols []int, t *template) exec.Operator {
+func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, argCols []int, t *template) exec.BatchOperator {
 	for si := range specs {
 		switch specs[si].Func {
 		case sqlparser.FuncCount, sqlparser.FuncMin, sqlparser.FuncMax,

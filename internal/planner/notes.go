@@ -37,12 +37,12 @@ type note struct {
 	segf         *exec.SegmentFilter
 	layout       *exec.Layout
 	cols         []int
-	op           any // *exec.SemiProbe, *exec.BatchHashJoin or *exec.StatAggScan
+	op           any // *exec.SemiProbe or *exec.StatAggScan
 }
 
 // ran is what a run left in the operator a note reports on.
 type ran struct {
-	rows      int    // semi-join: probe rows read; hash join: tuples boxed, -1 when it probed nothing
+	rows      int    // semi-join: probe rows read
 	meta      int    // semi-join: sealed segments taken from their source sets
 	exhausted bool   // semi-join: the probe side ended with candidates unmarked
 	segs      [4]int // stat aggregate: segments stat-answered, scanned, pruned; tail rows
@@ -50,20 +50,10 @@ type ran struct {
 
 // capture appends what the tree's last run left in each note's operator.
 func (t *template) capture(dst []ran) []ran {
-	boxed := -1
 	for i := range t.notes {
 		switch op := t.notes[i].op.(type) {
 		case *exec.SemiProbe:
 			dst = append(dst, ran{rows: op.Probed, meta: op.MetaSegments, exhausted: op.Exhausted})
-		case *exec.BatchHashJoin:
-			r := ran{rows: -1}
-			if op.Probed > 0 {
-				if boxed < 0 {
-					boxed = exec.RowsBoxed(t.root)
-				}
-				r.rows = boxed
-			}
-			dst = append(dst, r)
 		case *exec.StatAggScan:
 			dst = append(dst, ran{segs: [4]int{op.StatSegments, op.ScannedSegments, op.PrunedSegments, op.TailRows}})
 		}
@@ -92,13 +82,10 @@ func (p *Plan) PartitionExhausted() bool {
 	return false
 }
 
-// Describe renders the planning notes, including the plan's parallel degree
-// and whether it runs vectorized. Once the plan has run, semi-join notes
-// also carry how many sealed segments each probe took from their source sets
-// and how many rows it read, and columnar hash-join
-// notes how many tuples the plan boxed on the probe stream (exec.RowsBoxed:
-// build sides are materialized by design and not counted). Segment notes
-// describe the table as it is when Describe is called.
+// Describe renders the planning notes, including the plan's parallel degree.
+// Once the plan has run, semi-join notes also carry how many sealed segments
+// each probe took from their source sets and how many rows it read. Segment
+// notes describe the table as it is when Describe is called.
 func (p *Plan) Describe() string {
 	var runs []ran
 	switch {
@@ -119,9 +106,6 @@ func (p *Plan) Describe() string {
 	out := strings.Join(p.Notes, "\n")
 	if p.Parallel > 1 {
 		out += fmt.Sprintf("\nparallel degree: %d", p.Parallel)
-	}
-	if p.Vectorized {
-		out += "\nvectorized execution"
 	}
 	return out
 }
@@ -154,11 +138,7 @@ func (n *note) render(r *ran) string {
 		} else {
 			s = fmt.Sprintf("hash join: build so-far (est %.0f), probe %s (est %.0f)", n.est2, n.name, n.est)
 		}
-		s += fmt.Sprintf(" columnar [%s]", colNames(n.layout, n.cols))
-		if r != nil && r.rows >= 0 {
-			s += fmt.Sprintf(", %d rows boxed", r.rows)
-		}
-		return s
+		return s + fmt.Sprintf(" columnar [%s]", colNames(n.layout, n.cols))
 	case noteNestedLoop:
 		return fmt.Sprintf("nested loop: %s (est %.0f)", n.name, n.est)
 	case noteSemiJoin:

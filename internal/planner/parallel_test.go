@@ -8,45 +8,53 @@ import (
 	"trac/internal/sqlparser"
 )
 
-// findParallelScan walks down through single-child wrappers (row and batch)
-// looking for a ParallelScan.
-func findParallelScan(op exec.Operator) *exec.ParallelScan {
+// walk calls fn with every operator of a plan tree, each before its inputs.
+func walk(op exec.BatchOperator, fn func(exec.BatchOperator)) {
+	fn(op)
+	var in []exec.BatchOperator
 	switch n := op.(type) {
 	case *checkout:
-		return findParallelScan(n.Unwrap())
-	case *exec.RowFromBatch:
-		return findBatchParallelScan(n.Src)
-	case *exec.Filter:
-		return findParallelScan(n.Child)
-	case *exec.Project:
-		return findParallelScan(n.Child)
-	case *exec.Sort:
-		return findParallelScan(n.Child)
-	case *exec.Limit:
-		return findParallelScan(n.Child)
-	case *exec.Distinct:
-		return findParallelScan(n.Child)
+		in = append(in, n.Unwrap())
+	case *exec.BatchFilter:
+		in = append(in, n.Child)
+	case *exec.BatchProject:
+		in = append(in, n.Child)
+	case *exec.BatchDistinct:
+		in = append(in, n.Child)
+	case *exec.BatchSort:
+		in = append(in, n.Child)
+	case *exec.BatchLimit:
+		in = append(in, n.Child)
+	case *exec.BatchUnion:
+		in = append(in, n.Children...)
 	case *exec.BatchGroupAggregate:
-		return findBatchParallelScan(n.Src)
+		in = append(in, n.Src)
+	case *exec.BatchHashJoin:
+		in = append(in, n.Build, n.Probe)
+	case *exec.BatchNestedLoopJoin:
+		in = append(in, n.Outer, n.Inner)
+	case *exec.SemiJoin:
+		in = append(in, n.Anchor)
+		for _, arm := range n.Arms {
+			for _, p := range arm.Probes {
+				in = append(in, p.Src)
+			}
+		}
 	}
-	return nil
+	for _, c := range in {
+		walk(c, fn)
+	}
 }
 
-func findBatchParallelScan(op exec.BatchOperator) *exec.ParallelScan {
-	switch n := op.(type) {
-	case *exec.ParallelScan:
-		return n
-	case *exec.BatchFilter:
-		return findBatchParallelScan(n.Child)
-	case *exec.BatchProject:
-		return findBatchParallelScan(n.Child)
-	case *exec.BatchHashJoin:
-		if ps := findBatchParallelScan(n.Build); ps != nil {
-			return ps
+// findParallelScan returns the first ParallelScan of a plan tree.
+func findParallelScan(op exec.BatchOperator) *exec.ParallelScan {
+	var found *exec.ParallelScan
+	walk(op, func(o exec.BatchOperator) {
+		if ps, ok := o.(*exec.ParallelScan); ok && found == nil {
+			found = ps
 		}
-		return findBatchParallelScan(n.Probe)
-	}
-	return nil
+	})
+	return found
 }
 
 func TestSmallTableStaysSerial(t *testing.T) {

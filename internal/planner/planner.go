@@ -2,9 +2,9 @@
 // trees. It performs name binding, predicate pushdown, index selection on
 // equality/IN/range/LIKE-prefix predicates, greedy join ordering with hash
 // joins for equijoins, and handles aggregation, DISTINCT, ORDER BY, LIMIT
-// and UNION. Everything from the scans up to the projection or aggregation
-// runs batch-at-a-time (exec.BatchOperator); one bridge mints the rows the
-// row tail above it — sort, limit, union, the finish over groups — reads.
+// and UNION. The whole tree runs batch-at-a-time (exec.BatchOperator), from
+// the scans to the last LIMIT; tuples are minted only where a result leaves
+// as rows (exec.Drain).
 //
 // The recency queries the TRAC core generates are ordinary SELECTs, so they
 // flow through this same planner — matching the paper's prototype, where
@@ -78,7 +78,7 @@ func (p *Planner) parallelWorkers(inputRows float64) int {
 // Plan is an executable plan plus its output description. Its Root runs the
 // statement's tree; closing the Root hands the tree back to the planner.
 type Plan struct {
-	Root    exec.Operator
+	Root    exec.BatchOperator
 	Columns []string
 	// Notes records planning decisions (access paths, join order) for
 	// EXPLAIN-style diagnostics and for the ablation benchmarks, one line
@@ -88,8 +88,8 @@ type Plan struct {
 	// Parallel is the maximum parallel worker degree anywhere in the plan
 	// (1 = fully single-threaded).
 	Parallel int
-	// Vectorized reports whether any part of the plan executes
-	// batch-at-a-time.
+	// Vectorized is true: every plan executes batch-at-a-time. It stays for
+	// the callers that report it.
 	Vectorized bool
 
 	t              *template
@@ -97,7 +97,7 @@ type Plan struct {
 	runs           []ran // what the run left, captured when Root closed
 }
 
-func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.Operator, []string, error) {
+func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.BatchOperator, []string, error) {
 	stmts := make([]*sqlparser.SelectStmt, 0, 1+len(sel.Union))
 	head := *sel
 	head.Union = nil
@@ -118,7 +118,7 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.Operat
 		blocks[i] = b
 	}
 
-	var root exec.Operator
+	var root exec.BatchOperator
 	var columns []string
 	if u, ok := unionAnchors(blocks); ok {
 		// Every block draws its output from the same relation: one anchor
@@ -131,10 +131,10 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.Operat
 			return nil, nil, err
 		}
 	} else {
-		var children []exec.Operator
+		var children []exec.BatchOperator
 		for i, st := range stmts {
 			t.notes = append(t.notes, note{kind: noteCount, text: "union block %d:", n: i})
-			var child exec.Operator
+			var child exec.BatchOperator
 			var cols []string
 			var err error
 			if blocks[i] == nil {
@@ -154,7 +154,7 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.Operat
 			}
 			children = append(children, child)
 		}
-		root = &exec.Union{Children: children}
+		root = &exec.BatchUnion{Children: children}
 	}
 	root, err := ApplyOutputOrderLimit(root, sel, columns)
 	if err != nil {
@@ -166,7 +166,7 @@ func (p *Planner) planUnion(sel *sqlparser.SelectStmt, t *template) (exec.Operat
 // ApplyOutputOrderLimit handles ORDER BY/LIMIT over a plan whose tuples are
 // already output-shaped (a UNION, here or gathered across shards). ORDER BY
 // may reference output columns by name or 1-based position.
-func ApplyOutputOrderLimit(root exec.Operator, sel *sqlparser.SelectStmt, columns []string) (exec.Operator, error) {
+func ApplyOutputOrderLimit(root exec.BatchOperator, sel *sqlparser.SelectStmt, columns []string) (exec.BatchOperator, error) {
 	if len(sel.OrderBy) > 0 {
 		var keys []exec.SortKey
 		for _, o := range sel.OrderBy {
@@ -193,10 +193,10 @@ func ApplyOutputOrderLimit(root exec.Operator, sel *sqlparser.SelectStmt, column
 				Desc: o.Desc,
 			})
 		}
-		root = &exec.Sort{Child: root, Keys: keys}
+		root = &exec.BatchSort{Child: root, Keys: keys}
 	}
 	if sel.Limit != nil {
-		root = &exec.Limit{Child: root, N: *sel.Limit}
+		root = &exec.BatchLimit{Child: root, N: *sel.Limit}
 	}
 	return root, nil
 }
@@ -328,7 +328,7 @@ func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 	return b, nil
 }
 
-func (p *Planner) planBlock(sel *sqlparser.SelectStmt, t *template) (exec.Operator, []string, error) {
+func (p *Planner) planBlock(sel *sqlparser.SelectStmt, t *template) (exec.BatchOperator, []string, error) {
 	// SELECT with no FROM: evaluate items against an empty tuple.
 	if len(sel.From) == 0 {
 		return p.planConstant(sel, t)
@@ -344,7 +344,7 @@ func (p *Planner) planBlock(sel *sqlparser.SelectStmt, t *template) (exec.Operat
 // planBound plans a bound block: a semi-join when the block is
 // DISTINCT-anchored (see anchorOf), otherwise the join tree over every
 // binding; then the aggregation or projection tail.
-func (p *Planner) planBound(b *block, t *template) (exec.Operator, error) {
+func (p *Planner) planBound(b *block, t *template) (exec.BatchOperator, error) {
 	sel, layout := b.sel, b.layout
 	if a := anchorOf(b); a >= 0 {
 		return p.planAnchored([]*block{b}, &anchoredUnion{anchors: []int{a}}, t)
@@ -377,10 +377,10 @@ func (p *Planner) planBound(b *block, t *template) (exec.Operator, error) {
 			return nil, err
 		}
 		if sel.Distinct {
-			out = &exec.Distinct{Child: out}
+			out = &exec.BatchDistinct{Child: out}
 		}
 		if sel.Limit != nil {
-			out = &exec.Limit{Child: out, N: *sel.Limit}
+			out = &exec.BatchLimit{Child: out, N: *sel.Limit}
 		}
 		return out, nil
 	}
@@ -388,24 +388,25 @@ func (p *Planner) planBound(b *block, t *template) (exec.Operator, error) {
 }
 
 // finishPlain builds the non-aggregate tail over root, whose tuples have the
-// given layout. Without ORDER BY it is all columnar — projection, DISTINCT —
-// and the bridge mints only output tuples; with ORDER BY the sort reads the
-// source tuples (aliases and 1-based positions resolve to their select-list
-// expressions) and the projection and DISTINCT follow it row by row. LIMIT
-// comes last either way.
-func (p *Planner) finishPlain(b *block, root exec.BatchOperator, layout *exec.Layout) (exec.Operator, error) {
+// given layout: the sort, which reads the source tuples (aliases and 1-based
+// positions resolve to their select-list expressions), the projection,
+// DISTINCT, which keeps the first of equal tuples in sorted order, and LIMIT.
+func (p *Planner) finishPlain(b *block, root exec.BatchOperator, layout *exec.Layout) (exec.BatchOperator, error) {
 	sel, items := b.sel, b.items
-	var keys []exec.SortKey
-	for _, o := range sel.OrderBy {
-		oe, err := orderExpr(sel, items, o.Expr)
-		if err != nil {
-			return nil, err
+	if len(sel.OrderBy) > 0 {
+		keys := make([]exec.SortKey, len(sel.OrderBy))
+		for i, o := range sel.OrderBy {
+			oe, err := orderExpr(sel, items, o.Expr)
+			if err != nil {
+				return nil, err
+			}
+			ev, err := exec.Compile(oe, layout)
+			if err != nil {
+				return nil, err
+			}
+			keys[i] = exec.SortKey{Expr: ev, Desc: o.Desc}
 		}
-		ev, err := exec.Compile(oe, layout)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, exec.SortKey{Expr: ev, Desc: o.Desc})
+		root = &exec.BatchSort{Child: root, Keys: keys}
 	}
 	evals := make([]exec.Evaluator, len(items))
 	for i, it := range items {
@@ -415,24 +416,14 @@ func (p *Planner) finishPlain(b *block, root exec.BatchOperator, layout *exec.La
 			return nil, err
 		}
 	}
-	var out exec.Operator
-	if len(keys) == 0 {
-		var src exec.BatchOperator = &exec.BatchProject{Child: root, Exprs: evals, Cols: bareCols(items, layout)}
-		if sel.Distinct {
-			// Duplicates go before any tuple is boxed.
-			src = &exec.BatchDistinct{Child: src}
-		}
-		out = &exec.RowFromBatch{Src: src}
-	} else {
-		out = &exec.Project{Child: &exec.Sort{Child: &exec.RowFromBatch{Src: root}, Keys: keys}, Exprs: evals}
-		if sel.Distinct {
-			out = &exec.Distinct{Child: out}
-		}
+	root = &exec.BatchProject{Child: root, Exprs: evals, Cols: bareCols(items, layout)}
+	if sel.Distinct {
+		root = &exec.BatchDistinct{Child: root}
 	}
 	if sel.Limit != nil {
-		out = &exec.Limit{Child: out, N: *sel.Limit}
+		root = &exec.BatchLimit{Child: root, N: *sel.Limit}
 	}
-	return out, nil
+	return root, nil
 }
 
 // orderExpr resolves one ORDER BY expression of a block: a 1-based position
@@ -557,15 +548,14 @@ func (p *Planner) joinTree(layout *exec.Layout, members []int, conjuncts []*conj
 				note{kind: noteHashJoin, name: layout.Bindings[cand].Name, est: n.est, est2: rootEst, flag: j.candBuilds})
 			rootEst = rootEst * n.est / 10 // crude equijoin output estimate
 		} else {
-			// The one row join: both sides cross the bridge, the merged
-			// tuples come back through the row→batch shim.
-			root = exec.ToBatch(&exec.NestedLoopJoin{
-				Outer: &exec.RowFromBatch{Src: root}, Inner: &exec.RowFromBatch{Src: n.op},
-			})
+			// No equality ties cand to what is joined: pair every tuple, and
+			// gather what the plan reads above the join, as a hash join does.
+			joined[cand] = true
+			need := scanCols{tail: tail, conjuncts: conjuncts}.need(func(off int) bool { return joined[layout.BindingOf(off)] })
+			root = &exec.BatchNestedLoopJoin{Outer: root, Inner: n.op, Need: need}
 			t.notes = append(t.notes, note{kind: noteNestedLoop, name: layout.Bindings[cand].Name, est: n.est})
 			rootEst = rootEst * n.est
 		}
-		joined[cand] = true
 		// Apply any now-eligible residual conjuncts.
 		root, err = p.applyResidualFilter(root, conjuncts, layout, joined)
 		if err != nil {
@@ -644,12 +634,12 @@ func (p *Planner) makeHashJoin(j joinSpec, layout *exec.Layout, joined map[int]b
 			reads = append(reads, off)
 		}
 	}
-	n.layout, n.cols, n.op = layout, reads, op
+	n.layout, n.cols = layout, reads
 	t.notes = append(t.notes, n)
 	return op
 }
 
-func (p *Planner) planConstant(sel *sqlparser.SelectStmt, t *template) (exec.Operator, []string, error) {
+func (p *Planner) planConstant(sel *sqlparser.SelectStmt, t *template) (exec.BatchOperator, []string, error) {
 	layout := exec.NewLayout(nil)
 	var exprs []exec.Evaluator
 	var columns []string
@@ -664,12 +654,9 @@ func (p *Planner) planConstant(sel *sqlparser.SelectStmt, t *template) (exec.Ope
 		exprs = append(exprs, ev)
 		columns = append(columns, ItemName(it))
 	}
-	root := exec.Operator(&exec.Project{
-		Child: &exec.ValuesOp{RowsData: [][]types.Value{{}}},
-		Exprs: exprs,
-	})
+	var root exec.BatchOperator = &exec.BatchProject{Child: &exec.OneRow{}, Exprs: exprs}
 	if sel.Limit != nil {
-		root = &exec.Limit{Child: root, N: *sel.Limit}
+		root = &exec.BatchLimit{Child: root, N: *sel.Limit}
 	}
 	t.notes = append(t.notes, note{text: "constant select"})
 	return root, columns, nil

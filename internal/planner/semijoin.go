@@ -193,7 +193,7 @@ func (p *Planner) AnchorShape(sel *sqlparser.SelectStmt) (*AnchorShape, error) {
 // the ORDER BY / projection / LIMIT tail of the first block (the blocks of
 // a UNION carry none of their own and share the select list). A lone block
 // is the union of itself.
-func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, t *template) (exec.Operator, error) {
+func (p *Planner) planAnchored(blocks []*block, u *anchoredUnion, t *template) (exec.BatchOperator, error) {
 	ab := blocks[0].layout.Bindings[u.anchors[0]]
 	aLayout := exec.NewLayout([]exec.Binding{{Name: ab.Name, Table: ab.Table}})
 

@@ -11,7 +11,6 @@ import (
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/txn"
-	"trac/internal/types"
 )
 
 // templateSlots bounds the statements the planner keeps a slot for. The hot
@@ -31,12 +30,11 @@ const templateSlots = 1024
 // decision. A closed tree holds no data: its operators drop their rows,
 // batches and hash tables on Close.
 type template struct {
-	root       exec.Operator
-	columns    []string
-	notes      []note
-	parallel   int
-	vectorized bool
-	snaps      []*txn.Snapshot // every scan's Snap field
+	root     exec.BatchOperator
+	columns  []string
+	notes    []note
+	parallel int
+	snaps    []*txn.Snapshot // every scan's Snap field
 
 	// What the plan was made against.
 	version uint64
@@ -93,7 +91,7 @@ func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Pla
 		*sp = snap
 	}
 	c := &checkout{slot: s}
-	c.plan = Plan{Root: c, Columns: t.columns, Parallel: t.parallel, Vectorized: t.vectorized, t: t}
+	c.plan = Plan{Root: c, Columns: t.columns, Parallel: t.parallel, Vectorized: true, t: t}
 	return &c.plan, nil
 }
 
@@ -120,7 +118,6 @@ func (p *Planner) plan(sel *sqlparser.SelectStmt) (*template, error) {
 	// its backing array.
 	t.columns = slices.Clip(t.columns)
 	t.parallel = exec.ParallelDegree(t.root)
-	t.vectorized = exec.Vectorized(t.root)
 	exec.Scans(t.root, func(tbl *storage.Table, snap *txn.Snapshot) {
 		t.snaps = append(t.snaps, snap)
 		for _, b := range t.tables {
@@ -179,11 +176,11 @@ func (c *checkout) Open() error {
 
 var errClosedPlan = errors.New("planner: the plan was closed and its tree handed back; plan the statement again")
 
-// Next pulls the tree's next tuple.
-func (c *checkout) Next() ([]types.Value, bool, error) { return c.plan.t.root.Next() }
+// NextBatch pulls the tree's next batch.
+func (c *checkout) NextBatch() (*exec.Batch, error) { return c.plan.t.root.NextBatch() }
 
 // Unwrap is the tree's own root.
-func (c *checkout) Unwrap() exec.Operator { return c.plan.t.root }
+func (c *checkout) Unwrap() exec.BatchOperator { return c.plan.t.root }
 
 // Close closes the tree, captures what the run left for Describe and hands
 // the tree back to the statement's slot — where, if a concurrent caller's

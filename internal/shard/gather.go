@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"trac/internal/core/report"
@@ -48,19 +49,10 @@ func (r *Router) QueryAt(sql string, cut Cut) (*engine.Result, error) {
 }
 
 // QueryStmtAt runs an already-parsed SELECT under a cut. The SQL text keys
-// the scatter-plan cache.
+// the scatter-plan cache. Its answer, a batch, is boxed here.
 func (r *Router) QueryStmtAt(sel *sqlparser.SelectStmt, sql string, cut Cut) (*engine.Result, error) {
-	sp, err := r.plan(sel, sql, cut.Version)
-	if err != nil {
-		return nil, err
-	}
-	if sp.walk == nil {
-		return r.executeScatter(sp, cut)
-	}
-	// A statement run whole on one shard answers in a batch; a row caller
-	// boxes it here.
-	res := &engine.Result{Columns: sp.columns}
-	b, err := r.runAnchored(sp, cut, res)
+	res := &engine.Result{}
+	b, err := r.queryBatch(sel, sql, cut, res)
 	if err != nil {
 		return nil, err
 	}
@@ -72,22 +64,24 @@ func (r *Router) QueryStmtAt(sel *sqlparser.SelectStmt, sql string, cut Cut) (*e
 }
 
 // QueryBatchAt is QueryStmtAt returning the answer unboxed, as one batch the
-// caller owns (nil when there are no rows; engine.DB.QueryBatchAt). A
-// statement run whole on one shard answers in a batch already; any other is
-// gathered as rows and transposed into one once.
+// caller owns (nil when there are no rows; engine.DB.QueryBatchAt).
 func (r *Router) QueryBatchAt(sel *sqlparser.SelectStmt, sql string, cut Cut) (*exec.Batch, error) {
+	return r.queryBatch(sel, sql, cut, &engine.Result{})
+}
+
+// queryBatch answers a statement as one batch: run whole on one shard
+// (runAnchored) or scattered and gathered (executeScatter). res takes the
+// columns and the plans' parallel degree.
+func (r *Router) queryBatch(sel *sqlparser.SelectStmt, sql string, cut Cut, res *engine.Result) (*exec.Batch, error) {
 	sp, err := r.plan(sel, sql, cut.Version)
 	if err != nil {
 		return nil, err
 	}
+	res.Columns, res.Vectorized = sp.columns, true
 	if sp.walk != nil {
-		return r.runAnchored(sp, cut, &engine.Result{})
+		return r.runAnchored(sp, cut, res)
 	}
-	res, err := r.executeScatter(sp, cut)
-	if err != nil {
-		return nil, err
-	}
-	return exec.BatchOf(res.Rows), nil
+	return r.executeScatter(sp, cut, res)
 }
 
 // plan returns the cached scatter decomposition for (sql, catalog version),
@@ -161,12 +155,13 @@ func (r *Router) Explain(sql string) (string, error) {
 
 // executeScatter plans every (block, shard) statement under the cut's
 // snapshots, drains all of them concurrently (the scatter), then merges
-// per-shard partials in deterministic shard order (the gather). Callers run
-// a statement with a walk whole instead (runAnchored).
-func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error) {
-	var ops []exec.Operator
+// per-shard batches in deterministic shard order (the gather). Callers run
+// a statement with a walk whole instead (runAnchored). res takes the
+// parallel degree.
+func (r *Router) executeScatter(sp *scatterPlan, cut Cut, res *engine.Result) (*exec.Batch, error) {
+	var ops []exec.BatchOperator
 	starts := make([]int, len(sp.blocks)+1)
-	maxParallel, vectorized := 1, false
+	res.Parallel = 1
 	for bi, bp := range sp.blocks {
 		starts[bi] = len(ops)
 		for _, s := range bp.shards {
@@ -174,8 +169,7 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 			if err != nil {
 				return nil, err
 			}
-			maxParallel = max(maxParallel, pl.Parallel)
-			vectorized = vectorized || pl.Vectorized
+			res.Parallel = max(res.Parallel, pl.Parallel)
 			ops = append(ops, pl.Root)
 		}
 	}
@@ -184,35 +178,29 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 	if err != nil {
 		return nil, err
 	}
-	maxParallel = max(maxParallel, len(ops))
+	res.Parallel = max(res.Parallel, len(ops))
 
-	blockRows := make([][][]types.Value, len(sp.blocks))
+	blocks := make([]*exec.Batch, len(sp.blocks))
 	for bi, bp := range sp.blocks {
-		if blockRows[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
+		if blocks[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
+			for _, b := range append(blocks[:bi], perOp[starts[bi+1]:]...) {
+				exec.PutBatch(b)
+			}
 			return nil, err
 		}
 	}
-	var rows [][]types.Value
 	if len(sp.blocks) == 1 {
-		rows = blockRows[0]
-	} else {
-		// UNION: set semantics across blocks, then the outer ORDER BY/LIMIT
-		// over output columns — the unsharded planUnion tail.
-		children := make([]exec.Operator, len(blockRows))
-		for i, br := range blockRows {
-			children[i] = &exec.ValuesOp{RowsData: br}
-		}
-		var root exec.Operator = &exec.Union{Children: children}
-		root, err = planner.ApplyOutputOrderLimit(root, sp.sel, sp.columns)
-		if err != nil {
-			return nil, err
-		}
-		rows, err = exec.Drain(root)
-		if err != nil {
-			return nil, err
-		}
+		return blocks[0], nil
 	}
-	return &engine.Result{Columns: sp.columns, Rows: rows, Parallel: maxParallel, Vectorized: vectorized}, nil
+	// UNION: set semantics across blocks, then the outer ORDER BY/LIMIT
+	// over output columns — the unsharded planUnion tail.
+	union := exec.Given(exec.UnionBatches(blocks))
+	root, err := planner.ApplyOutputOrderLimit(union, sp.sel, sp.columns)
+	if err != nil {
+		union.Close()
+		return nil, err
+	}
+	return exec.DrainBatch(root)
 }
 
 // runAnchored runs a statement whole on the first shard of its walk — a
@@ -223,8 +211,7 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut) (*engine.Result, error
 // relation came back exhausted there: the rows that arm would add may sit in
 // another shard's partition. Only then is the next shard asked, and the
 // answers of the shards asked are united: their batches concatenated and
-// deduplicated once. res takes the plans' parallel degree and whether they
-// ran vectorized.
+// deduplicated once. res takes the plans' parallel degree.
 func (r *Router) runAnchored(sp *scatterPlan, cut Cut, res *engine.Result) (*exec.Batch, error) {
 	res.Parallel = max(res.Parallel, 1)
 	var asked []*exec.Batch
@@ -245,7 +232,6 @@ func (r *Router) runAnchored(sp *scatterPlan, cut Cut, res *engine.Result) (*exe
 			return nil, err
 		}
 		res.Parallel = max(res.Parallel, pl.Parallel)
-		res.Vectorized = res.Vectorized || pl.Vectorized
 		asked = append(asked, b)
 		if !pl.PartitionExhausted() {
 			break
@@ -257,39 +243,42 @@ func (r *Router) runAnchored(sp *scatterPlan, cut Cut, res *engine.Result) (*exe
 	return exec.UnionBatches(asked), nil
 }
 
-// gather merges one block's per-shard results (in shard order) into the rows
-// the unsharded engine would produce for that block.
-func (bp *blockPlan) gather(perShard [][][]types.Value) ([][]types.Value, error) {
+// gather merges one block's per-shard batches (in shard order; the inputs
+// are recycled) into the batch the unsharded engine would produce for that
+// block.
+func (bp *blockPlan) gather(perShard []*exec.Batch) (*exec.Batch, error) {
 	if bp.agg != nil {
 		return bp.agg.gather(perShard)
 	}
+	all := exec.Concat(perShard)
 	if len(perShard) == 1 && bp.stmt.Distinct && len(bp.sortKeys) == 0 {
 		// One DISTINCT answer (a replicated block, a pruned shard set) is
 		// already the block's row set.
-		return perShard[0], nil
+		return all, nil
 	}
-	n := 0
-	for _, rows := range perShard {
-		n += len(rows)
-	}
-	all := make([][]types.Value, 0, n)
-	for _, rows := range perShard {
-		all = append(all, rows...)
-	}
-	var root exec.Operator = &exec.ValuesOp{RowsData: all}
+	root := exec.Given(all)
 	if len(bp.sortKeys) > 0 {
-		root = &exec.Sort{Child: root, Keys: posSortKeys(bp.sortKeys)}
+		keys := make([]exec.SortKey, len(bp.sortKeys))
+		for i, k := range bp.sortKeys {
+			keys[i] = exec.SortKey{Expr: column(k.pos), Desc: k.desc}
+		}
+		root = &exec.BatchSort{Child: root, Keys: keys}
 	}
-	if hidden := bp.extendedWidth() > bp.nVisible; hidden {
-		root = &exec.Project{Child: root, Exprs: identityEvals(bp.nVisible)}
+	if bp.extendedWidth() > bp.nVisible {
+		// Strip the hidden ORDER BY columns.
+		cols := make([]int, bp.nVisible)
+		for i := range cols {
+			cols[i] = i
+		}
+		root = &exec.BatchProject{Child: root, Exprs: make([]exec.Evaluator, bp.nVisible), Cols: cols}
 	}
 	if bp.distinct {
-		root = &exec.Distinct{Child: root}
+		root = &exec.BatchDistinct{Child: root}
 	}
 	if bp.limit != nil {
-		root = &exec.Limit{Child: root, N: *bp.limit}
+		root = &exec.BatchLimit{Child: root, N: *bp.limit}
 	}
-	return exec.Drain(root)
+	return exec.DrainBatch(root)
 }
 
 // extendedWidth is the per-shard tuple width including hidden ORDER BY
@@ -304,25 +293,9 @@ func (bp *blockPlan) extendedWidth() int {
 	return w
 }
 
-func posSortKeys(keys []posKey) []exec.SortKey {
-	out := make([]exec.SortKey, len(keys))
-	for i, k := range keys {
-		pos := k.pos
-		out[i] = exec.SortKey{
-			Expr: func(row []types.Value) (types.Value, error) { return row[pos], nil },
-			Desc: k.desc,
-		}
-	}
-	return out
-}
-
-func identityEvals(n int) []exec.Evaluator {
-	out := make([]exec.Evaluator, n)
-	for i := range out {
-		pos := i
-		out[i] = func(row []types.Value) (types.Value, error) { return row[pos], nil }
-	}
-	return out
+// column evaluates to the tuple's value at pos.
+func column(pos int) exec.Evaluator {
+	return func(row []types.Value) (types.Value, error) { return row[pos], nil }
 }
 
 // partialAcc accumulates one partial column across shards. SUM stays on the
@@ -408,10 +381,11 @@ func (a *partialAcc) value() types.Value {
 	}
 }
 
-// gather merges per-shard partial-aggregate tables group by group, finalizes
-// the original aggregate calls, then replays the finishGrouped tail (HAVING
-// filter, ORDER BY, projection) plus the block's DISTINCT/LIMIT.
-func (ag *aggGather) gather(perShard [][][]types.Value) ([][]types.Value, error) {
+// gather merges per-shard partial-aggregate batches group by group (the
+// inputs are recycled), finalizes the original aggregate calls, then replays
+// the finishGrouped tail (HAVING filter, ORDER BY, projection) plus the
+// block's DISTINCT/LIMIT.
+func (ag *aggGather) gather(perShard []*exec.Batch) (*exec.Batch, error) {
 	type group struct {
 		keys []types.Value
 		accs []partialAcc
@@ -419,15 +393,16 @@ func (ag *aggGather) gather(perShard [][][]types.Value) ([][]types.Value, error)
 	groups := make(map[string]*group)
 	var order []*group
 	var keyBuf []byte
-	for _, rows := range perShard {
-		for _, row := range rows {
-			keyBuf = exec.AppendKey(keyBuf[:0], row[:ag.nKeys]...)
+	keys := make([]types.Value, ag.nKeys)
+	merge := func(b *exec.Batch) error {
+		for _, pos := range b.Sel {
+			for k := range keys {
+				keys[k] = b.Cols[k].Value(pos)
+			}
+			keyBuf = exec.AppendKey(keyBuf[:0], keys...)
 			g, ok := groups[string(keyBuf)]
 			if !ok {
-				g = &group{
-					keys: append([]types.Value(nil), row[:ag.nKeys]...),
-					accs: make([]partialAcc, len(ag.partials)),
-				}
+				g = &group{keys: slices.Clone(keys), accs: make([]partialAcc, len(ag.partials))}
 				for i, kind := range ag.partials {
 					g.accs[i] = newPartialAcc(kind)
 				}
@@ -435,44 +410,62 @@ func (ag *aggGather) gather(perShard [][][]types.Value) ([][]types.Value, error)
 				order = append(order, g)
 			}
 			for i := range ag.partials {
-				if err := g.accs[i].merge(row[ag.nKeys+i]); err != nil {
-					return nil, err
+				if err := g.accs[i].merge(b.Cols[ag.nKeys+i].Value(pos)); err != nil {
+					return err
 				}
 			}
 		}
+		return nil
+	}
+	var err error
+	for _, b := range perShard {
+		if b != nil && err == nil {
+			err = merge(b)
+		}
+		exec.PutBatch(b)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// A global aggregate with no GROUP BY emits one row even over zero
 	// input — but each shard already contributed exactly one partial row,
 	// so the empty-groups case can only mean an all-keyed aggregation with
 	// no matching rows anywhere: zero groups, zero output.
-	final := make([][]types.Value, len(order))
-	for gi, g := range order {
-		row := make([]types.Value, ag.nKeys+len(ag.finals))
-		copy(row, g.keys)
+	if len(order) == 0 {
+		return nil, nil
+	}
+	final := exec.GetBatch()
+	final.Shape(ag.nKeys+len(ag.finals), len(order))
+	for c := range final.Cols {
+		final.Cols[c] = final.NewVec(types.KindNull)
+	}
+	for _, g := range order {
+		for k, v := range g.keys {
+			final.Cols[k].Vals = append(final.Cols[k].Vals, v)
+		}
 		for fi, fs := range ag.finals {
-			if !fs.avg {
-				row[ag.nKeys+fi] = g.accs[fs.partial].value()
-				continue
-			}
+			v := types.Null
 			sum, cnt := &g.accs[fs.sum], &g.accs[fs.cnt]
 			switch {
+			case !fs.avg:
+				v = g.accs[fs.partial].value()
 			case cnt.count == 0:
-				row[ag.nKeys+fi] = types.Null
 			case sum.intOnly:
-				row[ag.nKeys+fi] = types.NewFloat(float64(sum.isum) / float64(cnt.count))
+				v = types.NewFloat(float64(sum.isum) / float64(cnt.count))
 			default:
-				row[ag.nKeys+fi] = types.NewFloat(sum.fsum / float64(cnt.count))
+				v = types.NewFloat(sum.fsum / float64(cnt.count))
 			}
+			final.Cols[ag.nKeys+fi].Vals = append(final.Cols[ag.nKeys+fi].Vals, v)
 		}
-		final[gi] = row
 	}
+	final.SelectAll()
 	return ag.finishMerged(final)
 }
 
 // finishMerged runs the planner's grouped tail (planner.GroupedTail) over
 // the merged [keys..., aggregates...] tuples — HAVING filter, sort,
 // projection — then the block's DISTINCT and LIMIT, in the unsharded order.
-func (ag *aggGather) finishMerged(final [][]types.Value) ([][]types.Value, error) {
+func (ag *aggGather) finishMerged(final *exec.Batch) (*exec.Batch, error) {
 	tail, err := planner.CompileGroupedTail(ag.sel, ag.items, ag.keySQL, func(fc *sqlparser.FuncCall) (int, error) {
 		text := fc.SQL()
 		for i, s := range ag.aggSQL {
@@ -483,14 +476,15 @@ func (ag *aggGather) finishMerged(final [][]types.Value) ([][]types.Value, error
 		return 0, fmt.Errorf("shard: aggregate %s missing from gather plan", text)
 	})
 	if err != nil {
+		exec.PutBatch(final)
 		return nil, err
 	}
-	root := tail.Over(&exec.ValuesOp{RowsData: final})
+	root := tail.Over(exec.Given(final))
 	if ag.sel.Distinct {
-		root = &exec.Distinct{Child: root}
+		root = &exec.BatchDistinct{Child: root}
 	}
 	if ag.sel.Limit != nil {
-		root = &exec.Limit{Child: root, N: *ag.sel.Limit}
+		root = &exec.BatchLimit{Child: root, N: *ag.sel.Limit}
 	}
-	return exec.Drain(root)
+	return exec.DrainBatch(root)
 }

@@ -347,3 +347,31 @@ func TestConsistentCutPairedInserts(t *testing.T) {
 		t.Fatalf("writer: %v", err)
 	}
 }
+
+// TestSettleVersionsEqualizesShards: after a catalog bump on one shard
+// outside the router (a session persisting a temp table there, say) no cut
+// can be taken; SettleVersions brings every shard up to the highest version,
+// and the next cut succeeds.
+func TestSettleVersionsEqualizesShards(t *testing.T) {
+	r, err := shard.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	mustExec(t, r, `CREATE TABLE T (k TEXT)`)
+	r.Shard(1).Catalog().BumpVersion()
+	r.Shard(1).Catalog().BumpVersion()
+	want := r.Shard(1).CatalogVersion()
+	if _, err := r.Cut(); err == nil {
+		t.Fatal("a cut over skewed catalog versions succeeded")
+	}
+	r.SettleVersions()
+	for i := 0; i < r.N(); i++ {
+		if v := r.Shard(i).CatalogVersion(); v != want {
+			t.Errorf("shard %d at catalog version %d after SettleVersions, want %d", i, v, want)
+		}
+	}
+	if _, err := r.Cut(); err != nil {
+		t.Errorf("cut after SettleVersions: %v", err)
+	}
+}

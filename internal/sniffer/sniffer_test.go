@@ -510,3 +510,18 @@ func TestPipelineConcurrencyStress(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestInstallMetadataBumpsCatalogVersion: source columns and domains change
+// what a recency query generated over the monitoring tables says, so
+// installing them — again, as recovery does — moves the catalog version and
+// no plan made before is reused.
+func TestInstallMetadataBumpsCatalogVersion(t *testing.T) {
+	db := newDB(t)
+	before := db.CatalogVersion()
+	if err := InstallMetadata(db); err != nil {
+		t.Fatal(err)
+	}
+	if after := db.CatalogVersion(); after <= before {
+		t.Errorf("catalog version %d before InstallMetadata, %d after; want it moved", before, after)
+	}
+}

@@ -317,3 +317,36 @@ func TestCheckpointReopenDir(t *testing.T) {
 		t.Errorf("relevant = %d", n)
 	}
 }
+
+// TestSetSourceColumnBumpsCatalogVersion: a source column changes what the
+// generator emits for every query over its table, so setting one moves the
+// catalog version — on every shard alike — and no recency plan made before
+// is reused.
+func TestSetSourceColumnBumpsCatalogVersion(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		db := Open(WithShards(shards))
+		db.MustExec(`CREATE TABLE Activity (mach_id TEXT, value TEXT, event_time TIMESTAMP)`)
+		versions := func() []uint64 {
+			if db.Router() == nil {
+				return []uint64{db.Engine().CatalogVersion()}
+			}
+			var out []uint64
+			for i := 0; i < db.Shards(); i++ {
+				out = append(out, db.Router().Shard(i).CatalogVersion())
+			}
+			return out
+		}
+		before := versions()
+		if err := db.SetSourceColumn("Activity", "mach_id"); err != nil {
+			t.Fatal(err)
+		}
+		after := versions()
+		for i := range after {
+			if after[i] <= before[i] || after[i] != after[0] {
+				t.Errorf("shards=%d: catalog versions %v before SetSourceColumn, %v after; want each moved, all equal", shards, before, after)
+				break
+			}
+		}
+		db.Close()
+	}
+}
