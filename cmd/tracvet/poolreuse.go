@@ -31,9 +31,10 @@ import (
 // One level of callee summaries keeps the check useful across helpers: a
 // call f(b) where f's body provably calls PutBatch on that parameter counts
 // as a put at the call site; a callee that only reads the batch borrows it;
-// anything the analyzer cannot see (dynamic calls, other-module callees,
-// storing callees) transfers ownership away and ends tracking — escape, the
-// no-false-positive default.
+// a call through a function type the package declares (exec.Kernel) borrows
+// too; anything else the analyzer cannot see (other dynamic calls,
+// other-module callees, storing callees) transfers ownership away and ends
+// tracking — escape, the no-false-positive default.
 var poolreuseAnalyzer = &Analyzer{
 	Name: "poolreuse",
 	Doc:  "pooled exec.Batch ownership: no use-after-put, double-put, or leaked batches",
@@ -278,7 +279,11 @@ func prCheckUnit(p *Pass, u funcUnit, summaries map[*types.Func]*prBatchSummary)
 		}
 	}
 
-	// Worklist dataflow to fixpoint, then one reporting pass.
+	// Worklist dataflow to fixpoint, then one reporting pass. Every node is
+	// visited at least once: a node whose state did not change is not
+	// re-queued, and the state before a function's first acquire is empty, so
+	// seeding the entry alone would stop at the first statement that does not
+	// acquire — an early return before GetBatch hid every path after it.
 	states := make([]map[*types.Var]uint8, len(g.nodes))
 	for i := range states {
 		states[i] = make(map[*types.Var]uint8)
@@ -287,6 +292,11 @@ func prCheckUnit(p *Pass, u funcUnit, summaries map[*types.Func]*prBatchSummary)
 
 	work := []*cfgNode{g.entry}
 	inWork := map[*cfgNode]bool{g.entry: true}
+	for _, n := range g.nodes {
+		if !inWork[n] {
+			work, inWork[n] = append(work, n), true
+		}
+	}
 	for len(work) > 0 {
 		n := work[0]
 		work, inWork[n] = work[1:], false
@@ -499,9 +509,7 @@ func (t *prTransfer) walkExpr(node ast.Node, out map[*types.Var]uint8, rep *prRe
 							rep.reportf(t.p, n.Pos(),
 								"double PutBatch of %s: a concurrent pipeline may already own this batch", v.Name())
 						}
-						if out[v]&prEscaped == 0 {
-							out[v] = prPut
-						}
+						out[v] = putState(out[v])
 						return false
 					}
 				}
@@ -617,6 +625,11 @@ func (t *prTransfer) applyCallArgs(call *ast.CallExpr, out map[*types.Var]uint8,
 				sum = nil
 			}
 		}
+	} else if named, ok := t.p.Info.TypeOf(call.Fun).(*types.Named); ok && named.Obj().Pkg() == t.p.Pkg {
+		// A call through a function type the package declares (exec.Kernel)
+		// borrows: the package states that type's contract. An unnamed or
+		// foreign function value stays an escape.
+		known = true
 	}
 	for i, a := range call.Args {
 		v := prIdentVar(t.p, a)
@@ -638,13 +651,22 @@ func (t *prTransfer) applyCallArgs(call *ast.CallExpr, out map[*types.Var]uint8,
 				rep.reportf(t.p, a.Pos(),
 					"double PutBatch of %s (via %s, which recycles its argument)", v.Name(), fn.Name())
 			}
-			if out[v]&prEscaped == 0 {
-				out[v] = prPut
-			}
+			out[v] = putState(out[v])
 		case i < len(sum.stores) && sum.stores[i]:
 			out[v] = prEscaped
 		}
 	}
+}
+
+// putState is a batch's state after a PutBatch: on every path that owned
+// it, recycled. A batch that escaped on some path stays escaped — its owner
+// is unknown there, so neither a later use nor a later put is reported — but
+// no path still owns it, so it cannot leak.
+func putState(st uint8) uint8 {
+	if st&prEscaped != 0 {
+		return st &^ prLive
+	}
+	return prPut
 }
 
 // prIsBatchMethod reports whether fn is a method whose receiver is *Batch.

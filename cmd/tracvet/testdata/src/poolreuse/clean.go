@@ -62,3 +62,30 @@ func escapeUnknown(k func(*Batch)) {
 	b := GetBatch()
 	k(b)
 }
+
+// returnBeforeAcquire is the scan shape: a unit answered without rows
+// returns before GetBatch, and the error path after it recycles.
+func returnBeforeAcquire(skip bool, err error) (*Batch, error) {
+	if skip {
+		return nil, nil
+	}
+	b := GetBatch()
+	if err != nil {
+		PutBatch(b)
+		return nil, err
+	}
+	return b, nil
+}
+
+// putAfterMaybeEscape hands the batch to a dynamic callee on one path only,
+// then recycles it: no path still owns it at the return.
+func putAfterMaybeEscape(k func(*Batch) error) error {
+	b := GetBatch()
+	if k != nil {
+		if err := k(b); err != nil {
+			return err
+		}
+	}
+	PutBatch(b)
+	return nil
+}

@@ -107,3 +107,33 @@ var errFailed = errorString("failed")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// leakAfterEarlyReturn can return before it acquires: the skip path holds
+// no batch, and the error path after GetBatch still leaks it.
+func leakAfterEarlyReturn(skip bool, err error) (*Batch, error) { // comment keeps the acquire on the next line
+	if skip {
+		return nil, nil
+	}
+	b := GetBatch() // want "not recycled on every path"
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// kernel is a function type the package declares: a call through it
+// borrows its batch, as exec.Kernel narrows one in place.
+type kernel func(*Batch) error
+
+// leakAfterKernelError returns before it acquires, then loses the batch on
+// the kernel's error path.
+func leakAfterKernelError(skip bool, k kernel) (*Batch, error) { // comment keeps the acquire on the next line
+	if skip {
+		return nil, nil
+	}
+	b := GetBatch() // want "not recycled on every path"
+	if err := k(b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}

@@ -90,7 +90,8 @@ type Timing struct {
 	UserQuery time.Duration
 	// RecencyQuery is the recency query's execution time.
 	RecencyQuery time.Duration
-	// Stats covers outlier detection, descriptive statistics and temp
+	// Stats covers reading the (source, recency) pairs off the recency
+	// query's answer, outlier detection, descriptive statistics and temp
 	// table materialization.
 	Stats time.Duration
 }
@@ -320,20 +321,19 @@ func (p *Prepared) execute(sess *engine.Session, pin func() (ReadPoint, error)) 
 	rep.Result = res
 	rep.Timing.UserQuery = time.Since(t0)
 
-	var pairs []SourceRecency
+	var answer *exec.Batch
 	if p.Generated.Stmt != nil {
 		t1 := time.Now()
-		b, err := at.Batch(p.Generated.Stmt, p.Generated.SQL)
+		answer, err = at.Batch(p.Generated.Stmt, p.Generated.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("report: recency query failed: %w", err)
 		}
 		rep.Timing.RecencyQuery = time.Since(t1)
-		pairs = pairsOf(b)
-		exec.PutBatch(b)
 	}
 
 	t2 := time.Now()
-	Summarize(rep, pairs, cfg)
+	summarizeBatch(rep, answer, cfg)
+	exec.PutBatch(answer)
 	if !cfg.SkipTempTables {
 		if err := Materialize(sess, rep); err != nil {
 			return nil, err
@@ -345,29 +345,74 @@ func (p *Prepared) execute(sess *engine.Session, pin func() (ReadPoint, error)) 
 
 // Summarize classifies the (sid, recency) pairs into normal and exceptional
 // sources and fills the report's least/most/bound summary. Exported (like
-// Materialize) for the benchmark's staged replay of the report path.
+// Materialize) for the benchmark's staged replay of the report path; a
+// report runs the same core straight off its recency query's answer
+// (summarizeBatch).
 func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
-	// Sort small keys — integer nanoseconds taken once per pair, the first
-	// bytes of the sid that breaks ties, the pair's position — not the
-	// 40-byte pairs themselves, then move each pair once. A byte-wise radix
-	// sort puts them in (recency, sid prefix) order: thousands of keys that
-	// differ in a handful of bytes. Sources polled together share a
-	// timestamp, so ties are the rule; only sids that agree in their first
-	// eight bytes are left to a comparison sort.
-	ks := make([]key, len(pairs))
+	ks := make([]key, len(pairs), 2*len(pairs))
 	for i, sr := range pairs {
-		var pre uint64
-		for b := 0; b < 8 && b < len(sr.Sid); b++ {
-			pre |= uint64(sr.Sid[b]) << (56 - 8*b)
-		}
-		ks[i] = key{uint64(sr.Recency.UnixNano()) ^ 1<<63, pre, int32(i)}
+		ks[i] = newKey(sr.Recency.UnixNano(), sr.Sid, int32(i))
 	}
+	summarize(rep, ks, cfg,
+		func(i int32) string { return pairs[i].Sid },
+		func(k key) SourceRecency { return pairs[k.i] })
+}
+
+// summarizeBatch is Summarize over the (sid, recency) pairs of the first two
+// columns of a recency query's answer (nil when it has no rows): the keys
+// are read straight off the vectors, a tuple with a NULL in either column
+// carries no recency and is skipped, and each pair is made once, in sorted
+// order. A generic vector is read through Value.
+func summarizeBatch(rep *Report, b *exec.Batch, cfg Config) {
+	if b == nil || len(b.Cols) < 2 {
+		summarize(rep, nil, cfg, nil, nil)
+		return
+	}
+	sid, rec := b.Cols[0], b.Cols[1]
+	sidAt := func(pos int32) string { return sid.Value(int(pos)).String() }
+	if sid.Pure && sid.Kind == types.KindString {
+		sidAt = func(pos int32) string { return sid.Str[pos] }
+	}
+	nsAt := func(pos int) int64 { return rec.Value(pos).Time().UnixNano() }
+	if rec.Pure && rec.Kind == types.KindTime {
+		nsAt = func(pos int) int64 { return rec.I64[pos] }
+	}
+	ks := make([]key, 0, 2*b.Len())
+	for _, pos := range b.Sel {
+		if isNull(sid, pos) || isNull(rec, pos) {
+			continue
+		}
+		ks = append(ks, newKey(nsAt(pos), sidAt(int32(pos)), int32(pos)))
+	}
+	summarize(rep, ks, cfg, sidAt, func(k key) SourceRecency {
+		return SourceRecency{Sid: sidAt(k.i), Recency: time.Unix(0, k.nanos())}
+	})
+}
+
+// isNull reports whether slot pos of cv is NULL.
+func isNull(cv *storage.ColVec, pos int) bool {
+	if cv.Pure {
+		return cv.Nulls[pos]
+	}
+	return cv.Vals[pos].IsNull()
+}
+
+// summarize is the one summary core. ks holds one key per pair, i naming the
+// pair to sid (its sid) and pair (the pair itself), and has room for as many
+// keys again past its length, the radix sort's buffer. It sorts small keys —
+// integer nanoseconds, the first bytes of the sid that breaks ties, the
+// pair's position — not the 40-byte pairs, then makes or moves each pair
+// once, in sorted order. A byte-wise radix sort puts the keys in (recency,
+// sid prefix) order: thousands of keys that differ in a handful of bytes.
+// Sources polled together share a timestamp, so ties are the rule; only sids
+// that agree in their first eight bytes are left to a comparison sort.
+func summarize(rep *Report, ks []key, cfg Config, sid func(int32) string, pair func(key) SourceRecency) {
 	if len(ks) <= smallSort {
 		// A point report carries a pair or two; sixteen radix passes that
 		// each clear 256 counters cost more than comparing them.
 		slices.SortFunc(ks, func(a, b key) int { return cmp.Or(cmp.Compare(a.ns, b.ns), cmp.Compare(a.pre, b.pre)) })
 	} else {
-		ks = radixSort(ks, make([]key, len(ks)))
+		ks = radixSort(ks, ks[len(ks):2*len(ks)])
 	}
 	for lo := 0; lo < len(ks); {
 		hi := lo + 1
@@ -375,30 +420,23 @@ func Summarize(rep *Report, pairs []SourceRecency, cfg Config) {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortFunc(ks[lo:hi], func(a, b key) int { return strings.Compare(pairs[a.i].Sid, pairs[b.i].Sid) })
+			slices.SortFunc(ks[lo:hi], func(a, b key) int { return strings.Compare(sid(a.i), sid(b.i)) })
 		}
 		lo = hi
 	}
+	var pairs []SourceRecency
 	var xs []float64
+	if len(ks) > 0 {
+		pairs = make([]SourceRecency, len(ks))
+		for j, k := range ks {
+			pairs[j] = pair(k)
+		}
+	}
 	if !cfg.SkipStats {
 		xs = make([]float64, len(ks))
 		for j, k := range ks {
-			xs[j] = float64(int64(k.ns^1<<63)) / float64(time.Second)
+			xs[j] = float64(k.nanos()) / float64(time.Second)
 		}
-	}
-	// pairs[j] takes the pair that stood at ks[j].i: follow each cycle of
-	// that permutation once, in place.
-	for j := range ks {
-		if int(ks[j].i) == j {
-			continue
-		}
-		moved, k := pairs[j], j
-		for int(ks[k].i) != j {
-			from := int(ks[k].i)
-			pairs[k], ks[k].i = pairs[from], int32(k)
-			k = from
-		}
-		pairs[k], ks[k].i = moved, int32(k)
 	}
 	if cfg.SkipStats {
 		rep.Normal = pairs
@@ -442,6 +480,18 @@ type key struct {
 	ns, pre uint64
 	i       int32
 }
+
+// newKey is the key of the pair (sid, recency ns) at position i.
+func newKey(ns int64, sid string, i int32) key {
+	var pre uint64
+	for b := 0; b < 8 && b < len(sid); b++ {
+		pre |= uint64(sid[b]) << (56 - 8*b)
+	}
+	return key{uint64(ns) ^ 1<<63, pre, i}
+}
+
+// nanos is the key's recency in Unix nanoseconds.
+func (k key) nanos() int64 { return int64(k.ns ^ 1<<63) }
 
 // radixSort sorts ks by (ns, pre), stably, least significant byte first,
 // skipping the bytes every key shares; it returns whichever of ks and tmp
@@ -490,25 +540,6 @@ func pick(pairs []SourceRecency, idx []int) []SourceRecency {
 		out[k] = pairs[i]
 	}
 	return out
-}
-
-// pairsOf reads the (sid, recency) pairs off the first two columns of a
-// recency query's answer, straight from their vectors; a tuple with a NULL
-// in either column carries no recency and is skipped.
-func pairsOf(b *exec.Batch) []SourceRecency {
-	if b == nil || len(b.Cols) < 2 {
-		return nil
-	}
-	sid, rec := b.Cols[0], b.Cols[1]
-	pairs := make([]SourceRecency, 0, b.Len())
-	for _, pos := range b.Sel {
-		s, r := sid.Value(pos), rec.Value(pos)
-		if s.IsNull() || r.IsNull() {
-			continue
-		}
-		pairs = append(pairs, SourceRecency{Sid: s.String(), Recency: r.Time()})
-	}
-	return pairs
 }
 
 // Materialize creates the session temp tables (sys_temp_e, sys_temp_a) for a

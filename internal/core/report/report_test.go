@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"trac/internal/engine"
+	"trac/internal/exec"
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
@@ -384,9 +387,99 @@ func TestTempTablesFilledOnFirstRead(t *testing.T) {
 	}
 }
 
+// answerOf builds a recency query's answer over (sid, recency) rows — pure
+// TEXT and TIMESTAMP vectors, or generic ones when generic is set — with the
+// selection sel; a nil value is NULL.
+func answerOf(rows [][2]*types.Value, sel []int, generic bool) *exec.Batch {
+	b := &exec.Batch{Cols: []*storage.ColVec{
+		{Kind: types.KindString, Pure: !generic},
+		{Kind: types.KindTime, Pure: !generic},
+	}, Sel: sel}
+	for _, r := range rows {
+		for c, cv := range b.Cols {
+			v := types.Null
+			if r[c] != nil {
+				v = *r[c]
+			}
+			if generic {
+				cv.Vals = append(cv.Vals, v)
+				continue
+			}
+			cv.Nulls = append(cv.Nulls, v.IsNull())
+			switch {
+			case c == 0 && !v.IsNull():
+				cv.Str = append(cv.Str, v.Str())
+			case c == 0:
+				cv.Str = append(cv.Str, "")
+			case !v.IsNull():
+				cv.I64 = append(cv.I64, v.TimeNanos())
+			default:
+				cv.I64 = append(cv.I64, 0)
+			}
+		}
+	}
+	return b
+}
+
+// TestSummaryCorePathsAgree: a report summarized straight off its recency
+// query's answer (summarizeBatch) is field-identical to Summarize over the
+// pairs read off the same answer in selection order, NULL rows skipped —
+// over random answers with ties on the nanosecond and on the sid's first
+// eight bytes, NULL sids and recencies, sizes on both sides of smallSort, a
+// selection that is a shuffled subset, pure and generic vectors, both
+// detectors and SkipStats.
+func TestSummaryCorePathsAgree(t *testing.T) {
+	base := time.Date(2006, 3, 15, 14, 0, 0, 0, time.UTC)
+	sids := []string{"", "m1", "m2", "machine-", "machine-01", "machine-02", "machine-10", "Tao3", "Tao30"}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(3 * smallSort)
+		if seed%3 == 0 {
+			n = rng.Intn(400)
+		}
+		rows := make([][2]*types.Value, n)
+		for i := range rows {
+			sid := types.NewString(sids[rng.Intn(len(sids))] + strings.Repeat("x", rng.Intn(2)))
+			rec := types.NewTime(base.Add(time.Duration(rng.Intn(5)) * time.Second))
+			if rng.Intn(20) == 0 {
+				rec = types.NewTime(base.Add(-time.Duration(1+rng.Intn(3)) * 24 * time.Hour))
+			}
+			rows[i] = [2]*types.Value{&sid, &rec}
+			if rng.Intn(15) == 0 {
+				rows[i][rng.Intn(2)] = nil
+			}
+		}
+		sel := rng.Perm(n)[:n-rng.Intn(n/4+1)]
+		var pairs []SourceRecency
+		for _, pos := range sel {
+			if r := rows[pos]; r[0] != nil && r[1] != nil {
+				pairs = append(pairs, SourceRecency{Sid: r[0].Str(), Recency: r[1].Time()})
+			}
+		}
+		for _, cfg := range []Config{{}, {Detector: DetectorMAD}, {ZThreshold: 1.5}, {SkipStats: true}} {
+			want := &Report{}
+			Summarize(want, slices.Clone(pairs), cfg)
+			for _, generic := range []bool{false, true} {
+				got := &Report{}
+				summarizeBatch(got, answerOf(rows, slices.Clone(sel), generic), cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %d rows, cfg %+v, generic %v:\nbatch: %+v\npairs: %+v", seed, n, cfg, generic, got, want)
+				}
+			}
+		}
+	}
+	got, want := &Report{}, &Report{}
+	summarizeBatch(got, nil, Config{})
+	Summarize(want, nil, Config{})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("no answer: batch %+v, pairs %+v", got, want)
+	}
+}
+
 // BenchmarkSummarize classifies and orders the 5,000 (source, recency) pairs
 // of a wide report: 600 distinct timestamps, so ties are common, and 25
-// sources a day behind.
+// sources a day behind. "pairs" starts from the pairs (Summarize); "batch"
+// starts from the recency query's answer, as a report does (summarizeBatch).
 func BenchmarkSummarize(b *testing.B) {
 	base := time.Date(2006, 3, 15, 14, 0, 0, 0, time.UTC)
 	in := make([]SourceRecency, 5000)
@@ -397,15 +490,35 @@ func BenchmarkSummarize(b *testing.B) {
 		}
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-	pairs := make([]SourceRecency, len(in))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(pairs, in)
-		rep := &Report{}
-		Summarize(rep, pairs, Config{})
-		if len(rep.Exceptional) != 25 {
-			b.Fatalf("%d exceptional sources, want 25", len(rep.Exceptional))
-		}
+	rows := make([][2]*types.Value, len(in))
+	sel := make([]int, len(in))
+	for i, sr := range in {
+		sid, rec := types.NewString(sr.Sid), types.NewTime(sr.Recency)
+		rows[i], sel[i] = [2]*types.Value{&sid, &rec}, i
 	}
+	answer := answerOf(rows, sel, false)
+	b.Run("pairs", func(b *testing.B) {
+		pairs := make([]SourceRecency, len(in))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(pairs, in)
+			rep := &Report{}
+			Summarize(rep, pairs, Config{})
+			if len(rep.Exceptional) != 25 {
+				b.Fatalf("%d exceptional sources, want 25", len(rep.Exceptional))
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep := &Report{}
+			summarizeBatch(rep, answer, Config{})
+			if len(rep.Exceptional) != 25 {
+				b.Fatalf("%d exceptional sources, want 25", len(rep.Exceptional))
+			}
+		}
+	})
 }

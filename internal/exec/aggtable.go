@@ -208,7 +208,7 @@ type aggTable struct {
 
 	keyScratch []types.Value
 	keyBuf     []byte
-	states     []*aggState // per-batch scratch, aligned with the selection
+	states     []*aggState // per-batch scratch: the selection's states, then a per-code memo (observeBatch)
 }
 
 func newAggTable(keys []Evaluator, keyCols []int, specs []AggSpec, argCols []int) *aggTable {
@@ -257,6 +257,12 @@ func (t *aggTable) argCol(si int) int {
 // selected position (keys read off the key vectors), then each spec runs its
 // accumulation kernel over the argument vector. With no grouping keys every
 // position feeds the one global state and nothing is resolved per tuple.
+//
+// A lone key read off a coded vector whose dictionary is shorter than the
+// selection is resolved once per code instead, the first time a row carries
+// it: a memo of the batch's scratch, one slot per code past the selection's,
+// holds the state for every later row of that code. A NULL slot carries code
+// 0, which is also Dict[0], so it takes the per-row path.
 func (t *aggTable) observeBatch(b *Batch) error {
 	if len(t.keys) == 0 {
 		st := t.globalState()
@@ -267,42 +273,68 @@ func (t *aggTable) observeBatch(b *Batch) error {
 		}
 		return nil
 	}
-	states := slices.Grow(t.states[:0], b.Len())
 	var text *storage.ColVec
 	if len(t.keys) == 1 && t.keyCols != nil && t.keyCols[0] >= 0 {
 		if cv := b.Cols[t.keyCols[0]]; cv.Pure && cv.Kind == types.KindString {
 			text = cv
 		}
 	}
+	n, codes := b.Len(), 0
+	if text != nil && text.Codes != nil && len(text.Dict) < n {
+		codes = len(text.Dict)
+	}
+	scratch := slices.Grow(t.states[:0], n+codes)[:n+codes]
+	t.states = scratch[:0]
+	states, memo := scratch[:0:n], scratch[n:]
+	clear(memo)
 	for _, pos := range b.Sel {
-		if text != nil && !text.Nulls[pos] {
-			if st, ok := t.byText[text.Str[pos]]; ok {
-				states = append(states, st)
-				continue
+		var st *aggState
+		if codes > 0 && !text.Nulls[pos] {
+			st = memo[text.Codes[pos]]
+		}
+		if st == nil {
+			var err error
+			if st, err = t.resolve(b, text, pos); err != nil {
+				return err
 			}
-		}
-		if _, err := b.keyValues(t.keyScratch, t.keyCols, t.keys, pos); err != nil {
-			return err
-		}
-		st, err := t.state()
-		if err != nil {
-			return err
-		}
-		if text != nil && !text.Nulls[pos] {
-			if t.byText == nil {
-				t.byText = make(map[string]*aggState)
+			if codes > 0 && !text.Nulls[pos] {
+				memo[text.Codes[pos]] = st
 			}
-			t.byText[text.Str[pos]] = st
 		}
 		states = append(states, st)
 	}
-	t.states = states
 	for si := range t.specs {
 		if err := t.accumulate(si, b, states, nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// resolve finds the group state of the tuple at pos. A non-NULL key of text,
+// a lone TEXT key's pure vector (nil when there is none), finds it by its
+// payload in byText; any other key is boxed and encoded.
+func (t *aggTable) resolve(b *Batch, text *storage.ColVec, pos int) (*aggState, error) {
+	byText := text != nil && !text.Nulls[pos]
+	if byText {
+		if st, ok := t.byText[text.Str[pos]]; ok {
+			return st, nil
+		}
+	}
+	if _, err := b.keyValues(t.keyScratch, t.keyCols, t.keys, pos); err != nil {
+		return nil, err
+	}
+	st, err := t.state()
+	if err != nil {
+		return nil, err
+	}
+	if byText {
+		if t.byText == nil {
+			t.byText = make(map[string]*aggState)
+		}
+		t.byText[text.Str[pos]] = st
+	}
+	return st, nil
 }
 
 // accumulate runs spec si over the batch: the i-th selected position feeds

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -604,5 +605,100 @@ func TestGroupAggregateErrorOnNonNumericSum(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("SUM over TEXT should fail")
+	}
+}
+
+// TestCodedGroupByMatchesReference: GROUP BY over a coded TEXT key resolves
+// a segment's groups once per code while the dictionary is shorter than the
+// selection and row by row otherwise; NULL keys (code 0, like Dict[0] = ”)
+// form their own group. Every path — one sealed segment, a selection shorter
+// than the dictionary, the segment decoded from a segment file as OpenDir
+// restores it, and parallel partial aggregation over eight-row segments —
+// answers exactly what the same rows unsealed do, in the same group order
+// for the serial paths, and what the reference does.
+func TestCodedGroupByMatchesReference(t *testing.T) {
+	sealed, sm := codedTable(t, true)
+	tail, tm := codedTable(t, false)
+	seg := sealed.Snap().Segments[0]
+	if cv := &seg.Cols[1]; cv.Codes == nil || cv.Dict[0] != "" || seg.Zones[1].NullCount == 0 {
+		t.Fatal("fixture: want a coded name column with NULL slots and Dict[0] = ''")
+	}
+	var file bytes.Buffer
+	if err := storage.WriteSegmentFile(&file, sealed.Schema, sealed.Snap().Segments); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := storage.ReadSegmentFile(bytes.NewReader(file.Bytes()), int64(file.Len()), sealed.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := storage.NewTable("N", sealed.Schema)
+	restored.SetSpill(func() ([]*storage.Segment, []*storage.Row, error) { return decoded, nil, nil }, nil)
+	rm := txn.NewManager()
+	if err := rm.Begin().Commit(); err != nil { // the bootstrap commit decoded rows are stamped with
+		t.Fatal(err)
+	}
+	eights, em := codedTable(t, false)
+	eights.SetSealThreshold(8)
+	if n := eights.Seal(); n != 5 {
+		t.Fatalf("sealed %d segments, want 5", n)
+	}
+
+	layout := layoutFor(sealed, "n")
+	keys := []Evaluator{compileOn(t, layout, "name")}
+	specs := []AggSpec{
+		{Func: sqlparser.FuncCount, Star: true},
+		{Func: sqlparser.FuncSum, Arg: colAt(0)},
+		{Func: sqlparser.FuncMin, Arg: colAt(0)},
+		{Func: sqlparser.FuncMax, Arg: colAt(1)},
+	}
+	argCols := []int{-1, 0, 0, 1}
+	grouped := func(src BatchOperator) []string {
+		t.Helper()
+		rows, err := Drain(&BatchGroupAggregate{Src: src, Keys: keys, KeyCols: []int{1}, Specs: specs, ArgCols: argCols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = RowKey(r)
+		}
+		return out
+	}
+	for _, pred := range []string{"", "id < 3", "id >= 30"} { // 40 rows, 3 and 10 selected; 6 codes
+		var kernel Kernel
+		if pred != "" {
+			kernel = kernelOn(t, layout, pred)
+		}
+		want := grouped(&BatchScan{Table: tail, Snap: tm.ReadSnapshot(), Kernel: kernel})
+		ref := grouped(tuples(visibleRows(t, tail, tm.ReadSnapshot(), pred)))
+		if fmt.Sprint(want) != fmt.Sprint(ref) {
+			t.Fatalf("pred %q: unsealed %v, reference %v", pred, want, ref)
+		}
+		for _, side := range []struct {
+			name string
+			tbl  *storage.Table
+			m    *txn.Manager
+		}{{"sealed", sealed, sm}, {"decoded", restored, rm}} {
+			if got := grouped(&BatchScan{Table: side.tbl, Snap: side.m.ReadSnapshot(), Kernel: kernel}); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("pred %q, %s: %v, unsealed %v", pred, side.name, got, want)
+			}
+		}
+		par, err := Drain(&ParallelGroupAggregate{
+			Scan: &ParallelScan{Table: eights, Snap: em.ReadSnapshot(), Kernel: kernel, Workers: 3},
+			Keys: keys, KeyCols: []int{1}, Specs: specs, ArgCols: argCols,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(par))
+		for i, r := range par {
+			got[i] = RowKey(r)
+		}
+		sort.Strings(got)
+		sorted := append([]string(nil), want...)
+		sort.Strings(sorted)
+		if fmt.Sprint(got) != fmt.Sprint(sorted) {
+			t.Errorf("pred %q, parallel over 8-row segments: %v, unsealed %v", pred, got, sorted)
+		}
 	}
 }

@@ -51,10 +51,10 @@ type Batch struct {
 	// Scratch of a kernel or key probe over a coded vector (keepByCode,
 	// keyIndex.probe), sized to its dictionary and kept while the batch is
 	// pooled: the dictionary viewed as a vector, a selection over it, and per
-	// code the conjunct's outcome or the key's chain head.
+	// code the conjunct's outcome (1 kept, 0 dropped) or the key's chain head.
 	dict  storage.ColVec
 	codes []int
-	keep  []bool
+	mask  []uint8
 	heads []int32
 }
 

@@ -31,9 +31,9 @@ type unitScan struct {
 	width  int   // output tuple width
 	need   []int // table columns to carry
 
-	// feed's sink, when set, takes a sealed segment's source set in place of
-	// the segment's rows; done means it holds all it can take and the scan
-	// ends.
+	// feed's sink, when set, takes a sealed segment's or a full tail
+	// window's source set in place of its rows; done means it holds all it
+	// can take and the scan ends.
 	feed sourceFeed
 	done bool
 
@@ -132,6 +132,8 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 		if u.feed.sink != nil && u.fromSources(m.Seg) {
 			return nil, nil
 		}
+	} else if u.feed.sink != nil && u.fromWindow(m) {
+		return nil, nil
 	}
 	b := GetBatch()
 	b.Shape(u.width, len(m.Rows))
@@ -201,6 +203,24 @@ func (u *unitScan) settled(seg *storage.Segment) bool {
 func (u *unitScan) fromSources(seg *storage.Segment) bool {
 	sources := seg.Zones[u.feed.col].Sources
 	if sources == nil || !covers(u.segf, u.kernel, seg) || !segAllVisible(u.table, u.snap, seg) {
+		return false
+	}
+	u.done = !u.feed.sink.markSources(sources)
+	return true
+}
+
+// fromWindow is fromSources for a run of the unsealed tail: a full window
+// (BatchSize rows, cut by the heap snapshot from the end of the sealed
+// prefix, so it never changes) of a scan with no predicate hands the sink
+// the table's source set of the window, when the set stands for the rows
+// under the snapshot (storage.Table.WindowSources). The partial last window
+// is read row by row.
+func (u *unitScan) fromWindow(m storage.Morsel) bool {
+	if len(m.Rows) != BatchSize || u.kernel != nil || u.segf != nil {
+		return false
+	}
+	sources, ok := u.table.WindowSources(m.At, m.Rows, u.snap.Seq)
+	if !ok {
 		return false
 	}
 	u.done = !u.feed.sink.markSources(sources)

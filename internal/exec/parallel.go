@@ -161,7 +161,8 @@ type ParallelScan struct {
 	Need []int
 	// Workers is the parallel degree; <= 0 selects GOMAXPROCS.
 	Workers int
-	// MorselSize overrides storage.DefaultMorselSize (tests).
+	// MorselSize overrides the length of a run of the unsealed tail a worker
+	// claims, BatchSize (tests). A sealed segment is always one unit.
 	MorselSize int
 
 	feed sourceFeed
@@ -181,7 +182,11 @@ func (s *ParallelScan) Degree() int {
 // through their own machinery (a parallel hash-join build, partial
 // aggregation) use this directly instead of Open/NextBatch.
 func (s *ParallelScan) BatchPartials() []BatchOperator {
-	src := s.Table.Morsels(s.MorselSize)
+	size := s.MorselSize
+	if size <= 0 {
+		size = BatchSize // the serial scan's tail windows, which have source sets
+	}
+	src := s.Table.Morsels(size)
 	out := make([]BatchOperator, s.Degree())
 	feed := s.feed.take()
 	for i := range out {

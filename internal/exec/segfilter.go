@@ -57,6 +57,12 @@ func colKernel(off int, loop selLoop, byValue bool) Kernel {
 // vector of its own. The view, the selection over it and the per-code
 // outcome are scratch the batch keeps. A loop over a pure TEXT vector raises
 // no error, so deciding values no selected row holds changes nothing.
+//
+// The outcome is a mask, one 0/1 byte per code, and the selection is
+// compacted without a branch on the data: every position is written to the
+// next free slot, which advances by the row's mask byte ANDed with its
+// non-NULL mark. The NULL mark is needed because a NULL slot carries code 0,
+// which is also Dict[0].
 func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) error {
 	n := len(cv.Dict)
 	d := &b.dict
@@ -73,19 +79,28 @@ func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) error {
 	if err != nil {
 		return err
 	}
-	b.keep = slices.Grow(b.keep[:0], n)[:n]
-	clear(b.keep)
+	mask := slices.Grow(b.mask[:0], n)[:n]
+	clear(mask)
 	for _, c := range held {
-		b.keep[c] = true
+		mask[c] = 1
 	}
-	out := b.Sel[:0]
-	for _, i := range b.Sel {
-		if !cv.Nulls[i] && b.keep[cv.Codes[i]] {
-			out = append(out, i)
-		}
+	b.mask = mask
+	sel, codes, nulls := b.Sel, cv.Codes, cv.Nulls
+	k := 0
+	for _, i := range sel {
+		sel[k] = i
+		k += int(mask[codes[i]] &^ b2u8(nulls[i]))
 	}
-	b.Sel = out
+	b.Sel = sel[:k]
 	return nil
+}
+
+// b2u8 is 1 for true and 0 for false; the compiler emits no branch for it.
+func b2u8(x bool) uint8 {
+	if x {
+		return 1
+	}
+	return 0
 }
 
 // SegmentFilter holds the zone-map side of a pushed-down scan predicate:

@@ -460,6 +460,64 @@ func TestCodedKernelBranches(t *testing.T) {
 	}
 }
 
+// TestKeepByCodeMasksNullSlots: a NULL slot of a coded vector carries code
+// 0, which is also Dict[0], so an outcome that keeps Dict[0] must still drop
+// every NULL row — whether the loop keeps Dict[0] alone, every code, or
+// none, and whatever order the selection is in.
+func TestKeepByCodeMasksNullSlots(t *testing.T) {
+	tbl, _ := codedTable(t, true)
+	cv := &tbl.Snap().Segments[0].Cols[1]
+	nulls := 0
+	for i := range cv.Nulls {
+		if cv.Nulls[i] {
+			nulls++
+			if cv.Codes[i] != 0 {
+				t.Fatalf("fixture: NULL slot %d carries code %d, want 0", i, cv.Codes[i])
+			}
+		}
+	}
+	if nulls == 0 || cv.Dict[0] != "" {
+		t.Fatalf("fixture: want NULL slots and Dict[0] = \"\", got %d NULLs and %q", nulls, cv.Dict[0])
+	}
+	keepCodes := func(codes ...int) selLoop {
+		return func(_ *storage.ColVec, _ []int) ([]int, error) { return codes, nil }
+	}
+	every := make([]int, len(cv.Dict))
+	for c := range every {
+		every[c] = c
+	}
+	for _, tc := range []struct {
+		name string
+		loop selLoop
+		keep func(s string) bool
+	}{
+		{"Dict[0] alone", keepCodes(0), func(s string) bool { return s == "" }},
+		{"every code", keepCodes(every...), func(string) bool { return true }},
+		{"no code", keepCodes(), func(string) bool { return false }},
+	} {
+		for _, reversed := range []bool{false, true} {
+			var sel, want []int
+			for i := range cv.Str {
+				p := i
+				if reversed {
+					p = len(cv.Str) - 1 - i
+				}
+				sel = append(sel, p)
+				if !cv.Nulls[p] && tc.keep(cv.Str[p]) {
+					want = append(want, p)
+				}
+			}
+			b := &Batch{Cols: []*storage.ColVec{nil, cv}, Sel: sel}
+			if err := b.keepByCode(cv, tc.loop); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(b.Sel) != fmt.Sprint(want) {
+				t.Errorf("%s (reversed %v): kept %v, want %v", tc.name, reversed, b.Sel, want)
+			}
+		}
+	}
+}
+
 // TestCodedKeyProbe: a key probe over a coded vector, which looks each code
 // up once, finds exactly the chain heads — and stops exactly where — the
 // probe over the same vector's Str payload does.
@@ -624,10 +682,9 @@ func TestSettledSegmentsSkipVisibility(t *testing.T) {
 	})
 }
 
-// BenchmarkCodedScan scans 50 sealed segments (100 sources, clustered as
-// ingestion writes them, and a two-valued TEXT column) with a coded NOT IN
-// and = — the shape of the paper's Q2 — counting the rows that survive.
-func BenchmarkCodedScan(b *testing.B) {
+// codedActivity builds 50 sealed segments of Activity: 100 sources,
+// clustered as ingestion writes them, and a two-valued TEXT column.
+func codedActivity(b *testing.B) (*storage.Table, *txn.Manager) {
 	schema, err := storage.NewSchema([]storage.Column{
 		{Name: "mach_id", Kind: types.KindString},
 		{Name: "value", Kind: types.KindString},
@@ -653,6 +710,14 @@ func BenchmarkCodedScan(b *testing.B) {
 	if n := tbl.NumSegments(); n != 50 {
 		b.Fatalf("%d segments, want 50", n)
 	}
+	return tbl, m
+}
+
+// BenchmarkCodedScan scans codedActivity with a coded NOT IN and = — the
+// shape of the paper's Q2 — counting the rows that survive.
+func BenchmarkCodedScan(b *testing.B) {
+	tbl, m := codedActivity(b)
+	rows := tbl.NumVersions()
 	layout := layoutFor(tbl, "a")
 	e, err := sqlparser.ParseExpr(`mach_id NOT IN ('Tao1', 'Tao10', 'Tao20', 'Tao30', 'Tao40', 'Tao50') AND value = 'idle'`)
 	if err != nil {
@@ -690,5 +755,39 @@ func BenchmarkCodedScan(b *testing.B) {
 		if n == 0 || n >= rows {
 			b.Fatalf("%d of %d rows survived", n, rows)
 		}
+	}
+}
+
+// BenchmarkCodedGroupBy counts codedActivity's rows per source and per
+// value — GROUP BY over a coded key, the shape of the workloads' per-source
+// and per-status counts — resolving each segment's groups once per code.
+func BenchmarkCodedGroupBy(b *testing.B) {
+	tbl, m := codedActivity(b)
+	layout := layoutFor(tbl, "a")
+	snap := m.ReadSnapshot()
+	for _, key := range []struct {
+		name   string
+		col    int
+		groups int
+	}{{"mach_id", 0, 100}, {"value", 1, 2}} {
+		b.Run(key.name, func(b *testing.B) {
+			ev, err := Compile(&sqlparser.ColumnRef{Column: key.name}, layout)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := Drain(&BatchGroupAggregate{
+					Src:     &BatchScan{Table: tbl, Snap: snap, Need: []int{key.col}},
+					Keys:    []Evaluator{ev},
+					KeyCols: []int{key.col},
+					Specs:   []AggSpec{{Func: sqlparser.FuncCount, Star: true}},
+				})
+				if err != nil || len(rows) != key.groups {
+					b.Fatalf("%d groups, err %v", len(rows), err)
+				}
+			}
+		})
 	}
 }

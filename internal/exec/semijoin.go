@@ -29,10 +29,12 @@ import (
 // probe's one key is the probed table's source column and there is no
 // Residual, a heap scan feeding it (BatchScan, ParallelScan) hands it each
 // sealed segment's zone-map source set instead of the segment's rows where
-// the set says exactly which keys the rows hold (unitScan.fromSources): the
-// probe marks those keys' candidates from the set, and only the tail and the
-// segments the set cannot stand for are read. The metadata phase is that
-// hook on the one scan body, against the one key index.
+// the set says exactly which keys the rows hold (unitScan.fromSources), and
+// each full window of the unsealed tail the table's window set instead of
+// its rows when the probe has no predicate (unitScan.fromWindow): the probe
+// marks those keys' candidates from the set, and only the partial last
+// window and the units the sets cannot stand for are read. The metadata
+// phase is that hook on the one scan body, against the one key index.
 //
 // The output is the anchor batch itself with Sel narrowed to the qualifying
 // positions (no projection, no merged tuple), in anchor order. Two anchor
@@ -83,8 +85,8 @@ type SemiProbe struct {
 	AnchorOffset, Width int
 
 	// Probed counts the probe tuples examined by the last execution;
-	// MetaSegments the sealed segments it took from their source sets
-	// without reading them; Exhausted reports whether it reached the end of
+	// MetaSegments the sealed segments and full tail windows it took from
+	// their source sets without reading them; Exhausted reports whether it reached the end of
 	// the probe side with candidates left unmarked rather than stopping once
 	// every anchor tuple was marked. All three are reset by SemiJoin.Open
 	// and stay zero for a probe that was never opened.
@@ -326,9 +328,9 @@ func (st *probeState) left() bool {
 	return st.unmarked > 0
 }
 
-// markSources marks the candidates whose key is one of a sealed segment's
-// sources, taken from the segment's zone map in place of its rows; it
-// reports whether a candidate is left.
+// markSources marks the candidates whose key is one of a sealed segment's or
+// a full tail window's sources, taken from its source set in place of its
+// rows; it reports whether a candidate is left.
 func (st *probeState) markSources(sources []string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -252,3 +252,208 @@ func BenchmarkSemiJoinAbsence(b *testing.B) {
 		})
 	}
 }
+
+// TestRecencyArmTakesFullTailWindowsFromSourceSets: the unsealed tail of an
+// append-only JobLog holds k full windows and a partial one. The probe takes
+// each full window from its source set (storage.Table.WindowSources), as it
+// takes a sealed segment, and reads only the partial window's rows — serial,
+// and on a morsel-parallel scan whose tail runs are the same windows — while
+// reporting exactly the sources that wrote.
+func TestRecencyArmTakesFullTailWindowsFromSourceSets(t *testing.T) {
+	for _, tc := range []struct {
+		segments, windows, partial int
+		parallel                   bool
+	}{{1, 2, 300, false}, {12, 3, 100, true}} {
+		jobRows := tc.segments*storage.DefaultSegmentSize + tc.windows*exec.BatchSize + tc.partial
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		if tc.parallel {
+			p.ParallelThreshold, p.MaxParallel = 1_000, 4
+		}
+		jobs, _ := p.Catalog.Get("JobLog")
+		if heap := jobs.Snap(); len(heap.Segments) != tc.segments || len(heap.Tail()) != tc.windows*exec.BatchSize+tc.partial {
+			t.Fatalf("fixture: %d segments and a %d-row tail", len(heap.Segments), len(heap.Tail()))
+		}
+		eachRun(t, p, mgr, heartbeatSemiJobLog, 3, func(run int, pl *Plan, rows [][]types.Value) {
+			checkReported(t, p, mgr.ReadSnapshot(), everyRow, rows)
+			if got := pl.Parallel > 1; got != tc.parallel {
+				t.Fatalf("parallel = %v, want %v", got, tc.parallel)
+			}
+			probe := semiProbes(pl)[0]
+			if probe.Probed != tc.partial || probe.MetaSegments != tc.segments+tc.windows || !probe.Exhausted {
+				t.Errorf("%d rows, run %d: probed %d rows (want the partial window's %d), %d units from source sets (want %d + %d), exhausted=%v",
+					jobRows, run, probe.Probed, tc.partial, probe.MetaSegments, tc.segments, tc.windows, probe.Exhausted)
+			}
+		})
+	}
+}
+
+// TestRecencyArmReadsTailWindowsItsSourceSetCannotStandFor: a full tail
+// window is taken from its source set only when every creator committed at
+// or before the snapshot, none of its versions carries a delete mark, it
+// spans at most MaxZoneSources sources and the probe has no predicate; the
+// partial window is always read. The fixture's tail is one full window and
+// 1,023 rows, so a case's one-row write of m100 completes a second window;
+// each case makes that window fail one condition, and the probe must read its
+// rows and report exactly the sources the snapshot sees writing — m100 only
+// where its write is visible.
+func TestRecencyArmReadsTailWindowsItsSourceSetCannotStandFor(t *testing.T) {
+	const jobRows = storage.DefaultSegmentSize + 2*exec.BatchSize - 1
+	sel, err := sqlparser.ParseSelect(heartbeatSemiJobLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// probeAt runs the arm under snap, checks its answer and returns its
+	// probe's counters. Probed counts the rows the probe examined, which are
+	// the visible ones of the units it read.
+	probeAt := func(t *testing.T, p *Planner, sel *sqlparser.SelectStmt, snap txn.Snapshot, keep func(*storage.Row) bool) *exec.SemiProbe {
+		t.Helper()
+		pl, err := p.PlanSelect(sel, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := exec.Drain(pl.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReported(t, p, snap, keep, rows)
+		return semiProbes(pl)[0]
+	}
+	insert := func(t *testing.T, mgr *txn.Manager, jobs *storage.Table) (*txn.Txn, *storage.Row) {
+		t.Helper()
+		tx := mgr.Begin()
+		row := jobRow("m100", 9_000)
+		if err := tx.InsertRow(jobs, row); err != nil {
+			t.Fatal(err)
+		}
+		return tx, row
+	}
+	want := func(t *testing.T, probe *exec.SemiProbe, probed, meta int) {
+		t.Helper()
+		if probe.Probed != probed || probe.MetaSegments != meta {
+			t.Errorf("probed %d rows, %d units from source sets; want %d, %d", probe.Probed, probe.MetaSegments, probed, meta)
+		}
+	}
+
+	t.Run("partial window", func(t *testing.T) {
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize-1, 2)
+	})
+	t.Run("committed writer", func(t *testing.T) {
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		jobs, _ := p.Catalog.Get("JobLog")
+		tx, _ := insert(t, mgr, jobs)
+		before := mgr.ReadSnapshot()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), 0, 3)
+		// A snapshot older than the window's latest creator reads its rows,
+		// all but m100's visible to it.
+		want(t, probeAt(t, p, sel, before, everyRow), exec.BatchSize-1, 2)
+	})
+	t.Run("in-flight and own-transaction insert", func(t *testing.T) {
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		jobs, _ := p.Catalog.Get("JobLog")
+		tx, _ := insert(t, mgr, jobs)
+		defer tx.Abort()
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize-1, 2)
+		want(t, probeAt(t, p, sel, tx.Snapshot(), everyRow), exec.BatchSize, 2) // m100 sees itself
+	})
+	t.Run("aborted writer", func(t *testing.T) {
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		jobs, _ := p.Catalog.Get("JobLog")
+		tx, _ := insert(t, mgr, jobs)
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize-1, 2)
+	})
+	t.Run("delete mark after the summary", func(t *testing.T) {
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		jobs, _ := p.Catalog.Get("JobLog")
+		tx, row := insert(t, mgr, jobs)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), 0, 3)
+		tx = mgr.Begin()
+		if err := tx.Delete(jobs, row); err != nil {
+			t.Fatal(err)
+		}
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize, 2) // the deleter is in flight
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize-1, 2)
+	})
+	t.Run("window over the cap", func(t *testing.T) {
+		// Round-robin writes: the segment and every window span 199 sources.
+		p, mgr := buildJobFixture(t, 200, 199, storage.DefaultSegmentSize+2*exec.BatchSize, 1, true)
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), storage.DefaultSegmentSize+2*exec.BatchSize, 0)
+	})
+	t.Run("probe with a predicate", func(t *testing.T) {
+		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
+		filtered, err := sqlparser.ParseSelect(heartbeatSemiJobLog + " AND J.job_id >= 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := func(r *storage.Row) bool { return r.Values[1].Int() >= 0 }
+		want(t, probeAt(t, p, filtered, mgr.ReadSnapshot(), keep), 2*exec.BatchSize-1, 1)
+	})
+}
+
+// TestRecencyArmRacingAppends probes JobLog while a writer appends to it in
+// committed runs of 32 rows — auto-sealing at 4,096 as it goes, which drops
+// the window sets of the sealed region — and m100, which writes last, joins
+// the answer once visible. Every probe answers what its snapshot sees. Run
+// under -race.
+func TestRecencyArmRacingAppends(t *testing.T) {
+	p, mgr := sourcedJobFixture(t, 100, 99, storage.DefaultSegmentSize+exec.BatchSize)
+	jobs, _ := p.Catalog.Get("JobLog")
+	sel, err := sqlparser.ParseSelect(heartbeatSemiJobLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for run := 0; run < 160; run++ {
+			src := fmt.Sprintf("m%d", 1+run%99)
+			if run == 159 {
+				src = "m100"
+			}
+			tx := mgr.Begin()
+			for i := 0; i < 32; i++ {
+				if err := tx.InsertRow(jobs, jobRow(src, 10_000+32*run+i)); err != nil {
+					t.Error(err)
+					tx.Abort()
+					return
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for writing := true; writing; {
+		select {
+		case <-done:
+			writing = false
+		default:
+		}
+		snap := mgr.ReadSnapshot()
+		pl, err := p.PlanSelect(sel, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := exec.Drain(pl.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReported(t, p, snap, everyRow, rows)
+	}
+	if n := jobs.NumSegments(); n < 2 {
+		t.Errorf("the writer sealed nothing: %d segments", n)
+	}
+}

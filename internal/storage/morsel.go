@@ -15,11 +15,16 @@ const DefaultMorselSize = 4096
 type Morsel struct {
 	Seg  *Segment
 	Rows []*Row
+	// At is the heap position of Rows[0] in a tail run cut from a heap
+	// snapshot (Morsels, Windows); Table.WindowSources identifies the run by
+	// it.
+	At int
 }
 
 // makeUnits partitions one heap snapshot into scan units: one per sealed
-// segment, then tail runs of the given size. Every cursor built from the
-// same snapshot shares the snapshot's slices — no per-cursor heap copy.
+// segment, then tail runs of the given size, aligned from the end of the
+// sealed prefix. Every cursor built from the same snapshot shares the
+// snapshot's slices — no per-cursor heap copy.
 func makeUnits(snap *HeapSnap, size int) []Morsel {
 	tail := snap.Tail()
 	units := make([]Morsel, 0, len(snap.Segments)+(len(tail)+size-1)/size)
@@ -27,11 +32,8 @@ func makeUnits(snap *HeapSnap, size int) []Morsel {
 		units = append(units, Morsel{Seg: seg, Rows: seg.Rows})
 	}
 	for start := 0; start < len(tail); start += size {
-		end := start + size
-		if end > len(tail) {
-			end = len(tail)
-		}
-		units = append(units, Morsel{Rows: tail[start:end]})
+		end := min(start+size, len(tail))
+		units = append(units, Morsel{Rows: tail[start:end], At: snap.Sealed + start})
 	}
 	return units
 }

@@ -225,14 +225,23 @@ func (t *Table) Settled(seg *Segment) (seq uint64, ok bool) {
 	if m := seg.settled.Load(); m != nil && m.marks == marks {
 		return m.seq, true
 	}
-	for _, r := range seg.Rows {
+	seq, ok = settledSeq(seg.Rows)
+	if ok {
+		seg.settled.Store(&settledMark{marks: marks, seq: seq})
+	}
+	return seq, ok
+}
+
+// settledSeq reports whether every version of rows has a committed creator
+// and no delete mark, and the latest creator's commit sequence if so.
+func settledSeq(rows []*Row) (seq uint64, ok bool) {
+	for _, r := range rows {
 		x := r.XminSeq.Load()
 		if x == 0 || x == AbortedSeq || r.Xmax.Load() != 0 {
 			return 0, false
 		}
 		seq = max(seq, x)
 	}
-	seg.settled.Store(&settledMark{marks: marks, seq: seq})
 	return seq, true
 }
 
@@ -514,6 +523,11 @@ func (t *Table) sealRegionLocked(n int) {
 	region := t.rows[t.sealed : t.sealed+n : t.sealed+n]
 	t.segments = append(t.segments, sealSegment(region, t.Schema))
 	t.sealed += n
+	for at := range t.tails {
+		if at < t.sealed {
+			delete(t.tails, at) // the segment's own source set stands for it now
+		}
+	}
 }
 
 // Seal converts the entire current tail into column segments (in chunks of

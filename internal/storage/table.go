@@ -88,6 +88,12 @@ type Table struct {
 	sealed    int
 	sealEvery int
 
+	// tails holds the source sets of tail windows by heap position
+	// (WindowSources). Readers fill it under mu's read lock and tailMu;
+	// sealing, under mu, drops the windows it covers.
+	tailMu sync.Mutex
+	tails  map[int]*tailSet
+
 	// dead counts versions superseded by a committed-or-pending UPDATE or
 	// DELETE (see NoteDead); LiveRows subtracts it from the version count.
 	dead atomic.Int64
@@ -263,6 +269,7 @@ func (t *Table) hydrate(sp *tableSpill) error {
 	t.rows = rows
 	t.segments = append(segs[:len(segs):len(segs)], t.segments...)
 	t.sealed += total
+	t.tails = nil // heap positions moved
 	for col := range t.indexes {
 		// An index created before hydration (not possible through the
 		// public API, which hydrates first) would be missing the spilled

@@ -383,10 +383,18 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 
 // codedCorpus is every NULL-dropping TEXT conjunct shape over a
 // dictionary-coded column — NULL rows, IN lists with a NULL member, LIKE,
-// BETWEEN and < on TEXT — plus a conjunct that leaves fewer rows selected
-// than the dictionary holds (the per-row branch), and a hash join and a
-// semi-join whose probes are keyed on a coded column.
+// BETWEEN and < on TEXT, a conjunct that keeps Dict[0] over NULL slots
+// (which carry code 0) — plus a conjunct that leaves fewer rows selected than
+// the dictionary holds (the per-row branch), GROUP BY on a coded key with
+// NULL keys, over a selection shorter than the dictionary, and a hash join
+// and a semi-join whose probes are keyed on a coded column.
 var codedCorpus = []string{
+	`SELECT id FROM NullProbe WHERE name <= 'busy'`,
+	`SELECT name, COUNT(*), SUM(id), MIN(score) FROM NullProbe GROUP BY name`,
+	`SELECT name, COUNT(*) FROM NullProbe WHERE id > 4 GROUP BY name`,
+	`SELECT value, COUNT(*), MIN(event_time), MAX(mach_id) FROM Activity GROUP BY value`,
+	`SELECT mach_id, COUNT(*) FROM Activity WHERE value = 'idle' GROUP BY mach_id`,
+	`SELECT mach_id, COUNT(*) FROM Activity WHERE mach_id IN ('Tao3', 'Tao4') GROUP BY mach_id`,
 	`SELECT COUNT(*) FROM Activity WHERE mach_id NOT IN ('Tao1', 'Tao2') AND value = 'idle'`,
 	`SELECT mach_id, event_time FROM Activity WHERE mach_id < 'Tao2' AND value <> 'busy'`,
 	`SELECT mach_id, value FROM Activity WHERE mach_id BETWEEN 'Tao3' AND 'Tao5'`,
@@ -406,8 +414,9 @@ var codedCorpus = []string{
 }
 
 // TestCodedSegmentsMatchTwin: tables sealed into dictionary-coded segments —
-// by the sealer, and decoded from the segment files of a checkpoint that
-// OpenDir restored — answer the coded corpus exactly as an unsealed twin,
+// by the sealer, decoded from the segment files of a checkpoint that OpenDir
+// restored, and sealed on each shard of a 3-shard router whose gather merges
+// the shards' answers — answer the coded corpus exactly as an unsealed twin,
 // whose every vector is plain Str, and as the reference evaluator where it
 // applies.
 func TestCodedSegmentsMatchTwin(t *testing.T) {
@@ -438,6 +447,29 @@ func TestCodedSegmentsMatchTwin(t *testing.T) {
 	if segs := act.Snap().Segments; len(segs) == 0 || segs[0].Cols[0].Dict == nil {
 		t.Fatalf("OpenDir restored no coded Activity segment (%d segments)", len(segs))
 	}
+	sharded, err := workload.BuildSharded(spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	for _, stmt := range workload.NullProbeStmts() {
+		if _, err := sharded.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < sharded.N(); i++ {
+		for _, name := range sharded.Shard(i).Catalog().Names() {
+			tbl, err := sharded.Shard(i).Catalog().Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.SetSealThreshold(300)
+		}
+	}
+	sharded.SealAll()
+	if probe, err := sharded.Shard(1).Catalog().Get("NullProbe"); err != nil || probe.Snap().Segments[0].Cols[1].Dict == nil {
+		t.Fatalf("shard 1 sealed no coded NullProbe segment (%v)", err)
+	}
 	for qi, sql := range codedCorpus {
 		res, err := twin.Query(sql)
 		if err != nil {
@@ -445,15 +477,19 @@ func TestCodedSegmentsMatchTwin(t *testing.T) {
 		}
 		want := rowSet(res)
 		for _, side := range []struct {
-			name string
-			db   *engine.DB
-		}{{"sealed", sealed}, {"restored", restored}} {
-			res, err := side.db.Query(sql)
+			name  string
+			db    *engine.DB // the reference evaluator's catalog; nil for the router
+			query func(string) (*engine.Result, error)
+		}{{"sealed", sealed, sealed.Query}, {"restored", restored, restored.Query}, {"3 shards", nil, sharded.Query}} {
+			res, err := side.query(sql)
 			if err != nil {
 				t.Fatalf("q%d [%s] %s: %v", qi, side.name, sql, err)
 			}
 			if got := rowSet(res); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("q%d [%s] diverges from the unsealed twin\nquery: %s\ntwin: %v\ngot:  %v", qi, side.name, sql, want, got)
+			}
+			if side.db == nil {
+				continue
 			}
 			if ref, ok := reference(side.db, sql); ok {
 				if got := rendered(res); fmt.Sprint(got) != fmt.Sprint(ref) {
