@@ -29,10 +29,14 @@ lint:
 # benchmark — BenchmarkPlanSelect's fresh and template paths included — so
 # bench-only code paths cannot rot unnoticed. The serving layer's tests run
 # twenty times over: its admission tests must hold by construction, not by
-# winning a race against the goroutines they contend with.
+# winning a race against the goroutines they contend with. The tail-window
+# race test runs ten times over under the race detector: scans and recency
+# probes read windows that appends fill, seals drop and kind demotions
+# replace.
 check: lint bench-smoke benchmark-smoke crash
 	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./client/...
 	$(GO) test -count 20 ./internal/server
+	$(GO) test -race -count 10 -run '^TestTailWindowsRace$$' ./internal/exec
 
 # crash kills the storage stack at every mutating filesystem operation and
 # asserts the reopened database is a consistent cut: the engine sweep covers

@@ -257,7 +257,7 @@ func statAggFor(t *testing.T, tbl *storage.Table, snap txn.Snapshot, predSQL str
 	op := &StatAggScan{
 		Table: tbl, Snap: snap, Specs: specs,
 		ArgCols: argCols,
-		Workers: workers, MorselSize: 64,
+		Workers: workers,
 	}
 	if predSQL != "" {
 		layout := layoutFor(tbl, "a")
@@ -432,7 +432,7 @@ func TestGroupAggregateModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	par, err := Drain(&ParallelGroupAggregate{
-		Scan: &ParallelScan{Table: tbl, Snap: snap, Workers: 4, MorselSize: 64},
+		Scan: &ParallelScan{Table: tbl, Snap: snap, Workers: 4},
 		Keys: keys, KeyCols: []int{1},
 		Specs: specs, ArgCols: argCols,
 	})

@@ -8,12 +8,13 @@ import (
 	"trac/internal/types"
 )
 
-// BatchSize is the target row count of a batch built row by row (tail
-// windows of the serial scan, index matches, a nested-loop join's pairs). It is large enough to
-// amortize per-batch overhead (interface calls, channel sends, kernel
-// dispatch) over ~1k rows. A batch that views a sealed segment holds the
-// whole segment, whatever its length.
-const BatchSize = 1024
+// BatchSize is the target row count of a batch: a tail window
+// (storage.WindowSize), which a scan views whole, and the most a batch built
+// row by row holds (index matches, a nested-loop join's pairs). It is large
+// enough to amortize per-batch overhead (interface calls, channel sends,
+// kernel dispatch) over ~1k rows. A batch that views a sealed segment holds
+// the whole segment, whatever its length.
+const BatchSize = storage.WindowSize
 
 // Batch is a window of tuples in columnar form: one typed vector per tuple
 // offset of the plan's layout, plus a selection vector. Operators
@@ -29,12 +30,14 @@ const BatchSize = 1024
 // a probe, DISTINCT keeping the first occurrence of each tuple, collecting
 // batches into one and minting tuples.
 //
-// Vectors are either viewed or owned. A scan of a sealed segment points
-// Cols at the segment's own vectors (immutable, shared with every other
-// reader — never written through a batch); a tail window, a join's output,
-// a computed projection and an aggregate's groups fill vectors the batch owns
-// (NewVec), which go back to the pool with it. Either way a consumer must
-// not touch a vector it took from Cols after PutBatch.
+// Vectors are either viewed or owned. A scan of a sealed segment or a tail
+// window points Cols at the unit's own vectors (shared with every other
+// reader, immutable at the positions the batch can select — never written
+// through a batch); index matches, a join's output, a computed projection
+// and an aggregate's groups fill vectors the batch owns (NewVec), which go
+// back to the pool with it. A viewed vector may be longer than the batch
+// (a partial window's): only positions below its length n are read. Either
+// way a consumer must not touch a vector it took from Cols after PutBatch.
 //
 // []types.Value tuples exist only at the edges: AppendRows mints them for a
 // result's rows (Drain), and RowAt boxes one position into scratch for a

@@ -299,7 +299,7 @@ func TestBatchHashJoinGathersOnlyNeed(t *testing.T) {
 
 func TestExchangeBatchChildren(t *testing.T) {
 	tbl, m := bigActivity(t, 4000)
-	ps := &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 256}
+	ps := &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4}
 	if err := ps.Open(); err != nil {
 		t.Fatal(err)
 	}

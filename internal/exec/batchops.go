@@ -10,18 +10,18 @@ import (
 )
 
 // unitScan turns the units of a heap snapshot (storage.Morsel: a sealed
-// segment, or a run of unsealed tail rows) into columnar batches. It is the
-// one scan body behind BatchScan, IndexScan (whose matches are runs of rows),
-// the ParallelScan workers and StatAggScan's leftover work.
+// segment, a tail window, or a run of index matches) into columnar batches.
+// It is the one scan body behind BatchScan, IndexScan (whose matches are
+// runs of rows), the ParallelScan workers and StatAggScan's leftover work.
 //
-// A sealed segment becomes a batch that VIEWS the segment's vectors — zero
-// copy: the optional SegFilter first consults the zone maps (a pruned
-// segment costs one check and zero value touches), then Sel is the visible
-// positions — every position, none checked, once the segment has settled
-// before the snapshot — narrowed by the predicate kernel's typed loops. A
-// tail run is transposed once, visible rows only, into vectors the batch
-// owns, and the same kernel runs over them. Either way the batch carries
-// just the columns in need.
+// A sealed segment or a tail window becomes a batch that VIEWS the unit's
+// vectors — zero copy: for a segment the optional SegFilter first consults
+// the zone maps (a pruned segment costs one check and zero value touches),
+// then Sel is the visible positions — every position, none checked, once a
+// segment or a full window has settled before the snapshot — narrowed by
+// the predicate kernel's typed loops. A run of index matches is transposed
+// once, visible rows only, into vectors the batch owns, and the same kernel
+// runs over them. Either way the batch carries just the columns in need.
 type unitScan struct {
 	table  *storage.Table
 	snap   txn.Snapshot
@@ -120,7 +120,8 @@ func (u *unitScan) reset(table *storage.Table, snap txn.Snapshot, kernel Kernel,
 // batch scans one unit; it returns nil when no row of the unit survives.
 func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 	var live *storage.LiveSet
-	if m.Seg != nil {
+	switch {
+	case m.Seg != nil:
 		live = m.Seg.Live(u.snap.Seq)
 		if live != nil && len(live.Pos) == 0 {
 			return nil, nil // every version deleted before the snapshot
@@ -132,8 +133,10 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 		if u.feed.sink != nil && u.fromSources(m.Seg) {
 			return nil, nil
 		}
-	} else if u.feed.sink != nil && u.fromWindow(m) {
-		return nil, nil
+	case m.Win != nil:
+		if u.feed.sink != nil && u.fromWindow(m) {
+			return nil, nil
+		}
 	}
 	b := GetBatch()
 	b.Shape(u.width, len(m.Rows))
@@ -147,7 +150,7 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 				b.Sel = append(b.Sel, int(p))
 			}
 		}
-	case m.Seg != nil && u.settled(m.Seg):
+	case u.settled(m):
 		// Every version was committed by the snapshot and none is deleted:
 		// there is nothing to check.
 		checked = 0
@@ -160,7 +163,8 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 		}
 	}
 	u.table.NoteVisited(checked)
-	if m.Seg != nil {
+	switch {
+	case m.Seg != nil:
 		// A quarter of what was checked turned out invisible: offer the
 		// outcome as the segment's new live set, so later scans stop paying
 		// for it.
@@ -168,10 +172,10 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 			m.Seg.NoteLive(u.snap.Seq, live, b.Sel)
 		}
 		u.scanned++
-		for _, ci := range u.need {
-			b.Cols[u.offset+ci] = &m.Seg.Cols[ci]
-		}
-	} else {
+		u.view(b, m.Seg.Cols)
+	case m.Win != nil:
+		u.view(b, m.Win.Cols)
+	default:
 		u.transpose(b, m.Rows)
 	}
 	if u.kernel != nil && b.Len() > 0 {
@@ -187,10 +191,26 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 	return b, nil
 }
 
-// settled reports whether seg has settled (storage.Table.Settled) before the
-// scan's snapshot: every version visible, none to check.
-func (u *unitScan) settled(seg *storage.Segment) bool {
-	seq, ok := u.table.Settled(seg)
+// view points the batch's needed columns at a segment's or a window's
+// vectors.
+func (u *unitScan) view(b *Batch, cols []storage.ColVec) {
+	for _, ci := range u.need {
+		b.Cols[u.offset+ci] = &cols[ci]
+	}
+}
+
+// settled reports whether the unit — a segment, or a full tail window — has
+// settled (storage.Table.Settled, WindowSettled) before the scan's snapshot:
+// every version visible, none to check.
+func (u *unitScan) settled(m storage.Morsel) bool {
+	var seq uint64
+	var ok bool
+	switch {
+	case m.Seg != nil:
+		seq, ok = u.table.Settled(m.Seg)
+	case m.Win != nil:
+		seq, ok = u.table.WindowSettled(m.Win, m.Rows)
+	}
 	return ok && seq <= u.snap.Seq
 }
 
@@ -209,17 +229,15 @@ func (u *unitScan) fromSources(seg *storage.Segment) bool {
 	return true
 }
 
-// fromWindow is fromSources for a run of the unsealed tail: a full window
-// (BatchSize rows, cut by the heap snapshot from the end of the sealed
-// prefix, so it never changes) of a scan with no predicate hands the sink
-// the table's source set of the window, when the set stands for the rows
-// under the snapshot (storage.Table.WindowSources). The partial last window
-// is read row by row.
+// fromWindow is fromSources for a tail window: a full window of a scan with
+// no predicate hands the sink the window's source set, when the set stands
+// for the rows under the snapshot (storage.Table.WindowSources). A partial
+// window is read.
 func (u *unitScan) fromWindow(m storage.Morsel) bool {
-	if len(m.Rows) != BatchSize || u.kernel != nil || u.segf != nil {
+	if u.kernel != nil || u.segf != nil {
 		return false
 	}
-	sources, ok := u.table.WindowSources(m.At, m.Rows, u.snap.Seq)
+	sources, ok := u.table.WindowSources(m.Win, m.Rows, u.snap.Seq)
 	if !ok {
 		return false
 	}
@@ -227,9 +245,10 @@ func (u *unitScan) fromWindow(m storage.Morsel) bool {
 	return true
 }
 
-// transpose turns the visible rows of a tail run (b.Sel indexes rows) into
-// vectors the batch owns, one pass over the rows filling every needed column
-// (a row's values share a cache line; its columns do not share a row).
+// transpose turns the visible rows of a run of index matches (b.Sel indexes
+// rows) into vectors the batch owns, one pass over the rows filling every
+// needed column (a row's values share a cache line; its columns do not
+// share a row).
 func (u *unitScan) transpose(b *Batch, rows []*storage.Row) {
 	n := len(b.Sel)
 	for _, ci := range u.need {
@@ -248,8 +267,8 @@ func (u *unitScan) transpose(b *Batch, rows []*storage.Row) {
 }
 
 // BatchScan is the serial batch-at-a-time heap scan over dual-format
-// storage: sealed column segments first, then batch-sized windows of the
-// unsealed row tail, each turned into one columnar batch (see unitScan).
+// storage: sealed column segments first, then the windows of the unsealed
+// tail, each turned into one columnar batch (see unitScan).
 type BatchScan struct {
 	Table  *storage.Table
 	Snap   txn.Snapshot
@@ -274,7 +293,7 @@ type BatchScan struct {
 
 // Open snapshots the heap as scan units and resets per-execution state.
 func (s *BatchScan) Open() error {
-	s.win = s.Table.Windows(BatchSize)
+	s.win = s.Table.Windows()
 	s.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
 	s.scan.feed = s.feed.take()
 	s.PrunedSegments, s.ScannedSegments = 0, 0
@@ -623,7 +642,7 @@ func (j *BatchHashJoin) index() error {
 	if build == nil {
 		return nil
 	}
-	j.idx = newKeyIndex(len(j.BuildKeys), build.n)
+	j.idx = newKeyIndex(len(j.BuildKeys), build.n, len(build.Sel))
 	vals := make([]types.Value, len(j.BuildKeys))
 	for _, pos := range build.Sel {
 		null, err := build.keyValues(vals, j.BuildCols, j.BuildKeys, pos)

@@ -15,15 +15,18 @@ import (
 // (3 = 3.0). NULL keys are never filed and never match.
 type keyIndex struct {
 	single bool
+	hint   int // how many ids will be filed: the map's initial size
 	str    map[string]int32
 	enc    map[string]int32
 	next   []int32
 	vals   []types.Value // probe's boxed key
 }
 
-// newKeyIndex makes an index for nKeys-column keys over ids 0..n-1.
-func newKeyIndex(nKeys, n int) *keyIndex {
-	return &keyIndex{single: nKeys == 1, next: make([]int32, n)}
+// newKeyIndex makes an index for nKeys-column keys over ids 0..n-1, of
+// which about hint will be filed: a build that views a whole segment or
+// window files only its selected positions.
+func newKeyIndex(nKeys, n, hint int) *keyIndex {
+	return &keyIndex{single: nKeys == 1, hint: hint, next: make([]int32, n)}
 }
 
 // text reports whether a (non-NULL) key is filed under its TEXT payload.
@@ -67,12 +70,12 @@ func (x *keyIndex) add(id int32, vals []types.Value, buf *[]byte) {
 		x.next[id], x.next[h] = x.next[h], id
 	case x.text(vals):
 		if x.str == nil {
-			x.str = make(map[string]int32, len(x.next))
+			x.str = make(map[string]int32, x.hint)
 		}
 		x.next[id], x.str[vals[0].Str()] = -1, id
 	default:
 		if x.enc == nil {
-			x.enc = make(map[string]int32, len(x.next))
+			x.enc = make(map[string]int32, x.hint)
 		}
 		x.next[id], x.enc[string(*buf)] = -1, id
 	}

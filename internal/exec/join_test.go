@@ -168,7 +168,7 @@ func settledGoroutines(base int) int {
 func TestFailedOpenReapsScanWorkers(t *testing.T) {
 	tbl, m := bigActivity(t, 4000)
 	probe := func() *ParallelScan {
-		return &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 3, MorselSize: 16}
+		return &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 3}
 	}
 	keys := []Evaluator{col(0)}
 	joins := map[string]func() BatchOperator{

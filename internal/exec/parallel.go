@@ -143,7 +143,7 @@ func (e *Exchange) shutdown() {
 
 // ParallelScan is a morsel-driven parallel heap scan: Workers goroutines
 // share one storage.Morsels partitioning of the heap snapshot, each claiming
-// one unit at a time (a sealed segment, or a run of tail rows) and turning
+// one unit at a time (a sealed segment, or a tail window) and turning
 // it into a columnar batch — MVCC visibility, zone-map pruning and the
 // pushed-down predicate all applied locally (see unitScan), with no
 // synchronization beyond the per-morsel atomic claim. An internal Exchange
@@ -161,9 +161,6 @@ type ParallelScan struct {
 	Need []int
 	// Workers is the parallel degree; <= 0 selects GOMAXPROCS.
 	Workers int
-	// MorselSize overrides the length of a run of the unsealed tail a worker
-	// claims, BatchSize (tests). A sealed segment is always one unit.
-	MorselSize int
 
 	feed sourceFeed
 	ex   *Exchange
@@ -182,11 +179,7 @@ func (s *ParallelScan) Degree() int {
 // through their own machinery (a parallel hash-join build, partial
 // aggregation) use this directly instead of Open/NextBatch.
 func (s *ParallelScan) BatchPartials() []BatchOperator {
-	size := s.MorselSize
-	if size <= 0 {
-		size = BatchSize // the serial scan's tail windows, which have source sets
-	}
-	src := s.Table.Morsels(size)
+	src := s.Table.Morsels()
 	out := make([]BatchOperator, s.Degree())
 	feed := s.feed.take()
 	for i := range out {

@@ -14,6 +14,8 @@ import (
 
 // bigActivity builds an Activity-like table with n committed rows spread
 // over 10 machines, alternating idle/busy.
+// bigActivity builds n committed Activity rows over ten machines. Below
+// DefaultSegmentSize they stay in the tail, one unit per WindowSize rows.
 func bigActivity(t *testing.T, n int) (*storage.Table, *txn.Manager) {
 	t.Helper()
 	schema, err := storage.NewSchema([]storage.Column{
@@ -63,7 +65,7 @@ func sortedFirstCol(rows [][]types.Value) []string {
 // TestParallelScanMatchesSeqScan: the parallel scan returns the rows a
 // sequential pass over the heap (visibleRows) keeps, in some order.
 func TestParallelScanMatchesSeqScan(t *testing.T) {
-	tbl, m := bigActivity(t, 1000)
+	tbl, m := bigActivity(t, 3*storage.WindowSize-24) // three windows, the last partial
 	layout := layoutFor(tbl, "a")
 	snap := m.ReadSnapshot()
 	for _, filterSQL := range []string{"", "value = 'idle'"} {
@@ -73,7 +75,7 @@ func TestParallelScanMatchesSeqScan(t *testing.T) {
 		}
 		seq := visibleRows(t, tbl, snap, filterSQL)
 		par := drainBatches(t, &ParallelScan{
-			Table: tbl, Snap: snap, Kernel: kernel, Workers: 4, MorselSize: 64,
+			Table: tbl, Snap: snap, Kernel: kernel, Workers: 4,
 		})
 		a, b := sortedFirstCol(seq), sortedFirstCol(par)
 		if len(a) != len(b) {
@@ -88,11 +90,12 @@ func TestParallelScanMatchesSeqScan(t *testing.T) {
 }
 
 func TestParallelScanSnapshotIsolation(t *testing.T) {
-	tbl, m := bigActivity(t, 500)
+	// 1,500 rows, then 1,500 more committed AFTER taking the snapshot: the
+	// old snapshot's second window is partial, the new one's full.
+	tbl, m := bigActivity(t, 1500)
 	old := m.ReadSnapshot()
-	// Commit 500 more rows AFTER taking the snapshot.
 	tx := m.Begin()
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 1500; i++ {
 		if err := tx.InsertRow(tbl, storage.NewRow([]types.Value{
 			types.NewString("late"), types.NewString("busy"),
 		}, 0)); err != nil {
@@ -102,25 +105,25 @@ func TestParallelScanSnapshotIsolation(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	rows := drainBatches(t, &ParallelScan{Table: tbl, Snap: old, Workers: 4, MorselSize: 32})
-	if len(rows) != 500 {
-		t.Errorf("old snapshot sees %d rows, want 500", len(rows))
+	rows := drainBatches(t, &ParallelScan{Table: tbl, Snap: old, Workers: 4})
+	if len(rows) != 1500 {
+		t.Errorf("old snapshot sees %d rows, want 1500", len(rows))
 	}
 	for _, r := range rows {
 		if r[0].Str() == "late" {
 			t.Fatalf("row committed after snapshot is visible: %v", r)
 		}
 	}
-	now := drainBatches(t, &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 32})
-	if len(now) != 1000 {
-		t.Errorf("fresh snapshot sees %d rows, want 1000", len(now))
+	now := drainBatches(t, &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4})
+	if len(now) != 3000 {
+		t.Errorf("fresh snapshot sees %d rows, want 3000", len(now))
 	}
 }
 
 func TestParallelScanOutputDoesNotAliasHeap(t *testing.T) {
-	tbl, m := bigActivity(t, 200)
+	tbl, m := bigActivity(t, 2500) // three windows
 	snap := m.ReadSnapshot()
-	rows := drainBatches(t, &ParallelScan{Table: tbl, Snap: snap, Workers: 3, MorselSize: 16})
+	rows := drainBatches(t, &ParallelScan{Table: tbl, Snap: snap, Workers: 3})
 	// Clobber every returned tuple; a worker that leaked heap row storage
 	// (or reused an output buffer across tuples) corrupts a later scan.
 	for _, r := range rows {
@@ -128,8 +131,8 @@ func TestParallelScanOutputDoesNotAliasHeap(t *testing.T) {
 			r[i] = types.NewString("clobbered")
 		}
 	}
-	again := drainBatches(t, &ParallelScan{Table: tbl, Snap: snap, Workers: 3, MorselSize: 16})
-	if len(again) != 200 {
+	again := drainBatches(t, &ParallelScan{Table: tbl, Snap: snap, Workers: 3})
+	if len(again) != 2500 {
 		t.Fatalf("rows = %d", len(again))
 	}
 	for _, r := range again {
@@ -173,8 +176,8 @@ func TestExchangePropagatesChildError(t *testing.T) {
 }
 
 func TestExchangeEarlyClose(t *testing.T) {
-	tbl, m := bigActivity(t, 2000)
-	ps := &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 16}
+	tbl, m := bigActivity(t, 4000) // four windows
+	ps := &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4}
 	if err := ps.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestExchangeEarlyClose(t *testing.T) {
 }
 
 func TestHashJoinParallelBuildMatchesSerial(t *testing.T) {
-	act, m := bigActivity(t, 800)
+	act, m := bigActivity(t, 2800) // three windows
 	rout := routingTable(t, m)
 	layout := NewLayout([]Binding{{Name: "a", Table: act}, {Name: "r", Table: rout}})
 	width := layout.Width()
@@ -218,7 +221,7 @@ func TestHashJoinParallelBuildMatchesSerial(t *testing.T) {
 
 	serial := drainJoin(&BatchScan{Table: act, Snap: snap, Width: width})
 	parallel := drainJoin(&ParallelScan{
-		Table: act, Snap: snap, Width: width, Workers: 4, MorselSize: 32,
+		Table: act, Snap: snap, Width: width, Workers: 4,
 	})
 	if len(serial) == 0 {
 		t.Fatal("join produced no rows; fixture broken")
@@ -239,11 +242,12 @@ func TestRetainingOperatorsOverParallelScan(t *testing.T) {
 	// What the sort collects must be copied out of the workers' batches, and
 	// every key the aggregation keeps a copy, or retained values would be
 	// recycled underneath them.
-	tbl, m := bigActivity(t, 600)
+	const n = 3600 // four windows
+	tbl, m := bigActivity(t, n)
 	layout := layoutFor(tbl, "a")
 	snap := m.ReadSnapshot()
 	scan := func() BatchOperator {
-		return &ParallelScan{Table: tbl, Snap: snap, Workers: 4, MorselSize: 16}
+		return &ParallelScan{Table: tbl, Snap: snap, Workers: 4}
 	}
 
 	sorted, err := Drain(&BatchSort{
@@ -253,7 +257,7 @@ func TestRetainingOperatorsOverParallelScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sorted) != 600 {
+	if len(sorted) != n {
 		t.Fatalf("sorted rows = %d", len(sorted))
 	}
 	for i := 1; i < len(sorted); i++ {
@@ -277,8 +281,8 @@ func TestRetainingOperatorsOverParallelScan(t *testing.T) {
 	for _, g := range groups {
 		total += g[1].Int()
 	}
-	if total != 600 {
-		t.Errorf("group counts sum to %d, want 600", total)
+	if total != n {
+		t.Errorf("group counts sum to %d, want %d", total, n)
 	}
 }
 

@@ -71,7 +71,7 @@ func reopenCases(t *testing.T) []reopenCase {
 		counts: func() []int { return []int{bs.PrunedSegments, bs.ScannedSegments} },
 		holds:  func() []string { return holding("heap windows", bs.win != nil) }})
 
-	ps := &ParallelScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernel, Workers: 2, MorselSize: 64}
+	ps := &ParallelScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernel, Workers: 2}
 	add(reopenCase{name: "ParallelScan", op: ps, sorted: true,
 		holds: func() []string { return holding("exchange", ps.ex != nil) }})
 
@@ -254,7 +254,7 @@ func TestReopenedScansReadTheirNewSnapshot(t *testing.T) {
 	}
 	is := &IndexScan{Table: tbl, Index: tbl.Index(0), Lo: storage.Incl(types.NewInt(390)), Hi: storage.Unbounded}
 	bs := &BatchScan{Table: tbl}
-	ps := &ParallelScan{Table: tbl, Workers: 2, MorselSize: 64}
+	ps := &ParallelScan{Table: tbl, Workers: 2}
 	sa := &StatAggScan{Table: tbl, Specs: []AggSpec{{Func: sqlparser.FuncCount, Star: true}}, ArgCols: []int{-1}, Workers: 1}
 	scans := []struct {
 		name string

@@ -526,7 +526,7 @@ func TestCodedKeyProbe(t *testing.T) {
 	coded := &tbl.Snap().Segments[0].Cols[1]
 	plain := *coded
 	plain.Dict, plain.Codes = nil, nil
-	idx := newKeyIndex(1, 4)
+	idx := newKeyIndex(1, 4, 4)
 	var buf []byte
 	for id, k := range []string{"idle", "down", "", "idle"} {
 		idx.add(int32(id), []types.Value{types.NewString(k)}, &buf)
@@ -680,6 +680,80 @@ func TestSettledSegmentsSkipVisibility(t *testing.T) {
 			t.Errorf("committed delete mark: %d versions checked, want 8", n)
 		}
 	})
+}
+
+// TestSettledWindowsSkipVisibility: a scan selects every version of a full
+// tail window that settled before its snapshot without checking one, as it
+// does a settled segment's (TestSettledSegmentsSkipVisibility); the partial
+// last window, a window with a version in flight or deleted, and a snapshot
+// older than the window's latest creator check every version.
+func TestSettledWindowsSkipVisibility(t *testing.T) {
+	schema, err := storage.NewSchema([]storage.Column{{Name: "id", Kind: types.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := storage.NewTable("S", schema)
+	tbl.SetSealThreshold(-1)
+	m := txn.NewManager()
+	insert := func(tx *txn.Txn, n int) {
+		for i := 0; i < n; i++ {
+			if err := tx.InsertRow(tbl, storage.NewRow([]types.Value{types.NewInt(int64(i))}, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commit := func(n int) {
+		tx := m.Begin()
+		insert(tx, n)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(snap txn.Snapshot) int64 {
+		t.Helper()
+		before := tbl.VersionsVisited()
+		rows, err := Drain(&BatchScan{Table: tbl, Snap: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := visibleRows(t, tbl, snap, ""); len(rows) != len(want) {
+			t.Errorf("scan returned %d rows, per-row visibility %d", len(rows), len(want))
+		}
+		return tbl.VersionsVisited() - before
+	}
+
+	commit(storage.WindowSize - 24)
+	old := m.ReadSnapshot()
+	commit(24 + 100) // fills the first window; 100 rows in the second
+	if n := check(m.ReadSnapshot()); n != 100 {
+		t.Errorf("settled full window + partial window: %d versions checked, want 100 (the partial one)", n)
+	}
+	if n := check(old); n != storage.WindowSize+100 {
+		t.Errorf("snapshot older than the window's latest creator: %d checked, want %d", n, storage.WindowSize+100)
+	}
+
+	tx := m.Begin()
+	insert(tx, storage.WindowSize-100) // the second window fills, uncommitted
+	if n := check(m.ReadSnapshot()); n != storage.WindowSize {
+		t.Errorf("window with an in-flight creator: %d checked, want %d", n, storage.WindowSize)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := check(m.ReadSnapshot()); n != 0 {
+		t.Errorf("two settled full windows: %d checked, want 0", n)
+	}
+
+	del := m.Begin()
+	if err := del.Delete(tbl, tbl.Rows()[5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := check(m.ReadSnapshot()); n != storage.WindowSize {
+		t.Errorf("a delete mark in the first window: %d checked, want %d", n, storage.WindowSize)
+	}
 }
 
 // codedActivity builds 50 sealed segments of Activity: 100 sources,

@@ -281,7 +281,7 @@ func (st *probeState) release() {
 // with a NULL key can never be marked and are left out of the count the
 // early stop watches.
 func (j *SemiJoin) indexKeys(p *SemiProbe, st *probeState) error {
-	st.idx = newKeyIndex(len(p.AnchorKeys), len(st.cand))
+	st.idx = newKeyIndex(len(p.AnchorKeys), len(st.cand), len(st.cand))
 	st.unmarked = 0
 	vals := make([]types.Value, len(p.AnchorKeys))
 	for ci, pos := range st.cand {

@@ -225,7 +225,7 @@ func TestSemiJoinEarlyStopReapsParallelProbe(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for run := 0; run < 20; run++ {
 		probe := &SemiProbe{
-			Src:        &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4, MorselSize: 64},
+			Src:        &ParallelScan{Table: tbl, Snap: m.ReadSnapshot(), Workers: 4},
 			AnchorKeys: []Evaluator{col(0)}, ProbeKeys: []Evaluator{col(0)},
 		}
 		j := &SemiJoin{

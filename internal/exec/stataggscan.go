@@ -48,8 +48,6 @@ type StatAggScan struct {
 	// Workers bounds the parallel degree for leftover scan work; <= 0
 	// selects GOMAXPROCS.
 	Workers int
-	// MorselSize overrides storage.DefaultMorselSize (tests).
-	MorselSize int
 
 	// Classification counters from the last Open, for result surfacing.
 	StatSegments    int
@@ -173,22 +171,12 @@ func (s *StatAggScan) Open() error {
 		s.foldSegment(st, seg)
 	}
 
-	// Leftover units: uncovered segments plus tail runs.
-	ms := s.MorselSize
-	if ms <= 0 {
-		ms = storage.DefaultMorselSize
-	}
-	units := make([]storage.Morsel, 0, len(scan)+(len(tail)+ms-1)/ms)
+	// Leftover units: uncovered segments plus the tail windows.
+	units := make([]storage.Morsel, 0, len(scan)+len(tail)/storage.WindowSize+1)
 	for _, seg := range scan {
 		units = append(units, storage.Morsel{Seg: seg, Rows: seg.Rows})
 	}
-	for start := 0; start < len(tail); start += ms {
-		end := start + ms
-		if end > len(tail) {
-			end = len(tail)
-		}
-		units = append(units, storage.Morsel{Rows: tail[start:end]})
-	}
+	units = heap.AppendTail(units)
 
 	if len(units) > 0 {
 		if err := s.scanUnits(tab, units); err != nil {

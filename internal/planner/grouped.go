@@ -214,7 +214,7 @@ func (p *Planner) tryStatAgg(input exec.BatchOperator, specs []exec.AggSpec, arg
 		}
 		op.Table = n.Table
 		op.Kernel, op.SegFilter, op.Need = n.Kernel, n.SegFilter, n.Need
-		op.Workers, op.MorselSize = n.Degree(), n.MorselSize
+		op.Workers = n.Degree()
 	case *exec.BatchScan:
 		if n.Offset != 0 || n.Width != n.Table.Schema.NumColumns() {
 			return nil

@@ -2,40 +2,39 @@ package storage
 
 import "sync/atomic"
 
-// DefaultMorselSize is the number of row slots a parallel-scan worker claims
-// at a time. Morsels are large enough that the per-claim atomic increment is
-// noise, and small enough that a skewed filter (all matches in one heap
-// region) still spreads work across workers.
-const DefaultMorselSize = 4096
-
-// Morsel is one unit of scan work: either a sealed column segment (Seg set,
-// Rows aliasing the segment's row versions) or a run of unsealed tail rows
-// (Seg nil). Segments are never split across morsels, so segment-relative
-// positions double as selection-vector indices in columnar kernels.
+// Morsel is one unit of scan work: a sealed column segment (Seg set, Rows
+// aliasing the segment's row versions), a tail window (Win set, Rows the
+// window's versions in the snapshot: WindowSize of them, or fewer in the
+// last window), or, from an index scan, a run of versions nothing holds in
+// columnar form (neither set). A unit is never split, so positions in
+// Rows double as positions in the unit's vectors and as selection-vector
+// indices in columnar kernels.
 type Morsel struct {
 	Seg  *Segment
+	Win  *Window
 	Rows []*Row
-	// At is the heap position of Rows[0] in a tail run cut from a heap
-	// snapshot (Morsels, Windows); Table.WindowSources identifies the run by
-	// it.
-	At int
+}
+
+// AppendTail appends the snapshot's tail windows to units as scan units, in
+// heap order.
+func (h *HeapSnap) AppendTail(units []Morsel) []Morsel {
+	for k, w := range h.wins {
+		lo := h.Sealed + k*WindowSize
+		hi := min(lo+WindowSize, len(h.Rows))
+		units = append(units, Morsel{Win: w, Rows: h.Rows[lo:hi:hi]})
+	}
+	return units
 }
 
 // makeUnits partitions one heap snapshot into scan units: one per sealed
-// segment, then tail runs of the given size, aligned from the end of the
-// sealed prefix. Every cursor built from the same snapshot shares the
-// snapshot's slices — no per-cursor heap copy.
-func makeUnits(snap *HeapSnap, size int) []Morsel {
-	tail := snap.Tail()
-	units := make([]Morsel, 0, len(snap.Segments)+(len(tail)+size-1)/size)
-	for _, seg := range snap.Segments {
+// segment, then one per tail window. Every cursor built from the same
+// snapshot shares the snapshot's slices — no per-cursor heap copy.
+func makeUnits(h *HeapSnap) []Morsel {
+	units := make([]Morsel, 0, len(h.Segments)+len(h.wins))
+	for _, seg := range h.Segments {
 		units = append(units, Morsel{Seg: seg, Rows: seg.Rows})
 	}
-	for start := 0; start < len(tail); start += size {
-		end := min(start+size, len(tail))
-		units = append(units, Morsel{Rows: tail[start:end], At: snap.Sealed + start})
-	}
-	return units
+	return h.AppendTail(units)
 }
 
 // Morsels partitions a stable heap snapshot into scan units. Parallel scan
@@ -51,23 +50,20 @@ type Morsels struct {
 }
 
 // Morsels snapshots the heap and partitions it into units: one per sealed
-// segment plus tail runs of the given size (<= 0 selects DefaultMorselSize).
-// Versions appended after the call are not included, exactly like Rows.
-func (t *Table) Morsels(size int) *Morsels {
-	return t.Snap().Morsels(size)
+// segment plus one per tail window. Versions appended after the call are
+// not included, exactly like Rows.
+func (t *Table) Morsels() *Morsels {
+	return t.Snap().Morsels()
 }
 
 // Morsels partitions an already-taken snapshot, sharing its slices.
-func (h *HeapSnap) Morsels(size int) *Morsels {
-	if size <= 0 {
-		size = DefaultMorselSize
-	}
-	return &Morsels{units: makeUnits(h, size), rows: h.Len()}
+func (h *HeapSnap) Morsels() *Morsels {
+	return &Morsels{units: makeUnits(h), rows: h.Len()}
 }
 
 // NewMorsels wraps an explicit unit list in a claimable morsel source, for
-// callers that scan a subset of a snapshot — e.g. the segments and tail runs
-// a stat-pushdown aggregate could not answer from zone maps.
+// callers that scan a subset of a snapshot — e.g. the segments and tail
+// windows a stat-pushdown aggregate could not answer from zone maps.
 func NewMorsels(units []Morsel) *Morsels {
 	rows := 0
 	for _, u := range units {
@@ -94,28 +90,24 @@ func (m *Morsels) NumMorsels() int { return len(m.units) }
 
 // Windows iterates a stable heap snapshot in scan units for a single
 // consumer — the serial counterpart of Morsels, with a plain cursor instead
-// of an atomic claim. Batch scans use it to pull one segment or one
-// batch-sized window of tail rows per step.
+// of an atomic claim. Batch scans use it to pull one segment or one tail
+// window per step.
 type Windows struct {
 	units []Morsel
 	rows  int
 	next  int
 }
 
-// Windows snapshots the heap and partitions it like Morsels (<= 0 selects
-// DefaultMorselSize). Versions appended after the call are not included,
-// exactly like Rows. Not safe for concurrent use; workers share a Morsels
-// instead.
-func (t *Table) Windows(size int) *Windows {
-	return t.Snap().Windows(size)
+// Windows snapshots the heap and partitions it like Morsels. Versions
+// appended after the call are not included, exactly like Rows. Not safe for
+// concurrent use; workers share a Morsels instead.
+func (t *Table) Windows() *Windows {
+	return t.Snap().Windows()
 }
 
 // Windows partitions an already-taken snapshot, sharing its slices.
-func (h *HeapSnap) Windows(size int) *Windows {
-	if size <= 0 {
-		size = DefaultMorselSize
-	}
-	return &Windows{units: makeUnits(h, size), rows: h.Len()}
+func (h *HeapSnap) Windows() *Windows {
+	return &Windows{units: makeUnits(h), rows: h.Len()}
 }
 
 // Next hands out the next unit, or ok=false when the snapshot is exhausted.

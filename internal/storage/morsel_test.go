@@ -7,32 +7,40 @@ import (
 	"trac/internal/types"
 )
 
-func morselFixture(t *testing.T, n int) *Table {
+// morselFixture appends n rows, v = 0..n-1, under seal threshold threshold
+// (see SetSealThreshold).
+func morselFixture(t *testing.T, n, threshold int) *Table {
 	t.Helper()
 	schema, err := NewSchema([]Column{{Name: "v", Kind: types.KindInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := NewTable("t", schema)
+	tbl.SetSealThreshold(threshold)
 	for i := 0; i < n; i++ {
 		tbl.Append(NewRow([]types.Value{types.NewInt(int64(i))}, 1))
 	}
 	return tbl
 }
 
+// TestMorselsPartitionExactly: a snapshot is one unit per sealed segment
+// plus one per tail window, the last window partial.
 func TestMorselsPartitionExactly(t *testing.T) {
-	for _, tc := range []struct{ rows, size, want int }{
-		{0, 10, 0},
-		{1, 10, 1},
-		{10, 10, 1},
-		{11, 10, 2},
-		{1000, 64, 16},
+	for _, tc := range []struct{ rows, threshold, want int }{
+		{0, 0, 0},
+		{1, 0, 1},
+		{WindowSize, 0, 1},
+		{WindowSize + 1, 0, 2},
+		{3*WindowSize + 5, -1, 4},
+		{DefaultSegmentSize + WindowSize + 1, 0, 3},
+		{1000, 64, 16}, // 15 segments, 40 rows in one window
+		{2*1500 + 1100, 1500, 4},
 	} {
-		tbl := morselFixture(t, tc.rows)
-		m := tbl.Morsels(tc.size)
+		tbl := morselFixture(t, tc.rows, tc.threshold)
+		m := tbl.Morsels()
 		if m.NumMorsels() != tc.want {
-			t.Errorf("%d rows / size %d: NumMorsels = %d, want %d",
-				tc.rows, tc.size, m.NumMorsels(), tc.want)
+			t.Errorf("%d rows / threshold %d: NumMorsels = %d, want %d",
+				tc.rows, tc.threshold, m.NumMorsels(), tc.want)
 		}
 		if m.Len() != tc.rows {
 			t.Errorf("Len = %d, want %d", m.Len(), tc.rows)
@@ -42,8 +50,8 @@ func TestMorselsPartitionExactly(t *testing.T) {
 
 func TestMorselsConcurrentClaimCoversEachRowOnce(t *testing.T) {
 	const rows = 5000
-	tbl := morselFixture(t, rows)
-	m := tbl.Morsels(32)
+	tbl := morselFixture(t, rows, -1) // five windows
+	m := tbl.Morsels()
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -84,8 +92,8 @@ func TestMorselsConcurrentClaimCoversEachRowOnce(t *testing.T) {
 }
 
 func TestMorselsSnapshotIgnoresLaterInserts(t *testing.T) {
-	tbl := morselFixture(t, 100)
-	m := tbl.Morsels(10)
+	tbl := morselFixture(t, 100, 0)
+	m := tbl.Morsels()
 	// Rows inserted after partitioning are not part of this scan.
 	tbl.Append(NewRow([]types.Value{types.NewInt(999)}, 1))
 	n := 0
@@ -101,12 +109,15 @@ func TestMorselsSnapshotIgnoresLaterInserts(t *testing.T) {
 	}
 }
 
+// TestWindowsCoverEveryRowInOrder: the serial cursor visits every row once,
+// in heap order, a segment or a window at a time, each window holding at
+// most WindowSize rows.
 func TestWindowsCoverEveryRowInOrder(t *testing.T) {
-	for _, tc := range []struct{ rows, size int }{
-		{0, 10}, {1, 10}, {10, 10}, {25, 10}, {1000, 64},
+	for _, tc := range []struct{ rows, threshold int }{
+		{0, 0}, {1, 0}, {WindowSize, -1}, {2*WindowSize + 25, -1}, {1000, 64}, {5000, 1500}, {9000, 0},
 	} {
-		tbl := morselFixture(t, tc.rows)
-		w := tbl.Windows(tc.size)
+		tbl := morselFixture(t, tc.rows, tc.threshold)
+		w := tbl.Windows()
 		if w.Len() != tc.rows {
 			t.Errorf("Len = %d, want %d", w.Len(), tc.rows)
 		}
@@ -116,8 +127,11 @@ func TestWindowsCoverEveryRowInOrder(t *testing.T) {
 			if !ok {
 				break
 			}
-			if len(win.Rows) == 0 || len(win.Rows) > tc.size {
-				t.Fatalf("window of %d rows with size %d", len(win.Rows), tc.size)
+			switch {
+			case len(win.Rows) == 0:
+				t.Fatal("empty unit")
+			case win.Seg == nil && (win.Win == nil || len(win.Rows) > WindowSize):
+				t.Fatalf("tail unit of %d rows (window %v)", len(win.Rows), win.Win != nil)
 			}
 			for _, r := range win.Rows {
 				if got := r.Values[0].Int(); got != int64(seen) {
@@ -136,8 +150,8 @@ func TestWindowsCoverEveryRowInOrder(t *testing.T) {
 }
 
 func TestWindowsSnapshotStable(t *testing.T) {
-	tbl := morselFixture(t, 5)
-	w := tbl.Windows(0)
+	tbl := morselFixture(t, 5, 0)
+	w := tbl.Windows()
 	tbl.Append(NewRow([]types.Value{types.NewInt(99)}, 1))
 	total := 0
 	for {

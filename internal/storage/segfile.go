@@ -56,7 +56,7 @@ func CompactSegments(rows []*Row, schema *Schema, segSize int) []*Segment {
 		if n > segSize {
 			n = segSize
 		}
-		segs = append(segs, sealSegment(rows[:n:n], schema))
+		segs = append(segs, sealRows(rows[:n:n], schema))
 		rows = rows[n:]
 	}
 	return segs

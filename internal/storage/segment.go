@@ -10,10 +10,11 @@ import (
 )
 
 // DefaultSegmentSize is the number of row versions sealed into one column
-// segment. It matches DefaultMorselSize so a sealed segment is exactly one
-// parallel-scan work unit, and it is large enough that the per-segment zone
-// map check amortizes to noise while small enough that pruning granularity
-// tracks the source-clustered layout sniffer ingestion produces.
+// segment: four tail windows (WindowSize), so that the default threshold
+// seals whole windows. A sealed segment is one parallel-scan work unit. It
+// is large enough that the per-segment zone map check amortizes to noise
+// while small enough that pruning granularity tracks the source-clustered
+// layout sniffer ingestion produces.
 const DefaultSegmentSize = 4096
 
 // MaxZoneSources caps the per-segment distinct-source set. Beyond the cap
@@ -219,15 +220,21 @@ func (s *Segment) NoteLive(seq uint64, from *LiveSet, visible []int) {
 // A segment with an in-flight, aborted or deleted version is not settled,
 // and each call checks it again, up to the first such version.
 func (t *Table) Settled(seg *Segment) (seq uint64, ok bool) {
+	return t.settledIn(&seg.settled, seg.Rows)
+}
+
+// settledIn is Settled over rows, a segment's or a full window's, with
+// cache the unit's record of its last successful pass.
+func (t *Table) settledIn(cache *atomic.Pointer[settledMark], rows []*Row) (seq uint64, ok bool) {
 	// Read before the rows: a mark taken during the pass then fails the
 	// cache's comparison at the next call.
 	marks := t.marks.Load()
-	if m := seg.settled.Load(); m != nil && m.marks == marks {
+	if m := cache.Load(); m != nil && m.marks == marks {
 		return m.seq, true
 	}
-	seq, ok = settledSeq(seg.Rows)
+	seq, ok = settledSeq(rows)
 	if ok {
-		seg.settled.Store(&settledMark{marks: marks, seq: seq})
+		cache.Store(&settledMark{marks: marks, seq: seq})
 	}
 	return seq, ok
 }
@@ -245,17 +252,28 @@ func settledSeq(rows []*Row) (seq uint64, ok bool) {
 	return seq, true
 }
 
-// sealSegment builds the columnar form of one heap region.
-func sealSegment(rows []*Row, schema *Schema) *Segment {
-	n := len(rows)
-	seg := &Segment{
-		Rows:  rows,
-		Cols:  make([]ColVec, schema.NumColumns()),
-		Zones: make([]ZoneMap, schema.NumColumns()),
+// sealRows builds the segment of rows from their values, for rows no
+// window holds (CompactSegments).
+func sealRows(rows []*Row, schema *Schema) *Segment {
+	cols := makeCols(schema, len(rows))
+	for k, r := range rows {
+		for ci, v := range r.Values {
+			if !cols[ci].put(k, v) {
+				cols[ci] = cols[ci].generic(k)
+				cols[ci].put(k, v)
+			}
+		}
 	}
-	for ci := range seg.Cols {
-		buildCol(rows, ci, schema.Columns[ci].Kind, &seg.Cols[ci], &seg.Zones[ci])
-		zoneSums(&seg.Cols[ci], &seg.Zones[ci], n)
+	return newSegment(rows, cols, schema)
+}
+
+// newSegment makes the segment of rows whose columns are cols: it computes
+// the zone maps and codes the TEXT columns.
+func newSegment(rows []*Row, cols []ColVec, schema *Schema) *Segment {
+	seg := &Segment{Rows: rows, Cols: cols, Zones: make([]ZoneMap, len(cols))}
+	for ci := range cols {
+		seg.Zones[ci] = zoneOf(&cols[ci])
+		zoneSums(&cols[ci], &seg.Zones[ci], len(rows))
 	}
 	seg.code(schema)
 	return seg
@@ -323,58 +341,44 @@ func codeText(col *ColVec) {
 	col.Dict, col.Codes = dict, codes
 }
 
-// buildCol extracts one column into vector form and computes its zone map.
-func buildCol(rows []*Row, ci int, kind types.Kind, col *ColVec, zone *ZoneMap) {
-	n := len(rows)
-	col.Kind = kind
-	col.Pure = true
-	col.Nulls = make([]bool, n)
-	switch kind {
-	case types.KindInt, types.KindTime, types.KindBool:
-		col.I64 = make([]int64, n)
-	case types.KindFloat:
-		col.F64 = make([]float64, n)
-	case types.KindString:
-		col.Str = make([]string, n)
-	default:
-		col.Pure = false
-		col.Vals = make([]types.Value, n)
-	}
+// zoneOf computes the bounds and null count of a column. A pure integer or
+// TEXT column is bounded by typed comparisons; any other by types.Compare,
+// value by value, which drops the bounds at the first pair of values it
+// cannot order.
+func zoneOf(col *ColVec) (zone ZoneMap) {
 	zone.Ordered = true
-	for i, r := range rows {
-		v := r.Values[ci]
-		if v.IsNull() {
-			col.Nulls[i] = true
+	for _, null := range col.Nulls {
+		if null {
 			zone.NullCount++
-			continue
 		}
-		if col.Pure && v.Kind() != kind {
-			// Mixed kinds: demote the whole column to the generic form.
-			col.Vals = make([]types.Value, n)
-			for j := 0; j < i; j++ {
-				col.Vals[j] = rows[j].Values[ci]
+	}
+	if zone.NullCount == len(col.Nulls) {
+		return zone
+	}
+	first := slices.Index(col.Nulls, false)
+	switch {
+	case col.Pure && col.I64 != nil:
+		lo, hi := col.I64[first], col.I64[first]
+		for i, v := range col.I64 {
+			if !col.Nulls[i] {
+				lo, hi = min(lo, v), max(hi, v)
 			}
-			col.Pure, col.I64, col.F64, col.Str = false, nil, nil, nil
 		}
-		if col.Pure {
-			switch kind {
-			case types.KindInt:
-				col.I64[i] = v.Int()
-			case types.KindTime:
-				col.I64[i] = v.TimeNanos()
-			case types.KindBool:
-				if v.Bool() {
-					col.I64[i] = 1
-				}
-			case types.KindFloat:
-				col.F64[i] = v.Float()
-			case types.KindString:
-				col.Str[i] = v.Str()
+		zone.Min, zone.Max = boxI64(col.Kind, lo), boxI64(col.Kind, hi)
+		return zone
+	case col.Pure && col.Str != nil:
+		lo, hi := col.Str[first], col.Str[first]
+		for i, v := range col.Str {
+			if !col.Nulls[i] {
+				lo, hi = min(lo, v), max(hi, v)
 			}
-		} else {
-			col.Vals[i] = v
 		}
-		if !zone.Ordered {
+		zone.Min, zone.Max = types.NewString(lo), types.NewString(hi)
+		return zone
+	}
+	for i := range col.Nulls {
+		v := col.Value(i)
+		if v.IsNull() {
 			continue
 		}
 		if zone.Min.IsNull() {
@@ -384,7 +388,7 @@ func buildCol(rows []*Row, ci int, kind types.Kind, col *ColVec, zone *ZoneMap) 
 		if cmp, err := types.Compare(v, zone.Min); err != nil {
 			// Unorderable mix: drop the bounds, keep the null count.
 			zone.Ordered, zone.Min, zone.Max = false, types.Null, types.Null
-			continue
+			return zone
 		} else if cmp < 0 {
 			zone.Min = v
 		}
@@ -392,6 +396,19 @@ func buildCol(rows []*Row, ci int, kind types.Kind, col *ColVec, zone *ZoneMap) 
 			zone.Max = v
 		}
 	}
+	return zone
+}
+
+// boxI64 boxes the payload of a slot of a pure vector of kind BIGINT,
+// TIMESTAMP or BOOLEAN.
+func boxI64(kind types.Kind, v int64) types.Value {
+	switch kind {
+	case types.KindTime:
+		return types.NewTimeNanos(v)
+	case types.KindBool:
+		return types.NewBool(v != 0)
+	}
+	return types.NewInt(v)
 }
 
 // zoneSums records the per-column aggregate stats (float sum; exact int sum
@@ -431,10 +448,10 @@ func zoneSums(col *ColVec, zone *ZoneMap, n int) {
 }
 
 // HeapSnap is one consistent snapshot of a table's heap: the full version
-// vector, the sealed segments covering its prefix, and the unsealed row
-// tail. All cursors over the snapshot (Morsels, Windows, direct tail reads)
-// share the same immutable slices — taking several cursors costs no
-// additional locking or copying.
+// vector, the sealed segments covering its prefix, and the windows holding
+// the unsealed row tail. All cursors over the snapshot (Morsels, Windows,
+// direct tail reads) share the same immutable slices — taking several
+// cursors costs no additional locking or copying.
 type HeapSnap struct {
 	// Rows is the full version vector (sealed prefix + tail).
 	Rows []*Row
@@ -442,6 +459,8 @@ type HeapSnap struct {
 	Segments []*Segment
 	// Sealed is the number of leading row slots covered by Segments.
 	Sealed int
+
+	wins []*Window // hold Rows[Sealed:], WindowSize rows each
 }
 
 // Tail returns the unsealed row suffix.
@@ -457,11 +476,11 @@ func (t *Table) Snap() *HeapSnap {
 	t.ensureHydrated()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	segs := t.segments[:len(t.segments):len(t.segments)]
 	return &HeapSnap{
 		Rows:     t.rows[:len(t.rows):len(t.rows)],
-		Segments: segs,
+		Segments: t.segments[:len(t.segments):len(t.segments)],
 		Sealed:   t.sealed,
+		wins:     t.wins[:len(t.wins):len(t.wins)],
 	}
 }
 
@@ -507,27 +526,26 @@ func (t *Table) maybeSealLocked() {
 	if size == 0 {
 		return
 	}
+	from := t.sealed
 	for len(t.rows)-t.sealed >= size {
-		t.sealRegionLocked(size)
+		t.sealRegionLocked(from, size)
 	}
 	tail := len(t.rows) - t.sealed
 	live := max(len(t.rows)-int(t.dead.Load()), 0)
 	if tail >= minAgedSeal && tail >= agedTailFactor*live {
-		t.sealRegionLocked(tail)
+		t.sealRegionLocked(from, tail)
 	}
+	t.trimWindowsLocked(from)
 }
 
-// sealRegionLocked seals the next n tail rows into one segment. The caller
-// holds t.mu and guarantees n <= len(tail).
-func (t *Table) sealRegionLocked(n int) {
+// sealRegionLocked seals the next n tail rows into one segment, copied out
+// of the windows, which still start where the sealed prefix ended at from.
+// The caller holds t.mu, guarantees n <= len(tail), and realigns the
+// windows once it is done sealing (trimWindowsLocked).
+func (t *Table) sealRegionLocked(from, n int) {
 	region := t.rows[t.sealed : t.sealed+n : t.sealed+n]
-	t.segments = append(t.segments, sealSegment(region, t.Schema))
+	t.segments = append(t.segments, sealWindows(region, t.wins, t.sealed-from, t.Schema))
 	t.sealed += n
-	for at := range t.tails {
-		if at < t.sealed {
-			delete(t.tails, at) // the segment's own source set stands for it now
-		}
-	}
 }
 
 // Seal converts the entire current tail into column segments (in chunks of
@@ -543,15 +561,12 @@ func (t *Table) Seal() int {
 	if size == 0 {
 		size = DefaultSegmentSize
 	}
-	created := 0
+	from, created := t.sealed, 0
 	for t.sealed < len(t.rows) {
-		n := len(t.rows) - t.sealed
-		if n > size {
-			n = size
-		}
-		t.sealRegionLocked(n)
+		t.sealRegionLocked(from, min(len(t.rows)-t.sealed, size))
 		created++
 	}
+	t.trimWindowsLocked(from)
 	return created
 }
 

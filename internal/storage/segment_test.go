@@ -160,7 +160,7 @@ func TestSealEmptyTableAndOversizedThreshold(t *testing.T) {
 	if n := tbl.Seal(); n != 0 {
 		t.Fatalf("sealing an empty table created %d segments", n)
 	}
-	if w, ok := tbl.Windows(10).Next(); ok {
+	if w, ok := tbl.Windows().Next(); ok {
 		t.Fatalf("empty table produced a window: %+v", w)
 	}
 	// Threshold larger than the heap: everything stays in the tail.
@@ -187,13 +187,14 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 		tbl.Append(segRow(int64(i), "s", 0, false))
 	}
 	tbl.Seal()
-	for i := 50; i < 75; i++ {
+	const rows = 50 + 2*WindowSize + 25
+	for i := 50; i < rows; i++ {
 		tbl.Append(segRow(int64(i), "s", 0, false))
 	}
 	snap := tbl.Snap()
-	m := snap.Morsels(10)
-	w := snap.Windows(10)
-	// 1 segment unit + 3 tail windows of 10/10/5.
+	m := snap.Morsels()
+	w := snap.Windows()
+	// 1 segment unit + 3 tail windows of 1,024/1,024/25.
 	if m.NumMorsels() != 4 {
 		t.Fatalf("NumMorsels = %d, want 4", m.NumMorsels())
 	}
@@ -210,8 +211,8 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 			seen[r.Values[0].Int()]++
 		}
 	}
-	if len(seen) != 75 {
-		t.Fatalf("windows covered %d distinct rows, want 75", len(seen))
+	if len(seen) != rows {
+		t.Fatalf("windows covered %d distinct rows, want %d", len(seen), rows)
 	}
 	for id, c := range seen {
 		if c != 1 {
@@ -219,9 +220,12 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 		}
 	}
 	// The units alias the snapshot's heap slice — same *Row pointers.
-	u, _ := snap.Windows(10).Next()
-	if u.Seg == nil || u.Rows[0] != snap.Rows[0] {
+	units := makeUnits(snap)
+	if u := units[0]; u.Rows[0] != snap.Rows[0] {
 		t.Fatal("segment unit does not share the snapshot heap")
+	}
+	if u := units[2]; u.Win == nil || u.Rows[0] != snap.Rows[50+WindowSize] {
+		t.Fatal("window unit does not share the snapshot heap")
 	}
 }
 
@@ -248,7 +252,7 @@ func TestAppendsRacingLiveScan(t *testing.T) {
 	}()
 	for iter := 0; iter < 200; iter++ {
 		snap := tbl.Snap()
-		w := snap.Windows(32)
+		w := snap.Windows()
 		next := int64(0)
 		for {
 			u, ok := w.Next()

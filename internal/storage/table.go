@@ -88,11 +88,8 @@ type Table struct {
 	sealed    int
 	sealEvery int
 
-	// tails holds the source sets of tail windows by heap position
-	// (WindowSources). Readers fill it under mu's read lock and tailMu;
-	// sealing, under mu, drops the windows it covers.
-	tailMu sync.Mutex
-	tails  map[int]*tailSet
+	// wins holds the tail, rows[sealed:], in columnar form (see Window).
+	wins []*Window
 
 	// dead counts versions superseded by a committed-or-pending UPDATE or
 	// DELETE (see NoteDead); LiveRows subtracts it from the version count.
@@ -269,7 +266,8 @@ func (t *Table) hydrate(sp *tableSpill) error {
 	t.rows = rows
 	t.segments = append(segs[:len(segs):len(segs)], t.segments...)
 	t.sealed += total
-	t.tails = nil // heap positions moved
+	t.wins = nil // the tail now starts with the loaded rows
+	t.fillLocked(0, t.rows[t.sealed:])
 	for col := range t.indexes {
 		// An index created before hydration (not possible through the
 		// public API, which hydrates first) would be missing the spilled
@@ -325,6 +323,7 @@ func (t *Table) AppendRows(rows []*Row) error {
 		}
 	}
 	t.mu.Lock()
+	t.fillLocked(len(t.rows)-t.sealed, rows)
 	t.rows = append(t.rows, rows...)
 	for col, idx := range t.indexes {
 		for _, row := range rows {
