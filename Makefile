@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check chaos crash bench bench-smoke bench-parallel benchmark-smoke
+.PHONY: build test lint check chaos crash fuzz bench bench-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,8 @@ lint:
 # winning a race against the goroutines they contend with. The tail-window
 # race test runs ten times over under the race detector: scans and recency
 # probes read windows that appends fill, seals drop and kind demotions
-# replace.
-check: lint bench-smoke benchmark-smoke crash
+# replace. It also runs each native fuzz target for ten seconds (see fuzz).
+check: lint bench-smoke benchmark-smoke crash fuzz
 	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./client/...
 	$(GO) test -count 20 ./internal/server
 	$(GO) test -race -count 10 -run '^TestTailWindowsRace$$' ./internal/exec
@@ -46,6 +46,15 @@ check: lint bench-smoke benchmark-smoke crash
 crash:
 	$(GO) test -race -count=1 -run 'TestCrashRecoverySweep' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestFleetCrashRecoveryExactlyOnce' ./internal/sniffer/
+
+# fuzz runs each native fuzz target for ten seconds beyond its checked-in
+# corpus (testdata/fuzz/, which plain `go test` already replays): the SQL
+# parser's parse → print → parse fixpoint, then the wire's frame reader and
+# payload decoders. `go test -fuzz` takes one target per invocation.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/sqlparser
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 10s ./internal/server
 
 # bench-smoke runs every Go benchmark exactly once — not for numbers, just
 # to prove the benchmark harnesses still build, run, and cross-check.
@@ -65,18 +74,11 @@ benchmark-smoke:
 chaos:
 	TRAC_CHAOS=1 $(GO) test -race -count=1 ./internal/gridsim/... ./internal/sniffer/...
 
-# bench runs the Go benchmarks once through, then regenerates the checked-in
-# BENCH_*.json reports via tracbench. The storage and aggregation totals match
-# the 200k-row Go benchmark dataset. The shardbench runs at 1M rows so
-# per-shard scan time dominates the fixed scatter-gather cost and the
-# pruned-probe speedup reflects data volume, not report overhead.
+# bench runs the repository benchmark (BENCHMARK.json, bench/) once per
+# workload, end to end, at the length the benchmark declares. The last line
+# each run prints is its result object; bench/README.md has the traced
+# per-layer run and the self-check.
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/tracbench -storagebench -total 200000 -iterations 11 -storage-o BENCH_storage.json
-	$(GO) run ./cmd/tracbench -aggbench -total 200000 -iterations 11 -agg-o BENCH_agg.json
-	$(GO) run ./cmd/tracbench -recoverybench -total 200000 -iterations 5 -recovery-o BENCH_recovery.json
-	$(GO) run ./cmd/tracbench -shardbench -total 1000000 -iterations 5 -shard-o BENCH_shard.json
-	$(GO) run ./cmd/tracbench -servebench -serve-o BENCH_serve.json
-
-bench-parallel:
-	$(GO) test -run xxx -bench 'BenchmarkParallelScan|BenchmarkPreparedReportCached' -benchtime 3x .
+	for w in wire_point scan_join wide_sharded ingest_durable; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 22 --trace 0 || exit 1; \
+	done

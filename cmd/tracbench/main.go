@@ -3,11 +3,6 @@
 //	tracbench -figure 1            # Figure 1: overhead vs data ratio, Q1–Q4
 //	tracbench -figure 2            # Figure 2: absolute times for Q1/Q3
 //	tracbench -fpr                 # the §5.2 false-positive-rate table
-//	tracbench -storagebench        # zone-map pruning vs unpruned scan microbench
-//	tracbench -aggbench            # aggregation pushdown/parallelism microbench
-//	tracbench -recoverybench       # durable-directory recovery microbench
-//	tracbench -shardbench          # sharded scatter-gather vs single-shard microbench
-//	tracbench -servebench          # wire-protocol serving latency/QPS + overload shedding
 //	tracbench -all                 # everything
 //
 // The sweep defaults to 1,000,000 Activity rows (the paper used 10,000,000
@@ -35,33 +30,13 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	chart := flag.Bool("chart", false, "also draw ASCII log-log charts for Figure 1")
-	storagebench := flag.Bool("storagebench", false, "run the zone-map pruning storage microbenchmarks")
-	storageOut := flag.String("storage-o", "BENCH_storage.json", "output path for the -storagebench report")
-	segSize := flag.Int("segment-size", 0, "segment size for -storagebench/-aggbench (0 = storage default)")
-	aggbench := flag.Bool("aggbench", false, "run the aggregation pushdown/parallelism microbenchmarks")
-	aggOut := flag.String("agg-o", "BENCH_agg.json", "output path for the -aggbench report")
-	recoverybench := flag.Bool("recoverybench", false, "run the durable-directory recovery microbenchmarks")
-	recoveryOut := flag.String("recovery-o", "BENCH_recovery.json", "output path for the -recoverybench report")
-	tailRows := flag.Int("tail-rows", 0, "post-checkpoint WAL tail rows for -recoverybench (0 = total/100)")
-	shardbench := flag.Bool("shardbench", false, "run the sharded scatter-gather microbenchmarks")
-	shardOut := flag.String("shard-o", "BENCH_shard.json", "output path for the -shardbench report")
-	shardCounts := flag.String("shard-counts", "1,4,8", "comma-separated shard counts for -shardbench (first must be 1)")
-	servebench := flag.Bool("servebench", false, "run the wire-protocol serving benchmarks")
-	serveOut := flag.String("serve-o", "BENCH_serve.json", "output path for the -servebench report")
-	serveClients := flag.String("serve-clients", "1,8,64,256", "comma-separated client counts for -servebench")
-	serveRequests := flag.Int("serve-requests", 0, "requests per -servebench cell (0 = default 1024)")
 	flag.Parse()
 
 	if *all {
 		*figure = 1
 		*fpr = true
-		*storagebench = true
-		*aggbench = true
-		*recoverybench = true
-		*shardbench = true
-		*servebench = true
 	}
-	if *figure == 0 && !*fpr && !*storagebench && !*aggbench && !*recoverybench && !*shardbench && !*servebench {
+	if *figure == 0 && !*fpr {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -104,146 +79,6 @@ func main() {
 			if *figure == 2 || *all {
 				fmt.Println(benchharness.RenderFigure2(points, 0))
 			}
-		}
-	}
-
-	if *storagebench {
-		progress := func(string) {}
-		if !*quiet {
-			progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		report, err := benchharness.RunStorageBench(*total, 1_000, *segSize, *iters, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "storagebench failed:", err)
-			os.Exit(1)
-		}
-		out, err := benchharness.MarshalStorageBench(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "storagebench marshal failed:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*storageOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "storagebench write failed:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *storageOut)
-		}
-	}
-
-	if *aggbench {
-		progress := func(string) {}
-		if !*quiet {
-			progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		report, err := benchharness.RunAggBench(*total, 1_000, *segSize, *iters, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench failed:", err)
-			os.Exit(1)
-		}
-		out, err := benchharness.MarshalAggBench(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench marshal failed:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*aggOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench write failed:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *aggOut)
-		}
-	}
-
-	if *recoverybench {
-		progress := func(string) {}
-		if !*quiet {
-			progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		report, err := benchharness.RunRecoveryBench(*total, *tailRows, *iters, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "recoverybench failed:", err)
-			os.Exit(1)
-		}
-		out, err := benchharness.MarshalRecoveryBench(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "recoverybench marshal failed:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*recoveryOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "recoverybench write failed:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *recoveryOut)
-		}
-	}
-
-	if *shardbench {
-		progress := func(string) {}
-		if !*quiet {
-			progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		var counts []int
-		for _, s := range strings.Split(*shardCounts, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad shard count %q: %v\n", s, err)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-		report, err := benchharness.RunShardBench(*total, 1_000, *iters, counts, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shardbench failed:", err)
-			os.Exit(1)
-		}
-		out, err := benchharness.MarshalShardBench(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shardbench marshal failed:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*shardOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "shardbench write failed:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *shardOut)
-		}
-	}
-
-	if *servebench {
-		progress := func(string) {}
-		if !*quiet {
-			progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		var counts []int
-		for _, s := range strings.Split(*serveClients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad client count %q: %v\n", s, err)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-		// The serving workload sizes its own dataset (default 20k rows); the
-		// sweep's -total is the figure-1 scale, far too slow per request here.
-		report, err := benchharness.RunServeBench(0, 0, *serveRequests, counts, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "servebench failed:", err)
-			os.Exit(1)
-		}
-		out, err := benchharness.MarshalServeBench(report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "servebench marshal failed:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*serveOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "servebench write failed:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *serveOut)
 		}
 	}
 

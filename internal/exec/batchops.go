@@ -286,14 +286,14 @@ type BatchScan struct {
 	PrunedSegments  int
 	ScannedSegments int
 
-	feed sourceFeed
-	win  *storage.Windows
-	scan unitScan
+	feed  sourceFeed
+	units *storage.Morsels
+	scan  unitScan
 }
 
 // Open snapshots the heap as scan units and resets per-execution state.
 func (s *BatchScan) Open() error {
-	s.win = s.Table.Windows()
+	s.units = s.Table.Morsels()
 	s.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, s.Offset, s.Width, s.Need)
 	s.scan.feed = s.feed.take()
 	s.PrunedSegments, s.ScannedSegments = 0, 0
@@ -310,7 +310,7 @@ func (s *BatchScan) feedSources(col int, sink *probeState) {
 // rows.
 func (s *BatchScan) NextBatch() (*Batch, error) {
 	for !s.scan.done {
-		u, ok := s.win.Next()
+		u, ok := s.units.Claim()
 		if !ok {
 			break
 		}
@@ -325,7 +325,7 @@ func (s *BatchScan) NextBatch() (*Batch, error) {
 
 // Close releases the heap snapshot.
 func (s *BatchScan) Close() error {
-	s.win = nil
+	s.units = nil
 	return nil
 }
 

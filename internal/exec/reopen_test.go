@@ -69,7 +69,7 @@ func reopenCases(t *testing.T) []reopenCase {
 	bs := &BatchScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernelOn(t, layout, "id < 150"), SegFilter: segf}
 	add(reopenCase{name: "BatchScan", op: bs,
 		counts: func() []int { return []int{bs.PrunedSegments, bs.ScannedSegments} },
-		holds:  func() []string { return holding("heap windows", bs.win != nil) }})
+		holds:  func() []string { return holding("heap units", bs.units != nil) }})
 
 	ps := &ParallelScan{Table: agg, Snap: gm.ReadSnapshot(), Kernel: kernel, Workers: 2}
 	add(reopenCase{name: "ParallelScan", op: ps, sorted: true,

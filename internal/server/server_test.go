@@ -202,6 +202,11 @@ func testWireEquivalence(t *testing.T, db *trac.DB) {
 				t.Fatalf("q%d wire execute: %v", qi, err)
 			}
 			assertReportsMatch(t, fmt.Sprintf("q%d prepared #%d", qi, rep), want, got)
+			// Prepare warmed the plan cache, so every execution is a hit:
+			// no parse, no generation.
+			if !got.CachedPlan {
+				t.Errorf("q%d prepared #%d: not served from the plan cache", qi, rep)
+			}
 			sess.Close()
 		}
 		if err := stmt.Close(); err != nil {

@@ -146,6 +146,8 @@ func TestExplainShardNotes(t *testing.T) {
 	}{
 		{`SELECT value FROM Activity WHERE mach_id = 'Tao1'`, "shards: 1 of 4, pruned 3"},
 		{`SELECT value FROM Activity WHERE value = 'idle'`, "shards: 4 of 4, pruned 0"},
+		{`SELECT COUNT(*) FROM Activity WHERE value = 'busy'`, "shards: 4 of 4, pruned 0"},
+		{`SELECT mach_id, COUNT(*) FROM Activity GROUP BY mach_id`, "shards: 4 of 4, pruned 0"},
 		{`SELECT neighbor FROM Routing WHERE mach_id = 'Tao1'`, "shards: 1 of 4, replicated"},
 	}
 	for _, c := range cases {

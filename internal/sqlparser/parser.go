@@ -809,8 +809,14 @@ func (p *parser) parseCreate() (Statement, error) {
 				break
 			}
 		}
-		if _, err := p.expect(TokRParen, ""); err != nil {
+		rp, err := p.expect(TokRParen, "")
+		if err != nil {
 			return nil, err
+		}
+		// A table of CHECKs alone has no row to check and no SQL() text that
+		// parses back, which is what the WAL replays.
+		if len(stmt.Columns) == 0 {
+			return nil, errf(rp.Pos, "CREATE TABLE %s has no columns", name)
 		}
 		return stmt, nil
 	case p.accept(TokKeyword, "INDEX"):

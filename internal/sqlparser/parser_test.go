@@ -224,6 +224,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM t extra garbage (",
 		"SELECT MIN(*) FROM t",
 		"SELECT x FROM t WHERE NOT",
+		"CREATE TABLE t (CHECK (a > 0))",
+		"SELECT TIMESTAMP '1677-01-01 00:00:00'",
+		"SELECT TIMESTAMP '2263-01-01'",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -232,37 +235,59 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// roundTripStatements covers every statement form; TestStatementSQLRoundTrip
+// runs them and FuzzParseRoundTrip starts from them.
+var roundTripStatements = []string{
+	`SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND value = 'idle'`,
+	`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id = 'm1' AND R.neighbor = A.mach_id AND A.value = 'idle'`,
+	`SELECT DISTINCT H.sid FROM Heartbeat H WHERE H.sid LIKE 'Tao%' ORDER BY H.sid LIMIT 5`,
+	`INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')`,
+	`UPDATE t SET a = 2, b = 'z' WHERE a = 1`,
+	`DELETE FROM t WHERE a IS NOT NULL`,
+	`CREATE TABLE t (a BIGINT PRIMARY KEY, b TEXT, c TIMESTAMP)`,
+	`CREATE TABLE t (a BIGINT, b TEXT, CHECK (a > 0), CONSTRAINT no_x CHECK (b <> 'x'))`,
+	`CREATE INDEX i ON t (a)`,
+	`DROP TABLE t`,
+	`SELECT sid FROM H WHERE a = 1 OR b = 2 AND c = 3`,
+	`SELECT sid FROM H WHERE sid = 'a' UNION SELECT sid FROM H WHERE sid = 'b'`,
+}
+
+// checkRoundTrip asserts that stmt's SQL() parses back to an equal AST with
+// the same text: the WAL logs that text and replay parses it.
+func checkRoundTrip(t *testing.T, src string, stmt1 Statement) {
+	t.Helper()
+	sql1 := stmt1.SQL()
+	stmt2, err := Parse(sql1)
+	if err != nil {
+		t.Fatalf("re-parse of %q failed: %v\nrendered: %q", src, err, sql1)
+	}
+	if sql2 := stmt2.SQL(); sql1 != sql2 {
+		t.Fatalf("render not stable:\n first: %q\nsecond: %q", sql1, sql2)
+	}
+	if !reflect.DeepEqual(stmt1, stmt2) {
+		t.Fatalf("AST changed after round trip for %q\nrendered: %q", src, sql1)
+	}
+}
+
 func TestStatementSQLRoundTrip(t *testing.T) {
-	srcs := []string{
-		`SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND value = 'idle'`,
-		`SELECT COUNT(*) FROM Routing R, Activity A WHERE R.mach_id = 'm1' AND R.neighbor = A.mach_id AND A.value = 'idle'`,
-		`SELECT DISTINCT H.sid FROM Heartbeat H WHERE H.sid LIKE 'Tao%' ORDER BY H.sid LIMIT 5`,
-		`INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')`,
-		`UPDATE t SET a = 2, b = 'z' WHERE a = 1`,
-		`DELETE FROM t WHERE a IS NOT NULL`,
-		`CREATE TABLE t (a BIGINT PRIMARY KEY, b TEXT, c TIMESTAMP)`,
-		`CREATE TABLE t (a BIGINT, b TEXT, CHECK (a > 0), CONSTRAINT no_x CHECK (b <> 'x'))`,
-		`CREATE INDEX i ON t (a)`,
-		`DROP TABLE t`,
-		`SELECT sid FROM H WHERE a = 1 OR b = 2 AND c = 3`,
-		`SELECT sid FROM H WHERE sid = 'a' UNION SELECT sid FROM H WHERE sid = 'b'`,
+	for _, src := range roundTripStatements {
+		checkRoundTrip(t, src, mustParse(t, src))
 	}
-	for _, src := range srcs {
-		stmt1 := mustParse(t, src)
-		sql1 := stmt1.SQL()
-		stmt2, err := Parse(sql1)
+}
+
+// FuzzParseRoundTrip: Parse never panics on any input, and whatever parses
+// renders to SQL that parses back to the same AST and the same text.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, src := range roundTripStatements {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Parse(src)
 		if err != nil {
-			t.Errorf("re-parse of %q failed: %v\nrendered: %q", src, err, sql1)
-			continue
+			return
 		}
-		sql2 := stmt2.SQL()
-		if sql1 != sql2 {
-			t.Errorf("render not stable:\n first: %q\nsecond: %q", sql1, sql2)
-		}
-		if !reflect.DeepEqual(stmt1, stmt2) {
-			t.Errorf("AST changed after round trip for %q", src)
-		}
-	}
+		checkRoundTrip(t, src, stmt)
+	})
 }
 
 func TestCloneExprIsDeep(t *testing.T) {

@@ -37,12 +37,13 @@ func makeUnits(h *HeapSnap) []Morsel {
 	return h.AppendTail(units)
 }
 
-// Morsels partitions a stable heap snapshot into scan units. Parallel scan
-// workers share one Morsels value and claim units with a single atomic
-// increment each — the morsel-driven scheduling discipline: work
-// distribution is dynamic (fast workers claim more morsels), while each
-// morsel is processed entirely by one worker, so per-worker state (filter
-// evaluation, visibility checks) needs no synchronization.
+// Morsels partitions a stable heap snapshot into scan units. A serial scan
+// claims from its own Morsels; parallel scan workers share one and claim
+// units with a single atomic increment each — the morsel-driven scheduling
+// discipline: work distribution is dynamic (fast workers claim more
+// morsels), while each morsel is processed entirely by one worker, so
+// per-worker state (filter evaluation, visibility checks) needs no
+// synchronization.
 type Morsels struct {
 	units []Morsel
 	rows  int
@@ -87,38 +88,3 @@ func (m *Morsels) Len() int { return m.rows }
 
 // NumMorsels returns how many units the snapshot partitions into.
 func (m *Morsels) NumMorsels() int { return len(m.units) }
-
-// Windows iterates a stable heap snapshot in scan units for a single
-// consumer — the serial counterpart of Morsels, with a plain cursor instead
-// of an atomic claim. Batch scans use it to pull one segment or one tail
-// window per step.
-type Windows struct {
-	units []Morsel
-	rows  int
-	next  int
-}
-
-// Windows snapshots the heap and partitions it like Morsels. Versions
-// appended after the call are not included, exactly like Rows. Not safe for
-// concurrent use; workers share a Morsels instead.
-func (t *Table) Windows() *Windows {
-	return t.Snap().Windows()
-}
-
-// Windows partitions an already-taken snapshot, sharing its slices.
-func (h *HeapSnap) Windows() *Windows {
-	return &Windows{units: makeUnits(h), rows: h.Len()}
-}
-
-// Next hands out the next unit, or ok=false when the snapshot is exhausted.
-func (w *Windows) Next() (Morsel, bool) {
-	if w.next >= len(w.units) {
-		return Morsel{}, false
-	}
-	u := w.units[w.next]
-	w.next++
-	return u, true
-}
-
-// Len returns the total number of row slots in the snapshot.
-func (w *Windows) Len() int { return w.rows }

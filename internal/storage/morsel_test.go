@@ -109,31 +109,37 @@ func TestMorselsSnapshotIgnoresLaterInserts(t *testing.T) {
 	}
 }
 
-// TestWindowsCoverEveryRowInOrder: the serial cursor visits every row once,
-// in heap order, a segment or a window at a time, each window holding at
+// claimAll claims every unit of m from one goroutine, which gets them in
+// heap order.
+func claimAll(m *Morsels) []Morsel {
+	var units []Morsel
+	for u, ok := m.Claim(); ok; u, ok = m.Claim() {
+		units = append(units, u)
+	}
+	return units
+}
+
+// TestWindowsCoverEveryRowInOrder: one claimer visits every row once, in
+// heap order, a segment or a tail window at a time, each window holding at
 // most WindowSize rows.
 func TestWindowsCoverEveryRowInOrder(t *testing.T) {
 	for _, tc := range []struct{ rows, threshold int }{
 		{0, 0}, {1, 0}, {WindowSize, -1}, {2*WindowSize + 25, -1}, {1000, 64}, {5000, 1500}, {9000, 0},
 	} {
 		tbl := morselFixture(t, tc.rows, tc.threshold)
-		w := tbl.Windows()
-		if w.Len() != tc.rows {
-			t.Errorf("Len = %d, want %d", w.Len(), tc.rows)
+		m := tbl.Morsels()
+		if m.Len() != tc.rows {
+			t.Errorf("Len = %d, want %d", m.Len(), tc.rows)
 		}
 		seen := 0
-		for {
-			win, ok := w.Next()
-			if !ok {
-				break
-			}
+		for _, u := range claimAll(m) {
 			switch {
-			case len(win.Rows) == 0:
+			case len(u.Rows) == 0:
 				t.Fatal("empty unit")
-			case win.Seg == nil && (win.Win == nil || len(win.Rows) > WindowSize):
-				t.Fatalf("tail unit of %d rows (window %v)", len(win.Rows), win.Win != nil)
+			case u.Seg == nil && (u.Win == nil || len(u.Rows) > WindowSize):
+				t.Fatalf("tail unit of %d rows (window %v)", len(u.Rows), u.Win != nil)
 			}
-			for _, r := range win.Rows {
+			for _, r := range u.Rows {
 				if got := r.Values[0].Int(); got != int64(seen) {
 					t.Fatalf("row %d out of order: got %d", seen, got)
 				}
@@ -141,27 +147,40 @@ func TestWindowsCoverEveryRowInOrder(t *testing.T) {
 			}
 		}
 		if seen != tc.rows {
-			t.Errorf("windows covered %d rows, want %d", seen, tc.rows)
+			t.Errorf("units covered %d rows, want %d", seen, tc.rows)
 		}
-		if _, ok := w.Next(); ok {
-			t.Error("Next after exhaustion returned a window")
+		if _, ok := m.Claim(); ok {
+			t.Error("Claim after exhaustion returned a unit")
 		}
 	}
 }
 
+// TestWindowsSnapshotStable: units claimed after later appends and a seal
+// that drops the snapshot's windows still hold exactly the snapshot's rows,
+// each window's vectors unchanged.
 func TestWindowsSnapshotStable(t *testing.T) {
-	tbl := morselFixture(t, 5, 0)
-	w := tbl.Windows()
+	const rows = WindowSize + 5
+	tbl := morselFixture(t, rows, -1)
+	m := tbl.Morsels()
 	tbl.Append(NewRow([]types.Value{types.NewInt(99)}, 1))
-	total := 0
-	for {
-		win, ok := w.Next()
-		if !ok {
-			break
-		}
-		total += len(win.Rows)
+	tbl.Seal()
+	units := claimAll(m)
+	if len(units) != 2 {
+		t.Fatalf("snapshot has %d units after the seal, want its 2 windows", len(units))
 	}
-	if total != 5 {
-		t.Errorf("snapshot saw %d rows, want 5 (append after Windows must not leak in)", total)
+	next := 0
+	for _, u := range units {
+		if u.Win == nil {
+			t.Fatal("a seal after the snapshot replaced its window by a segment")
+		}
+		for k, r := range u.Rows {
+			if got := r.Values[0].Int(); got != int64(next) || u.Win.Cols[0].I64[k] != int64(next) {
+				t.Fatalf("row %d: heap %d, window slot %d", next, got, u.Win.Cols[0].I64[k])
+			}
+			next++
+		}
+	}
+	if next != rows {
+		t.Errorf("snapshot saw %d rows, want %d (appends after Morsels must not leak in)", next, rows)
 	}
 }

@@ -449,8 +449,8 @@ func zoneSums(col *ColVec, zone *ZoneMap, n int) {
 
 // HeapSnap is one consistent snapshot of a table's heap: the full version
 // vector, the sealed segments covering its prefix, and the windows holding
-// the unsealed row tail. All cursors over the snapshot (Morsels, Windows,
-// direct tail reads) share the same immutable slices — taking several
+// the unsealed row tail. All cursors over the snapshot (Morsels, direct
+// tail reads) share the same immutable slices — taking several
 // cursors costs no additional locking or copying.
 type HeapSnap struct {
 	// Rows is the full version vector (sealed prefix + tail).

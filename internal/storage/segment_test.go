@@ -160,8 +160,8 @@ func TestSealEmptyTableAndOversizedThreshold(t *testing.T) {
 	if n := tbl.Seal(); n != 0 {
 		t.Fatalf("sealing an empty table created %d segments", n)
 	}
-	if w, ok := tbl.Windows().Next(); ok {
-		t.Fatalf("empty table produced a window: %+v", w)
+	if u, ok := tbl.Morsels().Claim(); ok {
+		t.Fatalf("empty table produced a unit: %+v", u)
 	}
 	// Threshold larger than the heap: everything stays in the tail.
 	tbl.SetSealThreshold(1 << 20)
@@ -193,17 +193,12 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 	}
 	snap := tbl.Snap()
 	m := snap.Morsels()
-	w := snap.Windows()
 	// 1 segment unit + 3 tail windows of 1,024/1,024/25.
 	if m.NumMorsels() != 4 {
 		t.Fatalf("NumMorsels = %d, want 4", m.NumMorsels())
 	}
 	seen := map[int64]int{}
-	for {
-		u, ok := w.Next()
-		if !ok {
-			break
-		}
+	for _, u := range claimAll(m) {
 		if u.Seg != nil && len(u.Rows) != 50 {
 			t.Fatalf("segment unit has %d rows", len(u.Rows))
 		}
@@ -212,7 +207,7 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 		}
 	}
 	if len(seen) != rows {
-		t.Fatalf("windows covered %d distinct rows, want %d", len(seen), rows)
+		t.Fatalf("units covered %d distinct rows, want %d", len(seen), rows)
 	}
 	for id, c := range seen {
 		if c != 1 {
@@ -252,13 +247,8 @@ func TestAppendsRacingLiveScan(t *testing.T) {
 	}()
 	for iter := 0; iter < 200; iter++ {
 		snap := tbl.Snap()
-		w := snap.Windows()
 		next := int64(0)
-		for {
-			u, ok := w.Next()
-			if !ok {
-				break
-			}
+		for _, u := range claimAll(snap.Morsels()) {
 			for _, r := range u.Rows {
 				if got := r.Values[0].Int(); got != next {
 					t.Errorf("iter %d: saw id %d, want %d", iter, got, next)

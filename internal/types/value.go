@@ -325,10 +325,14 @@ func cmpFloat64(a, b float64) int {
 }
 
 // ParseTime parses the canonical timestamp layout, accepting an optional
-// fractional-second suffix.
+// fractional-second suffix. A time a Value cannot hold as int64 Unix
+// nanoseconds (before 1677 or after 2262) is an error, not a wrapped value.
 func ParseTime(s string) (time.Time, error) {
 	for _, layout := range []string{TimeLayout, "2006-01-02 15:04:05.999999999", "2006-01-02", time.RFC3339} {
 		if t, err := time.Parse(layout, s); err == nil {
+			if t.Before(time.Unix(0, math.MinInt64)) || t.After(time.Unix(0, math.MaxInt64)) {
+				return time.Time{}, fmt.Errorf("types: timestamp %q is out of range", s)
+			}
 			return t.UTC(), nil
 		}
 	}
