@@ -24,7 +24,8 @@ lint:
 # property tests drive parallel scans whose batches view segment memory
 # across goroutines, and storage owns that memory; the exec re-Open tests and
 # the server's DDL-race hammer run reused plan trees; the LRU behind the plan
-# cache and the templates is hammered from several goroutines) under the race
+# cache and the templates is hammered from several goroutines; the sniffer
+# fleet polls every source concurrently into one engine) under the race
 # detector, run the crash-injection recovery sweeps, then smoke every
 # benchmark — BenchmarkPlanSelect's fresh and template paths included — so
 # bench-only code paths cannot rot unnoticed. The serving layer's tests run
@@ -34,7 +35,7 @@ lint:
 # probes read windows that appends fill, seals drop and kind demotions
 # replace. It also runs each native fuzz target for ten seconds (see fuzz).
 check: lint bench-smoke benchmark-smoke crash fuzz
-	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./client/...
+	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./internal/sniffer/... ./client/...
 	$(GO) test -count 20 ./internal/server
 	$(GO) test -race -count 10 -run '^TestTailWindowsRace$$' ./internal/exec
 

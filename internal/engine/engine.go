@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -553,15 +554,7 @@ func (db *DB) matchRows(tbl *storage.Table, where sqlparser.Expr, snap txn.Snaps
 			return nil, err
 		}
 	}
-	var candidates []*storage.Row
-	if col, keys, ok := planner.EqualityProbe(tbl, where); ok {
-		idx := tbl.Index(col)
-		for _, k := range keys {
-			candidates = append(candidates, idx.LookupAt(k, snap.Seq)...)
-		}
-	} else {
-		candidates = tbl.Rows()
-	}
+	candidates := candidateRows(tbl, planner.EqualityProbes(tbl, where), snap.Seq)
 	tbl.NoteVisited(len(candidates))
 	var out []*storage.Row
 	for _, r := range candidates {
@@ -577,6 +570,28 @@ func (db *DB) matchRows(tbl *storage.Table, where sqlparser.Expr, snap txn.Snaps
 		}
 	}
 	return out, nil
+}
+
+// candidateRows returns the versions an UPDATE/DELETE checks at seq: the
+// heap without probes, else the shortest probe's chains, each key looked up
+// once, ties going to the lowest column (probes come in column order).
+func candidateRows(tbl *storage.Table, probes []planner.Probe, seq uint64) []*storage.Row {
+	if len(probes) == 0 {
+		return tbl.Rows()
+	}
+	var best []*storage.Row
+	for i, p := range probes {
+		idx := tbl.Index(p.Col)
+		// Clipped, so that appending copies: the chain is the index's own.
+		rows := slices.Clip(idx.LookupAt(p.Keys[0], seq))
+		for _, k := range p.Keys[1:] {
+			rows = append(rows, idx.LookupAt(k, seq)...)
+		}
+		if i == 0 || len(rows) < len(best) {
+			best = rows
+		}
+	}
+	return best
 }
 
 func (db *DB) execUpdate(s *sqlparser.UpdateStmt, tx *txn.Txn) (int, error) {

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"trac/internal/planner"
+	"trac/internal/sqlparser"
 )
 
 // paperDB builds the paper's Activity/Routing/Heartbeat schema with the
@@ -333,6 +337,81 @@ func TestResultFormat(t *testing.T) {
 	for _, want := range []string{"mach_id", "value", "m1", "idle", "(1 rows)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestKeyedWriteProbesShortestChain pins that an UPDATE/DELETE whose WHERE
+// pins two indexed columns reads the shorter chain: one machine's 1,000 jobs
+// sit under schedMachineId, one version under each jobId. Which index it
+// reads must not depend on map order, so every one of 50 writes — each to
+// jobs not written before, as the loader routes a job once — visits exactly
+// the versions its keys name.
+func TestKeyedWriteProbesShortestChain(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE S (schedMachineId TEXT, jobId TEXT, remoteMachineId TEXT)`)
+	db.MustExec(`CREATE INDEX idx_s_job ON S (jobId)`)
+	db.MustExec(`CREATE INDEX idx_s_sched ON S (schedMachineId)`)
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO S VALUES `)
+	for j := 0; j < 1000; j++ {
+		if j > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "('m1', 'j%d', NULL)", j)
+	}
+	db.MustExec(sb.String())
+	tbl, err := db.Catalog().Get("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := func(sql string, wantRows int) int64 {
+		t.Helper()
+		before := tbl.VersionsVisited()
+		if n := db.MustExec(sql); n != wantRows {
+			t.Fatalf("%s touched %d rows, want %d", sql, n, wantRows)
+		}
+		return tbl.VersionsVisited() - before
+	}
+	for i := 0; i < 50; i++ {
+		eq := fmt.Sprintf(`UPDATE S SET remoteMachineId = 'r' WHERE schedMachineId = 'm1' AND jobId = 'j%d'`, i)
+		if v := visits(eq, 1); v != 1 {
+			t.Fatalf("write %d visited %d versions, want 1", i, v)
+		}
+		in := fmt.Sprintf(`UPDATE S SET remoteMachineId = 'r' WHERE jobId IN ('j%d', 'j%d') AND schedMachineId IN ('m1', 'm2')`,
+			100+2*i, 101+2*i)
+		if v := visits(in, 2); v != 2 {
+			t.Fatalf("IN write %d visited %d versions, want 2", i, v)
+		}
+	}
+	if v := visits(`DELETE FROM S WHERE schedMachineId = 'm1' AND jobId = 'nope'`, 0); v != 0 {
+		t.Fatalf("a probe with no chain visited %d versions, want 0", v)
+	}
+	if v := visits(`DELETE FROM S WHERE schedMachineId = 'm1' AND jobId = 'j999'`, 1); v != 1 {
+		t.Fatalf("keyed DELETE visited %d versions, want 1", v)
+	}
+}
+
+// TestKeyedWriteTieTakesLowerColumn pins the tie rule: chains of equal
+// length go to the lower column, whatever order the indexes were built in.
+func TestKeyedWriteTieTakesLowerColumn(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE T (a TEXT, b TEXT)`)
+	db.MustExec(`CREATE INDEX idx_t_b ON T (b)`)
+	db.MustExec(`CREATE INDEX idx_t_a ON T (a)`)
+	db.MustExec(`INSERT INTO T VALUES ('x', 'p'), ('y', 'q')`)
+	tbl, err := db.Catalog().Get("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	where, err := sqlparser.ParseExpr(`b = 'q' AND a = 'x'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		rows := candidateRows(tbl, planner.EqualityProbes(tbl, where), db.Snapshot().Seq)
+		if len(rows) != 1 || rows[0].Values[0].Str() != "x" {
+			t.Fatalf("tie read %v, want the chain of a = 'x'", rows)
 		}
 	}
 }

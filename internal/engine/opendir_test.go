@@ -105,6 +105,41 @@ func TestZeroColumnCreateTableRejected(t *testing.T) {
 	}
 }
 
+// TestFractionalTimestampSurvivesReplay pins that a TIMESTAMP literal's
+// fractional seconds reach the WAL: the statement is logged as rendered, so a
+// render that dropped the fraction would reopen a different value.
+func TestFractionalTimestampSurvivesReplay(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`CREATE TABLE T (k TEXT, ts TIMESTAMP)`)
+	db.MustExec(`INSERT INTO T VALUES ('a', TIMESTAMP '2006-03-15 14:00:00')`)
+	db.MustExec(`INSERT INTO T VALUES ('b', TIMESTAMP '2006-03-15 14:00:00.25')`)
+	const later = `SELECT k FROM T WHERE ts > '2006-03-15 14:00:00'`
+	before, err := db.Query(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	after, err := db2.Query(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Rows) != 1 || len(after.Rows) != 1 || after.Rows[0][0].Str() != "b" {
+		t.Fatalf("rows after 14:00:00: %v before close, %v after reopen; want [b] both times",
+			before.Rows, after.Rows)
+	}
+}
+
 func TestCheckpointDirSpillsAndRecoversLazily(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDir(dir)

@@ -73,6 +73,12 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 	// visits every version, so the parallel threshold looks at those.
 	totalRows := float64(tbl.LiveRows())
 
+	exprs := make([]sqlparser.Expr, len(mine))
+	for k, c := range mine {
+		exprs[k] = c.expr
+		c.used = true
+	}
+
 	// Gather per-column index candidates.
 	type candidate struct {
 		col    int
@@ -91,7 +97,7 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 		colName := tbl.Schema.Columns[col].Name
 		colKind := tbl.Schema.Columns[col].Kind
 
-		if keys := equalityKeys(mine, b.Name, colName, colKind); keys != nil {
+		if keys := equalityKeys(exprs, b.Name, colName, colKind); keys != nil {
 			est := float64(len(keys)) * perKey
 			if best == nil || est < best.est {
 				best = &candidate{col: col, keys: keys, est: est}
@@ -113,15 +119,7 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 	}
 
 	// The full single-table predicate becomes the scan's fused kernel.
-	var pred sqlparser.Expr
-	if len(mine) > 0 {
-		exprs := make([]sqlparser.Expr, len(mine))
-		for k, c := range mine {
-			exprs[k] = c.expr
-			c.used = true
-		}
-		pred = sqlparser.AndAll(exprs...)
-	}
+	pred := sqlparser.AndAll(exprs...)
 	kernel, fused, total, err := exec.CompileKernel(pred, layout)
 	if err != nil {
 		return nil, 0, note{}, err
@@ -310,9 +308,9 @@ func matchColLit(a, b sqlparser.Expr, binding string, tbl *storage.Table) (*sqlp
 // over the named column from the single-table conjuncts, combining multiple
 // equality conjuncts by intersection semantics left to the filter (we just
 // use the first usable one, which is sufficient for index probing).
-func equalityKeys(mine []*conjunct, binding, colName string, colKind types.Kind) []types.Value {
-	for _, c := range mine {
-		switch e := c.expr.(type) {
+func equalityKeys(conjs []sqlparser.Expr, binding, colName string, colKind types.Kind) []types.Value {
+	for _, c := range conjs {
+		switch e := c.(type) {
 		case *sqlparser.Comparison:
 			if e.Op != sqlparser.CmpEq {
 				continue

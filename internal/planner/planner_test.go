@@ -327,25 +327,23 @@ func TestUnionOrderByOutputColumn(t *testing.T) {
 }
 
 func TestEqualityProbe(t *testing.T) {
-	p, mgr := fixture(t)
-	_ = mgr
+	p, _ := fixture(t)
 	tbl, _ := p.Catalog.Get("Activity")
 	where, _ := sqlparser.ParseExpr(`mach_id = 'm3' AND value = 'busy'`)
-	col, keys, ok := EqualityProbe(tbl, where)
-	if !ok || col != 0 || len(keys) != 1 || keys[0].Str() != "m3" {
-		t.Errorf("probe = %d %v %v", col, keys, ok)
+	probes := EqualityProbes(tbl, where)
+	if len(probes) != 1 || probes[0].Col != 0 || len(probes[0].Keys) != 1 || probes[0].Keys[0].Str() != "m3" {
+		t.Errorf("probes = %v", probes)
 	}
 	whereIn, _ := sqlparser.ParseExpr(`mach_id IN ('m1', 'm2')`)
-	_, keys, ok = EqualityProbe(tbl, whereIn)
-	if !ok || len(keys) != 2 {
-		t.Errorf("IN probe = %v %v", keys, ok)
+	if probes := EqualityProbes(tbl, whereIn); len(probes) != 1 || len(probes[0].Keys) != 2 {
+		t.Errorf("IN probes = %v", probes)
 	}
 	whereNone, _ := sqlparser.ParseExpr(`value = 'busy'`)
-	if _, _, ok := EqualityProbe(tbl, whereNone); ok {
-		t.Error("probe on unindexed column should fail")
+	if probes := EqualityProbes(tbl, whereNone); probes != nil {
+		t.Errorf("probes on an unindexed column = %v", probes)
 	}
-	if _, _, ok := EqualityProbe(tbl, nil); ok {
-		t.Error("nil where should fail")
+	if probes := EqualityProbes(tbl, nil); probes != nil {
+		t.Errorf("probes for a nil WHERE = %v", probes)
 	}
 }
 

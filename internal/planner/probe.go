@@ -1,49 +1,37 @@
 package planner
 
 import (
+	"slices"
+
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/types"
 )
 
-// EqualityProbe inspects a single-table WHERE clause and, when some
-// AND-level conjunct is an equality or IN over an indexed column with
-// literal operands, returns that column and the probe keys. DML execution
-// (UPDATE/DELETE) uses this to avoid full scans on the loader hot path —
-// e.g. the per-event `UPDATE Heartbeat ... WHERE sid = 'x'`.
-func EqualityProbe(tbl *storage.Table, where sqlparser.Expr) (col int, keys []types.Value, ok bool) {
+// Probe is one indexed column a WHERE clause pins to literal keys.
+type Probe struct {
+	Col  int
+	Keys []types.Value
+}
+
+// EqualityProbes returns, in column order, every indexed column of tbl that
+// an AND-level conjunct of a single-table WHERE pins with = or IN over
+// literals, with its keys. UPDATE/DELETE read the probe whose chains are
+// shortest, so `UPDATE S ... WHERE schedMachineId = 'm' AND jobId = 'j'`
+// reads the job's version, not the machine's history.
+func EqualityProbes(tbl *storage.Table, where sqlparser.Expr) []Probe {
 	if where == nil {
-		return 0, nil, false
+		return nil
 	}
 	conjs := splitAnd(where)
-	for _, idxCol := range tbl.IndexedColumns() {
-		colName := tbl.Schema.Columns[idxCol].Name
-		colKind := tbl.Schema.Columns[idxCol].Kind
-		for _, e := range conjs {
-			switch n := e.(type) {
-			case *sqlparser.Comparison:
-				if n.Op != sqlparser.CmpEq {
-					continue
-				}
-				if v, hit := columnLiteral(n.Left, n.Right, tbl.Name, colName, colKind); hit {
-					return idxCol, []types.Value{v}, true
-				}
-				if v, hit := columnLiteral(n.Right, n.Left, tbl.Name, colName, colKind); hit {
-					return idxCol, []types.Value{v}, true
-				}
-			case *sqlparser.In:
-				if n.Negated {
-					continue
-				}
-				cr, isCol := n.Expr.(*sqlparser.ColumnRef)
-				if !isCol || !matchesColumn(cr, tbl.Name, colName) {
-					continue
-				}
-				if ks := literalKeys(n.List, colKind); ks != nil {
-					return idxCol, ks, true
-				}
-			}
+	cols := tbl.IndexedColumns()
+	slices.Sort(cols)
+	var probes []Probe
+	for _, col := range cols {
+		c := tbl.Schema.Columns[col]
+		if keys := equalityKeys(conjs, tbl.Name, c.Name, c.Kind); keys != nil {
+			probes = append(probes, Probe{Col: col, Keys: keys})
 		}
 	}
-	return 0, nil, false
+	return probes
 }

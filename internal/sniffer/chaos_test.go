@@ -1,6 +1,7 @@
 package sniffer
 
 import (
+	"fmt"
 	"os"
 	"sort"
 	"testing"
@@ -8,10 +9,12 @@ import (
 
 	"trac/internal/engine"
 	"trac/internal/gridsim"
+	"trac/internal/types"
 )
 
 // dumpTables renders every ingestion-visible table as a sorted list of
-// rows, so two databases can be compared for exact equality.
+// rows, so two databases can be compared for exact equality: a timestamp in
+// nanoseconds, so that no rendering of its fraction can hide a difference.
 func dumpTables(t *testing.T, db *engine.DB) []string {
 	t.Helper()
 	var out []string
@@ -23,7 +26,11 @@ func dumpTables(t *testing.T, db *engine.DB) []string {
 		for _, row := range res.Rows {
 			line := table
 			for _, v := range row {
-				line += " | " + v.SQL()
+				if v.Kind() == types.KindTime {
+					line += fmt.Sprintf(" | %dns", v.Time().UnixNano())
+				} else {
+					line += " | " + v.SQL()
+				}
 			}
 			out = append(out, line)
 		}

@@ -112,20 +112,13 @@ func InstallMetadata(db *engine.DB) error {
 
 // RegisterSource ensures a Heartbeat row exists for a source, with a zero
 // recency until its first report ("every contributing data source in a
-// system has an entry in the Heartbeat table").
+// system has an entry in the Heartbeat table"). A registered source keeps
+// its recency.
 func RegisterSource(db *engine.DB, sid string, epoch types.Value) error {
 	b := db.BeginBatch()
 	defer b.Abort()
-	n, err := b.Exec(`UPDATE Heartbeat SET sid = ` + types.NewString(sid).SQL() +
-		` WHERE sid = ` + types.NewString(sid).SQL())
-	if err != nil {
+	if err := upsertHeartbeat(b, sid, col("recency"), epoch); err != nil {
 		return err
-	}
-	if n == 0 {
-		if _, err := b.Exec(`INSERT INTO Heartbeat (sid, recency) VALUES (` +
-			types.NewString(sid).SQL() + `, ` + epoch.SQL() + `)`); err != nil {
-			return err
-		}
 	}
 	return b.Commit()
 }

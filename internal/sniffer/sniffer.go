@@ -11,6 +11,7 @@ import (
 
 	"trac/internal/engine"
 	"trac/internal/gridsim"
+	"trac/internal/sqlparser"
 	"trac/internal/types"
 )
 
@@ -250,7 +251,7 @@ func (s *Sniffer) pollLocked(ctx context.Context) (int, error) {
 	newLast := s.lastTS
 	if maxTS.After(newLast) {
 		newLast = maxTS
-		if err := upsertHeartbeat(b, s.source, maxTS); err != nil {
+		if err := UpsertHeartbeat(b, s.source, types.NewTime(maxTS)); err != nil {
 			return 0, err
 		}
 	}
@@ -376,72 +377,85 @@ func (s *Sniffer) resyncLocked(cause error, next, applied int, last time.Time) {
 	}
 }
 
-// persistState upserts the sniffer's durable resume point inside the batch.
-func persistState(b *engine.Batch, sid string, offset, applied int, last time.Time) error {
-	sidSQL := types.NewString(sid).SQL()
-	lastSQL := "NULL"
-	if !last.IsZero() {
-		lastSQL = types.NewTime(last).SQL()
-	}
-	set := `log_offset = ` + types.NewInt(int64(offset)).SQL() +
-		`, applied = ` + types.NewInt(int64(applied)).SQL() +
-		`, last_ts = ` + lastSQL
-	n, err := b.Exec(`UPDATE ` + SnifferStateTable + ` SET ` + set + ` WHERE sid = ` + sidSQL)
-	if err != nil {
+// The loader builds its writes as statements: nothing is quoted or parsed
+// on ingest, and the WAL logs each one's SQL(), the text it would have been
+// parsed from.
+func col(name string) *sqlparser.ColumnRef { return &sqlparser.ColumnRef{Column: name} }
+func lit(v types.Value) *sqlparser.Literal { return &sqlparser.Literal{Val: v} }
+func str(s string) *sqlparser.Literal      { return lit(types.NewString(s)) }
+
+// eq is `name = v`.
+func eq(name string, v sqlparser.Expr) sqlparser.Expr {
+	return &sqlparser.Comparison{Op: sqlparser.CmpEq, Left: col(name), Right: v}
+}
+
+// insert runs `INSERT INTO table [(cols)] VALUES (values)` inside b.
+func insert(b *engine.Batch, table string, cols []string, values ...sqlparser.Expr) error {
+	_, err := b.ExecStmt(&sqlparser.InsertStmt{Table: table, Columns: cols, Rows: [][]sqlparser.Expr{values}})
+	return err
+}
+
+// upsert runs `UPDATE table SET set WHERE key = id` inside b and, when no
+// row matched, `INSERT INTO table (cols) VALUES (values)`.
+func upsert(b *engine.Batch, table, key string, id sqlparser.Expr, set []sqlparser.Assignment, cols []string, values ...sqlparser.Expr) error {
+	n, err := b.ExecStmt(&sqlparser.UpdateStmt{Table: table, Set: set, Where: eq(key, id)})
+	if err != nil || n > 0 {
 		return err
 	}
-	if n == 0 {
-		_, err = b.Exec(`INSERT INTO ` + SnifferStateTable + ` (sid, log_offset, applied, last_ts) VALUES (` +
-			sidSQL + `, ` + types.NewInt(int64(offset)).SQL() + `, ` +
-			types.NewInt(int64(applied)).SQL() + `, ` + lastSQL + `)`)
+	return insert(b, table, cols, values...)
+}
+
+// persistState upserts the sniffer's durable resume point inside the batch.
+func persistState(b *engine.Batch, sid string, offset, applied int, last time.Time) error {
+	lastV := types.Null
+	if !last.IsZero() {
+		lastV = types.NewTime(last)
 	}
-	return err
+	off, app, ts := lit(types.NewInt(int64(offset))), lit(types.NewInt(int64(applied))), lit(lastV)
+	set := []sqlparser.Assignment{
+		{Column: "log_offset", Value: off}, {Column: "applied", Value: app}, {Column: "last_ts", Value: ts}}
+	return upsert(b, SnifferStateTable, "sid", str(sid), set,
+		[]string{"sid", "log_offset", "applied", "last_ts"}, str(sid), off, app, ts)
 }
 
 // applyEvent translates one log record into relational updates.
 func applyEvent(b *engine.Batch, e gridsim.Event) error {
-	src := types.NewString(e.Machine).SQL()
-	ts := types.NewTime(e.Time).SQL()
-	job := types.NewString(e.JobID).SQL()
+	src, ts, job := str(e.Machine), lit(types.NewTime(e.Time)), str(e.JobID)
+	logJob := func(event string) error {
+		return insert(b, JobLogTable, nil, src, job, str(event), ts)
+	}
 	switch e.Type {
 	case gridsim.StatusEvent:
 		// Activity is current-state: replace this machine's row.
-		if _, err := b.Exec(`DELETE FROM Activity WHERE mach_id = ` + src); err != nil {
+		if _, err := b.ExecStmt(&sqlparser.DeleteStmt{Table: ActivityTable, Where: eq("mach_id", src)}); err != nil {
 			return err
 		}
-		_, err := b.Exec(`INSERT INTO Activity VALUES (` + src + `, ` +
-			types.NewString(e.Value).SQL() + `, ` + ts + `)`)
-		return err
+		return insert(b, ActivityTable, nil, src, str(e.Value), ts)
 	case gridsim.NeighborEvent:
-		_, err := b.Exec(`INSERT INTO Routing VALUES (` + src + `, ` +
-			types.NewString(e.Neighbor).SQL() + `, ` + ts + `)`)
-		return err
+		return insert(b, RoutingTable, nil, src, str(e.Neighbor), ts)
 	case gridsim.SubmitEvent:
-		if _, err := b.Exec(`INSERT INTO S VALUES (` + src + `, ` + job + `, NULL, ` +
-			types.NewString(e.User).SQL() + `)`); err != nil {
+		if err := insert(b, SchedulerTable, nil, src, job, lit(types.Null), str(e.User)); err != nil {
 			return err
 		}
-		_, err := b.Exec(`INSERT INTO JobLog VALUES (` + src + `, ` + job + `, 'submit', ` + ts + `)`)
-		return err
+		return logJob("submit")
 	case gridsim.RouteEvent:
-		if _, err := b.Exec(`UPDATE S SET remoteMachineId = ` + types.NewString(e.Remote).SQL() +
-			` WHERE schedMachineId = ` + src + ` AND jobId = ` + job); err != nil {
+		if _, err := b.ExecStmt(&sqlparser.UpdateStmt{Table: SchedulerTable,
+			Set:   []sqlparser.Assignment{{Column: "remoteMachineId", Value: str(e.Remote)}},
+			Where: sqlparser.AndAll(eq("schedMachineId", src), eq("jobId", job))}); err != nil {
 			return err
 		}
-		_, err := b.Exec(`INSERT INTO JobLog VALUES (` + src + `, ` + job + `, 'route', ` + ts + `)`)
-		return err
+		return logJob("route")
 	case gridsim.StartEvent:
-		if _, err := b.Exec(`INSERT INTO R VALUES (` + src + `, ` + job + `)`); err != nil {
+		if err := insert(b, RunningTable, nil, src, job); err != nil {
 			return err
 		}
-		_, err := b.Exec(`INSERT INTO JobLog VALUES (` + src + `, ` + job + `, 'start', ` + ts + `)`)
-		return err
+		return logJob("start")
 	case gridsim.FinishEvent:
-		if _, err := b.Exec(`DELETE FROM R WHERE runningMachineId = ` + src + ` AND jobId = ` + job); err != nil {
+		if _, err := b.ExecStmt(&sqlparser.DeleteStmt{Table: RunningTable,
+			Where: sqlparser.AndAll(eq("runningMachineId", src), eq("jobId", job))}); err != nil {
 			return err
 		}
-		_, err := b.Exec(`INSERT INTO JobLog VALUES (` + src + `, ` + job + `, 'finish', ` + ts + `)`)
-		return err
+		return logJob("finish")
 	case gridsim.HeartbeatEvent:
 		return nil // only advances recency
 	default:
@@ -449,17 +463,18 @@ func applyEvent(b *engine.Batch, e gridsim.Event) error {
 	}
 }
 
-func upsertHeartbeat(b *engine.Batch, sid string, ts time.Time) error {
-	sidSQL := types.NewString(sid).SQL()
-	tsSQL := types.NewTime(ts).SQL()
-	n, err := b.Exec(`UPDATE Heartbeat SET recency = ` + tsSQL + ` WHERE sid = ` + sidSQL)
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		_, err = b.Exec(`INSERT INTO Heartbeat (sid, recency) VALUES (` + sidSQL + `, ` + tsSQL + `)`)
-	}
-	return err
+// UpsertHeartbeat sets source sid's Heartbeat recency inside b, inserting
+// its row when it has none.
+func UpsertHeartbeat(b *engine.Batch, sid string, recency types.Value) error {
+	return upsertHeartbeat(b, sid, lit(recency), recency)
+}
+
+// upsertHeartbeat sets sid's Heartbeat recency to set or, when sid has no
+// row, inserts one with recency.
+func upsertHeartbeat(b *engine.Batch, sid string, set sqlparser.Expr, recency types.Value) error {
+	return upsert(b, HeartbeatTable, "sid", str(sid),
+		[]sqlparser.Assignment{{Column: "recency", Value: set}},
+		[]string{"sid", "recency"}, str(sid), lit(recency))
 }
 
 // Fleet manages one sniffer per machine of a simulated grid.

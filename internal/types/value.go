@@ -49,6 +49,10 @@ func (k Kind) String() string {
 // paper's examples ("2006-03-15 14:20:05").
 const TimeLayout = "2006-01-02 15:04:05"
 
+// timeLayoutFrac adds a timestamp's fractional seconds, rendered only when
+// non-zero: a whole-second time formats exactly as TimeLayout does.
+const timeLayoutFrac = TimeLayout + ".999999999"
+
 // Value is a tagged union holding one SQL value. The zero Value is NULL.
 //
 // Time values are stored as Unix nanoseconds in the integer slot so that
@@ -199,7 +203,7 @@ func (v Value) SQL() string {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
-		return "TIMESTAMP '" + time.Unix(0, v.i).UTC().Format(TimeLayout) + "'"
+		return "TIMESTAMP '" + time.Unix(0, v.i).UTC().Format(timeLayoutFrac) + "'"
 	default:
 		return "NULL"
 	}
@@ -328,7 +332,7 @@ func cmpFloat64(a, b float64) int {
 // fractional-second suffix. A time a Value cannot hold as int64 Unix
 // nanoseconds (before 1677 or after 2262) is an error, not a wrapped value.
 func ParseTime(s string) (time.Time, error) {
-	for _, layout := range []string{TimeLayout, "2006-01-02 15:04:05.999999999", "2006-01-02", time.RFC3339} {
+	for _, layout := range []string{TimeLayout, timeLayoutFrac, "2006-01-02", time.RFC3339} {
 		if t, err := time.Parse(layout, s); err == nil {
 			if t.Before(time.Unix(0, math.MinInt64)) || t.After(time.Unix(0, math.MaxInt64)) {
 				return time.Time{}, fmt.Errorf("types: timestamp %q is out of range", s)

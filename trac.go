@@ -34,6 +34,7 @@ import (
 	"trac/internal/core/report"
 	"trac/internal/engine"
 	"trac/internal/shard"
+	"trac/internal/sniffer"
 	"trac/internal/storage"
 	"trac/internal/types"
 )
@@ -438,8 +439,6 @@ func (db *DB) Heartbeat(sid, timestamp string) error {
 	if err != nil {
 		return err
 	}
-	sidSQL := types.NewString(sid).SQL()
-	tsSQL := types.NewTime(ts).SQL()
 	db.meta.RLock()
 	defer db.meta.RUnlock()
 	// Heartbeat is replicated on a sharded database; Atomic upserts on every
@@ -448,14 +447,8 @@ func (db *DB) Heartbeat(sid, timestamp string) error {
 	return db.be.Atomic(func(eng *engine.DB) error {
 		b := eng.BeginBatch()
 		defer b.Abort()
-		n, err := b.Exec(`UPDATE Heartbeat SET recency = ` + tsSQL + ` WHERE sid = ` + sidSQL)
-		if err != nil {
+		if err := sniffer.UpsertHeartbeat(b, sid, types.NewTime(ts)); err != nil {
 			return err
-		}
-		if n == 0 {
-			if _, err := b.Exec(`INSERT INTO Heartbeat (sid, recency) VALUES (` + sidSQL + `, ` + tsSQL + `)`); err != nil {
-				return err
-			}
 		}
 		return b.Commit()
 	})
