@@ -29,7 +29,7 @@ import (
 //	  MANIFEST           "TRACMF01" + uvarint epoch + CRC32C   (atomic cursor)
 //	  dump.<epoch>       "TRACDB02" catalog dump (schemas, spill refs, row tails)
 //	  wal.<epoch>.log    "TRACWAL2" log of post-checkpoint commits
-//	  seg/<table>.<epoch>.seg   "TRACSEG1" spilled columnar segments
+//	  seg/<table>.<epoch>.seg   "TRACSEG2" spilled columnar segments
 //
 // CheckpointDir writes the NEXT epoch completely (segment files, a fresh
 // empty WAL, the dump — each placed with temp file + fsync + rename +
@@ -600,7 +600,7 @@ func (db *DB) loadDirTable(r *bufio.Reader, fsys crashfs.FS, dir string) error {
 	for i := uint64(0); i < nRows; i++ {
 		vals := make([]types.Value, nCols)
 		for j := range vals {
-			v, err := readValue(r)
+			v, err := storage.ReadValue(r)
 			if err != nil {
 				tx.Abort()
 				return err

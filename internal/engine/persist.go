@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
@@ -48,73 +48,12 @@ func readString(r *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
+// writeValue writes v in storage's value codec, the one segment files use
+// too; storage.ReadValue reads it back.
 func writeValue(w *bufio.Writer, v types.Value) error {
-	w.WriteByte(byte(v.Kind()))
-	switch v.Kind() {
-	case types.KindNull:
-	case types.KindBool:
-		if v.Bool() {
-			w.WriteByte(1)
-		} else {
-			w.WriteByte(0)
-		}
-	case types.KindInt:
-		writeVarint(w, v.Int())
-	case types.KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
-		w.Write(buf[:])
-	case types.KindString:
-		writeString(w, v.Str())
-	case types.KindTime:
-		writeVarint(w, v.TimeNanos())
-	default:
-		return fmt.Errorf("engine: cannot persist value kind %v", v.Kind())
-	}
-	return nil
-}
-
-func readValue(r *bufio.Reader) (types.Value, error) {
-	kindB, err := r.ReadByte()
-	if err != nil {
-		return types.Null, err
-	}
-	switch types.Kind(kindB) {
-	case types.KindNull:
-		return types.Null, nil
-	case types.KindBool:
-		b, err := r.ReadByte()
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(b == 1), nil
-	case types.KindInt:
-		i, err := binary.ReadVarint(r)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewInt(i), nil
-	case types.KindFloat:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return types.Null, err
-		}
-		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
-	case types.KindString:
-		s, err := readString(r)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewString(s), nil
-	case types.KindTime:
-		ns, err := binary.ReadVarint(r)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewTimeNanos(ns), nil
-	default:
-		return types.Null, fmt.Errorf("engine: corrupt dump (value kind %d)", kindB)
-	}
+	b, err := storage.AppendValue(w.AvailableBuffer(), v)
+	w.Write(b)
+	return err
 }
 
 func writeDomain(w *bufio.Writer, d types.Domain) {
@@ -150,7 +89,7 @@ func readDomain(r *bufio.Reader) (types.Domain, error) {
 		}
 		vals := make([]types.Value, n)
 		for i := range vals {
-			vals[i], err = readValue(r)
+			vals[i], err = storage.ReadValue(r)
 			if err != nil {
 				return types.Domain{}, err
 			}

@@ -9,19 +9,22 @@ import (
 	"trac/internal/types"
 )
 
-// unitScan turns the units of a heap snapshot (storage.Morsel: a sealed
-// segment, a tail window, or a run of index matches) into columnar batches.
-// It is the one scan body behind BatchScan, IndexScan (whose matches are
-// runs of rows), the ParallelScan workers and StatAggScan's leftover work.
+// unitScan turns the units of a heap snapshot (storage.Morsel: a segment —
+// sealed, or a tail window — or a run of index matches) into columnar
+// batches. It is the one scan body behind BatchScan, IndexScan (whose
+// matches are runs of rows), the ParallelScan workers and StatAggScan's
+// leftover work.
 //
-// A sealed segment or a tail window becomes a batch that VIEWS the unit's
-// vectors — zero copy: for a segment the optional SegFilter first consults
-// the zone maps (a pruned segment costs one check and zero value touches),
-// then Sel is the visible positions — every position, none checked, once a
-// segment or a full window has settled before the snapshot — narrowed by
-// the predicate kernel's typed loops. A run of index matches is transposed
-// once, visible rows only, into vectors the batch owns, and the same kernel
-// runs over them. Either way the batch carries just the columns in need.
+// A segment becomes a batch that VIEWS its vectors — zero copy — along one
+// path, whichever kind it is: its live set, then the optional SegFilter's
+// zone-map prune (a pruned segment costs one check and zero value touches;
+// a window has no zone maps yet), then Sel is the visible positions — every
+// position, none checked, once the segment has settled before the snapshot,
+// else each version checked — and the source-set feed may take the segment
+// in place of its rows, else the predicate kernel's typed loops narrow Sel.
+// A run of index matches is transposed once, visible rows only, into vectors
+// the batch owns, and the same kernel runs over them. Either way the batch
+// carries just the columns in need.
 type unitScan struct {
 	table  *storage.Table
 	snap   txn.Snapshot
@@ -31,9 +34,8 @@ type unitScan struct {
 	width  int   // output tuple width
 	need   []int // table columns to carry
 
-	// feed's sink, when set, takes a sealed segment's or a full tail
-	// window's source set in place of its rows; done means it holds all it
-	// can take and the scan ends.
+	// feed's sink, when set, takes a segment's source set in place of its
+	// rows; done means it holds all it can take and the scan ends.
 	feed sourceFeed
 	done bool
 
@@ -41,7 +43,7 @@ type unitScan struct {
 }
 
 // sourceFeed is a heap scan's attachment point for the semi-join probe it
-// feeds (sink), which takes a sealed segment's source set in place of the
+// feeds (sink), which takes a segment's source set in place of the
 // segment's rows when the set stands for them (unitScan.fromSources): set
 // for one run by the probe before it opens the scan, and taken — cleared —
 // by that Open, so a scan opened again carries nothing over. col is the
@@ -69,7 +71,8 @@ func (f *sourceFeed) take() sourceFeed {
 }
 
 // covers reports whether a scan's predicate — kernel, with segf its zone-map
-// side — provably holds on every row of seg.
+// side — provably holds on every row of seg: by the zone maps when seg has
+// them, otherwise only when there is no predicate.
 func covers(segf *SegmentFilter, kernel Kernel, seg *storage.Segment) bool {
 	if segf != nil {
 		return segf.Covers(seg)
@@ -77,14 +80,13 @@ func covers(segf *SegmentFilter, kernel Kernel, seg *storage.Segment) bool {
 	return kernel == nil // no predicate at all
 }
 
-// segAllVisible reports whether every version of seg, a segment of table, is
-// visible under snap: the MVCC gate for answering a segment from what was
-// recorded when it was sealed (zone-map stats, source sets), which
-// summarizes every version whatever its visibility. Once a segment has
-// settled (storage.Table.Settled) this is two atomic loads; otherwise every
-// version is checked.
+// segAllVisible reports whether every version of seg, a sealed segment of
+// table, is visible under snap: the MVCC gate for answering a segment from
+// its zone-map stats, which summarize every version whatever its
+// visibility. Once a segment has settled (storage.Table.Settled) this is two
+// atomic loads; otherwise every version is checked.
 func segAllVisible(table *storage.Table, snap txn.Snapshot, seg *storage.Segment) bool {
-	if seq, ok := table.Settled(seg); ok {
+	if seq, ok := table.Settled(seg, seg.Rows); ok {
 		return seq <= snap.Seq
 	}
 	for _, r := range seg.Rows {
@@ -119,22 +121,15 @@ func (u *unitScan) reset(table *storage.Table, snap txn.Snapshot, kernel Kernel,
 
 // batch scans one unit; it returns nil when no row of the unit survives.
 func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
+	seg := m.Seg
 	var live *storage.LiveSet
-	switch {
-	case m.Seg != nil:
-		live = m.Seg.Live(u.snap.Seq)
+	if seg != nil {
+		live = seg.Live(u.snap.Seq, m.Rows)
 		if live != nil && len(live.Pos) == 0 {
 			return nil, nil // every version deleted before the snapshot
 		}
-		if u.segf != nil && u.segf.Prune(m.Seg) {
+		if u.segf != nil && u.segf.Prune(seg) {
 			u.pruned++
-			return nil, nil
-		}
-		if u.feed.sink != nil && u.fromSources(m.Seg) {
-			return nil, nil
-		}
-	case m.Win != nil:
-		if u.feed.sink != nil && u.fromWindow(m) {
 			return nil, nil
 		}
 	}
@@ -163,20 +158,23 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 		}
 	}
 	u.table.NoteVisited(checked)
-	switch {
-	case m.Seg != nil:
+	if seg == nil {
+		u.transpose(b, m.Rows)
+	} else {
+		if u.feed.sink != nil && u.fromSources(m, b) {
+			PutBatch(b)
+			return nil, nil
+		}
 		// A quarter of what was checked turned out invisible: offer the
 		// outcome as the segment's new live set, so later scans stop paying
 		// for it.
 		if checked-b.Len() > checked/4 {
-			m.Seg.NoteLive(u.snap.Seq, live, b.Sel)
+			seg.NoteLive(u.snap.Seq, m.Rows, live, b.Sel)
 		}
-		u.scanned++
-		u.view(b, m.Seg.Cols)
-	case m.Win != nil:
-		u.view(b, m.Win.Cols)
-	default:
-		u.transpose(b, m.Rows)
+		if seg.Zones != nil {
+			u.scanned++
+		}
+		u.view(b, seg.Cols)
 	}
 	if u.kernel != nil && b.Len() > 0 {
 		if err := u.kernel(b); err != nil {
@@ -191,54 +189,36 @@ func (u *unitScan) batch(m storage.Morsel) (*Batch, error) {
 	return b, nil
 }
 
-// view points the batch's needed columns at a segment's or a window's
-// vectors.
+// view points the batch's needed columns at a segment's vectors.
 func (u *unitScan) view(b *Batch, cols []storage.ColVec) {
 	for _, ci := range u.need {
 		b.Cols[u.offset+ci] = &cols[ci]
 	}
 }
 
-// settled reports whether the unit — a segment, or a full tail window — has
-// settled (storage.Table.Settled, WindowSettled) before the scan's snapshot:
-// every version visible, none to check.
+// settled reports whether the unit is a segment that has settled
+// (storage.Table.Settled) before the scan's snapshot: every version
+// visible, none to check.
 func (u *unitScan) settled(m storage.Morsel) bool {
-	var seq uint64
-	var ok bool
-	switch {
-	case m.Seg != nil:
-		seq, ok = u.table.Settled(m.Seg)
-	case m.Win != nil:
-		seq, ok = u.table.WindowSettled(m.Win, m.Rows)
+	if m.Seg == nil {
+		return false
 	}
+	seq, ok := u.table.Settled(m.Seg, m.Rows)
 	return ok && seq <= u.snap.Seq
 }
 
-// fromSources hands seg's source set to the sink in place of its rows, when
-// the set says exactly which sources the scan would return from the
-// segment: the set was recorded (a segment over MaxZoneSources has none —
-// one nil check, then the rows are read), the predicate holds on every row,
-// and every version is visible under the snapshot. It reports whether it
-// did.
-func (u *unitScan) fromSources(seg *storage.Segment) bool {
-	sources := seg.Zones[u.feed.col].Sources
-	if sources == nil || !covers(u.segf, u.kernel, seg) || !segAllVisible(u.table, u.snap, seg) {
+// fromSources hands the segment's source set to the sink in place of its
+// rows, when the set says exactly which sources the scan would return from
+// them: every version is visible under the snapshot (b, the visibility
+// pass's outcome, selects every row), the predicate holds on every row, and
+// the set is tracked (a segment over MaxZoneSources, or a window the
+// snapshot saw partial, has none). It reports whether it did.
+func (u *unitScan) fromSources(m storage.Morsel, b *Batch) bool {
+	if b.Len() != len(m.Rows) || !covers(u.segf, u.kernel, m.Seg) {
 		return false
 	}
-	u.done = !u.feed.sink.markSources(sources)
-	return true
-}
-
-// fromWindow is fromSources for a tail window: a full window of a scan with
-// no predicate hands the sink the window's source set, when the set stands
-// for the rows under the snapshot (storage.Table.WindowSources). A partial
-// window is read.
-func (u *unitScan) fromWindow(m storage.Morsel) bool {
-	if u.kernel != nil || u.segf != nil {
-		return false
-	}
-	sources, ok := u.table.WindowSources(m.Win, m.Rows, u.snap.Seq)
-	if !ok {
+	sources := m.Seg.Sources(u.feed.col, m.Rows)
+	if sources == nil {
 		return false
 	}
 	u.done = !u.feed.sink.markSources(sources)
@@ -267,8 +247,8 @@ func (u *unitScan) transpose(b *Batch, rows []*storage.Row) {
 }
 
 // BatchScan is the serial batch-at-a-time heap scan over dual-format
-// storage: sealed column segments first, then the windows of the unsealed
-// tail, each turned into one columnar batch (see unitScan).
+// storage: sealed segments first, then the windows of the unsealed tail,
+// each turned into one columnar batch (see unitScan).
 type BatchScan struct {
 	Table  *storage.Table
 	Snap   txn.Snapshot

@@ -20,8 +20,8 @@ import (
 //     whole segment is skipped without touching a single value;
 //   - covers: the dual — EVERY row satisfies it.
 //
-// The narrowing loop is the same code whether the batch views a sealed
-// segment's vectors, holds a transposed tail window, or is a join's output:
+// The narrowing loop is the same code whether the batch views a segment's
+// vectors, holds a transposed run of index matches, or is a join's output:
 // pure vectors take the typed loop, generic ones (a column holding a value
 // of another kind than declared, possible only through the direct storage
 // API; a computed projection, an aggregate's groups) exact per-value
@@ -179,8 +179,12 @@ func EvalKernel(ev Evaluator) Kernel {
 }
 
 // Prune reports that no row of the segment can satisfy the predicate: some
-// conjunct's zone-map check proves every row FALSE or UNKNOWN.
+// conjunct's zone-map check proves every row FALSE or UNKNOWN. A tail window
+// has no zone maps and is never pruned.
 func (f *SegmentFilter) Prune(seg *storage.Segment) bool {
+	if seg.Zones == nil {
+		return false
+	}
 	for _, c := range f.conjs {
 		if c.prune != nil && c.prune(seg) {
 			return true
@@ -195,8 +199,11 @@ func (f *SegmentFilter) Prune(seg *storage.Segment) bool {
 // segment from its zone-map stats without reading a row; coverage requires
 // NullCount == 0 on the tested column, so no row can be UNKNOWN, and each
 // proof only fires after the same successful bound comparisons that make
-// pruning error-exact.
+// pruning error-exact. A tail window, with no zone maps, is never covered.
 func (f *SegmentFilter) Covers(seg *storage.Segment) bool {
+	if seg.Zones == nil {
+		return false
+	}
 	for _, c := range f.conjs {
 		if c.covers == nil || !c.covers(seg) {
 			return false
@@ -621,9 +628,9 @@ func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool)
 		if negated {
 			return false
 		}
-		if allStrings && z.Sources != nil {
+		if sources := seg.Sources(col, seg.Rows); allStrings && sources != nil {
 			for _, v := range vals {
-				if z.HasSource(v.Str()) {
+				if _, ok := slices.BinarySearch(sources, v.Str()); ok {
 					return false
 				}
 			}
@@ -654,8 +661,8 @@ func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool)
 		if negated || z.NullCount > 0 || seg.Len() == 0 {
 			return false
 		}
-		if allStrings && z.Sources != nil {
-			for _, src := range z.Sources {
+		if sources := seg.Sources(col, seg.Rows); allStrings && sources != nil {
+			for _, src := range sources {
 				if _, ok := set[src]; !ok {
 					return false
 				}

@@ -292,18 +292,18 @@ func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
 	if got := count(after); got != want {
 		t.Fatalf("after the committed deletes: %d rows, want %d", got, want)
 	}
-	if l := seg0.Live(after.Seq); l == nil || len(l.Pos) != 0 {
+	if l := seg0.Live(after.Seq, seg0.Rows); l == nil || len(l.Pos) != 0 {
 		t.Errorf("segment 0: live set %+v, want an empty one: every version is deleted for good", l)
 	}
-	if l := seg3.Live(after.Seq); l == nil || len(l.Pos) != seg3.Len()-half || int(l.Pos[0]) != half {
+	if l := seg3.Live(after.Seq, seg3.Rows); l == nil || len(l.Pos) != seg3.Len()-half || int(l.Pos[0]) != half {
 		t.Errorf("segment 3: live set %+v, want the %d undeleted versions", l, seg3.Len()-half)
 	}
-	if seg1.Live(after.Seq) != nil || seg2.Live(after.Seq) != nil {
+	if seg1.Live(after.Seq, seg1.Rows) != nil || seg2.Live(after.Seq, seg2.Rows) != nil {
 		t.Error("an aborted or in-flight deleter was taken for final")
 	}
 	// The cache is per snapshot: the older one cannot use it and still sees
 	// everything.
-	if seg0.Live(before.Seq) != nil {
+	if seg0.Live(before.Seq, seg0.Rows) != nil {
 		t.Error("live set offered to a snapshot older than the one that built it")
 	}
 	if got := count(before); got != total {
@@ -317,7 +317,7 @@ func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
 	if got := count(inflight.Snapshot()); got != want-seg2.Len() {
 		t.Errorf("in-flight deleter's own view: %d rows, want %d", got, want-seg2.Len())
 	}
-	if seg2.Live(m.ReadSnapshot().Seq) != nil {
+	if seg2.Live(m.ReadSnapshot().Seq, seg2.Rows) != nil {
 		t.Error("an uncommitted delete was taken for final")
 	}
 	// More deletes in segment 3: the cached set is narrowed from itself.
@@ -328,7 +328,7 @@ func TestScanChecksOnlyVersionsThatCanBeVisible(t *testing.T) {
 	if got := count(last); got != want-(seg3.Len()-half) {
 		t.Errorf("after deleting the rest of segment 3: %d rows, want %d", got, want-(seg3.Len()-half))
 	}
-	if l := seg3.Live(last.Seq); l == nil || len(l.Pos) != 0 {
+	if l := seg3.Live(last.Seq, seg3.Rows); l == nil || len(l.Pos) != 0 {
 		t.Errorf("segment 3: live set %+v, want an empty one", l)
 	}
 	if got := count(after); got != want {

@@ -27,13 +27,12 @@ import (
 // A probe that cannot cover the anchor — a source that never wrote to the
 // probed table — would read the table to its end to prove it. When the
 // probe's one key is the probed table's source column and there is no
-// Residual, a heap scan feeding it (BatchScan, ParallelScan) hands it each
-// sealed segment's zone-map source set instead of the segment's rows where
-// the set says exactly which keys the rows hold (unitScan.fromSources), and
-// each full window of the unsealed tail the table's window set instead of
-// its rows when the probe has no predicate (unitScan.fromWindow): the probe
-// marks those keys' candidates from the set, and only the partial last
-// window and the units the sets cannot stand for are read. The metadata
+// Residual, a heap scan feeding it (BatchScan, ParallelScan) hands it a
+// segment's source set instead of the segment's rows — a sealed segment's,
+// or a full tail window's — where the set says exactly which keys the rows
+// hold (unitScan.fromSources): the probe marks those keys' candidates from
+// the set, and only the partial last window and the units the sets cannot
+// stand for are read. The metadata
 // phase is that hook on the one scan body, against the one key index.
 //
 // The output is the anchor batch itself with Sel narrowed to the qualifying
@@ -328,9 +327,9 @@ func (st *probeState) left() bool {
 	return st.unmarked > 0
 }
 
-// markSources marks the candidates whose key is one of a sealed segment's or
-// a full tail window's sources, taken from its source set in place of its
-// rows; it reports whether a candidate is left.
+// markSources marks the candidates whose key is one of a segment's sources,
+// taken from its source set in place of its rows; it reports whether a
+// candidate is left.
 func (st *probeState) markSources(sources []string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()

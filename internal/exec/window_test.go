@@ -340,13 +340,18 @@ func TestHashJoinKeyMapSizedBySelection(t *testing.T) {
 	}
 }
 
-// TestTailWindowsRace runs scans and recency probes while appends, seals
-// and kind demotions go on. Every scan must return exactly the rows its
-// snapshot sees. Each round takes a heap snapshot, has the writer append a
-// value that demotes the snapshot's partial window, and reads the
+// TestTailWindowsRace runs scans and recency probes while appends, deletes,
+// seals and kind demotions go on. Every scan must return exactly the rows
+// its snapshot sees. Each round takes a heap snapshot, has the writer append
+// a value that demotes the snapshot's partial window, and reads the
 // snapshot's windows before anything that orders it after the writer: under
 // -race, a demotion that wrote to a window a snapshot holds is reported.
-// `make check` runs it ten times over.
+// Each round then scans the previous round's heap snapshot again under its
+// own, later transaction snapshot: a window that snapshot saw partial has
+// filled since, and this round's scans and probe have recorded its live
+// set, settled mark and source set, none of which may stand for the rows
+// the older snapshot holds — it must read them, and only them. `make check`
+// runs it ten times over.
 func TestTailWindowsRace(t *testing.T) {
 	tbl := storage.NewTable("W", windowSchema(t))
 	tbl.SetSealThreshold(1500) // seals that end inside a window
@@ -377,8 +382,10 @@ func TestTailWindowsRace(t *testing.T) {
 			default:
 			}
 			tx := m.Begin()
-			for _, v := range vals {
-				if err := tx.InsertRow(tbl, storage.NewRow(v, 0)); err != nil {
+			rows := make([]*storage.Row, len(vals))
+			for k, v := range vals {
+				rows[k] = storage.NewRow(v, 0)
+				if err := tx.InsertRow(tbl, rows[k]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -386,6 +393,21 @@ func TestTailWindowsRace(t *testing.T) {
 			if err := tx.Commit(); err != nil {
 				t.Error(err)
 				return
+			}
+			if i%3 != 0 {
+				// Over a quarter of the versions deleted for good: scans
+				// record live sets on the windows once they fill.
+				tx := m.Begin()
+				for _, r := range rows[:4] {
+					if err := tx.Delete(tbl, r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			if i%2100 == 0 {
 				tbl.Seal()
@@ -397,6 +419,7 @@ func TestTailWindowsRace(t *testing.T) {
 		wg.Wait()
 	}()
 	anchors := strRows("m0", "m7", "m19", "zz")
+	var prev *storage.HeapSnap
 	for iter := 0; ; iter++ {
 		select {
 		case <-done:
@@ -414,32 +437,13 @@ func TestTailWindowsRace(t *testing.T) {
 		for _, unit := range heap.AppendTail(nil) {
 			for i, r := range unit.Rows {
 				for ci, v := range r.Values {
-					if got := unit.Win.Cols[ci].Value(i); got.Kind() != v.Kind() || !types.Equal(got, v) {
+					if got := unit.Seg.Cols[ci].Value(i); got.Kind() != v.Kind() || !types.Equal(got, v) {
 						t.Fatalf("iter %d: window slot %d column %d holds %v, the row %v", iter, i, ci, got, v)
 					}
 				}
 			}
 		}
-		var want []string
-		for _, r := range heap.Rows {
-			if snap.Visible(r) {
-				want = append(want, RowKey(r.Values))
-			}
-		}
-		sort.Strings(want)
-		var u unitScan
-		u.reset(tbl, snap, nil, nil, 0, 0, nil)
-		var fromHeap [][]types.Value
-		for _, unit := range heap.AppendTail(append([]storage.Morsel(nil), segmentUnits(heap)...)) {
-			b, err := u.batch(unit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b != nil {
-				fromHeap = b.AppendRows(fromHeap)
-				PutBatch(b)
-			}
-		}
+		fromHeap, want := scanHeap(t, tbl, heap, snap)
 		for name, got := range map[string][][]types.Value{
 			"snapshot units": fromHeap,
 			"serial":         drainBatches(t, &BatchScan{Table: tbl, Snap: snap}),
@@ -459,6 +463,54 @@ func TestTailWindowsRace(t *testing.T) {
 		if got := drainSemi(t, j); len(want) > 37*20 && fmt.Sprint(got) != "[m0 m7 m19]" {
 			t.Fatalf("iter %d: probe marked %v", iter, got)
 		}
+		if prev != nil {
+			checkOlderHeap(t, tbl, prev, snap)
+		}
+		prev = heap
+	}
+}
+
+// scanHeap scans every unit of heap under snap through one unitScan. It
+// returns the rows the scan emitted and, sorted, the keys of the rows of
+// heap that snap sees.
+func scanHeap(t *testing.T, tbl *storage.Table, heap *storage.HeapSnap, snap txn.Snapshot) (got [][]types.Value, want []string) {
+	t.Helper()
+	for _, r := range heap.Rows {
+		if snap.Visible(r) {
+			want = append(want, RowKey(r.Values))
+		}
+	}
+	sort.Strings(want)
+	var u unitScan
+	u.reset(tbl, snap, nil, nil, 0, 0, nil)
+	for _, unit := range heap.AppendTail(append([]storage.Morsel(nil), segmentUnits(heap)...)) {
+		b, err := u.batch(unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != nil {
+			got = b.AppendRows(got)
+			PutBatch(b)
+		}
+	}
+	return got, want
+}
+
+// checkOlderHeap scans heap, a heap snapshot taken before snap, under snap:
+// a window heap saw partial must offer it no live set, settled mark or
+// source set, whatever was recorded on the window since it filled, and the
+// scan must return exactly heap's rows that snap sees.
+func checkOlderHeap(t *testing.T, tbl *storage.Table, heap *storage.HeapSnap, snap txn.Snapshot) {
+	t.Helper()
+	for _, unit := range heap.AppendTail(nil) {
+		if seg := unit.Seg; len(unit.Rows) < storage.WindowSize {
+			if _, settled := tbl.Settled(seg, unit.Rows); settled || seg.Live(snap.Seq, unit.Rows) != nil || seg.Sources(1, unit.Rows) != nil {
+				t.Fatalf("a window seen with %d rows offers a set of a later fill", len(unit.Rows))
+			}
+		}
+	}
+	if got, want := scanHeap(t, tbl, heap, snap); fmt.Sprint(multiset(got)) != fmt.Sprint(want) {
+		t.Fatalf("older heap snapshot: scan returned %d rows, it holds %d the later snapshot sees", len(got), len(want))
 	}
 }
 

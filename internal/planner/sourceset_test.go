@@ -69,7 +69,7 @@ func TestRecencyArmProvesAbsenceFromSourceSets(t *testing.T) {
 		heap := jobs.Snap()
 		bound, withSets := len(heap.Tail()), 0
 		for _, seg := range heap.Segments {
-			if seg.Zones[0].Sources == nil {
+			if seg.Sources(0, seg.Rows) == nil {
 				bound += seg.Len()
 			} else {
 				withSets++
@@ -255,7 +255,7 @@ func BenchmarkSemiJoinAbsence(b *testing.B) {
 
 // TestRecencyArmTakesFullTailWindowsFromSourceSets: the unsealed tail of an
 // append-only JobLog holds k full windows and a partial one. The probe takes
-// each full window from its source set (storage.Table.WindowSources), as it
+// each full window from its source set (storage.Segment.Sources), as it
 // takes a sealed segment, and reads only the partial window's rows — serial,
 // and on a morsel-parallel scan whose tail runs are the same windows — while
 // reporting exactly the sources that wrote.
@@ -288,14 +288,15 @@ func TestRecencyArmTakesFullTailWindowsFromSourceSets(t *testing.T) {
 }
 
 // TestRecencyArmReadsTailWindowsItsSourceSetCannotStandFor: a full tail
-// window is taken from its source set only when every creator committed at
-// or before the snapshot, none of its versions carries a delete mark, it
-// spans at most MaxZoneSources sources and the probe has no predicate; the
-// partial window is always read. The fixture's tail is one full window and
-// 1,023 rows, so a case's one-row write of m100 completes a second window;
-// each case makes that window fail one condition, and the probe must read its
-// rows and report exactly the sources the snapshot sees writing — m100 only
-// where its write is visible.
+// window is taken from its source set under the rule a sealed segment's is:
+// every version is visible under the snapshot, it spans at most
+// MaxZoneSources sources and the probe has no predicate; the partial window
+// is always read. The fixture's tail is one full window and 1,023 rows, so a
+// case's one-row write of m100 completes a second window; each case makes
+// that window fail one condition — or, for a writer's own snapshot and a
+// deleter still in flight, shows it meeting them all — and the probe must
+// report exactly the sources the snapshot sees writing: m100 only where its
+// write is visible.
 func TestRecencyArmReadsTailWindowsItsSourceSetCannotStandFor(t *testing.T) {
 	const jobRows = storage.DefaultSegmentSize + 2*exec.BatchSize - 1
 	sel, err := sqlparser.ParseSelect(heartbeatSemiJobLog)
@@ -357,7 +358,7 @@ func TestRecencyArmReadsTailWindowsItsSourceSetCannotStandFor(t *testing.T) {
 		tx, _ := insert(t, mgr, jobs)
 		defer tx.Abort()
 		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize-1, 2)
-		want(t, probeAt(t, p, sel, tx.Snapshot(), everyRow), exec.BatchSize, 2) // m100 sees itself
+		want(t, probeAt(t, p, sel, tx.Snapshot(), everyRow), 0, 3) // m100 sees itself: every version is visible
 	})
 	t.Run("aborted writer", func(t *testing.T) {
 		p, mgr := sourcedJobFixture(t, 100, 99, jobRows)
@@ -380,7 +381,7 @@ func TestRecencyArmReadsTailWindowsItsSourceSetCannotStandFor(t *testing.T) {
 		if err := tx.Delete(jobs, row); err != nil {
 			t.Fatal(err)
 		}
-		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), exec.BatchSize, 2) // the deleter is in flight
+		want(t, probeAt(t, p, sel, mgr.ReadSnapshot(), everyRow), 0, 3) // the deleter is in flight: every version is visible
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}

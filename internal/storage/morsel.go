@@ -2,16 +2,14 @@ package storage
 
 import "sync/atomic"
 
-// Morsel is one unit of scan work: a sealed column segment (Seg set, Rows
-// aliasing the segment's row versions), a tail window (Win set, Rows the
-// window's versions in the snapshot: WindowSize of them, or fewer in the
-// last window), or, from an index scan, a run of versions nothing holds in
-// columnar form (neither set). A unit is never split, so positions in
-// Rows double as positions in the unit's vectors and as selection-vector
-// indices in columnar kernels.
+// Morsel is one unit of scan work: a segment with the snapshot's rows of it
+// — a sealed segment's row versions, or a tail window's: WindowSize of them,
+// or fewer in the last window — or, from an index scan, a run of versions
+// nothing holds in columnar form (Seg nil). A unit is never split, so
+// positions in Rows double as positions in the unit's vectors and as
+// selection-vector indices in columnar kernels.
 type Morsel struct {
 	Seg  *Segment
-	Win  *Window
 	Rows []*Row
 }
 
@@ -21,7 +19,7 @@ func (h *HeapSnap) AppendTail(units []Morsel) []Morsel {
 	for k, w := range h.wins {
 		lo := h.Sealed + k*WindowSize
 		hi := min(lo+WindowSize, len(h.Rows))
-		units = append(units, Morsel{Win: w, Rows: h.Rows[lo:hi:hi]})
+		units = append(units, Morsel{Seg: w, Rows: h.Rows[lo:hi:hi]})
 	}
 	return units
 }

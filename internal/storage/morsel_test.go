@@ -136,8 +136,10 @@ func TestWindowsCoverEveryRowInOrder(t *testing.T) {
 			switch {
 			case len(u.Rows) == 0:
 				t.Fatal("empty unit")
-			case u.Seg == nil && (u.Win == nil || len(u.Rows) > WindowSize):
-				t.Fatalf("tail unit of %d rows (window %v)", len(u.Rows), u.Win != nil)
+			case u.Seg == nil:
+				t.Fatalf("unit of %d rows without a segment", len(u.Rows))
+			case u.Seg.Zones == nil && len(u.Rows) > WindowSize:
+				t.Fatalf("tail window of %d rows", len(u.Rows))
 			}
 			for _, r := range u.Rows {
 				if got := r.Values[0].Int(); got != int64(seen) {
@@ -170,12 +172,12 @@ func TestWindowsSnapshotStable(t *testing.T) {
 	}
 	next := 0
 	for _, u := range units {
-		if u.Win == nil {
-			t.Fatal("a seal after the snapshot replaced its window by a segment")
+		if u.Seg.Zones != nil {
+			t.Fatal("a seal after the snapshot replaced its window by a sealed segment")
 		}
 		for k, r := range u.Rows {
-			if got := r.Values[0].Int(); got != int64(next) || u.Win.Cols[0].I64[k] != int64(next) {
-				t.Fatalf("row %d: heap %d, window slot %d", next, got, u.Win.Cols[0].I64[k])
+			if got := r.Values[0].Int(); got != int64(next) || u.Seg.Cols[0].I64[k] != int64(next) {
+				t.Fatalf("row %d: heap %d, window slot %d", next, got, u.Seg.Cols[0].I64[k])
 			}
 			next++
 		}

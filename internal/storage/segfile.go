@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,15 +16,17 @@ import (
 // One file holds the compacted (visibility-filtered) segments written at
 // checkpoint time:
 //
-//	magic "TRACSEG1"
+//	magic "TRACSEG2"
 //	column blocks, back to back — one block per (segment, column), each the
 //	  encoded ColVec payload with no framing of its own
 //	footer payload:
 //	  uvarint columnCount, uvarint segmentCount
 //	  per segment: uvarint rowCount, then per column:
 //	    uvarint blockOffset, uvarint blockLength, uvarint blockCRC32C
-//	    zone map (bounds, null count, sums, source set)
 //	trailer: uint32 LE footerLength, uint32 LE footerCRC32C, magic "TRACSEGF"
+//
+// A file stores only what decoding cannot rebuild: the zone maps, codes and
+// source sets of a decoded segment are computed from its vectors, as at seal.
 //
 // Readers locate the footer from the fixed-size trailer, verify its
 // checksum, and then fetch individual column blocks with ReadAt, verifying
@@ -33,7 +36,7 @@ import (
 // bit-flipped file fails the trailer, footer, or block checksum instead of
 // decoding garbage.
 const (
-	segMagic        = "TRACSEG1"
+	segMagic        = "TRACSEG2"
 	segTrailerMagic = "TRACSEGF"
 	segTrailerSize  = 8 + len(segTrailerMagic) // two uint32s + magic
 	segMaxFooter    = 1 << 28
@@ -80,8 +83,9 @@ type segBlockRef struct {
 	crc         uint32
 }
 
-// WriteSegmentFile encodes segments onto w in the TRACSEG1 format. The
-// caller owns syncing and atomic placement of the underlying file.
+// WriteSegmentFile encodes segments onto w in the TRACSEG2 format. The
+// caller owns syncing and atomic placement of the underlying file. A value
+// of a kind the codec cannot persist (see AppendValue) fails the write.
 func WriteSegmentFile(w io.Writer, schema *Schema, segs []*Segment) error {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
 	if _, err := cw.Write([]byte(segMagic)); err != nil {
@@ -92,7 +96,10 @@ func WriteSegmentFile(w io.Writer, schema *Schema, segs []*Segment) error {
 	for si, seg := range segs {
 		refs[si] = make([]segBlockRef, nCols)
 		for ci := range seg.Cols {
-			payload := encodeColVec(&seg.Cols[ci], seg.Len())
+			payload, err := encodeColVec(&seg.Cols[ci], seg.Len())
+			if err != nil {
+				return err
+			}
 			refs[si][ci] = segBlockRef{
 				off:    cw.off,
 				length: int64(len(payload)),
@@ -114,7 +121,6 @@ func WriteSegmentFile(w io.Writer, schema *Schema, segs []*Segment) error {
 			footer = binary.AppendUvarint(footer, uint64(ref.off))
 			footer = binary.AppendUvarint(footer, uint64(ref.length))
 			footer = binary.AppendUvarint(footer, uint64(ref.crc))
-			footer = appendZoneMap(footer, &seg.Zones[ci])
 		}
 	}
 	if _, err := cw.Write(footer); err != nil {
@@ -130,11 +136,14 @@ func WriteSegmentFile(w io.Writer, schema *Schema, segs []*Segment) error {
 	return cw.w.Flush()
 }
 
-// ReadSegmentFile decodes a TRACSEG1 file back into segments, verifying the
+// ReadSegmentFile decodes a TRACSEG2 file back into segments, verifying the
 // trailer, footer, and every column block checksum, and reconstructing the
-// row form of each segment. Recovered rows are stamped as committed by the
-// bootstrap transaction (Xmin 1, XminSeq 1): they were visible at the
-// checkpoint snapshot, so they are visible to every post-recovery snapshot.
+// row form, zone maps and codes of each segment. Every count and length is
+// held to the bytes that can hold it before anything is allocated for it,
+// so a corrupt file costs no more memory than a valid one of its size.
+// Recovered rows are stamped as committed by the bootstrap transaction
+// (Xmin 1, XminSeq 1): they were visible at the checkpoint snapshot, so they
+// are visible to every post-recovery snapshot.
 func ReadSegmentFile(r io.ReaderAt, size int64, schema *Schema) ([]*Segment, error) {
 	if size < int64(len(segMagic)+segTrailerSize) {
 		return nil, fmt.Errorf("storage: segment file too short (%d bytes)", size)
@@ -176,29 +185,31 @@ func ReadSegmentFile(r io.ReaderAt, size int64, schema *Schema) ([]*Segment, err
 	if nCols != schema.NumColumns() {
 		return nil, fmt.Errorf("storage: segment file has %d columns, schema has %d", nCols, schema.NumColumns())
 	}
-	if nSegs < 0 || nSegs > segMaxFooter {
+	if nSegs < 0 || nSegs > segMaxFooter || nSegs > len(d.buf) {
 		return nil, fmt.Errorf("storage: segment file claims %d segments", nSegs)
 	}
 	segs := make([]*Segment, 0, nSegs)
+	next := int64(len(segMagic)) // blocks tile the file from the magic to the footer
 	for si := 0; si < nSegs; si++ {
 		rows := int(d.uvarint())
 		if d.err != nil || rows < 0 || rows > segMaxFooter {
 			return nil, fmt.Errorf("storage: corrupt segment footer (segment %d)", si)
 		}
-		seg := &Segment{
-			Cols:  make([]ColVec, nCols),
-			Zones: make([]ZoneMap, nCols),
-		}
+		cols := make([]ColVec, nCols)
 		for ci := 0; ci < nCols; ci++ {
 			off := int64(d.uvarint())
 			length := int64(d.uvarint())
 			crc := uint32(d.uvarint())
-			d.zoneMap(&seg.Zones[ci])
 			if d.err != nil {
 				return nil, fmt.Errorf("storage: corrupt segment footer (segment %d col %d): %w", si, ci, d.err)
 			}
-			if off < int64(len(segMagic)) || length < 0 || off+length > footerStart {
-				return nil, fmt.Errorf("storage: segment block %d/%d range [%d,%d) out of bounds", si, ci, off, off+length)
+			if off != next || length < 0 || off+length > footerStart {
+				return nil, fmt.Errorf("storage: segment block %d/%d range [%d,%d) out of place", si, ci, off, off+length)
+			}
+			next += length
+			if int64(rows) > length {
+				// Every slot takes at least a byte of its block.
+				return nil, fmt.Errorf("storage: segment block %d/%d of %d bytes cannot hold %d rows", si, ci, length, rows)
 			}
 			block := make([]byte, length)
 			if _, err := r.ReadAt(block, off); err != nil {
@@ -207,13 +218,14 @@ func ReadSegmentFile(r io.ReaderAt, size int64, schema *Schema) ([]*Segment, err
 			if crc32.Checksum(block, segCastagnoli) != crc {
 				return nil, fmt.Errorf("storage: segment block %d/%d checksum mismatch", si, ci)
 			}
-			if err := decodeColVec(block, rows, schema.Columns[ci].Kind, &seg.Cols[ci]); err != nil {
+			if err := decodeColVec(block, rows, schema.Columns[ci].Kind, &cols[ci]); err != nil {
 				return nil, fmt.Errorf("storage: segment block %d/%d: %w", si, ci, err)
 			}
 		}
-		seg.code(schema)
-		seg.Rows = materializeRows(seg.Cols, rows)
-		segs = append(segs, seg)
+		segs = append(segs, newSegment(materializeRows(cols, rows), cols, schema))
+	}
+	if next != footerStart {
+		return nil, fmt.Errorf("storage: segment blocks end at %d, the footer starts at %d", next, footerStart)
 	}
 	return segs, nil
 }
@@ -236,7 +248,7 @@ func materializeRows(cols []ColVec, n int) []*Row {
 // column block codec
 
 // encodeColVec serializes one column of one segment.
-func encodeColVec(c *ColVec, n int) []byte {
+func encodeColVec(c *ColVec, n int) ([]byte, error) {
 	var b []byte
 	b = append(b, byte(c.Kind))
 	if c.Pure {
@@ -245,10 +257,11 @@ func encodeColVec(c *ColVec, n int) []byte {
 		b = append(b, 0)
 	}
 	if !c.Pure {
-		for i := 0; i < n; i++ {
-			b = appendValue(b, c.Vals[i])
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			b, err = AppendValue(b, c.Vals[i])
 		}
-		return b
+		return b, err
 	}
 	// Null bitmap, then the typed payload with null slots zeroed.
 	bitmap := make([]byte, (n+7)/8)
@@ -273,7 +286,7 @@ func encodeColVec(c *ColVec, n int) []byte {
 			b = append(b, c.Str[i]...)
 		}
 	}
-	return b
+	return b, nil
 }
 
 // decodeColVec rebuilds one column from its block payload.
@@ -330,82 +343,16 @@ func decodeColVec(b []byte, n int, want types.Kind, c *ColVec) error {
 }
 
 // ---------------------------------------------------------------------------
-// zone map codec
+// value codec, shared with the engine's checkpoint dump
 
-const (
-	zoneFlagOrdered     = 1 << 0
-	zoneFlagSumValid    = 1 << 1
-	zoneFlagSumIntExact = 1 << 2
-	zoneFlagHasSources  = 1 << 3
-)
-
-func appendZoneMap(b []byte, z *ZoneMap) []byte {
-	var flags byte
-	if z.Ordered {
-		flags |= zoneFlagOrdered
-	}
-	if z.SumValid {
-		flags |= zoneFlagSumValid
-	}
-	if z.SumIntExact {
-		flags |= zoneFlagSumIntExact
-	}
-	if z.Sources != nil {
-		flags |= zoneFlagHasSources
-	}
-	b = append(b, flags)
-	b = appendValue(b, z.Min)
-	b = appendValue(b, z.Max)
-	b = binary.AppendUvarint(b, uint64(z.NullCount))
-	if z.SumValid {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(z.Sum))
-	}
-	if z.SumIntExact {
-		b = binary.AppendVarint(b, z.SumInt)
-	}
-	if z.Sources != nil {
-		b = binary.AppendUvarint(b, uint64(len(z.Sources)))
-		for _, s := range z.Sources {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		}
-	}
-	return b
-}
-
-func (d *segDecoder) zoneMap(z *ZoneMap) {
-	flags := d.byte()
-	z.Ordered = flags&zoneFlagOrdered != 0
-	z.SumValid = flags&zoneFlagSumValid != 0
-	z.SumIntExact = flags&zoneFlagSumIntExact != 0
-	z.Min = d.value()
-	z.Max = d.value()
-	z.NullCount = int(d.uvarint())
-	if z.SumValid {
-		z.Sum = math.Float64frombits(d.u64())
-	}
-	if z.SumIntExact {
-		z.SumInt = d.varint()
-	}
-	if flags&zoneFlagHasSources != 0 {
-		n := int(d.uvarint())
-		if d.err != nil || n < 0 || n > MaxZoneSources {
-			d.fail("zone source count")
-			return
-		}
-		z.Sources = make([]string, n)
-		for i := range z.Sources {
-			z.Sources[i] = string(d.lenBytes())
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// value codec (storage-local mirror of the dump encoding)
-
-func appendValue(b []byte, v types.Value) []byte {
+// AppendValue appends the encoding of v to b: its kind byte, then a byte for
+// BOOLEAN, a varint for BIGINT and for TIMESTAMP (nanoseconds), the IEEE
+// bits little-endian for DOUBLE, a uvarint length and the bytes for TEXT,
+// and nothing for NULL. A value of any other kind cannot be persisted.
+func AppendValue(b []byte, v types.Value) ([]byte, error) {
 	b = append(b, byte(v.Kind()))
 	switch v.Kind() {
+	case types.KindNull:
 	case types.KindBool:
 		if v.Bool() {
 			b = append(b, 1)
@@ -421,11 +368,66 @@ func appendValue(b []byte, v types.Value) []byte {
 		b = append(b, v.Str()...)
 	case types.KindTime:
 		b = binary.AppendVarint(b, v.TimeNanos())
+	default:
+		return b, fmt.Errorf("storage: cannot persist value kind %v", v.Kind())
 	}
-	return b
+	return b, nil
 }
 
-// segDecoder reads the footer/value encodings with sticky error handling.
+// ValueReader is what ReadValue decodes from: a *bufio.Reader over a stream,
+// or a *bytes.Reader over bytes in memory.
+type ValueReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// maxValueLen bounds the length of a TEXT value ReadValue accepts.
+const maxValueLen = 1 << 30
+
+// ReadValue decodes one value AppendValue encoded. A TEXT length over
+// maxValueLen, or over the bytes r has left when r can tell (it has a Len
+// method, like a *bytes.Reader), fails before anything is allocated for it.
+func ReadValue(r ValueReader) (types.Value, error) {
+	kind, err := r.ReadByte()
+	if err != nil {
+		return types.Null, err
+	}
+	switch types.Kind(kind) {
+	case types.KindNull:
+		return types.Null, nil
+	case types.KindBool:
+		b, err := r.ReadByte()
+		return types.NewBool(b == 1), err
+	case types.KindInt:
+		i, err := binary.ReadVarint(r)
+		return types.NewInt(i), err
+	case types.KindFloat:
+		var buf [8]byte
+		_, err := io.ReadFull(r, buf[:])
+		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), err
+	case types.KindString:
+		n, err := binary.ReadUvarint(r)
+		if err != nil {
+			return types.Null, err
+		}
+		if left, ok := r.(interface{ Len() int }); n > maxValueLen || ok && n > uint64(left.Len()) {
+			return types.Null, fmt.Errorf("storage: corrupt value (TEXT length %d)", n)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return types.Null, err
+		}
+		return types.NewString(string(buf)), nil
+	case types.KindTime:
+		ns, err := binary.ReadVarint(r)
+		return types.NewTimeNanos(ns), err
+	default:
+		return types.Null, fmt.Errorf("storage: corrupt value (kind %d)", kind)
+	}
+}
+
+// segDecoder reads the footer and column block encodings with sticky error
+// handling.
 type segDecoder struct {
 	buf []byte
 	err error
@@ -470,19 +472,6 @@ func (d *segDecoder) uvarint() uint64 {
 	return v
 }
 
-func (d *segDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
 func (d *segDecoder) u64() uint64 {
 	b := d.bytes(8)
 	if d.err != nil {
@@ -501,21 +490,15 @@ func (d *segDecoder) lenBytes() []byte {
 }
 
 func (d *segDecoder) value() types.Value {
-	switch types.Kind(d.byte()) {
-	case types.KindNull:
-		return types.Null
-	case types.KindBool:
-		return types.NewBool(d.byte() == 1)
-	case types.KindInt:
-		return types.NewInt(d.varint())
-	case types.KindFloat:
-		return types.NewFloat(math.Float64frombits(d.u64()))
-	case types.KindString:
-		return types.NewString(string(d.lenBytes()))
-	case types.KindTime:
-		return types.NewTimeNanos(d.varint())
-	default:
-		d.fail("value kind")
+	if d.err != nil {
 		return types.Null
 	}
+	r := bytes.NewReader(d.buf)
+	v, err := ReadValue(r)
+	if err != nil {
+		d.fail("value")
+		return types.Null
+	}
+	d.buf = d.buf[len(d.buf)-r.Len():]
+	return v
 }

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"trac/internal/types"
@@ -83,7 +85,13 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 			}
 			idx++
 		}
-		// Zone maps survive: bounds, sums, and the source set.
+		// Decode rebuilds the zone maps and the source set the seal built.
+		if !reflect.DeepEqual(seg.Zones, want.Zones) {
+			t.Fatalf("seg %d zones = %+v, want %+v", si, seg.Zones, want.Zones)
+		}
+		if got, sealed := seg.Sources(1, seg.Rows), want.Sources(1, want.Rows); !reflect.DeepEqual(got, sealed) {
+			t.Fatalf("seg %d sources = %v, want %v", si, got, sealed)
+		}
 		zid := seg.Zones[0]
 		wid := want.Zones[0]
 		if !zid.Ordered || zid.Min.String() != wid.Min.String() || zid.Max.String() != wid.Max.String() {
@@ -92,9 +100,8 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 		if !zid.SumValid || !zid.SumIntExact || zid.SumInt != wid.SumInt {
 			t.Fatalf("seg %d id sums = %+v, want %+v", si, zid, wid)
 		}
-		zsrc := seg.Zones[1]
-		if zsrc.Sources == nil || !zsrc.HasSource("alpha") || zsrc.HasSource("delta") {
-			t.Fatalf("seg %d source zone = %v", si, zsrc.Sources)
+		if src := seg.Sources(1, seg.Rows); !slices.Contains(src, "alpha") || slices.Contains(src, "delta") {
+			t.Fatalf("seg %d sources = %v", si, src)
 		}
 		zval := seg.Zones[2]
 		if zval.NullCount != want.Zones[2].NullCount || !zval.SumValid || zval.Sum != want.Zones[2].Sum {

@@ -2,8 +2,8 @@ package storage
 
 import (
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"trac/internal/types"
@@ -27,7 +27,7 @@ const DefaultSegmentSize = 4096
 // in place once per source per poll, sealed after it aged.
 const MaxZoneSources = 128
 
-// ColVec is one column of a sealed segment in columnar form. When Pure,
+// ColVec is one column of a segment in columnar form. When Pure,
 // every non-null value has the declared kind and the payloads live in the
 // typed slice for that kind (I64 for BIGINT/TIMESTAMP/BOOLEAN, F64 for
 // DOUBLE, Str for TEXT), with Nulls marking the NULL slots; scan kernels
@@ -40,9 +40,9 @@ const MaxZoneSources = 128
 // distinct non-NULL values in ascending order and Codes[i] is the position
 // of Str[i] in Dict (0 in a NULL slot), so a kernel can decide a predicate
 // once per distinct value and a probe look a key up once per value. The
-// codes are derived from Str at seal and at segment-file decode, like a zone
-// map; the file format carries only Str. Vectors a batch owns are never
-// coded.
+// codes are derived from Str at seal and at segment-file decode, like the
+// zone maps; the file format carries only Str. A tail window's vectors and
+// vectors a batch owns are never coded.
 type ColVec struct {
 	Kind  types.Kind
 	Pure  bool
@@ -91,12 +91,6 @@ type ZoneMap struct {
 	// Ordered reports that Min/Max are valid. It is false when mixed value
 	// kinds made the column unorderable (no pruning on bounds then).
 	Ordered bool
-	// Sources is the sorted distinct value set, tracked only for a monitored
-	// table's TEXT data source column and only up to MaxZoneSources entries;
-	// nil means untracked. It is the column's Dict, shared. It gives exact
-	// membership pruning for the source-probing predicates user queries and
-	// generated recency arms share.
-	Sources []string
 	// SumValid reports that the column's non-null sum was recorded at seal
 	// time: the column is pure INT or DOUBLE. Together with NullCount (the
 	// per-column non-null count is Len()-NullCount) it lets aggregation
@@ -113,31 +107,39 @@ type ZoneMap struct {
 	SumIntExact bool
 }
 
-// HasSource reports whether the tracked source set contains s. Only
-// meaningful when Sources != nil.
-func (z *ZoneMap) HasSource(s string) bool {
-	i := sort.SearchStrings(z.Sources, s)
-	return i < len(z.Sources) && z.Sources[i] == s
-}
-
-// Segment is an immutable sealed region of a table's version heap: the row
-// versions themselves (shared with the heap, so MVCC visibility and late
-// materialization both work off the original *Row values) plus per-column
-// typed vectors and zone maps. Segments are created once by the sealer and
-// never modified; concurrent scans share them freely.
+// Segment is the columnar unit of a table's version heap: per column a typed
+// vector (ColVec) over a run of row versions. A sealed segment covers a
+// region of the sealed prefix: its Rows are the versions themselves (shared
+// with the heap, so MVCC visibility and late materialization both work off
+// the original *Row values), its Zones summarize each column, its TEXT
+// columns are coded, and none of it changes again. A tail window (see
+// newWindow) is a segment that is still filling: WindowSize slots, no Rows,
+// Zones or codes, and the snapshot's rows of it (Morsel.Rows) say how many
+// slots a reader may read.
+//
+// Whatever a segment caches about its versions — the live set, the settled
+// mark, the source set — is recorded and used only when the snapshot's rows
+// fill its vectors, which a sealed segment's always do and a window's do once
+// it is full: from then on its rows never change.
 type Segment struct {
 	Rows  []*Row
 	Cols  []ColVec
 	Zones []ZoneMap
 
+	n   int // slots per vector
+	src int // the table's source column when the segment was made, or -1
+
 	// live caches which versions can still be visible (see LiveSet): a table
 	// updated in place all day — Heartbeat, which every report reads —
-	// leaves segments that are mostly or wholly superseded versions, and a
-	// scan should pay for the live ones, not for every version ever written.
+	// leaves units that are mostly or wholly superseded versions, and a scan
+	// should pay for the live ones, not for every version ever written.
 	live atomic.Pointer[LiveSet]
 
 	// settled caches the last successful Table.Settled pass over the segment.
 	settled atomic.Pointer[settledMark]
+
+	once    sync.Once
+	sources []string // set by once (see Sources)
 }
 
 // settledMark records that, when the owning table's delete-mark count was
@@ -145,8 +147,12 @@ type Segment struct {
 // at sequence seq — and no delete mark.
 type settledMark struct{ marks, seq uint64 }
 
-// Len returns the number of row versions in the segment.
-func (s *Segment) Len() int { return len(s.Rows) }
+// Len returns the number of slots in the segment's vectors: its row versions
+// once sealed, WindowSize for a tail window.
+func (s *Segment) Len() int { return s.n }
+
+// filled reports whether rows, a snapshot's rows of s, fill its vectors.
+func (s *Segment) filled(rows []*Row) bool { return len(rows) == s.n }
 
 // LiveSet says which versions of a segment can still be visible: as of
 // commit sequence Seq, every version NOT in Pos (ascending positions) had
@@ -159,23 +165,28 @@ type LiveSet struct {
 	Pos []int32
 }
 
-// Live returns the cached LiveSet usable by a snapshot at seq, or nil.
-func (s *Segment) Live(seq uint64) *LiveSet {
-	if l := s.live.Load(); l != nil && l.Seq <= seq {
+// Live returns the cached LiveSet usable by a snapshot at seq whose rows of s
+// are rows, or nil.
+func (s *Segment) Live(seq uint64, rows []*Row) *LiveSet {
+	if l := s.live.Load(); l != nil && l.Seq <= seq && s.filled(rows) {
 		return l
 	}
 	return nil
 }
 
-// NoteLive offers the outcome of one scan's visibility pass as the new
-// cache: under a snapshot at seq the scan checked the versions in from (nil:
-// every version) and found those in visible. It is published only if every
-// checked version that was not visible is gone for good — a deleter still in
-// flight or aborted, or a creator not yet committed, leaves the cache as it
-// was, and the next scan checks again.
-func (s *Segment) NoteLive(seq uint64, from *LiveSet, visible []int) {
+// NoteLive offers the outcome of one scan's visibility pass over rows, its
+// snapshot's rows of s, as the new cache: under a snapshot at seq the scan
+// checked the versions in from (nil: every version) and found those in
+// visible. It is published only if rows fill s and every checked version
+// that was not visible is gone for good — a deleter still in flight or
+// aborted, or a creator not yet committed, leaves the cache as it was, and
+// the next scan checks again.
+func (s *Segment) NoteLive(seq uint64, rows []*Row, from *LiveSet, visible []int) {
+	if !s.filled(rows) {
+		return
+	}
 	gone := func(p int) bool {
-		r := s.Rows[p]
+		r := rows[p]
 		if r.XminSeq.Load() == AbortedSeq {
 			return true
 		}
@@ -191,7 +202,7 @@ func (s *Segment) NoteLive(seq uint64, from *LiveSet, visible []int) {
 		return gone(p)
 	}
 	if from == nil {
-		for p := range s.Rows {
+		for p := range rows {
 			if !check(p) {
 				return
 			}
@@ -210,31 +221,30 @@ func (s *Segment) NoteLive(seq uint64, from *LiveSet, visible []int) {
 	s.live.Store(&LiveSet{Seq: seq, Pos: pos})
 }
 
-// Settled reports whether every version of seg, a segment of t, was created
-// by a committed transaction and carries no delete mark; seq is then the
-// latest creator's commit sequence, so a snapshot at or after seq sees every
-// version and an older one does not. Commits are final and a new delete mark
-// counts in t's delete marks (NoteDeleteMark), so the answer of one pass
-// over the rows holds until the table takes its next mark: a segment of an
-// insert-only table is read once, and every later call is two atomic loads.
-// A segment with an in-flight, aborted or deleted version is not settled,
-// and each call checks it again, up to the first such version.
-func (t *Table) Settled(seg *Segment) (seq uint64, ok bool) {
-	return t.settledIn(&seg.settled, seg.Rows)
-}
-
-// settledIn is Settled over rows, a segment's or a full window's, with
-// cache the unit's record of its last successful pass.
-func (t *Table) settledIn(cache *atomic.Pointer[settledMark], rows []*Row) (seq uint64, ok bool) {
+// Settled reports whether every version of seg, a segment of t whose rows
+// under the caller's snapshot are rows, was created by a committed
+// transaction and carries no delete mark; seq is then the latest creator's
+// commit sequence, so a snapshot at or after seq sees every version and an
+// older one does not. Commits are final and a new delete mark counts in t's
+// delete marks (NoteDeleteMark), so the answer of one pass over the rows
+// holds until the table takes its next mark: a segment of an insert-only
+// table is read once, and every later call is two atomic loads. A segment
+// with an in-flight, aborted or deleted version is not settled, and each
+// call checks it again, up to the first such version; a window the rows do
+// not fill is never settled: it is still growing.
+func (t *Table) Settled(seg *Segment, rows []*Row) (seq uint64, ok bool) {
+	if !seg.filled(rows) {
+		return 0, false
+	}
 	// Read before the rows: a mark taken during the pass then fails the
 	// cache's comparison at the next call.
 	marks := t.marks.Load()
-	if m := cache.Load(); m != nil && m.marks == marks {
+	if m := seg.settled.Load(); m != nil && m.marks == marks {
 		return m.seq, true
 	}
 	seq, ok = settledSeq(rows)
 	if ok {
-		cache.Store(&settledMark{marks: marks, seq: seq})
+		seg.settled.Store(&settledMark{marks: marks, seq: seq})
 	}
 	return seq, ok
 }
@@ -252,6 +262,56 @@ func settledSeq(rows []*Row) (seq uint64, ok bool) {
 	return seq, true
 }
 
+// Sources returns the sorted distinct non-NULL values of column col over
+// rows, a snapshot's rows of s. The set is tracked only for the table's
+// source column, only while it is pure TEXT, and only up to MaxZoneSources
+// entries: nil means untracked, and so does a snapshot whose rows do not
+// fill s. It is built on the first call — the column's Dict when s is
+// coded, a pass over the vector otherwise — and kept on s.
+func (s *Segment) Sources(col int, rows []*Row) []string {
+	if col != s.src || !s.filled(rows) {
+		return nil
+	}
+	s.once.Do(func() { s.sources = distinctSources(&s.Cols[col]) })
+	return s.sources
+}
+
+// distinctSources returns the sorted distinct non-NULL values of a TEXT
+// vector, or nil when there are more than MaxZoneSources of them or the
+// vector is not pure TEXT. A coded vector's set is its Dict; otherwise a
+// run of one value, the layout of a source-clustered column, costs one
+// comparison a slot.
+func distinctSources(c *ColVec) []string {
+	if !c.Pure || c.Kind != types.KindString {
+		return nil
+	}
+	if c.Dict != nil {
+		if len(c.Dict) > MaxZoneSources {
+			return nil
+		}
+		return c.Dict
+	}
+	seen := make(map[string]struct{})
+	out := []string{}
+	last, have := "", false
+	for i, s := range c.Str {
+		if c.Nulls[i] || have && s == last {
+			continue
+		}
+		last, have = s, true
+		if _, ok := seen[s]; ok {
+			continue
+		}
+		if len(out) == MaxZoneSources {
+			return nil
+		}
+		seen[s] = struct{}{}
+		out = append(out, s)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // sealRows builds the segment of rows from their values, for rows no
 // window holds (CompactSegments).
 func sealRows(rows []*Row, schema *Schema) *Segment {
@@ -267,32 +327,16 @@ func sealRows(rows []*Row, schema *Schema) *Segment {
 	return newSegment(rows, cols, schema)
 }
 
-// newSegment makes the segment of rows whose columns are cols: it computes
+// newSegment seals the segment of rows whose columns are cols: it computes
 // the zone maps and codes the TEXT columns.
 func newSegment(rows []*Row, cols []ColVec, schema *Schema) *Segment {
-	seg := &Segment{Rows: rows, Cols: cols, Zones: make([]ZoneMap, len(cols))}
+	seg := &Segment{Rows: rows, Cols: cols, Zones: make([]ZoneMap, len(cols)), n: len(rows), src: schema.SourceColumn}
 	for ci := range cols {
 		seg.Zones[ci] = zoneOf(&cols[ci])
 		zoneSums(&cols[ci], &seg.Zones[ci], len(rows))
+		codeText(&cols[ci])
 	}
-	seg.code(schema)
 	return seg
-}
-
-// code gives every pure TEXT column of the segment its dictionary and codes
-// (see ColVec), and the source column's zone map its dictionary as the
-// source set when that has at most MaxZoneSources entries.
-func (s *Segment) code(schema *Schema) {
-	for ci := range s.Cols {
-		codeText(&s.Cols[ci])
-	}
-	if sc := schema.SourceColumn; sc >= 0 {
-		z := &s.Zones[sc]
-		z.Sources = nil
-		if d := s.Cols[sc].Dict; d != nil && len(d) <= MaxZoneSources {
-			z.Sources = d
-		}
-	}
 }
 
 // codeText builds a pure TEXT column's Dict and Codes. Values are numbered
@@ -460,7 +504,7 @@ type HeapSnap struct {
 	// Sealed is the number of leading row slots covered by Segments.
 	Sealed int
 
-	wins []*Window // hold Rows[Sealed:], WindowSize rows each
+	wins []*Segment // tail windows holding Rows[Sealed:], WindowSize rows each
 }
 
 // Tail returns the unsealed row suffix.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -72,12 +73,11 @@ func TestSealBuildsTypedVectorsAndZoneMaps(t *testing.T) {
 	if scoreZone.NullCount != 10 {
 		t.Fatalf("score nulls = %d, want 10", scoreZone.NullCount)
 	}
-	srcZone := seg.Zones[1]
-	if len(srcZone.Sources) != 2 || !srcZone.HasSource("alpha") || !srcZone.HasSource("beta") {
-		t.Fatalf("source set = %v", srcZone.Sources)
+	if got := seg.Sources(1, seg.Rows); fmt.Sprint(got) != "[alpha beta]" {
+		t.Fatalf("source set = %v", got)
 	}
-	if srcZone.HasSource("gamma") {
-		t.Fatal("HasSource(gamma) = true")
+	if got := seg.Sources(0, seg.Rows); got != nil {
+		t.Fatalf("a set tracked for a column that is not the source: %v", got)
 	}
 }
 
@@ -199,8 +199,8 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 	}
 	seen := map[int64]int{}
 	for _, u := range claimAll(m) {
-		if u.Seg != nil && len(u.Rows) != 50 {
-			t.Fatalf("segment unit has %d rows", len(u.Rows))
+		if u.Seg.Zones != nil && len(u.Rows) != 50 {
+			t.Fatalf("sealed segment unit has %d rows", len(u.Rows))
 		}
 		for _, r := range u.Rows {
 			seen[r.Values[0].Int()]++
@@ -219,7 +219,7 @@ func TestMixedSnapshotUnitsShareHeap(t *testing.T) {
 	if u := units[0]; u.Rows[0] != snap.Rows[0] {
 		t.Fatal("segment unit does not share the snapshot heap")
 	}
-	if u := units[2]; u.Win == nil || u.Rows[0] != snap.Rows[50+WindowSize] {
+	if u := units[2]; u.Seg.Zones != nil || u.Rows[0] != snap.Rows[50+WindowSize] {
 		t.Fatal("window unit does not share the snapshot heap")
 	}
 }
@@ -283,29 +283,29 @@ func TestSettledHoldsUntilTheNextDeleteMark(t *testing.T) {
 	}
 	tbl.Seal()
 	seg := tbl.Snap().Segments[0]
-	if seq, ok := tbl.Settled(seg); !ok || seq != 4 {
+	if seq, ok := tbl.Settled(seg, seg.Rows); !ok || seq != 4 {
 		t.Fatalf("Settled = %d, %v; want 4, true", seq, ok)
 	}
 
 	// The cache answers without reading the rows: a mark set behind the
 	// table's back goes unseen until the table is told of it.
 	seg.Rows[5].Xmax.Store(9)
-	if _, ok := tbl.Settled(seg); !ok {
+	if _, ok := tbl.Settled(seg, seg.Rows); !ok {
 		t.Fatal("settled answer not cached")
 	}
 	tbl.NoteDeleteMark()
-	if _, ok := tbl.Settled(seg); ok {
+	if _, ok := tbl.Settled(seg, seg.Rows); ok {
 		t.Fatal("settled with a delete-marked version")
 	}
 	seg.Rows[5].Xmax.Store(0) // the deleter aborted and released its mark
-	if seq, ok := tbl.Settled(seg); !ok || seq != 4 {
+	if seq, ok := tbl.Settled(seg, seg.Rows); !ok || seq != 4 {
 		t.Fatalf("after the release Settled = %d, %v; want 4, true", seq, ok)
 	}
 
 	for _, creator := range []uint64{0, AbortedSeq} {
 		seg.Rows[2].XminSeq.Store(creator)
 		tbl.NoteDeleteMark() // drop the cache
-		if _, ok := tbl.Settled(seg); ok {
+		if _, ok := tbl.Settled(seg, seg.Rows); ok {
 			t.Errorf("settled with a version whose creator seq is %d", creator)
 		}
 	}

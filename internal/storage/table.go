@@ -88,8 +88,8 @@ type Table struct {
 	sealed    int
 	sealEvery int
 
-	// wins holds the tail, rows[sealed:], in columnar form (see Window).
-	wins []*Window
+	// wins holds the tail, rows[sealed:], in columnar form (see newWindow).
+	wins []*Segment
 
 	// dead counts versions superseded by a committed-or-pending UPDATE or
 	// DELETE (see NoteDead); LiveRows subtracts it from the version count.
@@ -145,21 +145,22 @@ func (t *Table) Partition() (Partition, bool) {
 // PartitionStats is the per-partition seal/zone summary a shard reports for
 // one local table replica: how much of the partition is sealed columnar, how
 // large the row tail is, and how many distinct sources the sealed segments'
-// zone maps have seen (the figure shard-level source-set pruning works from).
+// source sets hold (the figure shard-level source-set pruning works from).
 type PartitionStats struct {
 	Partition     Partition
 	Partitioned   bool // false: replicated/unsharded replica
 	Segments      int
 	SealedRows    int
 	TailRows      int
-	ZoneSources   int  // distinct sources across sealed zone maps
+	ZoneSources   int  // distinct sources across sealed segments
 	SourcesCapped bool // some segment overflowed MaxZoneSources
 }
 
 // PartitionStats snapshots the table's partition-aware seal/zone statistics.
 // The distinct-source union covers only the schema's source column (the only
-// column zone maps track value sets for); a segment whose set overflowed
-// MaxZoneSources marks the union as capped rather than silently undercounting.
+// column segments track value sets for, see Segment.Sources); a segment
+// whose set overflowed MaxZoneSources marks the union as capped rather than
+// silently undercounting.
 func (t *Table) PartitionStats() PartitionStats {
 	t.ensureHydrated()
 	t.mu.RLock()
@@ -175,17 +176,11 @@ func (t *Table) PartitionStats() PartitionStats {
 	if sc := t.Schema.SourceColumn; sc >= 0 {
 		union := make(map[string]struct{})
 		for _, seg := range t.segments {
-			if sc >= len(seg.Zones) {
-				continue
+			sources := seg.Sources(sc, seg.Rows)
+			if sources == nil && seg.Len() > seg.Zones[sc].NullCount {
+				ps.SourcesCapped = true
 			}
-			z := &seg.Zones[sc]
-			if z.Sources == nil {
-				if seg.Len() > z.NullCount {
-					ps.SourcesCapped = true
-				}
-				continue
-			}
-			for _, s := range z.Sources {
+			for _, s := range sources {
 				union[s] = struct{}{}
 			}
 		}

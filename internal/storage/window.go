@@ -2,8 +2,6 @@ package storage
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"trac/internal/types"
 )
@@ -14,31 +12,19 @@ import (
 // can be partial.
 const WindowSize = 1024
 
-// Window is one window of a table's unsealed tail in columnar form: per
-// column a vector of WindowSize slots, laid out as a sealed segment's (see
-// ColVec; a window's TEXT vectors are not coded). The vectors are allocated
-// at full length and AppendRows fills slot after slot under the table's
-// lock, so a snapshot that saw n rows of a window reads the vectors' first n
-// slots while later appends write past them: neither a slot it reads nor a
-// vector header ever changes under it. A value whose kind does not fit a
-// pure vector makes the table replace the window by a copy with that column
-// demoted to the generic form, and snapshots taken before keep the old one.
-//
-// A full window never changes again, and like a sealed segment it caches
-// what it says about its rows: the source set (WindowSources) and the last
-// pass that found every version settled (WindowSettled).
-type Window struct {
-	Cols []ColVec
-
-	once    sync.Once
-	sources []string // set by once; nil when the window has none
-
-	settled atomic.Pointer[settledMark]
-}
-
-// newWindow allocates an empty window of the schema's columns.
-func newWindow(schema *Schema) *Window {
-	return &Window{Cols: makeCols(schema, WindowSize)}
+// newWindow makes a tail window over cols, WindowSize slots per column of
+// the schema: a Segment laid out as a sealed one's (see ColVec) but with no
+// rows, zone maps or codes yet. The vectors are allocated at full length and
+// AppendRows fills slot after slot under the table's lock, so a snapshot
+// that saw n rows of a window reads the vectors' first n slots while later
+// appends write past them: neither a slot it reads nor a vector header ever
+// changes under it. A value whose kind does not fit a pure vector makes the
+// table replace the window by a copy with that column demoted to the
+// generic form, and snapshots taken before keep the old one. Once full, a
+// window never changes again, and caches what it says about its rows as a
+// sealed segment does.
+func newWindow(schema *Schema, cols []ColVec) *Segment {
+	return &Segment{Cols: cols, n: WindowSize, src: schema.SourceColumn}
 }
 
 // makeCols allocates one full-length vector of n slots per schema column,
@@ -121,7 +107,7 @@ func (t *Table) fillLocked(at int, rows []*Row) {
 	for _, r := range rows {
 		k, slot := at/WindowSize, at%WindowSize
 		if k == len(t.wins) {
-			t.wins = append(t.wins, newWindow(t.Schema))
+			t.wins = append(t.wins, newWindow(t.Schema, makeCols(t.Schema, WindowSize)))
 		}
 		w := t.wins[k]
 		for ci, v := range r.Values {
@@ -138,9 +124,9 @@ func (t *Table) fillLocked(at int, rows []*Row) {
 // not written yet, by a copy whose column ci is generic, and returns the
 // copy. Snapshots share the window list, so the list is copied too. The
 // caller holds t.mu for writing.
-func (t *Table) demoteLocked(k, ci, slot int) *Window {
+func (t *Table) demoteLocked(k, ci, slot int) *Segment {
 	old := t.wins[k]
-	w := &Window{Cols: slices.Clone(old.Cols)}
+	w := newWindow(t.Schema, slices.Clone(old.Cols))
 	w.Cols[ci] = old.Cols[ci].generic(slot)
 	t.wins = slices.Clone(t.wins)
 	t.wins[k] = w
@@ -170,7 +156,7 @@ func (t *Table) trimWindowsLocked(from int) {
 // column is pure unless one of its values in the region does not fit its
 // kind, as if sealed from the rows' values: a region of a demoted window
 // can hold none of the values that demoted it.
-func sealWindows(rows []*Row, wins []*Window, from int, schema *Schema) *Segment {
+func sealWindows(rows []*Row, wins []*Segment, from int, schema *Schema) *Segment {
 	n := len(rows)
 	cols := make([]ColVec, len(schema.Columns))
 	for ci := range cols {
@@ -226,67 +212,4 @@ func copySlots(dst *ColVec, at int, src *ColVec, lo, hi int) {
 	default:
 		copy(dst.Str[at:], src.Str[lo:hi])
 	}
-}
-
-// WindowSources returns the distinct non-NULL values of the source column
-// over w, a full tail window whose rows are rows, when they say exactly
-// which sources a snapshot at seq sees in the window: the window has settled
-// (WindowSettled) at or before seq. The set is read off the window's source
-// vector on the first call and kept on the window. A partial window, a
-// window of more than MaxZoneSources sources or with a source value that is
-// not TEXT, and a table without a TEXT source column report false.
-func (t *Table) WindowSources(w *Window, rows []*Row, seq uint64) ([]string, bool) {
-	sc := t.Schema.SourceColumn
-	if sc < 0 || len(rows) != WindowSize {
-		return nil, false
-	}
-	w.once.Do(func() { w.sources = distinctSources(&w.Cols[sc]) })
-	if w.sources == nil {
-		return nil, false
-	}
-	if last, ok := t.WindowSettled(w, rows); !ok || last > seq {
-		return nil, false
-	}
-	return w.sources, true
-}
-
-// WindowSettled is Settled for w, a full tail window whose rows are rows:
-// whether every version was created by a committed transaction and carries
-// no delete mark, and the latest creator's commit sequence if so, cached on
-// the window until the table's next delete mark. A partial window is never
-// settled: it is still growing.
-func (t *Table) WindowSettled(w *Window, rows []*Row) (seq uint64, ok bool) {
-	if len(rows) != WindowSize {
-		return 0, false
-	}
-	return t.settledIn(&w.settled, rows)
-}
-
-// distinctSources returns the sorted distinct non-NULL values of a TEXT
-// vector, or nil when there are more than MaxZoneSources of them or the
-// vector is not pure TEXT. A run of one value, the layout of a
-// source-clustered column, costs one comparison a slot.
-func distinctSources(c *ColVec) []string {
-	if !c.Pure || c.Kind != types.KindString {
-		return nil
-	}
-	seen := make(map[string]struct{})
-	out := []string{}
-	last, have := "", false
-	for i, s := range c.Str {
-		if c.Nulls[i] || have && s == last {
-			continue
-		}
-		last, have = s, true
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		if len(out) == MaxZoneSources {
-			return nil
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-	}
-	slices.Sort(out)
-	return out
 }

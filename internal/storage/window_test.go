@@ -11,11 +11,11 @@ import (
 
 // TestWindowSourcesGate: a full tail window's source set — its distinct
 // non-NULL sources, sorted — stands for the window under the gate Settled
-// keeps for a segment: every creator committed at or before the snapshot
-// and no delete mark, re-checked after the table's next mark. It is withheld
-// for an uncommitted or aborted creator, a delete mark, an older snapshot, a
-// window over MaxZoneSources or with a source that is not TEXT, and a
-// partial window, and sealing drops the window with its set.
+// keeps for a sealed segment: every creator committed at or before the
+// snapshot and no delete mark, re-checked after the table's next mark. It is
+// withheld for an uncommitted or aborted creator, a delete mark, an older
+// snapshot, a window over MaxZoneSources or with a source that is not TEXT,
+// and a partial window, and sealing drops the window with its set.
 func TestWindowSourcesGate(t *testing.T) {
 	build := func(t *testing.T, rows int, srcs func(i int) types.Value) *Table {
 		tbl := NewTable("t", segSchema(t))
@@ -36,18 +36,20 @@ func TestWindowSourcesGate(t *testing.T) {
 	unit := func(tbl *Table, k int) Morsel { return makeUnits(tbl.Snap())[k] }
 	sources := func(tbl *Table, k int, seq uint64) ([]string, bool) {
 		u := unit(tbl, k)
-		return tbl.WindowSources(u.Win, u.Rows, seq)
+		set := u.Seg.Sources(tbl.Schema.SourceColumn, u.Rows)
+		last, ok := tbl.Settled(u.Seg, u.Rows)
+		return set, set != nil && ok && last <= seq
 	}
 
 	t.Run("settled", func(t *testing.T) {
 		tbl := build(t, 3*WindowSize+10, clustered)
 		for k, want := range []string{"[m3]", "[m2]", "[m1]"} {
 			if got, ok := sources(tbl, k, 4); !ok || fmt.Sprint(got) != want {
-				t.Fatalf("window %d: WindowSources = %v, %v; want %s, true", k, got, ok, want)
+				t.Fatalf("window %d: sources = %v, %v; want %s, true", k, got, ok, want)
 			}
 		}
 		if got, ok := sources(tbl, 3, 9); ok {
-			t.Fatalf("partial window: WindowSources = %v, true", got)
+			t.Fatalf("partial window: sources = %v, true", got)
 		}
 	})
 	t.Run("snapshot older than the latest creator", func(t *testing.T) {
@@ -123,15 +125,15 @@ func TestWindowSourcesGate(t *testing.T) {
 		if len(tbl.wins) != 0 || len(tbl.Snap().wins) != 0 {
 			t.Fatalf("%d windows left after sealing every window", len(tbl.wins))
 		}
-		if seg := tbl.Snap().Segments[1]; fmt.Sprint(seg.Zones[1].Sources) != "[m2]" {
-			t.Fatalf("the segment's own set is %v, want [m2]", seg.Zones[1].Sources)
+		if seg := tbl.Snap().Segments[1]; fmt.Sprint(seg.Sources(1, seg.Rows)) != "[m2]" {
+			t.Fatalf("the segment's own set is %v, want [m2]", seg.Sources(1, seg.Rows))
 		}
 	})
 }
 
 // tailSchema has a column of every kind, the TEXT one the source column,
 // and a BIGINT column the storage API writes TEXT values into now and then.
-func tailSchema(t *testing.T) *Schema {
+func tailSchema(t testing.TB) *Schema {
 	t.Helper()
 	schema, err := NewSchema([]Column{
 		{Name: "id", Kind: types.KindInt},
@@ -278,7 +280,7 @@ func checkUnits(t *testing.T, snap *HeapSnap) {
 	for ui, u := range units {
 		var cols []ColVec
 		switch {
-		case u.Seg != nil:
+		case u.Seg != nil && u.Seg.Zones != nil:
 			cols = u.Seg.Cols
 			if ui >= len(snap.Segments) {
 				t.Fatalf("unit %d: a segment after the tail windows", ui)
@@ -292,8 +294,8 @@ func checkUnits(t *testing.T, snap *HeapSnap) {
 					t.Fatalf("segment %d column %d: zone %+v, value by value %+v", ui, ci, zoneBounds(u.Seg.Zones[ci]), want)
 				}
 			}
-		case u.Win != nil:
-			cols = u.Win.Cols
+		case u.Seg != nil && u.Seg.Zones == nil:
+			cols = u.Seg.Cols
 			if len(u.Rows) > WindowSize || len(u.Rows) < WindowSize && ui != len(units)-1 {
 				t.Fatalf("unit %d: a window of %d rows", ui, len(u.Rows))
 			}
