@@ -503,7 +503,8 @@ func (t *aggTable) mergeTable(o *aggTable) error {
 // [keys..., aggregates...] per group in first-seen order over generic
 // vectors, or nil when there is no group. With no grouping keys an empty
 // input still emits the single global tuple.
-func (t *aggTable) emit(nKeys int) (*Batch, error) {
+func (t *aggTable) emit() (*Batch, error) {
+	nKeys := len(t.keys)
 	if len(t.order) == 0 && nKeys == 0 {
 		t.globalState()
 	}

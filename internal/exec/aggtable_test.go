@@ -519,7 +519,7 @@ func TestAggPartialMergePreservesExactness(t *testing.T) {
 	if err := merged.mergeTable(mk(10)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := merged.emit(0)
+	out, err := merged.emit()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package exec
 
-import "sync"
-
 // DrainAll runs every operator to completion concurrently — the scatter
 // fan-in of a cross-shard plan — and returns each one's output as one batch
 // the caller owns (DrainBatch; nil when it has none), in operator order.
@@ -16,23 +14,14 @@ import "sync"
 // un-Closed.
 func DrainAll(ops []BatchOperator) ([]*Batch, error) {
 	out := make([]*Batch, len(ops))
-	errs := make([]error, len(ops))
-	var wg sync.WaitGroup
-	for i, op := range ops {
-		wg.Add(1)
-		go func(i int, op BatchOperator) {
-			defer wg.Done()
-			out[i], errs[i] = DrainBatch(op)
-		}(i, op)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, b := range out {
-				PutBatch(b)
-			}
-			return nil, err
+	if err := fanOut(len(ops), func(i int) (err error) {
+		out[i], err = DrainBatch(ops[i])
+		return err
+	}); err != nil {
+		for _, b := range out {
+			PutBatch(b)
 		}
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"runtime"
-	"sync"
 
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
@@ -158,7 +157,9 @@ func (s *StatAggScan) foldSegment(st *aggState, seg *storage.Segment) {
 
 // Open classifies the snapshot, folds stats, scans the remainder, and
 // finalizes the single output tuple.
-func (s *StatAggScan) Open() error {
+func (s *StatAggScan) Open() error { return s.emitGroups(s) }
+
+func (s *StatAggScan) groups() (*aggTable, error) {
 	heap := s.Table.Snap()
 	fold, scan, pruned := s.classify(heap)
 	tail := heap.Tail()
@@ -177,55 +178,24 @@ func (s *StatAggScan) Open() error {
 		units = append(units, storage.Morsel{Seg: seg, Rows: seg.Rows})
 	}
 	units = heap.AppendTail(units)
-
-	if len(units) > 0 {
-		if err := s.scanUnits(tab, units); err != nil {
-			return err
-		}
+	if len(units) == 0 {
+		return tab, nil
 	}
 
-	var err error
-	s.out, err = tab.emit(0)
-	return err
-}
-
-// scanUnits aggregates the morsels stats could not answer, in parallel when
-// the leftover work spans multiple units.
-func (s *StatAggScan) scanUnits(tab *aggTable, units []storage.Morsel) error {
+	// The morsels stats could not answer, in parallel when the leftover
+	// work spans several units.
 	src := storage.NewMorsels(units)
-	workers := s.Degree()
-	if workers > len(units) {
-		workers = len(units)
-	}
 	newScan := func() *batchMorselScan {
 		m := &batchMorselScan{src: src}
 		m.scan.reset(s.Table, s.Snap, s.Kernel, s.SegFilter, 0, 0, s.Need)
 		return m
 	}
+	workers := min(s.Degree(), len(units))
 	if workers <= 1 {
-		return tab.observeAll(newScan())
+		return tab, tab.observeAll(newScan())
 	}
-	tabs := make([]*aggTable, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tabs[i] = newAggTable(nil, nil, s.Specs, s.ArgCols)
-			errs[i] = tabs[i].observeAll(newScan())
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, t := range tabs {
-		if err := tab.mergeTable(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mergeParts(tab, workers, func(int) (*aggTable, error) {
+		t := newAggTable(nil, nil, s.Specs, s.ArgCols)
+		return t, t.observeAll(newScan())
+	})
 }

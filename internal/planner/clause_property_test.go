@@ -13,13 +13,20 @@ import (
 	"trac/internal/sqlparser"
 )
 
+// nestedForms are aggregates inside expressions with no GROUP BY: the
+// aggregate calls alone make the block grouped.
+var nestedForms = []string{
+	`SELECT COUNT(*) + 1 FROM P`,
+	`SELECT MAX(P.v) - MIN(P.v) FROM P`,
+}
+
 // TestClausesMatchReference holds the clauses above the joins — DISTINCT,
 // GROUP BY with HAVING, a total-order ORDER BY with LIMIT, non-anchored
-// UNIONs and cross products — to the naive reference evaluator, over the
-// join generator's tables: on one engine, sealed and with a tail (serial and
-// parallel plans), and on 3 shards against the reference over an unsharded
-// twin. An answer under ORDER BY is compared in order; any other as a sorted
-// multiset.
+// UNIONs and cross products — and the nestedForms to the naive reference
+// evaluator, over the join generator's tables: on one engine, sealed and
+// with a tail (serial and parallel plans), and on 3 shards against the
+// reference over an unsharded twin. An answer under ORDER BY is compared in
+// order; any other as a sorted multiset.
 func TestClausesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20061017))
 	seen := map[string]int{}
@@ -39,8 +46,13 @@ func TestClausesMatchReference(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		tail := trial%2 == 1
 		db, inflight := joinDB(rng, trial, tail)
-		for q := 0; q < 12; q++ {
-			sql, shape := clauseQuery(rng)
+		for q := 0; q < 12+len(nestedForms); q++ {
+			sql, shape := "", "nested"
+			if q < 12 {
+				sql, shape = clauseQuery(rng)
+			} else {
+				sql = nestedForms[q-12]
+			}
 			seen[shape]++
 			want := reference(t, db, sql)
 			for _, m := range execModes {
@@ -57,8 +69,13 @@ func TestClausesMatchReference(t *testing.T) {
 	}
 	for trial := 0; trial < 10; trial++ {
 		twin, r := shardedJoinDB(t, rng, 3)
-		for q := 0; q < 12; q++ {
-			sql, shape := clauseQuery(rng)
+		for q := 0; q < 12+len(nestedForms); q++ {
+			sql, shape := "", "nested"
+			if q < 12 {
+				sql, shape = clauseQuery(rng)
+			} else {
+				sql = nestedForms[q-12]
+			}
 			seen["sharded "+shape]++
 			want := reference(t, twin, sql)
 			res, err := r.Query(sql)
@@ -68,7 +85,7 @@ func TestClausesMatchReference(t *testing.T) {
 		r.Close()
 	}
 	t.Logf("coverage: %v", seen)
-	for _, shape := range []string{"plain", "grouped", "union", "cross", "sharded plain", "sharded grouped", "sharded union", "sharded cross"} {
+	for _, shape := range []string{"plain", "grouped", "union", "cross", "nested", "sharded plain", "sharded grouped", "sharded union", "sharded cross", "sharded nested"} {
 		if seen[shape] < 4 {
 			t.Errorf("coverage too thin: %d %s queries", seen[shape], shape)
 		}

@@ -9,61 +9,67 @@ import (
 	"trac/internal/types"
 )
 
-// finishGrouped builds the aggregation tail of a plan: the aggregation
-// operator producing [group keys..., aggregates...], then the GroupedTail
-// over its groups. A bare-column key or aggregate argument also records its
-// tuple offset (keyCols, argCols), so the batch aggregation reads it straight
-// off the vector instead of through the evaluator — and zone-map stats can
-// answer an aggregate over it.
-func (p *Planner) finishGrouped(sel *sqlparser.SelectStmt, input exec.BatchOperator, layout *exec.Layout, items []sqlparser.Expr, t *template) (exec.BatchOperator, error) {
-	keyEvals := make([]exec.Evaluator, len(sel.GroupBy))
-	keyCols := make([]int, len(sel.GroupBy))
-	keySQL := make([]string, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		ge := GroupKey(sel, g)
-		ev, err := exec.Compile(ge, layout)
-		if err != nil {
-			return nil, err
-		}
-		keyEvals[i], keyCols[i], keySQL[i] = ev, bareCol(ge, layout), ge.SQL()
+// Grouped reports whether a SELECT block aggregates: it has a GROUP BY or a
+// HAVING clause, or an aggregate call anywhere in its select list.
+func Grouped(sel *sqlparser.SelectStmt) bool {
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
+		return true
 	}
-
-	// Aggregate specs are discovered while the tail compiles; identical calls
-	// share one accumulator.
-	var specs []exec.AggSpec
-	var specSQL []string
-	var argCols []int
-	addSpec := func(fc *sqlparser.FuncCall) (int, error) {
-		key := fc.SQL()
-		for i, s := range specSQL {
-			if s == key {
-				return i, nil
-			}
-		}
-		spec := exec.AggSpec{Func: fc.Name, Star: fc.Star}
-		col := -1
-		if !fc.Star {
-			arg, err := exec.Compile(fc.Arg, layout)
-			if err != nil {
-				return 0, err
-			}
-			spec.Arg, col = arg, bareCol(fc.Arg, layout)
-		}
-		specs = append(specs, spec)
-		specSQL = append(specSQL, key)
-		argCols = append(argCols, col)
-		return len(specs) - 1, nil
+	found := false
+	for _, it := range sel.Items {
+		sqlparser.WalkExpr(it.Expr, func(x sqlparser.Expr) bool {
+			_, isCall := x.(*sqlparser.FuncCall)
+			found = found || isCall
+			return !found
+		})
 	}
-	tail, err := CompileGroupedTail(sel, items, keySQL, addSpec)
-	if err != nil {
-		return nil, err
-	}
-	return tail.Over(p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, t)), nil
+	return found
 }
 
-// GroupKey resolves one GROUP BY expression: a bare select-list alias stands
+// aggregate plans a grouped block's aggregation operator over input,
+// producing [group keys..., aggregates...], and compiles the tail that
+// finishes its groups. A bare-column key or aggregate argument also records
+// its tuple offset (keyCols, argCols), so the batch aggregation reads it
+// straight off the vector instead of through the evaluator — and zone-map
+// stats can answer an aggregate over it.
+func (p *Planner) aggregate(b *block, input exec.BatchOperator, t *template) (exec.BatchOperator, *GroupedTail, error) {
+	tail, err := compileGroupedTail(b.sel, b.items)
+	if err != nil {
+		return nil, nil, err
+	}
+	keyEvals := make([]exec.Evaluator, len(tail.keys))
+	for i, ge := range tail.keys {
+		if keyEvals[i], err = exec.Compile(ge, b.layout); err != nil {
+			return nil, nil, err
+		}
+	}
+	specs := make([]exec.AggSpec, len(tail.calls))
+	args := make([]sqlparser.Expr, len(tail.calls))
+	for i, fc := range tail.calls {
+		specs[i] = exec.AggSpec{Func: fc.Name, Star: fc.Star}
+		if !fc.Star {
+			if specs[i].Arg, err = exec.Compile(fc.Arg, b.layout); err != nil {
+				return nil, nil, err
+			}
+			args[i] = fc.Arg
+		}
+	}
+	keyCols, argCols := bareCols(tail.keys, b.layout), bareCols(args, b.layout)
+	return p.buildAggRoot(input, keyEvals, keyCols, specs, argCols, t), tail, nil
+}
+
+// FinishGroups compiles the tail of a grouped block (Grouped) for groups
+// merged across shards: exec.GatherGroups merges what the block's PlanGroups
+// plans hand over, and the tail finishes the merged groups as PlanSelect's
+// plan of the block finishes its own. Both number the aggregates alike.
+// items is the block's select list with its stars expanded.
+func FinishGroups(sel *sqlparser.SelectStmt, items []sqlparser.Expr) (*GroupedTail, error) {
+	return compileGroupedTail(sel, items)
+}
+
+// groupKey resolves one GROUP BY expression: a bare select-list alias stands
 // for that item's expression.
-func GroupKey(sel *sqlparser.SelectStmt, g sqlparser.Expr) sqlparser.Expr {
+func groupKey(sel *sqlparser.SelectStmt, g sqlparser.Expr) sqlparser.Expr {
 	if cr, ok := g.(*sqlparser.ColumnRef); ok && cr.Table == "" {
 		for _, it := range sel.Items {
 			if strings.EqualFold(it.Alias, cr.Column) && !it.Star {
@@ -74,34 +80,50 @@ func GroupKey(sel *sqlparser.SelectStmt, g sqlparser.Expr) sqlparser.Expr {
 	return g
 }
 
-// GroupedTail is what a grouped block evaluates over its groups, compiled
-// against the [keys..., aggregates...] tuple each group is: the select
-// items, HAVING and the ORDER BY keys.
+// GroupedTail is what a grouped block does over its groups, compiled
+// against the [keys..., aggregates...] tuple each group is: HAVING, ORDER BY
+// and the select items, then DISTINCT and LIMIT.
 type GroupedTail struct {
-	items  []exec.Evaluator
-	having exec.Evaluator
-	order  []exec.SortKey
+	keys  []sqlparser.Expr      // GROUP BY, aliases resolved (groupKey)
+	calls []*sqlparser.FuncCall // the distinct aggregate calls, in tuple order
+
+	items    []exec.Evaluator
+	having   exec.Evaluator
+	order    []exec.SortKey
+	distinct bool
+	limit    *int64
 }
 
-// CompileGroupedTail compiles a grouped block's select items, HAVING and
-// ORDER BY over its groups. keySQL is the canonical text of each GROUP BY
-// key (see GroupKey); agg returns the position among the aggregates of an
-// aggregate call — the planner files a new accumulator, the shard gather
-// looks up the partials it merged. A column reference that is neither a
-// grouping key nor inside an aggregate is rejected, per SQL.
-func CompileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr, keySQL []string, agg func(*sqlparser.FuncCall) (int, error)) (*GroupedTail, error) {
+// compileGroupedTail compiles a grouped block's tail over its groups. The
+// aggregate calls it meets in the select items, HAVING and ORDER BY, in that
+// order, are the group tuple's aggregates, identical calls sharing one: the
+// one numbering the aggregation operator and the merged groups of a gather
+// both follow. A column reference that is neither a grouping key nor inside
+// an aggregate is rejected, per SQL.
+func compileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr) (*GroupedTail, error) {
+	t := &GroupedTail{items: make([]exec.Evaluator, len(items)), distinct: sel.Distinct, limit: sel.Limit}
+	keySQL := make([]string, len(sel.GroupBy))
+	for i, g := range sel.GroupBy {
+		t.keys = append(t.keys, groupKey(sel, g))
+		keySQL[i] = t.keys[i].SQL()
+	}
+	var callSQL []string
 	at := func(pos int) exec.Evaluator {
 		return func(row []types.Value) (types.Value, error) { return row[pos], nil }
 	}
 	hook := func(e sqlparser.Expr) (exec.Evaluator, bool, error) {
-		if fc, ok := e.(*sqlparser.FuncCall); ok {
-			idx, err := agg(fc)
-			if err != nil {
-				return nil, false, err
-			}
-			return at(len(keySQL) + idx), true, nil
-		}
 		text := e.SQL()
+		if fc, ok := e.(*sqlparser.FuncCall); ok {
+			i := 0
+			for i < len(callSQL) && callSQL[i] != text {
+				i++
+			}
+			if i == len(callSQL) {
+				callSQL = append(callSQL, text)
+				t.calls = append(t.calls, fc)
+			}
+			return at(len(keySQL) + i), true, nil
+		}
 		for i, k := range keySQL {
 			if k == text {
 				return at(i), true, nil
@@ -110,11 +132,9 @@ func CompileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr, keySQ
 		if cr, ok := e.(*sqlparser.ColumnRef); ok {
 			// Also accept an unqualified/qualified mismatch against a key
 			// (e.g. GROUP BY A.user vs SELECT user).
-			for i, k := range keySQL {
-				if kr, err := sqlparser.ParseExpr(k); err == nil {
-					if kcr, ok := kr.(*sqlparser.ColumnRef); ok && strings.EqualFold(kcr.Column, cr.Column) {
-						return at(i), true, nil
-					}
+			for i, k := range t.keys {
+				if kcr, ok := k.(*sqlparser.ColumnRef); ok && strings.EqualFold(kcr.Column, cr.Column) {
+					return at(i), true, nil
 				}
 			}
 			return nil, false, fmt.Errorf("planner: column %q must appear in GROUP BY or inside an aggregate", cr.SQL())
@@ -124,7 +144,6 @@ func CompileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr, keySQ
 	// The grouped tuple has no base-table columns; the hook must intercept
 	// every column reference. An empty layout enforces that.
 	groups := exec.NewLayout(nil)
-	t := &GroupedTail{items: make([]exec.Evaluator, len(items))}
 	for i, it := range items {
 		ev, err := exec.CompileWith(it, groups, hook)
 		if err != nil {
@@ -153,8 +172,9 @@ func CompileGroupedTail(sel *sqlparser.SelectStmt, items []sqlparser.Expr, keySQ
 	return t, nil
 }
 
-// Over stacks the tail over the groups: HAVING as a filter kernel, the sort
-// and the projection.
+// Over stacks the tail over the groups: HAVING as a filter kernel, the sort,
+// the projection, DISTINCT and LIMIT. The tail is only read, so one
+// compiled tail serves any number of concurrent runs.
 func (t *GroupedTail) Over(groups exec.BatchOperator) exec.BatchOperator {
 	if t.having != nil {
 		groups = &exec.BatchFilter{Child: groups, Kernel: exec.EvalKernel(t.having)}
@@ -162,7 +182,14 @@ func (t *GroupedTail) Over(groups exec.BatchOperator) exec.BatchOperator {
 	if len(t.order) > 0 {
 		groups = &exec.BatchSort{Child: groups, Keys: t.order}
 	}
-	return &exec.BatchProject{Child: groups, Exprs: t.items}
+	var root exec.BatchOperator = &exec.BatchProject{Child: groups, Exprs: t.items}
+	if t.distinct {
+		root = &exec.BatchDistinct{Child: root}
+	}
+	if t.limit != nil {
+		root = &exec.BatchLimit{Child: root, N: *t.limit}
+	}
+	return root
 }
 
 // buildAggRoot picks the physical aggregation operator. Preference order:

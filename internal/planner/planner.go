@@ -219,7 +219,7 @@ type block struct {
 	conjuncts []*conjunct
 	items     []sqlparser.Expr
 	columns   []string
-	grouped   bool // aggregates, GROUP BY or HAVING
+	grouped   bool // Grouped
 	// tail is what the block reads after its WHERE clause: the select list,
 	// GROUP BY, HAVING and ORDER BY. scratch is a spare set of the same
 	// width for whoever plans the block.
@@ -307,12 +307,7 @@ func (p *Planner) bindBlock(sel *sqlparser.SelectStmt) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.grouped = len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, it := range b.items {
-		if _, ok := it.(*sqlparser.FuncCall); ok {
-			b.grouped = true
-		}
-	}
+	b.grouped = Grouped(sel)
 	for _, e := range b.items {
 		b.tail.addRefs(e, b.layout)
 	}
@@ -372,17 +367,11 @@ func (p *Planner) planBound(b *block, t *template) (exec.BatchOperator, error) {
 	}
 
 	if b.grouped {
-		out, err := p.finishGrouped(sel, root, layout, b.items, t)
-		if err != nil {
-			return nil, err
+		agg, tail, err := p.aggregate(b, root, t)
+		if err != nil || t.groups {
+			return agg, err
 		}
-		if sel.Distinct {
-			out = &exec.BatchDistinct{Child: out}
-		}
-		if sel.Limit != nil {
-			out = &exec.BatchLimit{Child: out, N: *sel.Limit}
-		}
-		return out, nil
+		return tail.Over(agg), nil
 	}
 	return p.finishPlain(b, root, layout)
 }

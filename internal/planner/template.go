@@ -35,6 +35,7 @@ type template struct {
 	notes    []note
 	parallel int
 	snaps    []*txn.Snapshot // every scan's Snap field
+	groups   bool            // planned up to the aggregation (PlanGroups)
 
 	// What the plan was made against.
 	version uint64
@@ -70,6 +71,20 @@ type slot struct {
 // after its Root is closed. The first plan of a statement is not kept: a
 // statement planned once — a text with fresh literals — never holds a tree.
 func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
+	return p.bind(sel, snap, false)
+}
+
+// PlanGroups plans a grouped block (Grouped) up to its aggregation
+// operator, through the statement's slot as PlanSelect does. The plan's Root
+// hands its group table over to exec.GatherGroups, which merges the tables
+// of the block's plans on several shards; FinishGroups finishes the merged
+// groups.
+func (p *Planner) PlanGroups(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Plan, error) {
+	return p.bind(sel, snap, true)
+}
+
+// bind is PlanSelect, or PlanGroups when groups is set.
+func (p *Planner) bind(sel *sqlparser.SelectStmt, snap txn.Snapshot, groups bool) (*Plan, error) {
 	s, seen := p.templates.Get(sel)
 	var t *template
 	if seen {
@@ -78,12 +93,12 @@ func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt, snap txn.Snapshot) (*Pla
 		s = nil
 		p.templates.Put(sel, new(slot))
 	}
-	if t != nil && p.valid(t) {
+	if t != nil && t.groups == groups && p.valid(t) {
 		p.hits.Add(1)
 	} else {
 		p.misses.Add(1)
 		var err error
-		if t, err = p.plan(sel); err != nil {
+		if t, err = p.plan(sel, groups); err != nil {
 			return nil, err
 		}
 	}
@@ -101,14 +116,18 @@ func (p *Planner) TemplateStats() (hits, misses uint64) {
 	return p.hits.Load(), p.misses.Load()
 }
 
-// plan plans a statement afresh.
-func (p *Planner) plan(sel *sqlparser.SelectStmt) (*template, error) {
+// plan plans a statement afresh: whole, or up to its aggregation operator
+// when groups is set.
+func (p *Planner) plan(sel *sqlparser.SelectStmt, groups bool) (*template, error) {
 	// Read before planning: a change that lands meanwhile is a mismatch.
-	t := &template{version: p.Catalog.Version(), par: p.parallelism()}
+	t := &template{version: p.Catalog.Version(), par: p.parallelism(), groups: groups}
 	var err error
-	if len(sel.Union) > 0 {
+	switch {
+	case groups && (len(sel.Union) > 0 || len(sel.From) == 0 || !Grouped(sel)):
+		return nil, errNotGrouped
+	case len(sel.Union) > 0:
 		t.root, t.columns, err = p.planUnion(sel, t)
-	} else {
+	default:
 		t.root, t.columns, err = p.planBlock(sel, t)
 	}
 	if err != nil {
@@ -173,6 +192,8 @@ func (c *checkout) Open() error {
 	c.plan.opened = true
 	return c.plan.t.root.Open()
 }
+
+var errNotGrouped = errors.New("planner: PlanGroups takes one grouped block with a FROM list")
 
 var errClosedPlan = errors.New("planner: the plan was closed and its tree handed back; plan the statement again")
 

@@ -337,17 +337,21 @@ func evalAll(evs []exec.Evaluator, tup []types.Value) ([]types.Value, error) {
 	return vals, nil
 }
 
-// grouped reports whether a block aggregates.
+// grouped reports whether a block aggregates: it has a GROUP BY or a HAVING
+// clause, or an aggregate call anywhere in its select list.
 func grouped(sel *sqlparser.SelectStmt) bool {
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return true
 	}
+	found := false
 	for _, it := range sel.Items {
-		if _, ok := it.Expr.(*sqlparser.FuncCall); ok {
-			return true
-		}
+		sqlparser.WalkExpr(it.Expr, func(x sqlparser.Expr) bool {
+			_, isCall := x.(*sqlparser.FuncCall)
+			found = found || isCall
+			return !found
+		})
 	}
-	return false
+	return found
 }
 
 // group is the combinations that share one GROUP BY key.

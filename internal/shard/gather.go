@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"trac/internal/core/report"
@@ -10,6 +9,7 @@ import (
 	"trac/internal/exec"
 	"trac/internal/planner"
 	"trac/internal/sqlparser"
+	"trac/internal/txn"
 	"trac/internal/types"
 )
 
@@ -123,10 +123,12 @@ func (r *Router) Explain(sql string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		note := fmt.Sprintf("shards: 1 of %d, replicated", len(r.shards))
-		if !sp.replicated() {
-			note = planner.ShardNote(1, len(r.shards), len(r.shards)-len(sp.walk)) +
-				", anchored union on one shard (next shard only while a partitioned existence probe is exhausted)"
+		note := planner.ShardNote(1, len(r.shards), len(r.shards)-len(sp.walk))
+		switch {
+		case sp.replicated():
+			note = fmt.Sprintf("shards: 1 of %d, replicated", len(r.shards))
+		case len(sp.walk) > 1:
+			note += ", anchored union on one shard (next shard only while a partitioned existence probe is exhausted)"
 		}
 		return fmt.Sprintf("scatter: %s\nshard %d plan:\n%s", note, first, plan.Describe()), nil
 	}
@@ -144,7 +146,7 @@ func (r *Router) Explain(sql string) (string, error) {
 		}
 		sb.WriteString("\n")
 		first := bp.shards[0]
-		plan, err := r.shards[first].Planner().PlanSelect(bp.stmt, cut.Snaps[first])
+		plan, err := bp.plan(r.shards[first].Planner(), cut.Snaps[first])
 		if err != nil {
 			return "", err
 		}
@@ -153,37 +155,17 @@ func (r *Router) Explain(sql string) (string, error) {
 	return strings.TrimRight(sb.String(), "\n"), nil
 }
 
-// executeScatter plans every (block, shard) statement under the cut's
-// snapshots, drains all of them concurrently (the scatter), then merges
-// per-shard batches in deterministic shard order (the gather). Callers run
-// a statement with a walk whole instead (runAnchored). res takes the
-// parallel degree.
+// executeScatter runs a statement's blocks one after another, each
+// scattered to its shards and gathered (runBlock); a UNION then unites the
+// blocks' answers. Callers run a statement with a walk whole instead
+// (runAnchored). res takes the parallel degree.
 func (r *Router) executeScatter(sp *scatterPlan, cut Cut, res *engine.Result) (*exec.Batch, error) {
-	var ops []exec.BatchOperator
-	starts := make([]int, len(sp.blocks)+1)
 	res.Parallel = 1
-	for bi, bp := range sp.blocks {
-		starts[bi] = len(ops)
-		for _, s := range bp.shards {
-			pl, err := r.shards[s].Planner().PlanSelect(bp.stmt, cut.Snaps[s])
-			if err != nil {
-				return nil, err
-			}
-			res.Parallel = max(res.Parallel, pl.Parallel)
-			ops = append(ops, pl.Root)
-		}
-	}
-	starts[len(sp.blocks)] = len(ops)
-	perOp, err := exec.DrainAll(ops)
-	if err != nil {
-		return nil, err
-	}
-	res.Parallel = max(res.Parallel, len(ops))
-
 	blocks := make([]*exec.Batch, len(sp.blocks))
 	for bi, bp := range sp.blocks {
-		if blocks[bi], err = bp.gather(perOp[starts[bi]:starts[bi+1]]); err != nil {
-			for _, b := range append(blocks[:bi], perOp[starts[bi+1]:]...) {
+		var err error
+		if blocks[bi], err = r.runBlock(bp, cut, res); err != nil {
+			for _, b := range blocks[:bi] {
 				exec.PutBatch(b)
 			}
 			return nil, err
@@ -203,9 +185,48 @@ func (r *Router) executeScatter(sp *scatterPlan, cut Cut, res *engine.Result) (*
 	return exec.DrainBatch(root)
 }
 
+// plan plans the block's per-shard statement on one shard: up to its
+// aggregation for a grouped block, whole for any other.
+func (bp *blockPlan) plan(pl *planner.Planner, snap txn.Snapshot) (*planner.Plan, error) {
+	if bp.tail != nil {
+		return pl.PlanGroups(bp.stmt, snap)
+	}
+	return pl.PlanSelect(bp.stmt, snap)
+}
+
+// runBlock plans the block on each of its shards under the cut's snapshots,
+// runs the plans concurrently (the scatter) and merges their answers in
+// shard order (the gather): a grouped block's group tables merged and
+// finished by its tail, any other block's batches by gather.
+func (r *Router) runBlock(bp *blockPlan, cut Cut, res *engine.Result) (*exec.Batch, error) {
+	parts := make([]exec.BatchOperator, len(bp.shards))
+	for i, s := range bp.shards {
+		pl, err := bp.plan(r.shards[s].Planner(), cut.Snaps[s])
+		if err != nil {
+			return nil, err
+		}
+		res.Parallel = max(res.Parallel, pl.Parallel)
+		parts[i] = pl.Root
+	}
+	res.Parallel = max(res.Parallel, len(parts))
+	if bp.tail != nil {
+		groups, err := exec.GatherGroups(parts)
+		if err != nil {
+			return nil, err
+		}
+		return exec.DrainBatch(bp.tail.Over(exec.Given(groups)))
+	}
+	perShard, err := exec.DrainAll(parts)
+	if err != nil {
+		return nil, err
+	}
+	return bp.gather(perShard)
+}
+
 // runAnchored runs a statement whole on the first shard of its walk — a
-// statement over replicated tables only, or an anchored union, through the
-// engine's own anchor scan, SemiJoin and Distinct — and returns its answer as
+// statement whose blocks read replicated tables or one shard's partition, or
+// an anchored union through the engine's own anchor scan, SemiJoin and
+// Distinct — and returns its answer as
 // one batch the caller owns (nil when it has no rows). A shard's answer is
 // the statement's answer unless an existence probe over a partitioned
 // relation came back exhausted there: the rows that arm would add may sit in
@@ -243,13 +264,10 @@ func (r *Router) runAnchored(sp *scatterPlan, cut Cut, res *engine.Result) (*exe
 	return exec.UnionBatches(asked), nil
 }
 
-// gather merges one block's per-shard batches (in shard order; the inputs
-// are recycled) into the batch the unsharded engine would produce for that
-// block.
+// gather merges a block's per-shard batches (in shard order; the inputs are
+// recycled) into the batch the unsharded engine would produce for that
+// block. A grouped block merges its group tables instead (runBlock).
 func (bp *blockPlan) gather(perShard []*exec.Batch) (*exec.Batch, error) {
-	if bp.agg != nil {
-		return bp.agg.gather(perShard)
-	}
 	all := exec.Concat(perShard)
 	if len(perShard) == 1 && bp.stmt.Distinct && len(bp.sortKeys) == 0 {
 		// One DISTINCT answer (a replicated block, a pruned shard set) is
@@ -296,195 +314,4 @@ func (bp *blockPlan) extendedWidth() int {
 // column evaluates to the tuple's value at pos.
 func column(pos int) exec.Evaluator {
 	return func(row []types.Value) (types.Value, error) { return row[pos], nil }
-}
-
-// partialAcc accumulates one partial column across shards. SUM stays on the
-// exact int64 path until a float partial or an overflow demotes it — the
-// same discipline the engine's aggregate accumulators use, so a sharded
-// pure-INT SUM/AVG is bit-identical to the unsharded one.
-type partialAcc struct {
-	kind    partialKind
-	seen    bool
-	count   int64
-	intOnly bool
-	isum    int64
-	fsum    float64
-	val     types.Value // MIN/MAX carrier
-}
-
-func newPartialAcc(kind partialKind) partialAcc {
-	return partialAcc{kind: kind, intOnly: true, val: types.Null}
-}
-
-// addInt64 adds with overflow detection (two same-sign operands whose sum
-// flips sign overflowed).
-func addInt64(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
-		return 0, false
-	}
-	return s, true
-}
-
-func (a *partialAcc) merge(v types.Value) error {
-	switch a.kind {
-	case mergeCount:
-		a.count += v.Int()
-	case mergeSum:
-		if v.IsNull() {
-			return nil
-		}
-		a.seen = true
-		if v.Kind() == types.KindInt && a.intOnly {
-			if s, ok := addInt64(a.isum, v.Int()); ok {
-				a.isum = s
-				return nil
-			}
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("shard: SUM partial of kind %s", v.Kind())
-		}
-		if a.intOnly {
-			a.intOnly = false
-			a.fsum += float64(a.isum)
-		}
-		a.fsum += f
-	case mergeMin:
-		if !v.IsNull() && (a.val.IsNull() || types.Less(v, a.val)) {
-			a.val = v
-		}
-	case mergeMax:
-		if !v.IsNull() && (a.val.IsNull() || types.Less(a.val, v)) {
-			a.val = v
-		}
-	}
-	return nil
-}
-
-// value finalizes a direct (non-AVG) partial.
-func (a *partialAcc) value() types.Value {
-	switch a.kind {
-	case mergeCount:
-		return types.NewInt(a.count)
-	case mergeSum:
-		switch {
-		case !a.seen:
-			return types.Null
-		case a.intOnly:
-			return types.NewInt(a.isum)
-		default:
-			return types.NewFloat(a.fsum)
-		}
-	default:
-		return a.val
-	}
-}
-
-// gather merges per-shard partial-aggregate batches group by group (the
-// inputs are recycled), finalizes the original aggregate calls, then replays
-// the finishGrouped tail (HAVING filter, ORDER BY, projection) plus the
-// block's DISTINCT/LIMIT.
-func (ag *aggGather) gather(perShard []*exec.Batch) (*exec.Batch, error) {
-	type group struct {
-		keys []types.Value
-		accs []partialAcc
-	}
-	groups := make(map[string]*group)
-	var order []*group
-	var keyBuf []byte
-	keys := make([]types.Value, ag.nKeys)
-	merge := func(b *exec.Batch) error {
-		for _, pos := range b.Sel {
-			for k := range keys {
-				keys[k] = b.Cols[k].Value(pos)
-			}
-			keyBuf = exec.AppendKey(keyBuf[:0], keys...)
-			g, ok := groups[string(keyBuf)]
-			if !ok {
-				g = &group{keys: slices.Clone(keys), accs: make([]partialAcc, len(ag.partials))}
-				for i, kind := range ag.partials {
-					g.accs[i] = newPartialAcc(kind)
-				}
-				groups[string(keyBuf)] = g
-				order = append(order, g)
-			}
-			for i := range ag.partials {
-				if err := g.accs[i].merge(b.Cols[ag.nKeys+i].Value(pos)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	var err error
-	for _, b := range perShard {
-		if b != nil && err == nil {
-			err = merge(b)
-		}
-		exec.PutBatch(b)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// A global aggregate with no GROUP BY emits one row even over zero
-	// input — but each shard already contributed exactly one partial row,
-	// so the empty-groups case can only mean an all-keyed aggregation with
-	// no matching rows anywhere: zero groups, zero output.
-	if len(order) == 0 {
-		return nil, nil
-	}
-	final := exec.GetBatch()
-	final.Shape(ag.nKeys+len(ag.finals), len(order))
-	for c := range final.Cols {
-		final.Cols[c] = final.NewVec(types.KindNull)
-	}
-	for _, g := range order {
-		for k, v := range g.keys {
-			final.Cols[k].Vals = append(final.Cols[k].Vals, v)
-		}
-		for fi, fs := range ag.finals {
-			v := types.Null
-			sum, cnt := &g.accs[fs.sum], &g.accs[fs.cnt]
-			switch {
-			case !fs.avg:
-				v = g.accs[fs.partial].value()
-			case cnt.count == 0:
-			case sum.intOnly:
-				v = types.NewFloat(float64(sum.isum) / float64(cnt.count))
-			default:
-				v = types.NewFloat(sum.fsum / float64(cnt.count))
-			}
-			final.Cols[ag.nKeys+fi].Vals = append(final.Cols[ag.nKeys+fi].Vals, v)
-		}
-	}
-	final.SelectAll()
-	return ag.finishMerged(final)
-}
-
-// finishMerged runs the planner's grouped tail (planner.GroupedTail) over
-// the merged [keys..., aggregates...] tuples — HAVING filter, sort,
-// projection — then the block's DISTINCT and LIMIT, in the unsharded order.
-func (ag *aggGather) finishMerged(final *exec.Batch) (*exec.Batch, error) {
-	tail, err := planner.CompileGroupedTail(ag.sel, ag.items, ag.keySQL, func(fc *sqlparser.FuncCall) (int, error) {
-		text := fc.SQL()
-		for i, s := range ag.aggSQL {
-			if s == text {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("shard: aggregate %s missing from gather plan", text)
-	})
-	if err != nil {
-		exec.PutBatch(final)
-		return nil, err
-	}
-	root := tail.Over(exec.Given(final))
-	if ag.sel.Distinct {
-		root = &exec.BatchDistinct{Child: root}
-	}
-	if ag.sel.Limit != nil {
-		root = &exec.BatchLimit{Child: root, N: *ag.sel.Limit}
-	}
-	return exec.DrainBatch(root)
 }

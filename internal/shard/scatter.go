@@ -45,7 +45,11 @@ type blockPlan struct {
 	replicated bool  // references no partitioned table: one shard suffices
 	stmt       *sqlparser.SelectStmt
 
-	agg *aggGather // non-nil: aggregate block
+	// tail is set for a grouped block (planner.Grouped): every shard plans
+	// stmt up to its aggregation (planner.PlanGroups), the gather merges
+	// their group tables (exec.GatherGroups) and tail finishes the merged
+	// groups.
+	tail *planner.GroupedTail
 
 	// Non-aggregate gather shape: the per-shard statement may carry hidden
 	// trailing items for ORDER BY expressions that are not output columns;
@@ -67,40 +71,6 @@ type blockPlan struct {
 type posKey struct {
 	pos  int
 	desc bool
-}
-
-// partialKind selects the merge rule for one per-shard partial column.
-type partialKind int
-
-const (
-	mergeCount partialKind = iota // sum of never-null int partial counts
-	mergeSum                      // null-skipping exact-int/float sum
-	mergeMin                      // null-skipping minimum
-	mergeMax                      // null-skipping maximum
-)
-
-// finalSpec turns merged partials into the value of one original aggregate
-// call: either a direct partial, or an AVG assembled from a SUM and COUNT
-// partial pair.
-type finalSpec struct {
-	avg      bool
-	partial  int // !avg: direct partial index
-	sum, cnt int // avg: partial indexes
-}
-
-// aggGather reassembles an aggregate block: per-shard statements return
-// [group keys..., partials...]; the gather merges partials per group key,
-// finalizes the original aggregate calls, and replays HAVING / ORDER BY /
-// projection / DISTINCT / LIMIT exactly as the unsharded planner's
-// finishGrouped tail does.
-type aggGather struct {
-	nKeys    int
-	keySQL   []string
-	partials []partialKind
-	finals   []finalSpec
-	aggSQL   []string // finals[i] realizes the call with this SQL text
-	items    []sqlparser.Expr
-	sel      *sqlparser.SelectStmt // Having/OrderBy/Distinct/Limit/Items source
 }
 
 // decompose splits a parsed SELECT into per-block scatter plans, mirroring
@@ -132,17 +102,18 @@ func (r *Router) decompose(sel *sqlparser.SelectStmt) (*scatterPlan, error) {
 	return sp, nil
 }
 
-// anchoredWalk decides whether a statement runs whole on one shard: every
-// block reads replicated tables only, which shard 0 holds in full; or every
-// block is anchored on one replicated relation (blockPlan.anchor) and the
-// statement has no ORDER BY or LIMIT of its own. Every shard of a cut then
-// holds the whole anchor, and a partition only decides whether an arm's
-// existence probe finds a row. It returns the shards the blocks over a
-// partitioned relation touch — shard 0 when there are none — and nil for
-// any other statement.
+// anchoredWalk decides whether a statement runs whole on one shard, and
+// returns the shards it runs on, one at a time, in this order; nil for a
+// statement whose blocks scatter. A statement whose every block reads
+// replicated tables only, or touches one and the same shard, runs on that
+// shard — shard 0 when there is none. So does a statement whose every block
+// is anchored on one replicated relation (blockPlan.anchor), with no ORDER
+// BY or LIMIT of its own: every shard of a cut holds the whole anchor, and a
+// partition only decides whether an arm's existence probe finds a row. Its
+// walk is the shards its blocks over a partitioned relation touch.
 func anchoredWalk(sp *scatterPlan) []int {
-	if sp.replicated() {
-		return []int{0}
+	if s, ok := oneShard(sp); ok {
+		return []int{s}
 	}
 	blocks := sp.blocks
 	if len(sp.sel.OrderBy) > 0 || sp.sel.Limit != nil {
@@ -157,11 +128,25 @@ func anchoredWalk(sp *scatterPlan) []int {
 			walk = append(walk, bp.shards...)
 		}
 	}
-	if len(walk) == 0 {
-		return []int{0}
-	}
 	slices.Sort(walk)
 	return slices.Compact(walk)
+}
+
+// oneShard reports the one shard that holds every row a statement reads:
+// its blocks read replicated tables, which every shard holds, or touch that
+// shard only. It is shard 0 when no block touches a partition.
+func oneShard(sp *scatterPlan) (int, bool) {
+	s := -1
+	for _, bp := range sp.blocks {
+		switch {
+		case bp.replicated:
+		case len(bp.shards) != 1 || (s >= 0 && bp.shards[0] != s):
+			return 0, false
+		default:
+			s = bp.shards[0]
+		}
+	}
+	return max(s, 0), true
 }
 
 // decomposeBlock computes one block's shard set and per-shard statement.
@@ -188,17 +173,13 @@ func (r *Router) decomposeBlock(b *sqlparser.SelectStmt) (*blockPlan, []string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	hasAgg := false
-	for _, it := range items {
-		if _, ok := it.(*sqlparser.FuncCall); ok {
-			hasAgg = true
-		}
-	}
-	if hasAgg || len(b.GroupBy) > 0 || b.Having != nil {
-		if err := r.decomposeAgg(b, bp, items); err != nil {
-			return nil, nil, err
-		}
-		return bp, columns, nil
+	if planner.Grouped(b) {
+		// Each shard runs the block up to its aggregation; the copy gives
+		// that plan a template slot of its own.
+		stmt := *b
+		bp.stmt = &stmt
+		bp.tail, err = planner.FinishGroups(b, items)
+		return bp, columns, err
 	}
 	if err := r.decomposePlain(b, bp, items); err != nil {
 		return nil, nil, err
@@ -370,98 +351,6 @@ func (r *Router) anchorGather(b *sqlparser.SelectStmt, bp *blockPlan) error {
 		}
 	}
 	bp.anchor = anchor
-	return nil
-}
-
-// decomposeAgg builds the per-shard partial-aggregate statement and the
-// gather recipe for an aggregate block.
-func (r *Router) decomposeAgg(b *sqlparser.SelectStmt, bp *blockPlan, items []sqlparser.Expr) error {
-	ag := &aggGather{sel: b, items: items}
-
-	// Resolve GROUP BY keys as the planner does; keySQL is the canonical
-	// matching text.
-	var keyExprs []sqlparser.Expr
-	for _, g := range b.GroupBy {
-		ge := planner.GroupKey(b, g)
-		keyExprs = append(keyExprs, ge)
-		ag.keySQL = append(ag.keySQL, ge.SQL())
-	}
-	ag.nKeys = len(keyExprs)
-
-	// Collect the distinct aggregate calls reachable from items, HAVING and
-	// ORDER BY (the same set finishGrouped's compile hook discovers), then
-	// decompose each into mergeable partials. AVG(x) needs SUM(x)+COUNT(x);
-	// every other call merges as itself. Identical partials are shared.
-	var calls []*sqlparser.FuncCall
-	seen := make(map[string]bool)
-	collect := func(e sqlparser.Expr) {
-		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-			if fc, ok := x.(*sqlparser.FuncCall); ok && !seen[fc.SQL()] {
-				seen[fc.SQL()] = true
-				calls = append(calls, fc)
-				return false
-			}
-			return true
-		})
-	}
-	for _, it := range items {
-		collect(it)
-	}
-	if b.Having != nil {
-		collect(b.Having)
-	}
-	for _, o := range b.OrderBy {
-		collect(o.Expr)
-	}
-
-	var partialCalls []*sqlparser.FuncCall
-	partialIdx := make(map[string]int)
-	addPartial := func(fc *sqlparser.FuncCall, kind partialKind) int {
-		key := fc.SQL()
-		if i, ok := partialIdx[key]; ok {
-			return i
-		}
-		partialIdx[key] = len(partialCalls)
-		partialCalls = append(partialCalls, fc)
-		ag.partials = append(ag.partials, kind)
-		return len(partialCalls) - 1
-	}
-	for _, fc := range calls {
-		ag.aggSQL = append(ag.aggSQL, fc.SQL())
-		switch fc.Name {
-		case sqlparser.FuncCount:
-			ag.finals = append(ag.finals, finalSpec{partial: addPartial(fc, mergeCount)})
-		case sqlparser.FuncSum:
-			ag.finals = append(ag.finals, finalSpec{partial: addPartial(fc, mergeSum)})
-		case sqlparser.FuncMin:
-			ag.finals = append(ag.finals, finalSpec{partial: addPartial(fc, mergeMin)})
-		case sqlparser.FuncMax:
-			ag.finals = append(ag.finals, finalSpec{partial: addPartial(fc, mergeMax)})
-		case sqlparser.FuncAvg:
-			sum := addPartial(&sqlparser.FuncCall{Name: sqlparser.FuncSum, Arg: fc.Arg}, mergeSum)
-			cnt := addPartial(&sqlparser.FuncCall{Name: sqlparser.FuncCount, Arg: fc.Arg}, mergeCount)
-			ag.finals = append(ag.finals, finalSpec{avg: true, sum: sum, cnt: cnt})
-		default:
-			return fmt.Errorf("shard: unsupported aggregate %s", fc.Name)
-		}
-	}
-
-	// Per-shard statement: grouped partials, no HAVING/ORDER BY/DISTINCT/
-	// LIMIT — those apply to globally merged groups only.
-	shardItems := make([]sqlparser.SelectItem, 0, ag.nKeys+len(partialCalls))
-	for _, ge := range keyExprs {
-		shardItems = append(shardItems, sqlparser.SelectItem{Expr: ge})
-	}
-	for _, fc := range partialCalls {
-		shardItems = append(shardItems, sqlparser.SelectItem{Expr: fc})
-	}
-	bp.stmt = &sqlparser.SelectStmt{
-		Items:   shardItems,
-		From:    b.From,
-		Where:   b.Where,
-		GroupBy: keyExprs,
-	}
-	bp.agg = ag
 	return nil
 }
 

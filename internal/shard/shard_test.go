@@ -158,6 +158,10 @@ func TestExplainShardNotes(t *testing.T) {
 		if !strings.Contains(out, c.want) {
 			t.Errorf("EXPLAIN %s:\n%s\nmissing %q", c.sql, out, c.want)
 		}
+		// A statement pruned to one shard runs whole there, as itself.
+		if strings.Contains(out, "anchored union") {
+			t.Errorf("EXPLAIN %s:\n%s\nnames an anchored union", c.sql, out)
+		}
 	}
 	// An IN-list may hash to fewer shards than it has members; it must
 	// never touch more shards than members.
