@@ -51,8 +51,9 @@ crash:
 # fuzz runs each native fuzz target for ten seconds beyond its checked-in
 # corpus (testdata/fuzz/, which plain `go test` already replays): the SQL
 # parser's parse → print → parse fixpoint, the wire's frame reader and
-# payload decoders, the segment-file decoder, then the WAL scanner and the
-# manifest reader. `go test -fuzz` takes one target per invocation.
+# payload decoders, the segment-file decoder, then the WAL scanner, the
+# manifest reader and the checkpoint-dump decoder. `go test -fuzz` takes one
+# target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegmentFile$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadDump$$' -fuzztime 10s ./internal/engine
 
 # bench-smoke runs every Go benchmark exactly once — not for numbers, just
 # to prove the benchmark harnesses still build, run, and cross-check.

@@ -1,19 +1,16 @@
 package engine
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
+	"trac/internal/codec"
 	"trac/internal/crashfs"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
@@ -242,28 +239,13 @@ func (db *DB) CheckpointDir() error {
 	}
 
 	// Phase 3: the dump referencing the new segment files.
-	err = crashfs.WriteDurable(fsys, filepath.Join(db.dir, dumpFileName(newEpoch)), func(f crashfs.File) error {
-		cw := &crcWriter{w: f}
-		bw := bufio.NewWriter(cw)
-		if _, err := bw.WriteString(dumpMagicV2); err != nil {
-			return err
-		}
-		writeUvarint(bw, newEpoch)
-		writeUvarint(bw, uint64(len(ckpts)))
-		for _, ck := range ckpts {
-			if err := saveDirTable(bw, ck.tbl, ck.spillFile, ck.spilled, ck.tail); err != nil {
-				return fmt.Errorf("engine: saving table %s: %w", ck.tbl.Name, err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], cw.sum)
-		_, err := f.Write(sum[:])
-		return err
-	})
-	if err != nil {
+	var dump codec.Appender
+	dump.Uvarint(newEpoch)
+	dump.Uvarint(uint64(len(ckpts)))
+	for _, ck := range ckpts {
+		appendDirTable(&dump, ck.tbl, ck.spillFile, ck.spilled, ck.tail)
+	}
+	if err := writeSealed(fsys, filepath.Join(db.dir, dumpFileName(newEpoch)), dumpMagicV2, dump.B); err != nil {
 		_ = neww.Close()
 		return err
 	}
@@ -293,44 +275,60 @@ func (db *DB) CheckpointDir() error {
 // manifest
 
 func readManifest(fsys crashfs.FS, path string) (epoch uint64, found bool, err error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, false, nil
-		}
-		return 0, false, err
+	body, err := readSealed(fsys, path, manifestMagic, maxManifest)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, false, nil
 	}
-	defer f.Close()
-	info, err := fsys.Stat(path)
 	if err != nil {
 		return 0, false, err
 	}
-	if info.Size() < int64(len(manifestMagic))+1+4 || info.Size() > 64 {
-		return 0, false, fmt.Errorf("engine: manifest %s has impossible size %d", path, info.Size())
-	}
-	buf := make([]byte, info.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return 0, false, err
-	}
-	body, sumBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sumBytes) {
-		return 0, false, fmt.Errorf("engine: manifest %s checksum mismatch", path)
-	}
-	if string(body[:len(manifestMagic)]) != manifestMagic {
-		return 0, false, fmt.Errorf("engine: manifest %s bad magic %q", path, body[:len(manifestMagic)])
-	}
-	epoch, n := binary.Uvarint(body[len(manifestMagic):])
-	if n <= 0 || epoch == 0 {
+	d := codec.NewDecoder(body)
+	epoch = d.Uvarint()
+	if err := d.Finish(); err != nil || epoch == 0 {
 		return 0, false, fmt.Errorf("engine: manifest %s corrupt epoch", path)
 	}
 	return epoch, true, nil
 }
 
 func writeManifest(fsys crashfs.FS, path string, epoch uint64) error {
-	body := append([]byte(manifestMagic), binary.AppendUvarint(nil, epoch)...)
-	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	var a codec.Appender
+	a.Uvarint(epoch)
+	return writeSealed(fsys, path, manifestMagic, a.B)
+}
+
+// maxManifest bounds the manifest file: its magic, an epoch and a checksum.
+const maxManifest = 64
+
+// readSealed reads the file at path, which is at most limit bytes, and
+// returns its body once codec.Open has checked its magic and checksum.
+func readSealed(fsys crashfs.FS, path, magic string, limit int64) ([]byte, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := fsys.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if info.Size() > limit {
+		return nil, fmt.Errorf("engine: %s has impossible size %d", path, info.Size())
+	}
+	file := make([]byte, info.Size())
+	if _, err := f.ReadAt(file, 0); err != nil {
+		return nil, err
+	}
+	body, err := codec.Open(magic, file)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", path, err)
+	}
+	return body, nil
+}
+
+// writeSealed places body, framed by codec.Seal, durably at path.
+func writeSealed(fsys crashfs.FS, path, magic string, body []byte) error {
 	return crashfs.WriteDurable(fsys, path, func(f crashfs.File) error {
-		_, err := f.Write(body)
+		_, err := f.Write(codec.Seal(magic, body))
 		return err
 	})
 }
@@ -398,108 +396,107 @@ func parseEpochName(name, prefix, suffix string) (uint64, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// TRACDB02 dump codec
+// TRACDB02 dump codec: after the magic, a uvarint epoch, a uvarint table
+// count, and each table as appendDirTable lays it out.
 
-// crcWriter tracks the running CRC32C of everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	sum uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum = crc32.Update(c.sum, castagnoli, p[:n])
-	return n, err
-}
-
-// saveDirTable writes one table's schema, index list, spill reference, and
-// row tail (the visible rows NOT covered by the segment file).
-func saveDirTable(w *bufio.Writer, tbl *storage.Table, spillFile string, spilled int, tail []*storage.Row) error {
-	writeString(w, tbl.Name)
+// appendDirTable appends one table's schema, index list, spill reference,
+// and row tail (the visible rows NOT covered by the segment file).
+func appendDirTable(a *codec.Appender, tbl *storage.Table, spillFile string, spilled int, tail []*storage.Row) {
+	a.String(tbl.Name)
 	schema := tbl.Schema
-	writeUvarint(w, uint64(schema.NumColumns()))
+	a.Uvarint(uint64(schema.NumColumns()))
 	for _, col := range schema.Columns {
-		writeString(w, col.Name)
-		w.WriteByte(byte(col.Kind))
-		if col.PrimaryKey {
-			w.WriteByte(1)
-		} else {
-			w.WriteByte(0)
+		a.String(col.Name)
+		a.Byte(byte(col.Kind))
+		a.Bool(col.PrimaryKey)
+		a.Byte(byte(col.Domain.Kind))
+		a.Byte(byte(col.Domain.ValueKind))
+		switch col.Domain.Kind {
+		case types.DomainFinite:
+			a.Uvarint(uint64(len(col.Domain.Values)))
+			for _, v := range col.Domain.Values {
+				a.Value(v)
+			}
+		case types.DomainIntRange:
+			a.Varint(col.Domain.MinInt)
+			a.Varint(col.Domain.MaxInt)
 		}
-		writeDomain(w, col.Domain)
 	}
-	writeVarint(w, int64(schema.SourceColumn))
+	a.Varint(int64(schema.SourceColumn))
 	checks := TableChecks(tbl)
-	writeUvarint(w, uint64(len(checks)))
+	a.Uvarint(uint64(len(checks)))
 	for _, c := range checks {
-		writeString(w, c.SQL())
+		a.String(c.SQL())
 	}
 	idxCols := tbl.IndexedColumns()
 	sort.Ints(idxCols)
-	writeUvarint(w, uint64(len(idxCols)))
+	a.Uvarint(uint64(len(idxCols)))
 	for _, c := range idxCols {
-		writeUvarint(w, uint64(c))
+		a.Uvarint(uint64(c))
 	}
-	writeString(w, spillFile)
-	writeUvarint(w, uint64(spilled))
-	writeUvarint(w, uint64(len(tail)))
+	a.String(spillFile)
+	a.Uvarint(uint64(spilled))
+	a.Uvarint(uint64(len(tail)))
 	for _, r := range tail {
 		for _, v := range r.Values {
-			if err := writeValue(w, v); err != nil {
-				return err
-			}
+			a.Value(v)
 		}
 	}
-	return nil
 }
+
+// decodeDomain reads a column domain appendDirTable wrote.
+func decodeDomain(d *codec.Decoder) types.Domain {
+	dom := types.Domain{Kind: types.DomainKind(d.Byte()), ValueKind: types.Kind(d.Byte())}
+	var err error
+	switch dom.Kind {
+	case types.DomainFinite:
+		vals := make([]types.Value, d.Count(1))
+		for i := range vals {
+			vals[i] = d.Value()
+		}
+		if d.Err() == nil {
+			dom, err = types.FiniteDomain(vals...)
+		}
+	case types.DomainIntRange:
+		min, max := d.Varint(), d.Varint()
+		if d.Err() == nil {
+			dom, err = types.IntRangeDomain(min, max)
+		}
+	}
+	if err != nil {
+		d.Fail("%v", err)
+	}
+	return dom
+}
+
+// minDirTable and minDirColumn are the fewest bytes a table and a column
+// of the dump take: a table's name, column, check and index counts, source
+// column, spill file, spill and row counts; a column's name, kind, key flag
+// and two domain bytes.
+const (
+	minDirTable  = 8
+	minDirColumn = 5
+)
 
 // loadDirDump reads dump.<epoch>, restoring schemas and row tails eagerly
 // and registering spilled segment files for lazy hydration.
 func (db *DB) loadDirDump(fsys crashfs.FS, dir string, epoch uint64) error {
 	path := filepath.Join(dir, dumpFileName(epoch))
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	body, err := readSealed(fsys, path, dumpMagicV2, math.MaxInt64)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	info, err := fsys.Stat(path)
-	if err != nil {
-		return err
-	}
-	if info.Size() < int64(len(dumpMagicV2))+4 {
-		return fmt.Errorf("engine: dump %s too short (%d bytes)", path, info.Size())
-	}
-	buf := make([]byte, info.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return err
-	}
-	body, sumBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sumBytes) {
-		return fmt.Errorf("engine: dump %s checksum mismatch", path)
-	}
-	r := bufio.NewReader(bytes.NewReader(body))
-	magic := make([]byte, len(dumpMagicV2))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return err
-	}
-	if string(magic) != dumpMagicV2 {
-		return fmt.Errorf("engine: %s is not a TRAC v2 dump (magic %q)", path, magic)
-	}
-	dumpEpoch, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	if dumpEpoch != epoch {
+	d := codec.NewDecoder(body)
+	if dumpEpoch := d.Uvarint(); d.Err() == nil && dumpEpoch != epoch {
 		return fmt.Errorf("engine: dump %s claims epoch %d, manifest says %d", path, dumpEpoch, epoch)
 	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		if err := db.loadDirTable(r, fsys, dir); err != nil {
+	for n := d.Count(minDirTable); n > 0; n-- {
+		if err := db.loadDirTable(&d, fsys, dir); err != nil {
 			return err
 		}
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("engine: corrupt dump %s: %w", path, err)
 	}
 	// Everything above bypassed Exec; settle the catalog version once so
 	// plans cached against the empty pre-load catalog cannot survive.
@@ -507,56 +504,52 @@ func (db *DB) loadDirDump(fsys crashfs.FS, dir string, epoch uint64) error {
 	return nil
 }
 
-// loadDirTable restores one table from the v2 dump.
-func (db *DB) loadDirTable(r *bufio.Reader, fsys crashfs.FS, dir string) error {
-	name, err := readString(r)
-	if err != nil {
-		return err
-	}
-	nCols, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	cols := make([]storage.Column, nCols)
+// loadDirTable restores one table from the v2 dump: it decodes the whole
+// table, every count held to the bytes left before anything is allocated
+// for it, then builds it.
+func (db *DB) loadDirTable(d *codec.Decoder, fsys crashfs.FS, dir string) error {
+	name := d.String()
+	cols := make([]storage.Column, d.Count(minDirColumn))
 	for i := range cols {
-		cname, err := readString(r)
-		if err != nil {
-			return err
-		}
-		kindB, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		pkB, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		dom, err := readDomain(r)
-		if err != nil {
-			return err
-		}
-		cols[i] = storage.Column{Name: cname, Kind: types.Kind(kindB), PrimaryKey: pkB == 1, Domain: dom}
+		cols[i] = storage.Column{Name: d.String(), Kind: types.Kind(d.Byte()), PrimaryKey: d.Bool(), Domain: decodeDomain(d)}
 	}
+	srcCol := d.Varint()
+	if srcCol >= int64(len(cols)) {
+		d.Fail("source column %d of %d", srcCol, len(cols))
+	}
+	checks := make([]string, d.Count(1))
+	for i := range checks {
+		checks[i] = d.String()
+	}
+	idxCols := make([]int, d.Count(1))
+	for i := range idxCols {
+		c := d.Uvarint()
+		if c >= uint64(len(cols)) {
+			d.Fail("index column %d of %d", c, len(cols))
+		}
+		idxCols[i] = int(c)
+	}
+	spillFile := d.String()
+	spilled := d.Uvarint()
+	rows := make([][]types.Value, d.Count(max(len(cols), 1)))
+	for i := range rows {
+		rows[i] = make([]types.Value, len(cols))
+		for j := range rows[i] {
+			rows[i][j] = d.Value()
+		}
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("engine: corrupt dump table %q: %w", name, err)
+	}
+
 	schema, err := storage.NewSchema(cols)
-	if err != nil {
-		return err
-	}
-	srcCol, err := readVarint(r)
 	if err != nil {
 		return err
 	}
 	if srcCol >= 0 {
 		schema.SourceColumn = int(srcCol)
 	}
-	nChecks, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nChecks; i++ {
-		src, err := readString(r)
-		if err != nil {
-			return err
-		}
+	for _, src := range checks {
 		e, err := sqlparser.ParseExpr(src)
 		if err != nil {
 			return fmt.Errorf("engine: bad CHECK in dump: %w", err)
@@ -567,46 +560,8 @@ func (db *DB) loadDirTable(r *bufio.Reader, fsys crashfs.FS, dir string) error {
 	if err := db.catalog.Create(tbl); err != nil {
 		return err
 	}
-
-	nIdx, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	idxCols := make([]int, nIdx)
-	for i := range idxCols {
-		c, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		if c >= nCols {
-			return fmt.Errorf("engine: dump index column %d out of range", c)
-		}
-		idxCols[i] = int(c)
-	}
-	spillFile, err := readString(r)
-	if err != nil {
-		return err
-	}
-	spilled, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-
-	nRows, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
 	tx := db.mgr.Begin()
-	for i := uint64(0); i < nRows; i++ {
-		vals := make([]types.Value, nCols)
-		for j := range vals {
-			v, err := storage.ReadValue(r)
-			if err != nil {
-				tx.Abort()
-				return err
-			}
-			vals[j] = v
-		}
+	for _, vals := range rows {
 		if err := tx.InsertRow(tbl, storage.NewRow(vals, 0)); err != nil {
 			tx.Abort()
 			return err

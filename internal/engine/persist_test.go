@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"trac/internal/codec"
 	"trac/internal/storage"
 	"trac/internal/types"
 )
@@ -284,7 +284,7 @@ func TestOpenDirRejectsForeignDump(t *testing.T) {
 	} {
 		mut := bytes.Clone(body)
 		mutate(mut)
-		mut = binary.LittleEndian.AppendUint32(mut, crc32.Checksum(mut, castagnoli))
+		mut = binary.LittleEndian.AppendUint32(mut, codec.Checksum(mut))
 		if err := os.WriteFile(dumpPath, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 
+	"trac/internal/codec"
 	"trac/internal/crashfs"
 	"trac/internal/sqlparser"
 )
@@ -80,10 +81,6 @@ const (
 	walRecStatement = byte('S')
 	walRecCommit    = byte('C')
 )
-
-// castagnoli is the CRC32C table shared by the WAL, dump, and segment-file
-// codecs.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrWALPoisoned marks a WAL that observed an fsync (or write) failure:
 // its durable contents are unknowable, so every subsequent append and
@@ -218,7 +215,7 @@ func scanWAL(r io.Reader) (txns [][]string, validEnd int64) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return txns, validEnd
 		}
-		if crc32.Checksum(body, castagnoli) != sum {
+		if codec.Checksum(body) != sum {
 			return txns, validEnd
 		}
 		off += 8 + int64(n)
@@ -241,8 +238,7 @@ func scanWAL(r io.Reader) (txns [][]string, validEnd int64) {
 func writeWALRecord(w *bufio.Writer, typ byte, payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(payload)))
-	crc := crc32.Checksum([]byte{typ}, castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
+	crc := crc32.Update(codec.Checksum([]byte{typ}), codec.Castagnoli, payload)
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err

@@ -27,12 +27,14 @@ import (
 	"math"
 	"time"
 
+	"trac/internal/codec"
 	"trac/internal/types"
 )
 
 // ProtocolVersion is the wire protocol version carried in the handshake.
-// A server refuses a client whose version it does not speak.
-const ProtocolVersion = 1
+// A server refuses a client whose version it does not speak. Version 2
+// encodes every payload with internal/codec.
+const ProtocolVersion = 2
 
 // MaxFrameSize bounds a single frame's payload; a peer announcing more is
 // treated as corrupt and the connection is dropped. Result sets stream as
@@ -142,177 +144,20 @@ func ReadFrameInto(r io.Reader, buf []byte, limit int) (FrameType, []byte, error
 }
 
 // ---------------------------------------------------------------------------
-// Payload encoding: a tiny append-based writer and a sticky-error reader.
-// All integers are big-endian; strings and slices are u32-length-prefixed;
-// length claims are validated against the bytes actually remaining before
-// any allocation, so a corrupt frame can never demand more memory than its
-// own size.
+// Payloads are encoded by the repo's one binary codec (internal/codec):
+// varints, length-prefixed strings, values in the codec's value encoding.
+// Every decoder consumes its payload exactly, and every count it reads is
+// held to the bytes that remain before anything is allocated for it, so a
+// corrupt frame can never demand more memory than its own size.
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wbuf) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i64(v int64)  { w.u64(uint64(v)) }
-func (w *wbuf) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *wbuf) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *wbuf) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *wbuf) strs(ss []string) {
-	w.u32(uint32(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-func (w *wbuf) value(v types.Value) {
-	w.u8(uint8(v.Kind()))
-	switch v.Kind() {
-	case types.KindNull:
-	case types.KindBool:
-		w.bool(v.Bool())
-	case types.KindInt:
-		w.i64(v.Int())
-	case types.KindFloat:
-		w.f64(v.Float())
-	case types.KindString:
-		w.str(v.Str())
-	case types.KindTime:
-		w.i64(v.TimeNanos())
-	}
-}
-
-type rbuf struct {
-	b   []byte
-	off int
-	err error
-}
-
-// fail records the first decode error; all later reads return zero values.
-func (r *rbuf) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("server: decode: "+format, args...)
-	}
-}
-
-func (r *rbuf) remaining() int { return len(r.b) - r.off }
-
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.remaining() < n {
-		r.fail("need %d bytes, have %d", n, r.remaining())
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *rbuf) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
+// u32 reads a uvarint that must fit 32 bits.
+func u32(d *codec.Decoder) uint32 {
+	v := d.Uvarint()
+	if v > math.MaxUint32 {
+		d.Fail("%d overflows 32 bits", v)
 		return 0
 	}
-	return b[0]
-}
-
-func (r *rbuf) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *rbuf) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *rbuf) i64() int64    { return int64(r.u64()) }
-func (r *rbuf) f64() float64  { return math.Float64frombits(r.u64()) }
-func (r *rbuf) boolean() bool { return r.u8() != 0 }
-
-func (r *rbuf) str() string {
-	n := int(r.u32())
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// count validates a claimed element count against the remaining payload,
-// given a minimum encoded size per element, before the caller allocates.
-func (r *rbuf) count(minElemSize int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*minElemSize > r.remaining() {
-		r.fail("claimed %d elements exceed %d remaining bytes", n, r.remaining())
-		return 0
-	}
-	return n
-}
-
-func (r *rbuf) strs() []string {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-func (r *rbuf) value() types.Value {
-	switch k := types.Kind(r.u8()); k {
-	case types.KindNull:
-		return types.Null
-	case types.KindBool:
-		return types.NewBool(r.boolean())
-	case types.KindInt:
-		return types.NewInt(r.i64())
-	case types.KindFloat:
-		return types.NewFloat(r.f64())
-	case types.KindString:
-		return types.NewString(r.str())
-	case types.KindTime:
-		return types.NewTimeNanos(r.i64())
-	default:
-		r.fail("unknown value kind %d", k)
-		return types.Null
-	}
-}
-
-// finish asserts the whole payload was consumed; trailing garbage means a
-// framing bug or a hostile peer.
-func (r *rbuf) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.remaining() != 0 {
-		return fmt.Errorf("server: decode: %d trailing bytes", r.remaining())
-	}
-	return nil
+	return uint32(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -326,17 +171,21 @@ type Hello struct {
 
 // EncodeHello renders a Hello payload.
 func EncodeHello(h Hello) []byte {
-	var w wbuf
-	w.u32(h.Version)
-	w.str(h.Token)
-	return w.b
+	var a codec.Appender
+	a.Uvarint(uint64(h.Version))
+	a.String(h.Token)
+	return a.B
 }
 
-// DecodeHello parses a Hello payload.
+// DecodeHello parses a Hello payload. The version comes first and is set
+// whenever the payload starts with one, even when the rest fails to decode:
+// a server answers a client of another protocol version by its version, not
+// by the layout that version gives the rest of its Hello.
 func DecodeHello(b []byte) (Hello, error) {
-	r := rbuf{b: b}
-	h := Hello{Version: r.u32(), Token: r.str()}
-	return h, r.finish()
+	d := codec.NewDecoder(b)
+	h := Hello{Version: u32(&d)}
+	h.Token = d.String()
+	return h, d.Finish()
 }
 
 // Welcome is the server's handshake acceptance.
@@ -348,18 +197,18 @@ type Welcome struct {
 
 // EncodeWelcome renders a Welcome payload.
 func EncodeWelcome(wl Welcome) []byte {
-	var w wbuf
-	w.u32(wl.Version)
-	w.str(wl.Server)
-	w.u32(wl.Shards)
-	return w.b
+	var a codec.Appender
+	a.Uvarint(uint64(wl.Version))
+	a.String(wl.Server)
+	a.Uvarint(uint64(wl.Shards))
+	return a.B
 }
 
 // DecodeWelcome parses a Welcome payload.
 func DecodeWelcome(b []byte) (Welcome, error) {
-	r := rbuf{b: b}
-	wl := Welcome{Version: r.u32(), Server: r.str(), Shards: r.u32()}
-	return wl, r.finish()
+	d := codec.NewDecoder(b)
+	wl := Welcome{Version: u32(&d), Server: d.String(), Shards: u32(&d)}
+	return wl, d.Finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -381,31 +230,22 @@ type ReportOpts struct {
 	ZThreshold float64
 }
 
-func (w *wbuf) reportOpts(o ReportOpts) {
-	w.u8(o.Flags)
-	w.f64(o.ZThreshold)
-}
-
-func (r *rbuf) reportOpts() ReportOpts {
-	return ReportOpts{Flags: r.u8(), ZThreshold: r.f64()}
-}
-
 // ---------------------------------------------------------------------------
 // Request payloads. Query/Exec carry bare SQL; Report/Prepare add options;
 // ExecPrepared/ClosePrepared carry the statement id.
 
 // EncodeSQL renders the Query/Exec payload.
 func EncodeSQL(sql string) []byte {
-	var w wbuf
-	w.str(sql)
-	return w.b
+	a := codec.Appender{B: make([]byte, 0, binary.MaxVarintLen64+len(sql))}
+	a.String(sql)
+	return a.B
 }
 
 // DecodeSQL parses a Query/Exec payload.
 func DecodeSQL(b []byte) (string, error) {
-	r := rbuf{b: b}
-	sql := r.str()
-	return sql, r.finish()
+	d := codec.NewDecoder(b)
+	sql := d.String()
+	return sql, d.Finish()
 }
 
 // ReportRequest is the Report/Prepare payload.
@@ -416,31 +256,32 @@ type ReportRequest struct {
 
 // EncodeReportRequest renders a Report/Prepare payload.
 func EncodeReportRequest(rq ReportRequest) []byte {
-	var w wbuf
-	w.str(rq.SQL)
-	w.reportOpts(rq.Opts)
-	return w.b
+	a := codec.Appender{B: make([]byte, 0, binary.MaxVarintLen64+len(rq.SQL)+9)}
+	a.String(rq.SQL)
+	a.Byte(rq.Opts.Flags)
+	a.Float64(rq.Opts.ZThreshold)
+	return a.B
 }
 
 // DecodeReportRequest parses a Report/Prepare payload.
 func DecodeReportRequest(b []byte) (ReportRequest, error) {
-	r := rbuf{b: b}
-	rq := ReportRequest{SQL: r.str(), Opts: r.reportOpts()}
-	return rq, r.finish()
+	d := codec.NewDecoder(b)
+	rq := ReportRequest{SQL: d.String(), Opts: ReportOpts{Flags: d.Byte(), ZThreshold: d.Float64()}}
+	return rq, d.Finish()
 }
 
 // EncodeStmtID renders an ExecPrepared/ClosePrepared payload.
 func EncodeStmtID(id uint64) []byte {
-	var w wbuf
-	w.u64(id)
-	return w.b
+	var a codec.Appender
+	a.Uvarint(id)
+	return a.B
 }
 
 // DecodeStmtID parses an ExecPrepared/ClosePrepared payload.
 func DecodeStmtID(b []byte) (uint64, error) {
-	r := rbuf{b: b}
-	id := r.u64()
-	return id, r.finish()
+	d := codec.NewDecoder(b)
+	id := d.Uvarint()
+	return id, d.Finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -455,38 +296,56 @@ type Result struct {
 	Vectorized bool
 }
 
-func (w *wbuf) result(res *Result) {
-	w.u32(uint32(res.Parallel))
-	w.bool(res.Vectorized)
-	w.strs(res.Columns)
-	w.u32(uint32(len(res.Rows)))
+func appendResult(a *codec.Appender, res *Result) {
+	a.Uvarint(uint64(res.Parallel))
+	a.Bool(res.Vectorized)
+	appendStrings(a, res.Columns)
+	a.Uvarint(uint64(len(res.Rows)))
 	for _, row := range res.Rows {
-		w.u32(uint32(len(row)))
+		a.Uvarint(uint64(len(row)))
 		for _, v := range row {
-			w.value(v)
+			a.Value(v)
 		}
 	}
 }
 
-func (r *rbuf) result() *Result {
-	res := &Result{Parallel: int(r.u32()), Vectorized: r.boolean(), Columns: r.strs()}
-	n := r.count(4)
-	if r.err != nil {
+func decodeResult(d *codec.Decoder) *Result {
+	res := &Result{Parallel: int(u32(d)), Vectorized: d.Bool(), Columns: decodeStrings(d)}
+	n := d.Count(1)
+	if n == 0 {
 		return res
 	}
 	res.Rows = make([][]types.Value, 0, n)
 	for i := 0; i < n; i++ {
-		width := r.count(1)
-		if r.err != nil {
-			return res
-		}
-		row := make([]types.Value, width)
+		row := make([]types.Value, d.Count(1))
 		for j := range row {
-			row[j] = r.value()
+			row[j] = d.Value()
+		}
+		if d.Err() != nil {
+			return res
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+func appendStrings(a *codec.Appender, ss []string) {
+	a.Uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		a.String(s)
+	}
+}
+
+func decodeStrings(d *codec.Decoder) []string {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.String()
+	}
+	return out
 }
 
 // EncodeResult renders a FrameResult payload.
@@ -494,30 +353,30 @@ func EncodeResult(res *Result) []byte { return AppendResult(nil, res) }
 
 // AppendResult appends a FrameResult payload to dst.
 func AppendResult(dst []byte, res *Result) []byte {
-	w := wbuf{b: dst}
-	w.result(res)
-	return w.b
+	a := codec.Appender{B: dst}
+	appendResult(&a, res)
+	return a.B
 }
 
 // DecodeResult parses a FrameResult payload.
 func DecodeResult(b []byte) (*Result, error) {
-	r := rbuf{b: b}
-	res := r.result()
-	return res, r.finish()
+	d := codec.NewDecoder(b)
+	res := decodeResult(&d)
+	return res, d.Finish()
 }
 
 // EncodeExecOK renders a FrameExecOK payload (rows affected).
 func EncodeExecOK(n int) []byte {
-	var w wbuf
-	w.i64(int64(n))
-	return w.b
+	var a codec.Appender
+	a.Varint(int64(n))
+	return a.B
 }
 
 // DecodeExecOK parses a FrameExecOK payload.
 func DecodeExecOK(b []byte) (int, error) {
-	r := rbuf{b: b}
-	n := r.i64()
-	return int(n), r.finish()
+	d := codec.NewDecoder(b)
+	n := d.Varint()
+	return int(n), d.Finish()
 }
 
 // SourceRecency is one (source, recency) pair on the wire.
@@ -526,42 +385,42 @@ type SourceRecency struct {
 	Recency time.Time
 }
 
-// timeVal encodes an instant as Unix nanoseconds, with a sentinel for the
-// zero time (whose UnixNano is undefined) so zero round-trips exactly —
-// Least/Most are zero when a report has no normal sources.
-func (w *wbuf) timeVal(t time.Time) {
-	if t.IsZero() {
-		w.i64(math.MinInt64)
-		return
+// appendPair encodes an instant as Unix nanoseconds in a U64 (a current
+// instant takes nine bytes as a varint), with a sentinel for the zero time
+// (whose UnixNano is undefined) so zero round-trips exactly — Least/Most
+// are zero when a report has no normal sources.
+func appendPair(a *codec.Appender, p SourceRecency) {
+	a.String(p.Sid)
+	ns := int64(math.MinInt64)
+	if !p.Recency.IsZero() {
+		ns = p.Recency.UnixNano()
 	}
-	w.i64(t.UnixNano())
+	a.U64(uint64(ns))
 }
 
-func (r *rbuf) timeVal() time.Time {
-	n := r.i64()
-	if n == math.MinInt64 {
-		return time.Time{}
+func decodePair(d *codec.Decoder) SourceRecency {
+	p := SourceRecency{Sid: d.String()}
+	if ns := int64(d.U64()); ns != math.MinInt64 {
+		p.Recency = time.Unix(0, ns).UTC()
 	}
-	return time.Unix(0, n).UTC()
+	return p
 }
 
-func (w *wbuf) pairs(ps []SourceRecency) {
-	w.u32(uint32(len(ps)))
+func appendPairs(a *codec.Appender, ps []SourceRecency) {
+	a.Uvarint(uint64(len(ps)))
 	for _, p := range ps {
-		w.str(p.Sid)
-		w.timeVal(p.Recency)
+		appendPair(a, p)
 	}
 }
 
-func (r *rbuf) pairs() []SourceRecency {
-	n := r.count(12)
-	if r.err != nil || n == 0 {
+func decodePairs(d *codec.Decoder) []SourceRecency {
+	n := d.Count(9) // a length byte and a U64 at least
+	if n == 0 {
 		return nil
 	}
 	out := make([]SourceRecency, n)
 	for i := range out {
-		out[i].Sid = r.str()
-		out[i].Recency = r.timeVal()
+		out[i] = decodePair(d)
 	}
 	return out
 }
@@ -592,52 +451,48 @@ func EncodeReport(rep *Report) []byte { return AppendReport(nil, rep) }
 
 // AppendReport appends a FrameReportData payload to dst.
 func AppendReport(dst []byte, rep *Report) []byte {
-	w := wbuf{b: dst}
-	w.result(rep.Result)
-	w.bool(rep.Naive)
-	w.str(rep.RecencySQL)
-	w.bool(rep.Minimal)
-	w.strs(rep.Reasons)
-	w.bool(rep.Empty)
-	w.pairs(rep.Normal)
-	w.pairs(rep.Exceptional)
-	w.str(rep.Least.Sid)
-	w.timeVal(rep.Least.Recency)
-	w.str(rep.Most.Sid)
-	w.timeVal(rep.Most.Recency)
-	w.i64(int64(rep.Bound))
-	w.str(rep.NormalTable)
-	w.str(rep.ExceptionalTable)
-	w.bool(rep.CachedPlan)
-	w.i64(int64(rep.TimingGenerate))
-	w.i64(int64(rep.TimingUser))
-	w.i64(int64(rep.TimingRecency))
-	w.i64(int64(rep.TimingStats))
-	return w.b
+	a := codec.Appender{B: dst}
+	appendResult(&a, rep.Result)
+	a.Bool(rep.Naive)
+	a.String(rep.RecencySQL)
+	a.Bool(rep.Minimal)
+	appendStrings(&a, rep.Reasons)
+	a.Bool(rep.Empty)
+	appendPairs(&a, rep.Normal)
+	appendPairs(&a, rep.Exceptional)
+	appendPair(&a, rep.Least)
+	appendPair(&a, rep.Most)
+	a.Varint(int64(rep.Bound))
+	a.String(rep.NormalTable)
+	a.String(rep.ExceptionalTable)
+	a.Bool(rep.CachedPlan)
+	for _, t := range [...]time.Duration{rep.TimingGenerate, rep.TimingUser, rep.TimingRecency, rep.TimingStats} {
+		a.Varint(int64(t))
+	}
+	return a.B
 }
 
 // DecodeReport parses a FrameReportData payload.
 func DecodeReport(b []byte) (*Report, error) {
-	r := rbuf{b: b}
-	rep := &Report{Result: r.result()}
-	rep.Naive = r.boolean()
-	rep.RecencySQL = r.str()
-	rep.Minimal = r.boolean()
-	rep.Reasons = r.strs()
-	rep.Empty = r.boolean()
-	rep.Normal = r.pairs()
-	rep.Exceptional = r.pairs()
-	rep.Least = SourceRecency{Sid: r.str(), Recency: r.timeVal()}
-	rep.Most = SourceRecency{Sid: r.str(), Recency: r.timeVal()}
-	rep.Bound = time.Duration(r.i64())
-	rep.NormalTable = r.str()
-	rep.ExceptionalTable = r.str()
-	rep.CachedPlan = r.boolean()
-	rep.TimingGenerate = time.Duration(r.i64())
-	rep.TimingUser = time.Duration(r.i64())
-	rep.TimingRecency = time.Duration(r.i64())
-	rep.TimingStats = time.Duration(r.i64())
-	return rep, r.finish()
+	d := codec.NewDecoder(b)
+	rep := &Report{Result: decodeResult(&d)}
+	rep.Naive = d.Bool()
+	rep.RecencySQL = d.String()
+	rep.Minimal = d.Bool()
+	rep.Reasons = decodeStrings(&d)
+	rep.Empty = d.Bool()
+	rep.Normal = decodePairs(&d)
+	rep.Exceptional = decodePairs(&d)
+	rep.Least = decodePair(&d)
+	rep.Most = decodePair(&d)
+	rep.Bound = time.Duration(d.Varint())
+	rep.NormalTable = d.String()
+	rep.ExceptionalTable = d.String()
+	rep.CachedPlan = d.Bool()
+	for _, t := range [...]*time.Duration{&rep.TimingGenerate, &rep.TimingUser, &rep.TimingRecency, &rep.TimingStats} {
+		*t = time.Duration(d.Varint())
+	}
+	return rep, d.Finish()
 }
 
 // Prepared is the FramePrepared payload: the server-side statement handle
@@ -652,34 +507,26 @@ type Prepared struct {
 
 // EncodePrepared renders a FramePrepared payload.
 func EncodePrepared(p Prepared) []byte {
-	var w wbuf
-	w.u64(p.ID)
-	w.str(p.RecencySQL)
-	w.bool(p.Minimal)
-	w.bool(p.Empty)
-	return w.b
+	var a codec.Appender
+	a.Uvarint(p.ID)
+	a.String(p.RecencySQL)
+	a.Bool(p.Minimal)
+	a.Bool(p.Empty)
+	return a.B
 }
 
 // DecodePrepared parses a FramePrepared payload.
 func DecodePrepared(b []byte) (Prepared, error) {
-	r := rbuf{b: b}
-	p := Prepared{ID: r.u64(), RecencySQL: r.str(), Minimal: r.boolean(), Empty: r.boolean()}
-	return p, r.finish()
+	d := codec.NewDecoder(b)
+	p := Prepared{ID: d.Uvarint(), RecencySQL: d.String(), Minimal: d.Bool(), Empty: d.Bool()}
+	return p, d.Finish()
 }
 
 // EncodeError renders a FrameError payload.
-func EncodeError(msg string) []byte {
-	var w wbuf
-	w.str(msg)
-	return w.b
-}
+func EncodeError(msg string) []byte { return EncodeSQL(msg) }
 
 // DecodeError parses a FrameError payload.
-func DecodeError(b []byte) (string, error) {
-	r := rbuf{b: b}
-	msg := r.str()
-	return msg, r.finish()
-}
+func DecodeError(b []byte) (string, error) { return DecodeSQL(b) }
 
 // Busy reasons: why the admission layer refused a request.
 const (
@@ -706,15 +553,11 @@ func BusyReason(code uint8) string {
 }
 
 // EncodeBusy renders a FrameBusy payload.
-func EncodeBusy(code uint8) []byte {
-	var w wbuf
-	w.u8(code)
-	return w.b
-}
+func EncodeBusy(code uint8) []byte { return []byte{code} }
 
 // DecodeBusy parses a FrameBusy payload.
 func DecodeBusy(b []byte) (uint8, error) {
-	r := rbuf{b: b}
-	code := r.u8()
-	return code, r.finish()
+	d := codec.NewDecoder(b)
+	code := d.Byte()
+	return code, d.Finish()
 }

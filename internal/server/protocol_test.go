@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"trac/internal/codec"
 	"trac/internal/types"
 )
 
@@ -317,19 +318,19 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 // TestDecodeHostileLengthClaims: element counts far beyond the payload size
 // must be refused before allocation, not trusted.
 func TestDecodeHostileLengthClaims(t *testing.T) {
-	// Result claiming 2^31 rows in a 16-byte payload.
-	var w wbuf
-	w.u32(0)          // parallel
-	w.bool(false)     // vectorized
-	w.u32(0)          // zero columns
-	w.u32(0x7FFFFFFF) // absurd row count
-	if _, err := DecodeResult(w.b); err == nil {
+	// Result claiming 2^31 rows in an 8-byte payload.
+	var a codec.Appender
+	a.Uvarint(0)          // parallel
+	a.Bool(false)         // vectorized
+	a.Uvarint(0)          // zero columns
+	a.Uvarint(0x7FFFFFFF) // absurd row count
+	if _, err := DecodeResult(a.B); err == nil {
 		t.Fatal("absurd row count accepted")
 	}
 	// String length claim exceeding the payload.
-	var w2 wbuf
-	w2.u32(0xFFFFFF00)
-	if _, err := DecodeSQL(w2.b); err == nil {
+	var a2 codec.Appender
+	a2.Uvarint(0xFFFFFF00)
+	if _, err := DecodeSQL(a2.B); err == nil {
 		t.Fatal("absurd string length accepted")
 	}
 }

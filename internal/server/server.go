@@ -327,14 +327,16 @@ func (c *conn) handshake() error {
 	if ft != FrameHello {
 		return fmt.Errorf("expected Hello, got %s", ft)
 	}
+	// The version decides how the rest of the Hello is laid out, so it is
+	// checked before the decode error.
 	hello, err := DecodeHello(payload)
-	if err != nil {
-		return err
-	}
 	if hello.Version != ProtocolVersion {
 		WriteFrame(c.nc, FrameError, EncodeError(fmt.Sprintf(
 			"unsupported protocol version %d (server speaks %d)", hello.Version, ProtocolVersion)))
 		return fmt.Errorf("version mismatch: client %d", hello.Version)
+	}
+	if err != nil {
+		return err
 	}
 	if c.srv.cfg.Token != "" &&
 		subtle.ConstantTimeCompare([]byte(hello.Token), []byte(c.srv.cfg.Token)) != 1 {

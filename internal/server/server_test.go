@@ -258,6 +258,42 @@ func TestAuth(t *testing.T) {
 	c.Close()
 }
 
+// TestHandshakeRefusesOtherProtocolVersions: a client of another protocol
+// version gets the version error frame before the server closes, whether
+// its Hello is laid out as version 1 laid it out (u32 big-endian version,
+// u32 big-endian token length, token) or as this version's with another
+// number in it.
+func TestHandshakeRefusesOtherProtocolVersions(t *testing.T) {
+	_, addr := startServer(t, trac.Open(), server.Config{})
+	v1 := []byte{0, 0, 0, 1, 0, 0, 0, 2, 'o', 'k'}
+	for name, hello := range map[string][]byte{
+		"v1 Hello":   v1,
+		"version 99": server.EncodeHello(server.Hello{Version: 99, Token: "ok"}),
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(30 * time.Second))
+		if err := server.WriteFrame(nc, server.FrameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := server.ReadFrame(nc)
+		if err != nil || ft != server.FrameError {
+			t.Fatalf("%s: answered %v, %v; want an Error frame", name, ft, err)
+		}
+		msg, err := server.DecodeError(payload)
+		want := fmt.Sprintf("(server speaks %d)", server.ProtocolVersion)
+		if err != nil || !strings.HasPrefix(msg, "unsupported protocol version ") || !strings.HasSuffix(msg, want) {
+			t.Fatalf("%s: error %q, %v", name, msg, err)
+		}
+		if _, _, err := server.ReadFrame(nc); err == nil {
+			t.Fatalf("%s: connection left open after the version error", name)
+		}
+		nc.Close()
+	}
+}
+
 func TestServerErrorKeepsConnectionUsable(t *testing.T) {
 	db := trac.Open()
 	db.MustExec(`CREATE TABLE T (a BIGINT)`)
