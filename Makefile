@@ -52,7 +52,9 @@ crash:
 # corpus (testdata/fuzz/, which plain `go test` already replays): the SQL
 # parser's parse → print → parse fixpoint, the wire's frame reader and
 # payload decoders, the segment-file decoder, then the WAL scanner, the
-# manifest reader and the checkpoint-dump decoder. `go test -fuzz` takes one
+# manifest reader and the checkpoint-dump decoder, and last the column
+# constraints: a random single-column conjunct's typed selection loop and
+# zone-map proofs against the row evaluator. `go test -fuzz` takes one
 # target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/sqlparser
@@ -62,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadDump$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzConstraintMatchesEvaluator$$' -fuzztime 10s ./internal/exec
 
 # bench-smoke runs every Go benchmark exactly once — not for numbers, just
 # to prove the benchmark harnesses still build, run, and cross-check.

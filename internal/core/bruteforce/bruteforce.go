@@ -78,20 +78,24 @@ func Relevant(sel *sqlparser.SelectStmt, cat *storage.Catalog, snap txn.Snapshot
 	}
 	layout := exec.NewLayout(bindings)
 
-	// §3.4: apply predicate-form CHECK constraints so candidate potential
-	// tuples are restricted to legal instances, mirroring the generator.
+	// §3.4: candidate potential tuples are restricted to legal instances,
+	// those that make no CHECK constraint FALSE — what the engine admits.
 	rels := make([]classify.Relation, len(sel.From))
 	for i, ref := range sel.From {
 		rels[i] = classify.Relation{Binding: ref.Binding(), Table: tables[i]}
 	}
-	where := classify.WithChecks(sel.Where, rels)
-
-	var pred exec.Evaluator
-	if where != nil {
-		pred, err = exec.Compile(where, layout)
+	var pred legal
+	if sel.Where != nil {
+		if pred.where, err = exec.Compile(sel.Where, layout); err != nil {
+			return nil, err
+		}
+	}
+	for _, c := range classify.Checks(rels) {
+		ev, err := exec.Compile(c, layout)
 		if err != nil {
 			return nil, err
 		}
+		pred.checks = append(pred.checks, ev)
 	}
 
 	relevant := make(map[string]bool)
@@ -115,14 +119,15 @@ func Relevant(sel *sqlparser.SelectStmt, cat *storage.Catalog, snap txn.Snapshot
 // relevantVia adds to `relevant` every source that is relevant via relation
 // index i (Definition 2).
 func relevantVia(layout *exec.Layout, tables []*storage.Table, i int,
-	sources []types.Value, pred exec.Evaluator, snap txn.Snapshot, relevant map[string]bool) error {
+	sources []types.Value, pred legal, snap txn.Snapshot, relevant map[string]bool) error {
 
 	target := tables[i]
 	schema := target.Schema
 	width := layout.Width()
 	offset := layout.Bindings[i].Offset
 
-	// Enumerate the regular columns' domains.
+	// Enumerate the regular columns' domains, and NULL, which every column
+	// can hold.
 	regularDomains := make([][]types.Value, 0, schema.NumColumns())
 	regularCols := make([]int, 0, schema.NumColumns())
 	count := 1
@@ -134,6 +139,7 @@ func relevantVia(layout *exec.Layout, tables []*storage.Table, i int,
 		if !ok {
 			return fmt.Errorf("bruteforce: column %s.%s has an infinite domain", target.Name, col.Name)
 		}
+		vals = append(vals, types.Null)
 		regularDomains = append(regularDomains, vals)
 		regularCols = append(regularCols, ci)
 		count *= len(vals)
@@ -192,7 +198,7 @@ func relevantVia(layout *exec.Layout, tables []*storage.Table, i int,
 				for k, ci := range regularCols {
 					p[offset+ci] = regularDomains[k][counters[k]]
 				}
-				ok, err := exec.EvalPredicate(pred, p)
+				ok, err := pred.holds(p)
 				if err != nil {
 					return err
 				}
@@ -219,4 +225,24 @@ func relevantVia(layout *exec.Layout, tables []*storage.Table, i int,
 		}
 	}
 	return nil
+}
+
+// legal is the query predicate over a joined tuple: WHERE is TRUE and no
+// CHECK constraint is FALSE.
+type legal struct {
+	where  exec.Evaluator
+	checks []exec.Evaluator
+}
+
+func (l legal) holds(row []types.Value) (bool, error) {
+	for _, c := range l.checks {
+		v, err := c(row)
+		if err != nil {
+			return false, err
+		}
+		if v.Kind() == types.KindBool && !v.Bool() {
+			return false, nil
+		}
+	}
+	return exec.EvalPredicate(l.where, row)
 }

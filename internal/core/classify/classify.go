@@ -60,18 +60,35 @@ type Classification struct {
 // constraints: "we can take a user query and append the conjunction of
 // predicates defining such constraints. This converts Q to an equivalent
 // expression Q′." Every CHECK constraint of every monitored relation in
-// the query is conjoined onto the WHERE clause, with unqualified (or
-// table-name-qualified) column references rewritten to the relation's
-// binding. Appending is sound because stored rows always satisfy their
-// checks (the engine enforces them on write), so Q′ ≡ Q on legal
-// instances — while the *potential tuples* quantified over by the
-// relevance definitions are now restricted to legal ones, increasing the
-// precision of the relevant-source set.
-func WithChecks(where sqlparser.Expr, rels []Relation) sqlparser.Expr {
+// the query is conjoined onto the WHERE clause (see Checks). The engine
+// rejects only a row that makes a CHECK FALSE, and a NULL makes most checks
+// UNKNOWN, so a check is conjoined as "not FALSE" (see notFalse): stored
+// rows always satisfy that, so Q′ ≡ Q on legal instances — while the
+// *potential tuples* quantified over by the relevance definitions are now
+// restricted to legal ones, increasing the precision of the
+// relevant-source set. A check whose "not FALSE" form is not stated that
+// way is not conjoined and is returned in dropped: the potential tuples are
+// then not restricted by it, and a claim of minimality cannot stand.
+func WithChecks(where sqlparser.Expr, rels []Relation) (_ sqlparser.Expr, dropped []sqlparser.Expr) {
 	terms := []sqlparser.Expr{}
 	if where != nil {
 		terms = append(terms, where)
 	}
+	for _, c := range Checks(rels) {
+		if nf, ok := notFalse(c, false); ok {
+			terms = append(terms, nf)
+		} else {
+			dropped = append(dropped, c)
+		}
+	}
+	return sqlparser.AndAll(terms...), dropped
+}
+
+// Checks returns the CHECK constraints of the relations, with unqualified
+// (or table-name-qualified) column references rewritten to the relation's
+// binding.
+func Checks(rels []Relation) []sqlparser.Expr {
+	var out []sqlparser.Expr
 	for _, rel := range rels {
 		for _, raw := range rel.Table.Schema.Checks {
 			e, ok := raw.(sqlparser.Expr)
@@ -79,20 +96,95 @@ func WithChecks(where sqlparser.Expr, rels []Relation) sqlparser.Expr {
 				continue
 			}
 			clone := sqlparser.CloneExpr(e)
-			binding := rel.Binding
-			tableName := rel.Table.Name
 			sqlparser.WalkExpr(clone, func(x sqlparser.Expr) bool {
 				if cr, ok := x.(*sqlparser.ColumnRef); ok {
-					if cr.Table == "" || strings.EqualFold(cr.Table, tableName) {
-						cr.Table = binding
+					if cr.Table == "" || strings.EqualFold(cr.Table, rel.Table.Name) {
+						cr.Table = rel.Binding
 					}
 				}
 				return true
 			})
-			terms = append(terms, clone)
+			out = append(out, clone)
 		}
 	}
-	return sqlparser.AndAll(terms...)
+	return out
+}
+
+// notFalse states "e is not FALSE" (or, when neg, "NOT e is not FALSE") as
+// a predicate that is TRUE exactly there. AND, OR and NOT distribute over
+// it; IS [NOT] NULL is never UNKNOWN; and a comparison, BETWEEN, LIKE or IN
+// over columns, arithmetic and non-NULL literals is UNKNOWN exactly when a
+// column it reads is NULL, so its form is the term OR'd with each of those
+// columns IS NULL. ok is false for anything else, a NULL literal included.
+func notFalse(e sqlparser.Expr, neg bool) (sqlparser.Expr, bool) {
+	switch n := e.(type) {
+	case *sqlparser.Logical:
+		l, ok1 := notFalse(n.Left, neg)
+		r, ok2 := notFalse(n.Right, neg)
+		op := n.Op
+		if neg { // De Morgan
+			op = sqlparser.LogicOr
+			if n.Op == sqlparser.LogicOr {
+				op = sqlparser.LogicAnd
+			}
+		}
+		return &sqlparser.Logical{Op: op, Left: l, Right: r}, ok1 && ok2
+	case *sqlparser.Not:
+		return notFalse(n.Expr, !neg)
+	case *sqlparser.IsNull:
+		return &sqlparser.IsNull{Expr: n.Expr, Negated: n.Negated != neg}, true
+	}
+	var operands []sqlparser.Expr
+	var term sqlparser.Expr
+	switch n := e.(type) {
+	case *sqlparser.Comparison:
+		operands = []sqlparser.Expr{n.Left, n.Right}
+		op := n.Op
+		if neg {
+			op = op.Negate()
+		}
+		term = &sqlparser.Comparison{Op: op, Left: n.Left, Right: n.Right}
+	case *sqlparser.Between:
+		operands = []sqlparser.Expr{n.Expr, n.Lo, n.Hi}
+		term = &sqlparser.Between{Expr: n.Expr, Lo: n.Lo, Hi: n.Hi, Negated: n.Negated != neg}
+	case *sqlparser.Like:
+		operands = []sqlparser.Expr{n.Expr, n.Pattern}
+		term = &sqlparser.Like{Expr: n.Expr, Pattern: n.Pattern, Negated: n.Negated != neg}
+	case *sqlparser.In:
+		for _, it := range n.List {
+			if _, ok := it.(*sqlparser.Literal); !ok {
+				return nil, false
+			}
+		}
+		operands = append([]sqlparser.Expr{n.Expr}, n.List...)
+		term = &sqlparser.In{Expr: n.Expr, List: n.List, Negated: n.Negated != neg}
+	default:
+		return nil, false
+	}
+	ors := []sqlparser.Expr{term}
+	seen := map[string]bool{}
+	for _, o := range operands {
+		ok := true
+		sqlparser.WalkExpr(o, func(x sqlparser.Expr) bool {
+			switch x := x.(type) {
+			case *sqlparser.ColumnRef:
+				if key := strings.ToLower(x.SQL()); !seen[key] {
+					seen[key] = true
+					ors = append(ors, &sqlparser.IsNull{Expr: x})
+				}
+			case *sqlparser.Literal:
+				ok = ok && !x.Val.IsNull()
+			case *sqlparser.Arith:
+			default:
+				ok = false
+			}
+			return ok
+		})
+		if !ok {
+			return nil, false
+		}
+	}
+	return sqlparser.OrAll(ors...), true
 }
 
 // termRefs describes which relations a term touches and how.

@@ -224,36 +224,67 @@ func TestWithChecks(t *testing.T) {
 	rout.Schema.Checks = append(rout.Schema.Checks, e)
 	rels := []Relation{{Binding: "R", Table: rout}}
 
+	// A check is conjoined as "not FALSE": a NULL on either side makes it
+	// UNKNOWN, which the engine admits.
 	where, _ := sqlparser.ParseExpr(`R.mach_id = 'm1'`)
-	combined := WithChecks(where, rels)
-	want := "R.mach_id = 'm1' AND R.neighbor <> R.mach_id"
-	if combined.SQL() != want {
-		t.Errorf("WithChecks = %q, want %q", combined.SQL(), want)
+	combined, dropped := WithChecks(where, rels)
+	want := "R.mach_id = 'm1' AND (R.neighbor <> R.mach_id OR R.neighbor IS NULL OR R.mach_id IS NULL)"
+	if combined.SQL() != want || dropped != nil {
+		t.Errorf("WithChecks = %q, %v; want %q", combined.SQL(), dropped, want)
 	}
 	// Original expressions untouched.
 	if e.SQL() != "neighbor <> mach_id" {
 		t.Errorf("check AST mutated: %s", e.SQL())
 	}
 	// Nil where: just the qualified checks.
-	onlyChecks := WithChecks(nil, rels)
-	if onlyChecks.SQL() != "R.neighbor <> R.mach_id" {
+	onlyChecks, _ := WithChecks(nil, rels)
+	if onlyChecks.SQL() != "R.neighbor <> R.mach_id OR R.neighbor IS NULL OR R.mach_id IS NULL" {
 		t.Errorf("nil-where WithChecks = %q", onlyChecks.SQL())
 	}
 	// Table-name-qualified refs in the check are rewritten to the binding.
 	e2, _ := sqlparser.ParseExpr(`Routing.neighbor <> 'x'`)
 	rout.Schema.Checks = []any{e2}
-	got := WithChecks(nil, rels)
-	if got.SQL() != "R.neighbor <> 'x'" {
+	got, _ := WithChecks(nil, rels)
+	if got.SQL() != "R.neighbor <> 'x' OR R.neighbor IS NULL" {
 		t.Errorf("qualified rewrite = %q", got.SQL())
 	}
 	// No checks, no where: nil.
 	plain := mkTable(t, "Plain", "mach_id", "mach_id", "x")
-	if WithChecks(nil, []Relation{{Binding: "P", Table: plain}}) != nil {
+	if got, _ := WithChecks(nil, []Relation{{Binding: "P", Table: plain}}); got != nil {
 		t.Error("no checks should yield nil")
 	}
 	// Non-expression garbage in Checks is skipped.
 	plain.Schema.Checks = append(plain.Schema.Checks, 42)
-	if WithChecks(nil, []Relation{{Binding: "P", Table: plain}}) != nil {
+	if got, _ := WithChecks(nil, []Relation{{Binding: "P", Table: plain}}); got != nil {
 		t.Error("non-expression check entries must be ignored")
+	}
+}
+
+// TestNotFalseForms: each check is conjoined in a form that is TRUE exactly
+// where the check is not FALSE; a check holding a NULL literal has no such
+// form and is returned as dropped.
+func TestNotFalseForms(t *testing.T) {
+	tbl := mkTable(t, "T", "src", "src", "a", "b")
+	rels := []Relation{{Binding: "T", Table: tbl}}
+	for _, tc := range []struct{ check, want string }{
+		{`a IN ('x', 'y')`, "T.a IN ('x', 'y') OR T.a IS NULL"},
+		{`a IS NOT NULL`, "T.a IS NOT NULL"},
+		{`a = 'x' AND b = 'y'`, "(T.a = 'x' OR T.a IS NULL) AND (T.b = 'y' OR T.b IS NULL)"},
+		{`NOT (a = 'x' OR b LIKE 'y%')`, "(T.a <> 'x' OR T.a IS NULL) AND (T.b NOT LIKE 'y%' OR T.b IS NULL)"},
+		{`a IN ('x', NULL)`, ""},
+		{`a IN (b, 'x')`, ""},
+	} {
+		e, err := sqlparser.ParseExpr(tc.check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Schema.Checks = []any{e}
+		got, dropped := WithChecks(nil, rels)
+		switch {
+		case tc.want == "" && (got != nil || len(dropped) != 1):
+			t.Errorf("CHECK (%s): got %v, dropped %v; want it dropped", tc.check, got, dropped)
+		case tc.want != "" && (got == nil || got.SQL() != tc.want || dropped != nil):
+			t.Errorf("CHECK (%s): got %v, dropped %v; want %s", tc.check, got, dropped, tc.want)
+		}
 	}
 }

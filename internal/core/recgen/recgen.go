@@ -151,7 +151,7 @@ func Generate(sel *sqlparser.SelectStmt, cat *storage.Catalog, opts Options) (*G
 	// §3.4: conjoin predicate-form CHECK constraints onto the query so the
 	// potential tuples of the relevance definitions are restricted to legal
 	// ones (higher precision, same completeness).
-	where := classify.WithChecks(sel.Where, rels)
+	where, dropped := classify.WithChecks(sel.Where, rels)
 
 	// DNF conversion; on blow-up fall back to the all-sources upper bound.
 	d, err := dnf.Convert(where)
@@ -166,6 +166,10 @@ func Generate(sel *sqlparser.SelectStmt, cat *storage.Catalog, opts Options) (*G
 	}
 
 	gen := &Generated{Minimal: true}
+	if len(dropped) > 0 {
+		gen.Minimal = false
+		gen.Reasons = append(gen.Reasons, "CHECK not conjoined (no \"not FALSE\" form): "+renderTerms(dropped))
+	}
 	if aggDowngrade != "" {
 		gen.Minimal = false
 		gen.Reasons = append(gen.Reasons, "aggregate query: relevance computed for its SPJ core ("+aggDowngrade+")")

@@ -13,19 +13,20 @@
 // Unsat are proven; everything else is Unknown, which downstream code treats
 // as "upper bound only". Unknown never compromises completeness.
 //
-// The method is witness-based: for each column, gather every literal
-// mentioned by that column's terms plus systematic perturbations (±1,
-// successors, LIKE-pattern instantiations, finite-domain members) and test
-// the conjunction at each witness. A passing witness proves Sat. Unsat is
-// only claimed on one of three sound grounds: a fully enumerated finite
-// domain with no passing member, a positive point constraint set with no
-// passing point, or a provably empty bound interval.
+// Each single-column term is read once into a constraint.Constraint, the
+// form the executor's kernels read too, so sat and the executor agree on
+// what a term keeps. A column's verdict intersects its terms' constraints
+// with the column's domain, NULL included (every column can hold NULL): an
+// empty intersection is Unsat, and a non-empty one with every term read is
+// Sat. Only a LIKE pattern that is not a plain prefix (the residual) is
+// beyond the form; there, witness strings built from the patterns decide
+// Sat, and Unknown is left when none passes.
 package sat
 
 import (
 	"strings"
-	"time"
 
+	"trac/internal/constraint"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/types"
@@ -52,10 +53,6 @@ func (r Result) String() string {
 		return "unknown"
 	}
 }
-
-// enumLimit bounds how many finite-domain members we are willing to test
-// exhaustively per column.
-const enumLimit = 4096
 
 // CheckRegular decides satisfiability of a conjunction of regular-column
 // selection terms for one relation, over the relation's column domains.
@@ -143,467 +140,68 @@ func referencedColumns(term sqlparser.Expr, binding string, tbl *storage.Table) 
 // checkColumn decides satisfiability of the terms constraining one column.
 func checkColumn(terms []sqlparser.Expr, binding string, tbl *storage.Table, col int) Result {
 	column := tbl.Schema.Columns[col]
-	shape := analyzeShape(terms, binding, tbl, col)
-
-	// Witness candidates.
-	var candidates []types.Value
-	exactEnum := false
-	if n, ok := column.Domain.Size(); ok && n <= enumLimit {
-		if vals, ok := column.Domain.Enumerate(); ok {
-			candidates = vals
-			exactEnum = true
-		}
-	}
-	if !exactEnum {
-		candidates = shape.witnesses(column)
-	}
-
-	sawUnknownEval := false
-	for _, cand := range candidates {
-		if !column.Domain.Contains(cand) {
+	all, exact := constraint.OfDomain(column.Domain, column.Kind)
+	var residuals []constraint.Constraint
+	for _, term := range terms {
+		c, ok := constraint.Read(term, func(cr *sqlparser.ColumnRef) (types.Kind, bool) {
+			return column.Kind, (cr.Table == "" || strings.EqualFold(cr.Table, binding)) && tbl.Schema.ColumnIndex(cr.Column) == col
+		})
+		if !ok {
+			exact = false
 			continue
 		}
-		pass := true
-		for _, term := range terms {
-			v, ok := evalTermAt(term, binding, tbl, col, cand)
-			if !ok {
-				sawUnknownEval = true
-				pass = false
-				break
-			}
-			if !v {
-				pass = false
-				break
-			}
+		if c.Like != "" {
+			residuals = append(residuals, c)
 		}
-		if pass {
+		all = all.Intersect(c)
+	}
+	switch {
+	case !all.Null && len(all.Points)+len(all.Ivs) == 0:
+		return Unsat
+	case !exact:
+		return Unknown
+	case !all.Range || len(residuals) == 0:
+		// Points were filtered through every residual exactly.
+		return Sat
+	}
+	for _, w := range witnesses(residuals) {
+		if all.Contains(w) && allContain(residuals, w) {
 			return Sat
 		}
 	}
-
-	if sawUnknownEval {
-		return Unknown
-	}
-	// No witness passed, and every failure was definite; when is that a
-	// proof of Unsat?
-	switch {
-	case exactEnum:
-		// The whole domain was tested.
-		return Unsat
-	case len(shape.points) > 0:
-		// A positive point constraint bounds the satisfying set by the
-		// points, all of which were candidates and failed definitively.
-		return Unsat
-	case shape.simple && shape.emptyInterval(column):
-		// The interval proof additionally needs every term to have been a
-		// recognized bound/point/exclusion shape.
-		return Unsat
-	default:
-		return Unknown
-	}
+	return Unknown
 }
 
-// colShape summarizes the simple constraints found on a column.
-type colShape struct {
-	simple   bool // every term had a recognized single-column shape
-	points   []types.Value
-	lits     []types.Value // every literal seen (bounds, exclusions, ...)
-	loSet    bool
-	lo       types.Value
-	loIncl   bool
-	hiSet    bool
-	hi       types.Value
-	hiIncl   bool
-	likePats []string
+func allContain(cs []constraint.Constraint, v types.Value) bool {
+	for _, c := range cs {
+		if !c.Contains(v) {
+			return false
+		}
+	}
+	return true
 }
 
-func analyzeShape(terms []sqlparser.Expr, binding string, tbl *storage.Table, col int) *colShape {
-	s := &colShape{simple: true}
-	kind := tbl.Schema.Columns[col].Kind
-	colRefOK := func(e sqlparser.Expr) bool {
-		cr, ok := e.(*sqlparser.ColumnRef)
-		return ok && (cr.Table == "" || strings.EqualFold(cr.Table, binding)) &&
-			tbl.Schema.ColumnIndex(cr.Column) == col
-	}
-	lit := func(e sqlparser.Expr) (types.Value, bool) {
-		l, ok := e.(*sqlparser.Literal)
-		if !ok || l.Val.IsNull() {
-			return types.Null, false
-		}
-		return coerce(l.Val, kind), true
-	}
-	tightenLo := func(v types.Value, incl bool) {
-		if !s.loSet || types.Less(s.lo, v) || (types.Equal(s.lo, v) && !incl) {
-			s.loSet, s.lo, s.loIncl = true, v, incl
-		}
-	}
-	tightenHi := func(v types.Value, incl bool) {
-		if !s.hiSet || types.Less(v, s.hi) || (types.Equal(s.hi, v) && !incl) {
-			s.hiSet, s.hi, s.hiIncl = true, v, incl
-		}
-	}
-
-	for _, term := range terms {
-		switch n := term.(type) {
-		case *sqlparser.Comparison:
-			var v types.Value
-			var ok bool
-			op := n.Op
-			if colRefOK(n.Left) {
-				v, ok = lit(n.Right)
-			} else if colRefOK(n.Right) {
-				v, ok = lit(n.Left)
-				op = op.Flip()
-			}
-			if !ok {
-				s.simple = false
-				continue
-			}
-			s.lits = append(s.lits, v)
-			switch op {
-			case sqlparser.CmpEq:
-				s.points = append(s.points, v)
-			case sqlparser.CmpLt:
-				tightenHi(v, false)
-			case sqlparser.CmpLe:
-				tightenHi(v, true)
-			case sqlparser.CmpGt:
-				tightenLo(v, false)
-			case sqlparser.CmpGe:
-				tightenLo(v, true)
-			}
-			// CmpNe is just an exclusion; witnesses handle it.
-		case *sqlparser.In:
-			if !colRefOK(n.Expr) {
-				s.simple = false
-				continue
-			}
-			var vals []types.Value
-			usable := true
-			for _, item := range n.List {
-				v, ok := lit(item)
-				if !ok {
-					usable = false
-					break
-				}
-				vals = append(vals, v)
-			}
-			if !usable {
-				s.simple = false
-				continue
-			}
-			s.lits = append(s.lits, vals...)
-			if !n.Negated {
-				if len(s.points) == 0 {
-					s.points = append(s.points, vals...)
-				}
-				// (If points already exist the intersection is what
-				// matters; the existing points remain the candidate set.)
-			}
-		case *sqlparser.Between:
-			if !colRefOK(n.Expr) {
-				s.simple = false
-				continue
-			}
-			loV, ok1 := lit(n.Lo)
-			hiV, ok2 := lit(n.Hi)
-			if !ok1 || !ok2 {
-				s.simple = false
-				continue
-			}
-			s.lits = append(s.lits, loV, hiV)
-			if n.Negated {
-				// A NOT BETWEEN keeps two open ends; witnesses handle it,
-				// but it breaks the simple-interval story.
-				s.simple = false
-				continue
-			}
-			tightenLo(loV, true)
-			tightenHi(hiV, true)
-		case *sqlparser.Like:
-			if !colRefOK(n.Expr) {
-				s.simple = false
-				continue
-			}
-			p, ok := n.Pattern.(*sqlparser.Literal)
-			if !ok || p.Val.Kind() != types.KindString {
-				s.simple = false
-				continue
-			}
-			s.likePats = append(s.likePats, p.Val.Str())
-			s.simple = false // LIKE never participates in Unsat proofs
-		case *sqlparser.IsNull:
-			// Domains exclude NULL: IS NULL is unsatisfiable over potential
-			// tuples; IS NOT NULL is a tautology. Both are simple.
-			if !colRefOK(n.Expr) {
-				s.simple = false
-			}
-		default:
-			s.simple = false
-		}
-	}
-	return s
-}
-
-// witnesses builds the candidate set for an infinite domain.
-func (s *colShape) witnesses(column storage.Column) []types.Value {
+// witnesses instantiates each residual's LIKE pattern: '%' as "" and as
+// "w", '_' as "a".
+func witnesses(residuals []constraint.Constraint) []types.Value {
 	var out []types.Value
-	add := func(v types.Value) {
-		if !v.IsNull() {
-			out = append(out, v)
+	for _, c := range residuals {
+		for _, fill := range []string{"", "w"} {
+			var sb strings.Builder
+			for i := 0; i < len(c.Like); i++ {
+				switch c.Like[i] {
+				case '%':
+					sb.WriteString(fill)
+				case '_':
+					sb.WriteByte('a')
+				default:
+					sb.WriteByte(c.Like[i])
+				}
+			}
+			out = append(out, types.NewString(sb.String()))
 		}
-	}
-	for _, v := range s.points {
-		add(v)
-	}
-	for _, v := range s.lits {
-		add(v)
-		add(perturb(v, +1))
-		add(perturb(v, -1))
-	}
-	// Midpoint of the bound interval, when both ends are numeric/time.
-	if s.loSet && s.hiSet {
-		add(midpoint(s.lo, s.hi))
-	}
-	// LIKE pattern instantiations: '%'→"", '%'→"w", '_'→"a".
-	for _, p := range s.likePats {
-		add(types.NewString(instantiate(p, "")))
-		add(types.NewString(instantiate(p, "w")))
-	}
-	// Generic fallbacks for the unconstrained case.
-	switch column.Kind {
-	case types.KindInt:
-		add(types.NewInt(0))
-	case types.KindFloat:
-		add(types.NewFloat(0))
-	case types.KindString:
-		add(types.NewString("w"))
-	case types.KindTime:
-		add(types.NewTime(time.Unix(0, 0)))
-	case types.KindBool:
-		add(types.NewBool(true))
-		add(types.NewBool(false))
 	}
 	return out
-}
-
-// emptyInterval reports whether the collected bounds provably exclude every
-// domain value.
-func (s *colShape) emptyInterval(column storage.Column) bool {
-	lo, loIncl := s.lo, s.loIncl
-	hi, hiIncl := s.hi, s.hiIncl
-	loSet, hiSet := s.loSet, s.hiSet
-	// Fold in int-range domain edges.
-	if column.Domain.Kind == types.DomainIntRange {
-		dLo, dHi := types.NewInt(column.Domain.MinInt), types.NewInt(column.Domain.MaxInt)
-		if !loSet || types.Less(lo, dLo) {
-			lo, loIncl, loSet = dLo, true, true
-		}
-		if !hiSet || types.Less(dHi, hi) {
-			hi, hiIncl, hiSet = dHi, true, true
-		}
-	}
-	if !loSet || !hiSet {
-		return false
-	}
-	if types.Less(hi, lo) {
-		return true
-	}
-	if types.Equal(lo, hi) && !(loIncl && hiIncl) {
-		return true
-	}
-	// Integer gap: (lo, hi) exclusive with no integer strictly between.
-	if column.Kind == types.KindInt && lo.Kind() == types.KindInt && hi.Kind() == types.KindInt {
-		min := lo.Int()
-		if !loIncl {
-			min++
-		}
-		max := hi.Int()
-		if !hiIncl {
-			max--
-		}
-		return max < min
-	}
-	return false
-}
-
-// perturb nudges a value to probe strict-inequality boundaries.
-func perturb(v types.Value, dir int64) types.Value {
-	switch v.Kind() {
-	case types.KindInt:
-		return types.NewInt(v.Int() + dir)
-	case types.KindFloat:
-		return types.NewFloat(v.Float() + float64(dir)*0.5)
-	case types.KindTime:
-		return types.NewTimeNanos(v.TimeNanos() + dir*int64(time.Second))
-	case types.KindString:
-		if dir > 0 {
-			return types.NewString(v.Str() + "\x00")
-		}
-		str := v.Str()
-		if str == "" {
-			return types.Null
-		}
-		return types.NewString(str[:len(str)-1])
-	default:
-		return types.Null
-	}
-}
-
-// midpoint returns a value between a and b for dense kinds.
-func midpoint(a, b types.Value) types.Value {
-	af, aok := a.AsFloat()
-	bf, bok := b.AsFloat()
-	if aok && bok {
-		m := (af + bf) / 2
-		if a.Kind() == types.KindInt && b.Kind() == types.KindInt {
-			return types.NewInt(int64(m))
-		}
-		return types.NewFloat(m)
-	}
-	if a.Kind() == types.KindTime && b.Kind() == types.KindTime {
-		return types.NewTimeNanos(a.TimeNanos()/2 + b.TimeNanos()/2)
-	}
-	if a.Kind() == types.KindString {
-		return types.NewString(a.Str() + "\x00")
-	}
-	return types.Null
-}
-
-// instantiate replaces LIKE wildcards to produce a witness string.
-func instantiate(pattern, percentFill string) string {
-	var sb strings.Builder
-	for i := 0; i < len(pattern); i++ {
-		switch pattern[i] {
-		case '%':
-			sb.WriteString(percentFill)
-		case '_':
-			sb.WriteByte('a')
-		default:
-			sb.WriteByte(pattern[i])
-		}
-	}
-	return sb.String()
-}
-
-// coerce adapts a literal to the column kind (string → timestamp).
-func coerce(v types.Value, kind types.Kind) types.Value {
-	if kind == types.KindTime && v.Kind() == types.KindString {
-		if ts, err := types.ParseTime(v.Str()); err == nil {
-			return types.NewTime(ts)
-		}
-	}
-	return v
-}
-
-// evalTermAt evaluates a single-column basic term with the column bound to
-// value v. ok=false means the term shape is not interpretable.
-func evalTermAt(term sqlparser.Expr, binding string, tbl *storage.Table, col int, v types.Value) (bool, bool) {
-	kind := tbl.Schema.Columns[col].Kind
-	colRefOK := func(e sqlparser.Expr) bool {
-		cr, ok := e.(*sqlparser.ColumnRef)
-		return ok && (cr.Table == "" || strings.EqualFold(cr.Table, binding)) &&
-			tbl.Schema.ColumnIndex(cr.Column) == col
-	}
-	litVal := func(e sqlparser.Expr) (types.Value, bool) {
-		l, ok := e.(*sqlparser.Literal)
-		if !ok || l.Val.IsNull() {
-			return types.Null, false
-		}
-		return coerce(l.Val, kind), true
-	}
-	switch n := term.(type) {
-	case *sqlparser.Comparison:
-		var other types.Value
-		var ok bool
-		op := n.Op
-		if colRefOK(n.Left) {
-			other, ok = litVal(n.Right)
-		} else if colRefOK(n.Right) {
-			other, ok = litVal(n.Left)
-			op = op.Flip()
-		}
-		if !ok {
-			return false, false
-		}
-		cmp, err := types.Compare(v, other)
-		if err != nil {
-			return false, true // incomparable -> term is never TRUE at v
-		}
-		switch op {
-		case sqlparser.CmpEq:
-			return cmp == 0, true
-		case sqlparser.CmpNe:
-			return cmp != 0, true
-		case sqlparser.CmpLt:
-			return cmp < 0, true
-		case sqlparser.CmpLe:
-			return cmp <= 0, true
-		case sqlparser.CmpGt:
-			return cmp > 0, true
-		case sqlparser.CmpGe:
-			return cmp >= 0, true
-		}
-		return false, false
-	case *sqlparser.In:
-		if !colRefOK(n.Expr) {
-			return false, false
-		}
-		hit := false
-		for _, item := range n.List {
-			lv, ok := litVal(item)
-			if !ok {
-				return false, false
-			}
-			if types.Equal(v, lv) {
-				hit = true
-			}
-		}
-		if n.Negated {
-			return !hit, true
-		}
-		return hit, true
-	case *sqlparser.Between:
-		if !colRefOK(n.Expr) {
-			return false, false
-		}
-		lo, ok1 := litVal(n.Lo)
-		hi, ok2 := litVal(n.Hi)
-		if !ok1 || !ok2 {
-			return false, false
-		}
-		cl, err1 := types.Compare(v, lo)
-		ch, err2 := types.Compare(v, hi)
-		if err1 != nil || err2 != nil {
-			return false, true
-		}
-		in := cl >= 0 && ch <= 0
-		if n.Negated {
-			return !in, true
-		}
-		return in, true
-	case *sqlparser.Like:
-		if !colRefOK(n.Expr) || v.Kind() != types.KindString {
-			return false, false
-		}
-		p, ok := n.Pattern.(*sqlparser.Literal)
-		if !ok || p.Val.Kind() != types.KindString {
-			return false, false
-		}
-		m := likeMatch(v.Str(), p.Val.Str())
-		if n.Negated {
-			return !m, true
-		}
-		return m, true
-	case *sqlparser.IsNull:
-		if !colRefOK(n.Expr) {
-			return false, false
-		}
-		// Domain values are never NULL.
-		return n.Negated, true
-	default:
-		return false, false
-	}
 }
 
 // evalConstant evaluates a column-free term.
@@ -643,32 +241,4 @@ func evalConstant(term sqlparser.Expr) (types.Value, bool) {
 	default:
 		return types.Null, false
 	}
-}
-
-// likeMatch duplicates the executor's LIKE semantics (kept local to avoid
-// an exec dependency from the core analysis layer).
-func likeMatch(s, pattern string) bool {
-	si, pi := 0, 0
-	star, starSi := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			starSi = si
-			pi++
-		case star >= 0:
-			starSi++
-			si = starSi
-			pi = star + 1
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
 }

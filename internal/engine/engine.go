@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"trac/internal/constraint"
 	"trac/internal/crashfs"
 	"trac/internal/exec"
 	"trac/internal/planner"
@@ -682,11 +683,10 @@ func coerceToColumn(v types.Value, col storage.Column) (types.Value, error) {
 	}
 	switch {
 	case col.Kind == types.KindTime && v.Kind() == types.KindString:
-		ts, err := types.ParseTime(v.Str())
-		if err != nil {
-			return types.Null, err
+		if ts := constraint.Coerce(v, col.Kind); ts.Kind() == types.KindTime {
+			return ts, nil
 		}
-		return types.NewTime(ts), nil
+		return types.Null, fmt.Errorf("cannot store TEXT %q into %s column: not a timestamp", v.Str(), col.Kind)
 	case col.Kind == types.KindFloat && v.Kind() == types.KindInt:
 		return types.NewFloat(float64(v.Int())), nil
 	case col.Kind == types.KindInt && v.Kind() == types.KindFloat:

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -463,11 +464,11 @@ func (st *aggState) minmax(si int, v types.Value, isMax bool) {
 	var d int
 	switch v.Kind() {
 	case types.KindInt:
-		d = cmpI64(v.Int(), c.Int())
+		d = cmp.Compare(v.Int(), c.Int())
 	case types.KindTime:
-		d = cmpI64(v.TimeNanos(), c.TimeNanos())
+		d = cmp.Compare(v.TimeNanos(), c.TimeNanos())
 	case types.KindFloat:
-		d = cmpF64(v.Float(), c.Float())
+		d = cmp.Compare(v.Float(), c.Float())
 	case types.KindString:
 		d = strings.Compare(v.Str(), c.Str())
 	default:

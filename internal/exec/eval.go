@@ -2,8 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
+	"trac/internal/constraint"
 	"trac/internal/sqlparser"
 	"trac/internal/types"
 )
@@ -281,7 +281,7 @@ func (c *compiler) compile(e sqlparser.Expr) (Evaluator, error) {
 			if v.Kind() != types.KindString || p.Kind() != types.KindString {
 				return types.Null, fmt.Errorf("exec: LIKE requires TEXT operands")
 			}
-			m := MatchLike(v.Str(), p.Str())
+			m := constraint.MatchLike(v.Str(), p.Str())
 			if negated {
 				m = !m
 			}
@@ -347,24 +347,15 @@ func (c *compiler) coerceTimePair(a, b *sqlparser.Expr) {
 }
 
 func (c *compiler) coerceOne(colSide, litSide *sqlparser.Expr) {
-	col, ok := (*colSide).(*sqlparser.ColumnRef)
-	if !ok {
+	col, ok1 := (*colSide).(*sqlparser.ColumnRef)
+	lit, ok2 := (*litSide).(*sqlparser.Literal)
+	if !ok1 || !ok2 {
 		return
 	}
-	lit, ok := (*litSide).(*sqlparser.Literal)
-	if !ok || lit.Val.Kind() != types.KindString {
-		return
-	}
-	off, err := c.layout.Resolve(col.Table, col.Column)
-	if err != nil {
-		return
-	}
-	sc, err := c.layout.ColumnAt(off)
-	if err != nil || sc.Kind != types.KindTime {
-		return
-	}
-	if ts, err := types.ParseTime(lit.Val.Str()); err == nil {
-		*litSide = &sqlparser.Literal{Val: types.NewTime(ts)}
+	if _, kind, ok := colOffset(c.layout, col); ok {
+		if v := constraint.Coerce(lit.Val, kind); v.Kind() != lit.Val.Kind() {
+			*litSide = &sqlparser.Literal{Val: v}
+		}
 	}
 }
 
@@ -440,44 +431,4 @@ func EvalPredicate(ev Evaluator, row []types.Value) (bool, error) {
 		return false, err
 	}
 	return isTrue(v), nil
-}
-
-// MatchLike implements SQL LIKE: '%' matches any run (including empty),
-// '_' matches exactly one byte. Matching is case-sensitive, as in
-// PostgreSQL.
-func MatchLike(s, pattern string) bool {
-	// Iterative two-pointer algorithm with backtracking on the last '%'.
-	si, pi := 0, 0
-	star, starSi := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			starSi = si
-			pi++
-		case star >= 0:
-			starSi++
-			si = starSi
-			pi = star + 1
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
-}
-
-// LikePrefix returns the literal prefix of a LIKE pattern before the first
-// wildcard; planners use it to derive index range bounds ('Tao%' → "Tao").
-func LikePrefix(pattern string) string {
-	i := strings.IndexAny(pattern, "%_")
-	if i < 0 {
-		return pattern
-	}
-	return pattern[:i]
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"trac/internal/constraint"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/txn"
@@ -231,7 +232,7 @@ func TestMatchLike(t *testing.T) {
 		{"mississippi", "m%iss%ppx", false},
 	}
 	for _, c := range cases {
-		if got := MatchLike(c.s, c.p); got != c.want {
+		if got := constraint.MatchLike(c.s, c.p); got != c.want {
 			t.Errorf("MatchLike(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
 		}
 	}
@@ -245,7 +246,7 @@ func TestLikePrefix(t *testing.T) {
 		"plain": "plain",
 	}
 	for p, want := range cases {
-		if got := LikePrefix(p); got != want {
+		if got := constraint.LikePrefix(p); got != want {
 			t.Errorf("LikePrefix(%q) = %q, want %q", p, got, want)
 		}
 	}
@@ -258,10 +259,10 @@ func TestMatchLikeProperty(t *testing.T) {
 		if strings.ContainsAny(s, "%_") {
 			return true // skip wildcard-bearing inputs
 		}
-		if !MatchLike(s, s) {
+		if !constraint.MatchLike(s, s) {
 			return false
 		}
-		return MatchLike("x"+s+"y", "%"+s+"%")
+		return constraint.MatchLike("x"+s+"y", "%"+s+"%")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"math"
-
 	"trac/internal/sqlparser"
 	"trac/internal/types"
 )
@@ -15,12 +13,12 @@ type Kernel func(b *Batch) error
 
 // CompileKernel translates a predicate into a batch kernel against the
 // layout. The top-level AND chain is split and each conjunct is fused into
-// a typed loop over the batch's column vectors where possible
-// (column-vs-literal and column-vs-column comparisons, IN over literal
-// lists, BETWEEN, LIKE, IS NULL — see fuseConjunct); anything else falls
-// back to the compiled Evaluator over boxed scratch tuples, still applied
-// batch-at-a-time. It returns the kernel plus the number of fused conjuncts
-// out of the total, for explain notes.
+// a typed loop over the batch's column vectors where possible (a
+// column-vs-column comparison, or any conjunct the constraint package reads
+// — see fuseConjunct); anything else falls back to the compiled Evaluator
+// over boxed scratch tuples, still applied batch-at-a-time. It returns the
+// kernel plus the number of fused conjuncts out of the total, for explain
+// notes.
 //
 // A nil expression compiles to a nil kernel (keep everything).
 //
@@ -77,36 +75,6 @@ func colOffset(layout *Layout, cr *sqlparser.ColumnRef) (int, types.Kind, bool) 
 	return off, sc.Kind, true
 }
 
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	case a == b:
-		return 0
-	default: // NaN ordering, mirroring types.Compare
-		if math.IsNaN(a) && !math.IsNaN(b) {
-			return -1
-		}
-		if !math.IsNaN(a) && math.IsNaN(b) {
-			return 1
-		}
-		return 0
-	}
-}
-
 // cmpSlow is the exact-semantics fallback for one value: types.Compare with
 // error propagation, identical to the compiled comparison evaluator.
 func cmpSlow(a, b types.Value, op sqlparser.CmpOp) (bool, error) {
@@ -115,19 +83,4 @@ func cmpSlow(a, b types.Value, op sqlparser.CmpOp) (bool, error) {
 		return false, err
 	}
 	return cmpSatisfies(cmp, op), nil
-}
-
-func numericKind(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
-
-// inKeeps decides whether an IN result keeps the tuple: matched → TRUE
-// unless negated; unmatched with a NULL member → UNKNOWN (drop); otherwise
-// FALSE unless negated.
-func inKeeps(matched, hasNullItem, negated bool) bool {
-	if matched {
-		return !negated
-	}
-	if hasNullItem {
-		return false
-	}
-	return negated
 }

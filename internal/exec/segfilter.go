@@ -1,19 +1,20 @@
 package exec
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
-	"strings"
+	"sync"
 
+	"trac/internal/constraint"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/types"
 )
 
 // vecConjunct is one compiled conjunct of a scan or filter predicate: the
-// loop that narrows a batch's selection vector, and — when the conjunct
-// reads one column of the scanned table in a shape zone maps can decide —
-// the two segment-level proofs:
+// loop that narrows a batch's selection vector, and — when the conjunct is
+// a constraint on one column of the scanned table — the zone-map side that
+// decides a sealed segment before it is read:
 //
 //   - prune: from the segment's per-column min/max, null-count and
 //     distinct-source summaries, NO row can satisfy the conjunct, so the
@@ -21,49 +22,27 @@ import (
 //   - covers: the dual — EVERY row satisfies it.
 //
 // The narrowing loop is the same code whether the batch views a segment's
-// vectors, holds a transposed run of index matches, or is a join's output:
-// pure vectors take the typed loop, generic ones (a column holding a value
-// of another kind than declared, possible only through the direct storage
-// API; a computed projection, an aggregate's groups) exact per-value
-// semantics.
+// vectors, holds a transposed run of index matches, or is a join's output.
 type vecConjunct struct {
 	narrow Kernel
-	prune  func(*storage.Segment) bool
-	covers func(*storage.Segment) bool
+	zone   *colConjunct // nil: no zone-map proofs
 }
 
-// selLoop narrows a selection vector over one column vector, in place.
-type selLoop func(cv *storage.ColVec, sel []int) ([]int, error)
-
-// colKernel applies a selLoop to the batch column at tuple offset off. A loop
-// that drops NULLs and decides every other row by its value alone (byValue:
-// comparison, IN, BETWEEN, LIKE — not IS NULL) runs over a coded vector's
-// dictionary instead when that is shorter than the selection: once per
-// distinct value, and the rows are then kept by code (Batch.keepByCode).
-func colKernel(off int, loop selLoop, byValue bool) Kernel {
-	return func(b *Batch) error {
-		cv := b.Cols[off]
-		if byValue && cv.Codes != nil && len(cv.Dict) < len(b.Sel) {
-			return b.keepByCode(cv, loop)
-		}
-		sel, err := loop(cv, b.Sel)
-		b.Sel = sel
-		return err
-	}
-}
+// selLoop narrows a selection vector over one pure column vector, in place.
+type selLoop func(cv *storage.ColVec, sel []int) []int
 
 // keepByCode narrows the selection to the non-NULL rows of the coded vector
 // cv whose value loop keeps, running loop over cv's dictionary viewed as a
 // vector of its own. The view, the selection over it and the per-code
-// outcome are scratch the batch keeps. A loop over a pure TEXT vector raises
-// no error, so deciding values no selected row holds changes nothing.
+// outcome are scratch the batch keeps. Deciding values no selected row
+// holds changes nothing.
 //
 // The outcome is a mask, one 0/1 byte per code, and the selection is
 // compacted without a branch on the data: every position is written to the
 // next free slot, which advances by the row's mask byte ANDed with its
 // non-NULL mark. The NULL mark is needed because a NULL slot carries code 0,
 // which is also Dict[0].
-func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) error {
+func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) {
 	n := len(cv.Dict)
 	d := &b.dict
 	if cap(d.Nulls) < n {
@@ -74,11 +53,8 @@ func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) error {
 	for c := range b.codes {
 		b.codes[c] = c
 	}
-	held, err := loop(d, b.codes)
+	held := loop(d, b.codes)
 	d.Str = nil
-	if err != nil {
-		return err
-	}
 	mask := slices.Grow(b.mask[:0], n)[:n]
 	clear(mask)
 	for _, c := range held {
@@ -92,7 +68,6 @@ func (b *Batch) keepByCode(cv *storage.ColVec, loop selLoop) error {
 		k += int(mask[codes[i]] &^ b2u8(nulls[i]))
 	}
 	b.Sel = sel[:k]
-	return nil
 }
 
 // b2u8 is 1 for true and 0 for false; the compiler emits no branch for it.
@@ -111,10 +86,10 @@ func b2u8(x bool) uint8 {
 //
 // Pruning reorders the AND chain, which is legal for the same reason
 // CompileKernel's early-out is (see its doc comment): both orders agree
-// wherever no conjunct raises an error, and a conjunct only has a zone-map
-// proof for kind pairings whose loop cannot raise one on values a zone map
-// admits. On error-free inputs the outputs are identical to evaluating the
-// whole predicate row by row.
+// wherever no conjunct raises an error, and a zone-map proof reads only
+// values of the column's kind, on which no conjunct the constraint package
+// reads raises one. On error-free inputs the outputs are identical to
+// evaluating the whole predicate row by row.
 type SegmentFilter struct {
 	conjs []vecConjunct
 	// Fused counts conjuncts with a typed vector loop out of Total, for
@@ -133,6 +108,15 @@ func CompileSegmentFilter(e sqlparser.Expr, layout *Layout, base, tblCols int) (
 		return nil, err
 	}
 	return &SegmentFilter{conjs: conjs, Fused: fused, Total: len(conjs)}, nil
+}
+
+// Kernel is the predicate's batch kernel (see CompileKernel); a nil filter
+// has none.
+func (f *SegmentFilter) Kernel() Kernel {
+	if f == nil {
+		return nil
+	}
+	return chainKernels(f.conjs)
 }
 
 // compileConjuncts splits a predicate's top-level AND chain and compiles
@@ -186,7 +170,7 @@ func (f *SegmentFilter) Prune(seg *storage.Segment) bool {
 		return false
 	}
 	for _, c := range f.conjs {
-		if c.prune != nil && c.prune(seg) {
+		if c.zone != nil && c.zone.prune(seg) {
 			return true
 		}
 	}
@@ -196,283 +180,346 @@ func (f *SegmentFilter) Prune(seg *storage.Segment) bool {
 // Covers is the dual of Prune: it proves from the zone maps alone that every
 // row version in the segment satisfies the whole predicate (every conjunct
 // has a proof and it holds). Aggregation pushdown uses it to answer a
-// segment from its zone-map stats without reading a row; coverage requires
-// NullCount == 0 on the tested column, so no row can be UNKNOWN, and each
-// proof only fires after the same successful bound comparisons that make
-// pruning error-exact. A tail window, with no zone maps, is never covered.
+// segment from its zone-map stats without reading a row. A tail window, with
+// no zone maps, is never covered.
 func (f *SegmentFilter) Covers(seg *storage.Segment) bool {
 	if seg.Zones == nil {
 		return false
 	}
 	for _, c := range f.conjs {
-		if c.covers == nil || !c.covers(seg) {
+		if c.zone == nil || !c.zone.covers(seg) {
 			return false
 		}
 	}
 	return true
 }
 
-// zoneCol returns the position in the scanned table of the column at tuple
-// offset off, and whether the column belongs to that table at all: only
-// then does a conjunct over it get zone-map proofs. A kernel (tblCols 0)
-// never asks for them, so the proofs are built only for a SegmentFilter.
-func zoneCol(off, base, tblCols int) (int, bool) {
-	col := off - base
-	return col, col >= 0 && col < tblCols
-}
-
-// fuseConjunct returns the fused form of one conjunct, or ok=false when the
-// shape (or its kind pairing) has no typed loop and must go through the
-// compiled Evaluator, which keeps its (possibly error-raising) semantics
-// byte-for-byte.
+// fuseConjunct returns the fused form of one conjunct: a column-vs-column
+// comparison, or a conjunct the constraint package reads. Anything else
+// (ok=false) goes through the compiled Evaluator, which keeps its (possibly
+// error-raising) semantics byte-for-byte.
 func fuseConjunct(e sqlparser.Expr, layout *Layout, base, tblCols int) (vecConjunct, bool) {
-	c := &compiler{layout: layout}
-	switch n := e.(type) {
-	case *sqlparser.Comparison:
-		left, right := n.Left, n.Right
-		c.coerceTimePair(&left, &right)
-		if lc, lok := left.(*sqlparser.ColumnRef); lok {
-			if rc, rok := right.(*sqlparser.ColumnRef); rok {
-				return fuseCmpColCol(layout, lc, rc, n.Op)
-			}
-			if lit, ok := right.(*sqlparser.Literal); ok {
-				return fuseCmpColLit(layout, base, tblCols, lc, lit.Val, n.Op)
-			}
-		}
-		if rc, rok := right.(*sqlparser.ColumnRef); rok {
-			if lit, ok := left.(*sqlparser.Literal); ok {
-				return fuseCmpColLit(layout, base, tblCols, rc, lit.Val, n.Op.Flip())
-			}
-		}
-	case *sqlparser.In:
-		return fuseIn(c, n, base, tblCols)
-	case *sqlparser.Between:
-		return fuseBetween(c, n, base, tblCols)
-	case *sqlparser.Like:
-		return fuseLike(layout, n, base, tblCols)
-	case *sqlparser.IsNull:
-		return fuseIsNull(layout, n, base, tblCols)
-	}
-	return vecConjunct{}, false
-}
-
-// dropAll is the conjunct that is UNKNOWN on every row (NULL literal
-// operands): nothing survives and every segment prunes.
-func dropAll(off, base, tblCols int) vecConjunct {
-	vc := vecConjunct{narrow: func(b *Batch) error {
-		b.Sel = b.Sel[:0]
-		return nil
-	}}
-	if _, ok := zoneCol(off, base, tblCols); ok {
-		vc.prune = func(*storage.Segment) bool { return true }
-	}
-	return vc
-}
-
-// allNull reports a zone map proving the column is NULL in every row of the
-// segment — any comparison, IN, BETWEEN, or LIKE over it is UNKNOWN
-// everywhere, which NULL operands can never turn into an error.
-func allNull(z *storage.ZoneMap) bool { return z.Ordered && z.Min.IsNull() }
-
-// pruneCmpZone decides `col <op> lit` can match no row from the column's
-// min/max bounds. A failed bound comparison (unorderable kinds) disables
-// pruning. Correctness under errors: Ordered plus a successful lit-vs-bound
-// comparison imply every non-null value in the segment is comparable with
-// lit, so no skipped row could have raised a compare error.
-func pruneCmpZone(z *storage.ZoneMap, lit types.Value, op sqlparser.CmpOp) bool {
-	if allNull(z) {
-		return true
-	}
-	if !z.Ordered || z.Min.IsNull() {
-		return false
-	}
-	cmpMin, errMin := types.Compare(lit, z.Min)
-	cmpMax, errMax := types.Compare(lit, z.Max)
-	if errMin != nil || errMax != nil {
-		return false
-	}
-	switch op {
-	case sqlparser.CmpEq:
-		return cmpMin < 0 || cmpMax > 0
-	case sqlparser.CmpNe:
-		// Every non-null value equals the literal only when the bounds pin
-		// a single value.
-		return cmpMin == 0 && cmpMax == 0
-	case sqlparser.CmpLt:
-		return cmpMin <= 0 // lit <= min: nothing below it
-	case sqlparser.CmpLe:
-		return cmpMin < 0
-	case sqlparser.CmpGt:
-		return cmpMax >= 0 // lit >= max: nothing above it
-	case sqlparser.CmpGe:
-		return cmpMax > 0
-	}
-	return false
-}
-
-// coverCmpZone decides `col <op> lit` holds for EVERY row from the column's
-// min/max bounds: the dual of pruneCmpZone. NullCount must be zero (a NULL
-// row would be UNKNOWN, not TRUE) and, as for pruning, Ordered plus the
-// successful lit-vs-bound comparisons rule out per-row compare errors.
-func coverCmpZone(z *storage.ZoneMap, segLen int, lit types.Value, op sqlparser.CmpOp) bool {
-	if !z.Ordered || z.Min.IsNull() || z.NullCount > 0 || segLen == 0 {
-		return false
-	}
-	cmpMin, errMin := types.Compare(lit, z.Min)
-	cmpMax, errMax := types.Compare(lit, z.Max)
-	if errMin != nil || errMax != nil {
-		return false
-	}
-	switch op {
-	case sqlparser.CmpEq:
-		return cmpMin == 0 && cmpMax == 0 // bounds pin exactly the literal
-	case sqlparser.CmpNe:
-		return cmpMin < 0 || cmpMax > 0 // literal outside [min,max]
-	case sqlparser.CmpLt:
-		return cmpMax > 0 // lit > max: every row below it
-	case sqlparser.CmpLe:
-		return cmpMax >= 0
-	case sqlparser.CmpGt:
-		return cmpMin < 0 // lit < min: every row above it
-	case sqlparser.CmpGe:
-		return cmpMin <= 0
-	}
-	return false
-}
-
-// segCmpValue is the per-value decision for `col <op> lit` on a generic
-// vector: fast path on matching runtime kind, NULL → drop, generic compare
-// with error propagation otherwise.
-func segCmpValue(v types.Value, colKind types.Kind, lit types.Value, op sqlparser.CmpOp) (bool, error) {
-	if v.IsNull() {
-		return false, nil
-	}
-	switch {
-	case colKind == types.KindString && lit.Kind() == types.KindString &&
-		(op == sqlparser.CmpEq || op == sqlparser.CmpNe):
-		if v.Kind() == types.KindString {
-			return (v.Str() == lit.Str()) == (op == sqlparser.CmpEq), nil
-		}
-	case colKind == types.KindString && lit.Kind() == types.KindString:
-		if v.Kind() == types.KindString {
-			return cmpSatisfies(strings.Compare(v.Str(), lit.Str()), op), nil
-		}
-	case colKind == types.KindInt && lit.Kind() == types.KindInt:
-		if v.Kind() == types.KindInt {
-			return cmpSatisfies(cmpI64(v.Int(), lit.Int()), op), nil
-		}
-	case colKind == types.KindTime && lit.Kind() == types.KindTime:
-		if v.Kind() == types.KindTime {
-			return cmpSatisfies(cmpI64(v.TimeNanos(), lit.TimeNanos()), op), nil
-		}
-	case colKind == types.KindFloat && lit.Kind() == types.KindFloat:
-		if v.Kind() == types.KindFloat {
-			return cmpSatisfies(cmpF64(v.Float(), lit.Float()), op), nil
-		}
-	case numericKind(colKind) && numericKind(lit.Kind()):
-		if f, ok := v.AsFloat(); ok {
-			lf, _ := lit.AsFloat()
-			return cmpSatisfies(cmpF64(f, lf), op), nil
+	if n, ok := e.(*sqlparser.Comparison); ok {
+		lc, lok := n.Left.(*sqlparser.ColumnRef)
+		rc, rok := n.Right.(*sqlparser.ColumnRef)
+		if lok && rok {
+			return fuseCmpColCol(layout, lc, rc, n.Op)
 		}
 	}
-	return cmpSlow(v, lit, op)
-}
-
-// fuseCmpColLit fuses `col <op> literal` for same-kind TEXT/INT/TIMESTAMP/
-// FLOAT pairings and mixed INT/FLOAT; other pairings keep the Evaluator's
-// (possibly error-raising) semantics.
-func fuseCmpColLit(layout *Layout, base, tblCols int, cr *sqlparser.ColumnRef, lit types.Value, op sqlparser.CmpOp) (vecConjunct, bool) {
-	off, colKind, ok := colOffset(layout, cr)
+	off := 0
+	set, ok := constraint.Read(e, func(cr *sqlparser.ColumnRef) (types.Kind, bool) {
+		o, k, ok := colOffset(layout, cr)
+		off = o
+		return k, ok
+	})
 	if !ok {
 		return vecConjunct{}, false
 	}
-	if lit.IsNull() {
-		// col <op> NULL is UNKNOWN for every row.
-		return dropAll(off, base, tblCols), true
-	}
-	strEqNe := colKind == types.KindString && lit.Kind() == types.KindString &&
-		(op == sqlparser.CmpEq || op == sqlparser.CmpNe)
-	switch {
-	case strEqNe:
-	case colKind == types.KindString && lit.Kind() == types.KindString:
-	case colKind == types.KindInt && lit.Kind() == types.KindInt:
-	case colKind == types.KindTime && lit.Kind() == types.KindTime:
-	case colKind == types.KindFloat && lit.Kind() == types.KindFloat:
-	case numericKind(colKind) && numericKind(lit.Kind()):
+	c := &colConjunct{set: set, off: off, expr: e, layout: layout}
+	switch set.Kind {
+	case types.KindFloat:
+		c.floats = spansOf(set, types.Value.Float)
+	case types.KindString:
+		c.strs = spansOf(set, types.Value.Str)
+		c.pts, c.isPts = pointsOf(set)
 	default:
-		return vecConjunct{}, false
+		c.ints = spansOf(set, payloadI64)
 	}
-	lf, _ := lit.AsFloat() // set for the numeric pairings
-	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
-		out := sel[:0]
-		if cv.Pure {
-			switch {
-			case strEqNe:
-				ls, want := lit.Str(), op == sqlparser.CmpEq
-				for _, i := range sel {
-					if !cv.Nulls[i] && (cv.Str[i] == ls) == want {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindString:
-				ls := lit.Str()
-				for _, i := range sel {
-					if !cv.Nulls[i] && cmpSatisfies(strings.Compare(cv.Str[i], ls), op) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindInt && lit.Kind() == types.KindInt:
-				li := lit.Int()
-				for _, i := range sel {
-					if !cv.Nulls[i] && cmpSatisfies(cmpI64(cv.I64[i], li), op) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindTime:
-				ln := lit.TimeNanos()
-				for _, i := range sel {
-					if !cv.Nulls[i] && cmpSatisfies(cmpI64(cv.I64[i], ln), op) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindFloat && lit.Kind() == types.KindFloat:
-				for _, i := range sel {
-					if !cv.Nulls[i] && cmpSatisfies(cmpF64(cv.F64[i], lf), op) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindInt: // numeric-mixed: INT column, FLOAT literal
-				for _, i := range sel {
-					if !cv.Nulls[i] && cmpSatisfies(cmpF64(float64(cv.I64[i]), lf), op) {
-						out = append(out, i)
-					}
-				}
-			default: // numeric-mixed: FLOAT column, INT literal
-				for _, i := range sel {
-					if !cv.Nulls[i] && cmpSatisfies(cmpF64(cv.F64[i], lf), op) {
-						out = append(out, i)
-					}
-				}
-			}
-			return out, nil
-		}
-		for _, i := range sel {
-			keep, err := segCmpValue(cv.Vals[i], colKind, lit, op)
-			if err != nil {
-				return out, err
-			}
-			if keep {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
-	if col, ok := zoneCol(off, base, tblCols); ok {
-		vc.prune = func(seg *storage.Segment) bool { return pruneCmpZone(&seg.Zones[col], lit, op) }
-		vc.covers = func(seg *storage.Segment) bool { return coverCmpZone(&seg.Zones[col], seg.Len(), lit, op) }
+	vc := vecConjunct{narrow: c.narrow}
+	// Only a column of the scanned table has zone maps to consult; a kernel
+	// (tblCols 0) never asks for them.
+	if col := off - base; col >= 0 && col < tblCols {
+		c.col, vc.zone = col, c
 	}
 	return vc, true
+}
+
+// colConjunct is a conjunct read as a constraint on the column at tuple
+// offset off: a typed selection loop tests membership on a pure vector of
+// the column's kind, over the constraint restated in the vector's payload
+// type (I64 for BIGINT, TIMESTAMP and BOOLEAN, F64 for DOUBLE, Str for
+// TEXT), and col, the column's position in the scanned table, locates the
+// zone map the proofs read.
+type colConjunct struct {
+	set    constraint.Constraint
+	off    int
+	col    int
+	ints   spans[int64]
+	floats spans[float64]
+	strs   spans[string]
+	pts    strPoints // a TEXT point set or its complement, when isPts
+	isPts  bool
+
+	// The conjunct's compiled Evaluator, compiled on first use, runs over a
+	// vector that is not pure: a column holding a value of another kind than
+	// declared (possible only through the direct storage API), a computed
+	// projection, an aggregate's groups.
+	expr   sqlparser.Expr
+	layout *Layout
+	once   sync.Once
+	slow   Kernel
+	err    error
+}
+
+// narrow runs the selection loop over the batch. A constraint that drops
+// NULL decides every other row by its value alone, so over a coded vector
+// whose dictionary is shorter than the selection it runs once per distinct
+// value, and the rows are then kept by code (Batch.keepByCode).
+func (c *colConjunct) narrow(b *Batch) error {
+	cv := b.Cols[c.off]
+	switch {
+	case !cv.Pure || cv.Kind != c.set.Kind:
+		c.once.Do(func() {
+			var ev Evaluator
+			ev, c.err = Compile(c.expr, c.layout)
+			c.slow = EvalKernel(ev)
+		})
+		if c.err != nil {
+			return c.err
+		}
+		return c.slow(b)
+	case !c.set.Null && cv.Codes != nil && len(cv.Dict) < len(b.Sel):
+		b.keepByCode(cv, c.loop)
+	default:
+		b.Sel = c.loop(cv, b.Sel)
+	}
+	return nil
+}
+
+// loop is the selection loop over a pure vector of the column's kind.
+func (c *colConjunct) loop(cv *storage.ColVec, sel []int) []int {
+	switch c.set.Kind {
+	case types.KindFloat:
+		return c.floats.keep(c.set.Null, cv.F64, cv.Nulls, sel)
+	case types.KindString:
+		if c.isPts {
+			return c.pts.keep(c.set.Null, cv.Str, cv.Nulls, sel)
+		}
+		out, k := c.strs.keep(c.set.Null, cv.Str, cv.Nulls, sel), 0
+		if c.set.Like == "" {
+			return out
+		}
+		for _, i := range out { // no NULL row: a residual's set drops NULL
+			if c.like(cv.Str[i]) {
+				out[k] = i
+				k++
+			}
+		}
+		return out[:k]
+	}
+	return c.ints.keep(c.set.Null, cv.I64, cv.Nulls, sel)
+}
+
+// keepsStr reports that the constraint, over a TEXT column, keeps s.
+func (c *colConjunct) keepsStr(s string) bool {
+	if c.isPts {
+		return c.pts.has(s)
+	}
+	return c.strs.has(s) && (c.set.Like == "" || c.like(s))
+}
+
+// strPoints is a TEXT point set, or its complement when not is set (the
+// IN, NOT IN, = and <> shapes), tested by one equality or one hash lookup:
+// a search of the spans costs a string comparison a step.
+type strPoints struct {
+	one string
+	set map[string]struct{}
+	not bool
+}
+
+// pointsOf returns the point set a TEXT constraint is, or whose complement
+// it is; ok is false for any other constraint.
+func pointsOf(c constraint.Constraint) (p strPoints, ok bool) {
+	if c.Like != "" {
+		return p, false
+	}
+	if c.Range {
+		c, p.not = c.Complement(), true
+	}
+	switch {
+	case c.Range || len(c.Points) == 0:
+		return p, false
+	case len(c.Points) == 1:
+		p.one = c.Points[0].Str()
+		return p, true
+	}
+	p.set = make(map[string]struct{}, len(c.Points))
+	for _, v := range c.Points {
+		p.set[v.Str()] = struct{}{}
+	}
+	return p, true
+}
+
+func (p *strPoints) has(s string) bool {
+	if p.set == nil {
+		return (s == p.one) != p.not
+	}
+	_, ok := p.set[s]
+	return ok != p.not
+}
+
+// keep narrows sel to the rows whose value the set keeps, and the NULL rows
+// when null is set.
+func (p *strPoints) keep(null bool, vals []string, nulls []bool, sel []int) []int {
+	out := sel[:0]
+	for _, i := range sel {
+		if nulls[i] {
+			if null {
+				out = append(out, i)
+			}
+		} else if p.has(vals[i]) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// like tests s against the constraint's LIKE residual.
+func (c *colConjunct) like(s string) bool {
+	return constraint.MatchLike(s, c.set.Like) != c.set.NotLike
+}
+
+// A segment's zone is the set of values its zone map admits: NULL when it
+// counts one, and either its source set (the table's source column, when
+// tracked) or [Min, Max]. The bounds count only when the zone is Ordered and
+// the vector pure, so that they and every value between them have the
+// column's kind; otherwise the zone proves nothing, as a value of another
+// kind compares with the conjunct's literals otherwise than the constraint
+// over the column's kind says. Pruning is then "constraint ∩ zone = ∅" and
+// coverage "zone ⊆ constraint".
+
+// prune reports that no row of the sealed segment satisfies the conjunct.
+func (c *colConjunct) prune(seg *storage.Segment) bool {
+	z := &seg.Zones[c.col]
+	if c.set.Null && z.NullCount > 0 {
+		return false
+	}
+	if z.NullCount == seg.Len() {
+		return true
+	}
+	if src := seg.Sources(c.col, seg.Rows); src != nil {
+		return !slices.ContainsFunc(src, c.keepsStr)
+	}
+	iv, ok := zoneBounds(seg, c.col)
+	return ok && !c.set.Overlaps(iv)
+}
+
+// covers reports that every row of the sealed segment satisfies the
+// conjunct.
+func (c *colConjunct) covers(seg *storage.Segment) bool {
+	z, n := &seg.Zones[c.col], seg.Len()
+	if n == 0 || z.NullCount > 0 && !c.set.Null {
+		return false
+	}
+	if z.NullCount == n {
+		return true
+	}
+	if src := seg.Sources(c.col, seg.Rows); src != nil {
+		return !slices.ContainsFunc(src, func(s string) bool { return !c.keepsStr(s) })
+	}
+	iv, ok := zoneBounds(seg, c.col)
+	return ok && c.set.Covers(iv)
+}
+
+// zoneBounds returns the zone map's [Min, Max] of the segment column when
+// they bound its values (see prune).
+func zoneBounds(seg *storage.Segment, col int) (constraint.Interval, bool) {
+	z := &seg.Zones[col]
+	if !z.Ordered || !seg.Cols[col].Pure || z.Min.IsNull() {
+		return constraint.Interval{}, false
+	}
+	return constraint.Interval{Lo: constraint.Bound{Val: z.Min}, Hi: constraint.Bound{Val: z.Max}}, true
+}
+
+// payloadI64 is a BIGINT, TIMESTAMP or BOOLEAN value's slot in an I64
+// vector.
+func payloadI64(v types.Value) int64 {
+	switch v.Kind() {
+	case types.KindTime:
+		return v.TimeNanos()
+	case types.KindBool:
+		return int64(b2u8(v.Bool()))
+	}
+	return v.Int()
+}
+
+// span is one interval of a constraint restated over a vector's payload
+// type; a point is a closed span of one value. cmp.Less orders floats as
+// types.Compare does, NaN below everything.
+type span[T cmp.Ordered] struct {
+	lo, hi         T
+	loInf, hiInf   bool
+	loOpen, hiOpen bool
+}
+
+// spans is a constraint's set of non-NULL values over a payload type,
+// sorted and disjoint.
+type spans[T cmp.Ordered] []span[T]
+
+func spansOf[T cmp.Ordered](set constraint.Constraint, payload func(types.Value) T) spans[T] {
+	if !set.Range {
+		s := make(spans[T], len(set.Points))
+		for i, p := range set.Points {
+			s[i].lo = payload(p)
+			s[i].hi = s[i].lo
+		}
+		return s
+	}
+	s := make(spans[T], len(set.Ivs))
+	for i, iv := range set.Ivs {
+		x := &s[i]
+		x.loInf, x.loOpen, x.hiInf, x.hiOpen = iv.Lo.Val.IsNull(), iv.Lo.Open, iv.Hi.Val.IsNull(), iv.Hi.Open
+		if !x.loInf {
+			x.lo = payload(iv.Lo.Val)
+		}
+		if !x.hiInf {
+			x.hi = payload(iv.Hi.Val)
+		}
+	}
+	return s
+}
+
+// below reports that every value of x lies below v.
+func (x *span[T]) below(v T) bool {
+	return !x.hiInf && (cmp.Less(x.hi, v) || x.hiOpen && same(x.hi, v))
+}
+
+// from reports that v does not lie below x's lower end.
+func (x *span[T]) from(v T) bool {
+	return x.loInf || cmp.Less(x.lo, v) || !x.loOpen && same(x.lo, v)
+}
+
+// has reports that v lies in one of the spans: the first span not wholly
+// below v holds it, or none does.
+func (s spans[T]) has(v T) bool {
+	i, j := 0, len(s)
+	for i < j {
+		if h := int(uint(i+j) >> 1); s[h].below(v) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i < len(s) && s[i].from(v)
+}
+
+// same is equality in cmp.Compare's order, in which NaN equals NaN.
+func same[T cmp.Ordered](a, b T) bool { return a == b || a != a && b != b }
+
+// keep narrows sel to the rows whose value lies in the spans, and the NULL
+// rows when null is set.
+func (s spans[T]) keep(null bool, vals []T, nulls []bool, sel []int) []int {
+	out := sel[:0]
+	for _, i := range sel {
+		if nulls[i] {
+			if null {
+				out = append(out, i)
+			}
+		} else if s.has(vals[i]) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // fuseCmpColCol fuses `col <op> col`: typed loops for two pure vectors of
@@ -492,16 +539,16 @@ func fuseCmpColCol(layout *Layout, lc, rc *sqlparser.ColumnRef, op sqlparser.Cmp
 				if l.Nulls[i] || r.Nulls[i] {
 					continue
 				}
-				var cmp int
+				var c int
 				switch l.Kind {
 				case types.KindString:
-					cmp = strings.Compare(l.Str[i], r.Str[i])
+					c = cmp.Compare(l.Str[i], r.Str[i])
 				case types.KindFloat:
-					cmp = cmpF64(l.F64[i], r.F64[i])
+					c = cmp.Compare(l.F64[i], r.F64[i])
 				default:
-					cmp = cmpI64(l.I64[i], r.I64[i])
+					c = cmp.Compare(l.I64[i], r.I64[i])
 				}
-				if cmpSatisfies(cmp, op) {
+				if cmpSatisfies(c, op) {
 					out = append(out, i)
 				}
 			}
@@ -525,409 +572,4 @@ func fuseCmpColCol(layout *Layout, lc, rc *sqlparser.ColumnRef, op sqlparser.Cmp
 		b.Sel = out
 		return nil
 	}}, true
-}
-
-// fuseIn fuses `col [NOT] IN (literals...)`. Semantics match the Evaluator:
-// a NULL probe value is UNKNOWN (dropped); a match wins over a NULL list
-// member; no match with a NULL member is UNKNOWN (dropped); compare errors
-// against individual members are ignored (treated as non-matches).
-// Pruning: an all-NULL column is UNKNOWN everywhere; for the non-negated
-// form a segment prunes when the tracked distinct-source set is disjoint
-// from the probe list (the TRAC recency short-circuit: a segment whose
-// sources a query never asks about contributes nothing), or when every
-// member falls outside the column's [min,max].
-func fuseIn(c *compiler, n *sqlparser.In, base, tblCols int) (vecConjunct, bool) {
-	expr := n.Expr
-	items := make([]sqlparser.Expr, len(n.List))
-	copy(items, n.List)
-	for i := range items {
-		c.coerceTimePair(&expr, &items[i])
-	}
-	cr, ok := expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	off, colKind, ok := colOffset(c.layout, cr)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	vals := make([]types.Value, 0, len(items))
-	hasNullItem := false
-	allStrings := colKind == types.KindString
-	for _, it := range items {
-		lit, ok := it.(*sqlparser.Literal)
-		if !ok {
-			return vecConjunct{}, false
-		}
-		if lit.Val.IsNull() {
-			hasNullItem = true
-			continue
-		}
-		if lit.Val.Kind() != types.KindString {
-			allStrings = false
-		}
-		vals = append(vals, lit.Val)
-	}
-	negated := n.Negated
-
-	var set map[string]struct{}
-	if allStrings {
-		set = make(map[string]struct{}, len(vals))
-		for _, v := range vals {
-			set[v.Str()] = struct{}{}
-		}
-	}
-	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
-		out := sel[:0]
-		if allStrings && cv.Pure {
-			for _, i := range sel {
-				if cv.Nulls[i] {
-					continue
-				}
-				_, matched := set[cv.Str[i]]
-				if inKeeps(matched, hasNullItem, negated) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-		for _, i := range sel {
-			v := cv.Value(i)
-			if v.IsNull() {
-				continue
-			}
-			matched := false
-			if allStrings {
-				if v.Kind() == types.KindString {
-					_, matched = set[v.Str()]
-				}
-			} else {
-				for _, iv := range vals {
-					if cmp, err := types.Compare(v, iv); err == nil && cmp == 0 {
-						matched = true
-						break
-					}
-				}
-			}
-			if inKeeps(matched, hasNullItem, negated) {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
-	col, ok := zoneCol(off, base, tblCols)
-	if !ok {
-		return vc, true
-	}
-	vc.prune = func(seg *storage.Segment) bool {
-		z := &seg.Zones[col]
-		if allNull(z) {
-			return true
-		}
-		if negated {
-			return false
-		}
-		if sources := seg.Sources(col, seg.Rows); allStrings && sources != nil {
-			for _, v := range vals {
-				if _, ok := slices.BinarySearch(sources, v.Str()); ok {
-					return false
-				}
-			}
-			return true
-		}
-		if !z.Ordered || z.Min.IsNull() {
-			return false
-		}
-		for _, v := range vals {
-			cmpMin, errMin := types.Compare(v, z.Min)
-			cmpMax, errMax := types.Compare(v, z.Max)
-			if errMin != nil || errMax != nil {
-				return false
-			}
-			if cmpMin >= 0 && cmpMax <= 0 {
-				return false // member inside the bounds: could match
-			}
-		}
-		return true
-	}
-	// Coverage (non-negated only): with no NULL rows, every row matches when
-	// the tracked distinct-source set is a subset of the probe list (the dual
-	// of the disjointness prune), or when the bounds pin a single value that
-	// is a list member. A matched row is TRUE even with a NULL list item, so
-	// hasNullItem does not weaken the proof.
-	vc.covers = func(seg *storage.Segment) bool {
-		z := &seg.Zones[col]
-		if negated || z.NullCount > 0 || seg.Len() == 0 {
-			return false
-		}
-		if sources := seg.Sources(col, seg.Rows); allStrings && sources != nil {
-			for _, src := range sources {
-				if _, ok := set[src]; !ok {
-					return false
-				}
-			}
-			return true
-		}
-		if !z.Ordered || z.Min.IsNull() {
-			return false
-		}
-		for _, v := range vals {
-			cmpMin, errMin := types.Compare(v, z.Min)
-			cmpMax, errMax := types.Compare(v, z.Max)
-			if errMin == nil && errMax == nil && cmpMin == 0 && cmpMax == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	return vc, true
-}
-
-// fuseBetween fuses `col [NOT] BETWEEN lit AND lit` when the bound kinds
-// match the column (or everything is numeric); other pairings keep the
-// Evaluator's error-raising semantics. Pruning (non-negated only) fires
-// when the range and the zone bounds are disjoint and every bound-vs-bound
-// comparison succeeded — which, with Ordered, rules out per-row errors on
-// the skipped segment.
-func fuseBetween(c *compiler, n *sqlparser.Between, base, tblCols int) (vecConjunct, bool) {
-	expr, lo, hi := n.Expr, n.Lo, n.Hi
-	c.coerceTimePair(&expr, &lo)
-	c.coerceTimePair(&expr, &hi)
-	cr, ok := expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	off, colKind, ok := colOffset(c.layout, cr)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	loLit, ok := lo.(*sqlparser.Literal)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	hiLit, ok := hi.(*sqlparser.Literal)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	lov, hiv := loLit.Val, hiLit.Val
-	if lov.IsNull() || hiv.IsNull() {
-		// A NULL bound makes every row UNKNOWN.
-		return dropAll(off, base, tblCols), true
-	}
-	sameKind := lov.Kind() == colKind && hiv.Kind() == colKind
-	numeric := numericKind(colKind) && numericKind(lov.Kind()) && numericKind(hiv.Kind())
-	if !sameKind && !numeric {
-		return vecConjunct{}, false
-	}
-	negated := n.Negated
-	lof, _ := lov.AsFloat()
-	hif, _ := hiv.AsFloat()
-	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
-		out := sel[:0]
-		if cv.Pure {
-			keep := func(in bool) bool { return in != negated }
-			switch {
-			case colKind == types.KindInt && sameKind:
-				loi, hii := lov.Int(), hiv.Int()
-				for _, i := range sel {
-					if !cv.Nulls[i] && keep(cv.I64[i] >= loi && cv.I64[i] <= hii) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindTime:
-				lon, hin := lov.TimeNanos(), hiv.TimeNanos()
-				for _, i := range sel {
-					if !cv.Nulls[i] && keep(cv.I64[i] >= lon && cv.I64[i] <= hin) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindString:
-				los, his := lov.Str(), hiv.Str()
-				for _, i := range sel {
-					if !cv.Nulls[i] && keep(cv.Str[i] >= los && cv.Str[i] <= his) {
-						out = append(out, i)
-					}
-				}
-			case colKind == types.KindFloat:
-				// cmpF64 ordering (NaN smallest) matches types.Compare.
-				for _, i := range sel {
-					if !cv.Nulls[i] && keep(cmpF64(cv.F64[i], lof) >= 0 && cmpF64(cv.F64[i], hif) <= 0) {
-						out = append(out, i)
-					}
-				}
-			default: // numeric-mixed with an INT column
-				for _, i := range sel {
-					f := float64(cv.I64[i])
-					if !cv.Nulls[i] && keep(cmpF64(f, lof) >= 0 && cmpF64(f, hif) <= 0) {
-						out = append(out, i)
-					}
-				}
-			}
-			return out, nil
-		}
-		for _, i := range sel {
-			v := cv.Vals[i]
-			if v.IsNull() {
-				continue
-			}
-			cl, err := types.Compare(v, lov)
-			if err != nil {
-				return out, err
-			}
-			ch, err := types.Compare(v, hiv)
-			if err != nil {
-				return out, err
-			}
-			if in := cl >= 0 && ch <= 0; in != negated {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
-	col, ok := zoneCol(off, base, tblCols)
-	if !ok {
-		return vc, true
-	}
-	vc.prune = func(seg *storage.Segment) bool {
-		z := &seg.Zones[col]
-		if allNull(z) {
-			return true
-		}
-		if negated || !z.Ordered || z.Min.IsNull() {
-			return false
-		}
-		loMax, e1 := types.Compare(lov, z.Max)
-		hiMin, e2 := types.Compare(hiv, z.Min)
-		if e1 != nil || e2 != nil {
-			return false
-		}
-		return loMax > 0 || hiMin < 0
-	}
-	// Coverage: no NULL rows, and the zone bounds sit inside the range
-	// (non-negated) or entirely outside it (negated).
-	vc.covers = func(seg *storage.Segment) bool {
-		z := &seg.Zones[col]
-		if !z.Ordered || z.Min.IsNull() || z.NullCount > 0 || seg.Len() == 0 {
-			return false
-		}
-		loMin, e1 := types.Compare(lov, z.Min)
-		hiMax, e2 := types.Compare(hiv, z.Max)
-		loMax, e3 := types.Compare(lov, z.Max)
-		hiMin, e4 := types.Compare(hiv, z.Min)
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			return false
-		}
-		if negated {
-			return loMax > 0 || hiMin < 0
-		}
-		return loMin <= 0 && hiMax >= 0
-	}
-	return vc, true
-}
-
-// fuseLike fuses `col [NOT] LIKE 'pattern'` over TEXT columns. Only the
-// all-NULL prune applies (always error-free); non-TEXT declared columns go
-// through the Evaluator so its type error surfaces identically.
-func fuseLike(layout *Layout, n *sqlparser.Like, base, tblCols int) (vecConjunct, bool) {
-	cr, ok := n.Expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	pat, ok := n.Pattern.(*sqlparser.Literal)
-	if !ok || pat.Val.Kind() != types.KindString {
-		return vecConjunct{}, false
-	}
-	off, colKind, ok := colOffset(layout, cr)
-	if !ok || colKind != types.KindString {
-		return vecConjunct{}, false
-	}
-	pattern := pat.Val.Str()
-	negated := n.Negated
-	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
-		out := sel[:0]
-		if cv.Pure {
-			for _, i := range sel {
-				if !cv.Nulls[i] && MatchLike(cv.Str[i], pattern) != negated {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-		for _, i := range sel {
-			v := cv.Vals[i]
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() != types.KindString {
-				return out, fmt.Errorf("exec: LIKE requires TEXT operands")
-			}
-			if MatchLike(v.Str(), pattern) != negated {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	vc := vecConjunct{narrow: colKernel(off, narrow, true)}
-	if col, ok := zoneCol(off, base, tblCols); ok {
-		vc.prune = func(seg *storage.Segment) bool { return allNull(&seg.Zones[col]) }
-	}
-	return vc, true
-}
-
-// fuseIsNull fuses `col IS [NOT] NULL` over the null marks, pruning via the
-// zone map's null count.
-func fuseIsNull(layout *Layout, n *sqlparser.IsNull, base, tblCols int) (vecConjunct, bool) {
-	cr, ok := n.Expr.(*sqlparser.ColumnRef)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	off, _, ok := colOffset(layout, cr)
-	if !ok {
-		return vecConjunct{}, false
-	}
-	negated := n.Negated
-	narrow := func(cv *storage.ColVec, sel []int) ([]int, error) {
-		out := sel[:0]
-		if !cv.Pure {
-			for _, i := range sel {
-				if cv.Vals[i].IsNull() != negated {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-		for _, i := range sel {
-			if cv.Nulls[i] != negated {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	vc := vecConjunct{narrow: colKernel(off, narrow, false)}
-	col, ok := zoneCol(off, base, tblCols)
-	if !ok {
-		return vc, true
-	}
-	vc.prune = func(seg *storage.Segment) bool {
-		z := &seg.Zones[col]
-		if negated {
-			return z.NullCount == seg.Len()
-		}
-		return z.NullCount == 0
-	}
-	// Coverage is exact off the null count alone: IS NULL covers an all-NULL
-	// segment, IS NOT NULL a null-free one.
-	vc.covers = func(seg *storage.Segment) bool {
-		z := &seg.Zones[col]
-		if seg.Len() == 0 {
-			return false
-		}
-		if negated {
-			return z.NullCount == 0
-		}
-		return z.NullCount == seg.Len()
-	}
-	return vc, true
 }

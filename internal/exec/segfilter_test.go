@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"trac/internal/constraint"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/txn"
@@ -427,23 +428,22 @@ func TestCodedSegmentMatchesStrPath(t *testing.T) {
 }
 
 // TestCodedKernelBranches: over a coded vector a value conjunct's loop runs
-// once per dictionary entry while the dictionary is shorter than the
-// selection, over the selected rows otherwise; IS NULL always reads the
-// rows.
+// once per dictionary entry (into the batch's per-code mask) while the
+// dictionary is shorter than the selection, over the selected rows
+// otherwise; IS NULL always reads the rows.
 func TestCodedKernelBranches(t *testing.T) {
 	tbl, _ := codedTable(t, true)
 	cv := &tbl.Snap().Segments[0].Cols[1]
-	var saw int
-	keepAll := func(_ *storage.ColVec, sel []int) ([]int, error) {
-		saw = len(sel)
-		return sel, nil
-	}
 	run := func(byValue bool, sel []int) int {
 		b := &Batch{Cols: []*storage.ColVec{nil, cv}, Sel: append([]int(nil), sel...)}
-		if err := colKernel(1, keepAll, byValue)(b); err != nil {
+		c := &colConjunct{set: constraint.Constraint{Kind: types.KindString, Null: !byValue}, off: 1}
+		if err := c.narrow(b); err != nil {
 			t.Fatal(err)
 		}
-		return saw
+		if len(b.mask) > 0 {
+			return len(b.mask) // the loop decided each dictionary entry
+		}
+		return len(sel)
 	}
 	all := make([]int, len(cv.Str))
 	for i := range all {
@@ -480,7 +480,7 @@ func TestKeepByCodeMasksNullSlots(t *testing.T) {
 		t.Fatalf("fixture: want NULL slots and Dict[0] = \"\", got %d NULLs and %q", nulls, cv.Dict[0])
 	}
 	keepCodes := func(codes ...int) selLoop {
-		return func(_ *storage.ColVec, _ []int) ([]int, error) { return codes, nil }
+		return func(_ *storage.ColVec, _ []int) []int { return codes }
 	}
 	every := make([]int, len(cv.Dict))
 	for c := range every {
@@ -508,9 +508,7 @@ func TestKeepByCodeMasksNullSlots(t *testing.T) {
 				}
 			}
 			b := &Batch{Cols: []*storage.ColVec{nil, cv}, Sel: sel}
-			if err := b.keepByCode(cv, tc.loop); err != nil {
-				t.Fatal(err)
-			}
+			b.keepByCode(cv, tc.loop)
 			if fmt.Sprint(b.Sel) != fmt.Sprint(want) {
 				t.Errorf("%s (reversed %v): kept %v, want %v", tc.name, reversed, b.Sel, want)
 			}

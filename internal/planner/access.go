@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"trac/internal/constraint"
 	"trac/internal/exec"
 	"trac/internal/sqlparser"
 	"trac/internal/storage"
@@ -78,6 +79,7 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 		exprs[k] = c.expr
 		c.used = true
 	}
+	reads := readAll(tbl, b.Name, exprs)
 
 	// Gather per-column index candidates.
 	type candidate struct {
@@ -94,17 +96,15 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 			ndv = 1
 		}
 		perKey := totalRows / ndv
-		colName := tbl.Schema.Columns[col].Name
-		colKind := tbl.Schema.Columns[col].Kind
 
-		if keys := equalityKeys(exprs, b.Name, colName, colKind); keys != nil {
+		if keys := equalityKeys(reads, col); keys != nil {
 			est := float64(len(keys)) * perKey
 			if best == nil || est < best.est {
 				best = &candidate{col: col, keys: keys, est: est}
 			}
 			continue
 		}
-		if lo, hi, ok := rangeBounds(mine, b.Name, colName, colKind); ok {
+		if lo, hi, ok := rangeBounds(reads, col); ok {
 			est := totalRows / 3
 			// ANALYZE histograms sharpen the range estimate when present.
 			if st := tbl.Stats(); st != nil && col < len(st.Columns) {
@@ -118,16 +118,18 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 		}
 	}
 
-	// The full single-table predicate becomes the scan's fused kernel.
-	pred := sqlparser.AndAll(exprs...)
-	kernel, fused, total, err := exec.CompileKernel(pred, layout)
+	// The full single-table predicate becomes the scan's fused kernel, and a
+	// heap scan also consults its zone-map side before each sealed segment
+	// is read. Both come from one compilation.
+	segf, err := exec.CompileSegmentFilter(sqlparser.AndAll(exprs...), layout, b.Offset, tbl.Schema.NumColumns())
 	if err != nil {
 		return nil, 0, note{}, err
 	}
+	kernel := segf.Kernel()
 	lo, hi := b.Offset, b.Offset+tbl.Schema.NumColumns()
 	need := cols.need(func(off int) bool { return off >= lo && off < hi })
 
-	est := p.estimateRows(tbl, b.Name, mine, totalRows)
+	est := estimateRows(tbl, reads, totalRows)
 	// Equality probes read exactly the matching chains, so they are always
 	// preferred; range scans only when they beat a halved heap scan.
 	if best != nil && (best.keys != nil || best.est < totalRows/2) {
@@ -141,19 +143,17 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 		}
 		return op, est, note{kind: noteIndexScan, name: b.Name, col: tbl.Schema.Columns[best.col].Name, n: len(best.keys), est: est}, nil
 	}
-	// Heap scan, with the predicate's zone-map side consulted before each
-	// sealed segment is read: parallelize when the INPUT cardinality (every
-	// heap version is visited regardless of filter selectivity) clears the
-	// threshold and more than one CPU is available.
+	// Heap scan: parallelize when the INPUT cardinality (every heap version
+	// is visited regardless of filter selectivity) clears the threshold and
+	// more than one CPU is available.
 	workers := 1
 	if !serial {
 		workers = p.parallelWorkers(float64(tbl.NumVersions()))
 	}
-	segf, err := exec.CompileSegmentFilter(pred, layout, b.Offset, tbl.Schema.NumColumns())
-	if err != nil {
-		return nil, 0, note{}, err
+	n := note{kind: noteSeqScan, name: b.Name, n: workers, est: est, table: tbl, segf: segf}
+	if segf != nil {
+		n.fused, n.total = segf.Fused, segf.Total
 	}
-	n := note{kind: noteSeqScan, name: b.Name, n: workers, fused: fused, total: total, est: est, table: tbl, segf: segf}
 	if workers > 1 {
 		op := &exec.ParallelScan{
 			Table: tbl, Kernel: kernel, SegFilter: segf,
@@ -172,306 +172,116 @@ func (p *Planner) accessPath(layout *exec.Layout, i int, mine []*conjunct, cols 
 // per-conjunct selectivities. With ANALYZE statistics the common shapes use
 // distinct counts and histograms; the fallback is the classic one-third per
 // conjunct.
-func (p *Planner) estimateRows(tbl *storage.Table, binding string, mine []*conjunct, totalRows float64) float64 {
+func estimateRows(tbl *storage.Table, reads []colRead, totalRows float64) float64 {
 	st := tbl.Stats()
 	sel := 1.0
-	for _, c := range mine {
-		sel *= conjunctSelectivity(tbl, st, binding, c.expr)
+	for _, r := range reads {
+		sel *= r.selectivity(st)
 	}
 	return sel * totalRows
 }
 
-// conjunctSelectivity estimates one conjunct's selectivity.
-func conjunctSelectivity(tbl *storage.Table, st *storage.TableStats, binding string, e sqlparser.Expr) float64 {
+// colRead is one conjunct of a binding read as a constraint on column col
+// of its table; col is -1 for a conjunct the constraint package leaves
+// unread, and for a restated one (a FLOAT literal against an INT column):
+// an index may file values of another kind that it does not describe.
+type colRead struct {
+	col int
+	c   constraint.Constraint
+}
+
+// readAll reads each of a binding's conjuncts once, for every decision the
+// planner takes from them.
+func readAll(tbl *storage.Table, binding string, exprs []sqlparser.Expr) []colRead {
+	reads := make([]colRead, len(exprs))
+	for i, e := range exprs {
+		col := -1
+		c, ok := constraint.Read(e, func(cr *sqlparser.ColumnRef) (types.Kind, bool) {
+			if cr.Table != "" && !equalFold(cr.Table, binding) {
+				return types.KindNull, false
+			}
+			if col = tbl.Schema.ColumnIndex(cr.Column); col < 0 {
+				return types.KindNull, false
+			}
+			return tbl.Schema.Columns[col].Kind, true
+		})
+		if !ok || c.Restated {
+			col = -1
+		}
+		reads[i] = colRead{col: col, c: c}
+	}
+	return reads
+}
+
+// selectivity estimates the conjunct's selectivity from its constraint: a
+// point set by distinct counts, the complement of one likewise, a range by
+// the column's histogram. IS NULL and unread conjuncts keep the fallback.
+func (r colRead) selectivity(st *storage.TableStats) float64 {
 	const fallback = 1.0 / 3
-	colStats := func(name string) (*storage.ColumnStats, int) {
-		ci := tbl.Schema.ColumnIndex(name)
-		if ci < 0 || st == nil || ci >= len(st.Columns) {
-			return nil, ci
-		}
-		return &st.Columns[ci], ci
-	}
-	switch n := e.(type) {
-	case *sqlparser.Comparison:
-		cr, lit := matchColLit(n.Left, n.Right, binding, tbl)
-		op := n.Op
-		if cr == nil {
-			if cr, lit = matchColLit(n.Right, n.Left, binding, tbl); cr == nil {
-				return fallback
-			}
-			op = n.Op.Flip()
-		}
-		cs, ci := colStats(cr.Column)
-		if cs == nil {
-			return fallback
-		}
-		kind := tbl.Schema.Columns[ci].Kind
-		v := coerceKey(lit.Val, kind)
-		switch op {
-		case sqlparser.CmpEq:
-			return cs.EqSelectivity()
-		case sqlparser.CmpNe:
-			return 1 - cs.EqSelectivity()
-		case sqlparser.CmpLt:
-			return cs.Histogram.SelectivityRange(storage.Unbounded, storage.Excl(v))
-		case sqlparser.CmpLe:
-			return cs.Histogram.SelectivityRange(storage.Unbounded, storage.Incl(v))
-		case sqlparser.CmpGt:
-			return cs.Histogram.SelectivityRange(storage.Excl(v), storage.Unbounded)
-		case sqlparser.CmpGe:
-			return cs.Histogram.SelectivityRange(storage.Incl(v), storage.Unbounded)
-		}
-		return fallback
-	case *sqlparser.In:
-		cr, ok := n.Expr.(*sqlparser.ColumnRef)
-		if !ok || !matchesColumn(cr, binding, cr.Column) {
-			return fallback
-		}
-		cs, _ := colStats(cr.Column)
-		if cs == nil {
-			return fallback
-		}
-		s := float64(len(n.List)) * cs.EqSelectivity()
-		if n.Negated {
-			s = 1 - s
-		}
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		return s
-	case *sqlparser.Between:
-		cr, ok := n.Expr.(*sqlparser.ColumnRef)
-		if !ok || n.Negated {
-			return fallback
-		}
-		cs, ci := colStats(cr.Column)
-		if cs == nil || cs.Histogram == nil {
-			return fallback
-		}
-		loLit, ok1 := n.Lo.(*sqlparser.Literal)
-		hiLit, ok2 := n.Hi.(*sqlparser.Literal)
-		if !ok1 || !ok2 {
-			return fallback
-		}
-		kind := tbl.Schema.Columns[ci].Kind
-		return cs.Histogram.SelectivityRange(
-			storage.Incl(coerceKey(loLit.Val, kind)), storage.Incl(coerceKey(hiLit.Val, kind)))
-	case *sqlparser.Like:
-		cr, ok := n.Expr.(*sqlparser.ColumnRef)
-		if !ok || n.Negated {
-			return fallback
-		}
-		pat, ok := n.Pattern.(*sqlparser.Literal)
-		if !ok || pat.Val.Kind() != types.KindString {
-			return fallback
-		}
-		cs, _ := colStats(cr.Column)
-		if cs == nil || cs.Histogram == nil {
-			return fallback
-		}
-		prefix := exec.LikePrefix(pat.Val.Str())
-		if prefix == "" {
-			return fallback
-		}
-		lo := storage.Incl(types.NewString(prefix))
-		hi := storage.Unbounded
-		if succ, ok := prefixSuccessor(prefix); ok {
-			hi = storage.Excl(types.NewString(succ))
-		}
-		return cs.Histogram.SelectivityRange(lo, hi)
-	default:
+	c := r.c
+	if r.col < 0 || c.Null || st == nil || r.col >= len(st.Columns) {
 		return fallback
 	}
+	cs := &st.Columns[r.col]
+	if !c.Range {
+		return min(1, float64(len(c.Points))*cs.EqSelectivity())
+	}
+	if p := c.Complement(); !p.Range {
+		return max(0, 1-float64(len(p.Points))*cs.EqSelectivity())
+	}
+	if cs.Histogram == nil {
+		return fallback
+	}
+	s := 0.0
+	for _, iv := range c.Ivs {
+		s += cs.Histogram.SelectivityRange(storageBound(iv.Lo), storageBound(iv.Hi))
+	}
+	return min(1, s)
 }
 
-// matchColLit returns (columnRef, literal) when the pair is column-vs-
-// literal for this binding.
-func matchColLit(a, b sqlparser.Expr, binding string, tbl *storage.Table) (*sqlparser.ColumnRef, *sqlparser.Literal) {
-	cr, ok := a.(*sqlparser.ColumnRef)
-	if !ok || tbl.Schema.ColumnIndex(cr.Column) < 0 {
-		return nil, nil
-	}
-	if cr.Table != "" && !equalFold(cr.Table, binding) {
-		return nil, nil
-	}
-	lit, ok := b.(*sqlparser.Literal)
-	if !ok || lit.Val.IsNull() {
-		return nil, nil
-	}
-	return cr, lit
-}
-
-// equalityKeys extracts literal keys for `col = lit` or `col IN (lits...)`
-// over the named column from the single-table conjuncts, combining multiple
-// equality conjuncts by intersection semantics left to the filter (we just
-// use the first usable one, which is sufficient for index probing).
-func equalityKeys(conjs []sqlparser.Expr, binding, colName string, colKind types.Kind) []types.Value {
-	for _, c := range conjs {
-		switch e := c.(type) {
-		case *sqlparser.Comparison:
-			if e.Op != sqlparser.CmpEq {
-				continue
-			}
-			if v, ok := columnLiteral(e.Left, e.Right, binding, colName, colKind); ok {
-				return []types.Value{v}
-			}
-			if v, ok := columnLiteral(e.Right, e.Left, binding, colName, colKind); ok {
-				return []types.Value{v}
-			}
-		case *sqlparser.In:
-			if e.Negated {
-				continue
-			}
-			cr, ok := e.Expr.(*sqlparser.ColumnRef)
-			if !ok || !matchesColumn(cr, binding, colName) {
-				continue
-			}
-			keys := literalKeys(e.List, colKind)
-			if keys != nil {
-				return keys
-			}
+// equalityKeys returns the probe keys of the first conjunct that pins
+// column col to a point set: `col = lit`, `col IN (lits)`, or any other form
+// whose constraint is one. The points are distinct, so duplicate list
+// members never duplicate index probes.
+func equalityKeys(reads []colRead, col int) []types.Value {
+	for _, r := range reads {
+		if r.col == col && !r.c.Range && !r.c.Null && len(r.c.Points) > 0 {
+			return r.c.Points
 		}
 	}
 	return nil
 }
 
-// literalKeys converts an IN list of literals into deduplicated probe keys
-// (duplicate list members must not duplicate index probes), or nil when any
-// member is not a literal.
-func literalKeys(list []sqlparser.Expr, colKind types.Kind) []types.Value {
-	var keys []types.Value
-	for _, item := range list {
-		lit, ok := item.(*sqlparser.Literal)
-		if !ok {
-			return nil
-		}
-		k := coerceKey(lit.Val, colKind)
-		dup := false
-		for _, existing := range keys {
-			if types.Equal(existing, k) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// rangeBounds extracts index range bounds from comparison/BETWEEN/LIKE
-// conjuncts over the named column. ok is false when no bound was found.
-func rangeBounds(mine []*conjunct, binding, colName string, colKind types.Kind) (storage.Bound, storage.Bound, bool) {
-	lo, hi := storage.Unbounded, storage.Unbounded
+// rangeBounds returns the hull of what the conjuncts over column col keep
+// together, as index range bounds. ok is false when they bound nothing.
+func rangeBounds(reads []colRead, col int) (storage.Bound, storage.Bound, bool) {
+	var all constraint.Constraint
 	found := false
-	tightenLo := func(b storage.Bound) {
-		if lo.Unbounded || types.Less(lo.Value, b.Value) {
-			lo = b
-			found = true
+	for _, r := range reads {
+		if r.col == col {
+			c := r.c
+			if found {
+				c = all.Intersect(c)
+			}
+			all, found = c, true
 		}
 	}
-	tightenHi := func(b storage.Bound) {
-		if hi.Unbounded || types.Less(b.Value, hi.Value) {
-			hi = b
-			found = true
-		}
+	iv, ok := all.Hull()
+	if !found || !ok || iv.Lo.Val.IsNull() && iv.Hi.Val.IsNull() {
+		return storage.Unbounded, storage.Unbounded, false
 	}
-	for _, c := range mine {
-		switch e := c.expr.(type) {
-		case *sqlparser.Comparison:
-			v, ok := columnLiteral(e.Left, e.Right, binding, colName, colKind)
-			op := e.Op
-			if !ok {
-				if v, ok = columnLiteral(e.Right, e.Left, binding, colName, colKind); !ok {
-					continue
-				}
-				op = e.Op.Flip()
-			}
-			switch op {
-			case sqlparser.CmpGt:
-				tightenLo(storage.Excl(v))
-			case sqlparser.CmpGe:
-				tightenLo(storage.Incl(v))
-			case sqlparser.CmpLt:
-				tightenHi(storage.Excl(v))
-			case sqlparser.CmpLe:
-				tightenHi(storage.Incl(v))
-			}
-		case *sqlparser.Between:
-			if e.Negated {
-				continue
-			}
-			cr, ok := e.Expr.(*sqlparser.ColumnRef)
-			if !ok || !matchesColumn(cr, binding, colName) {
-				continue
-			}
-			loLit, ok1 := e.Lo.(*sqlparser.Literal)
-			hiLit, ok2 := e.Hi.(*sqlparser.Literal)
-			if ok1 && ok2 {
-				tightenLo(storage.Incl(coerceKey(loLit.Val, colKind)))
-				tightenHi(storage.Incl(coerceKey(hiLit.Val, colKind)))
-			}
-		case *sqlparser.Like:
-			if e.Negated || colKind != types.KindString {
-				continue
-			}
-			cr, ok := e.Expr.(*sqlparser.ColumnRef)
-			if !ok || !matchesColumn(cr, binding, colName) {
-				continue
-			}
-			pat, ok := e.Pattern.(*sqlparser.Literal)
-			if !ok || pat.Val.Kind() != types.KindString {
-				continue
-			}
-			prefix := exec.LikePrefix(pat.Val.Str())
-			if prefix == "" {
-				continue
-			}
-			tightenLo(storage.Incl(types.NewString(prefix)))
-			if succ, ok := prefixSuccessor(prefix); ok {
-				tightenHi(storage.Excl(types.NewString(succ)))
-			}
-		}
-	}
-	return lo, hi, found
+	return storageBound(iv.Lo), storageBound(iv.Hi), true
 }
 
-// prefixSuccessor returns the smallest string greater than every string
-// with the given prefix (increment the last byte, dropping trailing 0xFF).
-func prefixSuccessor(prefix string) (string, bool) {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] < 0xFF {
-			b[i]++
-			return string(b[:i+1]), true
-		}
+// storageBound is a constraint bound as an index or histogram bound.
+func storageBound(b constraint.Bound) storage.Bound {
+	switch {
+	case b.Val.IsNull():
+		return storage.Unbounded
+	case b.Open:
+		return storage.Excl(b.Val)
 	}
-	return "", false
-}
-
-// columnLiteral matches (colRef, literal) and returns the literal coerced to
-// the column kind.
-func columnLiteral(colSide, litSide sqlparser.Expr, binding, colName string, colKind types.Kind) (types.Value, bool) {
-	cr, ok := colSide.(*sqlparser.ColumnRef)
-	if !ok || !matchesColumn(cr, binding, colName) {
-		return types.Null, false
-	}
-	lit, ok := litSide.(*sqlparser.Literal)
-	if !ok || lit.Val.IsNull() {
-		return types.Null, false
-	}
-	return coerceKey(lit.Val, colKind), true
-}
-
-func matchesColumn(cr *sqlparser.ColumnRef, binding, colName string) bool {
-	if cr.Table != "" && !equalFold(cr.Table, binding) {
-		return false
-	}
-	return equalFold(cr.Column, colName)
+	return storage.Incl(b.Val)
 }
 
 func equalFold(a, b string) bool {
@@ -491,15 +301,4 @@ func equalFold(a, b string) bool {
 		}
 	}
 	return true
-}
-
-// coerceKey converts string literals to timestamps for TIMESTAMP columns so
-// index probes use comparable keys.
-func coerceKey(v types.Value, colKind types.Kind) types.Value {
-	if colKind == types.KindTime && v.Kind() == types.KindString {
-		if ts, err := types.ParseTime(v.Str()); err == nil {
-			return types.NewTime(ts)
-		}
-	}
-	return v
 }

@@ -4,51 +4,28 @@ import (
 	"fmt"
 
 	"trac/internal/sqlparser"
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
 // PartitionKeys extracts the literal partition-key bound for one FROM
-// binding from a single SELECT block's WHERE clause: a top-level AND
-// conjunct of the form `col = lit` or `col IN (lits...)` over the named
-// partition column. The returned keys are coerced to the column kind (the
-// same coercion index probes use), so hashing them agrees with hashing the
-// values routed at insert time.
+// binding of tbl from a single SELECT block's WHERE clause: the points of
+// the first top-level AND conjunct that pins the partition column col to a
+// point set (`col = lit`, `col IN (lits...)`). The points have the column's
+// kind, so hashing them agrees with hashing the values routed at insert
+// time.
 //
 // ok=false means the block carries no such bound — the shard router must
 // fall back to scattering across every shard. This is deliberately the same
 // predicate shape the recency generator's relevant-source bound reduces to
 // for source-keyed tables (Q1-style probes), which is what makes the
 // relevant-source set a shard-pruning predicate.
-func PartitionKeys(where sqlparser.Expr, binding, colName string, colKind types.Kind) ([]types.Value, bool) {
+func PartitionKeys(where sqlparser.Expr, binding string, tbl *storage.Table, col int) ([]types.Value, bool) {
 	if where == nil {
 		return nil, false
 	}
-	for _, e := range splitAnd(where) {
-		switch n := e.(type) {
-		case *sqlparser.Comparison:
-			if n.Op != sqlparser.CmpEq {
-				continue
-			}
-			if v, hit := columnLiteral(n.Left, n.Right, binding, colName, colKind); hit {
-				return []types.Value{v}, true
-			}
-			if v, hit := columnLiteral(n.Right, n.Left, binding, colName, colKind); hit {
-				return []types.Value{v}, true
-			}
-		case *sqlparser.In:
-			if n.Negated {
-				continue
-			}
-			cr, isCol := n.Expr.(*sqlparser.ColumnRef)
-			if !isCol || !matchesColumn(cr, binding, colName) {
-				continue
-			}
-			if ks := literalKeys(n.List, colKind); ks != nil {
-				return ks, true
-			}
-		}
-	}
-	return nil, false
+	keys := equalityKeys(readAll(tbl, binding, splitAnd(where)), col)
+	return keys, keys != nil
 }
 
 // ShardNote renders the scatter planner's EXPLAIN line: how many shards the

@@ -8,6 +8,7 @@ import (
 
 	"trac/internal/planner"
 	"trac/internal/sqlparser"
+	"trac/internal/storage"
 	"trac/internal/types"
 )
 
@@ -199,8 +200,8 @@ func (r *Router) shardSet(b *sqlparser.SelectStmt, bp *blockPlan) error {
 	cat := r.shards[0].Catalog()
 	type partRef struct {
 		binding string
-		col     string
-		kind    types.Kind
+		tbl     *storage.Table
+		col     int
 	}
 	var prefs []partRef
 	for _, ref := range b.From {
@@ -212,8 +213,7 @@ func (r *Router) shardSet(b *sqlparser.SelectStmt, bp *blockPlan) error {
 		if err != nil {
 			return err
 		}
-		ci := tbl.Schema.ColumnIndex(col)
-		prefs = append(prefs, partRef{binding: ref.Binding(), col: col, kind: tbl.Schema.Columns[ci].Kind})
+		prefs = append(prefs, partRef{binding: ref.Binding(), tbl: tbl, col: tbl.Schema.ColumnIndex(col)})
 	}
 	switch len(prefs) {
 	case 0:
@@ -224,7 +224,7 @@ func (r *Router) shardSet(b *sqlparser.SelectStmt, bp *blockPlan) error {
 		return fmt.Errorf("shard: query joins %d partitioned tables; only one partitioned table per block is supported", len(prefs))
 	}
 	p := prefs[0]
-	keys, ok := planner.PartitionKeys(b.Where, p.binding, p.col, p.kind)
+	keys, ok := planner.PartitionKeys(b.Where, p.binding, p.tbl, p.col)
 	if !ok {
 		bp.shards = make([]int, len(r.shards))
 		for i := range bp.shards {
