@@ -33,11 +33,18 @@ lint:
 # winning a race against the goroutines they contend with. The tail-window
 # race test runs ten times over under the race detector: scans and recency
 # probes read windows that appends fill, seals drop and kind demotions
-# replace. It also runs each native fuzz target for ten seconds (see fuzz).
+# replace. The report path (internal/core/... and the root package) runs
+# under the race detector too: a report's recency leg runs on a goroutine of
+# its own beside its user query, and the two consistency tests — a loader
+# committing events with their Heartbeat advance while reports, point and
+# wide, on one engine and on three shards, check that the newest event they
+# return is the recency they report — run ten times over under it. It also
+# runs each native fuzz target for ten seconds (see fuzz).
 check: lint bench-smoke benchmark-smoke crash fuzz
-	$(GO) test -race ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./internal/sniffer/... ./client/...
+	$(GO) test -race . ./internal/core/... ./internal/exec/... ./internal/planner/... ./internal/storage/... ./internal/engine/... ./internal/txn/... ./internal/shard/... ./internal/workload/... ./internal/server/... ./internal/lru/... ./internal/sniffer/... ./client/...
 	$(GO) test -count 20 ./internal/server
 	$(GO) test -race -count 10 -run '^TestTailWindowsRace$$' ./internal/exec
+	$(GO) test -race -count 10 -run '^TestSnapshotConsistencyUnderConcurrentLoad$$' ./internal/core/report ./internal/shard
 
 # crash kills the storage stack at every mutating filesystem operation and
 # asserts the reopened database is a consistent cut: the engine sweep covers

@@ -1,17 +1,21 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"trac/internal/engine"
 	"trac/internal/exec"
+	"trac/internal/sqlparser"
 	"trac/internal/storage"
 	"trac/internal/types"
 )
@@ -186,75 +190,207 @@ func TestSkipKnobs(t *testing.T) {
 	}
 }
 
+// TestSnapshotConsistencyUnderConcurrentLoad is requirement 1 end to end:
+// while a loader commits m1's events, each with the Heartbeat advance to
+// that event's time, each report's user result and recency rows must come
+// from one snapshot, so the newest m1 event a report returns is m1's
+// reported recency. The point form runs its two legs one after the other,
+// the idle form side by side (when GOMAXPROCS > 1).
 func TestSnapshotConsistencyUnderConcurrentLoad(t *testing.T) {
-	// Requirement 1 end to end: while loaders update Activity and
-	// Heartbeat, each report's user result and recency rows must come from
-	// one snapshot — the recency of a source must be >= the newest event
-	// we see from it, and the bound/min/max must be internally consistent.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	db := sectionDB(t)
+	base := time.Date(2006, 3, 16, 0, 0, 0, 0, time.UTC)
+	// Event + heartbeat advance must commit atomically (the Batch API
+	// exists for exactly this): otherwise a snapshot between the two
+	// statements legitimately sees the event with a stale recency.
+	advance := func(i int) error {
+		ts := base.Add(time.Duration(i) * time.Second).Format(types.TimeLayout)
+		b := db.BeginBatch()
+		if _, err := b.Exec(`INSERT INTO Activity VALUES ('m1', 'idle', '` + ts + `')`); err != nil {
+			return err
+		}
+		if _, err := b.Exec(`UPDATE Heartbeat SET recency = '` + ts + `' WHERE sid = 'm1'`); err != nil {
+			return err
+		}
+		return b.Commit()
+	}
+	// From here on m1's newest event and its recency are equal.
+	if err := advance(0); err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		i := 0
-		base := time.Date(2006, 3, 16, 0, 0, 0, 0, time.UTC)
-		for {
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			// Event + heartbeat advance must commit atomically (the Batch
-			// API exists for exactly this): otherwise a snapshot between
-			// the two statements legitimately sees the event with a stale
-			// recency.
-			ts := base.Add(time.Duration(i) * time.Second).Format(types.TimeLayout)
-			b := db.BeginBatch()
-			if _, err := b.Exec(`INSERT INTO Activity VALUES ('m1', 'idle', '` + ts + `')`); err != nil {
+			if err := advance(i); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := b.Exec(`UPDATE Heartbeat SET recency = '` + ts + `' WHERE sid = 'm1'`); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := b.Commit(); err != nil {
-				t.Error(err)
-				return
-			}
-			i++
 		}
 	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 
-	for iter := 0; iter < 30; iter++ {
-		sess := db.NewSession()
-		rep, err := Run(sess, `SELECT mach_id, event_time FROM Activity WHERE mach_id = 'm1'`, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Find m1's reported recency.
-		var recency time.Time
-		for _, sr := range append(rep.Normal, rep.Exceptional...) {
-			if sr.Sid == "m1" {
-				recency = sr.Recency
+	for _, sql := range []string{
+		`SELECT mach_id, event_time FROM Activity WHERE mach_id = 'm1'`,
+		`SELECT mach_id, event_time FROM Activity WHERE value = 'idle'`,
+	} {
+		for iter := 0; iter < 100; iter++ {
+			sess := db.NewSession()
+			rep, err := Run(sess, sql, Config{})
+			sess.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := newestMatchesRecency(rep, "m1"); msg != "" {
+				t.Fatalf("%s: %s", sql, msg)
 			}
 		}
-		if recency.IsZero() {
-			t.Fatal("m1 missing from recency report")
-		}
-		// Every m1 event in the result must be <= recency OR belong to the
-		// initial fixture (whose event_time predates the loader's base).
-		for _, row := range rep.Result.Rows {
-			et := row[1].Time()
-			if et.After(recency) {
-				t.Fatalf("snapshot inconsistency: event %v newer than reported recency %v", et, recency)
-			}
-		}
-		sess.Close()
 	}
-	close(stop)
-	wg.Wait()
+}
+
+// newestMatchesRecency checks that the newest event_time among sid's rows of
+// a report's result (columns mach_id, event_time) equals sid's reported
+// recency, and says how it does not ("" when it does).
+func newestMatchesRecency(rep *Report, sid string) string {
+	var recency, newest time.Time
+	for _, sr := range append(rep.Normal, rep.Exceptional...) {
+		if sr.Sid == sid {
+			recency = sr.Recency
+		}
+	}
+	for _, row := range rep.Result.Rows {
+		if et := row[1].Time(); row[0].String() == sid && et.After(newest) {
+			newest = et
+		}
+	}
+	switch {
+	case recency.IsZero():
+		return sid + " missing from the recency report"
+	case !newest.Equal(recency):
+		return fmt.Sprintf("snapshot inconsistency: newest %s event %v, reported recency %v", sid, newest, recency)
+	}
+	return ""
+}
+
+// legProbe is a read point whose two legs record how they ran.
+type legProbe struct {
+	pins         int
+	batchStarted chan struct{}
+	rowsDone     atomic.Bool
+	batchDone    atomic.Bool
+	// rowsWaits makes Rows block until Batch has started (or time out);
+	// batchSawRows is whether Rows had finished when Batch started.
+	rowsWaits    bool
+	batchSawRows bool
+	rowsErr      error
+	batchErr     error
+}
+
+func (lp *legProbe) pin() (ReadPoint, error) {
+	lp.pins++
+	return ReadPoint{
+		Rows: func(*sqlparser.SelectStmt, string) (*engine.Result, error) {
+			defer lp.rowsDone.Store(true)
+			if lp.rowsWaits {
+				select {
+				case <-lp.batchStarted:
+				case <-time.After(10 * time.Second):
+					return nil, errors.New("the user query waited 10s for the recency query to start")
+				}
+			}
+			return &engine.Result{}, lp.rowsErr
+		},
+		Batch: func(*sqlparser.SelectStmt, string) (*exec.Batch, error) {
+			lp.batchSawRows = lp.rowsDone.Load()
+			close(lp.batchStarted)
+			time.Sleep(10 * time.Millisecond) // the caller must wait this out
+			lp.batchDone.Store(true)
+			return nil, lp.batchErr
+		},
+	}, nil
+}
+
+// TestLegsAtOneReadPoint: a report pins one read point. An unpinned
+// recency query starts while the user query runs; a pinned one, or any
+// with GOMAXPROCS at 1, starts after it has finished. Either leg's error
+// comes back as it did when the legs ran in turn, and the report returns
+// only once the recency leg has.
+func TestLegsAtOneReadPoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	db := sectionDB(t)
+	sess := db.NewSession()
+	defer sess.Close()
+	const (
+		point = `SELECT mach_id, event_time FROM Activity WHERE mach_id = 'm1'`
+		wide  = `SELECT mach_id, event_time FROM Activity WHERE value = 'idle'`
+	)
+	errRows, errBatch := errors.New("user query failed"), errors.New("heartbeat unreadable")
+	for _, tc := range []struct {
+		name     string
+		sql      string
+		procs    int
+		rowsErr  error
+		batchErr error
+	}{
+		{"wide", wide, 2, nil, nil},
+		{"point", point, 2, nil, nil},
+		{"wide on one proc", wide, 1, nil, nil},
+		{"wide, user query fails", wide, 2, errRows, nil},
+		{"wide, recency query fails", wide, 2, nil, errBatch},
+		{"wide, both fail", wide, 2, errRows, errBatch},
+		{"point, user query fails", point, 2, errRows, nil},
+		{"point, recency query fails", point, 2, nil, errBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(tc.procs)
+			p, err := Prepare(db, tc.sql, Config{SkipTempTables: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.pinned != (tc.sql == point) {
+				t.Fatalf("pinned = %v for %s", p.pinned, tc.sql)
+			}
+			side := !p.pinned && tc.procs > 1
+			lp := &legProbe{batchStarted: make(chan struct{}), rowsWaits: side, rowsErr: tc.rowsErr, batchErr: tc.batchErr}
+			rep, err := p.execute(sess, lp.pin)
+			if lp.pins != 1 {
+				t.Errorf("%d read points pinned, want 1", lp.pins)
+			}
+			ranBatch := side || tc.rowsErr == nil
+			if ranBatch && !lp.batchDone.Load() {
+				t.Error("the report returned before its recency query did")
+			}
+			if ranBatch && !side && !lp.batchSawRows {
+				t.Error("a serial recency query started before the user query finished")
+			}
+			switch {
+			case tc.rowsErr != nil:
+				if err != tc.rowsErr {
+					t.Errorf("err = %v, want the user query's error as is", err)
+				}
+			case tc.batchErr != nil:
+				if !errors.Is(err, tc.batchErr) || !strings.HasPrefix(err.Error(), "report: recency query failed: ") {
+					t.Errorf("err = %v, want the recency query's error, wrapped", err)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case rep.Result == nil:
+				t.Error("no user result")
+			}
+		})
+	}
 }
 
 func TestPreparedExecuteReuse(t *testing.T) {

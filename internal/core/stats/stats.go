@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -79,15 +80,43 @@ func Range(xs []float64) float64 {
 // threshold. It is the paper's exceptional-data-source detector: recency
 // timestamps far below the mean indicate sources suffering a hard
 // disconnect or failure, which would otherwise distort the descriptive
-// statistics reported for the healthy majority.
+// statistics reported for the healthy majority. The z-scores are those of
+// ZScores, classified as they are computed.
 func Outliers(xs []float64, threshold float64) (normal, exceptional []int) {
-	zs := ZScores(xs)
-	for i, z := range zs {
-		if math.Abs(z) >= threshold {
-			exceptional = append(exceptional, i)
-		} else {
-			normal = append(normal, i)
+	mu, sigma := Mean(xs), StdDev(xs)
+	return partition(len(xs), func(i int) bool {
+		z := 0.0
+		if sigma != 0 {
+			z = (xs[i] - mu) / sigma
 		}
+		return math.Abs(z) >= threshold
+	})
+}
+
+// partition splits the indexes 0..n-1 into those out rejects and those it
+// flags, each ascending, in one allocation: normal fills it from the front,
+// exceptional from the back.
+func partition(n int, out func(int) bool) (normal, exceptional []int) {
+	if n == 0 {
+		return nil, nil
+	}
+	idx := make([]int, n)
+	lo, hi := 0, n
+	for i := 0; i < n; i++ {
+		if out(i) {
+			hi--
+			idx[hi] = i
+		} else {
+			idx[lo] = i
+			lo++
+		}
+	}
+	slices.Reverse(idx[hi:])
+	if lo > 0 {
+		normal = idx[:lo:lo]
+	}
+	if hi < n {
+		exceptional = idx[hi:]
 	}
 	return normal, exceptional
 }
@@ -120,10 +149,14 @@ func Median(xs []float64) float64 {
 
 // MAD returns the median absolute deviation from the median.
 func MAD(xs []float64) float64 {
+	return madAround(xs, Median(xs))
+}
+
+// madAround is the median absolute deviation of xs from med, its median.
+func madAround(xs []float64, med float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	med := Median(xs)
 	devs := make([]float64, len(xs))
 	for i, x := range xs {
 		devs[i] = math.Abs(x - med)
@@ -150,24 +183,13 @@ func OutliersMAD(xs []float64, threshold float64) (normal, exceptional []int) {
 		threshold = DefaultMADThreshold
 	}
 	med := Median(xs)
-	mad := MAD(xs)
-	for i, x := range xs {
+	mad := madAround(xs, med)
+	return partition(len(xs), func(i int) bool {
 		if mad == 0 {
 			// Degenerate spread: anything not exactly at the median of a
 			// constant-majority set is exceptional.
-			if x != med {
-				exceptional = append(exceptional, i)
-			} else {
-				normal = append(normal, i)
-			}
-			continue
+			return xs[i] != med
 		}
-		z := madConsistency * math.Abs(x-med) / mad
-		if z >= threshold {
-			exceptional = append(exceptional, i)
-		} else {
-			normal = append(normal, i)
-		}
-	}
-	return normal, exceptional
+		return madConsistency*math.Abs(xs[i]-med)/mad >= threshold
+	})
 }

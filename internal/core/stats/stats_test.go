@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,56 @@ func TestOutliersMADDegenerateSpread(t *testing.T) {
 	normal, exc = OutliersMAD([]float64{5, 5, 5}, 0)
 	if len(exc) != 0 || len(normal) != 3 {
 		t.Errorf("constant: normal=%v exceptional=%v", normal, exc)
+	}
+}
+
+// TestOutliersMatchesZScores: Outliers classifies as the |z| of ZScores
+// does, each index once, both lists ascending.
+func TestOutliersMatchesZScores(t *testing.T) {
+	f := func(raw []float64, dead uint8) bool {
+		xs := make([]float64, 0, len(raw)+int(dead%4))
+		for _, x := range raw {
+			if !math.IsNaN(x) && !math.IsInf(x, 0) {
+				xs = append(xs, math.Mod(x, 1e3))
+			}
+		}
+		for i := 0; i < int(dead%4); i++ {
+			xs = append(xs, -1e6) // dead sources, far below the rest
+		}
+		normal, exceptional := Outliers(xs, DefaultZThreshold)
+		var wantN, wantE []int
+		for i, z := range ZScores(xs) {
+			if math.Abs(z) >= DefaultZThreshold {
+				wantE = append(wantE, i)
+			} else {
+				wantN = append(wantN, i)
+			}
+		}
+		return slices.Equal(normal, wantN) && slices.Equal(exceptional, wantE)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestOutliersAllocatesOnce: classifying a wide report's 5,000 recencies
+// makes one slice for both index lists, whatever their split.
+func TestOutliersAllocatesOnce(t *testing.T) {
+	xs := make([]float64, 5000)
+	for i := range xs {
+		xs[i] = 1e9 + float64(i%97)
+	}
+	for i := 0; i < 40; i++ {
+		xs[i*100] = 0 // forty dead sources
+	}
+	if n := testing.AllocsPerRun(20, func() { Outliers(xs, DefaultZThreshold) }); n > 1 {
+		t.Errorf("Outliers over %d values: %v allocations, want 1", len(xs), n)
+	}
+	if n := testing.AllocsPerRun(20, func() { OutliersMAD(xs, 0) }); n > 4 {
+		t.Errorf("OutliersMAD over %d values: %v allocations, want at most 4 (three for the two medians, one for the indexes)", len(xs), n)
+	}
+	normal, exceptional := Outliers(xs, DefaultZThreshold)
+	if len(exceptional) != 40 || len(normal) != len(xs)-40 {
+		t.Errorf("%d normal, %d exceptional, want %d and 40", len(normal), len(exceptional), len(xs)-40)
 	}
 }

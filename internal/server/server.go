@@ -251,7 +251,9 @@ func (c *conn) serve() {
 	}()
 	defer c.nc.Close()
 
-	if err := c.handshake(); err != nil {
+	br := bufio.NewReaderSize(c.nc, 32<<10)
+	bw := bufio.NewWriterSize(c.nc, 32<<10)
+	if err := c.handshake(br, bw); err != nil {
 		c.srv.logf("handshake %s: %v", c.nc.RemoteAddr(), err)
 		return
 	}
@@ -270,8 +272,6 @@ func (c *conn) serve() {
 	c.sess = c.srv.cfg.DB.NewSession()
 	defer c.sess.Close()
 
-	br := bufio.NewReaderSize(c.nc, 32<<10)
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
 	c.task = Task{Run: c.run, Shed: c.shed}
 	for {
 		var err error
@@ -316,11 +316,14 @@ func frameBuffered(br *bufio.Reader) bool {
 	return int64(br.Buffered()-frameHeaderLen) >= int64(binary.BigEndian.Uint32(hdr[1:]))
 }
 
-// handshake authenticates the connection within the handshake timeout.
-func (c *conn) handshake() error {
+// handshake authenticates the connection within the handshake timeout. It
+// reads the Hello through br, so request bytes read ahead of it stay there
+// for the serving loop, and its answer, a Welcome or a refusal, goes out
+// through bw in one write.
+func (c *conn) handshake(br *bufio.Reader, bw *bufio.Writer) error {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.HandshakeTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
-	ft, payload, err := ReadFrame(c.nc)
+	ft, payload, err := ReadFrame(br)
 	if err != nil {
 		return err
 	}
@@ -331,8 +334,7 @@ func (c *conn) handshake() error {
 	// checked before the decode error.
 	hello, err := DecodeHello(payload)
 	if hello.Version != ProtocolVersion {
-		WriteFrame(c.nc, FrameError, EncodeError(fmt.Sprintf(
-			"unsupported protocol version %d (server speaks %d)", hello.Version, ProtocolVersion)))
+		refuse(bw, fmt.Sprintf("unsupported protocol version %d (server speaks %d)", hello.Version, ProtocolVersion))
 		return fmt.Errorf("version mismatch: client %d", hello.Version)
 	}
 	if err != nil {
@@ -341,14 +343,25 @@ func (c *conn) handshake() error {
 	if c.srv.cfg.Token != "" &&
 		subtle.ConstantTimeCompare([]byte(hello.Token), []byte(c.srv.cfg.Token)) != 1 {
 		c.srv.authFailed.Add(1)
-		WriteFrame(c.nc, FrameError, EncodeError("authentication failed"))
+		refuse(bw, "authentication failed")
 		return errors.New("bad token")
 	}
-	return WriteFrame(c.nc, FrameWelcome, EncodeWelcome(Welcome{
+	if err := WriteFrame(bw, FrameWelcome, EncodeWelcome(Welcome{
 		Version: ProtocolVersion,
 		Server:  c.srv.cfg.Name,
 		Shards:  uint32(c.srv.cfg.DB.Shards()),
-	}))
+	})); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// refuse sends a handshake's Error frame, best effort: the connection closes
+// either way.
+func refuse(bw *bufio.Writer, msg string) {
+	if WriteFrame(bw, FrameError, EncodeError(msg)) == nil {
+		_ = bw.Flush()
+	}
 }
 
 // respond replaces the request in c.ft/c.payload with its answer: inline for

@@ -537,6 +537,52 @@ func (c countingConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// TestHandshakeIsOneWrite: the server answers a Hello in one write, a
+// Welcome or a refusal, and a request sent in the same write as the Hello is
+// served after the Welcome.
+func TestHandshakeIsOneWrite(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	_, addr := startServerOn(t, trac.Open(), server.Config{Token: "ok"}, countingListener{l, &writes})
+	for _, tc := range []struct {
+		token string
+		ping  bool // a Ping follows the Hello in the same write
+		want  []server.FrameType
+	}{
+		{"ok", false, []server.FrameType{server.FrameWelcome}},
+		{"wrong", false, []server.FrameType{server.FrameError}},
+		{"ok", true, []server.FrameType{server.FrameWelcome, server.FramePong}},
+	} {
+		before := writes.Load()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(30 * time.Second))
+		req := frame(t, server.FrameHello, server.EncodeHello(server.Hello{Version: server.ProtocolVersion, Token: tc.token}))
+		if tc.ping {
+			req = append(req, frame(t, server.FramePing, nil)...)
+		}
+		if _, err := nc.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(nc)
+		for i, want := range tc.want {
+			if ft, _, err := server.ReadFrame(br); err != nil || ft != want {
+				t.Fatalf("token %q, ping %v: frame %d is %v (%v), want %v", tc.token, tc.ping, i, ft, err, want)
+			}
+		}
+		// Nothing else is answered, so every write has landed.
+		if n := writes.Load() - before; !tc.ping && n != 1 {
+			t.Errorf("token %q: the handshake took %d writes, want 1", tc.token, n)
+		}
+		nc.Close()
+	}
+}
+
 // TestPipelinedRequestsRunInProgramOrder pipelines frames on a raw
 // connection, with more execution slots than one: a session's requests must
 // still run one after another in the order they were sent, answer in that
